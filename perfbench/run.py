@@ -3,7 +3,7 @@
 
 Usage (from the repository root):
 
-    python3 perfbench/run.py --workload <siesta|metbenchvar|paper_sweep|trace_export>
+    python3 perfbench/run.py --workload <siesta|metbenchvar|paper_sweep>
                              --seed N --seconds S --trace <0|1>
     python3 perfbench/run.py --selftest
 
@@ -54,8 +54,6 @@ def main(argv: list) -> int:
         print(f"perfbench: {e}", file=sys.stderr)
         return 1
     args = [str(binary), *argv]
-    if "--selftest" not in argv:
-        args += ["--out-dir", str(build_dir() / "out")]
     sys.stdout.flush()
     return subprocess.run(args, cwd=ROOT, check=False).returncode
 

@@ -3,7 +3,7 @@
 
 Usage (from the repository root):
 
-    python3 perfbench/spread.py --workload siesta [--seeds 1-10] [--trace 0] [--seconds 10]
+    python3 perfbench/spread.py --workload siesta [--seeds 1-10] [--trace 0] [--seconds 30]
 
 For every metric it prints the median and the inter-quartile range as a share
 of the median (statistics.quantiles(values, n=4)), next to the bound in

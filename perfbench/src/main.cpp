@@ -1,24 +1,26 @@
 // hpcs_perfbench: the paper-workload benchmark.
 //
-//   hpcs_perfbench --workload <siesta|metbenchvar|paper_sweep|trace_export>
-//                  --seed N --seconds S --trace <0|1> [--out-dir DIR]
+//   hpcs_perfbench --workload <siesta|metbenchvar|paper_sweep>
+//                  --seed N --seconds S --trace <0|1>
 //   hpcs_perfbench --selftest
 //
 // --trace 0 measures the end-to-end metrics with every layer undecorated:
 // set-up passes, then whole batches of the workload in a closed loop (the
-// next run starts when the previous one finishes) for S seconds.
+// next run starts when the previous one finishes) for S seconds, with a
+// host-speed probe (probe.h) after every pass and batch; the times are
+// rescaled by it to the reference host speed.
 // --trace 1 is the separate traced run: per point, the plain run, an obs run
 // for the simcore counters, the decorated reassembly (layer spans), the chip
-// replay and a trace capture with rendering; it prints the per-layer metrics
-// and an attribution table.
+// replay and a trace capture with in-memory rendering; it prints the
+// per-layer metrics and an attribution table.
 // The last line of standard output is one JSON object:
 //   {"correct": .., "attempted": .., "failed": .., "metrics": {name: {value, unit}}}
 
 #include <algorithm>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <fstream>
 #include <map>
 #include <regex>
@@ -31,6 +33,7 @@
 #include "layers.h"
 #include "obs/manifest.h"
 #include "points.h"
+#include "probe.h"
 #include "trace/csv.h"
 #include "trace/gantt.h"
 #include "trace/paraver.h"
@@ -255,7 +258,7 @@ double sim_rate(const Batch& b) {
 }
 
 // ---------------------------------------------------------------------------
-// Trace and obs rendering (the trace_export work)
+// Trace and obs rendering (traced run only)
 // ---------------------------------------------------------------------------
 
 obs::ObsConfig capture_obs() {
@@ -275,50 +278,39 @@ struct Rendered {
   std::uint64_t hash = 14695981039346656037ULL;  ///< over every rendered byte
 };
 
-/// Hashes and counts every rendered byte; writes it under `dir` unless
-/// `dir` is empty (then the text is rendered and dropped).
+/// Hashes and counts every rendered byte; the text itself is dropped.
 class Renderer {
  public:
-  Renderer(std::filesystem::path dir, Rendered& out) : dir_(std::move(dir)), out_(out) {}
+  explicit Renderer(Rendered& out) : out_(out) {}
 
-  bool write(const std::string& name, const std::string& text, std::int64_t& bytes) {
+  void write(const std::string& text, std::int64_t& bytes) {
     for (unsigned char c : text) {
       out_.hash ^= c;
       out_.hash *= 1099511628211ULL;
     }
     bytes += static_cast<std::int64_t>(text.size());
-    if (dir_.empty()) return true;
-    std::ofstream os(dir_ / name, std::ios::binary);
-    os << text;
-    return static_cast<bool>(os);
   }
 
   template <typename Fn>
-  bool write_stream(const std::string& name, Fn fn) {
+  void write_stream(Fn fn) {
     std::ostringstream os;
     fn(os);
-    return write(name, os.str(), out_.trace_bytes);
+    write(os.str(), out_.trace_bytes);
   }
 
  private:
-  std::filesystem::path dir_;
   Rendered& out_;
 };
 
 /// Render PARAVER .prv/.pcf/.row, the three CSVs and the Gantt chart per run,
-/// then one windowed manifest and one Chrome trace for the whole batch, into
-/// `dir` (empty: render in memory only). Returns false on an I/O error.
-bool render_outputs(const std::filesystem::path& dir, const std::vector<pb::Point>& points,
+/// then one windowed manifest and one Chrome trace for the whole batch, in
+/// memory.
+void render_outputs(const std::vector<pb::Point>& points,
                     const std::vector<analysis::RunResult>& results, Rendered& out) {
-  if (!dir.empty()) std::filesystem::create_directories(dir);
-  Renderer w(dir, out);
-  bool ok = true;
+  Renderer w(out);
   Clock::time_point t0 = Clock::now();
   for (std::size_t i = 0; i < points.size(); ++i) {
     const analysis::RunResult& r = results[i];
-    const std::string& name = points[i].label;
-    std::string file = name;
-    std::replace(file.begin(), file.end(), '/', '_');
     std::vector<Pid> pids;
     std::vector<std::string> labels;
     for (std::size_t k = 0; k < r.ranks.size(); ++k) {
@@ -329,28 +321,22 @@ bool render_outputs(const std::filesystem::path& dir, const std::vector<pb::Poin
     job.pids = pids;
     job.labels = labels;
     const trace::Tracer& tr = *r.tracer;
-    ok &= w.write_stream(file + ".prv", [&](std::ostream& os) { trace::write_prv(os, tr, job); });
-    ok &= w.write_stream(file + ".pcf", [&](std::ostream& os) { trace::write_pcf(os); });
-    ok &= w.write_stream(file + ".row", [&](std::ostream& os) { trace::write_row(os, job); });
-    ok &= w.write_stream(file + "_iterations.csv", [&](std::ostream& os) {
-      trace::write_iterations_csv(os, tr, pids, labels);
-    });
-    ok &= w.write_stream(file + "_intervals.csv", [&](std::ostream& os) {
-      trace::write_intervals_csv(os, tr, pids, labels);
-    });
-    ok &= w.write_stream(file + "_priorities.csv", [&](std::ostream& os) {
-      trace::write_priorities_csv(os, tr, pids, labels);
-    });
+    w.write_stream([&](std::ostream& os) { trace::write_prv(os, tr, job); });
+    w.write_stream([&](std::ostream& os) { trace::write_pcf(os); });
+    w.write_stream([&](std::ostream& os) { trace::write_row(os, job); });
+    w.write_stream([&](std::ostream& os) { trace::write_iterations_csv(os, tr, pids, labels); });
+    w.write_stream([&](std::ostream& os) { trace::write_intervals_csv(os, tr, pids, labels); });
+    w.write_stream([&](std::ostream& os) { trace::write_priorities_csv(os, tr, pids, labels); });
     trace::GanttOptions gopt;
     gopt.width = 110;
-    ok &= w.write(file + "_gantt.txt", trace::render_gantt(tr, pids, labels, gopt), out.trace_bytes);
+    w.write(trace::render_gantt(tr, pids, labels, gopt), out.trace_bytes);
   }
   out.trace_s += pb::seconds_since(t0);
 
   t0 = Clock::now();
   std::vector<obs::ManifestRun> runs;
   for (std::size_t i = 0; i < points.size(); ++i) runs.push_back({points[i].label, results[i].metrics});
-  ok &= w.write("MANIFEST_perfbench.json", obs::render_manifest_json("perfbench", runs), out.obs_bytes);
+  w.write(obs::render_manifest_json("perfbench", runs), out.obs_bytes);
   out.manifest_s += pb::seconds_since(t0);
 
   t0 = Clock::now();
@@ -358,9 +344,8 @@ bool render_outputs(const std::filesystem::path& dir, const std::vector<pb::Poin
   for (std::size_t i = 0; i < points.size(); ++i) {
     truns.push_back({points[i].label, results[i].chrome.get(), &results[i].metrics});
   }
-  ok &= w.write("trace.json", obs::render_chrome_trace(truns), out.obs_bytes);
+  w.write(obs::render_chrome_trace(truns), out.obs_bytes);
   out.chrome_s += pb::seconds_since(t0);
-  return ok;
 }
 
 // ---------------------------------------------------------------------------
@@ -375,8 +360,7 @@ constexpr int kSeedCycle = 5;
 
 /// One set-up pass: generate every input set of the cycle from the seed,
 /// build each point's rank programs, and run the first set's batch once,
-/// untimed, as the warm-up. (A single-point warm-up took ~20 ms on
-/// trace_export, too short to read steadily.)
+/// untimed, as the warm-up.
 std::vector<std::vector<pb::Point>> setup_pass(pb::Workload w, std::uint64_t seed, int sets,
                                                unsigned jobs) {
   std::vector<std::vector<pb::Point>> cycle;
@@ -384,8 +368,7 @@ std::vector<std::vector<pb::Point>> setup_pass(pb::Workload w, std::uint64_t see
     cycle.push_back(pb::make_points(w, pb::cycle_seed(seed, k)));
     for (const pb::Point& p : cycle.back()) (void)pb::point_programs(p);
   }
-  const bool capture = w == pb::Workload::kTraceExport;
-  (void)run_batch(cycle[0], jobs, capture, capture ? capture_obs() : obs::ObsConfig{});
+  (void)run_batch(cycle[0], jobs, false, {});
   return cycle;
 }
 
@@ -398,7 +381,6 @@ struct Args {
   std::uint64_t seed = 1;
   double seconds = 10.0;
   int trace = 0;
-  std::filesystem::path out_dir = ".bench_build/perfbench_out";
   bool selftest = false;
 };
 
@@ -413,61 +395,51 @@ constexpr int kSetupPasses = 3;
 
 int run_end_to_end(const Args& a) {
   const unsigned jobs = jobs_for(a);
+  // Host seconds of each set-up pass and each batch, each with the probe
+  // taken right after it (probes[0] follows the first set-up pass).
   std::vector<double> setup;
+  std::vector<double> probes;
   std::vector<std::vector<pb::Point>> cycle;
+  double rss = 0.0;
   Clock::time_point t0 = kProcessStart;
   for (int i = 0; i < kSetupPasses; ++i) {
     cycle = setup_pass(a.workload, a.seed, kSeedCycle, jobs);
     setup.push_back(pb::seconds_since(t0));
+    if (i == 0) {
+      // Before the probe's own buffers exist. Later passes and batches run
+      // the same points, on other seeds for the batches.
+      rss = peak_rss_mb();
+      (void)pb::host_probe(jobs);  // allocates the probe's buffers, untimed
+    }
+    probes.push_back(pb::host_probe(jobs));
     t0 = Clock::now();
   }
 
-  const bool capture = a.workload == pb::Workload::kTraceExport;
-  const obs::ObsConfig obs = capture ? capture_obs() : obs::ObsConfig{};
   Tally tally;
   std::vector<double> walls;
   std::vector<double> rates;
   std::vector<std::vector<pb::Digest>> first(kSeedCycle);  // per input set
-  std::vector<std::uint64_t> first_render(kSeedCycle);
   std::vector<double> err_pp;
 
   const Clock::time_point start = Clock::now();
   for (std::size_t n = 0; n < cycle.size() || pb::seconds_since(start) < a.seconds; ++n) {
     const std::size_t k = n % cycle.size();
     const std::vector<pb::Point>& points = cycle[k];
-    Batch b = run_batch(points, jobs, capture, obs);
-    const Clock::time_point r0 = Clock::now();
-    Rendered rendered;
-    if (capture) {
-      // Timed rendering stays in memory so wall_s measures the renderers, not
-      // the disk (~30 MB per batch). The first batch's files are written
-      // once, untimed, to check the I/O path and keep the artifacts.
-      (void)render_outputs({}, points, b.results, rendered);
-      b.wall += pb::seconds_since(r0);
-      if (n == 0) {
-        Rendered on_disk;
-        tally.whole_run(render_outputs(a.out_dir / "trace_export", points, b.results, on_disk) &&
-                            on_disk.hash == rendered.hash,
-                        "trace_export: could not write the rendered outputs");
-      }
-    }
+    Batch b = run_batch(points, jobs, false, {});
     if (n < cycle.size()) {
       for (const analysis::RunResult& r : b.results) first[k].push_back(pb::digest_of(r));
       err_pp.push_back(pb::paper_err_pp(points, b.results));
-      first_render[k] = rendered.hash;
     }
     for (std::size_t i = 0; i < points.size(); ++i) {
       std::vector<std::string> problems = result_problems(points[i], b.results[i]);
       if (!(pb::digest_of(b.results[i]) == first[k][i])) {
         problems.push_back("result digest differs from the first batch on the same inputs");
       }
-      if (rendered.hash != first_render[k]) {
-        problems.push_back("rendered trace/obs outputs differ from the first batch on the same inputs");
-      }
       tally.run(points[i].label, problems);
     }
     walls.push_back(b.wall);
     rates.push_back(sim_rate(b));
+    probes.push_back(pb::host_probe(jobs));
   }
 
   std::printf("workload %s: seed %" PRIu64 ", %zu batches of %zu runs over %zu input sets, "
@@ -480,12 +452,29 @@ int run_end_to_end(const Args& a) {
   std::printf("  paper_err_pp per input set:");
   for (double e : err_pp) std::printf(" %.3f", e);
   std::printf("\n");
+  // Reference seconds = host seconds x scale. A set-up pass is scaled by the
+  // probe after it; a batch by the geometric mean of the probes around it.
+  std::vector<double> setup_ref;
+  std::vector<double> wall_ref;
+  std::vector<double> rate_ref;
+  for (std::size_t i = 0; i < setup.size(); ++i) {
+    setup_ref.push_back(setup[i] * pb::kProbeReferenceS / probes[i]);
+  }
+  for (std::size_t i = 0; i < walls.size(); ++i) {
+    const std::size_t p = setup.size() + i;
+    const double scale = pb::kProbeReferenceS / std::sqrt(probes[p - 1] * probes[p]);
+    wall_ref.push_back(walls[i] * scale);
+    rate_ref.push_back(rates[i] / scale);
+  }
+  std::printf("  host probe: median %.4f s over %zu samples (reference %.3f s); unscaled "
+              "wall_s %.4f s, sim_rate %.2f sim_s/s, setup_s %.4f s\n",
+              median(probes), probes.size(), pb::kProbeReferenceS, median(walls), median(rates),
+              median(setup));
 
   Report rep(kEndToEnd);
-  rep.set("wall_s", median(walls));
-  rep.set("sim_rate", median(rates));
-  rep.set("setup_s", median(setup));
-  const double rss = peak_rss_mb();
+  rep.set("wall_s", median(wall_ref));
+  rep.set("sim_rate", median(rate_ref));
+  rep.set("setup_s", median(setup_ref));
   tally.whole_run(rss > 0.0, "peak resident memory unavailable");
   rep.set("peak_rss_mb", rss);
   tally.whole_run(*std::min_element(err_pp.begin(), err_pp.end()) >= 0.0,
@@ -589,7 +578,7 @@ void traced_pass(const Args& a, const std::vector<pb::Point>& points, Tally& tal
     captured.push_back(pb::run_point(p, true, capture_obs()));
     t.capture += pb::seconds_since(c0);
     if (!(pb::digest_of(captured.back()) == want)) problems.push_back("capture run digest differs");
-    (void)render_outputs({}, {p}, captured, rendered);
+    render_outputs({p}, captured, rendered);
     tally.run(p.label, problems);
   }
   t.render = rendered.trace_s;
@@ -776,9 +765,7 @@ int run_selftest() {
   expect(!valid_metric_name("bad name"), "metric-name check rejects a space");
 
   // The forwarding decorators leave results unchanged, on every point kind.
-  auto points = sweep;
-  for (pb::Point& p : pb::make_points(pb::Workload::kTraceExport, 7, true)) points.push_back(p);
-  for (const pb::Point& p : points) {
+  for (const pb::Point& p : sweep) {
     const pb::DecoratedRun d = pb::run_decorated(pb::point_config(p), pb::point_programs(p));
     expect(d.digest == pb::digest_of(pb::run_point(p)), "decorated == run_experiment for " + p.label);
     expect(d.stats.accounting_violations == 0, "accounting holds for " + p.label);
@@ -819,9 +806,6 @@ bool parse_args(int argc, char** argv, Args& a) {
     } else if (arg == "--trace") {
       a.trace = static_cast<int>(std::strtol(v, &end, 10));
       if (a.trace != 0 && a.trace != 1) end = nullptr;
-    } else if (arg == "--out-dir") {
-      a.out_dir = v;
-      continue;
     } else {
       std::fprintf(stderr, "unknown argument %s\n", arg.c_str());
       return false;

@@ -66,8 +66,7 @@ std::uint64_t cycle_seed(std::uint64_t seed, int k) {
 }
 
 bool parse_workload(std::string_view name, Workload& out) {
-  for (Workload w : {Workload::kSiesta, Workload::kMetBenchVar, Workload::kPaperSweep,
-                     Workload::kTraceExport}) {
+  for (Workload w : {Workload::kSiesta, Workload::kMetBenchVar, Workload::kPaperSweep}) {
     if (name == workload_name(w)) {
       out = w;
       return true;
@@ -81,7 +80,6 @@ const char* workload_name(Workload w) {
     case Workload::kSiesta: return "siesta";
     case Workload::kMetBenchVar: return "metbenchvar";
     case Workload::kPaperSweep: return "paper_sweep";
-    case Workload::kTraceExport: return "trace_export";
   }
   return "?";
 }
@@ -111,20 +109,6 @@ std::vector<Point> make_points(Workload w, std::uint64_t seed, bool quick) {
       add_table(out, t.btmz, kFourModes, s);
       add_table(out, t.siesta, kSiestaModes, s);
       break;
-    case Workload::kTraceExport: {
-      // The figure trace windows (the runs behind bench_data/).
-      if (!quick) {
-        t.metbench.workload.iterations = 12;
-        t.btmz.workload.iterations = 60;
-        t.siesta.workload.microiters = 8000;
-      }
-      out.push_back({"fig3a_metbench_baseline", t.metbench, SchedMode::kBaselineCfs, s});
-      out.push_back({"fig3c_metbench_uniform", t.metbench, SchedMode::kUniform, s});
-      out.push_back({"fig4c_metbenchvar_uniform", t.metbenchvar, SchedMode::kUniform, s});
-      out.push_back({"fig5c_btmz_uniform", t.btmz, SchedMode::kUniform, s});
-      out.push_back({"fig6b_siesta_uniform", t.siesta, SchedMode::kUniform, s});
-      break;
-    }
   }
   return out;
 }

@@ -14,7 +14,7 @@
 
 namespace pb {
 
-enum class Workload { kSiesta, kMetBenchVar, kPaperSweep, kTraceExport };
+enum class Workload { kSiesta, kMetBenchVar, kPaperSweep };
 
 [[nodiscard]] bool parse_workload(std::string_view name, Workload& out);
 [[nodiscard]] const char* workload_name(Workload w);

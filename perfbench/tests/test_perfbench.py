@@ -65,8 +65,7 @@ class BinaryTest(unittest.TestCase):
 
     def bench(self, workload, seed, trace):
         out = subprocess.run([self.binary, "--workload", workload, "--seed", str(seed),
-                              "--seconds", "0.1", "--trace", str(trace),
-                              "--out-dir", str(run.build_dir() / "test_out")],
+                              "--seconds", "0.1", "--trace", str(trace)],
                              cwd=ROOT, capture_output=True, text=True, check=True)
         return json.loads(out.stdout.strip().splitlines()[-1])
 
