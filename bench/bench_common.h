@@ -53,11 +53,11 @@ namespace hpcs::bench {
 ///                                 window boundaries of NS nanoseconds into
 ///                                 the manifest's per-window series (schema
 ///                                 hpcs-obs-manifest-v2; implies --obs). The
-///                                 series is byte-identical serial vs --jobs N
-///                                 vs --dist, so scripts/manifest_diff.py can
-///                                 flag mid-run anomalies that identical
-///                                 totals hide. An invalid value aborts with
-///                                 exit code 2.
+///                                 series is byte-identical serial vs --jobs N,
+///                                 so scripts/manifest_diff.py can flag
+///                                 mid-run anomalies that identical totals
+///                                 hide. An invalid value aborts with exit
+///                                 code 2.
 struct ObsOptions {
   obs::ObsConfig cfg;
   std::string trace_path;

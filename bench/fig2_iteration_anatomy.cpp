@@ -13,7 +13,6 @@ int main(int argc, char** argv) {
   using namespace hpcs;
 
   bench::init_logging(argc, argv);
-  bench::reject_dist_unsupported(argc, argv);
   bench::FigObs fobs("fig2_iteration_anatomy", bench::parse_obs_options(argc, argv));
   auto e = analysis::MetBenchExperiment::paper();
   e.workload.iterations = 6;

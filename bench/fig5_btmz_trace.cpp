@@ -12,7 +12,6 @@ int main(int argc, char** argv) {
   using analysis::SchedMode;
 
   bench::init_logging(argc, argv);
-  bench::reject_dist_unsupported(argc, argv);
   const unsigned jobs = exp::parse_jobs_flag(argc, argv);
   bench::FigObs fobs("fig5_btmz", bench::parse_obs_options(argc, argv));
   auto e = analysis::BtMzExperiment::paper();

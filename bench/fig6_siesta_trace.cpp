@@ -15,7 +15,6 @@ int main(int argc, char** argv) {
   using analysis::SchedMode;
 
   bench::init_logging(argc, argv);
-  bench::reject_dist_unsupported(argc, argv);
   const unsigned jobs = exp::parse_jobs_flag(argc, argv);
   bench::FigObs fobs("fig6_siesta", bench::parse_obs_options(argc, argv));
   auto e = analysis::SiestaExperiment::paper();

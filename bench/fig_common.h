@@ -62,23 +62,6 @@ class FigObs {
   std::vector<analysis::RunResult> results_;
 };
 
-/// The figure drivers are trace producers: their whole output hangs off the
-/// in-process Tracer, which never crosses the sweep fabric. Refuse --dist /
-/// HPCS_DIST up front instead of silently running local.
-inline void reject_dist_unsupported(int argc, char** argv) {
-  bool asked = std::getenv("HPCS_DIST") != nullptr && std::getenv("HPCS_DIST")[0] != '\0';
-  for (int i = 1; i < argc && !asked; ++i) {
-    asked = std::strcmp(argv[i], "--dist") == 0 ||
-            std::strncmp(argv[i], "--dist=", 7) == 0;
-  }
-  if (asked) {
-    std::fprintf(stderr,
-                 "error: figure drivers capture traces and cannot run under "
-                 "--dist; use the table drivers for distributed sweeps\n");
-    std::exit(2);
-  }
-}
-
 inline void print_trace_figure(const char* subtitle, const analysis::RunResult& r,
                                int width = 110) {
   std::printf("--- %s (exec %.2fs) ---\n", subtitle, r.exec_time.sec());

@@ -3,7 +3,6 @@
 // should match the hand-tuned static assignment (4/4/5/6).
 
 #include "bench_common.h"
-#include "bench_dist.h"
 
 int main(int argc, char** argv) {
   using namespace hpcs;
@@ -12,21 +11,18 @@ int main(int argc, char** argv) {
   bench::init_logging(argc, argv);
   const unsigned jobs = exp::parse_jobs_flag(argc, argv);
   const bench::ObsOptions obs = bench::parse_obs_options(argc, argv);
-  const bench::DistContext dist = bench::parse_dist_options(argc, argv);
-  bench::reject_dist_incompatible(dist, obs);
-  bench::maybe_serve_dist_worker(dist);
   const auto e = analysis::BtMzExperiment::paper();
   const std::vector<SchedMode> modes = {SchedMode::kBaselineCfs, SchedMode::kStatic,
                                         SchedMode::kUniform, SchedMode::kAdaptive};
 
   std::printf("=== Table V: BT-MZ characterization (class A, 200 iterations) ===\n\n");
   exp::EngineStats host{};
-  auto results = bench::run_modes_dist(
-      dist, "table5_btmz", jobs, modes,
+  auto results = bench::run_modes(
+      jobs, modes,
       [&e, &obs](SchedMode m) {
         return analysis::run_btmz(e, m, /*trace=*/false, /*seed=*/1, obs.cfg);
       },
-      &host, /*seed=*/1, obs);
+      &host);
   auto& baseline = results[0];
   auto& stat = results[1];
   auto& uniform = results[2];

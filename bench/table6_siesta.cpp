@@ -5,7 +5,6 @@
 // balancing. We report the latency split explicitly.
 
 #include "bench_common.h"
-#include "bench_dist.h"
 
 int main(int argc, char** argv) {
   using namespace hpcs;
@@ -14,21 +13,18 @@ int main(int argc, char** argv) {
   bench::init_logging(argc, argv);
   const unsigned jobs = exp::parse_jobs_flag(argc, argv);
   const bench::ObsOptions obs = bench::parse_obs_options(argc, argv);
-  const bench::DistContext dist = bench::parse_dist_options(argc, argv);
-  bench::reject_dist_incompatible(dist, obs);
-  bench::maybe_serve_dist_worker(dist);
   const auto e = analysis::SiestaExperiment::paper();
   const std::vector<SchedMode> modes = {SchedMode::kBaselineCfs, SchedMode::kUniform,
                                         SchedMode::kAdaptive};
 
   std::printf("=== Table VI: SIESTA characterization ===\n\n");
   exp::EngineStats host{};
-  auto results = bench::run_modes_dist(
-      dist, "table6_siesta", jobs, modes,
+  auto results = bench::run_modes(
+      jobs, modes,
       [&e, &obs](SchedMode m) {
         return analysis::run_siesta(e, m, /*trace=*/false, /*seed=*/1, obs.cfg);
       },
-      &host, /*seed=*/1, obs);
+      &host);
   auto& baseline = results[0];
   auto& uniform = results[1];
   auto& adaptive = results[2];

@@ -27,13 +27,7 @@ name/kind sequence). v2 manifests additionally carry a "windows" object per
 run (the --obs-window time series), checked for column/sample arity,
 strictly-increasing window timestamps, and one fixed column layout across
 runs. Host sidecars (MANIFEST_*.host.json) are checked for their own schema
-tag and engine-stat fields; fabric sidecars (MANIFEST_*.fabric.host.json,
-written by --dist coordinator runs and by hpcs-sweepd) for the
-hpcs-dist-fabric-v2 or -v3 schema, counter fields, the per-shard "spans"
-array (bench) or per-job "jobs" array (sweepd), and the optional
-"tracepoints" hit-count object. v3 additionally carries fabric.rows_seeded
-and the optional "cache" (result-cache counters) and "service" (daemon
-counters) objects.
+tag and engine-stat fields.
 
 Exit status: 0 all checks pass, 1 any failure (missing file, missing path,
 out-of-range value, malformed manifest).
@@ -46,43 +40,7 @@ import sys
 
 MANIFEST_SCHEMAS = ("hpcs-obs-manifest-v1", "hpcs-obs-manifest-v2")
 HOST_SCHEMA = "hpcs-obs-host-v1"
-FABRIC_SCHEMAS = ("hpcs-dist-fabric-v2", "hpcs-dist-fabric-v3")
 METRIC_KINDS = ("counter", "gauge", "histogram")
-
-# Fabric tracepoint names (obs::tp_name, src/obs/tracepoint.cpp) the v2
-# fabric sidecar's optional "tracepoints" object may carry; v3 adds the
-# service and cache families.
-DIST_TRACEPOINTS = (
-    "dist_assign",
-    "dist_row",
-    "dist_retry",
-    "dist_steal",
-    "dist_heartbeat",
-)
-SVC_TRACEPOINTS = (
-    "svc_submit",
-    "svc_job_start",
-    "svc_job_done",
-    "cache_hit",
-    "cache_miss",
-)
-
-# Counters in a v3 sidecar's optional "cache" object (cache::CacheStats).
-CACHE_COUNTERS = ("hits", "misses", "stores", "evictions", "corrupt")
-
-# Counters in a v3 sweepd sidecar's "service" object (svc::SvcStats).
-SERVICE_COUNTERS = (
-    "jobs_submitted",
-    "jobs_rejected",
-    "jobs_done",
-    "jobs_cancelled",
-    "clients_connected",
-    "clients_dead",
-    "rows_streamed",
-    "frames_bad",
-)
-
-JOB_STATES = ("queued", "running", "done", "cancelled")
 
 # Event-queue counter family: a manifest that carries any sim.eq_* metric
 # must carry the whole set (obs/recorder.cpp registers them together — a
@@ -100,24 +58,6 @@ EQ_COUNTERS = (
     "sim.eq_wheel_batches",
     "sim.eq_wheel_max_batch",
     "sim.eq_wheel_level_skips",
-)
-
-# Counters in the fabric sidecar's "fabric" object (bench/bench_dist.h
-# write_fabric_sidecar). All non-negative integers; fell_back_local is 0/1.
-FABRIC_COUNTERS = (
-    "workers_connected",
-    "workers_rejected",
-    "workers_dead",
-    "shards_total",
-    "shards_assigned",
-    "shards_retried",
-    "shards_stolen",
-    "shards_local",
-    "rows_remote",
-    "rows_local",
-    "rows_stale",
-    "frames_bad",
-    "fell_back_local",
 )
 
 
@@ -288,153 +228,6 @@ def validate_host_sidecar(doc, fname):
     return problems
 
 
-def validate_fabric_sidecar(doc, fname):
-    problems = []
-    schema = doc.get("schema")
-    if schema not in FABRIC_SCHEMAS:
-        problems.append(f"schema is {schema!r}, want one of {FABRIC_SCHEMAS}")
-    v3 = schema == "hpcs-dist-fabric-v3"
-    # A sidecar names its writer: "bench" for bench --dist runs, "daemon"
-    # for hpcs-sweepd (v3 only). Exactly one of the two.
-    daemon = "daemon" in doc
-    if daemon:
-        if doc.get("daemon") != "hpcs-sweepd":
-            problems.append(f"daemon is {doc.get('daemon')!r}, want 'hpcs-sweepd'")
-        if not v3:
-            problems.append("a daemon sidecar must carry the v3 schema")
-        if "bench" in doc:
-            problems.append("a sidecar names bench or daemon, not both")
-    elif not isinstance(doc.get("bench"), str) or not doc.get("bench"):
-        problems.append("bench must be a non-empty string")
-    if not isinstance(doc.get("port"), int) or not 0 <= doc["port"] <= 65535:
-        problems.append("port must be an integer in [0, 65535]")
-    fabric = doc.get("fabric")
-    if not isinstance(fabric, dict):
-        problems.append("fabric must be an object")
-        return problems
-    counters = FABRIC_COUNTERS + (("rows_seeded",) if v3 else ())
-    for key in counters:
-        val = fabric.get(key)
-        if not isinstance(val, int) or val < 0:
-            problems.append(f"fabric.{key} must be a non-negative integer")
-    if not v3 and "rows_seeded" in fabric:
-        problems.append("fabric.rows_seeded is a v3 field")
-    if isinstance(fabric.get("fell_back_local"), int) and fabric["fell_back_local"] not in (0, 1):
-        problems.append("fabric.fell_back_local must be 0 or 1")
-    # Internal consistency: every row came from somewhere (computed locally,
-    # streamed by a worker, or seeded out of the result cache), and every
-    # shard that ran locally is part of the total.
-    ints = all(isinstance(fabric.get(k), int) for k in counters)
-    if ints:
-        if fabric["shards_local"] > fabric["shards_total"]:
-            problems.append("fabric.shards_local exceeds shards_total")
-        rows = fabric["rows_remote"] + fabric["rows_local"] + fabric.get("rows_seeded", 0)
-        if rows == 0 and fabric["shards_total"] > 0:
-            problems.append("fabric produced no rows for a non-empty sweep")
-
-    cache = doc.get("cache")
-    if cache is not None:  # present only when a result cache was configured
-        if not v3:
-            problems.append("cache is a v3 object")
-        if not isinstance(cache, dict):
-            problems.append("cache must be an object")
-        else:
-            for key in CACHE_COUNTERS:
-                if not isinstance(cache.get(key), int) or cache[key] < 0:
-                    problems.append(f"cache.{key} must be a non-negative integer")
-
-    service = doc.get("service")
-    if daemon and not isinstance(service, dict):
-        problems.append("a daemon sidecar must carry a service object")
-    elif not daemon and service is not None:
-        problems.append("service is a daemon-sidecar object")
-    if isinstance(service, dict):
-        for key in SERVICE_COUNTERS:
-            if not isinstance(service.get(key), int) or service[key] < 0:
-                problems.append(f"service.{key} must be a non-negative integer")
-
-    # A bench sidecar carries per-shard "spans"; a daemon sidecar carries
-    # per-job "jobs" instead (one daemon run multiplexes many sweeps).
-    spans = [] if daemon else doc.get("spans")
-    if daemon:
-        problems.extend(validate_job_spans(doc.get("jobs")))
-    elif not isinstance(spans, list):
-        problems.append("spans must be an array (v2)")
-    else:
-        if ints and len(spans) != fabric["shards_total"]:
-            problems.append(
-                f"spans has {len(spans)} entries for fabric.shards_total = "
-                f"{fabric['shards_total']}"
-            )
-        for si, span in enumerate(spans):
-            where = f"spans.{si}"
-            if not isinstance(span, dict):
-                problems.append(f"{where} must be an object")
-                continue
-            if span.get("shard") != si:
-                problems.append(f"{where}.shard = {span.get('shard')!r}, want {si}")
-            for key in ("first_assign_ms", "done_ms"):
-                if not isinstance(span.get(key), int) or span[key] < -1:
-                    problems.append(f"{where}.{key} must be an integer >= -1")
-            if not isinstance(span.get("attempts"), int) or span["attempts"] < 0:
-                problems.append(f"{where}.attempts must be a non-negative integer")
-            if not isinstance(span.get("done_by"), str):
-                problems.append(f"{where}.done_by must be a string")
-            if (
-                isinstance(span.get("first_assign_ms"), int)
-                and isinstance(span.get("done_ms"), int)
-                and span["first_assign_ms"] >= 0
-                and span["done_ms"] >= 0
-                and span["done_ms"] < span["first_assign_ms"]
-            ):
-                problems.append(f"{where}: done_ms precedes first_assign_ms")
-
-    tps = doc.get("tracepoints")
-    if tps is not None:  # present only when the writer ran with --obs
-        allowed = DIST_TRACEPOINTS + (SVC_TRACEPOINTS if v3 else ())
-        if not isinstance(tps, dict):
-            problems.append("tracepoints must be an object")
-        else:
-            for key, val in tps.items():
-                if key not in allowed:
-                    problems.append(f"tracepoints.{key}: not a fabric tracepoint")
-                elif not isinstance(val, int) or val < 0:
-                    problems.append(f"tracepoints.{key} must be a non-negative integer")
-    return problems
-
-
-def validate_job_spans(jobs):
-    """Validate a sweepd sidecar's per-job "jobs" array."""
-    problems = []
-    if not isinstance(jobs, list):
-        return ["jobs must be an array (sweepd sidecar)"]
-    for ji, job in enumerate(jobs):
-        where = f"jobs.{ji}"
-        if not isinstance(job, dict):
-            problems.append(f"{where} must be an object")
-            continue
-        if not isinstance(job.get("id"), int) or job["id"] <= 0:
-            problems.append(f"{where}.id must be a positive integer")
-        for key in ("tenant", "job"):
-            if not isinstance(job.get(key), str) or not job[key]:
-                problems.append(f"{where}.{key} must be a non-empty string")
-        if job.get("state") not in JOB_STATES:
-            problems.append(f"{where}.state = {job.get('state')!r} not in {JOB_STATES}")
-        for key in ("submit_ms", "start_ms", "done_ms"):
-            if not isinstance(job.get(key), int) or job[key] < -1:
-                problems.append(f"{where}.{key} must be an integer >= -1")
-        for key in ("total", "cached", "rows_local", "rows_remote"):
-            if not isinstance(job.get(key), int) or job[key] < 0:
-                problems.append(f"{where}.{key} must be a non-negative integer")
-        if (
-            isinstance(job.get("cached"), int)
-            and isinstance(job.get("total"), int)
-            and job["cached"] > job["total"]
-        ):
-            problems.append(f"{where}: cached exceeds total")
-    return problems
-
-
 def check_manifests(bench_dir):
     failures = 0
     for path in sorted(glob.glob(f"{bench_dir}/MANIFEST_*.json")):
@@ -446,10 +239,7 @@ def check_manifests(bench_dir):
             print(f"FAIL {fname}: cannot load ({e})")
             failures += 1
             continue
-        # Order matters: the fabric sidecar's name also ends in ".host.json".
-        if fname.endswith(".fabric.host.json"):
-            validate, kind = validate_fabric_sidecar, "fabric sidecar"
-        elif fname.endswith(".host.json"):
+        if fname.endswith(".host.json"):
             validate, kind = validate_host_sidecar, "host sidecar"
         else:
             validate, kind = validate_manifest, "manifest"

@@ -2,7 +2,8 @@
 # CI pipeline: the full static-analysis + sanitizer matrix.
 #
 #   pass 1  release-strict   Release,        -Werror, hpcslint + ctest +
-#                            bench smoke-diff against scripts/bench_golden.json
+#                            bench smoke-diff against scripts/bench_golden.json,
+#                            serial == --jobs 4 for table3..6, perfbench tests
 #   pass 2  asan-ubsan       RelWithDebInfo, -Werror, ASan+UBSan, ctest
 #   pass 3  tsan             RelWithDebInfo, -Werror, TSan, ctest
 #   pass 4  clang checks     (only if clang++ is installed) -Wthread-safety
@@ -39,13 +40,11 @@ echo "=== hpcslint over src/ bench/ tests/ tools/ ==="
 # into quadratic behaviour should fail CI, not quietly rot the dev loop.
 LINT_BUDGET="${HPCS_LINT_BUDGET:-120}"
 lint_t0="$(date +%s)"
-./build-ci/tools/hpcslint/hpcslint \
-  --proto-spec tools/hpcslint/dist_protocol_spec.json src bench tests tools
+./build-ci/tools/hpcslint/hpcslint src bench tests tools
 
 echo "=== hpcslint whole-program (compile_commands.json) vs baseline ==="
 ./build-ci/tools/hpcslint/hpcslint \
   --compile-commands build-ci/compile_commands.json \
-  --proto-spec tools/hpcslint/dist_protocol_spec.json \
   --baseline tools/hpcslint/baseline.sarif.json
 lint_elapsed="$(( $(date +%s) - lint_t0 ))"
 echo "hpcslint runtime: ${lint_elapsed}s (budget ${LINT_BUDGET}s)"
@@ -58,21 +57,17 @@ echo "=== bench smoke-diff vs golden ranges ==="
 (cd build-ci/bench && ./table3_metbench >/dev/null && ./micro_simcore >/dev/null)
 
 echo "=== observability smoke: manifests + Chrome trace ==="
-# A parallel obs run must emit a schema-valid manifest pair, and a figure
-# driver must produce a loadable Chrome-trace JSON. The manifests land in
-# build-ci/bench where check_bench_json.py schema-validates them below.
-# --obs-window turns on the v2 windowed series, which must be byte-identical
-# for any --jobs value and must match the checked-in golden (tolerantly: the
-# golden pins the trajectory, manifest_diff.py flags mid-run drift even when
-# totals agree).
-(cd build-ci/bench && ./table3_metbench --jobs 2 --obs --obs-window 10000000000 >/dev/null &&
-  mkdir -p obs-j1 && cd obs-j1 &&
-  ../table3_metbench --jobs 1 --obs --obs-window 10000000000 >/dev/null)
-cmp build-ci/bench/MANIFEST_table3_metbench.json \
-    build-ci/bench/obs-j1/MANIFEST_table3_metbench.json
-echo "windowed manifest byte-identical: --jobs 1 vs --jobs 2"
+# A parallel obs run must emit a schema-valid manifest pair (it lands in
+# build-ci/bench, where check_bench_json.py schema-validates it below), and a
+# figure driver must produce a loadable Chrome-trace JSON. With --obs-window
+# on, every table driver's stdout and manifest must be byte-identical for
+# --jobs 1 and --jobs 4 (BENCH_*.json apart from "jobs"), and the windowed
+# series must match the checked-in golden (tolerantly: the golden pins the
+# trajectory, manifest_diff.py flags mid-run drift even when totals agree).
+(cd build-ci/bench && ./table3_metbench --jobs 2 --obs --obs-window 10000000000 >/dev/null)
+scripts/jobs_identity.sh build-ci/bench build-ci/jobs-identity
 python3 scripts/manifest_diff.py scripts/manifest_golden_v2.json \
-  build-ci/bench/MANIFEST_table3_metbench.json
+  build-ci/jobs-identity/j4/MANIFEST_table3_metbench.json
 (cd build-ci/bench &&
   ./fig3_metbench_trace --obs-trace obs_fig3_trace.json >/dev/null)
 python3 -c "
@@ -82,17 +77,10 @@ assert doc['traceEvents'], 'Chrome trace has no events'
 print(f'Chrome trace loads: {len(doc[\"traceEvents\"])} events')
 "
 
-echo "=== dist-smoke: coordinator + 2 TCP workers vs serial ==="
-# Byte-identity of the sweep fabric against the serial run, plus the
-# fabric-sidecar schema checks and the result-cache cold/warm/corrupt pass.
-# Full contract in scripts/dist_smoke.sh.
-scripts/dist_smoke.sh build-ci
-
-echo "=== svc-smoke: hpcs-sweepd + hpcs-submit + worker + cache replay ==="
-# The sweep service's acceptance contract: concurrent tenants, a TCP
-# worker, a byte-identical warm-cache resubmit, status/shutdown, and the
-# v3 daemon sidecar. Full contract in scripts/svc_smoke.sh.
-scripts/svc_smoke.sh build-ci
+echo "=== perfbench: benchmark build from src/, --selftest, short runs ==="
+# The paper-workload benchmark compiles its own copy of src/; its tests
+# build it, run --selftest, then short metbenchvar runs untraced and traced.
+python3 -m unittest discover -s perfbench/tests
 
 python3 scripts/check_bench_json.py scripts/bench_golden.json build-ci/bench
 

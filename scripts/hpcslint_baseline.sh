@@ -22,7 +22,6 @@ cmake --build "$BUILD_DIR" --target hpcslint -j >/dev/null
 rc=0
 "$BUILD_DIR/tools/hpcslint/hpcslint" \
   --compile-commands "$BUILD_DIR/compile_commands.json" \
-  --proto-spec tools/hpcslint/dist_protocol_spec.json \
   --sarif tools/hpcslint/baseline.sarif.json >/dev/null || rc=$?
 if [[ $rc -ge 2 ]]; then
   echo "error: hpcslint failed (exit $rc)" >&2

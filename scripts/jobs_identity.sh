@@ -1,0 +1,27 @@
+#!/usr/bin/env bash
+# The determinism contract of the table drivers: serial == --jobs 4.
+#
+# Each of table3..6 runs twice with the windowed manifest on (--obs
+# --obs-window 10000000000), once at --jobs 1 and once at --jobs 4, in
+# OUT_DIR/j1 and OUT_DIR/j4. Stdout and MANIFEST_<name>.json must be
+# byte-identical; BENCH_<name>.json may differ only in its "jobs" field.
+# The outputs stay in OUT_DIR for later checks (e.g. manifest_diff.py).
+#
+# Usage: scripts/jobs_identity.sh BENCH_DIR OUT_DIR
+set -euo pipefail
+
+bench="$(cd "$1" && pwd)"
+out="$2"
+mkdir -p "${out}/j1" "${out}/j4"
+
+for t in table3_metbench table4_metbenchvar table5_btmz table6_siesta; do
+  for j in 1 4; do
+    (cd "${out}/j${j}" &&
+      "${bench}/${t}" --jobs "${j}" --obs --obs-window 10000000000 >"${t}.stdout")
+  done
+  cmp "${out}/j1/${t}.stdout" "${out}/j4/${t}.stdout"
+  cmp "${out}/j1/MANIFEST_${t}.json" "${out}/j4/MANIFEST_${t}.json"
+  diff <(sed -E 's/"jobs": [0-9]+,/"jobs": N,/' "${out}/j1/BENCH_${t}.json") \
+       <(sed -E 's/"jobs": [0-9]+,/"jobs": N,/' "${out}/j4/BENCH_${t}.json")
+  echo "${t}: --jobs 1 == --jobs 4 (stdout, MANIFEST, BENCH apart from \"jobs\")"
+done

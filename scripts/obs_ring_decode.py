@@ -36,8 +36,7 @@ MAGIC = b"HPCSRING"
 VERSION = 1
 
 # Mirrors obs::TpId <-> obs::tp_name() (append-only catalogue,
-# src/obs/tracepoint.h / tracepoint.cpp). Keep byte-for-byte in sync: the
-# fabric sidecar's "tracepoints" object is keyed by these strings.
+# src/obs/tracepoint.h / tracepoint.cpp). Keep byte-for-byte in sync.
 TP_NAMES = [
     "sched_switch",
     "sched_wake",
@@ -48,16 +47,6 @@ TP_NAMES = [
     "hpc_imbalance",
     "hpc_prio_change",
     "hpc_history_reset",
-    "dist_assign",
-    "dist_row",
-    "dist_retry",
-    "dist_steal",
-    "dist_heartbeat",
-    "svc_submit",
-    "svc_job_start",
-    "svc_job_done",
-    "cache_hit",
-    "cache_miss",
 ]
 
 

@@ -58,8 +58,8 @@ def group_by_rule(rows):
 
 
 def emit(title, rows, markdown):
-    # Group by rule id so a new rule family (shared-race, proto-exhaustive,
-    # proto-drift, ...) reads as one block, not findings interleaved by path.
+    # Group by rule id so a new rule family (det-taint, shared-race, ...)
+    # reads as one block, not findings interleaved by path.
     groups = group_by_rule(rows)
     if markdown:
         print(f"### {title} ({len(rows)})")

@@ -1,15 +1,98 @@
 #include "analysis/run_serialize.h"
 
-#include "dist/wire.h"
+#include <cstdint>
+#include <cstring>
+#include <string_view>
 
 namespace hpcs::analysis {
 
 namespace {
 
 /// Layout version of the serialized RunResult; bumped on any field change so
-/// a stale worker binary is rejected instead of misread.
+/// a blob written by an older layout is rejected instead of misread.
 /// v2: MetricsSnapshot carries the manifest-v2 windowed series.
 constexpr std::uint32_t kRunResultVersion = 2;
+
+/// Append-only little-endian byte builder.
+class Writer {
+ public:
+  Writer& u8(std::uint8_t v) { return le(v, 1); }
+  Writer& u32(std::uint32_t v) { return le(v, 4); }
+  Writer& u64(std::uint64_t v) { return le(v, 8); }
+  Writer& i32(std::int32_t v) { return u32(static_cast<std::uint32_t>(v)); }
+  Writer& i64(std::int64_t v) { return u64(static_cast<std::uint64_t>(v)); }
+  /// IEEE-754 bit pattern: bit-exact round trip, never a decimal format.
+  Writer& f64(double v) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof bits);
+    return u64(bits);
+  }
+  /// u32 length + raw bytes.
+  Writer& str(std::string_view s) {
+    u32(static_cast<std::uint32_t>(s.size()));
+    buf_.append(s.data(), s.size());
+    return *this;
+  }
+
+  [[nodiscard]] std::string take() { return std::move(buf_); }
+
+ private:
+  Writer& le(std::uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) buf_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+    return *this;
+  }
+
+  std::string buf_;
+};
+
+/// Bounds-checked little-endian reader. Any underrun (or an embedded string
+/// longer than the bytes left) flips ok() to false and every later read
+/// returns zero values, so callers check ok() once per count and at the end.
+class Reader {
+ public:
+  explicit Reader(std::string_view buf) : buf_(buf) {}
+
+  [[nodiscard]] std::uint8_t u8() { return static_cast<std::uint8_t>(le(1)); }
+  [[nodiscard]] std::uint32_t u32() { return static_cast<std::uint32_t>(le(4)); }
+  [[nodiscard]] std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
+  [[nodiscard]] std::int64_t i64() { return static_cast<std::int64_t>(le(8)); }
+  [[nodiscard]] double f64() {
+    const std::uint64_t bits = le(8);
+    double v = 0.0;
+    std::memcpy(&v, &bits, sizeof v);
+    return v;
+  }
+  [[nodiscard]] std::string str() {
+    const std::uint32_t n = u32();
+    if (!take(n)) return {};
+    std::string s(buf_.substr(pos_, n));
+    pos_ += n;
+    return s;
+  }
+
+  [[nodiscard]] bool ok() const { return ok_; }
+  /// ok() and every byte consumed: trailing bytes are corruption.
+  [[nodiscard]] bool done() const { return ok_ && pos_ == buf_.size(); }
+
+ private:
+  [[nodiscard]] bool take(std::size_t n) {
+    if (!ok_ || buf_.size() - pos_ < n) ok_ = false;
+    return ok_;
+  }
+
+  std::uint64_t le(int bytes) {
+    if (!take(static_cast<std::size_t>(bytes))) return 0;
+    std::uint64_t v = 0;
+    for (int i = 0; i < bytes; ++i) {
+      v |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(buf_[pos_++])) << (8 * i);
+    }
+    return v;
+  }
+
+  std::string_view buf_;
+  std::size_t pos_ = 0;
+  bool ok_ = true;
+};
 
 /// Sanity caps: a count above these is a corrupt blob, not a plausible run.
 constexpr std::uint32_t kMaxRanks = 1u << 16;
@@ -18,7 +101,7 @@ constexpr std::uint32_t kMaxMetrics = 1u << 20;
 constexpr std::uint32_t kMaxBuckets = 1u << 16;
 constexpr std::uint32_t kMaxWindows = 1u << 24;
 
-void put_task(dist::WireWriter& w, const TaskResult& t) {
+void put_task(Writer& w, const TaskResult& t) {
   w.str(t.name)
       .i32(t.pid)
       .f64(t.util_pct)
@@ -29,7 +112,7 @@ void put_task(dist::WireWriter& w, const TaskResult& t) {
       .i64(t.iterations);
 }
 
-bool get_task(dist::WireReader& r, TaskResult& t) {
+bool get_task(Reader& r, TaskResult& t) {
   t.name = r.str();
   t.pid = r.i32();
   t.util_pct = r.f64();
@@ -41,7 +124,7 @@ bool get_task(dist::WireReader& r, TaskResult& t) {
   return r.ok();
 }
 
-void put_metric(dist::WireWriter& w, const obs::MetricValue& m) {
+void put_metric(Writer& w, const obs::MetricValue& m) {
   w.str(m.name)
       .u8(static_cast<std::uint8_t>(m.kind))
       .i64(m.count)
@@ -52,7 +135,7 @@ void put_metric(dist::WireWriter& w, const obs::MetricValue& m) {
   for (const std::int64_t b : m.buckets) w.i64(b);
 }
 
-bool get_metric(dist::WireReader& r, obs::MetricValue& m) {
+bool get_metric(Reader& r, obs::MetricValue& m) {
   m.name = r.str();
   const std::uint8_t kind = r.u8();
   if (kind > static_cast<std::uint8_t>(obs::MetricKind::kHistogram)) return false;
@@ -72,7 +155,7 @@ bool get_metric(dist::WireReader& r, obs::MetricValue& m) {
   return r.ok();
 }
 
-void put_windows(dist::WireWriter& w, const obs::WindowedSeries& s) {
+void put_windows(Writer& w, const obs::WindowedSeries& s) {
   w.i64(s.window_ns);
   w.u32(static_cast<std::uint32_t>(s.int_columns.size()));
   for (const std::string& c : s.int_columns) w.str(c);
@@ -86,7 +169,7 @@ void put_windows(dist::WireWriter& w, const obs::WindowedSeries& s) {
   }
 }
 
-bool get_windows(dist::WireReader& r, obs::WindowedSeries& s) {
+bool get_windows(Reader& r, obs::WindowedSeries& s) {
   s.window_ns = r.i64();
   const std::uint32_t ni = r.u32();
   if (!r.ok() || ni > kMaxMetrics) return false;
@@ -111,10 +194,8 @@ bool get_windows(dist::WireReader& r, obs::WindowedSeries& s) {
 
 }  // namespace
 
-std::uint32_t run_result_format_version() { return kRunResultVersion; }
-
 std::string serialize_run_result(const RunResult& r) {
-  dist::WireWriter w;
+  Writer w;
   w.u32(kRunResultVersion);
   w.u8(static_cast<std::uint8_t>(r.mode));
   w.i64(r.exec_time.ns());
@@ -141,7 +222,7 @@ std::string serialize_run_result(const RunResult& r) {
 }
 
 bool deserialize_run_result(const std::string& bytes, RunResult& out) {
-  dist::WireReader r(bytes);
+  Reader r(bytes);
   if (r.u32() != kRunResultVersion) return false;
   const std::uint8_t mode = r.u8();
   if (mode > static_cast<std::uint8_t>(SchedMode::kHybrid)) return false;

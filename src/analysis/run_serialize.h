@@ -1,14 +1,12 @@
 #pragma once
-// Bit-exact RunResult <-> bytes for the sweep fabric. Doubles travel as
-// IEEE-754 bit patterns (dist::WireWriter::f64), so a row computed on a
-// worker re-prints to the exact same %.10g text as the same row computed
-// locally — that is how BENCH_*.json and MANIFEST_*.json stay byte-identical
-// under --dist.
+// Bit-exact RunResult <-> bytes. Every scalar is little-endian and doubles
+// travel as their IEEE-754 bit patterns, never as decimal text, so two runs
+// serialize to the same bytes exactly when every value field agrees to the
+// last bit. tests/test_eq_differential.cpp uses that as its oracle: it
+// compares whole runs by comparing their blobs.
 //
 // Scope: the value fields only. The host-side handles (tracer, recorder,
-// chrome) do not serialize; runs that need them (--obs-trace,
-// --obs-ring-dump) are explicitly local-only and the drivers reject the
-// combination up front rather than silently dropping data.
+// chrome) do not serialize; deserialize_run_result leaves them empty.
 
 #include <string>
 
@@ -20,13 +18,9 @@ namespace hpcs::analysis {
 /// excluded).
 [[nodiscard]] std::string serialize_run_result(const RunResult& r);
 
-/// Inverse of serialize_run_result. False on malformed/mismatched bytes;
+/// Inverse of serialize_run_result. False on malformed/mismatched bytes
+/// (truncated, trailing bytes, wrong version, out-of-range enum or count);
 /// `out` is unspecified in that case.
 [[nodiscard]] bool deserialize_run_result(const std::string& bytes, RunResult& out);
-
-/// The serializer's format version tag. Cache keys fold it in
-/// (result_cache_key.h) so bumping the layout invalidates every stored blob
-/// instead of feeding old bytes to a new decoder.
-[[nodiscard]] std::uint32_t run_result_format_version();
 
 }  // namespace hpcs::analysis

@@ -50,8 +50,6 @@ void append_event(std::string& out, bool& first, const std::string& body) {
 
 enum : std::uint8_t { kFrameSlice = 0, kFramePrio = 1, kFrameIter = 2 };
 
-// HPCS_HOST_BEGIN — spool-file IO: these helpers move already-deterministic
-// frame bytes to/from the host tmpfile; no simulation state is read here.
 void put_bytes(std::FILE* f, const void* p, std::size_t n, std::size_t& bytes) {
   HPCS_CHECK_MSG(std::fwrite(p, 1, n, f) == n, "chrome trace spool write failed");
   bytes += n;
@@ -85,7 +83,6 @@ template <typename T>
   }
   return s;
 }
-// HPCS_HOST_END
 
 }  // namespace
 
@@ -136,7 +133,6 @@ void ChromeTraceSink::replay(Visitor& v) {
 
 // --- streaming sink --------------------------------------------------------
 
-// HPCS_HOST_BEGIN — spool lifetime: the tmpfile is host scratch space.
 ChromeTraceStreamSink::ChromeTraceStreamSink() : spool_(std::tmpfile()) {
   HPCS_CHECK_MSG(spool_ != nullptr, "cannot create chrome trace spool file");
 }
@@ -144,7 +140,6 @@ ChromeTraceStreamSink::ChromeTraceStreamSink() : spool_(std::tmpfile()) {
 ChromeTraceStreamSink::~ChromeTraceStreamSink() {
   if (spool_ != nullptr) std::fclose(spool_);  // tmpfile: unlinked, auto-deleted
 }
-// HPCS_HOST_END
 
 void ChromeTraceStreamSink::put_slice(const Slice& s) {
   put_pod(spool_, static_cast<std::uint8_t>(kFrameSlice), spool_bytes_);
@@ -218,7 +213,6 @@ void ChromeTraceStreamSink::finalize(SimTime end) {
 
 void ChromeTraceStreamSink::replay(Visitor& v) {
   replaying_ = true;
-  // HPCS_HOST_BEGIN — rewinding the host spool; frame decode is above.
   HPCS_CHECK_MSG(std::fflush(spool_) == 0, "chrome trace spool flush failed");
   // One sequential pass per record kind keeps the grouped capture order of
   // the buffered sink (all slices, then prios, then iterations) while the
@@ -262,7 +256,6 @@ void ChromeTraceStreamSink::replay(Visitor& v) {
       }
     }
   }
-  // HPCS_HOST_END
 }
 
 // --- rendering -------------------------------------------------------------
@@ -420,8 +413,6 @@ std::string render_chrome_trace(const std::vector<ChromeTraceRun>& runs) {
   return out;
 }
 
-// HPCS_HOST_BEGIN — result-file write: the rendered JSON is deterministic;
-// only the fopen/fwrite to the host filesystem lives here.
 bool write_chrome_trace(const std::string& path, const std::vector<ChromeTraceRun>& runs) {
   std::unique_ptr<std::FILE, int (*)(std::FILE*)> f(std::fopen(path.c_str(), "w"), &std::fclose);
   if (!f) {
@@ -433,6 +424,5 @@ bool write_chrome_trace(const std::string& path, const std::vector<ChromeTraceRu
   if (!ok) std::fprintf(stderr, "warning: short write to %s\n", path.c_str());
   return ok;
 }
-// HPCS_HOST_END
 
 }  // namespace hpcs::obs

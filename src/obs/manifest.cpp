@@ -112,8 +112,6 @@ std::string render_manifest_json(const std::string& bench,
   return out;
 }
 
-// HPCS_HOST_BEGIN — result-file write: rendered JSON is deterministic; only
-// the fopen/fwrite to the host filesystem lives here.
 bool write_manifest_json(const std::string& path, const std::string& bench,
                          const std::vector<ManifestRun>& runs) {
   std::unique_ptr<std::FILE, int (*)(std::FILE*)> f(std::fopen(path.c_str(), "w"), &std::fclose);
@@ -126,6 +124,5 @@ bool write_manifest_json(const std::string& path, const std::string& bench,
   if (!ok) std::fprintf(stderr, "warning: short write to %s\n", path.c_str());
   return ok;
 }
-// HPCS_HOST_END
 
 }  // namespace hpcs::obs

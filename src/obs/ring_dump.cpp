@@ -57,8 +57,6 @@ std::string encode_ring_dump(const std::vector<RingDumpRun>& runs) {
   return out;
 }
 
-// HPCS_HOST_BEGIN — result-file write: the encoded blob is deterministic;
-// only the ofstream to the host filesystem lives here.
 bool write_ring_dump(const std::string& path, const std::vector<RingDumpRun>& runs,
                      std::string& error) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
@@ -75,6 +73,5 @@ bool write_ring_dump(const std::string& path, const std::vector<RingDumpRun>& ru
   }
   return true;
 }
-// HPCS_HOST_END
 
 }  // namespace hpcs::obs

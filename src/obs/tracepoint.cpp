@@ -15,16 +15,6 @@ const char* tp_name(TpId id) {
     case TpId::kTpHpcImbalance: return "hpc_imbalance";
     case TpId::kTpHpcPrioChange: return "hpc_prio_change";
     case TpId::kTpHpcHistoryReset: return "hpc_history_reset";
-    case TpId::kTpDistAssign: return "dist_assign";
-    case TpId::kTpDistRow: return "dist_row";
-    case TpId::kTpDistRetry: return "dist_retry";
-    case TpId::kTpDistSteal: return "dist_steal";
-    case TpId::kTpDistHeartbeat: return "dist_heartbeat";
-    case TpId::kTpSvcSubmit: return "svc_submit";
-    case TpId::kTpSvcJobStart: return "svc_job_start";
-    case TpId::kTpSvcJobDone: return "svc_job_done";
-    case TpId::kTpCacheHit: return "cache_hit";
-    case TpId::kTpCacheMiss: return "cache_miss";
     case TpId::kTpCount: break;
   }
   return "?";

@@ -30,22 +30,6 @@ enum class TpId : std::uint16_t {
   kTpHpcImbalance,       ///< imbalance detected: a0 = pid, a1 = spread * 100
   kTpHpcPrioChange,      ///< heuristic changed a priority: a0 = pid, a1 = prio
   kTpHpcHistoryReset,    ///< behaviour change reset a task's history: a0 = pid
-  // Sweep-fabric sites (src/dist). `when` is the fabric's now_ms scaled to
-  // nanoseconds — deterministic under the loopback transport's explicit
-  // clock, host wall-clock under real TCP (rings/sidecars only; these never
-  // enter a deterministic manifest).
-  kTpDistAssign,         ///< shard assigned / accepted: a0 = shard, a1 = attempt|worker
-  kTpDistRow,            ///< row streamed: a0 = point index, a1 = shard
-  kTpDistRetry,          ///< shard requeued after worker death: a0 = shard, a1 = attempts
-  kTpDistSteal,          ///< shard stolen from a slow owner: a0 = shard, a1 = prev owner
-  kTpDistHeartbeat,      ///< heartbeat seen/sent: a0 = worker index, a1 = 0
-  // Sweep-service sites (src/svc) and result-cache probes: same now_ms ->
-  // nanosecond clock convention as the dist_* sites above.
-  kTpSvcSubmit,          ///< job accepted into the queue: a0 = job id, a1 = points
-  kTpSvcJobStart,        ///< job admitted to a running slot: a0 = job id, a1 = points
-  kTpSvcJobDone,         ///< job reached a terminal state: a0 = job id, a1 = state
-  kTpCacheHit,           ///< cache probe verified a blob: a0 = job id, a1 = index
-  kTpCacheMiss,          ///< cache probe found nothing usable: a0 = job id, a1 = index
   kTpCount
 };
 

@@ -411,11 +411,8 @@ SimTime run_to_completion(sim::Simulator& s, MpiWorld& world, SimTime deadline) 
   while (!world.done() && s.now() < deadline && s.step()) {
   }
   if (!world.done()) {
-    // HPCS_HOST_BEGIN — diagnostic dump on the failure path, just before the
-    // CHECK aborts; never reached on a deterministic run.
     std::fprintf(stderr, "MPI world stuck at t=%s:\n%s", format_time(s.now()).c_str(),
                  world.debug_state().c_str());
-    // HPCS_HOST_END
     HPCS_CHECK_MSG(world.done(), "simulation deadline reached before the MPI world completed");
   }
   return world.finish_time();

@@ -1,5 +1,5 @@
 // Fixture: the conforming twin — wall-clock and ambient-randomness reads
-// inside an HPCS_HOST region (the src/dist/host convention) produce no
+// inside an HPCS_HOST region (the obs file-writer convention) produce no
 // findings, with no per-line ALLOW comments.
 #include <chrono>
 #include <cstdlib>
@@ -12,7 +12,7 @@ static long now_ms() {
       .count();
 }
 
-static const char* dist_env() { return std::getenv("HPCS_DIST"); }
+static const char* log_env() { return std::getenv("HPCS_LOG_LEVEL"); }
 
 static int jitter() { return rand() % 3; }
 // HPCS_HOST_END

@@ -4,7 +4,7 @@
 //  * Guarded: every access to count_ holds mu_ (lambda takes a MutexLock,
 //    the reader runs under REQUIRES(mu_)), so the lockset is consistent.
 //  * External: the class owns no mutex; its fields are synchronized by the
-//    caller (the Coordinator pattern) and the rule must stay quiet even
+//    caller (the ParallelRunner pattern) and the rule must stay quiet even
 //    though a pool lambda and the main context both touch seen_.
 //  * Annotated: a GUARDED_BY field is the lock-guard rule's jurisdiction,
 //    never shared-race's.

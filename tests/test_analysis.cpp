@@ -1,15 +1,17 @@
 // Tests for the analysis/report layer and the common utilities that back it:
 // ps-like reports, sysfs dumps, improvement computation, formatting helpers,
-// running statistics, histograms, RNG stream independence, and the POWER6
-// parameter preset.
+// running statistics, histograms, RNG stream independence, the POWER6
+// parameter preset, and the bit-exact RunResult serializer.
 
 #include <gtest/gtest.h>
 
 #include "analysis/paper_experiments.h"
 #include "analysis/report.h"
 #include "analysis/experiment.h"
+#include "analysis/run_serialize.h"
 #include "common/log.h"
 #include "common/stats.h"
+#include "obs/manifest.h"
 #include "power5/throughput.h"
 #include "test_util.h"
 #include "workloads/metbench.h"
@@ -183,6 +185,85 @@ TEST(PolicyNames, AllDistinct) {
   EXPECT_STREQ(kern::policy_name(Policy::kNormal), "SCHED_NORMAL");
   EXPECT_TRUE(kern::is_hpc_policy(Policy::kHpcRr));
   EXPECT_FALSE(kern::is_hpc_policy(Policy::kNormal));
+}
+
+// ---------------------------------------------------------------------------
+// RunResult serialization (test_eq_differential's byte-exact oracle)
+
+TEST(RunSerialize, RunResultRoundTripsBitExact) {
+  auto e = analysis::MetBenchExperiment::paper();
+  e.workload.iterations = 2;
+  obs::ObsConfig obs;
+  obs.enabled = true;
+  const analysis::RunResult r = analysis::run_metbench(
+      e, analysis::SchedMode::kAdaptive, /*trace=*/false, /*seed=*/5, obs);
+
+  const std::string bytes = analysis::serialize_run_result(r);
+  analysis::RunResult back;
+  ASSERT_TRUE(analysis::deserialize_run_result(bytes, back));
+  EXPECT_EQ(back.exec_time.ns(), r.exec_time.ns());
+  ASSERT_EQ(back.ranks.size(), r.ranks.size());
+  for (std::size_t i = 0; i < r.ranks.size(); ++i) {
+    EXPECT_EQ(back.ranks[i].util_pct, r.ranks[i].util_pct);  // bit-exact, not near
+  }
+  // Fixed point: a second serialization of the decoded result is the same
+  // bytes — nothing was lost or re-interpreted.
+  EXPECT_EQ(analysis::serialize_run_result(back), bytes);
+}
+
+TEST(RunSerialize, WindowedSeriesRoundTripsBitExact) {
+  auto e = analysis::MetBenchExperiment::paper();
+  e.workload.iterations = 2;
+  obs::ObsConfig obs;
+  obs.enabled = true;
+  obs.window_ns = 50'000'000;  // plenty of boundaries inside a short run
+  const analysis::RunResult r = analysis::run_metbench(
+      e, analysis::SchedMode::kAdaptive, /*trace=*/false, /*seed=*/5, obs);
+  ASSERT_TRUE(r.metrics.windows.enabled());
+  ASSERT_FALSE(r.metrics.windows.samples.empty());
+
+  const std::string bytes = analysis::serialize_run_result(r);
+  analysis::RunResult back;
+  ASSERT_TRUE(analysis::deserialize_run_result(bytes, back));
+  EXPECT_EQ(back.metrics.windows.window_ns, r.metrics.windows.window_ns);
+  EXPECT_EQ(back.metrics.windows.int_columns, r.metrics.windows.int_columns);
+  EXPECT_EQ(back.metrics.windows.real_columns, r.metrics.windows.real_columns);
+  ASSERT_EQ(back.metrics.windows.samples.size(), r.metrics.windows.samples.size());
+  // The decoded result renders to the same manifest bytes: nothing in the
+  // series was lost or re-interpreted by the round trip.
+  EXPECT_EQ(obs::render_manifest_json("unit", {{"run", back.metrics}}),
+            obs::render_manifest_json("unit", {{"run", r.metrics}}));
+  EXPECT_EQ(analysis::serialize_run_result(back), bytes);
+}
+
+TEST(RunSerialize, RejectsCorruptAndTruncatedBlobs) {
+  // A blob with every section populated: ranks, iteration marks, metrics
+  // (counters, gauges, histograms) and a windowed series.
+  auto e = analysis::MetBenchExperiment::paper();
+  e.workload.iterations = 1;
+  obs::ObsConfig obs;
+  obs.enabled = true;
+  obs.window_ns = 500'000'000;
+  const analysis::RunResult r = analysis::run_metbench(
+      e, analysis::SchedMode::kStatic, /*trace=*/false, /*seed=*/1, obs);
+  const std::string bytes = analysis::serialize_run_result(r);
+  analysis::RunResult out;
+  ASSERT_TRUE(analysis::deserialize_run_result(bytes, out));
+
+  // Every strict prefix, down to the empty string, is a truncation.
+  for (std::size_t n = 0; n < bytes.size(); ++n) {
+    ASSERT_FALSE(analysis::deserialize_run_result(bytes.substr(0, n), out))
+        << "accepted a " << n << "-byte prefix of a " << bytes.size() << "-byte blob";
+  }
+  // One trailing byte is corruption, not padding.
+  EXPECT_FALSE(analysis::deserialize_run_result(bytes + '\0', out));
+  // Layout: u32 version, then u8 mode.
+  std::string bad_version = bytes;
+  bad_version[0] = static_cast<char>(bad_version[0] + 1);
+  EXPECT_FALSE(analysis::deserialize_run_result(bad_version, out));
+  std::string bad_mode = bytes;
+  bad_mode[4] = static_cast<char>(0xff);
+  EXPECT_FALSE(analysis::deserialize_run_result(bad_mode, out));
 }
 
 }  // namespace

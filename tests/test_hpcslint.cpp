@@ -221,7 +221,7 @@ TEST(HpcslintHotAlloc, AllowSuppressesPlacementNew) {
 }
 
 // ---------------------------------------------------------------------------
-// HPCS_HOST regions (the src/dist/host convention)
+// HPCS_HOST regions (deliberate host-environment code)
 
 TEST(HpcslintHostRegion, BlanketAllowsHostEnvironmentRules) {
   const auto fs = lint_source("fx.cpp", R"fx(
@@ -341,16 +341,13 @@ std::uint64_t s = time(nullptr) ^ std::chrono::system_clock::now().time_since_ep
 
 TEST(Hpcslint, RuleNamesAreStable) {
   const auto& names = hpcslint::rule_names();
-  EXPECT_EQ(names.size(), 14u);
+  EXPECT_EQ(names.size(), 11u);
   EXPECT_NE(std::find(names.begin(), names.end(), "hot-alloc"), names.end());
   EXPECT_NE(std::find(names.begin(), names.end(), "tracepoint-name"), names.end());
   EXPECT_NE(std::find(names.begin(), names.end(), "det-taint"), names.end());
   EXPECT_NE(std::find(names.begin(), names.end(), "lock-order"), names.end());
   EXPECT_NE(std::find(names.begin(), names.end(), "lock-guard"), names.end());
-  EXPECT_NE(std::find(names.begin(), names.end(), "dist-purity"), names.end());
   EXPECT_NE(std::find(names.begin(), names.end(), "shared-race"), names.end());
-  EXPECT_NE(std::find(names.begin(), names.end(), "proto-exhaustive"), names.end());
-  EXPECT_NE(std::find(names.begin(), names.end(), "proto-drift"), names.end());
 }
 
 // ---------------------------------------------------------------------------
@@ -729,82 +726,6 @@ TEST(HpcslintTemplateMember, PureTemplateStaysQuiet) {
 }
 
 // ---------------------------------------------------------------------------
-// dist-purity
-
-TEST(HpcslintDistPurity, FlagsHostSourcesInMachineCode) {
-  // A dist/ state machine reading the clock and writing a file: both the
-  // clock-driven step and the fopen-driven checkpoint are purity errors.
-  const auto fs = lint_fixture("dist/machine_pos.cpp");
-  EXPECT_EQ(count_rule(fs, "dist-purity"), 2);
-  bool step_flagged = false;
-  bool checkpoint_flagged = false;
-  for (const Finding& f : fs) {
-    if (f.rule != "dist-purity") continue;
-    EXPECT_NE(f.message.find("now_ms"), std::string::npos) << f.message;
-    if (f.message.find("step") != std::string::npos) step_flagged = true;
-    if (f.message.find("checkpoint") != std::string::npos) checkpoint_flagged = true;
-  }
-  EXPECT_TRUE(step_flagged);
-  EXPECT_TRUE(checkpoint_flagged);
-}
-
-TEST(HpcslintDistPurity, HostRegionAndNowMsDrivenTwinIsClean) {
-  const auto fs = lint_fixture("dist/machine_neg.cpp");
-  EXPECT_EQ(count_rule(fs, "dist-purity"), 0);
-  EXPECT_EQ(count_rule(fs, "wallclock"), 0);
-}
-
-TEST(HpcslintDistPurity, FlagsHostSourcesInServiceMachineCode) {
-  // The sweep service rides the same purity contract as dist/: an svc/
-  // state machine reading the clock in admission and journalling to a file
-  // in finish() is flagged on both functions.
-  const auto fs = lint_fixture("svc/machine_pos.cpp");
-  EXPECT_EQ(count_rule(fs, "dist-purity"), 2);
-  bool admit_flagged = false;
-  bool finish_flagged = false;
-  for (const Finding& f : fs) {
-    if (f.rule != "dist-purity") continue;
-    EXPECT_NE(f.message.find("now_ms"), std::string::npos) << f.message;
-    if (f.message.find("admit") != std::string::npos) admit_flagged = true;
-    if (f.message.find("finish") != std::string::npos) finish_flagged = true;
-  }
-  EXPECT_TRUE(admit_flagged);
-  EXPECT_TRUE(finish_flagged);
-}
-
-TEST(HpcslintDistPurity, ServiceHostRegionTwinIsClean) {
-  const auto fs = lint_fixture("svc/machine_neg.cpp");
-  EXPECT_EQ(count_rule(fs, "dist-purity"), 0);
-  EXPECT_EQ(count_rule(fs, "wallclock"), 0);
-}
-
-TEST(HpcslintDistPurity, FlagsHostSourcesInCacheMachineCode) {
-  // The result cache's planning code is pure too: clock stamps and
-  // filesystem probes outside HPCS_HOST regions are purity errors.
-  const auto fs = lint_fixture("cache/machine_pos.cpp");
-  EXPECT_EQ(count_rule(fs, "dist-purity"), 2);
-}
-
-TEST(HpcslintDistPurity, CacheHostRegionTwinIsClean) {
-  const auto fs = lint_fixture("cache/machine_neg.cpp");
-  EXPECT_EQ(count_rule(fs, "dist-purity"), 0);
-  EXPECT_EQ(count_rule(fs, "wallclock"), 0);
-}
-
-TEST(HpcslintDistPurity, SarifRoundTripCoversTheRuleFamily) {
-  const auto fs = lint_fixture("dist/machine_pos.cpp");
-  ASSERT_GE(count_rule(fs, "dist-purity"), 1);
-  const std::string sarif = hpcslint::sarif_report(fs);
-  EXPECT_NE(sarif.find("\"ruleId\": \"dist-purity\""), std::string::npos);
-
-  std::set<std::string> baseline;
-  std::string error;
-  ASSERT_TRUE(hpcslint::load_baseline(sarif, baseline, error)) << error;
-  EXPECT_EQ(baseline.size(), fs.size());
-  EXPECT_TRUE(hpcslint::filter_baselined(fs, baseline).empty());
-}
-
-// ---------------------------------------------------------------------------
 // parallel lint determinism + path-portable fingerprints
 
 TEST(HpcslintParallel, FindingsAreIdenticalToSerial) {
@@ -893,145 +814,29 @@ TEST(HpcslintSharedRace, ConformingTwinsStayQuiet) {
 }
 
 // ---------------------------------------------------------------------------
-// proto-exhaustive + transition-graph extraction (v4)
+// v4 parallel identity (race analysis) + SARIF round-trip
 
-TEST(HpcslintProtoExhaustive, FiresOnMissingArmDespiteDefault) {
-  const auto fs = lint_fixture("dist/proto_pos.cpp");
-  ASSERT_EQ(count_rule(fs, "proto-exhaustive"), 1);
-  for (const Finding& f : fs) {
-    if (f.rule != "proto-exhaustive") continue;
-    EXPECT_NE(f.message.find("MsgType"), std::string::npos) << f.message;
-    EXPECT_NE(f.message.find("kStop"), std::string::npos) << f.message;
-  }
-}
-
-TEST(HpcslintProtoExhaustive, ExhaustiveTwinIsClean) {
-  const auto fs = lint_fixture("dist/proto_neg.cpp");
-  EXPECT_EQ(count_rule(fs, "proto-exhaustive"), 0);
-  EXPECT_EQ(count_rule(fs, "dist-purity"), 0);
-}
-
-TEST(HpcslintProtoGraph, ExtractsTransitionsInDeclarationOrder) {
-  const std::vector<SourceUnit> units = {
-      {"dist/proto_neg.cpp", read_fixture("dist/proto_neg.cpp")},
-  };
-  const hpcslint::LintResult res = hpcslint::lint_units_full(units);
-  const std::string& g = res.protocol_graph;
-  EXPECT_NE(g.find("\"handler\": \"fx::dist::Session::handle\""), std::string::npos) << g;
-  EXPECT_NE(g.find("\"enum\": \"fx::dist::MsgType\""), std::string::npos);
-  EXPECT_NE(g.find("\"has_default\": false"), std::string::npos);
-  // Declaration order of MsgType, not case order (the handler lists kStop
-  // first): kPing < kPong < kStop in the emitted graph.
-  const std::size_t ping = g.find("\"message\": \"kPing\"");
-  const std::size_t pong = g.find("\"message\": \"kPong\"");
-  const std::size_t stop = g.find("\"message\": \"kStop\"");
-  ASSERT_NE(ping, std::string::npos);
-  ASSERT_NE(pong, std::string::npos);
-  ASSERT_NE(stop, std::string::npos);
-  EXPECT_LT(ping, pong);
-  EXPECT_LT(pong, stop);
-  // Cells carry both actions and state transitions.
-  EXPECT_NE(g.find("\"calls\": [\"bump\"]"), std::string::npos) << g;
-  EXPECT_NE(g.find("Phase::kClosed"), std::string::npos);
-  EXPECT_NE(g.find("Phase::kLive"), std::string::npos);
-}
-
-// ---------------------------------------------------------------------------
-// proto-drift (extracted graph vs checked-in spec)
-
-TEST(HpcslintProtoDrift, IdenticalSpecProducesNoFindings) {
-  const std::vector<SourceUnit> units = {
-      {"dist/proto_neg.cpp", read_fixture("dist/proto_neg.cpp")},
-  };
-  const hpcslint::LintResult res = hpcslint::lint_units_full(units);
-  const auto drift =
-      hpcslint::proto_drift_findings(res.protocol_graph, res.protocol_graph, "spec.json");
-  EXPECT_TRUE(drift.empty());
-}
-
-TEST(HpcslintProtoDrift, StaleSpecIsFlagged) {
-  // The spec predates the kStop arm and still lists a machine whose handler
-  // has been deleted: both drifts must surface, each anchored usefully (the
-  // changed machine at its source file, the ghost machine at the spec).
-  const std::vector<SourceUnit> units = {
-      {"dist/proto_neg.cpp", read_fixture("dist/proto_neg.cpp")},
-  };
-  const hpcslint::LintResult res = hpcslint::lint_units_full(units);
-  const std::string stale_spec = R"spec({
-  "version": 1,
-  "machines": [
-    {
-      "handler": "fx::dist::Gone::handle",
-      "class": "fx::dist::Gone",
-      "enum": "fx::dist::MsgType",
-      "file": "dist/gone.cpp",
-      "has_default": false,
-      "transitions": []
-    },
-    {
-      "handler": "fx::dist::Session::handle",
-      "class": "fx::dist::Session",
-      "enum": "fx::dist::MsgType",
-      "file": "dist/proto_neg.cpp",
-      "has_default": false,
-      "transitions": [
-        {"message": "kPing", "calls": ["bump"], "states": ["Phase::kLive"]},
-        {"message": "kPong", "calls": ["bump"], "states": []}
-      ]
-    }
-  ]
-})spec";
-  const auto drift =
-      hpcslint::proto_drift_findings(res.protocol_graph, stale_spec, "spec.json");
-  ASSERT_EQ(drift.size(), 2u);
-  bool ghost_flagged = false;
-  bool stop_flagged = false;
-  for (const Finding& f : drift) {
-    EXPECT_EQ(f.rule, "proto-drift");
-    if (f.message.find("fx::dist::Gone::handle") != std::string::npos) {
-      EXPECT_EQ(f.file, "spec.json");
-      ghost_flagged = true;
-    }
-    if (f.message.find("now handles 'kStop'") != std::string::npos) {
-      EXPECT_EQ(f.file, "dist/proto_neg.cpp");
-      stop_flagged = true;
-    }
-  }
-  EXPECT_TRUE(ghost_flagged);
-  EXPECT_TRUE(stop_flagged);
-}
-
-// ---------------------------------------------------------------------------
-// v4 parallel identity (findings AND protocol graph) + SARIF round-trip
-
-TEST(HpcslintParallel, FullResultIsIdenticalToSerial) {
+TEST(HpcslintParallel, RaceFindingsAreIdenticalToSerial) {
   const std::vector<SourceUnit> units = {
       {"race/lockset_pos.h", read_fixture("race/lockset_pos.h")},
       {"race/lockset_pos.cpp", read_fixture("race/lockset_pos.cpp")},
-      {"dist/proto_neg.cpp", read_fixture("dist/proto_neg.cpp")},
   };
-  const hpcslint::LintResult serial = hpcslint::lint_units_full(units, 1);
-  const hpcslint::LintResult parallel = hpcslint::lint_units_full(units, 4);
-  EXPECT_EQ(serial.protocol_graph, parallel.protocol_graph);
-  ASSERT_EQ(serial.findings.size(), parallel.findings.size());
-  for (std::size_t i = 0; i < serial.findings.size(); ++i) {
-    EXPECT_EQ(serial.findings[i].file, parallel.findings[i].file);
-    EXPECT_EQ(serial.findings[i].line, parallel.findings[i].line);
-    EXPECT_EQ(serial.findings[i].rule, parallel.findings[i].rule);
-    EXPECT_EQ(serial.findings[i].message, parallel.findings[i].message);
+  const auto serial = hpcslint::lint_units(units, 1);
+  const auto parallel = hpcslint::lint_units(units, 4);
+  ASSERT_EQ(serial.size(), parallel.size());
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    EXPECT_EQ(serial[i].file, parallel[i].file);
+    EXPECT_EQ(serial[i].line, parallel[i].line);
+    EXPECT_EQ(serial[i].rule, parallel[i].rule);
+    EXPECT_EQ(serial[i].message, parallel[i].message);
   }
 }
 
 TEST(HpcslintSarif, RoundTripCoversV4Rules) {
-  std::vector<Finding> fs = lint_fixture("race/pool_lambda_pos.cpp");
-  const auto proto = lint_fixture("dist/proto_pos.cpp");
-  fs.insert(fs.end(), proto.begin(), proto.end());
-  hpcslint::sort_findings(fs);
+  const std::vector<Finding> fs = lint_fixture("race/pool_lambda_pos.cpp");
   ASSERT_GE(count_rule(fs, "shared-race"), 1);
-  ASSERT_GE(count_rule(fs, "proto-exhaustive"), 1);
   const std::string sarif = hpcslint::sarif_report(fs);
   EXPECT_NE(sarif.find("\"ruleId\": \"shared-race\""), std::string::npos);
-  EXPECT_NE(sarif.find("\"ruleId\": \"proto-exhaustive\""), std::string::npos);
 
   std::set<std::string> baseline;
   std::string error;

@@ -7,8 +7,8 @@
 //   parse_tu() (parser.cpp)        — scopes, symbols, per-TU findings
 //   link_program() (project.cpp)   — merge symbols across TUs, resolve
 //                                    pending uses/writes, dispatch-aware
-//                                    call graph, taint + purity closures,
-//                                    lock-order graph
+//                                    call graph, taint closure, lock-order
+//                                    graph, lockset race analysis
 //
 // The per-TU stage is embarrassingly parallel: with jobs > 1 it fans out
 // over an exp::ThreadPool into caller-owned slots (one per unit), then the
@@ -27,7 +27,11 @@
 #include "tu.h"
 
 namespace hpcslint {
+namespace {
 
+/// Canonical finding order: (file, line, rule, message). Every entry point
+/// returns findings in this order, so SARIF fingerprint occurrence indices
+/// stay stable.
 void sort_findings(std::vector<Finding>& fs) {
   std::sort(fs.begin(), fs.end(), [](const Finding& a, const Finding& b) {
     if (a.file != b.file) return a.file < b.file;
@@ -36,8 +40,6 @@ void sort_findings(std::vector<Finding>& fs) {
     return a.message < b.message;
   });
 }
-
-namespace {
 
 bool read_file(const std::filesystem::path& path, std::string& out) {
   std::ifstream in(path, std::ios::binary);
@@ -50,7 +52,7 @@ bool read_file(const std::filesystem::path& path, std::string& out) {
 
 }  // namespace
 
-LintResult lint_units_full(const std::vector<SourceUnit>& units, unsigned jobs) {
+std::vector<Finding> lint_units(const std::vector<SourceUnit>& units, unsigned jobs) {
   // Per-TU stage: pure function of one unit, written into its own slot.
   std::vector<TuIndex> tus(units.size());
   const auto analyze_one = [&](std::size_t i) {
@@ -71,18 +73,13 @@ LintResult lint_units_full(const std::vector<SourceUnit>& units, unsigned jobs) 
 
   // Link stage: serial over the slots in unit order — identical inputs in
   // identical order regardless of how the parse stage was scheduled.
-  LintResult res;
-  link_program(tus, res.findings, &res.protocol_graph);
+  std::vector<Finding> findings;
+  link_program(tus, findings);
   for (TuIndex& tu : tus) {
-    res.findings.insert(res.findings.end(), tu.local_findings.begin(),
-                        tu.local_findings.end());
+    findings.insert(findings.end(), tu.local_findings.begin(), tu.local_findings.end());
   }
-  sort_findings(res.findings);
-  return res;
-}
-
-std::vector<Finding> lint_units(const std::vector<SourceUnit>& units, unsigned jobs) {
-  return lint_units_full(units, jobs).findings;
+  sort_findings(findings);
+  return findings;
 }
 
 std::vector<Finding> lint_source(const std::string& file_label,
@@ -98,8 +95,8 @@ std::vector<Finding> lint_file(const std::filesystem::path& path) {
   return lint_source(path.string(), text);
 }
 
-LintResult lint_tree_full(const std::vector<std::filesystem::path>& roots,
-                          unsigned jobs) {
+std::vector<Finding> lint_tree(const std::vector<std::filesystem::path>& roots,
+                               unsigned jobs) {
   namespace fs = std::filesystem;
   std::vector<fs::path> files;
   for (const auto& root : roots) {
@@ -139,15 +136,10 @@ LintResult lint_tree_full(const std::vector<std::filesystem::path>& roots,
     units.push_back(SourceUnit{path.string(), std::move(text)});
   }
 
-  LintResult res = lint_units_full(units, jobs);
-  res.findings.insert(res.findings.end(), io_errors.begin(), io_errors.end());
-  sort_findings(res.findings);
-  return res;
-}
-
-std::vector<Finding> lint_tree(const std::vector<std::filesystem::path>& roots,
-                               unsigned jobs) {
-  return lint_tree_full(roots, jobs).findings;
+  std::vector<Finding> findings = lint_units(units, jobs);
+  findings.insert(findings.end(), io_errors.begin(), io_errors.end());
+  sort_findings(findings);
+  return findings;
 }
 
 std::string format_finding(const Finding& f) {
@@ -156,11 +148,10 @@ std::string format_finding(const Finding& f) {
 
 const std::vector<std::string>& rule_names() {
   static const std::vector<std::string> kNames = {
-      "wallclock",        "rand",       "unordered-iter",
-      "pointer-key",      "hot-alloc",  "missing-override",
-      "tracepoint-name",  "det-taint",  "lock-order",
-      "lock-guard",       "dist-purity", "shared-race",
-      "proto-exhaustive", "proto-drift",
+      "wallclock",       "rand",        "unordered-iter",
+      "pointer-key",     "hot-alloc",   "missing-override",
+      "tracepoint-name", "det-taint",   "lock-order",
+      "lock-guard",      "shared-race",
   };
   return kNames;
 }

@@ -41,33 +41,19 @@
 //   lock-order       cycle in the MutexLock acquisition-order graph
 //   lock-guard       write to a GUARDED_BY field outside any lock scope
 //
-//  state-machine purity (v3):
-//   dist-purity      a function in the pure state-machine zone (the
-//                    deterministic core, plus src/dist outside dist/host —
-//                    Coordinator/WorkerSession) reaches a host-environment
-//                    source: file/stream IO, sockets, sleeps, process calls,
-//                    clocks, RNG. Such code must be driven by now_ms and the
-//                    config; deliberate host IO belongs in HPCS_HOST regions.
-//
 //  whole-program concurrency (v4):
 //   shared-race      a class field reached from ≥2 inferred thread contexts
-//                    (exp::ThreadPool submissions, std::thread bodies,
-//                    dist/host HPCS_HOST service loops, the main context)
-//                    whose interprocedurally propagated lockset is empty or
-//                    inconsistent — reported with a GUARDED_BY suggestion
-//   proto-exhaustive a switch over a protocol enum (enums defined in
-//                    src/dist outside dist/host) missing an enumerator arm;
-//                    a default: arm does not count
-//   proto-drift      the extracted state × message → action transition graph
-//                    differs from the checked-in
-//                    tools/hpcslint/dist_protocol_spec.json (--proto-spec)
+//                    (exp::ThreadPool submissions, std::thread bodies, the
+//                    main context) whose interprocedurally propagated lockset
+//                    is empty or inconsistent — reported with a GUARDED_BY
+//                    suggestion
 //
 // `// HPCSLINT-ALLOW(rule)` suppresses a finding on the same line (or the
 // next line when the comment stands alone). `// HPCS_HOST_BEGIN` ..
 // `// HPCS_HOST_END` marks a *host region* — deliberate host-environment
-// code (wall clocks, sockets, env vars; e.g. src/dist/host) — which
-// blanket-allows exactly the wallclock/rand/det-taint/dist-purity family
-// instead of demanding one ALLOW per line; all other rules still apply
+// code (wall clocks, env vars, file writers; e.g. the src/obs exporters) —
+// which blanket-allows exactly the wallclock/rand/det-taint family instead
+// of demanding one ALLOW per line; all other rules still apply
 // inside. Findings can also be baselined: emit SARIF with --sarif, check the
 // file in, and CI gates on *new* findings only (fingerprints not present in
 // the baseline).
@@ -107,38 +93,6 @@ struct SourceUnit {
 /// and the link step runs serially, so output is byte-identical to jobs=1.
 [[nodiscard]] std::vector<Finding> lint_units(const std::vector<SourceUnit>& units,
                                               unsigned jobs = 1);
-
-/// Findings plus the v4 protocol transition graph: the machine-readable
-/// `state × message → action` JSON extracted from switches over protocol
-/// enums in the pure state-machine zone (src/dist outside dist/host). The
-/// CLI writes it with --emit-proto and diffs it against the checked-in
-/// tools/hpcslint/dist_protocol_spec.json with --proto-spec.
-struct LintResult {
-  std::vector<Finding> findings;
-  std::string protocol_graph;
-};
-
-/// lint_units / lint_tree with the protocol graph attached. The plain
-/// overloads above are thin wrappers that drop the graph.
-[[nodiscard]] LintResult lint_units_full(const std::vector<SourceUnit>& units,
-                                         unsigned jobs = 1);
-[[nodiscard]] LintResult lint_tree_full(const std::vector<std::filesystem::path>& roots,
-                                        unsigned jobs = 1);
-
-/// Compare an extracted transition graph against the checked-in spec text
-/// and return one proto-drift finding per changed/added/removed machine.
-/// `spec_label` attributes findings that have no better home (missing
-/// machines, unparsable spec). Returned findings are unsorted — merge them
-/// into a finding set and re-sort with sort_findings().
-[[nodiscard]] std::vector<Finding> proto_drift_findings(
-    const std::string& extracted_graph, std::string_view spec_text,
-    const std::string& spec_label);
-
-/// Canonical finding order: (file, line, rule, message). Every entry point
-/// returns findings in this order; callers that append (e.g. proto-drift)
-/// must restore it before emitting SARIF so fingerprint occurrence indices
-/// stay stable.
-void sort_findings(std::vector<Finding>& fs);
 
 /// Lint a file on disk (returns a single io-error finding if unreadable).
 [[nodiscard]] std::vector<Finding> lint_file(const std::filesystem::path& path);

@@ -30,16 +30,15 @@ struct Prepared {
   std::vector<std::set<std::string, std::less<>>> allow;  ///< per line, 1-based
   std::vector<char> hot;                                  ///< per line, 1-based
   /// `HPCS_HOST_BEGIN` .. `HPCS_HOST_END` region lines (1-based). Host
-  /// regions mark deliberate host-environment code — wall clocks, sockets,
-  /// env vars — whose findings would otherwise demand one ALLOW per line.
+  /// regions mark deliberate host-environment code — wall clocks, env
+  /// vars — whose findings would otherwise demand one ALLOW per line.
   std::vector<char> host;
 
   /// Rules a host region blanket-allows: exactly the "host environment
   /// leaking into the simulation" family. Everything else (hot-alloc,
   /// lock-order, ...) still applies inside host regions.
   [[nodiscard]] static bool host_exempt(std::string_view rule) {
-    return rule == "wallclock" || rule == "rand" || rule == "det-taint" ||
-           rule == "dist-purity";
+    return rule == "wallclock" || rule == "rand" || rule == "det-taint";
   }
 
   /// True when `rule` is ALLOW'd on `line` (trailing or standalone form), or

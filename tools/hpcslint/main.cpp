@@ -13,14 +13,6 @@
 //                                    NEW findings
 //   hpcslint --jobs N                parse translation units on N pool
 //                                    threads (output byte-identical to -j1)
-//   hpcslint --emit-proto FILE       write the extracted protocol transition
-//                                    graph JSON ("-" = stdout); this is how
-//                                    tools/hpcslint/dist_protocol_spec.json
-//                                    is (re)generated
-//   hpcslint --proto-spec FILE       diff the extracted transition graph
-//                                    against this spec; drift becomes
-//                                    proto-drift findings (gated like any
-//                                    other rule)
 //   hpcslint --list-rules            print rule names, one per line
 //
 // CI runs this over the real tree via ctest (tests/CMakeLists.txt registers
@@ -59,8 +51,6 @@ int main(int argc, char** argv) {
   std::string sarif_path;
   std::string baseline_path;
   std::string compile_commands;
-  std::string emit_proto_path;
-  std::string proto_spec_path;
   unsigned jobs = 1;
 
   // Paths in fingerprints, SARIF output, and messages are repo-relative:
@@ -86,8 +76,7 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--help") == 0 || std::strcmp(argv[i], "-h") == 0) {
       std::printf(
           "usage: hpcslint [--list-rules] [--compile-commands FILE]\n"
-          "                [--sarif FILE|-] [--baseline FILE] [--jobs N]\n"
-          "                [--emit-proto FILE|-] [--proto-spec FILE] "
+          "                [--sarif FILE|-] [--baseline FILE] [--jobs N] "
           "[roots...]\n");
       return 0;
     }
@@ -121,20 +110,6 @@ int main(int argc, char** argv) {
       const char* v = need_value(i);
       if (v == nullptr) return 2;
       compile_commands = v;
-      ++i;
-      continue;
-    }
-    if (std::strcmp(argv[i], "--emit-proto") == 0) {
-      const char* v = need_value(i);
-      if (v == nullptr) return 2;
-      emit_proto_path = v;
-      ++i;
-      continue;
-    }
-    if (std::strcmp(argv[i], "--proto-spec") == 0) {
-      const char* v = need_value(i);
-      if (v == nullptr) return 2;
-      proto_spec_path = v;
       ++i;
       continue;
     }
@@ -176,30 +151,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  const hpcslint::LintResult result = hpcslint::lint_tree_full(roots, jobs);
-  std::vector<hpcslint::Finding> findings = result.findings;
-
-  if (!emit_proto_path.empty()) {
-    if (!write_text(emit_proto_path, result.protocol_graph)) {
-      std::fprintf(stderr, "hpcslint: cannot write %s\n", emit_proto_path.c_str());
-      return 2;
-    }
-  }
-
-  if (!proto_spec_path.empty()) {
-    std::ifstream in(proto_spec_path, std::ios::binary);
-    if (!in) {
-      std::fprintf(stderr, "hpcslint: cannot read protocol spec %s\n",
-                   proto_spec_path.c_str());
-      return 2;
-    }
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    std::vector<hpcslint::Finding> drift = hpcslint::proto_drift_findings(
-        result.protocol_graph, ss.str(), proto_spec_path);
-    findings.insert(findings.end(), drift.begin(), drift.end());
-    hpcslint::sort_findings(findings);
-  }
+  const std::vector<hpcslint::Finding> findings = hpcslint::lint_tree(roots, jobs);
 
   if (!sarif_path.empty()) {
     if (!write_text(sarif_path, hpcslint::sarif_report(findings))) {

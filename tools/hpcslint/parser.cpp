@@ -103,25 +103,6 @@ bool is_callback_type(std::string_view t) {
   return ends("Fn") || ends("Callback") || ends("Handler");
 }
 
-// Host-environment entry points for the dist-purity rule: file/stream IO,
-// sockets, sleeps, process state. Deliberately NOT here: open/close/read/
-// write/send/recv/bind — those are ubiquitous *member* names (the transport
-// interface itself uses them) and flow through the resolved call graph
-// instead; only the free-function syscall spellings below are direct sources.
-bool is_io_name(std::string_view t) {
-  static const std::unordered_set<std::string_view> k = {
-      "fopen",    "fclose",    "freopen",    "fread",       "fwrite",
-      "fgets",    "fputs",     "fseek",      "ftell",       "printf",
-      "fprintf",  "vfprintf",  "scanf",      "fscanf",      "puts",
-      "putchar",  "getchar",   "perror",     "remove",      "rename",
-      "tmpfile",  "socket",    "connect",    "listen",      "accept",
-      "setsockopt", "getsockopt", "recvfrom", "sendto",     "select",
-      "poll",     "epoll_wait", "ioctl",     "sleep",       "usleep",
-      "nanosleep", "sleep_for", "sleep_until", "system",    "popen",
-      "fork",     "execv",     "execvp",     "getpid",      "gethostname"};
-  return k.count(t) != 0;
-}
-
 }  // namespace
 
 bool is_protected_segment(std::string_view seg) {
@@ -143,23 +124,6 @@ bool is_protected_file(const std::string& file) {
     }
   }
   return false;  // the file name itself is not a directory segment
-}
-
-bool is_pure_machine_file(const std::string& file) {
-  bool machine = false, host = false;
-  std::string seg;
-  for (const char c : file) {
-    if (c == '/' || c == '\\') {
-      // The sweep fabric (`dist`), the service layer riding on it (`svc`),
-      // and the result cache (`cache`) are all replayed-from-now_ms zones.
-      if (seg == "dist" || seg == "svc" || seg == "cache") machine = true;
-      if (seg == "host") host = true;
-      seg.clear();
-    } else {
-      seg += c;
-    }
-  }
-  return machine && !host;
 }
 
 namespace {
@@ -294,11 +258,6 @@ class Parser {
     pend_type_.clear();
     pend_callback_ = false;
     pend_thread_ = false;
-  }
-
-  [[nodiscard]] bool line_in_host(int line) const {
-    const auto l = static_cast<std::size_t>(line);
-    return l < tu_.prep.host.size() && tu_.prep.host[l] != 0;
   }
 
   [[nodiscard]] FuncInfo* cur_func() {
@@ -698,11 +657,6 @@ class Parser {
       ++i_;
       return;
     }
-    if (w == "switch") {
-      switch_reactor(t);  // lookahead only; the body is walked normally after
-      ++i_;
-      return;
-    }
     if (is_skip_keyword(w)) {
       ++i_;
       return;
@@ -813,23 +767,12 @@ class Parser {
     }
   }
 
-  /// `enum [class|struct] Name [: base] { enumerators };` — record the
-  /// definition (qualified name + enumerator list) for the link-time
-  /// switch-exhaustiveness check. Initializer expressions are skipped to
-  /// the next top-level comma; anonymous enums are not recorded.
+  /// `enum [class|struct] Name [: base] { enumerators };` — skipped whole:
+  /// enumerators are neither declarations nor calls, and walking them as
+  /// code would mistake initializer expressions for uses.
   void parse_enum() {
     ++i_;  // past 'enum'
-    bool scoped = false;
-    std::string name;
-    while (i_ < toks_.size() && toks_[i_].ident()) {
-      if (toks_[i_].is("class") || toks_[i_].is("struct")) {
-        scoped = true;
-      } else {
-        name = std::string(toks_[i_].text);
-      }
-      ++i_;
-    }
-    while (i_ < toks_.size()) {  // underlying type tokens, then { ; or }
+    while (i_ < toks_.size()) {  // name and underlying type, then { ; or }
       const Tok& t = toks_[i_];
       if (t.kind == TokKind::kPunct && t.text.size() == 1) {
         if (t.text[0] == ';') {
@@ -841,37 +784,7 @@ class Parser {
       }
       ++i_;
     }
-    if (i_ >= toks_.size()) return;
-
-    EnumInfo e;
-    e.scoped = scoped;
-    e.line = toks_[i_].line;
-    if (!name.empty()) {
-      const std::string prefix = scope_prefix();
-      e.qname = prefix.empty() ? name : prefix + "::" + name;
-    }
-    ++i_;  // consume '{'
-    int depth = 1;
-    bool expect = true;  // the next depth-1 identifier is an enumerator name
-    while (i_ < toks_.size() && depth > 0) {
-      const Tok& t = toks_[i_];
-      if (t.kind == TokKind::kPunct && t.text.size() == 1) {
-        const char c = t.text[0];
-        if (c == '{' || c == '(' || c == '[') ++depth;
-        if (c == '}' || c == ')' || c == ']') --depth;
-        if (c == ',' && depth == 1) expect = true;
-        ++i_;
-        continue;
-      }
-      if (t.ident() && depth == 1 && expect) {
-        e.enumerators.emplace_back(t.text);
-        expect = false;  // tokens until the next ',' belong to an initializer
-      }
-      ++i_;
-    }
-    if (!e.qname.empty() && !e.enumerators.empty()) {
-      tu_.enums.push_back(std::move(e));
-    }
+    skip_balanced('{', '}');
     after_type_ = false;
     clear_pending_type();
   }
@@ -893,29 +806,6 @@ class Parser {
     if (tu_.prep.allowed("det-taint", line)) return;
     if (v1_rule != nullptr && tu_.prep.allowed(v1_rule, line)) return;
     f->taints.push_back(TaintSource{what, line});
-  }
-
-  /// Host-environment source (file/stream IO, sockets, sleeps) for the
-  /// dist-purity closure. Same ALLOW discipline as det-taint sources.
-  void record_io(const Chain& ch, bool member_access) {
-    FuncInfo* f = cur_func();
-    if (f == nullptr) return;
-    if (tu_.prep.allowed("dist-purity", ch.line)) return;
-    for (const std::string& s : ch.segs) {
-      if (s == "ifstream" || s == "ofstream" || s == "fstream") {
-        f->io_taints.push_back(TaintSource{"std::" + s, ch.line});
-        return;
-      }
-    }
-    const std::string& last = ch.segs.back();
-    if (!member_access &&
-        (last == "cout" || last == "cerr" || last == "cin" || last == "clog")) {
-      f->io_taints.push_back(TaintSource{"std::" + last, ch.line});
-      return;
-    }
-    if (!member_access && is_io_name(last) && punct_at(i_, '(')) {
-      f->io_taints.push_back(TaintSource{last + "(...)", ch.line});
-    }
   }
 
   /// Identifier immediately before the `.`/`->` that starts a member chain;
@@ -1091,104 +981,6 @@ class Parser {
     }
   }
 
-  /// `switch (cond) { case A::k…: … }` — record the statement for the
-  /// link-time protocol-exhaustiveness check and the transition-graph
-  /// artifact. Pure lookahead: i_ stays on the `switch` keyword so the
-  /// statement body is still walked normally (calls, taints, locks).
-  /// Per case arm we collect the label chain, the names invoked, and
-  /// `Enum::kValue` references (candidate state transitions); the linker
-  /// resolves and filters them against the merged enum table.
-  void switch_reactor(const Tok& t) {
-    if (!in_function()) return;
-    std::size_t k = i_ + 1;
-    if (!punct_at(k, '(')) return;
-    SwitchInfo sw;
-    sw.line = t.line;
-    int depth = 0;
-    for (; k < toks_.size(); ++k) {
-      const Tok& u = toks_[k];
-      if (u.kind == TokKind::kPunct && u.text.size() == 1) {
-        if (u.text[0] == '(') {
-          ++depth;
-          if (depth == 1) continue;
-        } else if (u.text[0] == ')') {
-          --depth;
-          if (depth == 0) break;
-        }
-      }
-      if (depth >= 1) sw.cond.append(u.text);
-    }
-    if (k >= toks_.size()) return;
-    std::size_t b = k + 1;
-    while (b < toks_.size()) {  // between ')' and '{' nothing belongs
-      if (punct_at(b, '{')) break;
-      if (punct_at(b, ';')) return;  // braceless switch: not modeled
-      ++b;
-    }
-    if (b >= toks_.size()) return;
-
-    depth = 0;
-    int cur = -1;  // index into sw.cases (pointers invalidate on push_back)
-    for (std::size_t j = b; j < toks_.size(); ++j) {
-      const Tok& u = toks_[j];
-      if (u.kind == TokKind::kPunct && u.text.size() == 1) {
-        if (u.text[0] == '{') ++depth;
-        if (u.text[0] == '}') {
-          --depth;
-          if (depth == 0) break;
-        }
-        continue;
-      }
-      if (!u.ident()) continue;
-      if (depth == 1 && u.is("case")) {
-        sw.cases.push_back(SwitchCase{});
-        cur = static_cast<int>(sw.cases.size()) - 1;
-        SwitchCase& sc = sw.cases.back();
-        sc.line = u.line;
-        std::size_t m = j + 1;
-        while (m < toks_.size()) {
-          if (toks_[m].ident()) {
-            sc.label.emplace_back(toks_[m].text);
-            ++m;
-            if (punct_at(m, ':') && punct_at(m + 1, ':')) {
-              m += 2;
-              continue;
-            }
-          }
-          break;
-        }
-        j = m - 1;
-        continue;
-      }
-      if (depth == 1 && u.is("default")) {
-        sw.has_default = true;
-        cur = -1;  // default-arm actions are not part of the transition graph
-        continue;
-      }
-      if (cur < 0 || u.is("for") || is_skip_keyword(u.text) ||
-          is_type_keyword(u.text)) {
-        continue;
-      }
-      // Walk the qualified chain starting here; classify it as a state
-      // reference (…::Enum::kValue) or a call (name directly before '(').
-      std::vector<std::string> segs{std::string(u.text)};
-      std::size_t m = j + 1;
-      while (punct_at(m, ':') && punct_at(m + 1, ':') && tk(m + 2) != nullptr &&
-             tk(m + 2)->ident()) {
-        segs.emplace_back(tk(m + 2)->text);
-        m += 3;
-      }
-      SwitchCase& sc = sw.cases[static_cast<std::size_t>(cur)];
-      if (segs.size() >= 2 && segs.back().size() > 1 && segs.back()[0] == 'k') {
-        sc.state_refs.push_back(segs[segs.size() - 2] + "::" + segs.back());
-      } else if (punct_at(m, '(')) {
-        sc.calls.push_back(segs.back());
-      }
-      j = m - 1;
-    }
-    cur_func()->switches.push_back(std::move(sw));
-  }
-
   /// GUARDED_BY(mu) after a field declaration: attach the guard to the most
   /// recently declared field of the innermost class.
   void guard_reactor() {
@@ -1274,7 +1066,6 @@ class Parser {
       return;
     }
     record_taints(ch, member_access);
-    record_io(ch, member_access);
 
     const bool call_follows = punct_at(i_, '(');
 
@@ -1627,7 +1418,6 @@ class Parser {
       tu_.binds.push_back(std::move(b));
     }
     f.has_body = true;
-    f.in_host_region = line_in_host(f.line);
     after_type_ = false;
     clear_pending_type();
     std::vector<VarInfo> params = f.params;
@@ -1863,7 +1653,6 @@ class Parser {
 
   void finish_function(FuncInfo f, bool has_body) {
     f.has_body = has_body;
-    f.in_host_region = line_in_host(f.line);
     after_type_ = false;
     clear_pending_type();
     std::vector<VarInfo> params = f.params;

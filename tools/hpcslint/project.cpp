@@ -1,7 +1,7 @@
 // hpcslint front end, stage 3: the cross-TU link step.
 //
 // Input: one TuIndex per file (parser.cpp). This file merges them into a
-// whole-program view and runs the three rule families that need it:
+// whole-program view and runs the four rule families that need it:
 //
 //  det-taint   A function is *tainted* when its body touches a
 //              nondeterminism source (wall clock, ambient RNG, env read,
@@ -26,14 +26,9 @@
 //              subset of Clang's -Wthread-safety, which CI only gets on
 //              one matrix leg.
 //
-//  dist-purity A function in the pure state-machine zone (the deterministic
-//              core above, plus everything under src/dist that is not under
-//              dist/host) must be driven by `now_ms` and the config: if it
-//              reaches a host-environment source — a wall clock, RNG, file
-//              or stream IO, socket, sleep, process call — outside an
-//              HPCS_HOST_BEGIN/END region, that is an error. The closure
-//              runs over the same resolved call graph as det-taint but
-//              seeds from IO sources as well as nondeterminism sources.
+//  shared-race A class field reached from ≥2 inferred thread contexts with
+//              an empty or inconsistent lockset (roots, lockset propagation
+//              and evidence gating are described at race_analysis below).
 //
 // Call resolution (v3) is qualified-name based with dispatch awareness:
 // qualified chains resolve exact-first (then caller-namespace-prefixed,
@@ -57,8 +52,6 @@
 #include <deque>
 #include <unordered_set>
 #include <utility>
-
-#include "json_mini.h"
 
 namespace hpcslint {
 namespace {
@@ -119,29 +112,6 @@ std::string chain_tail(const std::string& joined) {
   return cut == std::string::npos ? joined : joined.substr(cut + 2);
 }
 
-/// HPCS_HOST service code under src/dist/host runs accept/pump loops on
-/// long-lived threads — those functions are concurrency roots for the race
-/// analysis.
-bool in_dist_host_file(const std::string& file) {
-  return file.find("dist/host") != std::string::npos ||
-         file.find("dist\\host") != std::string::npos;
-}
-
-/// ALL_CAPS identifiers in switch arms are macros (tracepoints, asserts) —
-/// noise in the transition graph, dropped at extraction time.
-bool is_macro_like(const std::string& s) {
-  bool has_upper = false;
-  for (const char c : s) {
-    const auto u = static_cast<unsigned char>(c);
-    if (std::isupper(u) != 0) {
-      has_upper = true;
-    } else if (std::isdigit(u) == 0 && c != '_') {
-      return false;
-    }
-  }
-  return has_upper && !s.empty();
-}
-
 std::string lower(std::string s) {
   for (char& c : s) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
   return s;
@@ -190,16 +160,6 @@ struct OwnedCall {
   std::size_t tu = 0;
 };
 
-struct OwnedSwitch {
-  SwitchInfo sw;
-  std::size_t tu = 0;
-};
-
-struct OwnedEnum {
-  EnumInfo e;
-  std::size_t tu = 0;  ///< defining TU — decides protocol-enum status by path
-};
-
 /// One merged symbol: every declaration and body sharing a qualified name
 /// (overload sets collapse into one node — conservative and simple).
 struct Node {
@@ -209,32 +169,26 @@ struct Node {
   bool has_body = false;
   bool is_protected = false;
   bool is_virtual = false;  ///< virtual anywhere in the overload/decl set
-  bool in_host = false;     ///< defining body sits in an HPCS_HOST region
   bool has_callback_param = false;  ///< takes a std::function/InplaceFunction
   std::size_t def_tu = 0;  ///< TU of the first body (finding attribution)
   int def_line = 0;
   std::vector<std::string> requires_m;
   std::vector<OwnedCall> calls;
   std::vector<OwnedTaint> taints;
-  std::vector<OwnedTaint> io_taints;  ///< host-environment sources (dist-purity)
   std::vector<OwnedLockEdge> lock_edges;  ///< normalized at build time
   std::vector<std::string> acquired;      ///< normalized
   std::vector<OwnedWrite> writes;
   std::vector<OwnedUse> uses;
-  std::vector<OwnedSwitch> switches;
 };
 
 class Linker {
  public:
-  Linker(std::vector<TuIndex>& tus, std::vector<Finding>& out,
-         std::string* protocol_graph)
-      : tus_(tus), out_(out), graph_(protocol_graph) {}
+  Linker(std::vector<TuIndex>& tus, std::vector<Finding>& out) : tus_(tus), out_(out) {}
 
   void run() {
     merge_classes();
     build_hierarchy();
     merge_functions();
-    merge_enums();
     collect_binds();
     resolve_calls_all();
     resolve_pending_uses();   // may add taints — must precede the closure
@@ -243,16 +197,12 @@ class Linker {
     report_lock_cycles();
     taint_closure();
     report_det_taint();
-    purity_closure();
-    report_purity();
-    protocol_analysis();
     race_analysis();
   }
 
  private:
   std::vector<TuIndex>& tus_;
   std::vector<Finding>& out_;
-  std::string* graph_ = nullptr;  ///< receives the transition-graph JSON
   std::map<std::string, ClassInfo> classes_;
   std::map<std::string, Node> nodes_;
   std::map<std::string, std::vector<std::string>> by_name_;
@@ -263,7 +213,6 @@ class Linker {
   std::map<std::string, std::vector<std::string>> arg_binds_;
   std::map<std::string, std::vector<std::string>> callees_;  ///< resolved edges
   std::map<std::string, std::vector<std::string>> callers_;  ///< reverse edges
-  std::map<std::string, OwnedEnum> enums_;  ///< merged enum table (qname keyed)
   /// Direct resolved call edges with the lockset held at the site — the
   /// substrate of the interprocedural entry-lockset propagation. Callback
   /// dispatch edges are deliberately absent: a bound callable's entry
@@ -427,16 +376,11 @@ class Linker {
           n.has_body = true;
           n.def_tu = ti;
           n.def_line = f.line;
-          n.in_host = f.in_host_region;
         }
         if (!f.has_body) continue;
         for (CallSite& cs : f.calls) n.calls.push_back(OwnedCall{std::move(cs), ti});
         for (const TaintSource& t : f.taints) {
           n.taints.push_back(
-              OwnedTaint{t.what + " at " + tu.file + ":" + std::to_string(t.line)});
-        }
-        for (const TaintSource& t : f.io_taints) {
-          n.io_taints.push_back(
               OwnedTaint{t.what + " at " + tu.file + ":" + std::to_string(t.line)});
         }
         for (const LockEdge& e : f.lock_edges) {
@@ -453,44 +397,9 @@ class Linker {
         for (PendingContainerUse& u : f.pending_uses) {
           n.uses.push_back(OwnedUse{std::move(u), ti});
         }
-        for (SwitchInfo& sw : f.switches) {
-          n.switches.push_back(OwnedSwitch{std::move(sw), ti});
-        }
       }
     }
     for (const auto& [q, n] : nodes_) by_name_[n.name].push_back(q);
-  }
-
-  void merge_enums() {
-    for (std::size_t ti = 0; ti < tus_.size(); ++ti) {
-      for (const EnumInfo& e : tus_[ti].enums) {
-        if (enums_.count(e.qname) == 0) enums_[e.qname] = OwnedEnum{e, ti};
-      }
-    }
-  }
-
-  /// Resolve an enum name as written in a case label (`FrameType`,
-  /// `dist::FrameType`) to a merged enum qname — same strategy as
-  /// resolve_class: exact, context-prefixed innermost-first, unique suffix.
-  std::string resolve_enum(const std::string& name, const std::string& context) {
-    if (name.empty()) return {};
-    if (enums_.count(name) != 0) return name;
-    std::string ns = context;
-    std::size_t cut;
-    while ((cut = ns.rfind("::")) != std::string::npos) {
-      ns.resize(cut);
-      const std::string q = ns + "::" + name;
-      if (enums_.count(q) != 0) return q;
-    }
-    std::string hit;
-    const std::string suffix = "::" + name;
-    for (const auto& [q, oe] : enums_) {
-      if (ends_with(q, suffix)) {
-        if (!hit.empty()) return {};  // ambiguous — resolve to nothing
-        hit = q;
-      }
-    }
-    return hit;
   }
 
   /// Resolve the callable side of a bind: lambdas are exact synthetic qnames;
@@ -944,247 +853,12 @@ class Linker {
     }
   }
 
-  std::map<std::string, TaintMark> impure_;
-
-  /// Like taint_closure(), but seeded from host-environment sources (file and
-  /// stream IO, sockets, sleeps, process calls) as well as nondeterminism
-  /// sources — the dist-purity rule cares about both.
-  void purity_closure() {
-    std::deque<std::string> work;
-    for (const auto& [q, n] : nodes_) {
-      std::string origin;
-      if (!n.io_taints.empty()) {
-        origin = n.io_taints.front().origin;
-      } else if (!n.taints.empty()) {
-        origin = n.taints.front().origin;
-      }
-      if (origin.empty()) continue;
-      impure_[q] = TaintMark{std::move(origin), {}};
-      work.push_back(q);
-    }
-    while (!work.empty()) {
-      const std::string cur = std::move(work.front());
-      work.pop_front();
-      const auto cs = callers_.find(cur);
-      if (cs == callers_.end()) continue;
-      const TaintMark mark = impure_[cur];
-      for (const std::string& caller : cs->second) {
-        if (impure_.count(caller) != 0) continue;
-        TaintMark up;
-        up.origin = mark.origin;
-        up.path.reserve(mark.path.size() + 1);
-        up.path.push_back(cur);
-        up.path.insert(up.path.end(), mark.path.begin(), mark.path.end());
-        impure_[caller] = std::move(up);
-        work.push_back(caller);
-      }
-    }
-  }
-
-  /// Pure state-machine zone: the deterministic core, plus src/dist outside
-  /// dist/host. HPCS_HOST-wrapped definitions are exempt by construction.
-  [[nodiscard]] bool purity_subject(const Node& n) const {
-    if (!n.has_body || n.in_host) return false;
-    if (n.is_protected) return true;
-    return is_pure_machine_file(tus_[n.def_tu].file);
-  }
-
-  void report_purity() {
-    for (const auto& [q, n] : nodes_) {
-      if (!purity_subject(n)) continue;
-      const auto t = impure_.find(q);
-      if (t == impure_.end()) continue;
-      // det-taint already reports this node: one finding per defect.
-      if (n.is_protected && tainted_.count(q) != 0) continue;
-      std::string msg = "state-machine function '" + q +
-                        "' reaches a host-environment source (" + t->second.origin +
-                        ")";
-      if (!t->second.path.empty()) {
-        msg += " via ";
-        const std::size_t shown = std::min<std::size_t>(t->second.path.size(), 4);
-        for (std::size_t i = 0; i < shown; ++i) {
-          if (i != 0) msg += " -> ";
-          msg += t->second.path[i];
-        }
-        if (shown < t->second.path.size()) msg += " -> ...";
-      }
-      msg += "; drive it from now_ms and the config, move the call into an "
-             "HPCS_HOST_BEGIN/END region, or HPCSLINT-ALLOW(dist-purity) the "
-             "definition";
-      report("dist-purity", n.def_tu, n.def_line, std::move(msg));
-    }
-  }
-
-  // -------------------------------------------------------------------------
-  // v4: protocol-state exhaustiveness + transition-graph extraction
-  //
-  // A *protocol enum* is any enum defined in the pure state-machine zone
-  // (src/dist outside dist/host): FrameType, WorkerSession::Phase,
-  // Coordinator::ShardState, FrameDecoder::Result. Every switch over one —
-  // anywhere in the tree — must name every enumerator explicitly; a
-  // `default:` arm does not count, because it is exactly how a new message
-  // type silently falls into "ignore" when the protocol grows. Switches
-  // whose own definition also lives in the pure zone additionally become
-  // *machines* in the extracted `state × message → action` graph, which CI
-  // diffs against tools/hpcslint/dist_protocol_spec.json (proto-drift).
-
-  [[nodiscard]] bool is_protocol_enum(const std::string& qname) const {
-    const auto it = enums_.find(qname);
-    return it != enums_.end() && is_pure_machine_file(tus_[it->second.tu].file);
-  }
-
-  /// Enum a case label refers to: `FrameType::kHello` resolves the prefix
-  /// chain; a bare `kHello` (unscoped enums) resolves when exactly one known
-  /// enum declares that enumerator.
-  std::string enum_of_label(const std::vector<std::string>& label,
-                            const std::string& context) {
-    if (label.empty()) return {};
-    if (label.size() == 1) {
-      std::string hit;
-      for (const auto& [q, oe] : enums_) {
-        const auto& en = oe.e.enumerators;
-        if (std::find(en.begin(), en.end(), label[0]) != en.end()) {
-          if (!hit.empty()) return {};  // ambiguous enumerator name
-          hit = q;
-        }
-      }
-      return hit;
-    }
-    std::vector<std::string> prefix(label.begin(), label.end() - 1);
-    return resolve_enum(join_chain(prefix), context);
-  }
-
-  void protocol_analysis() {
-    struct Cell {
-      std::set<std::string> calls;
-      std::set<std::string> states;
-    };
-    struct Machine {
-      std::string handler, cls, enum_q, file;
-      bool has_default = false;
-      int line = 0;
-      std::map<std::string, Cell> cells;  ///< enumerator → actions
-    };
-    std::vector<Machine> machines;
-
-    for (const auto& [q, n] : nodes_) {
-      for (const OwnedSwitch& os : n.switches) {
-        // Subject enum: the first case label that resolves to a known enum.
-        std::string subject;
-        for (const SwitchCase& sc : os.sw.cases) {
-          subject = enum_of_label(sc.label, q);
-          if (!subject.empty()) break;
-        }
-        if (subject.empty() || !is_protocol_enum(subject)) continue;
-        const EnumInfo& en = enums_.at(subject).e;
-
-        std::set<std::string> covered;
-        for (const SwitchCase& sc : os.sw.cases) {
-          if (sc.label.empty() || enum_of_label(sc.label, q) != subject) continue;
-          covered.insert(sc.label.back());
-        }
-        std::string missing;
-        for (const std::string& e : en.enumerators) {
-          if (covered.count(e) != 0) continue;
-          if (!missing.empty()) missing += ", ";
-          missing += e;
-        }
-        if (!missing.empty()) {
-          report("proto-exhaustive", os.tu, os.sw.line,
-                 "switch on protocol enum '" + subject + "' does not handle " +
-                     missing + ": every protocol message/state must have an "
-                     "explicit arm (a default: arm hides drift when the enum "
-                     "grows)");
-        }
-
-        if (graph_ == nullptr || !is_pure_machine_file(tus_[os.tu].file)) continue;
-        Machine m;
-        m.handler = q;
-        m.cls = n.class_qname;
-        m.enum_q = subject;
-        m.file = sarif_relative_path(tus_[os.tu].file);
-        m.has_default = os.sw.has_default;
-        m.line = os.sw.line;
-        for (const SwitchCase& sc : os.sw.cases) {
-          if (sc.label.empty() || enum_of_label(sc.label, q) != subject) continue;
-          Cell& cell = m.cells[sc.label.back()];
-          for (const std::string& c : sc.calls) {
-            if (!is_noise_call(c) && !is_macro_like(c)) cell.calls.insert(c);
-          }
-          // A state transition is a reference to an enum nested inside the
-          // machine's own class (Phase::kRunning inside WorkerSession) —
-          // references to foreign enums (obs::kTp…) are not state changes.
-          for (const std::string& s : sc.state_refs) {
-            const std::size_t cut = s.find("::");
-            if (cut == std::string::npos || m.cls.empty()) continue;
-            if (enums_.count(m.cls + "::" + s.substr(0, cut)) != 0) {
-              cell.states.insert(s);
-            }
-          }
-        }
-        machines.push_back(std::move(m));
-      }
-    }
-    if (graph_ == nullptr) return;
-
-    std::sort(machines.begin(), machines.end(),
-              [](const Machine& a, const Machine& b) {
-                if (a.handler != b.handler) return a.handler < b.handler;
-                if (a.enum_q != b.enum_q) return a.enum_q < b.enum_q;
-                return a.line < b.line;
-              });
-
-    // Hand-rolled pretty emitter: the artifact is checked in as the protocol
-    // spec, so the layout must be stable and reviewable. No line numbers —
-    // the spec should survive unrelated edits to the handler files.
-    std::string& g = *graph_;
-    g = "{\n  \"version\": 1,\n  \"machines\": [";
-    const auto emit_list = [&g](const std::set<std::string>& xs) {
-      bool first = true;
-      for (const std::string& x : xs) {
-        if (!first) g += ", ";
-        first = false;
-        g += "\"" + json::escape(x) + "\"";
-      }
-    };
-    for (std::size_t i = 0; i < machines.size(); ++i) {
-      const Machine& m = machines[i];
-      g += i == 0 ? "\n" : ",\n";
-      g += "    {\n";
-      g += "      \"handler\": \"" + json::escape(m.handler) + "\",\n";
-      g += "      \"class\": \"" + json::escape(m.cls) + "\",\n";
-      g += "      \"enum\": \"" + json::escape(m.enum_q) + "\",\n";
-      g += "      \"file\": \"" + json::escape(m.file) + "\",\n";
-      g += std::string("      \"has_default\": ") +
-           (m.has_default ? "true" : "false") + ",\n";
-      g += "      \"transitions\": [";
-      // Declaration order of the enum, not case order: reordering arms in
-      // the handler is not protocol drift.
-      const EnumInfo& en = enums_.at(m.enum_q).e;
-      bool first_t = true;
-      for (const std::string& e : en.enumerators) {
-        const auto cell = m.cells.find(e);
-        if (cell == m.cells.end()) continue;
-        g += first_t ? "\n" : ",\n";
-        first_t = false;
-        g += "        {\"message\": \"" + json::escape(e) + "\", \"calls\": [";
-        emit_list(cell->second.calls);
-        g += "], \"states\": [";
-        emit_list(cell->second.states);
-        g += "]}";
-      }
-      g += first_t ? "]\n" : "\n      ]\n";
-      g += "    }";
-    }
-    g += machines.empty() ? "]\n}\n" : "\n  ]\n}\n";
-  }
-
   // -------------------------------------------------------------------------
   // v4: thread-root inference + lockset race detection
   //
-  // Roots: callables submitted to an exp::ThreadPool (`pool.submit(λ)`),
+  // Roots: callables submitted to an exp::ThreadPool (`pool.submit(λ)`) and
   // bodies of `std::thread` constructions (direct-init or landing in a
-  // thread container), and HPCS_HOST service loops under src/dist/host.
+  // thread container).
   // Everything reachable from a root over the resolved call graph runs in
   // that root's thread context; code reachable from no root runs in the
   // main/spawning context. A field touched from ≥2 distinct contexts is
@@ -1194,7 +868,7 @@ class Linker {
   // (a spawned body never inherits its spawner's locks).
   //
   // Reporting needs evidence, not just sharing — classes synchronized
-  // externally (Coordinator, driven by one pump loop) stay quiet:
+  // externally (by their one caller) stay quiet:
   //  * inconsistent lockset: some accesses hold a mutex, this one does not;
   //  * all accesses bare, but the class owns a mutex member (it opted into
   //    internal locking and missed a spot).
@@ -1226,11 +900,6 @@ class Linker {
         }
         if (!spawn) continue;
         for (const std::string& q : resolve_callable(b)) race_roots_.insert(q);
-      }
-    }
-    for (const auto& [q, n] : nodes_) {
-      if (n.has_body && n.in_host && in_dist_host_file(tus_[n.def_tu].file)) {
-        race_roots_.insert(q);
       }
     }
   }
@@ -1453,175 +1122,10 @@ class Linker {
   }
 };
 
-/// Structural JSON equality (order-sensitive for arrays, as emitted).
-bool json_same(const json::Value& a, const json::Value& b) {
-  if (a.kind != b.kind) return false;
-  switch (a.kind) {
-    case json::Value::Kind::kNull: return true;
-    case json::Value::Kind::kBool: return a.boolean == b.boolean;
-    case json::Value::Kind::kNumber: return a.number == b.number;
-    case json::Value::Kind::kString: return a.str == b.str;
-    case json::Value::Kind::kArray:
-      if (a.arr.size() != b.arr.size()) return false;
-      for (std::size_t i = 0; i < a.arr.size(); ++i) {
-        if (!json_same(a.arr[i], b.arr[i])) return false;
-      }
-      return true;
-    case json::Value::Kind::kObject:
-      if (a.obj.size() != b.obj.size()) return false;
-      for (std::size_t i = 0; i < a.obj.size(); ++i) {
-        if (a.obj[i].first != b.obj[i].first ||
-            !json_same(a.obj[i].second, b.obj[i].second)) {
-          return false;
-        }
-      }
-      return true;
-  }
-  return false;
-}
-
-std::string str_of(const json::Value* v) { return v != nullptr && v->is_string() ? v->str : std::string(); }
-
-std::string render_name_list(const json::Value* v) {
-  std::string out = "[";
-  if (v != nullptr && v->is_array()) {
-    for (std::size_t i = 0; i < v->arr.size(); ++i) {
-      if (i != 0) out += ", ";
-      out += v->arr[i].str;
-    }
-  }
-  return out + "]";
-}
-
 }  // namespace
 
-void link_program(std::vector<TuIndex>& tus, std::vector<Finding>& out,
-                  std::string* protocol_graph) {
-  Linker(tus, out, protocol_graph).run();
-}
-
-std::vector<Finding> proto_drift_findings(const std::string& extracted_graph,
-                                          std::string_view spec_text,
-                                          const std::string& spec_label) {
-  std::vector<Finding> out;
-  json::Value ext, spec;
-  std::string err;
-  if (!json::parse(extracted_graph, ext, err)) {
-    out.push_back(Finding{spec_label, 0, "proto-drift",
-                          "internal error: extracted transition graph is not "
-                          "valid JSON: " + err});
-    return out;
-  }
-  if (!json::parse(spec_text, spec, err)) {
-    out.push_back(Finding{spec_label, 0, "proto-drift",
-                          "cannot parse protocol spec: " + err +
-                              "; regenerate it with hpcslint --emit-proto"});
-    return out;
-  }
-  const auto machines_of = [](const json::Value& root) {
-    std::map<std::string, const json::Value*> out_m;
-    const json::Value* ms = root.get("machines");
-    if (ms != nullptr && ms->is_array()) {
-      for (const json::Value& m : ms->arr) {
-        const std::string h = str_of(m.get("handler"));
-        if (!h.empty()) out_m.emplace(h, &m);
-      }
-    }
-    return out_m;
-  };
-  const std::map<std::string, const json::Value*> em = machines_of(ext);
-  const std::map<std::string, const json::Value*> sm = machines_of(spec);
-
-  for (const auto& [h, m] : sm) {
-    if (em.count(h) != 0) continue;
-    out.push_back(Finding{
-        spec_label, 1, "proto-drift",
-        "protocol machine '" + h + "' is in the spec but was not extracted "
-        "from the tree; if the handler was removed deliberately, regenerate "
-        "the spec with hpcslint --emit-proto"});
-  }
-  for (const auto& [h, m] : em) {
-    const std::string file = str_of(m->get("file"));
-    const auto s = sm.find(h);
-    if (s == sm.end()) {
-      out.push_back(Finding{
-          file.empty() ? spec_label : file, 1, "proto-drift",
-          "protocol machine '" + h + "' (switch over '" +
-              str_of(m->get("enum")) + "') is not in the spec; review the new "
-              "state machine and regenerate the spec with hpcslint "
-              "--emit-proto"});
-      continue;
-    }
-    if (json_same(*m, *s->second)) continue;
-
-    // Same machine, different shape: name the first concrete divergence so
-    // the finding reads as a protocol change, not a JSON diff.
-    std::vector<std::string> details;
-    for (const char* key : {"class", "enum", "file"}) {
-      const std::string a = str_of(m->get(key));
-      const std::string b = str_of(s->second->get(key));
-      if (a != b) {
-        details.push_back(std::string(key) + " changed: '" + b + "' -> '" + a + "'");
-      }
-    }
-    const json::Value* ed = m->get("has_default");
-    const json::Value* sd = s->second->get("has_default");
-    if (ed != nullptr && sd != nullptr && ed->boolean != sd->boolean) {
-      details.push_back(std::string("default arm ") +
-                        (ed->boolean ? "added" : "removed"));
-    }
-    const auto cells_of = [](const json::Value* machine) {
-      std::map<std::string, const json::Value*> cells;
-      const json::Value* ts = machine->get("transitions");
-      if (ts != nullptr && ts->is_array()) {
-        for (const json::Value& t : ts->arr) {
-          const std::string msg = str_of(t.get("message"));
-          if (!msg.empty()) cells.emplace(msg, &t);
-        }
-      }
-      return cells;
-    };
-    const std::map<std::string, const json::Value*> ec = cells_of(m);
-    const std::map<std::string, const json::Value*> sc = cells_of(s->second);
-    for (const auto& [msg, t] : sc) {
-      if (ec.count(msg) == 0) details.push_back("no longer handles '" + msg + "'");
-    }
-    for (const auto& [msg, t] : ec) {
-      const auto st = sc.find(msg);
-      if (st == sc.end()) {
-        details.push_back("now handles '" + msg + "'");
-        continue;
-      }
-      if (json_same(*t, *st->second)) continue;
-      const json::Value* eca = t->get("calls");
-      const json::Value* sca = st->second->get("calls");
-      if (eca != nullptr && sca != nullptr && !json_same(*eca, *sca)) {
-        details.push_back("'" + msg + "' actions changed: " +
-                          render_name_list(sca) + " -> " + render_name_list(eca));
-      }
-      const json::Value* est = t->get("states");
-      const json::Value* sst = st->second->get("states");
-      if (est != nullptr && sst != nullptr && !json_same(*est, *sst)) {
-        details.push_back("'" + msg + "' state transitions changed: " +
-                          render_name_list(sst) + " -> " + render_name_list(est));
-      }
-    }
-    if (details.empty()) details.push_back("transition graph differs from the spec");
-    std::string msg = "protocol drift in machine '" + h + "': ";
-    const std::size_t shown = std::min<std::size_t>(details.size(), 3);
-    for (std::size_t i = 0; i < shown; ++i) {
-      if (i != 0) msg += "; ";
-      msg += details[i];
-    }
-    if (shown < details.size()) {
-      msg += "; and " + std::to_string(details.size() - shown) + " more change(s)";
-    }
-    msg += " — update the handler or regenerate the spec with hpcslint "
-           "--emit-proto";
-    out.push_back(Finding{file.empty() ? spec_label : file, 1, "proto-drift",
-                          std::move(msg)});
-  }
-  return out;
+void link_program(std::vector<TuIndex>& tus, std::vector<Finding>& out) {
+  Linker(tus, out).run();
 }
 
 }  // namespace hpcslint

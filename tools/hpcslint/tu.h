@@ -120,36 +120,6 @@ struct PendingContainerUse {
   int line = 0;
 };
 
-/// One `case` arm of a recorded switch statement: the label as written
-/// (qualification preserved) plus the raw material the protocol analysis
-/// mines from the arm's body — called names and `Enum::kValue` references
-/// (state transitions). Filtering/resolution happens at link time.
-struct SwitchCase {
-  std::vector<std::string> label;       ///< e.g. {"FrameType","kHelloAck"}
-  std::vector<std::string> calls;       ///< identifiers invoked in the arm
-  std::vector<std::string> state_refs;  ///< "Enum::kValue" chains referenced
-  int line = 0;
-};
-
-/// A `switch` statement inside a function body. The linker resolves the
-/// case labels against the merged enum table; switches over protocol/state
-/// enums feed the proto-exhaustive rule and the transition-graph artifact.
-struct SwitchInfo {
-  std::string cond;  ///< condition text as written ("f.type")
-  std::vector<SwitchCase> cases;
-  bool has_default = false;
-  int line = 0;
-};
-
-/// An enum definition (scoped or not) with its enumerators, merged by
-/// qualified name at link time for switch-exhaustiveness checking.
-struct EnumInfo {
-  std::string qname;  ///< fully scope-qualified, e.g. "hpcs::dist::FrameType"
-  std::vector<std::string> enumerators;
-  bool scoped = false;  ///< enum class / enum struct
-  int line = 0;
-};
-
 struct FuncInfo {
   std::string qname;        ///< fully scope-qualified, e.g. "hpcs::exp::ThreadPool::submit"
   std::string name;         ///< last segment
@@ -159,19 +129,14 @@ struct FuncInfo {
   bool in_protected_scope = false;  ///< enclosing namespace is a protected subsystem
   bool is_virtual = false;   ///< declared `virtual`, or marked override/final
   bool is_override = false;  ///< carries `override`/`final` in the head tail
-  bool in_host_region = false;  ///< definition line sits in HPCS_HOST_BEGIN/END
   std::vector<VarInfo> params;  ///< parsed parameter list (types for dispatch)
   std::vector<std::string> requires_mutexes;  ///< REQUIRES(...) annotations
   std::vector<CallSite> calls;
   std::vector<TaintSource> taints;
-  /// Host-environment sources for the dist-purity rule: syscalls, file and
-  /// stream IO, sockets, sleeps. Disjoint from `taints` (nondeterminism).
-  std::vector<TaintSource> io_taints;
   std::vector<LockEdge> lock_edges;
   std::vector<std::string> acquired;  ///< every mutex this function locks itself
   std::vector<PendingFieldWrite> pending_writes;
   std::vector<PendingContainerUse> pending_uses;
-  std::vector<SwitchInfo> switches;
 };
 
 struct FieldInfo {
@@ -200,7 +165,6 @@ struct TuIndex {
   std::vector<FuncInfo> funcs;
   std::vector<ClassInfo> classes;
   std::vector<CallbackBind> binds;      ///< callable values flowing into slots
-  std::vector<EnumInfo> enums;          ///< enum definitions (for exhaustiveness)
   std::vector<Finding> local_findings;  ///< findings fully resolved inside the TU
 };
 
@@ -209,12 +173,6 @@ struct TuIndex {
 [[nodiscard]] bool is_protected_segment(std::string_view seg);
 /// True when `file` (a path or label) contains a protected path component.
 [[nodiscard]] bool is_protected_file(const std::string& file);
-/// True when `file` lives in the pure state-machine zone of the sweep fabric:
-/// under a `dist`, `svc`, or `cache` path component but not under a `host`
-/// one (e.g. `dist/host`, `svc/host`). Functions there (plus the
-/// deterministic core) are subject to the dist-purity rule — they must be
-/// driven by `now_ms` and config, never by the host environment.
-[[nodiscard]] bool is_pure_machine_file(const std::string& file);
 
 /// Parse one TU. `file` becomes Finding::file and decides path-based
 /// protection for the taint rule.
@@ -224,11 +182,7 @@ struct TuIndex {
 /// qualified name across all TUs, resolve pending container uses and
 /// guarded-field writes against the merged class table, build the
 /// lock-order graph and the taint closure, run the thread-root/lockset
-/// race analysis and the protocol-state exhaustiveness check, and append
-/// the resulting findings. When `protocol_graph` is non-null it receives
-/// the machine-readable `state × message → action` transition-graph JSON
-/// extracted from switches over protocol enums (see docs/static_analysis.md).
-void link_program(std::vector<TuIndex>& tus, std::vector<Finding>& out,
-                  std::string* protocol_graph = nullptr);
+/// race analysis, and append the resulting findings.
+void link_program(std::vector<TuIndex>& tus, std::vector<Finding>& out);
 
 }  // namespace hpcslint
