@@ -3,7 +3,9 @@
 #
 #   pass 1  release-strict   Release,        -Werror, hpcslint + ctest +
 #                            bench smoke-diff against scripts/bench_golden.json,
-#                            serial == --jobs 4 for table3..6, perfbench tests
+#                            serial == --jobs 4 for table3..6, windowed
+#                            manifests vs goldens, bench_data/ vs a fresh
+#                            export_figdata, perfbench tests
 #   pass 2  asan-ubsan       RelWithDebInfo, -Werror, ASan+UBSan, ctest
 #   pass 3  tsan             RelWithDebInfo, -Werror, TSan, ctest
 #   pass 4  clang checks     (only if clang++ is installed) -Wthread-safety
@@ -62,12 +64,19 @@ echo "=== observability smoke: manifests + Chrome trace ==="
 # figure driver must produce a loadable Chrome-trace JSON. With --obs-window
 # on, every table driver's stdout and manifest must be byte-identical for
 # --jobs 1 and --jobs 4 (BENCH_*.json apart from "jobs"), and the windowed
-# series must match the checked-in golden (tolerantly: the golden pins the
-# trajectory, manifest_diff.py flags mid-run drift even when totals agree).
+# series of every table must match its checked-in golden (the golden pins
+# the trajectory, manifest_diff.py flags mid-run drift even when totals
+# agree), and export_figdata must reproduce every checked-in bench_data/
+# file byte for byte.
 (cd build-ci/bench && ./table3_metbench --jobs 2 --obs --obs-window 10000000000 >/dev/null)
 scripts/jobs_identity.sh build-ci/bench build-ci/jobs-identity
 python3 scripts/manifest_diff.py scripts/manifest_golden_v2.json \
   build-ci/jobs-identity/j4/MANIFEST_table3_metbench.json
+for t in table4_metbenchvar table5_btmz table6_siesta; do
+  python3 scripts/manifest_diff.py "scripts/manifest_golden_${t%%_*}_v2.json" \
+    "build-ci/jobs-identity/j4/MANIFEST_${t}.json"
+done
+scripts/figdata_identity.sh build-ci/bench build-ci/figdata-identity
 (cd build-ci/bench &&
   ./fig3_metbench_trace --obs-trace obs_fig3_trace.json >/dev/null)
 python3 -c "

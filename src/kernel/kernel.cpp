@@ -189,6 +189,9 @@ void Kernel::set_acc_state(Task& t, AccState s) {
   t.acc_state_ = s;
 }
 
+// HPCS_HOT_BEGIN — run-queue plumbing, switch path, execution engine and
+// wakeups: every event of a run passes through here.
+
 // ---------------------------------------------------------------------------
 // Run-queue plumbing
 // ---------------------------------------------------------------------------
@@ -240,8 +243,11 @@ void Kernel::resched_cpu(CpuId cpu) {
 }
 
 Task* Kernel::pick_next(Rq& r) {
-  for (const auto& cls : classes_) {
-    if (Task* t = cls->pick_next(*this, r)) return t;
+  // Classes with nothing runnable here are not asked (sched_class.h); the
+  // idle class counts no task and falls through to r.idle, as it would pick.
+  for (std::size_t i = 0; i < classes_.size(); ++i) {
+    if (r.class_count[i] == 0) continue;
+    if (Task* t = classes_[i]->pick_next(*this, r)) return t;
   }
   return r.idle;
 }
@@ -485,9 +491,7 @@ void Kernel::wake(Task& t) {
   t.woken_pending_ = true;
   t.wake_time_ = now();
   ++t.nr_wakeups;
-  SchedClass* cls = class_for(t.policy());
-  HPCS_CHECK(cls != nullptr);
-  const Duration cost = cls->wakeup_cost();
+  const Duration cost = classes_[static_cast<std::size_t>(t.class_idx_)]->wakeup_cost();
   if (cost <= Duration::zero()) {
     do_wake(t);
   } else {
@@ -516,6 +520,8 @@ void Kernel::request_hw_prio(Task& t, p5::HwPrio prio) {
     isa_.set_priority(t.cpu, prio, p5::Privilege::kSupervisor);
   }
 }
+
+// HPCS_HOT_END
 
 // ---------------------------------------------------------------------------
 // Syscalls
@@ -568,9 +574,10 @@ void Kernel::set_nice(Task& t, int nice) { t.nice = std::clamp(nice, -20, 19); }
 // Tick + balancing
 // ---------------------------------------------------------------------------
 
-// HPCS_HOT_BEGIN — the highest-volume event in the simulator (one per CPU
-// per simulated millisecond); the schedule_in fallback below captures only
-// [this, cpu], which fits InplaceFunction's inline buffer.
+// HPCS_HOT_BEGIN — the tick is the highest-volume event in the simulator (one
+// per CPU per simulated millisecond); the schedule_in fallback below captures
+// only [this, cpu], which fits InplaceFunction's inline buffer. balance_pull
+// runs on every new-idle switch as well as on balance ticks.
 void Kernel::on_tick(CpuId cpu) {
   CpuState& c = cs(cpu);
   ++c.ticks;
@@ -598,31 +605,38 @@ void Kernel::on_tick(CpuId cpu) {
     resched_cpu(cpu);
   }
 }
-// HPCS_HOT_END
 
 bool Kernel::balance_pull(CpuId cpu, SchedClass& cls) {
   const auto ci = static_cast<std::size_t>(cls.index());
+  // steal_candidate only returns a queued task (runnable, not running): with
+  // none on another CPU, which is almost every new-idle pass, nothing moves.
+  const bool queued_elsewhere = std::any_of(cpus_.begin(), cpus_.end(), [&](const CpuState& o) {
+    const int running = o.rq.curr->class_idx_ == cls.index() ? 1 : 0;
+    return o.rq.cpu != cpu && o.rq.class_count[ci] > running;
+  });
+  if (!queued_elsewhere) return false;
+
   for (const Domain& dom : topo_.domains_for(cpu)) {
-    int my_group = -1;
-    std::vector<int> loads(dom.groups.size(), 0);
-    for (std::size_t g = 0; g < dom.groups.size(); ++g) {
-      for (CpuId c : dom.groups[g]) {
-        loads[g] += rq(c).class_count[ci];
-        if (c == cpu) my_group = static_cast<int>(g);
-      }
-    }
-    if (my_group < 0) continue;
+    // One pass: this CPU's group load and the first busiest other group.
+    int my_load = -1;
     int busiest = -1;
+    int busiest_load = -1;
     for (std::size_t g = 0; g < dom.groups.size(); ++g) {
-      if (static_cast<int>(g) == my_group) continue;
-      if (busiest < 0 || loads[g] > loads[static_cast<std::size_t>(busiest)]) {
+      int load = 0;
+      bool mine = false;
+      for (CpuId c : dom.groups[g]) {
+        load += rq(c).class_count[ci];
+        mine = mine || c == cpu;
+      }
+      if (mine) {
+        my_load = load;
+      } else if (busiest < 0 || load > busiest_load) {
         busiest = static_cast<int>(g);
+        busiest_load = load;
       }
     }
     // Pull only when moving one task strictly reduces the imbalance.
-    if (busiest < 0 ||
-        loads[static_cast<std::size_t>(busiest)] <= loads[static_cast<std::size_t>(my_group)] + 1)
-      continue;
+    if (my_load < 0 || busiest < 0 || busiest_load <= my_load + 1) continue;
     CpuId src = kInvalidCpu;
     int src_load = -1;
     for (CpuId c : dom.groups[static_cast<std::size_t>(busiest)]) {
@@ -654,5 +668,6 @@ void Kernel::migrate(Task& t, CpuId dst) {
   enqueue_task(t, false);
   maybe_preempt(dst, t);
 }
+// HPCS_HOT_END
 
 }  // namespace hpcs::kern

@@ -13,12 +13,17 @@ RtRq& RtClass::rrq(Rq& rq, int index) {
   return static_cast<RtRq&>(*rq.class_rqs[static_cast<std::size_t>(index)]);
 }
 
+std::deque<Task*>& RtClass::list_of(RtRq& r, const Task& t) {
+  if (r.queues.empty()) r.queues.resize(kRtPrioLevels);
+  return r.queues[static_cast<std::size_t>(t.rt_prio)];
+}
+
 void RtClass::enqueue(Kernel& k, Rq& rq, Task& t, bool wakeup) {
   (void)k;
   (void)wakeup;
   RtRq& r = rrq(rq, index());
   HPCS_CHECK(t.rt_prio >= 0 && t.rt_prio < kRtPrioLevels);
-  r.queues[static_cast<std::size_t>(t.rt_prio)].push_back(&t);
+  list_of(r, t).push_back(&t);
   ++r.nr;
   if (t.policy() == Policy::kRr && t.slice_left <= Duration::zero()) {
     t.slice_left = rr_slice_;
@@ -29,7 +34,8 @@ void RtClass::dequeue(Kernel& k, Rq& rq, Task& t, bool sleep) {
   (void)k;
   (void)sleep;
   RtRq& r = rrq(rq, index());
-  auto& q = r.queues[static_cast<std::size_t>(t.rt_prio)];
+  if (r.nr == 0) return;
+  auto& q = list_of(r, t);
   auto it = std::find(q.begin(), q.end(), &t);
   if (it != q.end()) {
     q.erase(it);
@@ -57,7 +63,7 @@ void RtClass::put_prev(Kernel& k, Rq& rq, Task& t) {
   RtRq& r = rrq(rq, index());
   // FIFO semantics (and an RR task whose slice is not exhausted) resume at
   // the head of their priority list; an expired RR task rotates to the tail.
-  auto& q = r.queues[static_cast<std::size_t>(t.rt_prio)];
+  auto& q = list_of(r, t);
   if (t.policy() == Policy::kRr && t.slice_left <= Duration::zero()) {
     t.slice_left = rr_slice_;
     q.push_back(&t);
@@ -73,7 +79,7 @@ void RtClass::task_tick(Kernel& k, Rq& rq, Task& t) {
   if (t.slice_left <= Duration::zero()) {
     RtRq& r = rrq(rq, index());
     // Rotate only if a peer of the same priority is waiting.
-    if (!r.queues[static_cast<std::size_t>(t.rt_prio)].empty()) {
+    if (r.nr > 0 && !list_of(r, t).empty()) {
       rq.need_resched = true;
     } else {
       t.slice_left = rr_slice_;

@@ -4,8 +4,8 @@
 // task of the highest non-empty priority list. SCHED_FIFO tasks keep the head
 // until they yield or block; SCHED_RR tasks rotate when their slice expires.
 
-#include <array>
 #include <deque>
+#include <vector>
 
 #include "kernel/sched_class.h"
 
@@ -14,7 +14,9 @@ namespace hpcs::kern {
 inline constexpr int kRtPrioLevels = 100;
 
 struct RtRq final : ClassRq {
-  std::array<std::deque<Task*>, kRtPrioLevels> queues;
+  /// One list per RT priority, sized by the first insertion: most runs have
+  /// no RT task, and 100 empty deques per CPU are not free.
+  std::vector<std::deque<Task*>> queues;
   int nr = 0;
 };
 
@@ -43,6 +45,7 @@ class RtClass final : public SchedClass {
 
  private:
   static RtRq& rrq(Rq& rq, int index);
+  static std::deque<Task*>& list_of(RtRq& r, const Task& t);
   Duration rr_slice_;
 };
 

@@ -62,7 +62,9 @@ class SchedClass {
 
   /// Select the best task of this class and remove it from the class
   /// structure (it becomes `rq.curr`). Returns nullptr if the class has no
-  /// runnable task on this CPU.
+  /// queued task on this CPU. The Scheduler Core calls this only while
+  /// `rq.class_count[index()] > 0`; that count includes a running task, so
+  /// the class may still have nothing queued to pick.
   virtual Task* pick_next(Kernel& k, Rq& rq) = 0;
 
   /// Re-insert the previously running task (still runnable) into the class
@@ -80,7 +82,8 @@ class SchedClass {
   virtual void yield(Kernel& k, Rq& rq, Task& t) { (void)k; (void)rq; (void)t; }
 
   /// Pick one migratable (queued, not running, not pinned elsewhere) task to
-  /// move away from this rq, or nullptr. Used by the workload balancer.
+  /// move away from this rq, or nullptr. Used by the workload balancer, which
+  /// skips the call when no other CPU has a queued task of this class.
   virtual Task* steal_candidate(Kernel& k, Rq& rq) { (void)k; (void)rq; return nullptr; }
 
   /// Whether the per-class workload balancer should run for this class.

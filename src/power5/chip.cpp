@@ -1,13 +1,16 @@
 #include "power5/chip.h"
 
+#include <memory>
+
 #include "common/check.h"
 
 namespace hpcs::p5 {
 
 Chip::Chip(int num_cores, const ThroughputParams& params) {
   HPCS_CHECK_MSG(num_cores > 0, "chip needs at least one core");
+  const auto speeds = std::make_shared<const CoreSpeedTable>(params);
   cores_.reserve(static_cast<std::size_t>(num_cores));
-  for (CoreId c = 0; c < num_cores; ++c) cores_.emplace_back(c, params);
+  for (CoreId c = 0; c < num_cores; ++c) cores_.emplace_back(c, speeds);
 }
 
 SmtCore& Chip::core(CoreId c) {

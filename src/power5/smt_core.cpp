@@ -39,8 +39,8 @@ bool SmtCore::set_snoozed(CtxId ctx, bool snoozed) {
 }
 
 void SmtCore::recompute() {
-  const CoreSpeeds s = context_speeds(params_, lut_, prio_[0], active_[0], prio_[1],
-                                      active_[1], snoozed_[0], snoozed_[1]);
+  const CoreSpeeds s =
+      (*table_)(prio_[0], active_[0], prio_[1], active_[1], snoozed_[0], snoozed_[1]);
   speeds_[0] = s.a;
   speeds_[1] = s.b;
 }

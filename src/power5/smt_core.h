@@ -6,6 +6,7 @@
 
 #include <array>
 #include <functional>
+#include <memory>
 
 #include "common/types.h"
 #include "power5/hw_priority.h"
@@ -21,13 +22,16 @@ class SmtCore {
   /// Called whenever the speed of either context may have changed.
   using SpeedChangeListener = std::function<void(CoreId)>;
 
-  SmtCore(CoreId id, const ThroughputParams& params)
-      : id_(id), params_(params), lut_(params_) {
+  /// `speeds` is shared by every core of a chip.
+  SmtCore(CoreId id, std::shared_ptr<const CoreSpeedTable> speeds)
+      : id_(id), table_(std::move(speeds)) {
     prio_.fill(kDefaultPrio);
     active_.fill(false);
     snoozed_.fill(false);
     recompute();
   }
+  SmtCore(CoreId id, const ThroughputParams& params)
+      : SmtCore(id, std::make_shared<const CoreSpeedTable>(params)) {}
 
   [[nodiscard]] CoreId id() const { return id_; }
 
@@ -47,8 +51,6 @@ class SmtCore {
   /// Current throughput of a context relative to ST mode (0 when inactive).
   [[nodiscard]] double speed(CtxId ctx) const { return speeds_[check_ctx(ctx)]; }
 
-  [[nodiscard]] const ThroughputParams& params() const { return params_; }
-
   void set_listener(SpeedChangeListener l) { listener_ = std::move(l); }
 
  private:
@@ -57,10 +59,9 @@ class SmtCore {
   void notify();
 
   CoreId id_;
-  ThroughputParams params_;
-  /// Share->speed curve, precompiled once; recompute() runs on every
-  /// priority write and activity transition, so the anchor scan matters.
-  SpeedLut lut_;
+  /// recompute() runs on every priority write and activity transition, so
+  /// it is a lookup rather than the context_speeds scan.
+  std::shared_ptr<const CoreSpeedTable> table_;
   std::array<HwPrio, 2> prio_{};
   std::array<bool, 2> active_{};
   std::array<bool, 2> snoozed_{};

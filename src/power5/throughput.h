@@ -21,7 +21,8 @@
 // complementary pairing reproduces Table V's utilization profile
 // (70.6 / 42.2 / 61.0 / 99.9).
 
-#include <cstdint>
+#include <array>
+#include <cstddef>
 #include <vector>
 
 #include "power5/hw_priority.h"
@@ -59,31 +60,6 @@ struct CoreSpeeds {
 /// Interpolated speed for a given decode share.
 [[nodiscard]] double speed_for_share(const ThroughputParams& p, double share);
 
-/// Precomputed uniform-grid accelerator for speed_for_share. The grid maps a
-/// share to the anchor segment containing it in O(1), then applies the exact
-/// same comparisons and interpolation arithmetic as the linear scan — results
-/// are bit-identical, only the segment search is constant-time. Build once
-/// per ThroughputParams (SmtCore does this at construction) and reuse; the
-/// hot path is every hardware-priority write and every active/snooze
-/// transition of every core.
-class SpeedLut {
- public:
-  SpeedLut() = default;
-  explicit SpeedLut(const ThroughputParams& p);
-
-  /// Same value speed_for_share(p, share) would return for the params this
-  /// LUT was built from.
-  [[nodiscard]] double operator()(double share) const;
-
- private:
-  std::vector<double> xs_;
-  std::vector<double> ys_;
-  /// cell index -> first anchor segment whose upper bound can contain a
-  /// share in that cell.
-  std::vector<std::uint32_t> seg_;
-  double scale_ = 0.0;
-};
-
 /// A POWER6-style parameter preset (the paper notes POWER6 "provides a
 /// similar prioritization mechanism"). POWER6 is in-order, so threads hide
 /// less of each other's stalls: the equal-share point is lower (~0.58) and
@@ -104,11 +80,29 @@ class SpeedLut {
                                         HwPrio b, bool b_active, bool a_snoozed = false,
                                         bool b_snoozed = false);
 
-/// LUT-accelerated variant: identical results, with the share->speed
-/// interpolation served from `lut` (which must have been built from `p`).
-[[nodiscard]] CoreSpeeds context_speeds(const ThroughputParams& p, const SpeedLut& lut,
-                                        HwPrio a, bool a_active, HwPrio b, bool b_active,
-                                        bool a_snoozed = false, bool b_snoozed = false);
+/// context_speeds for all 1024 inputs (every priority pair, every active and
+/// snoozed flag), computed once per ThroughputParams, so a lookup is
+/// bit-identical to the scan. Serves every priority write and active/snooze
+/// transition of every core; a chip's cores share one table.
+class CoreSpeedTable {
+ public:
+  explicit CoreSpeedTable(const ThroughputParams& p);
+
+  [[nodiscard]] CoreSpeeds operator()(HwPrio a, bool a_active, HwPrio b, bool b_active,
+                                      bool a_snoozed, bool b_snoozed) const {
+    return cells_[index(a, a_active, b, b_active, a_snoozed, b_snoozed)];
+  }
+
+ private:
+  static constexpr std::size_t index(HwPrio a, bool a_active, HwPrio b, bool b_active,
+                                     bool a_snoozed, bool b_snoozed) {
+    return static_cast<std::size_t>(a) << 7 | static_cast<std::size_t>(b) << 4 |
+           static_cast<std::size_t>(a_active) << 3 | static_cast<std::size_t>(b_active) << 2 |
+           static_cast<std::size_t>(a_snoozed) << 1 | static_cast<std::size_t>(b_snoozed);
+  }
+
+  std::array<CoreSpeeds, 1024> cells_{};
+};
 
 /// Decode share of context A per Table I (0.5 at equal priorities,
 /// (R-1)/R vs 1/R otherwise). Only meaningful for regular priorities.

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "hpcsched/hpcsched.h"
 #include "test_util.h"
 
 namespace hpcs::test {
@@ -121,6 +122,49 @@ TEST(Balancer, NoPullWhenBalanced) {
   }
   f.run_until(Duration::seconds(1.0));
   EXPECT_EQ(f.k().migrations(), 0) << "balanced placement must not churn";
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(tasks[static_cast<std::size_t>(i)]->cpu, i);
+}
+
+// The balancer skips its domain walk unless another CPU has a *queued* task
+// of the class: a CPU's count includes its running task, which cannot be
+// stolen. These SCHED_HPC cases pin both sides of that count.
+
+TEST(Balancer, HpcNewIdlePullTakesTheQueuedTask) {
+  KernelFixture f;
+  hpc::install_hpcsched(f.k());
+  f.k().start();
+  // CPU 0 runs one HPC hog and queues the other. The short task on CPU 1
+  // exits after ~5 ms, long before the first periodic balance (tick 61), so
+  // CPU 1's new-idle pass must see the queued hog behind the running one.
+  auto& a = f.k().create_task("a", std::make_unique<HogBody>(), Policy::kHpcRr, 0);
+  auto& b = f.k().create_task("b", std::make_unique<HogBody>(), Policy::kHpcRr, 0);
+  auto& s = f.k().create_task(
+      "short", std::make_unique<ScriptBody>(std::vector<Act>{Act::compute(3.0e6)}),
+      Policy::kHpcRr, 1);
+  for (auto* t : {&a, &b, &s}) f.k().start_task(*t);
+  f.run_until(Duration::milliseconds(30));
+  EXPECT_TRUE(s.exited());
+  EXPECT_NE(a.cpu, b.cpu);
+  EXPECT_EQ(f.k().balance_pulls(), 1);
+  EXPECT_EQ(f.k().migrations(), 1);
+}
+
+TEST(Balancer, HpcOneRunningTaskPerCpuNeverMigrates) {
+  KernelFixture f;
+  hpc::install_hpcsched(f.k());
+  f.k().start();
+  // Every CPU counts one HPC task, and it is the running one: nothing is
+  // queued anywhere, so no balance pass may move a task.
+  std::vector<kern::Task*> tasks;
+  for (int i = 0; i < 4; ++i) {
+    auto& t = f.k().create_task("h" + std::to_string(i), std::make_unique<HogBody>(),
+                                Policy::kHpcRr, i);
+    f.k().start_task(t);
+    tasks.push_back(&t);
+  }
+  f.run_until(Duration::seconds(1.0));
+  EXPECT_EQ(f.k().migrations(), 0);
+  EXPECT_EQ(f.k().balance_pulls(), 0);
   for (int i = 0; i < 4; ++i) EXPECT_EQ(tasks[static_cast<std::size_t>(i)]->cpu, i);
 }
 

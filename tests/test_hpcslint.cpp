@@ -190,12 +190,13 @@ void dispatch() {
   auto* e = new Entry();
   auto s = std::make_unique<Slot>();
   std::function<void()> cb = [] {};
+  std::vector<int> loads(n, 0);  std::string label = name;
   q.push(e);
 }
 // HPCS_HOT_END
 auto cold2 = std::make_shared<Slot>();
 )fx");
-  EXPECT_EQ(count_rule(fs, "hot-alloc"), 3);
+  EXPECT_EQ(count_rule(fs, "hot-alloc"), 5);
 }
 
 TEST(HpcslintHotAlloc, QuietOnNonAllocatingHotCode) {
@@ -204,6 +205,7 @@ TEST(HpcslintHotAlloc, QuietOnNonAllocatingHotCode) {
 void heap_push(HeapEntry e) {
   heap_.push_back(e);          // amortized growth is accepted; no new/function
   InplaceFunction<void()> cb;  // the non-allocating wrapper is the point
+  const std::vector<int>& loads = loads_; std::deque<Task*>* q = &q_; std::string::size_type n;
 }
 // HPCS_HOT_END
 )fx");

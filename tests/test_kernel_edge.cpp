@@ -1,7 +1,11 @@
 // Kernel edge cases: affinity of running/sleeping tasks, policy changes in
 // every state, spurious wakeups, zero-length sleeps, yield semantics, sysfs
-// knob effects, tick accounting at boundaries, and the Hybrid heuristic's
-// future-work promise (good on both constant and dynamic workloads).
+// knob effects, tick accounting at boundaries, the Scheduler Core's
+// pick_next contract, and the Hybrid heuristic's future-work promise (good
+// on both constant and dynamic workloads).
+
+#include <algorithm>
+#include <deque>
 
 #include <gtest/gtest.h>
 
@@ -97,6 +101,83 @@ TEST(KernelEdge, YieldRotatesHpcRoundRobin) {
   EXPECT_TRUE(yielder.exited());
   k.flush_account(peer);
   EXPECT_GT(peer.t_run, Duration::milliseconds(10));
+}
+
+// A FIFO class owning the SCHED_HPC policies that counts every pick_next it
+// receives while the Scheduler Core counts no runnable task of it on that
+// rq — a call the contract on SchedClass::pick_next rules out.
+struct CountingRq final : kern::ClassRq {
+  std::deque<kern::Task*> queue;
+};
+
+class CountingClass final : public kern::SchedClass {
+ public:
+  [[nodiscard]] const char* name() const override { return "counting"; }
+  [[nodiscard]] bool owns(Policy p) const override { return kern::is_hpc_policy(p); }
+  [[nodiscard]] std::unique_ptr<kern::ClassRq> make_rq() const override {
+    return std::make_unique<CountingRq>();
+  }
+  void enqueue(kern::Kernel&, kern::Rq& rq, kern::Task& t, bool) override {
+    queue(rq).push_back(&t);
+  }
+  void dequeue(kern::Kernel&, kern::Rq& rq, kern::Task& t, bool) override {
+    auto& q = queue(rq);
+    q.erase(std::remove(q.begin(), q.end(), &t), q.end());
+  }
+  kern::Task* pick_next(kern::Kernel&, kern::Rq& rq) override {
+    ++picks;
+    if (rq.class_count[static_cast<std::size_t>(index())] == 0) ++picks_while_empty;
+    auto& q = queue(rq);
+    if (q.empty()) return nullptr;
+    kern::Task* t = q.front();
+    q.pop_front();
+    return t;
+  }
+  void put_prev(kern::Kernel&, kern::Rq& rq, kern::Task& t) override {
+    queue(rq).push_front(&t);
+  }
+  void task_tick(kern::Kernel&, kern::Rq&, kern::Task&) override {}
+  [[nodiscard]] bool wakeup_preempt(kern::Kernel&, kern::Rq&, kern::Task&,
+                                    kern::Task&) override {
+    return false;
+  }
+
+  int picks = 0;
+  int picks_while_empty = 0;
+
+ private:
+  std::deque<kern::Task*>& queue(kern::Rq& rq) const {
+    return static_cast<CountingRq&>(*rq.class_rqs[static_cast<std::size_t>(index())]).queue;
+  }
+};
+HPCS_ASSERT_SCHED_CLASS(CountingClass);
+
+TEST(KernelContract, PickNextOnlyReachesAClassWithRunnableTasks) {
+  KernelFixture f;
+  auto& cls = static_cast<CountingClass&>(
+      f.k().add_class_before_cfs(std::make_unique<CountingClass>()));
+  f.k().start();
+  // The class's tasks compute, sleep and wake on two CPUs while a CFS hog
+  // keeps a third switching, so every CPU reschedules with and without a
+  // task of the class.
+  std::vector<kern::Task*> tasks;
+  for (CpuId cpu = 0; cpu < 2; ++cpu) {
+    tasks.push_back(&f.k().create_task(
+        "c" + std::to_string(cpu),
+        std::make_unique<ScriptBody>(std::vector<Act>{
+            Act::compute(2.0e6), Act::sleep(Duration::milliseconds(5)), Act::compute(2.0e6)}),
+        Policy::kHpcFifo, cpu));
+  }
+  auto& hog = f.k().create_task("hog", std::make_unique<HogBody>(), Policy::kNormal, 2);
+  for (auto* t : tasks) f.k().start_task(*t);
+  f.k().start_task(hog);
+  f.run_until(Duration::milliseconds(100));
+  EXPECT_EQ(cls.picks_while_empty, 0);
+  EXPECT_GT(cls.picks, 0);
+  for (auto* t : tasks) {
+    EXPECT_TRUE(t->exited()) << t->name();
+    EXPECT_GT(t->t_run, Duration::milliseconds(4)) << t->name();
+  }
 }
 
 TEST(KernelEdge, CfsLatencyKnobChangesSliceBehaviour) {

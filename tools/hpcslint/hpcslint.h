@@ -23,7 +23,8 @@
 //   wallclock        std::chrono::{system,steady,high_resolution}_clock
 //   rand             rand/srand/rand_r/drand48, std::random_device, time(...)
 //   hot-alloc        new / make_unique / make_shared / malloc / std::function
-//                    inside // HPCS_HOT_BEGIN .. // HPCS_HOT_END regions
+//                    and std containers held by value inside
+//                    // HPCS_HOT_BEGIN .. // HPCS_HOT_END regions
 //   missing-override SchedClass hook declared without `override`
 //   tracepoint-name  HPCS_TRACEPOINT id must be a kTp* catalogue enumerator
 //

@@ -76,14 +76,44 @@ void rule_pointer_key(std::string_view code, const std::vector<Tok>& toks, Sink&
 }
 
 // hot-alloc: inside // HPCS_HOT_BEGIN .. // HPCS_HOT_END regions, no
-// allocation and no type-erased std::function construction. These regions
+// allocation, no type-erased std::function construction and no standard
+// container declared by value (a `std::vector<int> loads(n)` allocates on
+// every pass; references and pointers to containers do not). These regions
 // are the event-loop fast paths docs/performance.md documents as
 // allocation-free; this rule keeps them that way. Non-allocating placement
 // new carries an ALLOW at the site.
+namespace {
+
+bool by_value_container(std::string_view code, const std::vector<Tok>& toks, std::size_t i) {
+  static const std::unordered_set<std::string_view> kContainers = {
+      "vector",        "deque",         "list",           "forward_list",       "string",
+      "basic_string",  "map",           "multimap",       "set",                "multiset",
+      "unordered_map", "unordered_set", "unordered_multimap", "unordered_multiset",
+      "queue",         "priority_queue", "stack"};
+  if (kContainers.count(toks[i].text) == 0 || i < 3 || !toks[i - 1].is(":") ||
+      !toks[i - 2].is(":") || !toks[i - 3].is("std")) {
+    return false;
+  }
+  std::size_t nx = next_nonspace(code, toks[i].end);
+  if (nx != std::string_view::npos && code[nx] == '<') {
+    const std::size_t past = match_angles(code, nx);
+    if (past == std::string_view::npos) return false;
+    nx = next_nonspace(code, past);
+  }
+  if (nx == std::string_view::npos) return false;
+  // A name (declaration) or `(`/`{` (a temporary) means a container object;
+  // `&`, `*`, `::` (a nested name), `>`, `,`, `)` and `;` do not.
+  const char c = code[nx];
+  return is_ident_start(c) || c == '(' || c == '{';
+}
+
+}  // namespace
+
 void rule_hot_alloc(std::string_view code, const std::vector<Tok>& toks, Sink& sink) {
   static const std::unordered_set<std::string_view> kAlloc = {
       "new", "make_unique", "make_shared", "malloc", "calloc", "realloc"};
-  for (const Tok& t : toks) {
+  for (std::size_t i = 0; i < toks.size(); ++i) {
+    const Tok& t = toks[i];
     if (!t.ident() || !sink.hot(t.line)) continue;
     if (kAlloc.count(t.text) != 0) {
       sink.report("hot-alloc", t.line,
@@ -98,6 +128,13 @@ void rule_hot_alloc(std::string_view code, const std::vector<Tok>& toks, Sink& s
                     "std::function inside an HPCS_HOT region: use "
                     "sim::InplaceFunction (non-allocating) instead");
       }
+      continue;
+    }
+    if (by_value_container(code, toks, i)) {
+      sink.report("hot-alloc", t.line,
+                  "std::" + std::string(t.text) +
+                      " held by value inside an HPCS_HOT region: it allocates; use "
+                      "fixed-size storage or a reference to long-lived storage");
     }
   }
 }
