@@ -1,32 +1,25 @@
 // Event-loop and parallel-engine micro benchmark. Measures:
 //  1. events/sec on the event-queue hot patterns:
 //       - recurring per-CPU ticks re-armed via the reschedule() fast path
-//         (4 CPUs: the near-empty queue; 64 CPUs + 16k sparse background
-//         timers: the populated queue the timing wheel targets)
+//         (4 CPUs: the paper machine's near-empty queue; 64 CPUs + 16k
+//         sparse background timers: a deep queue no paper workload builds)
 //       - one-shot events with a 32-byte capture (simmpi send-style; these
 //         exceed std::function's inline buffer — InplaceFunction keeps them
 //         allocation-free)
 //       - timeout churn: schedule a fat-capture guard, cancel before firing
-//       - same-instant bursts (batched dispatch of one timestamp)
-//       - far-future self-re-arming timers spanning every wheel level plus
-//         the heap overflow (cascade path)
+//       - same-instant bursts (FIFO dispatch of one timestamp)
+//       - self-re-arming timers with periods from 192 ns to 32 ms
 //       - mixed periodic ticks + sparse far-future timeouts (the kernel's
 //         real population shape)
-//       - sparse horizon: a few dozen ms-scale timers only, so dispatch
-//         leans on the per-level occupancy counts to skip empty bitmap scans
+//       - sparse horizon: a few dozen ms-scale timers and nothing else
 //  2. wall-clock of an 8-point MetBench sweep run serially (--jobs 1) vs on
 //     all hardware threads, plus a row-for-row equality check (the engine's
 //     bit-identical contract).
-// Emits BENCH_simcore.json, including the timing-wheel counters of the
-// scaled tick scenario so the smoke checks can assert the wheel engaged.
-// Flags: --jobs N (HPCS_JOBS) for the parallel leg; --no-wheel (or
-// HPCS_EQ_WHEEL=0) forces every queue onto the legacy binary heap — run the
-// bench both ways for the before/after table in docs/performance.md.
+// Emits BENCH_simcore.json. Flags: --jobs N (HPCS_JOBS) for the parallel leg.
 
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -53,7 +46,7 @@ double now_s() {
 /// highest-volume pattern. `cpus` periodic timers; `background` far-future
 /// one-shots sit in the queue the whole time (they model the sparse
 /// timeout/snooze population that forces a heap to do log(n) work per tick).
-double bench_tick_loop(int cpus, int background, sim::EventQueueStats* stats = nullptr) {
+double bench_tick_loop(int cpus, int background) {
   sim::Simulator s;
   struct Ctx {
     sim::Simulator* s;
@@ -76,9 +69,7 @@ double bench_tick_loop(int cpus, int background, sim::EventQueueStats* stats = n
   const double t0 = now_s();
   const std::uint64_t target = 6'000'000;
   while (s.events_executed() < target) s.step();
-  const double rate = double(s.events_executed()) / (now_s() - t0);
-  if (stats != nullptr) *stats = s.queue_stats();
-  return rate;
+  return double(s.events_executed()) / (now_s() - t0);
 }
 
 double bench_big_capture() {
@@ -125,8 +116,8 @@ double bench_cancel_churn() {
   return double(kIters) / (now_s() - t0);
 }
 
-/// Bursts of events sharing one timestamp: the batched same-tick dispatch
-/// path (one slot search serves the whole burst).
+/// Bursts of events sharing one timestamp: every pop ties on `when` and is
+/// decided by the insertion sequence.
 double bench_same_tick_burst() {
   sim::EventQueue q;
   std::uint64_t sink = 0;
@@ -146,9 +137,8 @@ double bench_same_tick_burst() {
   return rate;
 }
 
-/// Self-re-arming timers whose periods span every wheel level and the heap
-/// overflow band (beyond the ~16.8 ms horizon), so dispatch continually
-/// cascades far-future work toward level 0.
+/// Self-re-arming timers whose periods span five orders of magnitude, so
+/// every re-arm sifts to a different depth of the heap.
 double bench_far_future_cascade() {
   sim::EventQueue q;
   struct Ctx {
@@ -157,7 +147,7 @@ double bench_far_future_cascade() {
     std::int64_t when;
     std::int64_t period;
   };
-  // Periods: level-0 (ns), level-1 (us), level-2 (ms), past-horizon (32 ms).
+  // Periods: 192 ns, 12 us, 0.8 ms and 32 ms.
   constexpr std::int64_t kPeriods[] = {192, 12'288, 786'432, 33'554'432};
   constexpr int kTimersPerBand = 64;
   std::vector<Ctx> ctx(4 * kTimersPerBand);
@@ -225,11 +215,9 @@ double bench_mixed_periodic_sparse() {
   return double(fired) / (now_s() - t0);
 }
 
-/// Sparse horizon: a few dozen ms-scale timers and nothing else, so the
-/// wheel's 768 slots are ~95% empty and level 0 is empty on almost every
-/// search. Exercises the per-level occupancy counts that let dispatch skip
-/// whole bitmap scans; `stats` reports wheel_level_skips as evidence.
-double bench_sparse_horizon(sim::EventQueueStats* stats = nullptr) {
+/// Sparse horizon: a few dozen ms-scale timers and nothing else, a shallow
+/// queue whose events are tens of microseconds apart.
+double bench_sparse_horizon() {
   sim::EventQueue q;
   struct Ctx {
     sim::EventQueue* q;
@@ -237,7 +225,7 @@ double bench_sparse_horizon(sim::EventQueueStats* stats = nullptr) {
     std::int64_t when;
     std::int64_t period;
   };
-  constexpr int kTimers = 40;  // above kWheelMinPendingDefault: wheel-routed
+  constexpr int kTimers = 40;
   std::vector<Ctx> ctx(kTimers);
   for (int i = 0; i < kTimers; ++i) {
     Ctx* c = &ctx[static_cast<std::size_t>(i)];
@@ -256,9 +244,7 @@ double bench_sparse_horizon(sim::EventQueueStats* stats = nullptr) {
     q.pop_and_run();
     ++fired;
   }
-  const double rate = double(fired) / (now_s() - t0);
-  if (stats != nullptr) *stats = q.stats();
-  return rate;
+  return double(fired) / (now_s() - t0);
 }
 
 std::vector<analysis::SweepPoint> make_sweep_points() {
@@ -303,33 +289,21 @@ int main(int argc, char** argv) {
   const unsigned jobs = exp::parse_jobs_flag(argc, argv);
   const unsigned hw = std::thread::hardware_concurrency();
 
-  bool wheel = true;
-  if (const char* env = std::getenv("HPCS_EQ_WHEEL")) {
-    if (std::strcmp(env, "0") == 0) wheel = false;
-  }
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--no-wheel") == 0) wheel = false;
-  }
-  sim::EventQueue::set_default_wheel_enabled(wheel);
-
-  std::printf("=== simcore micro: event-loop hot paths (wheel %s) ===\n",
-              wheel ? "on" : "off");
+  std::printf("=== simcore micro: event-loop hot paths ===\n");
   const double tick = bench_tick_loop(4, 0);
-  sim::EventQueueStats scale_stats;
-  const double tick_scale = bench_tick_loop(64, 16384, &scale_stats);
+  const double tick_scale = bench_tick_loop(64, 16384);
   const double big = bench_big_capture();
   const double cancel = bench_cancel_churn();
   const double burst = bench_same_tick_burst();
   const double cascade = bench_far_future_cascade();
   const double mixed = bench_mixed_periodic_sparse();
-  sim::EventQueueStats sparse_stats;
-  const double sparse = bench_sparse_horizon(&sparse_stats);
+  const double sparse = bench_sparse_horizon();
   std::printf("tick loop 4cpu (reschedule fast path):  %8.1fM events/s\n", tick / 1e6);
   std::printf("tick loop 64cpu + 16k sparse timers:    %8.1fM events/s\n", tick_scale / 1e6);
   std::printf("32B-capture one-shot events:            %8.1fM events/s\n", big / 1e6);
   std::printf("schedule+cancel churn:                  %8.1fM events/s\n", cancel / 1e6);
-  std::printf("same-instant bursts (batch dispatch):   %8.1fM events/s\n", burst / 1e6);
-  std::printf("far-future cascade timers:              %8.1fM events/s\n", cascade / 1e6);
+  std::printf("same-instant bursts:                    %8.1fM events/s\n", burst / 1e6);
+  std::printf("timers, 192 ns to 32 ms periods:        %8.1fM events/s\n", cascade / 1e6);
   std::printf("mixed periodic + sparse timeouts:       %8.1fM events/s\n", mixed / 1e6);
   std::printf("sparse horizon (40 ms-scale timers):    %8.1fM events/s\n", sparse / 1e6);
 
@@ -357,18 +331,6 @@ int main(int argc, char** argv) {
       .field("far_future_cascade_per_s", cascade)
       .field("mixed_periodic_sparse_per_s", mixed)
       .field("sparse_horizon_per_s", sparse);
-  // Wheel engagement evidence from the scaled tick scenario: with the wheel
-  // on, ticks arm into it and dispatch in batches; with --no-wheel every arm
-  // is a heap fallback. check_bench_json.py asserts the wheel side.
-  bench::JsonObject wheelj;
-  wheelj.field("enabled", wheel)
-      .field("armed", scale_stats.wheel_armed)
-      .field("hits", scale_stats.wheel_dispatched)
-      .field("cascades", scale_stats.wheel_cascades)
-      .field("heap_fallbacks", scale_stats.heap_armed)
-      .field("batches", scale_stats.wheel_batches)
-      .field("max_batch", scale_stats.wheel_max_batch)
-      .field("level_skips", sparse_stats.wheel_level_skips);
   bench::JsonObject sweep;
   sweep.field("points", static_cast<std::int64_t>(points.size()))
       .field("serial_s", serial_s)
@@ -380,7 +342,6 @@ int main(int argc, char** argv) {
   root.field("bench", "micro_simcore")
       .field("hardware_concurrency", hw)
       .object("events_per_sec", events)
-      .object("wheel", wheelj)
       .object("sweep", sweep);
   bench::write_json_file("BENCH_simcore.json", root);
   return identical ? 0 : 1;

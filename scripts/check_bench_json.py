@@ -51,13 +51,6 @@ EQ_COUNTERS = (
     "sim.eq_resched_inplace",
     "sim.eq_resched_pending",
     "sim.eq_stale_dropped",
-    "sim.eq_wheel_armed",
-    "sim.eq_wheel_hits",
-    "sim.eq_wheel_cascades",
-    "sim.eq_wheel_heap_fallbacks",
-    "sim.eq_wheel_batches",
-    "sim.eq_wheel_max_batch",
-    "sim.eq_wheel_level_skips",
 )
 
 

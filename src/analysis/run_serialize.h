@@ -2,8 +2,7 @@
 // Bit-exact RunResult <-> bytes. Every scalar is little-endian and doubles
 // travel as their IEEE-754 bit patterns, never as decimal text, so two runs
 // serialize to the same bytes exactly when every value field agrees to the
-// last bit. tests/test_eq_differential.cpp uses that as its oracle: it
-// compares whole runs by comparing their blobs.
+// last bit, so whole runs can be compared by comparing their blobs.
 //
 // Scope: the value fields only. The host-side handles (tracer, recorder,
 // chrome) do not serialize; deserialize_run_result leaves them empty.

@@ -5,25 +5,12 @@
 // insertion sequence, which makes simultaneous events fire in a deterministic
 // FIFO order. Cancellation is O(1): each event carries a generation counter
 // and an EventHandle remembers the id/generation it was issued for; stale
-// entries are skipped lazily when they surface.
+// entries are skipped lazily when they surface at the top of the heap.
 //
-// Storage is a hierarchical timing wheel backed by a binary-heap overflow
-// (see docs/performance.md for the measured effect):
-//  * The wheel has kWheelLevels levels of 256 slots; level 0 resolves single
-//    nanoseconds, so a level-0 slot holds exactly one timestamp and its FIFO
-//    list IS the (time, seq) dispatch order — arming and firing the
-//    simulator's dominant traffic (per-CPU 1 ms ticks, exec completions,
-//    network deliveries) is O(1) with at most kWheelLevels-1 cascades.
-//  * Events beyond the wheel horizon (2^24 ns ≈ 16.8 ms) — sparse far-future
-//    timers — overflow into the heap, which is exactly the structure that
-//    likes sparse traffic. Dispatch merges the two by (time, seq), so the
-//    firing order is bit-identical to the heap-only implementation
-//    (tests/test_eq_differential.cpp proves it byte-for-byte).
-//  * Same-instant events dispatch as a *batch*: once a level-0 slot is
-//    located, run_next() keeps a cursor into it and every further event at
-//    that timestamp dispatches without re-searching the wheel or touching
-//    the heap — the stale-sweep and slot-lookup cost is paid once per
-//    distinct timestamp, not once per event.
+// Storage is one binary min-heap of 16-byte (when, seq, slot id) entries
+// over a table of callback slots. The simulated machines keep a few dozen
+// events pending (per-CPU ticks, exec completions, network deliveries), so
+// the heap stays cache-resident and a sift is a handful of compares.
 //
 // Hot-path design (see docs/performance.md):
 //  * Callbacks are InplaceFunction — a fixed 48-byte inline buffer, so
@@ -37,10 +24,7 @@
 //    the same slot, keeping the handle valid and skipping the
 //    destroy/construct/slot-allocate cycle entirely.
 
-#include <atomic>
-#include <bit>
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <vector>
 
@@ -66,13 +50,6 @@ struct EventQueueStats {
   std::int64_t resched_pending = 0;  ///< reschedule() moved a pending event
   std::int64_t resched_inplace = 0;  ///< reschedule() re-armed the firing slot
   std::int64_t stale_dropped = 0;    ///< superseded/cancelled entries skipped
-  std::int64_t wheel_armed = 0;      ///< arms placed in the timing wheel
-  std::int64_t heap_armed = 0;       ///< arms overflowed to the heap (far future)
-  std::int64_t wheel_dispatched = 0; ///< events dispatched off the wheel
-  std::int64_t wheel_cascades = 0;   ///< higher-level slots redistributed downward
-  std::int64_t wheel_batches = 0;    ///< same-instant wheel batches started
-  std::int64_t wheel_max_batch = 0;  ///< largest same-instant batch dispatched
-  std::int64_t wheel_level_skips = 0;  ///< level scans skipped (occupancy count 0)
 };
 
 /// Opaque reference to a scheduled event; safe to keep after the event fired
@@ -93,34 +70,11 @@ class EventHandle {
 
 class EventQueue {
  public:
-  EventQueue() { wheel_enabled_ = default_wheel_enabled_.load(std::memory_order_relaxed); }
-
-  /// Differential-testing seam: queues constructed while this is false route
-  /// every arm through the overflow heap, which is exactly the pre-wheel
-  /// implementation. Firing order is identical either way (that is the
-  /// contract tests/test_eq_differential.cpp enforces); only the eq_wheel_*
-  /// counters differ. Not for production use.
-  static void set_default_wheel_enabled(bool on) {
-    default_wheel_enabled_.store(on, std::memory_order_relaxed);
-  }
-
-  /// Per-instance variant of the seam; only valid before any event is armed.
-  void set_wheel_enabled(bool on) {
-    HPCS_CHECK_MSG(live_count_ == 0 && heap_.empty() && wheel_nodes_ == 0,
-                   "set_wheel_enabled() on a non-empty EventQueue");
-    wheel_enabled_ = on;
-  }
-
-  /// Pending-population threshold above which non-level-0 arms use the wheel
-  /// (test/bench seam; 0 forces everything within the horizon onto the
-  /// wheel). Safe to change at any time — routing never affects order.
-  void set_wheel_min_pending(std::size_t n) { wheel_min_pending_ = n; }
-
   /// Test seam: start the insertion-sequence counter near an arbitrary value
   /// so the wrapping-u32 tiebreak can be exercised around UINT32_MAX without
   /// four billion warm-up schedules. Only valid on an empty queue.
   void set_next_seq_for_test(std::uint32_t s) {
-    HPCS_CHECK_MSG(live_count_ == 0 && heap_.empty() && wheel_nodes_ == 0,
+    HPCS_CHECK_MSG(live_count_ == 0 && heap_.empty(),
                    "set_next_seq_for_test() on a non-empty EventQueue");
     next_seq_ = s;
   }
@@ -128,9 +82,8 @@ class EventQueue {
   // HPCS_HOT_BEGIN — the public dispatch surface: every simulated event
   // passes through here, and none of it may allocate or construct a
   // std::function (hpcslint enforces; docs/performance.md explains). The
-  // only allocations in the queue live in alloc_slot() and the node-pool
-  // growth, deliberately amortized: they run once per table growth, not per
-  // event.
+  // only allocations in the queue are the slot-chunk and heap growth,
+  // deliberately amortized: they run once per table growth, not per event.
 
   /// Schedule `cb` to fire at absolute time `when` (must not be in the past
   /// relative to the last popped event).
@@ -144,7 +97,7 @@ class EventQueue {
     slot.seq = next_seq_++;
     ++slot.gen;
     ++live_count_;
-    arm(when, slot.seq, static_cast<std::uint32_t>(id));
+    heap_push(HeapEntry{when, slot.seq, static_cast<std::uint32_t>(id)});
     return EventHandle{id, slot.gen};
   }
 
@@ -157,8 +110,8 @@ class EventQueue {
     slot.live = false;
     slot.cb = nullptr;
     --live_count_;
-    // The wheel node / heap entry stays behind and is skipped lazily; the
-    // slot is recycled only when that entry surfaces, so generations stay
+    // The heap entry stays behind and is skipped lazily; the slot is
+    // recycled only when that entry surfaces, so generations stay
     // unambiguous.
     return true;
   }
@@ -175,11 +128,11 @@ class EventQueue {
       Slot& slot = slot_at(h.id_);
       slot.seq = next_seq_++;
       slot.has_entry = true;  // the old entry becomes a superseded duplicate
-      arm(when, slot.seq, static_cast<std::uint32_t>(h.id_));
+      heap_push(HeapEntry{when, slot.seq, static_cast<std::uint32_t>(h.id_)});
       return true;
     }
-    // Re-arm from inside the firing callback: the slot was taken off its
-    // structure for this dispatch but its callback is still intact.
+    // Re-arm from inside the firing callback: the slot's entry was popped
+    // for this dispatch but its callback is still intact.
     if (h.valid() && h.id_ == firing_slot_ && h.gen_ == firing_gen_) {
       ++stats_.resched_inplace;
       Slot& slot = slot_at(h.id_);
@@ -187,7 +140,7 @@ class EventQueue {
       slot.has_entry = true;
       slot.seq = next_seq_++;
       ++live_count_;
-      arm(when, slot.seq, static_cast<std::uint32_t>(h.id_));
+      heap_push(HeapEntry{when, slot.seq, static_cast<std::uint32_t>(h.id_)});
       return true;
     }
     return false;
@@ -203,13 +156,12 @@ class EventQueue {
   [[nodiscard]] bool empty() const { return live_count_ == 0; }
   [[nodiscard]] std::size_t size() const { return live_count_; }
 
-  /// Time of the earliest pending event. Requires !empty(). May cascade
-  /// wheel slots and purge stale entries (both invisible to firing order).
+  /// Time of the earliest pending event. Requires !empty(). May purge stale
+  /// entries off the heap top (invisible to firing order).
   [[nodiscard]] SimTime next_time() {
-    SimTime t = SimTime::zero();
-    const bool found = peek_next(SimTime::max(), t);
+    const bool found = heap_peek();
     HPCS_CHECK_MSG(found, "next_time() on empty event queue");
-    return t;
+    return heap_.front().when;
   }
 
   /// Pop and run the earliest pending event; returns its time.
@@ -224,65 +176,14 @@ class EventQueue {
   /// fires at or before `deadline`, store its time into `clock`, run it and
   /// return true. Returns false (leaving `clock` untouched) when the queue
   /// is empty or the next event is past the deadline.
-  ///
-  /// Same-instant events dispatch as a batch: the first event at a new
-  /// timestamp pays the wheel/heap search, every further event at that
-  /// timestamp resumes from the cached level-0 slot — one list pop, no
-  /// search, no heap inspection. Events scheduled *at the current timestamp
-  /// from inside a firing callback* (zero-delay follow-ups, same-instant
-  /// re-arms) append to the live batch and fire in the same sweep.
   bool run_next(SimTime deadline, SimTime& clock) {
-    for (;;) {
-      // Resume the active same-instant batch.
-      if (active_batch_) {
-        if (active_when_ > deadline.ns()) return false;
-        const std::uint32_t n = wheel_front_live(*active_list_);
-        if (n == kNilNode) {
-          active_batch_ = false;
-          continue;
-        }
-        wheel_unlink_front(*active_list_, n);
-        ++batch_len_;
-        if (batch_len_ > stats_.wheel_max_batch) stats_.wheel_max_batch = batch_len_;
-        dispatch_wheel_node(n, clock);
-        return true;
-      }
-
-      const bool heap_has = heap_peek();
-      const std::int64_t heap_when =
-          heap_has ? heap_.front().when.ns() : std::numeric_limits<std::int64_t>::max();
-      const std::int64_t limit = heap_when < deadline.ns() ? heap_when : deadline.ns();
-      std::int64_t w = 0;
-      if (wheel_nodes_ != 0 && wheel_find_next(limit, w)) {
-        WheelList& list = level0_list(w);
-        const std::uint32_t n = wheel_front_live(list);
-        if (n == kNilNode) continue;  // stale-only slot purged; search again
-        if (w == heap_when) {
-          // Rare cross-structure tie: merge by sequence, one event at a time
-          // (no batch — the tie has to be re-checked per event). Wrap-aware
-          // window compare, same domain as HeapEntry::operator>.
-          const HeapEntry top = heap_.front();
-          if (static_cast<std::int32_t>(pool_[n].seq - top.seq) > 0) {
-            dispatch_heap_top(clock);
-            return true;
-          }
-        }
-        wheel_unlink_front(list, n);
-        if (w != heap_when) {
-          ++stats_.wheel_batches;
-          batch_len_ = 1;
-          active_batch_ = true;
-          active_when_ = w;
-          active_list_ = &list;
-          if (stats_.wheel_max_batch == 0) stats_.wheel_max_batch = 1;
-        }
-        dispatch_wheel_node(n, clock);
-        return true;
-      }
-      if (!heap_has || heap_when > deadline.ns()) return false;
-      dispatch_heap_top(clock);
-      return true;
-    }
+    if (!heap_peek() || heap_.front().when > deadline) return false;
+    const HeapEntry top = heap_.front();
+    heap_pop();
+    clock = top.when;
+    ++stats_.dispatched;
+    run_slot(top.id);
+    return true;
   }
 
   /// Drop all pending events and reset sequence numbering, so a reused queue
@@ -299,18 +200,6 @@ class EventQueue {
     live_count_ = 0;
     next_seq_ = 0;
     stats_ = EventQueueStats{};
-    pool_.clear();
-    node_free_ = kNilNode;
-    wheel_nodes_ = 0;
-    cur_ns_ = 0;
-    active_batch_ = false;
-    batch_len_ = 0;
-    link_cache_when_ = kNoLinkCache;
-    link_cache_list_ = nullptr;
-    for (Level& lv : levels_) {
-      for (WheelList& l : lv.lists) l = WheelList{};
-      for (std::uint64_t& word : lv.bits) word = 0;
-    }
   }
 
   [[nodiscard]] const EventQueueStats& stats() const { return stats_; }
@@ -345,9 +234,9 @@ class EventQueue {
     /// superseded duplicates left behind by reschedule().
     std::uint32_t seq = 0;
     bool live = false;
-    /// An authoritative wheel node or heap entry for this slot still exists.
-    /// The slot may be recycled only once that entry has surfaced and been
-    /// dropped (keeps generations unambiguous under lazy deletion).
+    /// An authoritative heap entry for this slot still exists. The slot may
+    /// be recycled only once that entry has surfaced and been dropped (keeps
+    /// generations unambiguous under lazy deletion).
     bool has_entry = false;
   };
 
@@ -356,41 +245,6 @@ class EventQueue {
   static constexpr std::uint64_t kChunkShift = 6;
   static constexpr std::uint64_t kChunkSize = 1ull << kChunkShift;
   static constexpr std::uint64_t kNoSlot = ~std::uint64_t{0};
-
-  // ---- hierarchical timing wheel geometry ----
-  // kWheelLevels levels of 2^kLevelBits slots; level k slot spans 2^(8k) ns,
-  // so level 0 is exact-nanosecond resolution (one timestamp per slot — its
-  // FIFO list is already in (time, seq) order) and the whole wheel covers
-  // 2^24 ns ≈ 16.8 ms ahead of the cursor. Anything further is sparse timer
-  // traffic and overflows to the heap. An event 1 ms out inserts at level 2
-  // and cascades twice on its way to dispatch, independent of level count.
-  static constexpr int kLevelBits = 8;
-  static constexpr int kLevelSlots = 1 << kLevelBits;
-  static constexpr int kWheelLevels = 3;
-  static constexpr int kWheelSpanBits = kLevelBits * kWheelLevels;
-  static constexpr std::uint32_t kNilNode = ~std::uint32_t{0};
-
-  /// One lazily-deleted wheel entry; same (seq, id) payload as HeapEntry
-  /// plus the exact timestamp and an intrusive next link (pool index).
-  struct WheelNode {
-    std::int64_t when_ns = 0;
-    std::uint32_t seq = 0;
-    std::uint32_t id = 0;
-    std::uint32_t next = kNilNode;
-  };
-  struct WheelList {
-    std::uint32_t head = kNilNode;
-    std::uint32_t tail = kNilNode;
-  };
-  struct Level {
-    WheelList lists[kLevelSlots];
-    std::uint64_t bits[kLevelSlots / 64] = {0, 0, 0, 0};  ///< slot occupancy
-    /// Occupied-slot count: lets dispatch skip a level's bitmap scan outright
-    /// when the horizon is sparse (a handful of ms-scale timers leaves level 0
-    /// and often level 1 completely empty between firings). Invariant: equals
-    /// the popcount of `bits`; a slot's bit is set iff its list is non-empty.
-    int occupied = 0;
-  };
 
   [[nodiscard]] Slot& slot_at(std::uint64_t id) {
     return chunks_[id >> kChunkShift][id & (kChunkSize - 1)];
@@ -417,287 +271,7 @@ class EventQueue {
     return id;
   }
 
-  // HPCS_HOT_BEGIN — per-event wheel/heap maintenance and dispatch.
-
-  /// Route one arm to the wheel or the overflow heap. The wheel takes
-  /// near-cursor arms (level 0: same-instant fan-out and zero-delay chains,
-  /// where batched dispatch always wins) plus anything within its horizon
-  /// once the pending population reaches wheel_min_pending_ — below that a
-  /// 4-to-32-entry heap is cache-resident and strictly faster than paying
-  /// cascade hops. The heap also takes far-future arms, anything behind the
-  /// cursor (legal only after a peek advanced the cursor past the caller's
-  /// clock — rare and merge-safe), and every arm when the wheel is disabled
-  /// (the differential seam). The choice is a pure function of queue state,
-  /// so it is deterministic; firing order is identical either way.
-  void arm(SimTime when, std::uint32_t seq, std::uint32_t id) {
-    const std::int64_t w = when.ns();
-    const std::uint64_t diff = static_cast<std::uint64_t>(w ^ cur_ns_);
-    if (!wheel_enabled_ || w < cur_ns_ || (diff >> kWheelSpanBits) != 0 ||
-        (diff >= kLevelSlots && live_count_ < wheel_min_pending_)) {
-      ++stats_.heap_armed;
-      heap_push(HeapEntry{when, seq, id});
-      return;
-    }
-    ++stats_.wheel_armed;
-    wheel_insert(w, seq, id);
-  }
-
-  [[nodiscard]] std::uint32_t node_alloc() {
-    if (node_free_ != kNilNode) {
-      const std::uint32_t n = node_free_;
-      node_free_ = pool_[n].next;
-      return n;
-    }
-    const std::uint32_t n = static_cast<std::uint32_t>(pool_.size());
-    pool_.push_back(WheelNode{});
-    return n;
-  }
-
-  void node_free(std::uint32_t n) {
-    pool_[n].next = node_free_;
-    node_free_ = n;
-  }
-
-  /// Append an arm to its wheel slot. Appends are chronological, and events
-  /// at the same instant always share one level-0 slot through every
-  /// cascade, so a level-0 list is in (time, seq) order by construction.
-  void wheel_insert(std::int64_t w, std::uint32_t seq, std::uint32_t id) {
-    const std::uint32_t n = node_alloc();
-    WheelNode& node = pool_[n];
-    node.when_ns = w;
-    node.seq = seq;
-    node.id = id;
-    wheel_link(n);
-    ++wheel_nodes_;
-  }
-
-  /// Link node `n` into the slot its timestamp selects relative to the
-  /// current cursor. Shared by fresh arms and cascade relinks (cascades move
-  /// the node itself — no copy, no pool churn).
-  void wheel_link(std::uint32_t n) {
-    WheelNode& node = pool_[n];
-    node.next = kNilNode;
-    // Same-instant arm cache: N CPUs arming the same future tick instant
-    // resolve the level/slot once (the cache is invalidated whenever the
-    // cursor moves, since the level depends on it).
-    if (node.when_ns == link_cache_when_) {
-      WheelList& list = *link_cache_list_;
-      pool_[list.tail].next = n;  // cache hit implies a non-empty list
-      list.tail = n;
-      return;
-    }
-    const std::uint64_t diff = static_cast<std::uint64_t>(node.when_ns ^ cur_ns_);
-    const int lvl = diff == 0 ? 0 : (63 - std::countl_zero(diff)) >> 3;
-    const int slot = static_cast<int>((node.when_ns >> (kLevelBits * lvl)) & (kLevelSlots - 1));
-    WheelList& list = levels_[lvl].lists[slot];
-    if (list.tail == kNilNode) {
-      list.head = n;
-      // Bit set iff list non-empty, so only the empty→occupied transition
-      // touches the bitmap (and the occupancy count that gates level scans).
-      levels_[lvl].bits[slot >> 6] |= std::uint64_t{1} << (slot & 63);
-      ++levels_[lvl].occupied;
-    } else {
-      pool_[list.tail].next = n;
-    }
-    list.tail = n;
-    link_cache_when_ = node.when_ns;
-    link_cache_list_ = &list;
-  }
-
-  /// First occupied slot index >= `from` in a level's bitmap, or -1.
-  [[nodiscard]] static int scan_bits(const std::uint64_t bits[kLevelSlots / 64], int from) {
-    if (from >= kLevelSlots) return -1;
-    int word = from >> 6;
-    std::uint64_t w = bits[word] & (~std::uint64_t{0} << (from & 63));
-    for (;;) {
-      if (w != 0) return (word << 6) + std::countr_zero(w);
-      if (++word == kLevelSlots / 64) return -1;
-      w = bits[word];
-    }
-  }
-
-  [[nodiscard]] WheelList& level0_list(std::int64_t w) {
-    return levels_[0].lists[w & (kLevelSlots - 1)];
-  }
-
-  /// Purge stale nodes off a list front; returns the first live node (left
-  /// on the list) or kNilNode after emptying the list. Mid-list stale nodes
-  /// are purged when they reach the front.
-  std::uint32_t wheel_front_live(WheelList& list) {
-    while (list.head != kNilNode) {
-      const std::uint32_t n = list.head;
-      const WheelNode& node = pool_[n];
-      Slot& slot = slot_at(node.id);
-      if (node.seq == slot.seq) {
-        if (slot.live) return n;
-        // Cancelled: its authoritative node surfaced — recycle the slot.
-        slot.has_entry = false;
-        free_slots_.push_back(node.id);
-      }
-      // else: superseded by reschedule(); drop the duplicate.
-      ++stats_.stale_dropped;
-      wheel_unlink_front(list, n);
-      node_free(n);
-      --wheel_nodes_;
-    }
-    return kNilNode;
-  }
-
-  void wheel_unlink_front(WheelList& list, std::uint32_t n) {
-    list.head = pool_[n].next;
-    if (list.head == kNilNode) {
-      list.tail = kNilNode;
-      link_cache_when_ = kNoLinkCache;  // a hit must never append to an empty list
-      // The caller is positioned on this slot, so recompute its bit from the
-      // node's own timestamp (valid at any level via the same masking).
-      const WheelNode& node = pool_[n];
-      const std::uint64_t diff = static_cast<std::uint64_t>(node.when_ns ^ cur_ns_);
-      const int lvl = diff == 0 ? 0 : (63 - std::countl_zero(diff)) >> 3;
-      const int slot =
-          static_cast<int>((node.when_ns >> (kLevelBits * lvl)) & (kLevelSlots - 1));
-      levels_[lvl].bits[slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
-      --levels_[lvl].occupied;
-    }
-  }
-
-  /// Redistribute level-k slot `s` into lower levels relative to the (just
-  /// advanced) cursor by relinking the nodes in place. Relative list order
-  /// is preserved and same-instant nodes always move together, so level-0
-  /// FIFO order survives cascades. Stale nodes are purged here instead of
-  /// moved.
-  void cascade(int k, int s) {
-    ++stats_.wheel_cascades;
-    WheelList list = levels_[k].lists[s];
-    levels_[k].lists[s] = WheelList{};
-    levels_[k].bits[s >> 6] &= ~(std::uint64_t{1} << (s & 63));
-    --levels_[k].occupied;
-    std::uint32_t n = list.head;
-    while (n != kNilNode) {
-      const std::uint32_t next = pool_[n].next;
-      const WheelNode& node = pool_[n];
-      Slot& slot = slot_at(node.id);
-      if (node.seq == slot.seq && slot.live) {
-        wheel_link(n);
-      } else {
-        ++stats_.stale_dropped;
-        --wheel_nodes_;
-        if (node.seq == slot.seq) {
-          // Cancelled: its authoritative node surfaced — recycle the slot.
-          slot.has_entry = false;
-          free_slots_.push_back(node.id);
-        }
-        node_free(n);
-      }
-      n = next;
-    }
-  }
-
-  /// Advance the cursor to the earliest wheel entry with time <= limit and
-  /// report its timestamp; false when there is none (the cursor then stays
-  /// at or before `limit`, so nothing within the wheel was skipped). The
-  /// search cascades higher-level slots encountered on the way down; the
-  /// reported slot may still turn out to be stale-only — callers purge and
-  /// retry.
-  bool wheel_find_next(std::int64_t limit, std::int64_t& out) {
-    for (;;) {
-      // Level 0: first occupied slot in the current 256 ns page. A sparse
-      // horizon (a few ms-scale timers) leaves level 0 empty on almost every
-      // search — the occupancy count skips the bitmap scan entirely.
-      int s0 = -1;
-      if (levels_[0].occupied != 0) {
-        s0 = scan_bits(levels_[0].bits, static_cast<int>(cur_ns_ & (kLevelSlots - 1)));
-      } else {
-        ++stats_.wheel_level_skips;
-      }
-      if (s0 >= 0) {
-        const std::int64_t w = (cur_ns_ & ~std::int64_t{kLevelSlots - 1}) | s0;
-        if (w > limit) return false;
-        if (w != cur_ns_) {
-          cur_ns_ = w;
-          link_cache_when_ = kNoLinkCache;  // cursor moved: levels remap
-        }
-        out = w;
-        return true;
-      }
-      // Page exhausted: find the next occupied slot of the nearest level
-      // that has one. The first occupied slot in level order is the earliest
-      // range — times are lexicographic in the level digits. Peek the slot's
-      // minimum timestamp first: if the whole slot is past the limit it
-      // stays where it is (no wasted cascade); otherwise the cursor jumps
-      // straight to the minimum and the slot cascades exactly once — the
-      // earliest nodes land directly in level 0, however high the slot was
-      // (a 1 ms periodic re-arm costs one cascade hop, not level-count).
-      bool cascaded = false;
-      for (int k = 1; k < kWheelLevels; ++k) {
-        if (levels_[k].occupied == 0) {
-          ++stats_.wheel_level_skips;
-          continue;
-        }
-        const int shift = kLevelBits * k;
-        const int idx = static_cast<int>((cur_ns_ >> shift) & (kLevelSlots - 1));
-        const int s = scan_bits(levels_[k].bits, idx + 1);
-        if (s < 0) continue;
-        const std::int64_t base =
-            (cur_ns_ & ~((std::int64_t{1} << (shift + kLevelBits)) - 1)) |
-            (std::int64_t{s} << shift);
-        if (base > limit) return false;
-        std::int64_t mn = std::numeric_limits<std::int64_t>::max();
-        for (std::uint32_t n = levels_[k].lists[s].head; n != kNilNode; n = pool_[n].next) {
-          if (pool_[n].when_ns < mn) mn = pool_[n].when_ns;
-        }
-        // The slot MUST cascade even when its whole content is past the
-        // limit: its range starts at or before the limit, so the cursor may
-        // enter it next (e.g. via a heap dispatch at the limit), and the
-        // idx+1 scan start is only sound if slots containing the cursor are
-        // empty. Advance the cursor to the slot minimum when that is
-        // reachable — the earliest nodes then land directly in level 0 and
-        // dispatch without re-scanning — and only to the slot base
-        // otherwise (never past the limit).
-        cur_ns_ = mn <= limit ? mn : base;
-        link_cache_when_ = kNoLinkCache;  // cursor moved: levels remap
-        cascade(k, s);
-        if (mn <= limit) {
-          // The minimum node relinked with zero distance, i.e. into level 0
-          // at the cursor — unless it was stale and got purged. Report the
-          // slot directly; the caller's stale sweep copes with either case.
-          out = mn;
-          return true;
-        }
-        cascaded = true;
-        break;
-      }
-      if (!cascaded) return false;  // every remaining node was purged as stale
-    }
-  }
-
-  /// Earliest pending event time <= deadline across both structures,
-  /// without dispatching. Shares all the lazy-purge machinery.
-  bool peek_next(SimTime deadline, SimTime& out) {
-    for (;;) {
-      if (active_batch_) {
-        if (active_when_ > deadline.ns()) return false;
-        if (wheel_front_live(*active_list_) != kNilNode) {
-          out = SimTime(active_when_);
-          return true;
-        }
-        active_batch_ = false;
-        continue;
-      }
-      const bool heap_has = heap_peek();
-      const std::int64_t heap_when =
-          heap_has ? heap_.front().when.ns() : std::numeric_limits<std::int64_t>::max();
-      const std::int64_t limit = heap_when < deadline.ns() ? heap_when : deadline.ns();
-      std::int64_t w = 0;
-      if (wheel_nodes_ != 0 && wheel_find_next(limit, w)) {
-        if (wheel_front_live(level0_list(w)) == kNilNode) continue;
-        out = SimTime(w);
-        return true;
-      }
-      if (!heap_has || heap_when > deadline.ns()) return false;
-      out = SimTime(heap_when);
-      return true;
-    }
-  }
+  // HPCS_HOT_BEGIN — per-event heap maintenance and dispatch.
 
   // Hand-rolled binary-heap sifts. Unlike std::pop_heap's hole-to-leaf
   // strategy, sift-down stops as soon as the moved element dominates both
@@ -762,35 +336,8 @@ class EventQueue {
     return false;
   }
 
-  /// Dispatch the (already stale-swept) heap top. The wheel search bounded
-  /// by this entry's time found nothing, so jumping the cursor here skips no
-  /// wheel slot.
-  void dispatch_heap_top(SimTime& clock) {
-    const HeapEntry top = heap_.front();
-    heap_pop();
-    if (top.when.ns() > cur_ns_) {
-      cur_ns_ = top.when.ns();
-      link_cache_when_ = kNoLinkCache;  // cursor moved: levels remap
-    }
-    clock = top.when;
-    ++stats_.dispatched;
-    run_slot(top.id);
-  }
-
-  /// Dispatch a wheel node already unlinked from its list (cursor sits at
-  /// its timestamp).
-  void dispatch_wheel_node(std::uint32_t n, SimTime& clock) {
-    const WheelNode node = pool_[n];
-    node_free(n);
-    --wheel_nodes_;
-    clock = SimTime(node.when_ns);
-    ++stats_.dispatched;
-    ++stats_.wheel_dispatched;
-    run_slot(node.id);
-  }
-
-  /// Shared dispatch epilogue: fire the slot's callback in place and recycle
-  /// the slot unless the callback re-armed it.
+  /// Dispatch epilogue: fire the slot's callback in place and recycle the
+  /// slot unless the callback re-armed it.
   void run_slot(std::uint64_t id) {
     Slot& slot = slot_at(id);
     slot.live = false;
@@ -811,7 +358,7 @@ class EventQueue {
 
   // HPCS_HOT_END
 
-  std::vector<HeapEntry> heap_;  ///< far-future overflow min-heap by (when, seq)
+  std::vector<HeapEntry> heap_;  ///< min-heap by (when, seq), with lazy deletion
   std::vector<std::unique_ptr<Slot[]>> chunks_;
   std::uint64_t slot_count_ = 0;
   std::vector<std::uint64_t> free_slots_;
@@ -823,33 +370,6 @@ class EventQueue {
   std::uint64_t firing_slot_ = kNoSlot;
   std::uint64_t firing_gen_ = 0;
   EventQueueStats stats_;
-
-  // ---- timing wheel state ----
-  Level levels_[kWheelLevels];
-  std::vector<WheelNode> pool_;        ///< node storage; stable enough (indices)
-  std::uint32_t node_free_ = kNilNode; ///< node freelist head
-  std::size_t wheel_nodes_ = 0;        ///< nodes resident in the wheel (incl. stale)
-  /// Wheel cursor: all wheel slots strictly before it are empty. Advances
-  /// monotonically with dispatch/search; never past an undispatched entry.
-  std::int64_t cur_ns_ = 0;
-  /// Active same-instant batch: dispatch resumes from this level-0 list
-  /// without re-searching until it drains past `active_when_`.
-  bool active_batch_ = false;
-  std::int64_t active_when_ = 0;
-  WheelList* active_list_ = nullptr;
-  std::int64_t batch_len_ = 0;
-  /// Same-instant arm cache (see wheel_link); invalid whenever the cursor
-  /// moves or the cached list drains.
-  static constexpr std::int64_t kNoLinkCache = std::numeric_limits<std::int64_t>::min();
-  std::int64_t link_cache_when_ = kNoLinkCache;
-  WheelList* link_cache_list_ = nullptr;
-  bool wheel_enabled_ = true;
-  /// Measured wheel/heap crossover for non-level-0 traffic (see
-  /// docs/performance.md): below this many pending events the heap's two or
-  /// three cache-hot sift compares beat a cascade hop.
-  static constexpr std::size_t kWheelMinPendingDefault = 32;
-  std::size_t wheel_min_pending_ = kWheelMinPendingDefault;
-  inline static std::atomic<bool> default_wheel_enabled_{true};
 };
 
 }  // namespace hpcs::sim

@@ -188,7 +188,7 @@ TEST(PolicyNames, AllDistinct) {
 }
 
 // ---------------------------------------------------------------------------
-// RunResult serialization (test_eq_differential's byte-exact oracle)
+// RunResult serialization (a byte-exact whole-run comparison)
 
 TEST(RunSerialize, RunResultRoundTripsBitExact) {
   auto e = analysis::MetBenchExperiment::paper();

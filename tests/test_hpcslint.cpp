@@ -223,58 +223,6 @@ TEST(HpcslintHotAlloc, AllowSuppressesPlacementNew) {
 }
 
 // ---------------------------------------------------------------------------
-// HPCS_HOST regions (deliberate host-environment code)
-
-TEST(HpcslintHostRegion, BlanketAllowsHostEnvironmentRules) {
-  const auto fs = lint_source("fx.cpp", R"fx(
-// HPCS_HOST_BEGIN poll loop: wall clock and entropy are this layer's job
-auto deadline = std::chrono::steady_clock::now();
-std::random_device rd;
-std::uint64_t stamp = time(nullptr);
-// HPCS_HOST_END
-)fx");
-  EXPECT_TRUE(fs.empty());
-}
-
-TEST(HpcslintHostRegion, EndsAtMarkerAndUnclosedRunsToEof) {
-  const auto fs = lint_source("fx.cpp", R"fx(
-// HPCS_HOST_BEGIN
-auto inside = std::chrono::steady_clock::now();
-// HPCS_HOST_END
-auto outside = std::chrono::steady_clock::now();
-// HPCS_HOST_BEGIN unclosed: the region runs to end of file
-int late = rand();
-)fx");
-  EXPECT_EQ(count_rule(fs, "wallclock"), 1);
-  EXPECT_EQ(fs[0].line, 5);
-  EXPECT_EQ(count_rule(fs, "rand"), 0);
-}
-
-TEST(HpcslintHostRegion, DoesNotExemptHotPathRules) {
-  const auto fs = lint_source("fx.cpp", R"fx(
-// HPCS_HOST_BEGIN
-// HPCS_HOT_BEGIN
-void pump() { auto* e = new Entry(); }
-// HPCS_HOT_END
-// HPCS_HOST_END
-)fx");
-  EXPECT_EQ(count_rule(fs, "hot-alloc"), 1);
-}
-
-TEST(HpcslintHostRegion, NegativeFixtureIsClean) {
-  const auto fs = lint_fixture("host_region_neg.cpp");
-  EXPECT_TRUE(fs.empty()) << (fs.empty() ? "" : hpcslint::format_finding(fs[0]));
-}
-
-TEST(HpcslintHostRegion, PositiveFixtureFiresOutsideAndOnNonExempt) {
-  const auto fs = lint_fixture("host_region_pos.cpp");
-  EXPECT_EQ(count_rule(fs, "wallclock"), 1);  // only the read past HPCS_HOST_END
-  EXPECT_EQ(count_rule(fs, "rand"), 1);
-  EXPECT_EQ(count_rule(fs, "hot-alloc"), 1);  // hot region overlapping host still fires
-  EXPECT_EQ(fs.size(), 3u);
-}
-
-// ---------------------------------------------------------------------------
 // missing-override
 
 TEST(HpcslintMissingOverride, FiresOnShadowedHook) {

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "common/rng.h"
@@ -269,74 +270,65 @@ TEST(EventQueueClear, DropsPendingEventsAndHandles) {
   EXPECT_FALSE(fired);
 }
 
-// --- timing-wheel edge cases ----------------------------------------------
-// The wheel keeps near-future events in hashed slot lists and overflows
-// far-future ones into the legacy heap; these tests pin the seams between
-// the two structures. set_wheel_min_pending(0) forces every in-horizon arm
-// onto the wheel so a tiny test population actually exercises it.
+// --- heap edge cases ---------------------------------------------------------
 
-TEST(EventQueueWheel, RescheduleCrossesWheelHeapBoundaryBothWays) {
+TEST(EventQueue, SeqWrapPreservesFifo) {
+  // 64 simultaneous events whose insertion sequences wrap through
+  // UINT32_MAX mid-batch: the wrap-aware tiebreak must keep them FIFO.
   EventQueue q;
-  q.set_wheel_min_pending(0);
+  q.set_next_seq_for_test(0xFFFFFFE0u);
   std::vector<int> order;
-  // `a` arms inside the wheel horizon (~16.8 ms), `b` beyond it (heap).
-  EventHandle a = q.schedule(SimTime(1'000), [&] { order.push_back(1); });
-  EventHandle b = q.schedule(SimTime(50'000'000), [&] { order.push_back(2); });
-  EXPECT_GE(q.stats().wheel_armed, 1);
-  EXPECT_GE(q.stats().heap_armed, 1);
-  // Swap the structures: a goes past the horizon, b comes inside it.
-  EXPECT_TRUE(q.reschedule(a, SimTime(60'000'000)));
-  EXPECT_TRUE(q.reschedule(b, SimTime(2'000)));
-  EXPECT_EQ(q.next_time(), SimTime(2'000));
+  const SimTime when(100);
+  for (int i = 0; i < 64; ++i) {
+    q.schedule(when, [&order, i] { order.push_back(i); });
+  }
   while (!q.empty()) q.pop_and_run();
-  EXPECT_EQ(order, (std::vector<int>{2, 1}));
+  ASSERT_EQ(order.size(), 64u);
+  for (int i = 0; i < 64; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
 }
 
-TEST(EventQueueWheel, CancelOfWheelResidentEventNeverFires) {
+TEST(EventQueue, CancelledEntryIsCountedAsStaleDropped) {
   EventQueue q;
-  q.set_wheel_min_pending(0);
   std::vector<int> order;
   EventHandle a = q.schedule(SimTime(500), [&] { order.push_back(1); });
   q.schedule(SimTime(600), [&] { order.push_back(2); });
-  EXPECT_GE(q.stats().wheel_armed, 2);
   EXPECT_TRUE(q.cancel(a));
   EXPECT_FALSE(q.cancel(a));
   EXPECT_EQ(q.size(), 1u);
   while (!q.empty()) q.pop_and_run();
   EXPECT_EQ(order, (std::vector<int>{2}));
-  // The cancelled wheel node was lazily purged, not dispatched.
-  EXPECT_GE(q.stats().stale_dropped, 1);
+  // The cancelled entry was lazily purged, not dispatched.
+  EXPECT_EQ(q.stats().stale_dropped, 1);
+  EXPECT_EQ(q.stats().dispatched, 1);
 }
 
-TEST(EventQueueWheel, SeqWrapPreservesFifoAcrossCascadeAndHeapMerge) {
-  // 64 simultaneous events whose insertion sequences wrap through
-  // UINT32_MAX mid-batch. With the default arm policy the first ~32 land in
-  // the heap (population below the threshold) and the rest in the wheel's
-  // level-2 slot, so the drain exercises the wrap-aware tiebreak in the
-  // heap's ordering, in the heap-vs-wheel merge, and across a cascade.
+TEST(EventQueueReschedule, InCallbackSameInstantReArmFiresAfterQueuedPeers) {
+  // Re-arming the firing event to its own timestamp must dispatch it again
+  // within the same instant, after the events already queued there (its new
+  // insertion sequence is larger).
   EventQueue q;
-  q.set_next_seq_for_test(0xFFFFFFE0u);
   std::vector<int> order;
-  const SimTime when(0x300000);  // level-2 distance from cursor 0
-  for (int i = 0; i < 64; ++i) {
-    q.schedule(when, [&order, i] { order.push_back(i); });
-  }
-  EXPECT_GE(q.stats().heap_armed, 1);
-  EXPECT_GE(q.stats().wheel_armed, 1);
+  int rearms = 0;
+  EventHandle a;
+  a = q.schedule(SimTime(100), [&] {
+    order.push_back(1);
+    if (rearms++ == 0) {
+      ASSERT_TRUE(q.reschedule(a, SimTime(100)));
+    }
+  });
+  q.schedule(SimTime(100), [&] { order.push_back(2); });
   while (!q.empty()) q.pop_and_run();
-  ASSERT_EQ(order.size(), 64u);
-  for (int i = 0; i < 64; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
-  EXPECT_GE(q.stats().wheel_cascades, 1);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 1}));
+  EXPECT_EQ(q.stats().resched_inplace, 1);
 }
 
-TEST(EventQueueWheel, ClearDropsWheelAndHeapResidents) {
+TEST(EventQueueClear, DropsManyPendingEventsAndBehavesFresh) {
   EventQueue q;
-  q.set_wheel_min_pending(0);
   bool fired = false;
   std::vector<EventHandle> handles;
   for (int i = 0; i < 10; ++i) {
-    handles.push_back(q.schedule(SimTime(100 + i), [&] { fired = true; }));       // wheel
-    handles.push_back(q.schedule(SimTime(50'000'000 + i), [&] { fired = true; }));  // heap
+    handles.push_back(q.schedule(SimTime(100 + i), [&] { fired = true; }));
+    handles.push_back(q.schedule(SimTime(50'000'000 + i), [&] { fired = true; }));
   }
   EXPECT_EQ(q.size(), 20u);
   q.clear();
@@ -352,112 +344,104 @@ TEST(EventQueueWheel, ClearDropsWheelAndHeapResidents) {
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
-TEST(EventQueueWheel, InCallbackSameInstantReArmJoinsTheLiveBatch) {
-  // Re-arming the firing event to its own timestamp must dispatch it again
-  // within the same instant, after the events already queued there (its new
-  // insertion sequence is larger) — identically with and without the wheel.
-  auto run = [](bool wheel) {
-    EventQueue q;
-    q.set_wheel_enabled(wheel);
-    q.set_wheel_min_pending(0);
-    std::vector<int> order;
-    int rearms = 0;
-    EventHandle a;
-    a = q.schedule(SimTime(100), [&] {
-      order.push_back(1);
-      if (rearms++ == 0) {
-        ASSERT_TRUE(q.reschedule(a, SimTime(100)));
-      }
-    });
-    q.schedule(SimTime(100), [&] { order.push_back(2); });
-    while (!q.empty()) q.pop_and_run();
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 1}));
+// Order oracle: the queue fires events exactly in the order of a plain list
+// kept sorted by (when, seq), where every schedule() and every successful
+// reschedule() — of a pending event or from inside the firing callback —
+// takes the next sequence number. Random schedule / cancel / reschedule /
+// in-callback re-arm / pop traffic with many same-instant ties; on even
+// seeds the queue's u32 sequence starts just below the wrap.
+TEST(EventQueueProperty, MatchesReferenceModel) {
+  struct Entry {
+    std::int64_t when;
+    std::uint64_t seq;
+    int id;
+    bool operator<(const Entry& o) const { return when != o.when ? when < o.when : seq < o.seq; }
   };
-  run(true);
-  run(false);
-}
-
-TEST(EventQueueWheel, RoutingPolicyNeverAffectsFiringOrder) {
-  // The adaptive arm policy only picks a container; the dispatch order is a
-  // pure function of (when, seq). Drive an identical random workload through
-  // wheel-always, wheel-never, and the default adaptive routing and demand
-  // the same firing sequence.
-  auto run = [](int flavor) {
+  struct Harness {
     EventQueue q;
-    if (flavor == 0) q.set_wheel_min_pending(0);
-    if (flavor == 1) q.set_wheel_enabled(false);
-    Rng rng(99);
-    std::vector<int> order;
     std::vector<EventHandle> handles;
+    std::vector<int> fired;
+    std::vector<Entry> model;  ///< pending events, sorted by (when, seq)
+    std::uint64_t next_seq = 0;
     std::int64_t now = 0;
-    int next_id = 0;
-    for (int round = 0; round < 3000; ++round) {
-      const double dice = rng.uniform();
-      if (dice < 0.55 || q.empty()) {
-        const int id = next_id++;
-        handles.push_back(q.schedule(SimTime(now + rng.uniform_int(0, 40'000'000)),
-                                     [&order, id] { order.push_back(id); }));
-      } else if (dice < 0.7 && !handles.empty()) {
-        q.cancel(handles[static_cast<std::size_t>(
-            rng.uniform_int(0, static_cast<std::int64_t>(handles.size()) - 1))]);
-      } else {
-        now = q.next_time().ns();
-        q.pop_and_run();
-      }
-    }
-    while (!q.empty()) {
-      now = q.next_time().ns();
-      q.pop_and_run();
-    }
-    return order;
-  };
-  const auto wheel_always = run(0);
-  const auto wheel_never = run(1);
-  const auto adaptive = run(2);
-  EXPECT_EQ(wheel_always, wheel_never);
-  EXPECT_EQ(wheel_always, adaptive);
-}
+    /// What the next firing callback does: re-arm itself `rearm_delay` on.
+    bool rearm = false;
+    std::int64_t rearm_delay = 0;
 
-TEST(EventQueueWheel, RandomScheduleCancelStressWheelForced) {
-  // The RandomScheduleCancelStress property with every in-horizon arm forced
-  // onto the wheel: monotone non-decreasing pop order, every live event
-  // fires exactly once, every cancelled one never fires.
-  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    void model_insert(std::int64_t when, int id) {
+      const Entry e{when, next_seq++, id};
+      model.insert(std::upper_bound(model.begin(), model.end(), e), e);
+    }
+    bool model_remove(int id) {
+      const auto it =
+          std::find_if(model.begin(), model.end(), [id](const Entry& e) { return e.id == id; });
+      if (it == model.end()) return false;
+      model.erase(it);
+      return true;
+    }
+  };
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     Rng rng(seed);
-    EventQueue q;
-    q.set_wheel_min_pending(0);
-    std::vector<EventHandle> handles;
-    std::vector<int> fired(2000, 0);
-    std::vector<bool> cancelled(2000, false);
-    int next_id = 0;
-    for (int round = 0; round < 2000; ++round) {
+    Harness h;
+    if (seed % 2 == 0) h.q.set_next_seq_for_test(0xFFFFFFFFu - 300);
+    auto delay = [&rng] {
+      return rng.uniform() < 0.5 ? rng.uniform_int(0, 3) : rng.uniform_int(0, 5000);
+    };
+    auto pick = [&rng, &h] {
+      return static_cast<int>(
+          rng.uniform_int(0, static_cast<std::int64_t>(h.handles.size()) - 1));
+    };
+    auto pop = [&h] {
+      const Entry next = h.model.front();
+      ASSERT_EQ(h.q.next_time(), SimTime(next.when));
+      h.model.erase(h.model.begin());
+      h.now = next.when;
+      if (h.rearm) h.model_insert(h.now + h.rearm_delay, next.id);
+      h.q.pop_and_run();
+      ASSERT_EQ(h.fired.back(), next.id);
+    };
+    for (int round = 0; round < 4000; ++round) {
       const double dice = rng.uniform();
-      if (dice < 0.6 || q.empty()) {
-        const int id = next_id++;
-        if (id < 2000) {
-          handles.push_back(q.schedule(SimTime(rng.uniform_int(0, 100000)),
-                                       [&fired, id] { ++fired[static_cast<std::size_t>(id)]; }));
-        }
-      } else if (dice < 0.8 && !handles.empty()) {
-        const auto pick = static_cast<std::size_t>(
-            rng.uniform_int(0, static_cast<std::int64_t>(handles.size()) - 1));
-        if (q.cancel(handles[pick])) cancelled[pick] = true;
-      }
-    }
-    std::int64_t last = -1;
-    while (!q.empty()) {
-      const SimTime t = q.next_time();
-      EXPECT_GE(t.ns(), last) << "seed " << seed;
-      last = t.ns();
-      q.pop_and_run();
-    }
-    for (std::size_t i = 0; i < handles.size(); ++i) {
-      if (cancelled[i]) {
-        EXPECT_EQ(fired[i], 0) << "seed " << seed << " cancelled event " << i << " fired";
+      if (dice < 0.4 || h.model.empty()) {
+        const int id = static_cast<int>(h.handles.size());
+        const std::int64_t when = h.now + delay();
+        Harness* hp = &h;
+        h.handles.push_back(h.q.schedule(SimTime(when), [hp, id] {
+          hp->fired.push_back(id);
+          if (hp->rearm) {
+            ASSERT_TRUE(hp->q.reschedule(hp->handles[static_cast<std::size_t>(id)],
+                                         SimTime(hp->now + hp->rearm_delay)));
+          }
+        }));
+        h.model_insert(when, id);
+      } else if (dice < 0.5) {
+        const int id = pick();
+        EXPECT_EQ(h.q.cancel(h.handles[static_cast<std::size_t>(id)]), h.model_remove(id))
+            << "seed " << seed << " round " << round;
+      } else if (dice < 0.65) {
+        const int id = pick();
+        const std::int64_t when = h.now + delay();
+        const bool was_pending = h.model_remove(id);
+        EXPECT_EQ(h.q.reschedule(h.handles[static_cast<std::size_t>(id)], SimTime(when)),
+                  was_pending)
+            << "seed " << seed << " round " << round;
+        if (was_pending) h.model_insert(when, id);
       } else {
-        EXPECT_EQ(fired[i], 1) << "seed " << seed << " event " << i;
+        h.rearm = rng.uniform() < 0.3;
+        h.rearm_delay = delay();
+        pop();
+        if (HasFatalFailure()) FAIL() << "seed " << seed << " round " << round;
       }
+      ASSERT_EQ(h.q.size(), h.model.size()) << "seed " << seed << " round " << round;
     }
+    h.rearm = false;
+    while (!h.model.empty()) {
+      pop();
+      if (HasFatalFailure()) FAIL() << "seed " << seed << " drain";
+    }
+    EXPECT_TRUE(h.q.empty());
+    EXPECT_GT(h.q.stats().resched_inplace, 0);
+    EXPECT_GT(h.q.stats().resched_pending, 0);
   }
 }
 

@@ -50,14 +50,9 @@
 //                    suggestion
 //
 // `// HPCSLINT-ALLOW(rule)` suppresses a finding on the same line (or the
-// next line when the comment stands alone). `// HPCS_HOST_BEGIN` ..
-// `// HPCS_HOST_END` marks a *host region* — deliberate host-environment
-// code (wall clocks, env vars, file writers; e.g. the src/obs exporters) —
-// which blanket-allows exactly the wallclock/rand/det-taint family instead
-// of demanding one ALLOW per line; all other rules still apply
-// inside. Findings can also be baselined: emit SARIF with --sarif, check the
-// file in, and CI gates on *new* findings only (fingerprints not present in
-// the baseline).
+// next line when the comment stands alone). Findings can also be baselined:
+// emit SARIF with --sarif, check the file in, and CI gates on *new* findings
+// only (fingerprints not present in the baseline).
 
 #include <filesystem>
 #include <set>

@@ -9,8 +9,6 @@ namespace {
 constexpr std::string_view kAllowDirective = "HPCSLINT-ALLOW(";
 constexpr std::string_view kHotBegin = "HPCS_HOT_BEGIN";
 constexpr std::string_view kHotEnd = "HPCS_HOT_END";
-constexpr std::string_view kHostBegin = "HPCS_HOST_BEGIN";
-constexpr std::string_view kHostEnd = "HPCS_HOST_END";
 
 /// True when position `i` (a single quote) sits inside a pp-number: the
 /// maximal identifier/quote run ending just before `i` starts with a digit
@@ -50,8 +48,6 @@ Prepared prepare(std::string_view src) {
     std::vector<std::string> allow_rules;
     bool hot_begin = false;
     bool hot_end = false;
-    bool host_begin = false;
-    bool host_end = false;
   };
   std::vector<CommentNote> notes;
 
@@ -79,11 +75,7 @@ Prepared prepare(std::string_view src) {
     // BEGIN does not match it.
     note.hot_end = text.find(kHotEnd) != std::string_view::npos;
     if (note.hot_begin && note.hot_end) note.hot_begin = false;  // one marker per comment
-    note.host_begin = text.find(kHostBegin) != std::string_view::npos;
-    note.host_end = text.find(kHostEnd) != std::string_view::npos;
-    if (note.host_begin && note.host_end) note.host_begin = false;
-    if (!note.allow_rules.empty() || note.hot_begin || note.hot_end ||
-        note.host_begin || note.host_end) {
+    if (!note.allow_rules.empty() || note.hot_begin || note.hot_end) {
       notes.push_back(std::move(note));
     }
   };
@@ -193,12 +185,9 @@ Prepared prepare(std::string_view src) {
   const int total_lines = line + 1;
   p.allow.assign(static_cast<std::size_t>(total_lines) + 1, {});
   p.hot.assign(static_cast<std::size_t>(total_lines) + 1, 0);
-  p.host.assign(static_cast<std::size_t>(total_lines) + 1, 0);
 
   bool hot = false;
   int hot_from = 0;
-  bool host = false;
-  int host_from = 0;
   auto mark = [total_lines](std::vector<char>& map, int from, int to) {
     to = std::min(to, total_lines);
     for (int l = std::max(from, 1); l <= to; ++l) {
@@ -220,16 +209,8 @@ Prepared prepare(std::string_view src) {
       hot = false;
       mark(p.hot, hot_from, note.line);
     }
-    if (note.host_begin && !host) {
-      host = true;
-      host_from = note.line;
-    } else if (note.host_end && host) {
-      host = false;
-      mark(p.host, host_from, note.line);
-    }
   }
-  if (hot) mark(p.hot, hot_from, total_lines);    // unclosed region runs to EOF
-  if (host) mark(p.host, host_from, total_lines);
+  if (hot) mark(p.hot, hot_from, total_lines);  // unclosed region runs to EOF
   return p;
 }
 

@@ -29,24 +29,11 @@ struct Prepared {
   std::string code;  ///< same length as the input; only lintable code remains
   std::vector<std::set<std::string, std::less<>>> allow;  ///< per line, 1-based
   std::vector<char> hot;                                  ///< per line, 1-based
-  /// `HPCS_HOST_BEGIN` .. `HPCS_HOST_END` region lines (1-based). Host
-  /// regions mark deliberate host-environment code — wall clocks, env
-  /// vars — whose findings would otherwise demand one ALLOW per line.
-  std::vector<char> host;
 
-  /// Rules a host region blanket-allows: exactly the "host environment
-  /// leaking into the simulation" family. Everything else (hot-alloc,
-  /// lock-order, ...) still applies inside host regions.
-  [[nodiscard]] static bool host_exempt(std::string_view rule) {
-    return rule == "wallclock" || rule == "rand" || rule == "det-taint";
-  }
-
-  /// True when `rule` is ALLOW'd on `line` (trailing or standalone form), or
-  /// the line sits in a host region and `rule` is host-exempt.
+  /// True when `rule` is ALLOW'd on `line` (trailing or standalone form).
   [[nodiscard]] bool allowed(const char* rule, int line) const {
     const auto l = static_cast<std::size_t>(line);
-    if (l < allow.size() && allow[l].count(rule) != 0) return true;
-    return l < host.size() && host[l] != 0 && host_exempt(rule);
+    return l < allow.size() && allow[l].count(rule) != 0;
   }
 };
 
