@@ -108,7 +108,7 @@ double bench_cancel_churn() {
     auto h = q.schedule(SimTime(std::int64_t(i + 1000)), [p, &sink] { sink += p.b; });
     if (!q.cancel(h)) std::abort();
     if ((i & 63) == 63) {
-      // Drain the lazily-deleted entries, as a real run loop would.
+      // Dispatch now and then, as a real run loop would.
       q.schedule(SimTime(std::int64_t(i + 1)), [&sink] { ++sink; });
       q.pop_and_run();
     }

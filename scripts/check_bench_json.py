@@ -50,7 +50,6 @@ EQ_COUNTERS = (
     "sim.eq_dispatched",
     "sim.eq_resched_inplace",
     "sim.eq_resched_pending",
-    "sim.eq_stale_dropped",
 )
 
 

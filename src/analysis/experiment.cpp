@@ -141,13 +141,14 @@ RunResult run_experiment(const ExperimentConfig& cfg,
     m.counter("kern.ctx_switches").set(kernel.context_switches());
     m.counter("kern.migrations").set(kernel.migrations());
     m.counter("kern.balance_pulls").set(kernel.balance_pulls());
+    m.counter("kern.ticks").set(kernel.ticks_run());
+    m.counter("kern.ticks_replayed").set(kernel.ticks_replayed());
     const sim::EventQueueStats& qs = simulator.queue_stats();
     m.counter("sim.events_executed").set(static_cast<std::int64_t>(simulator.events_executed()));
     m.counter("sim.eq_scheduled").set(qs.scheduled);
     m.counter("sim.eq_dispatched").set(qs.dispatched);
     m.counter("sim.eq_resched_inplace").set(qs.resched_inplace);
     m.counter("sim.eq_resched_pending").set(qs.resched_pending);
-    m.counter("sim.eq_stale_dropped").set(qs.stale_dropped);
     if (hpc_class != nullptr) {
       m.counter("hpc.iterations").set(hpc_class->iterations_observed());
       m.counter("hpc.prio_changes").set(hpc_class->priority_changes());

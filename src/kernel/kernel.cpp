@@ -71,14 +71,13 @@ void Kernel::start() {
     c.idle_task->cpu = cpu;
     c.rq.idle = c.idle_task.get();
     c.rq.curr = c.idle_task.get();
-    if (cfg_.balance_interval_ticks > 0) {
-      // First tick with (ticks + cpu) % interval == 0, expressed as a
-      // countdown so on_tick never divides.
-      const std::int64_t n = cfg_.balance_interval_ticks;
-      c.balance_countdown = (n - (1 + cpu) % n) % n + 1;
-    }
-    c.tick_event = sim_->schedule_in(cfg_.tick, [this, cpu] { on_tick(cpu); });
   }
+  tick_origin_ = now();
+  tick_index_ = 1;
+  tick_event_ = sim_->schedule_at(tick_time(1), [this] { on_tick(); }, sim::Lane::kFirst);
+  sysfs_.set_write_hook([this] {
+    for (CpuId cpu = 0; cpu < topo_.num_cpus(); ++cpu) replay_ticks(cpu);
+  });
   chip_.set_listener([this](CoreId core) { on_speed_change(core); });
   // Every CPU boots idle: start their snooze timers.
   for (CpuId cpu = 0; cpu < topo_.num_cpus(); ++cpu) arm_snooze(cpu);
@@ -165,10 +164,21 @@ void Kernel::start_task(Task& t) { wake(t); }
 // Accounting
 // ---------------------------------------------------------------------------
 
+void Kernel::set_obs(obs::Recorder* rec) {
+  // The tick event plans its firings around the recorder's window ends.
+  HPCS_CHECK_MSG(!started_ || rec == nullptr, "attach the obs recorder before Kernel::start()");
+  obs_ = rec;
+}
+
 void Kernel::flush_account(Task& t) {
+  replay_ticks(t.cpu);
+  account_to(t, now());
+}
+
+void Kernel::account_to(Task& t, SimTime when) {
   if (t.state_ == TaskState::kExited) return;
-  const Duration delta = now() - t.acc_since_;
-  t.acc_since_ = now();
+  const Duration delta = when - t.acc_since_;
+  t.acc_since_ = when;
   if (delta <= Duration::zero()) return;
   switch (t.acc_state_) {
     case AccState::kRun:
@@ -197,15 +207,19 @@ void Kernel::set_acc_state(Task& t, AccState s) {
 // ---------------------------------------------------------------------------
 
 void Kernel::enqueue_task(Task& t, bool wakeup) {
+  replay_ticks(t.cpu);
   Rq& r = rq(t.cpu);
   const int idx = t.class_idx_;
   classes_[static_cast<std::size_t>(idx)]->enqueue(*this, r, t, wakeup);
   t.on_rq = true;
   ++r.class_count[static_cast<std::size_t>(idx)];
   set_acc_state(t, AccState::kReady);
+  check_dormant(t.cpu);
 }
 
 void Kernel::dequeue_task(Task& t, bool sleep) {
+  // No check_dormant after: removing a task never makes ticks unreplayable.
+  replay_ticks(t.cpu);
   Rq& r = rq(t.cpu);
   const int idx = t.class_idx_;
   classes_[static_cast<std::size_t>(idx)]->dequeue(*this, r, t, sleep);
@@ -215,6 +229,7 @@ void Kernel::dequeue_task(Task& t, bool sleep) {
 }
 
 void Kernel::maybe_preempt(CpuId cpu, Task& woken) {
+  replay_ticks(cpu);  // wakeup_preempt may read curr's accounting
   Rq& r = rq(cpu);
   Task* curr = r.curr;
   if (curr == nullptr || curr == r.idle) {
@@ -253,6 +268,7 @@ Task* Kernel::pick_next(Rq& r) {
 }
 
 void Kernel::schedule_cpu(CpuId cpu) {
+  replay_ticks(cpu);
   CpuState& c = cs(cpu);
   Rq& r = c.rq;
   accrue_exec(cpu);
@@ -314,6 +330,7 @@ void Kernel::schedule_cpu(CpuId cpu) {
     arm_snooze(cpu);
   }
   start_exec(cpu);
+  check_dormant(cpu);
 }
 
 // ---------------------------------------------------------------------------
@@ -379,6 +396,9 @@ void Kernel::arm_exec_event(CpuId cpu) {
 }
 
 void Kernel::on_exec_event(CpuId cpu) {
+  // The body and the block/yield/exit paths below touch curr's accounting
+  // and class state.
+  replay_ticks(cpu);
   CpuState& c = cs(cpu);
   HPCS_CHECK(c.exec_active);
   accrue_exec(cpu);
@@ -532,6 +552,7 @@ bool Kernel::sched_setscheduler(Task& t, Policy policy, int rt_prio) {
   if (class_for(policy) == nullptr) return false;  // e.g. SCHED_HPC on a stock kernel
   if (rt_prio < 0 || rt_prio >= kRtPrioLevels) return false;
 
+  replay_ticks(t.cpu);
   Rq& r = rq(t.cpu);
   const bool running = (r.curr == &t);
   const bool queued = t.on_rq && !running;
@@ -548,6 +569,7 @@ bool Kernel::sched_setscheduler(Task& t, Policy policy, int rt_prio) {
   if (queued) enqueue_task(t, false);
   if (running) ++r.class_count[static_cast<std::size_t>(t.class_idx_)];
   if (queued || running) resched_cpu(t.cpu);
+  check_dormant(t.cpu);
   return true;
 }
 
@@ -568,42 +590,137 @@ bool Kernel::sched_setaffinity(Task& t, CpuId cpu) {
   return true;
 }
 
-void Kernel::set_nice(Task& t, int nice) { t.nice = std::clamp(nice, -20, 19); }
+void Kernel::set_nice(Task& t, int nice) {
+  replay_ticks(t.cpu);  // past ticks accrue vruntime at the old weight
+  t.nice = std::clamp(nice, -20, 19);
+  check_dormant(t.cpu);
+}
 
 // ---------------------------------------------------------------------------
 // Tick + balancing
 // ---------------------------------------------------------------------------
 
 // HPCS_HOT_BEGIN — the tick is the highest-volume event in the simulator (one
-// per CPU per simulated millisecond); the schedule_in fallback below captures
-// only [this, cpu], which fits InplaceFunction's inline buffer. balance_pull
-// runs on every new-idle switch as well as on balance ticks.
-void Kernel::on_tick(CpuId cpu) {
-  CpuState& c = cs(cpu);
-  ++c.ticks;
+// per CPU per simulated millisecond, run or replayed); balance_pull runs on
+// every new-idle switch as well as on balance ticks.
+
+// One event serves every CPU: it runs tick_cpu for the CPUs that are due, in
+// CPU order, then re-arms itself in place for the next tick any CPU (or the
+// windowed-snapshot flush) needs.
+void Kernel::on_tick() {
   // Windowed-snapshot flush rides the tick (sim-time driven, so the series
   // is exactly as deterministic as the totals). Two compares when inactive.
   if (obs_ != nullptr) obs_->advance_window(now());
+  for (CpuId cpu = 0; cpu < topo_.num_cpus(); ++cpu) {
+    tick_cursor_ = cpu;
+    if (!cpus_[static_cast<std::size_t>(cpu)].dormant || balance_due(cpu, tick_index_)) {
+      tick_cpu(cpu);
+    }
+  }
+  tick_cursor_ = kNoTickCursor;
+  tick_index_ = next_tick_index();
+  const bool rearmed = sim_->reschedule_at(tick_event_, tick_time(tick_index_));
+  HPCS_CHECK(rearmed);
+}
+
+void Kernel::tick_cpu(CpuId cpu) {
+  CpuState& c = cs(cpu);
+  replay_to(c, tick_index_ - 1);  // a dormant CPU at its balance boundary
+  c.ticks = tick_index_;
+  ++ticks_run_;
   Task* curr = c.rq.curr;
   if (curr != nullptr && curr != c.rq.idle) {
-    flush_account(*curr);
+    account_to(*curr, now());
     classes_[static_cast<std::size_t>(curr->class_idx_)]->task_tick(*this, c.rq, *curr);
   }
-  if (cfg_.balance_interval_ticks > 0 && --c.balance_countdown == 0) {
-    c.balance_countdown = cfg_.balance_interval_ticks;
+  if (balance_due(cpu, tick_index_)) {
     for (const auto& cls : classes_) {
       if (cls->wants_balance()) balance_pull(cpu, *cls);
     }
-  }
-  // Recurring tick: re-arm the firing event in place (no slot churn). This
-  // is the highest-volume event in the simulator — one per CPU per 1 ms.
-  if (!sim_->reschedule_in(c.tick_event, cfg_.tick)) {
-    c.tick_event = sim_->schedule_in(cfg_.tick, [this, cpu] { on_tick(cpu); });
   }
   if (c.rq.need_resched) {
     c.rq.need_resched = false;
     resched_cpu(cpu);
   }
+  // Going dormant: the ticks to come can be replayed exactly until a kernel
+  // entry changes what they would do (check_dormant).
+  c.dormant = !cfg_.ticked_reference && !c.resched_pending && replayable(c);
+}
+
+bool Kernel::balance_due(CpuId cpu, std::int64_t i) const {
+  return cfg_.balance_interval_ticks > 0 && (i + cpu) % cfg_.balance_interval_ticks == 0;
+}
+
+std::int64_t Kernel::next_tick_index() const {
+  // With nothing due the event still fires now and then, so the queue never
+  // drains while a kernel runs (Simulator::run() then ends at its deadline).
+  constexpr std::int64_t kMaxTickGap = 1024;
+  const std::int64_t i = tick_index_;
+  const std::int64_t n = cfg_.balance_interval_ticks;
+  std::int64_t next = i + kMaxTickGap;
+  for (const CpuState& c : cpus_) {
+    if (!c.dormant) return i + 1;
+    // A dormant CPU still runs its balance ticks: the next j > i with
+    // (j + cpu) % n == 0.
+    if (n > 0) next = std::min(next, i + 1 + (n - (i + 1 + c.rq.cpu) % n) % n);
+  }
+  if (obs_ != nullptr && obs_->window_ns() > 0) {
+    // advance_window closes a window at the first tick strictly past its end.
+    const std::int64_t past_end =
+        (obs_->next_window_end() - tick_origin_).ns() / cfg_.tick.ns() + 1;
+    next = std::min(next, std::max(past_end, i + 1));
+  }
+  return next;
+}
+
+bool Kernel::replayable(const CpuState& c) const {
+  // Idle: a tick only counts. One runnable task of its class at nice 0: a
+  // tick only accounts it and calls task_tick, which then reads no now() and
+  // sets no need_resched (the SchedClass::task_tick replay contract). A
+  // count of 0 is a running task being switched out in this very event.
+  const Task* curr = c.rq.curr;
+  return curr == c.rq.idle ||
+         (curr->nice == 0 && c.rq.class_count[static_cast<std::size_t>(curr->class_idx_)] <= 1);
+}
+
+void Kernel::replay_ticks(CpuId cpu) {
+  CpuState& c = cs(cpu);
+  if (!c.dormant || now() < tick_time(c.ticks + 1)) return;
+  // Every tick at or before now() has happened: ticks fire first at their
+  // instant. Inside the tick event, CPUs after the one ticking take the tick
+  // at now() later in the same event.
+  std::int64_t target = (now() - tick_origin_).ns() / cfg_.tick.ns();
+  if (cpu > tick_cursor_) --target;
+  replay_to(c, target);
+}
+
+void Kernel::replay_to(CpuState& c, std::int64_t target) {
+  if (c.ticks >= target) return;
+  Task* curr = c.rq.curr;
+  if (curr != c.rq.idle) {
+    SchedClass& cls = *classes_[static_cast<std::size_t>(curr->class_idx_)];
+    for (std::int64_t i = c.ticks + 1; i <= target; ++i) {
+      account_to(*curr, tick_time(i));
+      cls.task_tick(*this, c.rq, *curr);
+    }
+    HPCS_CHECK_MSG(!c.rq.need_resched,
+                   "task_tick set need_resched on a replayed tick (SchedClass::task_tick)");
+  }
+  ticks_replayed_ += target - c.ticks;
+  c.ticks = target;
+}
+
+void Kernel::check_dormant(CpuId cpu) {
+  CpuState& c = cs(cpu);
+  if (!c.dormant || replayable(c)) return;
+  // The next tick would do more than replay can: tick again from the next
+  // one. Inside the tick event the CPU loop and the re-arm see the change.
+  c.dormant = false;
+  const std::int64_t next = c.ticks + 1;
+  if (tick_cursor_ != kNoTickCursor || next >= tick_index_) return;
+  tick_index_ = next;
+  const bool moved = sim_->reschedule_at(tick_event_, tick_time(next));
+  HPCS_CHECK(moved);
 }
 
 bool Kernel::balance_pull(CpuId cpu, SchedClass& cls) {

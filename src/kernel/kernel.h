@@ -11,6 +11,7 @@
 // prioritization couples into task progress.
 
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -59,6 +60,12 @@ struct KernelConfig {
   /// architecture): the HPC class still works but only its policy effect
   /// remains (paper §IV-C).
   bool hw_prio_enabled = true;
+  /// The reference of the ticked == tickless differential test
+  /// (tests/test_tickless.cpp): every CPU runs every tick. By default a CPU
+  /// whose ticks only advance replayable state stops running them and
+  /// replays them when next touched (docs/INTERNALS.md §3); both modes give
+  /// byte-identical results.
+  bool ticked_reference = false;
 };
 
 class Kernel {
@@ -133,21 +140,26 @@ class Kernel {
   void set_trace(TraceSink* sink) { trace_ = sink; }
   [[nodiscard]] TraceSink* trace() const { return trace_; }
 
-  /// Attach the per-run observability recorder (tracepoints + metrics);
-  /// nullptr (the default) disables every record site at the cost of one
-  /// predictable branch.
-  void set_obs(obs::Recorder* rec) { obs_ = rec; }
+  /// Attach the per-run observability recorder (tracepoints + metrics)
+  /// before start(); nullptr (the default) disables every record site at the
+  /// cost of one predictable branch.
+  void set_obs(obs::Recorder* rec);
   [[nodiscard]] obs::Recorder* obs() const { return obs_; }
 
   [[nodiscard]] std::int64_t context_switches() const { return ctx_switches_; }
   [[nodiscard]] std::int64_t migrations() const { return migrations_; }
   [[nodiscard]] std::int64_t balance_pulls() const { return balance_pulls_; }
+  /// Per-CPU ticks run by the tick event, and ticks a dormant CPU skipped
+  /// and replayed later (kern.ticks / kern.ticks_replayed).
+  [[nodiscard]] std::int64_t ticks_run() const { return ticks_run_; }
+  [[nodiscard]] std::int64_t ticks_replayed() const { return ticks_replayed_; }
   [[nodiscard]] const RunningStat& wakeup_latency_us() const { return wakeup_latency_us_; }
 
   /// Trigger a reschedule of `cpu` (deferred to a zero-delay event).
   void resched_cpu(CpuId cpu);
 
-  /// Flush pending run/ready/sleep accounting of a task up to now().
+  /// Flush pending run/ready/sleep accounting of a task up to now(),
+  /// replaying the ticks its CPU skipped first.
   void flush_account(Task& t);
 
  private:
@@ -159,12 +171,12 @@ class Kernel {
     double seg_speed = 0.0;
     sim::EventHandle exec_event;
     bool resched_pending = false;
-    sim::EventHandle tick_event;
     sim::EventHandle snooze_event;
+    /// Ticks taken so far, run or replayed: tick i is at tick_time(i).
     std::int64_t ticks = 0;
-    // Ticks remaining until the next balance pass; replaces the per-tick
-    // `(ticks + cpu) % interval` divide while firing on the same ticks.
-    std::int64_t balance_countdown = 0;
+    /// The tick event skips this CPU except at its balance boundaries; its
+    /// other ticks are replayed when a kernel entry next touches it.
+    bool dormant = false;
   };
 
   CpuState& cs(CpuId cpu);
@@ -177,6 +189,7 @@ class Kernel {
   Task* pick_next(Rq& rq);
   void schedule_cpu(CpuId cpu);
   void set_acc_state(Task& t, AccState s);
+  void account_to(Task& t, SimTime when);
 
   // Execution engine.
   void arm_snooze(CpuId cpu);
@@ -191,7 +204,16 @@ class Kernel {
   void do_wake(Task& t);
 
   // Tick + balancing.
-  void on_tick(CpuId cpu);
+  void on_tick();
+  void tick_cpu(CpuId cpu);
+  [[nodiscard]] SimTime tick_time(std::int64_t i) const { return tick_origin_ + cfg_.tick * i; }
+  [[nodiscard]] bool balance_due(CpuId cpu, std::int64_t i) const;
+  [[nodiscard]] std::int64_t next_tick_index() const;
+  // Tick elision.
+  [[nodiscard]] bool replayable(const CpuState& c) const;
+  void replay_ticks(CpuId cpu);
+  void replay_to(CpuState& c, std::int64_t target);
+  void check_dormant(CpuId cpu);
   bool balance_pull(CpuId cpu, SchedClass& cls);
   void migrate(Task& t, CpuId dst);
 
@@ -212,9 +234,21 @@ class Kernel {
   bool started_ = false;
   bool in_balance_ = false;
 
+  /// One tick event for all CPUs (Lane::kFirst: ticks run before every
+  /// other event at their instant), armed for tick tick_index_.
+  sim::EventHandle tick_event_;
+  SimTime tick_origin_ = SimTime::zero();  ///< start(): tick i fires at origin + i * tick
+  std::int64_t tick_index_ = 0;
+  /// While the tick event runs, the CPU being ticked; CPUs numbered above it
+  /// have not taken tick tick_index_ yet. kNoTickCursor otherwise.
+  static constexpr CpuId kNoTickCursor = std::numeric_limits<CpuId>::max();
+  CpuId tick_cursor_ = kNoTickCursor;
+
   std::int64_t ctx_switches_ = 0;
   std::int64_t migrations_ = 0;
   std::int64_t balance_pulls_ = 0;
+  std::int64_t ticks_run_ = 0;
+  std::int64_t ticks_replayed_ = 0;
   RunningStat wakeup_latency_us_;
 };
 

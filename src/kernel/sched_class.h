@@ -73,6 +73,12 @@ class SchedClass {
 
   /// Timer tick while `t` (of this class) is running. May set
   /// rq.need_resched.
+  ///
+  /// Replay contract: while `t` is the only runnable task of this class on
+  /// `rq` and has nice 0, the kernel may skip ticks and replay them later
+  /// (accounting flushed to each skipped tick, then this call), possibly
+  /// after other events. In that case task_tick must read no k.now() and set
+  /// no rq.need_resched; it may read and change `t` and this class's state.
   virtual void task_tick(Kernel& k, Rq& rq, Task& t) = 0;
 
   /// Should `woken` preempt `curr` (both of this class)?

@@ -28,6 +28,7 @@ std::optional<std::int64_t> Sysfs::read(const std::string& path) const {
 bool Sysfs::write(const std::string& path, std::int64_t value) {
   const auto it = attrs_.find(path);
   if (it == attrs_.end()) return false;
+  if (write_hook_) write_hook_();
   return it->second.set(value);
 }
 

@@ -34,12 +34,18 @@ class Sysfs {
   [[nodiscard]] bool exists(const std::string& path) const { return attrs_.count(path) > 0; }
   [[nodiscard]] std::vector<std::string> list() const;
 
+  /// Run `hook` before every write to a registered path. The kernel replays
+  /// the ticks its dormant CPUs skipped, so a tunable change applies from
+  /// now on only, exactly as with every tick run.
+  void set_write_hook(std::function<void()> hook) { write_hook_ = std::move(hook); }
+
  private:
   struct Attr {
     Getter get;
     Setter set;
   };
   std::map<std::string, Attr> attrs_;
+  std::function<void()> write_hook_;
 };
 
 }  // namespace hpcs::kern

@@ -82,12 +82,13 @@ Recorder::Recorder(const ObsConfig& cfg, int num_cpus) {
   metrics_.counter("kern.ctx_switches");
   metrics_.counter("kern.migrations");
   metrics_.counter("kern.balance_pulls");
+  metrics_.counter("kern.ticks");
+  metrics_.counter("kern.ticks_replayed");
   metrics_.counter("sim.events_executed");
   metrics_.counter("sim.eq_scheduled");
   metrics_.counter("sim.eq_dispatched");
   metrics_.counter("sim.eq_resched_inplace");
   metrics_.counter("sim.eq_resched_pending");
-  metrics_.counter("sim.eq_stale_dropped");
   metrics_.counter("hpc.iterations");
   metrics_.counter("hpc.prio_changes");
   metrics_.counter("hpc.resets");

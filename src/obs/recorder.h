@@ -79,6 +79,11 @@ class Recorder {
   }
 
   [[nodiscard]] std::int64_t window_ns() const { return window_ns_; }
+  /// End of the oldest window still open; advance_window closes it at the
+  /// first call strictly past this instant. Meaningful with windowing on.
+  [[nodiscard]] SimTime next_window_end() const {
+    return SimTime(window_covered_ns_ + window_ns_);
+  }
   /// Windows flushed so far (tests peek mid-run).
   [[nodiscard]] std::size_t windows_flushed() const { return samples_.size(); }
 

@@ -1,16 +1,16 @@
 #pragma once
 // Cancellable discrete-event queue.
 //
-// Events are (time, sequence, callback) triples ordered by time then by
-// insertion sequence, which makes simultaneous events fire in a deterministic
-// FIFO order. Cancellation is O(1): each event carries a generation counter
-// and an EventHandle remembers the id/generation it was issued for; stale
-// entries are skipped lazily when they surface at the top of the heap.
+// Events are ordered by time, then by lane, then by insertion sequence, which
+// makes simultaneous events fire in a deterministic order: kFirst-lane events
+// (the kernel tick) ahead of every kNormal event at their instant, kNormal
+// events FIFO. Each EventHandle remembers the slot id/generation it was
+// issued for, so operations on a stale handle are safe no-ops.
 //
-// Storage is one binary min-heap of 16-byte (when, seq, slot id) entries
-// over a table of callback slots. The simulated machines keep a few dozen
-// events pending (per-CPU ticks, exec completions, network deliveries), so
-// the heap stays cache-resident and a sift is a handful of compares.
+// Storage is one indexed binary min-heap of 16-byte (when, seq, slot id +
+// lane) entries over a table of callback slots. Every slot records where its
+// entry sits in the heap, so cancel() removes the entry at once and
+// reschedule() re-keys it in place: the heap holds exactly the pending events.
 //
 // Hot-path design (see docs/performance.md):
 //  * Callbacks are InplaceFunction — a fixed 48-byte inline buffer, so
@@ -19,9 +19,9 @@
 //    invoked in place even if it schedules new events (no per-dispatch
 //    closure moves, unlike a std::vector of slots that may reallocate).
 //  * reschedule() moves a pending event to a new time without touching its
-//    callback, and — crucially for recurring events like the kernel's per-CPU
-//    1 ms tick — may be called from *inside* the firing callback to re-arm
-//    the same slot, keeping the handle valid and skipping the
+//    callback, and — crucially for recurring events like the kernel tick —
+//    may be called from *inside* the firing callback to re-arm the same
+//    slot, keeping the handle valid and skipping the
 //    destroy/construct/slot-allocate cycle entirely.
 
 #include <cstdint>
@@ -41,6 +41,12 @@ inline constexpr std::size_t kEventCallbackCapacity = 48;
 
 using EventCallback = InplaceFunction<void(), kEventCallbackCapacity>;
 
+/// Same-instant order class of an event. A kFirst event fires before every
+/// kNormal event at its instant; kFirst events tied with each other fire in
+/// the order they were first scheduled, a place reschedule() keeps. kNormal
+/// events fire in the order of their last schedule()/reschedule().
+enum class Lane : std::uint8_t { kFirst = 0, kNormal = 1 };
+
 /// Always-on queue counters (plain int64 increments on paths that already
 /// touch the slot — too cheap to gate). Observability snapshots them into
 /// the per-run metrics manifest as the sim.eq_* counters.
@@ -49,7 +55,6 @@ struct EventQueueStats {
   std::int64_t dispatched = 0;       ///< callbacks actually run
   std::int64_t resched_pending = 0;  ///< reschedule() moved a pending event
   std::int64_t resched_inplace = 0;  ///< reschedule() re-armed the firing slot
-  std::int64_t stale_dropped = 0;    ///< superseded/cancelled entries skipped
 };
 
 /// Opaque reference to a scheduled event; safe to keep after the event fired
@@ -74,8 +79,7 @@ class EventQueue {
   /// so the wrapping-u32 tiebreak can be exercised around UINT32_MAX without
   /// four billion warm-up schedules. Only valid on an empty queue.
   void set_next_seq_for_test(std::uint32_t s) {
-    HPCS_CHECK_MSG(live_count_ == 0 && heap_.empty(),
-                   "set_next_seq_for_test() on a non-empty EventQueue");
+    HPCS_CHECK_MSG(heap_.empty(), "set_next_seq_for_test() on a non-empty EventQueue");
     next_seq_ = s;
   }
 
@@ -87,32 +91,33 @@ class EventQueue {
 
   /// Schedule `cb` to fire at absolute time `when` (must not be in the past
   /// relative to the last popped event).
-  EventHandle schedule(SimTime when, EventCallback cb) {
+  EventHandle schedule(SimTime when, EventCallback cb, Lane lane = Lane::kNormal) {
     ++stats_.scheduled;
-    const std::uint64_t id = alloc_slot();
+    const std::uint32_t id = alloc_slot();
     Slot& slot = slot_at(id);
     slot.cb = std::move(cb);
     slot.live = true;
-    slot.has_entry = true;
+    slot.lane = lane;
     slot.seq = next_seq_++;
     ++slot.gen;
     ++live_count_;
-    heap_push(HeapEntry{when, slot.seq, static_cast<std::uint32_t>(id)});
+    heap_push(HeapEntry{when, slot.seq, (id << 1) | static_cast<std::uint32_t>(lane)});
     return EventHandle{id, slot.gen};
   }
 
-  /// Cancel a previously scheduled event. Returns true if the event was
-  /// still pending; false if it already fired, was cancelled, or the handle
-  /// is stale.
+  /// Cancel a previously scheduled event; its heap entry is removed at once.
+  /// Returns true if the event was still pending; false if it already fired,
+  /// was cancelled, or the handle is stale.
   bool cancel(EventHandle h) {
     if (!pending(h)) return false;
-    Slot& slot = slot_at(h.id_);
-    slot.live = false;
-    slot.cb = nullptr;
+    const auto id = static_cast<std::uint32_t>(h.id_);
+    slot_at(id).live = false;
     --live_count_;
-    // The heap entry stays behind and is skipped lazily; the slot is
-    // recycled only when that entry surfaces, so generations stay
-    // unambiguous.
+    heap_erase(pos_[id]);
+    // A callback that re-armed its own event and then cancelled it is still
+    // running: its closure must outlive the call, so run_slot's epilogue
+    // destroys it and recycles the slot.
+    if (id != firing_slot_) release(id);
     return true;
   }
 
@@ -123,24 +128,27 @@ class EventQueue {
   /// and does nothing — if the handle is stale or cancelled; callers then
   /// fall back to schedule().
   bool reschedule(EventHandle h, SimTime when) {
+    const auto id = static_cast<std::uint32_t>(h.id_);
     if (pending(h)) {
       ++stats_.resched_pending;
-      Slot& slot = slot_at(h.id_);
-      slot.seq = next_seq_++;
-      slot.has_entry = true;  // the old entry becomes a superseded duplicate
-      heap_push(HeapEntry{when, slot.seq, static_cast<std::uint32_t>(h.id_)});
+      const std::size_t i = pos_[id];
+      const HeapEntry old = heap_[i];
+      const HeapEntry e{when, seq_for(slot_at(id)), old.key};
+      if (e > old) {
+        sift_down(i, e);
+      } else {
+        sift_up(i, e);
+      }
       return true;
     }
     // Re-arm from inside the firing callback: the slot's entry was popped
     // for this dispatch but its callback is still intact.
-    if (h.valid() && h.id_ == firing_slot_ && h.gen_ == firing_gen_) {
+    if (h.valid() && id == firing_slot_ && h.gen_ == firing_gen_) {
       ++stats_.resched_inplace;
-      Slot& slot = slot_at(h.id_);
+      Slot& slot = slot_at(id);
       slot.live = true;
-      slot.has_entry = true;
-      slot.seq = next_seq_++;
       ++live_count_;
-      heap_push(HeapEntry{when, slot.seq, static_cast<std::uint32_t>(h.id_)});
+      heap_push(HeapEntry{when, seq_for(slot), (id << 1) | static_cast<std::uint32_t>(slot.lane)});
       return true;
     }
     return false;
@@ -155,12 +163,13 @@ class EventQueue {
 
   [[nodiscard]] bool empty() const { return live_count_ == 0; }
   [[nodiscard]] std::size_t size() const { return live_count_; }
+  /// Entries physically in the heap: always size(), since cancel() and
+  /// reschedule() leave no dead entry behind (tests pin this).
+  [[nodiscard]] std::size_t heap_entries() const { return heap_.size(); }
 
-  /// Time of the earliest pending event. Requires !empty(). May purge stale
-  /// entries off the heap top (invisible to firing order).
-  [[nodiscard]] SimTime next_time() {
-    const bool found = heap_peek();
-    HPCS_CHECK_MSG(found, "next_time() on empty event queue");
+  /// Time of the earliest pending event. Requires !empty().
+  [[nodiscard]] SimTime next_time() const {
+    HPCS_CHECK_MSG(!heap_.empty(), "next_time() on empty event queue");
     return heap_.front().when;
   }
 
@@ -177,12 +186,13 @@ class EventQueue {
   /// return true. Returns false (leaving `clock` untouched) when the queue
   /// is empty or the next event is past the deadline.
   bool run_next(SimTime deadline, SimTime& clock) {
-    if (!heap_peek() || heap_.front().when > deadline) return false;
+    if (heap_.empty() || heap_.front().when > deadline) return false;
     const HeapEntry top = heap_.front();
     heap_pop();
     clock = top.when;
     ++stats_.dispatched;
-    run_slot(top.id);
+    --live_count_;
+    run_slot(top.key >> 1);
     return true;
   }
 
@@ -195,6 +205,7 @@ class EventQueue {
     HPCS_CHECK_MSG(firing_slot_ == kNoSlot, "EventQueue::clear() from inside a callback");
     heap_.clear();
     chunks_.clear();
+    pos_.clear();
     slot_count_ = 0;
     free_slots_.clear();
     live_count_ = 0;
@@ -208,20 +219,21 @@ class EventQueue {
 
  private:
   /// 16 bytes: two entries per cache line more during the sift loops, which
-  /// are pure HeapEntry traffic. Slot ids fit u32 by the alloc_slot() cap;
-  /// seq is a wrapping 32-bit window — see operator> for why wraparound
-  /// cannot reorder live events.
+  /// are pure HeapEntry traffic. `key` is the slot id shifted left by one
+  /// over the lane bit (kFirst = 0 sorts first); seq is a wrapping 32-bit
+  /// window — see operator> for why wraparound cannot reorder events.
   struct HeapEntry {
     SimTime when;
     std::uint32_t seq;
-    std::uint32_t id;
+    std::uint32_t key;
     bool operator>(const HeapEntry& o) const {
       if (when != o.when) return when > o.when;
+      if (((key ^ o.key) & 1u) != 0) return (key & 1u) > (o.key & 1u);
       // Wraparound-aware window compare: correct while same-instant entries
-      // sit within 2^31 schedule() calls of each other. Tie-break order only
-      // matters between LIVE entries at the same `when`, and the simulator's
-      // same-instant fan-out (per-CPU ticks, message deliveries) is bounded
-      // by machine size — nowhere near the 2^31 window.
+      // of one lane sit within 2^31 schedule() calls of each other. The
+      // simulator's same-instant fan-out (message deliveries, zero-delay
+      // reschedules) is bounded by machine size — nowhere near the 2^31
+      // window; kFirst entries are the kernels' ticks, scheduled at start.
       return static_cast<std::int32_t>(seq - o.seq) > 0;
     }
   };
@@ -229,22 +241,17 @@ class EventQueue {
   struct Slot {
     EventCallback cb;
     std::uint64_t gen = 0;
-    /// Sequence of the slot's *authoritative* entry (wrapping 32-bit window,
-    /// same domain as HeapEntry::seq); entries with any other seq are
-    /// superseded duplicates left behind by reschedule().
+    /// Sequence of the first schedule(); a kFirst event keeps it for life.
     std::uint32_t seq = 0;
-    bool live = false;
-    /// An authoritative heap entry for this slot still exists. The slot may
-    /// be recycled only once that entry has surfaced and been dropped (keeps
-    /// generations unambiguous under lazy deletion).
-    bool has_entry = false;
+    Lane lane = Lane::kNormal;
+    bool live = false;  ///< pending: the slot has an entry in the heap
   };
 
   /// Slots are allocated in fixed-size chunks so their addresses are stable:
   /// a firing callback runs in place even when it schedules new events.
   static constexpr std::uint64_t kChunkShift = 6;
   static constexpr std::uint64_t kChunkSize = 1ull << kChunkShift;
-  static constexpr std::uint64_t kNoSlot = ~std::uint64_t{0};
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
 
   [[nodiscard]] Slot& slot_at(std::uint64_t id) {
     return chunks_[id >> kChunkShift][id & (kChunkSize - 1)];
@@ -253,42 +260,71 @@ class EventQueue {
     return chunks_[id >> kChunkShift][id & (kChunkSize - 1)];
   }
 
-  std::uint64_t alloc_slot() {
+  /// The sequence a (re-)armed entry of `slot` takes.
+  std::uint32_t seq_for(const Slot& slot) {
+    return slot.lane == Lane::kFirst ? slot.seq : next_seq_++;
+  }
+
+  std::uint32_t alloc_slot() {
     if (!free_slots_.empty()) {
-      const std::uint64_t id = free_slots_.back();
+      const std::uint32_t id = free_slots_.back();
       free_slots_.pop_back();
       return id;
     }
-    // Heap entries address slots with 32 bits. Slots are recycled, so the
-    // count only grows with the peak number of simultaneously pending
-    // events — 2^32 of them would be a runaway workload, not a sweep.
-    HPCS_CHECK_MSG(slot_count_ < (std::uint64_t{1} << 32),
-                   "EventQueue slot table exceeds 32-bit heap-entry ids");
-    const std::uint64_t id = slot_count_++;
+    // Heap entries address slots with 31 bits (the key's low bit is the
+    // lane). Slots are recycled, so the count only grows with the peak
+    // number of simultaneously pending events — 2^31 of them would be a
+    // runaway workload, not a sweep.
+    HPCS_CHECK_MSG(slot_count_ < (std::uint64_t{1} << 31),
+                   "EventQueue slot table exceeds 31-bit heap-entry ids");
+    const auto id = static_cast<std::uint32_t>(slot_count_++);
     if ((id >> kChunkShift) == chunks_.size()) {
       chunks_.push_back(std::make_unique<Slot[]>(kChunkSize));
     }
+    pos_.push_back(0);
     return id;
+  }
+
+  /// Destroy a slot's closure and return the slot to the free list.
+  void release(std::uint32_t id) {
+    slot_at(id).cb = nullptr;
+    free_slots_.push_back(id);
   }
 
   // HPCS_HOT_BEGIN — per-event heap maintenance and dispatch.
 
-  // Hand-rolled binary-heap sifts. Unlike std::pop_heap's hole-to-leaf
-  // strategy, sift-down stops as soon as the moved element dominates both
-  // children — for recurring events (N CPUs ticking at the same instant) the
-  // replacement usually belongs right at the top, making this O(1) in
-  // practice. Pop order depends only on the (when, seq) total order, so the
+  // Hand-rolled binary-heap sifts that keep pos_ in step with every move.
+  // Pop order depends only on the (when, lane, seq) total order, so the
   // layout is free to differ from std::*_heap without affecting determinism.
-  void heap_push(HeapEntry e) {
-    std::size_t i = heap_.size();
-    heap_.push_back(e);
+  void place(std::size_t i, const HeapEntry& e) {
+    heap_[i] = e;
+    pos_[e.key >> 1] = static_cast<std::uint32_t>(i);
+  }
+
+  void sift_up(std::size_t i, HeapEntry e) {
     while (i > 0) {
       const std::size_t parent = (i - 1) / 2;
       if (!(heap_[parent] > e)) break;
-      heap_[i] = heap_[parent];
+      place(i, heap_[parent]);
       i = parent;
     }
-    heap_[i] = e;
+    place(i, e);
+  }
+
+  void sift_down(std::size_t i, HeapEntry e) {
+    const std::size_t n = heap_.size();
+    for (std::size_t child = 2 * i + 1; child < n; child = 2 * i + 1) {
+      if (child + 1 < n && heap_[child] > heap_[child + 1]) ++child;
+      if (!(e > heap_[child])) break;
+      place(i, heap_[child]);
+      i = child;
+    }
+    place(i, e);
+  }
+
+  void heap_push(HeapEntry e) {
+    heap_.push_back(e);
+    sift_up(heap_.size() - 1, e);
   }
 
   void heap_pop() {
@@ -297,77 +333,68 @@ class EventQueue {
       const HeapEntry e = heap_[n];
       // Descend the hole along the smaller-child path to a leaf, then sift
       // the displaced last element back up — ~1 comparison per level instead
-      // of 2, which wins when draining long runs of stale entries.
+      // of 2: the last element is usually a far-future timer that belongs
+      // near the bottom again.
       std::size_t i = 0;
       std::size_t child = 1;
       while (child < n) {
         if (child + 1 < n && heap_[child] > heap_[child + 1]) ++child;
-        heap_[i] = heap_[child];
+        place(i, heap_[child]);
         i = child;
         child = 2 * i + 1;
       }
       while (i > 0) {
         const std::size_t parent = (i - 1) / 2;
         if (!(heap_[parent] > e)) break;
-        heap_[i] = heap_[parent];
+        place(i, heap_[parent]);
         i = parent;
       }
-      heap_[i] = e;
+      place(i, e);
     }
     heap_.pop_back();
   }
 
-  /// Pop superseded / cancelled entries off the heap top; true if an
-  /// authoritative live entry remains.
-  bool heap_peek() {
-    while (!heap_.empty()) {
-      const HeapEntry& top = heap_.front();
-      Slot& slot = slot_at(top.id);
-      if (top.seq == slot.seq) {
-        if (slot.live) return true;
-        // Cancelled: its authoritative entry has surfaced — recycle.
-        slot.has_entry = false;
-        free_slots_.push_back(top.id);
-      }
-      // else: superseded by reschedule(); drop the duplicate.
-      ++stats_.stale_dropped;
-      heap_pop();
+  /// Remove the entry at heap index `i`; the last entry fills the hole and
+  /// moves whichever way its key requires.
+  void heap_erase(std::size_t i) {
+    const HeapEntry last = heap_.back();
+    heap_.pop_back();
+    if (i == heap_.size()) return;
+    if (i > 0 && heap_[(i - 1) / 2] > last) {
+      sift_up(i, last);
+    } else {
+      sift_down(i, last);
     }
-    return false;
   }
 
   /// Dispatch epilogue: fire the slot's callback in place and recycle the
   /// slot unless the callback re-armed it.
-  void run_slot(std::uint64_t id) {
+  void run_slot(std::uint32_t id) {
     Slot& slot = slot_at(id);
     slot.live = false;
-    slot.has_entry = false;
-    --live_count_;
     firing_slot_ = id;
     firing_gen_ = slot.gen;
     // Chunk addresses are stable, so the closure runs in place; scheduling
-    // from inside the callback cannot move it.
+    // from inside the callback cannot move it, and the slot cannot be
+    // recycled before this epilogue.
     slot.cb();
     firing_slot_ = kNoSlot;
-    Slot& after = slot_at(id);
-    if (after.gen == firing_gen_ && !after.live && !after.has_entry) {
-      after.cb = nullptr;  // fired for good: destroy the closure, recycle
-      free_slots_.push_back(id);
-    }
+    if (!slot.live) release(id);
   }
 
   // HPCS_HOT_END
 
-  std::vector<HeapEntry> heap_;  ///< min-heap by (when, seq), with lazy deletion
+  std::vector<HeapEntry> heap_;  ///< min-heap by (when, lane, seq); exactly the pending events
+  std::vector<std::uint32_t> pos_;  ///< heap index of each pending slot's entry
   std::vector<std::unique_ptr<Slot[]>> chunks_;
   std::uint64_t slot_count_ = 0;
-  std::vector<std::uint64_t> free_slots_;
+  std::vector<std::uint32_t> free_slots_;
   /// Wrapping 32-bit sequence window (see HeapEntry::operator>).
   std::uint32_t next_seq_ = 0;
   std::size_t live_count_ = 0;
   /// Slot currently executing inside run_slot (kNoSlot otherwise); its
   /// callback may re-arm itself via reschedule().
-  std::uint64_t firing_slot_ = kNoSlot;
+  std::uint32_t firing_slot_ = kNoSlot;
   std::uint64_t firing_gen_ = 0;
   EventQueueStats stats_;
 };

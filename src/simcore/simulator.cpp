@@ -11,9 +11,9 @@ EventHandle Simulator::schedule_in(Duration delay, EventCallback cb) {
   return queue_.schedule(now_ + delay, std::move(cb));
 }
 
-EventHandle Simulator::schedule_at(SimTime when, EventCallback cb) {
+EventHandle Simulator::schedule_at(SimTime when, EventCallback cb, Lane lane) {
   HPCS_CHECK_MSG(when >= now_, "event scheduled in the past");
-  return queue_.schedule(when, std::move(cb));
+  return queue_.schedule(when, std::move(cb), lane);
 }
 
 bool Simulator::reschedule_in(EventHandle h, Duration delay) {

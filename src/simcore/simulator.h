@@ -16,8 +16,9 @@ class Simulator {
   /// Schedule `cb` to run `delay` from now. Delay must be >= 0.
   EventHandle schedule_in(Duration delay, EventCallback cb);
 
-  /// Schedule `cb` at an absolute instant (>= now()).
-  EventHandle schedule_at(SimTime when, EventCallback cb);
+  /// Schedule `cb` at an absolute instant (>= now()); `lane` orders it
+  /// against same-instant events (see sim::Lane).
+  EventHandle schedule_at(SimTime when, EventCallback cb, Lane lane = Lane::kNormal);
 
   bool cancel(EventHandle h) { return queue_.cancel(h); }
   [[nodiscard]] bool pending(EventHandle h) const { return queue_.pending(h); }

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -287,19 +288,96 @@ TEST(EventQueue, SeqWrapPreservesFifo) {
   for (int i = 0; i < 64; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
 }
 
-TEST(EventQueue, CancelledEntryIsCountedAsStaleDropped) {
+// cancel() and reschedule() leave no dead entry behind: after random
+// schedule / cancel / reschedule / in-callback re-arm / pop traffic the heap
+// holds exactly the pending events.
+TEST(EventQueueProperty, HeapHoldsExactlyThePendingEvents) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng rng(seed);
+    EventQueue q;
+    std::vector<EventHandle> handles;
+    bool rearm = false;
+    for (int round = 0; round < 3000; ++round) {
+      const double dice = rng.uniform();
+      const SimTime when(rng.uniform_int(round, round + 5000));
+      if (dice < 0.4 || q.empty()) {
+        const std::size_t id = handles.size();
+        handles.push_back(q.schedule(when, [&q, &handles, &rearm, id] {
+          if (rearm) {
+            ASSERT_TRUE(q.reschedule(handles[id], SimTime::max() - Duration(1)));
+          }
+        }));
+      } else {
+        const auto pick = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(handles.size()) - 1));
+        if (dice < 0.6) {
+          q.cancel(handles[pick]);
+        } else if (dice < 0.8) {
+          q.reschedule(handles[pick], when);
+        } else {
+          rearm = rng.uniform() < 0.3;
+          q.pop_and_run();
+        }
+      }
+      ASSERT_EQ(q.heap_entries(), q.size()) << "seed " << seed << " round " << round;
+    }
+    EXPECT_GT(q.stats().resched_pending, 0);
+    EXPECT_GT(q.stats().resched_inplace, 0);
+  }
+}
+
+TEST(EventQueueReschedule, CancelAfterInCallbackRearmKeepsClosureAlive) {
+  // The callback re-arms its own event, cancels it, then reads a capture:
+  // the closure must survive until the callback returns (the dispatch
+  // epilogue destroys it), never be destroyed by cancel() mid-call.
+  struct State {
+    EventQueue q;
+    EventHandle h;
+    std::string seen;
+  } st;
+  // 40 chars: heap-allocated, so a read after the closure died trips ASan.
+  st.h = st.q.schedule(SimTime(10), [s = &st, label = std::string(40, 'x')] {
+    ASSERT_TRUE(s->q.reschedule(s->h, SimTime(20)));
+    ASSERT_TRUE(s->q.cancel(s->h));
+    s->seen = label;
+  });
+  st.q.pop_and_run();
+  EXPECT_EQ(st.seen, std::string(40, 'x'));
+  EXPECT_TRUE(st.q.empty());
+  EXPECT_EQ(st.q.heap_entries(), 0u);
+  EXPECT_FALSE(st.q.pending(st.h));
+  // The slot was recycled by the epilogue: a new event reuses it cleanly.
+  bool fired = false;
+  st.q.schedule(SimTime(30), [&fired] { fired = true; });
+  st.q.pop_and_run();
+  EXPECT_TRUE(fired);
+}
+
+TEST(EventQueue, FirstLaneFiresBeforeSameInstantPeers) {
+  // kFirst events run ahead of every kNormal event at their instant and,
+  // tied among themselves, keep their first-schedule order across a pending
+  // reschedule() and an in-callback re-arm.
   EventQueue q;
   std::vector<int> order;
-  EventHandle a = q.schedule(SimTime(500), [&] { order.push_back(1); });
-  q.schedule(SimTime(600), [&] { order.push_back(2); });
-  EXPECT_TRUE(q.cancel(a));
-  EXPECT_FALSE(q.cancel(a));
-  EXPECT_EQ(q.size(), 1u);
+  q.schedule(SimTime(10), [&order] { order.push_back(0); });
+  EventHandle a;
+  int a_fired = 0;
+  a = q.schedule(
+      SimTime(5),
+      [&] {
+        order.push_back(1);
+        if (++a_fired == 1) {
+          ASSERT_TRUE(q.reschedule(a, SimTime(20)));
+        }
+      },
+      Lane::kFirst);
+  const EventHandle b =
+      q.schedule(SimTime(30), [&order] { order.push_back(2); }, Lane::kFirst);
+  q.schedule(SimTime(20), [&order] { order.push_back(3); });
+  ASSERT_TRUE(q.reschedule(a, SimTime(10)));  // still ahead of event 0 at 10
+  ASSERT_TRUE(q.reschedule(b, SimTime(20)));  // re-armed `a` at 20 still goes first
   while (!q.empty()) q.pop_and_run();
-  EXPECT_EQ(order, (std::vector<int>{2}));
-  // The cancelled entry was lazily purged, not dispatched.
-  EXPECT_EQ(q.stats().stale_dropped, 1);
-  EXPECT_EQ(q.stats().dispatched, 1);
+  EXPECT_EQ(order, (std::vector<int>{1, 0, 1, 2, 3}));
 }
 
 TEST(EventQueueReschedule, InCallbackSameInstantReArmFiresAfterQueuedPeers) {
