@@ -135,7 +135,8 @@ inline ObsOptions parse_obs_options(int argc, char** argv) {
 /// LEVEL / --log-level=LEVEL so the flag wins. Unknown levels warn and keep
 /// the current threshold rather than aborting a long bench run.
 inline void init_logging(int argc, char** argv) {
-  init_log_level_from_env();
+  LogLevel env_level;
+  if (parse_log_level(std::getenv("HPCS_LOG_LEVEL"), env_level)) set_log_level(env_level);
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
     const char* val = nullptr;

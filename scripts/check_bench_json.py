@@ -29,8 +29,8 @@ strictly-increasing window timestamps, and one fixed column layout across
 runs. Host sidecars (MANIFEST_*.host.json) are checked for their own schema
 tag and engine-stat fields.
 
-Exit status: 0 all checks pass, 1 any failure (missing file, missing path,
-out-of-range value, malformed manifest).
+Exit status: 0 all checks pass, 1 any failure (missing or unreadable file,
+missing path, out-of-range value, malformed manifest), 2 usage error.
 """
 
 import glob
@@ -51,6 +51,15 @@ EQ_COUNTERS = (
     "sim.eq_resched_inplace",
     "sim.eq_resched_pending",
 )
+
+
+def load_json(path):
+    """(document, None) or (None, one-line reason it cannot be loaded)."""
+    try:
+        with open(path, "rb") as f:
+            return json.loads(f.read().decode("utf-8")), None
+    except (OSError, ValueError) as e:
+        return None, str(e)
 
 
 def validate_windows(win, where, window_layout):
@@ -115,6 +124,8 @@ def validate_windows(win, where, window_layout):
 
 def validate_manifest(doc, fname):
     """Return a list of problem strings for one manifest document."""
+    if not isinstance(doc, dict):
+        return ["top level must be an object"]
     problems = []
     schema = doc.get("schema")
     if schema not in MANIFEST_SCHEMAS:
@@ -131,6 +142,9 @@ def validate_manifest(doc, fname):
     window_layout = None  # (window_ns, int_columns, real_columns) ditto
     for ri, run in enumerate(runs):
         where = f"runs.{ri}"
+        if not isinstance(run, dict):
+            problems.append(f"{where} must be an object")
+            continue
         if not isinstance(run.get("name"), str) or not run.get("name"):
             problems.append(f"{where}.name must be a non-empty string")
         if not isinstance(run.get("sim_end_s"), (int, float)):
@@ -144,6 +158,9 @@ def validate_manifest(doc, fname):
         this_layout = []
         for mi, m in enumerate(metrics):
             mwhere = f"{where}.metrics.{mi}"
+            if not isinstance(m, dict):
+                problems.append(f"{mwhere} must be an object")
+                continue
             name, kind = m.get("name"), m.get("kind")
             if not isinstance(name, str) or not name:
                 problems.append(f"{mwhere}.name must be a non-empty string")
@@ -173,7 +190,9 @@ def validate_manifest(doc, fname):
                         f"{mwhere} ({name}): {len(buckets)} buckets for "
                         f"{len(edges)} edges (want edges+1)"
                     )
-                if any(not a < b for a, b in zip(edges, edges[1:])):
+                if any(not isinstance(e, (int, float)) for e in edges):
+                    problems.append(f"{mwhere} ({name}): edges must be numbers")
+                elif any(not a < b for a, b in zip(edges, edges[1:])):
                     problems.append(f"{mwhere} ({name}): edges not strictly ascending")
                 if any(not isinstance(b, int) or b < 0 for b in buckets):
                     problems.append(f"{mwhere} ({name}): buckets must be counts >= 0")
@@ -205,6 +224,8 @@ def validate_manifest(doc, fname):
 
 
 def validate_host_sidecar(doc, fname):
+    if not isinstance(doc, dict):
+        return ["top level must be an object"]
     problems = []
     if doc.get("schema") != HOST_SCHEMA:
         problems.append(f"schema is {doc.get('schema')!r}, want {HOST_SCHEMA!r}")
@@ -224,11 +245,9 @@ def check_manifests(bench_dir):
     failures = 0
     for path in sorted(glob.glob(f"{bench_dir}/MANIFEST_*.json")):
         fname = os.path.basename(path)
-        try:
-            with open(path, encoding="utf-8") as f:
-                doc = json.load(f)
-        except (OSError, json.JSONDecodeError) as e:
-            print(f"FAIL {fname}: cannot load ({e})")
+        doc, error = load_json(path)
+        if error is not None:
+            print(f"FAIL {fname}: cannot load ({error})")
             failures += 1
             continue
         if fname.endswith(".host.json"):
@@ -257,17 +276,24 @@ def lookup(doc, dotted):
 
 
 def run_checks(spec_path, bench_dir):
-    with open(spec_path, encoding="utf-8") as f:
-        spec = json.load(f)
+    spec, error = load_json(spec_path)
+    if error is None and not (
+        isinstance(spec, dict)
+        and all(
+            isinstance(checks, dict) and all(isinstance(r, dict) for r in checks.values())
+            for checks in spec.values()
+        )
+    ):
+        error = "want an object of {dotted.path: {equals|min|max: value}} per file"
+    if error is not None:
+        print(f"FAIL {spec_path}: not a golden spec ({error})")
+        return 1
 
     failures = 0
     for fname, checks in spec.items():
-        path = f"{bench_dir}/{fname}"
-        try:
-            with open(path, encoding="utf-8") as f:
-                doc = json.load(f)
-        except (OSError, json.JSONDecodeError) as e:
-            print(f"FAIL {fname}: cannot load ({e})")
+        doc, error = load_json(f"{bench_dir}/{fname}")
+        if error is not None:
+            print(f"FAIL {fname}: cannot load ({error})")
             failures += len(checks)
             continue
 
@@ -282,10 +308,13 @@ def run_checks(spec_path, bench_dir):
             ok = True
             if "equals" in rule:
                 ok = value == rule["equals"]
-            if ok and "min" in rule:
-                ok = value >= rule["min"]
-            if ok and "max" in rule:
-                ok = value <= rule["max"]
+            try:
+                if ok and "min" in rule:
+                    ok = value >= rule["min"]
+                if ok and "max" in rule:
+                    ok = value <= rule["max"]
+            except TypeError:
+                ok = False
 
             if ok:
                 print(f"  ok  {fname}: {dotted} = {value}")

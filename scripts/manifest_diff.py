@@ -31,14 +31,54 @@ import json
 import sys
 
 
+def load_error(message):
+    """Report a load error on one line and exit 2."""
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def shape_error(doc):
+    """Why `doc` lacks the structure the differ walks, or None."""
+    if not isinstance(doc, dict):
+        return "top level is not an object"
+    if not isinstance(doc.get("runs"), list):
+        return "no runs array"
+    for ri, run in enumerate(doc["runs"]):
+        if not isinstance(run, dict):
+            return f"runs[{ri}] is not an object"
+        metrics = run.get("metrics", [])
+        if not isinstance(metrics, list) or not all(isinstance(m, dict) for m in metrics):
+            return f"runs[{ri}].metrics is not an array of objects"
+        if not all(isinstance(m.get("buckets", []), list) for m in metrics):
+            return f"runs[{ri}]: histogram buckets are not an array"
+        win = run.get("windows")
+        if win is None:
+            continue
+        if not isinstance(win, dict):
+            return f"runs[{ri}].windows is not an object"
+        int_cols, real_cols = win.get("int_columns", []), win.get("real_columns", [])
+        samples = win.get("samples", [])
+        if not isinstance(int_cols, list) or not isinstance(real_cols, list):
+            return f"runs[{ri}].windows columns are not arrays"
+        if not isinstance(samples, list) or not all(isinstance(s, dict) for s in samples):
+            return f"runs[{ri}].windows.samples is not an array of objects"
+        for si, s in enumerate(samples):
+            for key, cols in (("ints", int_cols), ("reals", real_cols)):
+                values = s.get(key, [None] * len(cols))
+                if not isinstance(values, list) or len(values) < len(cols):
+                    return f"runs[{ri}].windows.samples[{si}].{key} does not cover its columns"
+    return None
+
+
 def load(path):
     try:
-        with open(path, encoding="utf-8") as f:
-            doc = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        raise SystemExit(f"error: cannot load {path}: {e}")
-    if not isinstance(doc.get("runs"), list):
-        raise SystemExit(f"error: {path}: not a manifest (no runs array)")
+        with open(path, "rb") as f:
+            doc = json.loads(f.read().decode("utf-8"))
+    except (OSError, ValueError) as e:
+        load_error(f"cannot load {path}: {e}")
+    problem = shape_error(doc)
+    if problem:
+        load_error(f"{path}: not a manifest ({problem})")
     return doc
 
 

@@ -2,7 +2,6 @@
 
 #include <cctype>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 namespace hpcs {
@@ -44,11 +43,6 @@ bool parse_log_level(const char* s, LogLevel& out) {
     return false;
   }
   return true;
-}
-
-void init_log_level_from_env() {
-  LogLevel lvl;
-  if (parse_log_level(std::getenv("HPCS_LOG_LEVEL"), lvl)) set_log_level(lvl);
 }
 
 void log_message(LogLevel level, const char* tag, const char* fmt, ...) {

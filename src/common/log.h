@@ -17,11 +17,6 @@ void set_log_level(LogLevel level);
 /// also accepted). Returns false and leaves `out` untouched on junk input.
 [[nodiscard]] bool parse_log_level(const char* s, LogLevel& out);
 
-/// Apply the HPCS_LOG_LEVEL environment variable if set and valid. Bench
-/// drivers call this (via bench::init_logging) before parsing --log-level,
-/// so the flag wins over the environment.
-void init_log_level_from_env();
-
 /// printf-style logging. `tag` names the emitting module (e.g. "cfs").
 void log_message(LogLevel level, const char* tag, const char* fmt, ...)
     __attribute__((format(printf, 3, 4)));

@@ -6,8 +6,7 @@
 // the lint directives that live in comments: `HPCSLINT-ALLOW(rule,...)` and
 // the `HPCS_HOT_BEGIN`/`HPCS_HOT_END` region markers. tokenize() then turns
 // the blanked code into a flat token stream — identifiers, numbers, and
-// punctuation — which is what both the legacy token-pattern rules and the
-// recursive-descent parser (parser.h) consume.
+// punctuation — which the token-pattern rules (token_rules.cpp) consume.
 
 #include <cctype>
 #include <set>
@@ -53,11 +52,11 @@ struct Tok {
 };
 
 /// Full token stream over blanked code. Identifiers and numbers are single
-/// tokens; punctuation comes out one character at a time (the parser matches
-/// two-char operators like `::` and `->` by peeking).
+/// tokens; punctuation comes out one character at a time (rules match
+/// two-char operators like `::` by peeking).
 [[nodiscard]] std::vector<Tok> tokenize(std::string_view code);
 
-// Char-level context helpers over the blanked code, shared by the legacy
+// Char-level context helpers over the blanked code, shared by the
 // token-pattern rules.
 [[nodiscard]] std::size_t prev_nonspace(std::string_view code, std::size_t pos);
 [[nodiscard]] std::size_t next_nonspace(std::string_view code, std::size_t pos);

@@ -1,10 +1,7 @@
 #pragma once
 // Internal interface between the lint driver (hpcslint.cpp) and the
-// token-pattern rule implementations (token_rules.cpp). These are the v1
-// rules that need no symbol resolution — they pattern-match the prepared
-// token stream exactly as the single-pass lexer did, so their behaviour
-// (messages, lines, ALLOW handling) is unchanged from v1. The symbol-aware
-// rule families live in parser.cpp (per-TU) and project.cpp (cross-TU).
+// token-pattern rule implementations (token_rules.cpp), which match the
+// prepared token stream of one translation unit.
 
 #include <string>
 #include <string_view>
@@ -40,6 +37,7 @@ class Sink {
 
 void rule_wallclock(const std::vector<Tok>& toks, Sink& sink);
 void rule_rand(std::string_view code, const std::vector<Tok>& toks, Sink& sink);
+void rule_unordered(const std::vector<Tok>& toks, Sink& sink);
 void rule_pointer_key(std::string_view code, const std::vector<Tok>& toks, Sink& sink);
 void rule_hot_alloc(std::string_view code, const std::vector<Tok>& toks, Sink& sink);
 void rule_missing_override(std::string_view code, const std::vector<Tok>& toks, Sink& sink);

@@ -1,13 +1,10 @@
-// Token-pattern rules, carried over from hpcslint v1 byte for byte in
-// behaviour: same heuristics, same messages, same ALLOW semantics. The only
-// difference is mechanical — the token stream now also contains punctuation
-// and number tokens (the parser needs them), which these rules simply never
-// match on. unordered-iter is gone from this file: it became scope-resolving
-// and lives in parser.cpp / project.cpp.
+// Token-pattern rules: each one matches names (and a little surrounding
+// syntax) in the prepared token stream of one translation unit. The lookup
+// tables are ordered sets, because the `unordered` rule lints this file too.
 
 #include "rules.h"
 
-#include <unordered_set>
+#include <set>
 
 namespace hpcslint {
 
@@ -31,7 +28,7 @@ void rule_wallclock(const std::vector<Tok>& toks, Sink& sink) {
 // reproducing. `time` only fires when called (`time(`) and not as a member
 // (`x.time(...)`).
 void rule_rand(std::string_view code, const std::vector<Tok>& toks, Sink& sink) {
-  static const std::unordered_set<std::string_view> kBanned = {
+  static const std::set<std::string_view, std::less<>> kBanned = {
       "rand", "srand", "rand_r", "drand48", "lrand48", "random_device"};
   for (const Tok& t : toks) {
     if (!t.ident()) continue;
@@ -51,14 +48,29 @@ void rule_rand(std::string_view code, const std::vector<Tok>& toks, Sink& sink) 
   }
 }
 
+// unordered: any hash container. Its iteration order depends on the hash
+// function, the bucket count and the insertion history, so it can differ
+// between standard libraries and, for pointer keys, between runs. The tree
+// has none; an ordered container or a sorted vector gives the same lookups
+// in a deterministic order.
+void rule_unordered(const std::vector<Tok>& toks, Sink& sink) {
+  static const std::set<std::string_view, std::less<>> kUnordered = {
+      "unordered_map", "unordered_set", "unordered_multimap", "unordered_multiset"};
+  for (const Tok& t : toks) {
+    if (t.ident() && kUnordered.count(t.text) != 0) {
+      sink.report("unordered", t.line,
+                  std::string(t.text) + ": hash-table iteration order is not "
+                      "deterministic; use an ordered container or a sorted vector");
+    }
+  }
+}
+
 // pointer-key: ordering keyed on a pointer value (map/set key, or a
 // less/greater comparator instantiated on a pointer) depends on allocation
 // addresses, so two runs — let alone two machines — disagree. Key by pid,
-// rank, slot id, or another value-stable identity instead. This is the
-// declaration-site half of the rule; iteration over a pointer-keyed
-// container is detected by the symbol-resolving layer.
+// rank, slot id, or another value-stable identity instead.
 void rule_pointer_key(std::string_view code, const std::vector<Tok>& toks, Sink& sink) {
-  static const std::unordered_set<std::string_view> kKeyed = {
+  static const std::set<std::string_view, std::less<>> kKeyed = {
       "map",      "set",      "multimap",          "multiset", "unordered_map",
       "unordered_set", "unordered_multimap", "unordered_multiset", "less", "greater"};
   for (const Tok& t : toks) {
@@ -85,7 +97,7 @@ void rule_pointer_key(std::string_view code, const std::vector<Tok>& toks, Sink&
 namespace {
 
 bool by_value_container(std::string_view code, const std::vector<Tok>& toks, std::size_t i) {
-  static const std::unordered_set<std::string_view> kContainers = {
+  static const std::set<std::string_view, std::less<>> kContainers = {
       "vector",        "deque",         "list",           "forward_list",       "string",
       "basic_string",  "map",           "multimap",       "set",                "multiset",
       "unordered_map", "unordered_set", "unordered_multimap", "unordered_multiset",
@@ -110,7 +122,7 @@ bool by_value_container(std::string_view code, const std::vector<Tok>& toks, std
 }  // namespace
 
 void rule_hot_alloc(std::string_view code, const std::vector<Tok>& toks, Sink& sink) {
-  static const std::unordered_set<std::string_view> kAlloc = {
+  static const std::set<std::string_view, std::less<>> kAlloc = {
       "new", "make_unique", "make_shared", "malloc", "calloc", "realloc"};
   for (std::size_t i = 0; i < toks.size(); ++i) {
     const Tok& t = toks[i];
@@ -145,7 +157,7 @@ void rule_hot_alloc(std::string_view code, const std::vector<Tok>& toks, Sink& s
 // SchedClassImpl concept (kernel/sched_class.h) catches signature drift;
 // this rule catches the shadowing shape the concept cannot distinguish.
 void rule_missing_override(std::string_view code, const std::vector<Tok>& toks, Sink& sink) {
-  static const std::unordered_set<std::string_view> kHooks = {
+  static const std::set<std::string_view, std::less<>> kHooks = {
       "name",     "owns",          "make_rq",        "enqueue",       "dequeue",
       "pick_next", "put_prev",     "task_tick",      "wakeup_preempt", "yield",
       "steal_candidate", "wants_balance", "wakeup_cost"};
@@ -337,6 +349,7 @@ void rule_tracepoint_name(std::string_view code, const std::vector<Tok>& toks, S
 void run_token_rules(const Prepared& prep, const std::vector<Tok>& toks, Sink& sink) {
   rule_wallclock(toks, sink);
   rule_rand(prep.code, toks, sink);
+  rule_unordered(toks, sink);
   rule_pointer_key(prep.code, toks, sink);
   rule_hot_alloc(prep.code, toks, sink);
   rule_missing_override(prep.code, toks, sink);
