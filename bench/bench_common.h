@@ -1,9 +1,10 @@
 #pragma once
-// Shared reporting helpers for the table-reproduction benches: print each
-// experiment in the paper's table layout next to the paper's own numbers,
-// summarize the headline improvements, and fan the per-mode runs across the
-// parallel experiment engine (--jobs N / HPCS_JOBS; results are committed in
-// mode order, so output is bit-identical to the serial drivers).
+// Shared helpers for the bench drivers: print each experiment in the
+// paper's table layout next to the paper's own numbers, summarize the
+// headline improvements, and fan the per-mode runs across the parallel
+// experiment engine (--jobs N / HPCS_JOBS; results are committed in mode
+// order, so output is bit-identical to the serial drivers). The obs flags
+// and the obs epilogue here serve every table, figure and export driver.
 
 #include <cstdio>
 #include <cstdlib>
@@ -22,42 +23,31 @@
 
 namespace hpcs::bench {
 
-/// Observability knobs shared by the bench drivers. Off by default so the
-/// golden numbers are unaffected; switched on by flag or environment:
-///   --obs / HPCS_OBS=1            metrics registry + tracepoint rings,
-///                                 MANIFEST_<name>.json (+ .host.json sidecar)
-///   --obs-trace PATH / HPCS_OBS_TRACE=PATH
-///                                 additionally capture a Chrome-trace /
-///                                 Perfetto JSON view of every run into PATH
-///                                 (implies --obs)
-///   --obs-ring N / HPCS_OBS_RING=N
-///                                 per-CPU tracepoint ring capacity in
-///                                 entries; must be a power of two (the ring
-///                                 wraps with a mask). Default 4096. An
-///                                 invalid value aborts with exit code 2
-///                                 rather than silently rounding — a bench
-///                                 that drops a different number of trace
-///                                 entries than asked for is not comparable.
-///   --obs-trace-stream / HPCS_OBS_TRACE_STREAM=1
-///                                 spool Chrome-trace records to disk during
-///                                 capture instead of buffering them in
-///                                 memory (same bytes out; for long runs)
-///   --obs-ring-dump PATH / HPCS_OBS_RING_DUMP=PATH
-///                                 dump every run's retained tracepoint ring
-///                                 entries raw (32 bytes each, little-endian,
-///                                 versioned header) into PATH for post-mortem
-///                                 tooling — scripts/obs_ring_decode.py reads
-///                                 it back (implies --obs)
-///   --obs-window NS / HPCS_OBS_WINDOW=NS
-///                                 sample every registered metric on sim-time
-///                                 window boundaries of NS nanoseconds into
-///                                 the manifest's per-window series (schema
-///                                 hpcs-obs-manifest-v2; implies --obs). The
-///                                 series is byte-identical serial vs --jobs N,
-///                                 so scripts/manifest_diff.py can flag
-///                                 mid-run anomalies that identical totals
-///                                 hide. An invalid value aborts with exit
-///                                 code 2.
+/// Observability flags shared by the table, figure and export drivers. Off
+/// by default so the golden numbers are unaffected:
+///   --obs                   metrics registry + tracepoint rings,
+///                           MANIFEST_<name>.json (+ .host.json sidecar)
+///   --obs-trace PATH        additionally capture a Chrome-trace / Perfetto
+///                           JSON view of every run into PATH (implies --obs)
+///   --obs-ring N            per-CPU tracepoint ring capacity in entries;
+///                           must be a power of two (the ring wraps with a
+///                           mask). Default 4096. An invalid value aborts
+///                           with exit code 2 rather than silently rounding —
+///                           a bench that drops a different number of trace
+///                           entries than asked for is not comparable.
+///   --obs-ring-dump PATH    dump every run's retained tracepoint ring
+///                           entries raw (32 bytes each, little-endian,
+///                           versioned header) into PATH for post-mortem
+///                           tooling — scripts/obs_ring_decode.py reads it
+///                           back (implies --obs)
+///   --obs-window NS         sample every registered metric on sim-time
+///                           window boundaries of NS nanoseconds into the
+///                           manifest's per-window series (schema
+///                           hpcs-obs-manifest-v2; implies --obs). The series
+///                           is byte-identical serial vs --jobs N, so
+///                           scripts/manifest_diff.py can flag mid-run
+///                           anomalies that identical totals hide. An invalid
+///                           value aborts with exit code 2.
 struct ObsOptions {
   obs::ObsConfig cfg;
   std::string trace_path;
@@ -66,38 +56,20 @@ struct ObsOptions {
 
 inline ObsOptions parse_obs_options(int argc, char** argv) {
   ObsOptions o;
-  auto set_ring = [&](const char* text, const char* origin) {
+  auto set_ring = [&](const char* text) {
     std::string error;
     if (!obs::parse_ring_capacity(text, o.cfg.ring_capacity, error)) {
-      std::fprintf(stderr, "error: %s: %s\n", origin, error.c_str());
+      std::fprintf(stderr, "error: --obs-ring: %s\n", error.c_str());
       std::exit(2);
     }
   };
-  auto set_window = [&](const char* text, const char* origin) {
+  auto set_window = [&](const char* text) {
     std::string error;
     if (!obs::parse_window_ns(text, o.cfg.window_ns, error)) {
-      std::fprintf(stderr, "error: %s: %s\n", origin, error.c_str());
+      std::fprintf(stderr, "error: --obs-window: %s\n", error.c_str());
       std::exit(2);
     }
   };
-  if (const char* env = std::getenv("HPCS_OBS")) {
-    if (env[0] != '\0' && std::strcmp(env, "0") != 0) o.cfg.enabled = true;
-  }
-  if (const char* env = std::getenv("HPCS_OBS_TRACE")) {
-    if (env[0] != '\0') o.trace_path = env;
-  }
-  if (const char* env = std::getenv("HPCS_OBS_TRACE_STREAM")) {
-    if (env[0] != '\0' && std::strcmp(env, "0") != 0) o.cfg.chrome_stream = true;
-  }
-  if (const char* env = std::getenv("HPCS_OBS_RING")) {
-    if (env[0] != '\0') set_ring(env, "HPCS_OBS_RING");
-  }
-  if (const char* env = std::getenv("HPCS_OBS_RING_DUMP")) {
-    if (env[0] != '\0') o.ring_dump_path = env;
-  }
-  if (const char* env = std::getenv("HPCS_OBS_WINDOW")) {
-    if (env[0] != '\0') set_window(env, "HPCS_OBS_WINDOW");
-  }
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
     if (std::strcmp(a, "--obs") == 0) {
@@ -106,20 +78,18 @@ inline ObsOptions parse_obs_options(int argc, char** argv) {
       o.trace_path = argv[i + 1];
     } else if (std::strncmp(a, "--obs-trace=", 12) == 0) {
       o.trace_path = a + 12;
-    } else if (std::strcmp(a, "--obs-trace-stream") == 0) {
-      o.cfg.chrome_stream = true;
     } else if (std::strcmp(a, "--obs-ring-dump") == 0 && i + 1 < argc) {
       o.ring_dump_path = argv[i + 1];
     } else if (std::strncmp(a, "--obs-ring-dump=", 16) == 0) {
       o.ring_dump_path = a + 16;
     } else if (std::strcmp(a, "--obs-ring") == 0 && i + 1 < argc) {
-      set_ring(argv[++i], "--obs-ring");
+      set_ring(argv[++i]);
     } else if (std::strncmp(a, "--obs-ring=", 11) == 0) {
-      set_ring(a + 11, "--obs-ring");
+      set_ring(a + 11);
     } else if (std::strcmp(a, "--obs-window") == 0 && i + 1 < argc) {
-      set_window(argv[++i], "--obs-window");
+      set_window(argv[++i]);
     } else if (std::strncmp(a, "--obs-window=", 13) == 0) {
-      set_window(a + 13, "--obs-window");
+      set_window(a + 13);
     }
   }
   if (!o.trace_path.empty()) {
@@ -170,17 +140,11 @@ std::vector<analysis::RunResult> run_modes(unsigned jobs,
   return results;
 }
 
-/// MANIFEST_<name>.json: the deterministic per-run metrics manifest (one
-/// entry per mode, fixed metric order — see docs/observability.md). A sweep
-/// run with --jobs N produces a byte-identical file to the serial run.
-inline void write_metrics_manifest(const char* name,
-                                   const std::vector<analysis::SchedMode>& modes,
-                                   const std::vector<analysis::RunResult>& results) {
-  std::vector<obs::ManifestRun> runs;
-  for (std::size_t i = 0; i < modes.size(); ++i) {
-    runs.push_back({analysis::sched_mode_name(modes[i]), results[i].metrics});
-  }
-  obs::write_manifest_json(std::string("MANIFEST_") + name + ".json", name, runs);
+/// The runs' labels in a table driver's manifest and trace: the mode names.
+inline std::vector<std::string> mode_names(const std::vector<analysis::SchedMode>& modes) {
+  std::vector<std::string> names;
+  for (const analysis::SchedMode m : modes) names.emplace_back(analysis::sched_mode_name(m));
+  return names;
 }
 
 /// MANIFEST_<name>.host.json: host-side sidecar (pool stats + wall time).
@@ -202,34 +166,38 @@ inline void write_host_sidecar(const char* name, unsigned jobs,
   write_json_file(std::string("MANIFEST_") + name + ".host.json", root);
 }
 
-/// One-call obs epilogue for a table/ablation driver: manifest + host
-/// sidecar (+ Chrome trace when --obs-trace was given). No-op with obs off.
+/// The obs epilogue of every table, figure and export driver, one run per
+/// label: MANIFEST_<name>.json (one entry per run, fixed metric order — see
+/// docs/observability.md; byte-identical for every --jobs N), the host
+/// sidecar when `host_stats` is given, the Chrome trace (--obs-trace) and
+/// the ring dump (--obs-ring-dump). No-op with obs off.
 inline void write_obs_outputs(const char* name, const ObsOptions& o, unsigned jobs,
-                              const std::vector<analysis::SchedMode>& modes,
+                              const std::vector<std::string>& labels,
                               const std::vector<analysis::RunResult>& results,
                               const exp::EngineStats* host_stats = nullptr) {
   if (!o.cfg.enabled) return;
-  write_metrics_manifest(name, modes, results);
+  std::vector<obs::ManifestRun> runs;
+  for (std::size_t i = 0; i < labels.size(); ++i) runs.push_back({labels[i], results[i].metrics});
+  obs::write_manifest_json(std::string("MANIFEST_") + name + ".json", name, runs);
   if (host_stats != nullptr) write_host_sidecar(name, jobs, *host_stats);
   if (!o.trace_path.empty()) {
-    std::vector<obs::ChromeTraceRun> runs;
-    for (std::size_t i = 0; i < modes.size(); ++i) {
+    std::vector<obs::ChromeTraceRun> truns;
+    for (std::size_t i = 0; i < labels.size(); ++i) {
       if (results[i].chrome) {
-        runs.push_back({analysis::sched_mode_name(modes[i]), results[i].chrome.get(),
-                        &results[i].metrics});
+        truns.push_back({labels[i], results[i].chrome.get(), &results[i].metrics});
       }
     }
-    if (obs::write_chrome_trace(o.trace_path, runs)) {
+    if (obs::write_chrome_trace(o.trace_path, truns)) {
       std::printf("wrote Chrome trace: %s (open in ui.perfetto.dev)\n", o.trace_path.c_str());
     }
   }
   if (!o.ring_dump_path.empty()) {
-    std::vector<obs::RingDumpRun> runs;
-    for (std::size_t i = 0; i < modes.size(); ++i) {
-      runs.push_back({analysis::sched_mode_name(modes[i]), results[i].recorder.get()});
+    std::vector<obs::RingDumpRun> druns;
+    for (std::size_t i = 0; i < labels.size(); ++i) {
+      druns.push_back({labels[i], results[i].recorder.get()});
     }
     std::string error;
-    if (obs::write_ring_dump(o.ring_dump_path, runs, error)) {
+    if (obs::write_ring_dump(o.ring_dump_path, druns, error)) {
       std::printf("wrote ring dump: %s (decode with scripts/obs_ring_decode.py)\n",
                   o.ring_dump_path.c_str());
     } else {

@@ -53,7 +53,7 @@ void export_run(const std::string& dir, const std::string& name,
 int main(int argc, char** argv) {
   bench::init_logging(argc, argv);
   const unsigned jobs = exp::parse_jobs_flag(argc, argv);
-  bench::FigObs fobs("export_figdata", bench::parse_obs_options(argc, argv));
+  const bench::ObsOptions obs = bench::parse_obs_options(argc, argv);
   const std::string dir = "bench_data";
   std::filesystem::create_directories(dir);
   std::printf("=== exporting figure data to ./%s ===\n", dir.c_str());
@@ -77,24 +77,25 @@ int main(int argc, char** argv) {
   };
   const std::vector<Export> exports = {
       {"fig3a_metbench_baseline",
-       [&] { return analysis::run_metbench(metbench, SchedMode::kBaselineCfs, true, 1, fobs.cfg()); }},
+       [&] { return analysis::run_metbench(metbench, SchedMode::kBaselineCfs, true, 1, obs.cfg); }},
       {"fig3c_metbench_uniform",
-       [&] { return analysis::run_metbench(metbench, SchedMode::kUniform, true, 1, fobs.cfg()); }},
+       [&] { return analysis::run_metbench(metbench, SchedMode::kUniform, true, 1, obs.cfg); }},
       {"fig4c_metbenchvar_uniform",
-       [&] { return analysis::run_metbenchvar(metbenchvar, SchedMode::kUniform, true, 1, fobs.cfg()); }},
+       [&] { return analysis::run_metbenchvar(metbenchvar, SchedMode::kUniform, true, 1, obs.cfg); }},
       {"fig5c_btmz_uniform",
-       [&] { return analysis::run_btmz(btmz, SchedMode::kUniform, true, 1, fobs.cfg()); }},
+       [&] { return analysis::run_btmz(btmz, SchedMode::kUniform, true, 1, obs.cfg); }},
       {"fig6b_siesta_uniform",
-       [&] { return analysis::run_siesta(siesta, SchedMode::kUniform, true, 1, fobs.cfg()); }},
+       [&] { return analysis::run_siesta(siesta, SchedMode::kUniform, true, 1, obs.cfg); }},
   };
 
   exp::ParallelRunner runner(jobs);
   auto results = runner.map(exports.size(), [&](std::size_t i) { return exports[i].run(); });
+  std::vector<std::string> labels;
   for (std::size_t i = 0; i < exports.size(); ++i) {
     export_run(dir, exports[i].name, results[i]);
-    fobs.keep(exports[i].name, std::move(results[i]));
+    labels.emplace_back(exports[i].name);
   }
-  fobs.finish();
+  bench::write_obs_outputs("export_figdata", obs, jobs, labels, results, &runner.last_stats());
   std::printf("done.\n");
   return 0;
 }

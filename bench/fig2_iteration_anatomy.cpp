@@ -13,11 +13,13 @@ int main(int argc, char** argv) {
   using namespace hpcs;
 
   bench::init_logging(argc, argv);
-  bench::FigObs fobs("fig2_iteration_anatomy", bench::parse_obs_options(argc, argv));
+  const bench::ObsOptions obs = bench::parse_obs_options(argc, argv);
   auto e = analysis::MetBenchExperiment::paper();
   e.workload.iterations = 6;
-  auto r = analysis::run_metbench(e, analysis::SchedMode::kUniform, /*trace=*/true,
-                                  /*seed=*/1, fobs.cfg());
+  std::vector<analysis::RunResult> results;
+  results.push_back(analysis::run_metbench(e, analysis::SchedMode::kUniform, /*trace=*/true,
+                                           /*seed=*/1, obs.cfg));
+  const analysis::RunResult& r = results[0];
 
   std::printf("=== Figure 2: HPC application iterative behaviour ===\n\n");
   std::printf("one iteration = computing phase (t_R) + waiting phase (t_W);\n");
@@ -34,7 +36,6 @@ int main(int argc, char** argv) {
   std::printf(
       "\nthe imbalance is visible in iteration 1 (light ~25%%, heavy ~100%%); the\n"
       "heuristic applies priorities before iteration 2 and both settle near 100%%.\n");
-  fobs.keep("Uniform", std::move(r));
-  fobs.finish();
+  bench::write_obs_outputs("fig2_iteration_anatomy", obs, /*jobs=*/1, {"Uniform"}, results);
   return 0;
 }

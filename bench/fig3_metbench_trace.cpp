@@ -15,11 +15,11 @@ int main(int argc, char** argv) {
 
   bench::init_logging(argc, argv);
   const unsigned jobs = exp::parse_jobs_flag(argc, argv);
-  bench::FigObs fobs("fig3_metbench", bench::parse_obs_options(argc, argv));
+  const bench::ObsOptions obs = bench::parse_obs_options(argc, argv);
   auto e = analysis::MetBenchExperiment::paper();
   e.workload.iterations = 12;  // enough iterations to see the pattern clearly
 
-  const std::vector<std::pair<SchedMode, const char*>> figures = {
+  const bench::FigureList figures = {
       {SchedMode::kBaselineCfs, "(a) standard execution"},
       {SchedMode::kStatic, "(b) static prioritization"},
       {SchedMode::kUniform, "(c) Uniform prioritization"},
@@ -28,15 +28,18 @@ int main(int argc, char** argv) {
   for (const auto& [mode, label] : figures) modes.push_back(mode);
 
   std::printf("=== Figure 3: effect of the proposed solution on MetBench ===\n\n");
-  auto results = bench::run_modes(jobs, modes, [&e, &fobs](SchedMode m) {
-    return analysis::run_metbench(e, m, /*trace=*/true, /*seed=*/1, fobs.cfg());
-  });
+  exp::EngineStats host{};
+  auto results = bench::run_modes(
+      jobs, modes,
+      [&e, &obs](SchedMode m) {
+        return analysis::run_metbench(e, m, /*trace=*/true, /*seed=*/1, obs.cfg);
+      },
+      &host);
   for (std::size_t i = 0; i < figures.size(); ++i) {
     bench::print_trace_figure(figures[i].second, results[i]);
     if (analysis::is_dynamic_mode(figures[i].first)) bench::print_iteration_series(results[i]);
     std::printf("\n");
-    fobs.keep(figures[i].second, std::move(results[i]));
   }
-  fobs.finish();
+  bench::write_obs_outputs("fig3_metbench", obs, jobs, bench::subtitles(figures), results, &host);
   return 0;
 }

@@ -16,10 +16,10 @@ int main(int argc, char** argv) {
 
   bench::init_logging(argc, argv);
   const unsigned jobs = exp::parse_jobs_flag(argc, argv);
-  bench::FigObs fobs("fig4_metbenchvar", bench::parse_obs_options(argc, argv));
+  const bench::ObsOptions obs = bench::parse_obs_options(argc, argv);
   const auto e = analysis::MetBenchVarExperiment::paper();
 
-  const std::vector<std::pair<SchedMode, const char*>> figures = {
+  const bench::FigureList figures = {
       {SchedMode::kBaselineCfs, "(a) standard execution"},
       {SchedMode::kStatic, "(b) static prioritization"},
       {SchedMode::kUniform, "(c) Uniform prioritization"},
@@ -28,9 +28,13 @@ int main(int argc, char** argv) {
   for (const auto& [mode, label] : figures) modes.push_back(mode);
 
   std::printf("=== Figure 4: effect of the proposed solution on MetBenchVar ===\n\n");
-  auto results = bench::run_modes(jobs, modes, [&e, &fobs](SchedMode m) {
-    return analysis::run_metbenchvar(e, m, /*trace=*/true, /*seed=*/1, fobs.cfg());
-  });
+  exp::EngineStats host{};
+  auto results = bench::run_modes(
+      jobs, modes,
+      [&e, &obs](SchedMode m) {
+        return analysis::run_metbenchvar(e, m, /*trace=*/true, /*seed=*/1, obs.cfg);
+      },
+      &host);
   for (std::size_t i = 0; i < figures.size(); ++i) {
     bench::print_trace_figure(figures[i].second, results[i], 135);
     if (analysis::is_dynamic_mode(figures[i].first)) {
@@ -39,8 +43,8 @@ int main(int argc, char** argv) {
                   static_cast<long long>(results[i].hpc_history_resets));
     }
     std::printf("\n");
-    fobs.keep(figures[i].second, std::move(results[i]));
   }
-  fobs.finish();
+  bench::write_obs_outputs("fig4_metbenchvar", obs, jobs, bench::subtitles(figures), results,
+                           &host);
   return 0;
 }

@@ -13,11 +13,11 @@ int main(int argc, char** argv) {
 
   bench::init_logging(argc, argv);
   const unsigned jobs = exp::parse_jobs_flag(argc, argv);
-  bench::FigObs fobs("fig5_btmz", bench::parse_obs_options(argc, argv));
+  const bench::ObsOptions obs = bench::parse_obs_options(argc, argv);
   auto e = analysis::BtMzExperiment::paper();
   e.workload.iterations = 60;  // a representative window
 
-  const std::vector<std::pair<SchedMode, const char*>> figures = {
+  const bench::FigureList figures = {
       {SchedMode::kBaselineCfs, "(a) baseline execution"},
       {SchedMode::kStatic, "(b) static prioritization"},
       {SchedMode::kUniform, "(c) Uniform prioritization"},
@@ -26,14 +26,17 @@ int main(int argc, char** argv) {
   for (const auto& [mode, label] : figures) modes.push_back(mode);
 
   std::printf("=== Figure 5: effect of the proposed solution on BT-MZ ===\n\n");
-  auto results = bench::run_modes(jobs, modes, [&e, &fobs](SchedMode m) {
-    return analysis::run_btmz(e, m, /*trace=*/true, /*seed=*/1, fobs.cfg());
-  });
+  exp::EngineStats host{};
+  auto results = bench::run_modes(
+      jobs, modes,
+      [&e, &obs](SchedMode m) {
+        return analysis::run_btmz(e, m, /*trace=*/true, /*seed=*/1, obs.cfg);
+      },
+      &host);
   for (std::size_t i = 0; i < figures.size(); ++i) {
     bench::print_trace_figure(figures[i].second, results[i], 120);
     std::printf("\n");
-    fobs.keep(figures[i].second, std::move(results[i]));
   }
-  fobs.finish();
+  bench::write_obs_outputs("fig5_btmz", obs, jobs, bench::subtitles(figures), results, &host);
   return 0;
 }

@@ -16,12 +16,12 @@ int main(int argc, char** argv) {
 
   bench::init_logging(argc, argv);
   const unsigned jobs = exp::parse_jobs_flag(argc, argv);
-  bench::FigObs fobs("fig6_siesta", bench::parse_obs_options(argc, argv));
+  const bench::ObsOptions obs = bench::parse_obs_options(argc, argv);
   auto e = analysis::SiestaExperiment::paper();
   e.workload.microiters = 8000;  // a window of the full run
   e.workload.mark_every = 100;
 
-  const std::vector<std::pair<SchedMode, const char*>> figures = {
+  const bench::FigureList figures = {
       {SchedMode::kBaselineCfs, "(a) standard execution"},
       {SchedMode::kUniform, "(b) Uniform prioritization"},
       {SchedMode::kAdaptive, "(c) Adaptive prioritization"}};
@@ -29,16 +29,19 @@ int main(int argc, char** argv) {
   for (const auto& [mode, label] : figures) modes.push_back(mode);
 
   std::printf("=== Figure 6: effect of the proposed solution on SIESTA ===\n\n");
-  auto results = bench::run_modes(jobs, modes, [&e, &fobs](SchedMode m) {
-    return analysis::run_siesta(e, m, /*trace=*/true, /*seed=*/1, fobs.cfg());
-  });
+  exp::EngineStats host{};
+  auto results = bench::run_modes(
+      jobs, modes,
+      [&e, &obs](SchedMode m) {
+        return analysis::run_siesta(e, m, /*trace=*/true, /*seed=*/1, obs.cfg);
+      },
+      &host);
   for (std::size_t i = 0; i < figures.size(); ++i) {
     bench::print_trace_figure(figures[i].second, results[i], 120);
     std::printf("avg wakeup latency per rank (us):");
     for (const auto& rank : results[i].ranks) std::printf(" %.1f", rank.avg_wakeup_latency_us);
     std::printf("\n\n");
-    fobs.keep(figures[i].second, std::move(results[i]));
   }
-  fobs.finish();
+  bench::write_obs_outputs("fig6_siesta", obs, jobs, bench::subtitles(figures), results, &host);
   return 0;
 }

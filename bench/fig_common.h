@@ -15,52 +15,14 @@
 
 namespace hpcs::bench {
 
-/// Obs accumulation for the figure drivers: they run their modes serially
-/// and label the runs with figure subtitles, so collect (label, result)
-/// pairs and emit the manifest + Chrome trace once at the end. Results are
-/// kept alive here because the Chrome sinks live inside them. No host
-/// sidecar: figure drivers do not go through the parallel engine.
-class FigObs {
- public:
-  FigObs(const char* name, ObsOptions opt) : name_(name), opt_(std::move(opt)) {}
+using FigureList = std::vector<std::pair<analysis::SchedMode, const char*>>;
 
-  [[nodiscard]] const obs::ObsConfig& cfg() const { return opt_.cfg; }
-
-  /// Take ownership of a finished run. No-op (result dropped) with obs off.
-  void keep(const std::string& label, analysis::RunResult r) {
-    if (!opt_.cfg.enabled) return;
-    labels_.push_back(label);
-    results_.push_back(std::move(r));
-  }
-
-  /// Write MANIFEST_<name>.json (+ the Chrome trace when requested).
-  void finish() {
-    if (!opt_.cfg.enabled) return;
-    std::vector<obs::ManifestRun> runs;
-    for (std::size_t i = 0; i < results_.size(); ++i) {
-      runs.push_back({labels_[i], results_[i].metrics});
-    }
-    obs::write_manifest_json("MANIFEST_" + name_ + ".json", name_, runs);
-    if (!opt_.trace_path.empty()) {
-      std::vector<obs::ChromeTraceRun> truns;
-      for (std::size_t i = 0; i < results_.size(); ++i) {
-        if (results_[i].chrome) {
-          truns.push_back({labels_[i], results_[i].chrome.get(), &results_[i].metrics});
-        }
-      }
-      if (obs::write_chrome_trace(opt_.trace_path, truns)) {
-        std::printf("wrote Chrome trace: %s (open in ui.perfetto.dev)\n",
-                    opt_.trace_path.c_str());
-      }
-    }
-  }
-
- private:
-  std::string name_;
-  ObsOptions opt_;
-  std::vector<std::string> labels_;
-  std::vector<analysis::RunResult> results_;
-};
+/// The runs' labels in a figure driver's manifest and trace: the subtitles.
+inline std::vector<std::string> subtitles(const FigureList& figures) {
+  std::vector<std::string> labels;
+  for (const auto& [mode, subtitle] : figures) labels.emplace_back(subtitle);
+  return labels;
+}
 
 inline void print_trace_figure(const char* subtitle, const analysis::RunResult& r,
                                int width = 110) {

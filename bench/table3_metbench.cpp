@@ -55,6 +55,6 @@ int main(int argc, char** argv) {
   std::printf("\n%s\n",
               analysis::render_characterization_table("Table III (measured)", sections).c_str());
   bench::write_table_json("table3_metbench", jobs, modes, results);
-  bench::write_obs_outputs("table3_metbench", obs, jobs, modes, results, &host);
+  bench::write_obs_outputs("table3_metbench", obs, jobs, bench::mode_names(modes), results, &host);
   return 0;
 }

@@ -54,6 +54,6 @@ int main(int argc, char** argv) {
   std::printf("\n%s\n",
               analysis::render_characterization_table("Table V (measured)", sections).c_str());
   bench::write_table_json("table5_btmz", jobs, modes, results);
-  bench::write_obs_outputs("table5_btmz", obs, jobs, modes, results, &host);
+  bench::write_obs_outputs("table5_btmz", obs, jobs, bench::mode_names(modes), results, &host);
   return 0;
 }

@@ -58,6 +58,6 @@ int main(int argc, char** argv) {
   std::printf("\n%s\n",
               analysis::render_characterization_table("Table VI (measured)", sections).c_str());
   bench::write_table_json("table6_siesta", jobs, modes, results);
-  bench::write_obs_outputs("table6_siesta", obs, jobs, modes, results, &host);
+  bench::write_obs_outputs("table6_siesta", obs, jobs, bench::mode_names(modes), results, &host);
   return 0;
 }

@@ -4,9 +4,10 @@
 #   pass 1  release-strict   Release,        -Werror, ctest (hpcslint_tree,
 #                            core_imports and the rest) + bench smoke-diff
 #                            against scripts/bench_golden.json,
-#                            serial == --jobs 4 for table3..6, windowed
-#                            manifests vs goldens, bench_data/ vs a fresh
-#                            export_figdata, perfbench tests
+#                            serial == --jobs 4 for table3..6 and
+#                            fig3..6, windowed manifests vs goldens,
+#                            bench_data/ vs a fresh export_figdata,
+#                            perfbench tests
 #   pass 2  asan-ubsan       RelWithDebInfo, -Werror, ASan+UBSan, ctest
 #   pass 3  tsan             RelWithDebInfo, -Werror, TSan, ctest
 #   pass 4  clang checks     (only if clang++ is installed) -Wthread-safety
@@ -40,16 +41,19 @@ configure_and_test "release-strict" build-ci -DCMAKE_BUILD_TYPE=Release
 echo "=== bench smoke-diff vs golden ranges ==="
 (cd build-ci/bench && ./table3_metbench >/dev/null && ./micro_simcore >/dev/null)
 
-echo "=== observability smoke: manifests + Chrome trace ==="
-# A parallel obs run must emit a schema-valid manifest pair (it lands in
-# build-ci/bench, where check_bench_json.py schema-validates it below), and a
-# figure driver must produce a loadable Chrome-trace JSON. With --obs-window
-# on, every table driver's stdout and manifest must be byte-identical for
-# --jobs 1 and --jobs 4 (BENCH_*.json apart from "jobs"), and the windowed
-# series of every table must match its checked-in golden (the golden pins
-# the trajectory, manifest_diff.py flags mid-run drift even when totals
-# agree), and export_figdata must reproduce every checked-in bench_data/
-# file byte for byte.
+echo "=== observability smoke: manifests + Chrome trace + ring dump ==="
+# A parallel table and a parallel figure obs run must each emit a
+# schema-valid manifest pair (they land in build-ci/bench, where
+# check_bench_json.py schema-validates them below); the figure driver must
+# also produce a loadable Chrome-trace JSON and a ring dump that
+# obs_ring_decode.py reads. With --obs-window on, every table driver's
+# stdout and manifest must be byte-identical for --jobs 1 and --jobs 4
+# (BENCH_*.json apart from "jobs"), and so must every figure driver's
+# stdout, manifest and Chrome trace; the windowed series of every table
+# must match its checked-in golden (the golden pins the trajectory,
+# manifest_diff.py flags mid-run drift even when totals agree), and
+# export_figdata must reproduce every checked-in bench_data/ file byte for
+# byte.
 (cd build-ci/bench && ./table3_metbench --jobs 2 --obs --obs-window 10000000000 >/dev/null)
 scripts/jobs_identity.sh build-ci/bench build-ci/jobs-identity
 python3 scripts/manifest_diff.py scripts/manifest_golden_v2.json \
@@ -60,7 +64,9 @@ for t in table4_metbenchvar table5_btmz table6_siesta; do
 done
 scripts/figdata_identity.sh build-ci/bench build-ci/figdata-identity
 (cd build-ci/bench &&
-  ./fig3_metbench_trace --obs-trace obs_fig3_trace.json >/dev/null)
+  ./fig3_metbench_trace --jobs 2 --obs-trace obs_fig3_trace.json \
+    --obs-ring-dump obs_fig3_ring.bin >/dev/null)
+python3 scripts/obs_ring_decode.py build-ci/bench/obs_fig3_ring.bin >/dev/null
 python3 -c "
 import json
 doc = json.load(open('build-ci/bench/obs_fig3_trace.json'))

@@ -1,10 +1,13 @@
 #!/usr/bin/env bash
-# The determinism contract of the table drivers: serial == --jobs 4.
+# The determinism contract of the table and figure drivers: serial ==
+# --jobs 4.
 #
 # Each of table3..6 runs twice with the windowed manifest on (--obs
 # --obs-window 10000000000), once at --jobs 1 and once at --jobs 4, in
 # OUT_DIR/j1 and OUT_DIR/j4. Stdout and MANIFEST_<name>.json must be
 # byte-identical; BENCH_<name>.json may differ only in its "jobs" field.
+# Each of fig3..6 runs the same way with --obs-trace; its stdout,
+# MANIFEST_<name>.json and Chrome trace must be byte-identical.
 # The outputs stay in OUT_DIR for later checks (e.g. manifest_diff.py).
 #
 # Usage: scripts/jobs_identity.sh BENCH_DIR OUT_DIR
@@ -24,4 +27,15 @@ for t in table3_metbench table4_metbenchvar table5_btmz table6_siesta; do
   diff <(sed -E 's/"jobs": [0-9]+,/"jobs": N,/' "${out}/j1/BENCH_${t}.json") \
        <(sed -E 's/"jobs": [0-9]+,/"jobs": N,/' "${out}/j4/BENCH_${t}.json")
   echo "${t}: --jobs 1 == --jobs 4 (stdout, MANIFEST, BENCH apart from \"jobs\")"
+done
+
+for f in fig3_metbench fig4_metbenchvar fig5_btmz fig6_siesta; do
+  for j in 1 4; do
+    (cd "${out}/j${j}" &&
+      "${bench}/${f}_trace" --jobs "${j}" --obs-trace "${f}.trace.json" >"${f}.stdout")
+  done
+  for file in "${f}.stdout" "MANIFEST_${f}.json" "${f}.trace.json"; do
+    cmp "${out}/j1/${file}" "${out}/j4/${file}"
+  done
+  echo "${f}: --jobs 1 == --jobs 4 (stdout, MANIFEST, Chrome trace)"
 done

@@ -25,6 +25,9 @@ record — name = tracepoint name, pid = run index, tid = recording cpu,
 ts = t_ns/1000 microseconds, args = {a0, a1} — plus process/thread naming
 metadata, so the ring's view lines up with a --obs-trace capture of the
 same run when both are loaded side by side.
+
+Exit status: 0 ok; 1 when the dump cannot be read or is malformed, or the
+--chrome output cannot be written, reported on one "error:" line.
 """
 
 import argparse
@@ -144,7 +147,12 @@ def chrome_events(runs):
     return events
 
 
-def main():
+def fail(message):
+    print(f"error: {message}", file=sys.stderr)
+    return 1
+
+
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("dump", help="path written by --obs-ring-dump")
     ap.add_argument("--entries", action="store_true", help="print every retained record")
@@ -153,23 +161,30 @@ def main():
         metavar="OUT",
         help="write a Chrome trace-event JSON conversion to OUT instead of printing",
     )
-    args = ap.parse_args()
-    with open(args.dump, "rb") as f:
-        blob = f.read()
+    args = ap.parse_args(argv)
+    try:
+        with open(args.dump, "rb") as f:
+            blob = f.read()
+    except OSError as e:
+        return fail(f"cannot read {args.dump}: {e.strerror or e}")
     try:
         runs = parse(blob)
-        if args.chrome:
-            doc = {"traceEvents": chrome_events(runs), "displayTimeUnit": "ms"}
+    except ValueError as e:
+        return fail(e)
+    if args.chrome:
+        doc = {"traceEvents": chrome_events(runs), "displayTimeUnit": "ms"}
+        try:
             with open(args.chrome, "w", encoding="utf-8") as f:
                 json.dump(doc, f, indent=None, separators=(",", ":"))
                 f.write("\n")
+        except OSError as e:
+            return fail(f"cannot write {args.chrome}: {e.strerror or e}")
+    try:
+        if args.chrome:
             total = sum(len(e) for _, cpus in runs for _, _, e in cpus)
             print(f"wrote {args.chrome}: {total} events from {len(runs)} run(s)")
         else:
             print_runs(runs, args.entries)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
     except BrokenPipeError:  # e.g. piped into head
         return 0
     return 0

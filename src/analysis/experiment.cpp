@@ -57,17 +57,11 @@ RunResult run_experiment(const ExperimentConfig& cfg,
   if (cfg.capture_trace) tracer = std::make_unique<trace::Tracer>();
 
   std::unique_ptr<obs::Recorder> recorder;
-  std::unique_ptr<obs::ChromeTraceCapture> chrome;
+  std::unique_ptr<obs::ChromeTraceSink> chrome;
   if (cfg.obs.enabled) {
     recorder = std::make_unique<obs::Recorder>(cfg.obs, kernel.num_cpus());
     kernel.set_obs(recorder.get());
-    if (cfg.obs.chrome_trace) {
-      if (cfg.obs.chrome_stream) {
-        chrome = std::make_unique<obs::ChromeTraceStreamSink>();
-      } else {
-        chrome = std::make_unique<obs::ChromeTraceSink>();
-      }
-    }
+    if (cfg.obs.chrome_trace) chrome = std::make_unique<obs::ChromeTraceSink>();
   }
 
   // Every observer shares the kernel's single TraceSink pointer through the

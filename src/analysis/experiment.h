@@ -75,7 +75,7 @@ struct RunResult {
   /// registry, per-run so parallel sweeps stay deterministic) and its
   /// end-of-run snapshot; plus the Chrome-trace view when requested.
   std::unique_ptr<obs::Recorder> recorder;
-  std::unique_ptr<obs::ChromeTraceCapture> chrome;  ///< buffered or streaming
+  std::unique_ptr<obs::ChromeTraceSink> chrome;
   obs::MetricsSnapshot metrics;
 
   /// Lowest/highest rank utilization (the imbalance view).

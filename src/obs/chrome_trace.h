@@ -1,6 +1,6 @@
 #pragma once
-// Chrome trace-event (Perfetto legacy JSON) exporter. A ChromeTraceCapture is
-// a kern::TraceSink that turns scheduler activity into trace events:
+// Chrome trace-event (Perfetto legacy JSON) exporter. A ChromeTraceSink is a
+// kern::TraceSink that turns scheduler activity into trace events:
 //
 //   - per-CPU "X" slices, one per occupancy of a CPU by a task (from
 //     on_switch), so the CPU rows read like the kernel's sched view;
@@ -8,21 +8,13 @@
 //     the paper's priority staircase as a counter track;
 //   - per-task "i" instants for completed HPC iterations.
 //
-// Two captures implement the interface:
-//
-//   - ChromeTraceSink buffers every record in memory (vectors) — the default,
-//     cheapest for the short figure/table runs;
-//   - ChromeTraceStreamSink spools completed records to an unlinked temporary
-//     file as they are captured, so resident memory stays bounded by the
-//     number of CPUs (open slices) no matter how long the run is. Rendering
-//     replays the spool sequentially; output is byte-identical to the
-//     buffered sink's.
-//
 // write_chrome_trace() lays several runs (e.g. the four modes of a figure
 // driver) into one file, each run as its own "process", and the result opens
 // directly in chrome://tracing or ui.perfetto.dev (docs/observability.md).
+// It renders straight into the file in bounded chunks, so the document is
+// never held in memory whole; render_chrome_trace() returns the same bytes
+// as a string.
 
-#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -32,9 +24,8 @@
 
 namespace hpcs::obs {
 
-/// Capture interface shared by the buffered and streaming sinks. Renderers
-/// never see the storage strategy: they replay the records through a Visitor.
-class ChromeTraceCapture : public kern::TraceSink {
+/// The capture: every record lives in a vector until rendered.
+class ChromeTraceSink final : public kern::TraceSink {
  public:
   struct Slice {
     CpuId cpu = 0;
@@ -58,27 +49,6 @@ class ChromeTraceCapture : public kern::TraceSink {
     double util_metric = 0.0;
   };
 
-  /// Receives the capture's records during replay(), grouped by kind.
-  class Visitor {
-   public:
-    virtual ~Visitor() = default;
-    virtual void on_slice(const Slice& s) = 0;
-    virtual void on_prio(const PrioSample& p) = 0;
-    virtual void on_iteration(const IterationMark& m) = 0;
-  };
-
-  /// Close every open CPU slice at `end`. Call once when the run finishes.
-  virtual void finalize(SimTime end) = 0;
-
-  /// Replay every captured record in capture order, grouped by kind: all
-  /// slices first, then all priority samples, then all iteration marks.
-  /// May be called any number of times after finalize().
-  virtual void replay(Visitor& v) = 0;
-};
-
-/// Buffered capture: every record lives in a vector until rendered.
-class ChromeTraceSink final : public ChromeTraceCapture {
- public:
   // TraceSink implementation.
   void on_switch(SimTime t, CpuId cpu, const kern::Task* prev,
                  const kern::Task* next) override;
@@ -86,9 +56,10 @@ class ChromeTraceSink final : public ChromeTraceCapture {
   void on_iteration(SimTime t, const kern::Task& task, int iteration, double util_last,
                     double util_metric) override;
 
-  void finalize(SimTime end) override;
-  void replay(Visitor& v) override;
+  /// Close every open CPU slice at `end`. Call once when the run finishes.
+  void finalize(SimTime end);
 
+  /// Records in capture order, one vector per kind.
   [[nodiscard]] const std::vector<Slice>& slices() const { return slices_; }
   [[nodiscard]] const std::vector<PrioSample>& prio_samples() const { return prios_; }
   [[nodiscard]] const std::vector<IterationMark>& iterations() const { return iters_; }
@@ -107,51 +78,6 @@ class ChromeTraceSink final : public ChromeTraceCapture {
   std::vector<OpenSlice> open_;  ///< indexed by cpu
 };
 
-/// Streaming capture: completed records are appended to an unlinked tmpfile
-/// as length-prefixed binary frames; only the per-CPU open slices stay in
-/// memory. replay() rescans the spool once per record kind, preserving the
-/// buffered sink's grouped capture order exactly.
-class ChromeTraceStreamSink final : public ChromeTraceCapture {
- public:
-  ChromeTraceStreamSink();
-  ~ChromeTraceStreamSink() override;
-  ChromeTraceStreamSink(const ChromeTraceStreamSink&) = delete;
-  ChromeTraceStreamSink& operator=(const ChromeTraceStreamSink&) = delete;
-
-  void on_switch(SimTime t, CpuId cpu, const kern::Task* prev,
-                 const kern::Task* next) override;
-  void on_hw_prio(SimTime t, const kern::Task& task, p5::HwPrio prio) override;
-  void on_iteration(SimTime t, const kern::Task& task, int iteration, double util_last,
-                    double util_metric) override;
-
-  void finalize(SimTime end) override;
-  void replay(Visitor& v) override;
-
-  /// Records spooled to disk so far (completed slices + prios + iterations).
-  [[nodiscard]] std::size_t spooled_records() const { return spooled_records_; }
-  /// Bytes written to the spool file — the memory the buffered sink would
-  /// have kept resident (plus vector headers) lives here instead.
-  [[nodiscard]] std::size_t spool_bytes() const { return spool_bytes_; }
-
- private:
-  struct OpenSlice {
-    bool open = false;
-    Pid pid = kInvalidPid;
-    std::string name;
-    SimTime begin = SimTime::zero();
-  };
-
-  void put_slice(const Slice& s);
-  void put_prio(const PrioSample& p);
-  void put_iter(const IterationMark& m);
-
-  std::FILE* spool_ = nullptr;  ///< unlinked tmpfile; auto-deleted on close
-  std::size_t spooled_records_ = 0;
-  std::size_t spool_bytes_ = 0;
-  bool replaying_ = false;  ///< capture after first replay is a bug
-  std::vector<OpenSlice> open_;  ///< indexed by cpu — the only unbounded-ish state
-};
-
 /// One run ("process") in the exported file. When `metrics` carries a
 /// windowed series (manifest v2, --obs-window), every non-flat column is
 /// additionally rendered as a Perfetto counter track ("C" events named
@@ -159,7 +85,7 @@ class ChromeTraceStreamSink final : public ChromeTraceCapture {
 /// line up under the CPU slices.
 struct ChromeTraceRun {
   std::string name;  ///< process label, e.g. the mode name
-  ChromeTraceCapture* sink = nullptr;
+  const ChromeTraceSink* sink = nullptr;
   const MetricsSnapshot* metrics = nullptr;  ///< optional windowed series source
 };
 
@@ -167,8 +93,8 @@ struct ChromeTraceRun {
 /// fixed event order, fixed number formatting).
 [[nodiscard]] std::string render_chrome_trace(const std::vector<ChromeTraceRun>& runs);
 
-/// Render + write to `path`. Returns false on I/O error (callers warn, they
-/// do not fail a run over a trace file).
+/// Render into `path`, the same bytes as render_chrome_trace. Returns false
+/// on I/O error (callers warn, they do not fail a run over a trace file).
 bool write_chrome_trace(const std::string& path, const std::vector<ChromeTraceRun>& runs);
 
 }  // namespace hpcs::obs

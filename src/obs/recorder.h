@@ -24,12 +24,11 @@ namespace hpcs::obs {
 struct ObsConfig {
   bool enabled = false;          ///< master switch; off = null Recorder, zero cost
   bool chrome_trace = false;     ///< also capture a Chrome-trace/Perfetto view
-  bool chrome_stream = false;    ///< spool trace records to disk (bounded memory)
   std::size_t ring_capacity = 4096;  ///< per-CPU tracepoint ring (entries)
   std::int64_t window_ns = 0;    ///< windowed-snapshot period; 0 = off
 };
 
-/// Parse a per-CPU ring-capacity knob value (--obs-ring N / HPCS_OBS_RING).
+/// Parse a per-CPU ring-capacity knob value (--obs-ring N).
 /// Accepts only an exact power of two in [2, 2^30]: TraceRing would silently
 /// round anything else up, and a knob that records a different capacity than
 /// it was given is exactly the kind of surprise the manifest contract bans.
@@ -37,7 +36,7 @@ struct ObsConfig {
 [[nodiscard]] bool parse_ring_capacity(const char* text, std::size_t& out,
                                        std::string& error);
 
-/// Parse a window-period knob value (--obs-window NS / HPCS_OBS_WINDOW):
+/// Parse a window-period knob value (--obs-window NS):
 /// a positive integer count of simulated nanoseconds. Returns false and
 /// fills `error` (including the offending text) otherwise.
 [[nodiscard]] bool parse_window_ns(const char* text, std::int64_t& out,

@@ -7,6 +7,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -226,14 +229,7 @@ TEST(ObsEndToEnd, ExperimentPopulatesMetricsAndChromeTrace) {
   EXPECT_GT(r.metrics.find("kern.wakeup_latency_us")->count, 0);
 
   ASSERT_NE(r.chrome, nullptr);
-  struct Count final : obs::ChromeTraceCapture::Visitor {
-    int slices = 0;
-    void on_slice(const obs::ChromeTraceCapture::Slice&) override { ++slices; }
-    void on_prio(const obs::ChromeTraceCapture::PrioSample&) override {}
-    void on_iteration(const obs::ChromeTraceCapture::IterationMark&) override {}
-  } count;
-  r.chrome->replay(count);
-  EXPECT_GT(count.slices, 0);
+  EXPECT_FALSE(r.chrome->slices().empty());
   const std::string json =
       obs::render_chrome_trace({{"Uniform", r.chrome.get()}});
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
@@ -243,14 +239,65 @@ TEST(ObsEndToEnd, ExperimentPopulatesMetricsAndChromeTrace) {
   EXPECT_EQ(json.find("\"dur\":-"), std::string::npos);
 }
 
-// The streaming sink is a drop-in for the buffered one: an identical capture
-// renders to byte-identical JSON, while its records live in the disk spool
-// (resident state is just the per-CPU open slices). ~200k slices exercises
-// well past any realistic figure run.
-TEST(ChromeTraceStream, ByteIdenticalToBufferedAndBoundedMemory) {
-  obs::ChromeTraceSink buffered;
-  obs::ChromeTraceStreamSink streamed;
+// The whole document for a tiny capture, pinned byte for byte. Two CPUs:
+// cpu 1's first slice closes on a switch to idle, cpu 0's slice and cpu 1's
+// second are still open at the end and closed by finalize() (so they come
+// last, in CPU order). rank1 completes an iteration before rank0 does, so
+// its iteration track is named first; the track names sit between the
+// priority samples and the first instant. The windowed series skips its
+// flat columns. The literal is the output of the renderer as it was before
+// the spool and the capture interface were deleted.
+TEST(ChromeTrace, RendersExactDocumentForTinyCapture) {
+  obs::ChromeTraceSink sink;
+  kern::Task a(1, "rank0", kern::Policy::kNormal);
+  kern::Task b(2, "rank1", kern::Policy::kNormal);
+  sink.on_switch(SimTime(0), 0, nullptr, &a);
+  sink.on_switch(SimTime(250), 1, nullptr, &b);
+  sink.on_iteration(SimTime(1000), b, 1, 40.0, 40.0);
+  sink.on_hw_prio(SimTime(1500), a, p5::HwPrio::kHigh);
+  sink.on_switch(SimTime(2000), 1, &b, nullptr);
+  sink.on_iteration(SimTime(2500), a, 1, 100.0, 100.0 / 3.0);
+  sink.on_hw_prio(SimTime(2500), b, p5::HwPrio::kMediumLow);
+  sink.on_switch(SimTime(3001), 1, nullptr, &b);
+  sink.on_iteration(SimTime(3500), b, 2, 62.5, 51.25);
+  sink.finalize(SimTime(4000));
 
+  obs::MetricsSnapshot snap;
+  snap.windows.window_ns = 2000;
+  snap.windows.int_columns = {"tp.sched_switch", "tp.sched_migrate"};
+  snap.windows.real_columns = {"kern.wakeup_latency_us.sum", "run.idle"};
+  snap.windows.samples = {{SimTime(2000), {3, 0}, {1.5, 0.0}},
+                          {SimTime(4000), {1, 0}, {0.125, 0.0}}};
+
+  const char* const expected = R"({"traceEvents": [
+  {"name":"process_name","ph":"M","pid":1,"args":{"name":"Uniform \"tiny\""}},
+  {"name":"thread_name","ph":"M","pid":1,"tid":0,"args":{"name":"cpu 0"}},
+  {"name":"thread_name","ph":"M","pid":1,"tid":1,"args":{"name":"cpu 1"}},
+  {"name":"rank1","ph":"X","pid":1,"tid":1,"ts":0.250,"dur":1.750,"args":{"pid":2}},
+  {"name":"rank0","ph":"X","pid":1,"tid":0,"ts":0.000,"dur":4.000,"args":{"pid":1}},
+  {"name":"rank1","ph":"X","pid":1,"tid":1,"ts":3.001,"dur":0.999,"args":{"pid":2}},
+  {"name":"hw_prio rank0","ph":"C","pid":1,"ts":1.500,"args":{"prio":6}},
+  {"name":"hw_prio rank1","ph":"C","pid":1,"ts":2.500,"args":{"prio":3}},
+  {"name":"thread_name","ph":"M","pid":1,"tid":10002,"args":{"name":"rank1 iterations"}},
+  {"name":"thread_name","ph":"M","pid":1,"tid":10001,"args":{"name":"rank0 iterations"}},
+  {"name":"iter 1","ph":"i","s":"t","pid":1,"tid":10002,"ts":1.000,"args":{"task":"rank1","util_last":40,"util_metric":40}},
+  {"name":"iter 1","ph":"i","s":"t","pid":1,"tid":10001,"ts":2.500,"args":{"task":"rank0","util_last":100,"util_metric":33.33333333}},
+  {"name":"iter 2","ph":"i","s":"t","pid":1,"tid":10002,"ts":3.500,"args":{"task":"rank1","util_last":62.5,"util_metric":51.25}},
+  {"name":"win tp.sched_switch","ph":"C","pid":1,"ts":2.000,"args":{"v":3}},
+  {"name":"win tp.sched_switch","ph":"C","pid":1,"ts":4.000,"args":{"v":1}},
+  {"name":"win kern.wakeup_latency_us.sum","ph":"C","pid":1,"ts":2.000,"args":{"v":1.5}},
+  {"name":"win kern.wakeup_latency_us.sum","ph":"C","pid":1,"ts":4.000,"args":{"v":0.125}}
+], "displayTimeUnit": "ms"}
+)";
+  EXPECT_EQ(obs::render_chrome_trace({{"Uniform \"tiny\"", &sink, &snap}}), expected);
+}
+
+// write_chrome_trace renders into the file in bounded chunks; the file must
+// hold exactly the bytes render_chrome_trace returns. ~200k slices over
+// two runs is several chunks' worth. A path it cannot open and a device
+// that takes no bytes both return false.
+TEST(ChromeTrace, FileWriteEqualsRender) {
+  obs::ChromeTraceSink sink;
   kern::Task a(1, "rank0", kern::Policy::kNormal);
   kern::Task b(2, "rank1", kern::Policy::kNormal);
   kern::Task* tasks[] = {&a, &b};
@@ -258,52 +305,37 @@ TEST(ChromeTraceStream, ByteIdenticalToBufferedAndBoundedMemory) {
   constexpr int kSwitches = 200000;
   std::int64_t t = 0;
   for (int i = 0; i < kSwitches; ++i) {
-    const CpuId cpu = i % 4;
-    kern::Task* next = tasks[(i / 4) % 2];
-    buffered.on_switch(SimTime(t), cpu, nullptr, next);
-    streamed.on_switch(SimTime(t), cpu, nullptr, next);
-    if (i % 1000 == 0) {
-      const auto prio = static_cast<p5::HwPrio>(1 + (i / 1000) % 7);
-      buffered.on_hw_prio(SimTime(t), a, prio);
-      streamed.on_hw_prio(SimTime(t), a, prio);
-    }
-    if (i % 2500 == 0) {
-      buffered.on_iteration(SimTime(t), b, i / 2500, 50.0, 60.0);
-      streamed.on_iteration(SimTime(t), b, i / 2500, 50.0, 60.0);
-    }
+    sink.on_switch(SimTime(t), i % 4, nullptr, tasks[(i / 4) % 2]);
+    if (i % 1000 == 0) sink.on_hw_prio(SimTime(t), a, static_cast<p5::HwPrio>(1 + (i / 1000) % 7));
+    if (i % 2500 == 0) sink.on_iteration(SimTime(t), b, i / 2500, 50.0, 60.0);
     t += 1000;
   }
-  buffered.finalize(SimTime(t));
-  streamed.finalize(SimTime(t));
+  sink.finalize(SimTime(t));
 
-  // Every completed record left resident memory for the spool.
-  EXPECT_GT(streamed.spooled_records(), static_cast<std::size_t>(kSwitches) - 8);
-  EXPECT_GE(streamed.spool_bytes(), streamed.spooled_records() * 20);
+  const std::vector<obs::ChromeTraceRun> runs = {{"run", &sink}, {"again", &sink}};
+  const std::string rendered = obs::render_chrome_trace(runs);
+  ASSERT_GT(rendered.size(), std::size_t{4} << 20);
 
-  const std::string from_buffered = obs::render_chrome_trace({{"run", &buffered}});
-  const std::string from_streamed = obs::render_chrome_trace({{"run", &streamed}});
-  EXPECT_EQ(from_buffered, from_streamed);
-  // replay() is repeatable: a second render reads the spool again.
-  EXPECT_EQ(from_streamed, obs::render_chrome_trace({{"run", &streamed}}));
-}
+  const std::string path = ::testing::TempDir() + "hpcs_chrome_write_equals_render.json";
+  ASSERT_TRUE(obs::write_chrome_trace(path, runs));
+  std::ifstream in(path, std::ios::binary);
+  const std::string written((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+  in.close();
+  std::remove(path.c_str());
+  EXPECT_TRUE(written == rendered) << "wrote " << written.size() << " bytes, rendered "
+                                   << rendered.size();
 
-// End-to-end: the chrome_stream knob produces the same trace bytes as the
-// buffered default for a real experiment.
-TEST(ChromeTraceStream, ExperimentRendersIdenticalJson) {
-  auto e = analysis::MetBenchExperiment::paper();
-  e.workload.iterations = 2;
-  obs::ObsConfig obs;
-  obs.enabled = true;
-  obs.chrome_trace = true;
-  const auto buffered = analysis::run_metbench(e, analysis::SchedMode::kUniform,
-                                               /*trace=*/false, /*seed=*/3, obs);
-  obs.chrome_stream = true;
-  const auto streamed = analysis::run_metbench(e, analysis::SchedMode::kUniform,
-                                               /*trace=*/false, /*seed=*/3, obs);
-  ASSERT_NE(buffered.chrome, nullptr);
-  ASSERT_NE(streamed.chrome, nullptr);
-  EXPECT_EQ(obs::render_chrome_trace({{"Uniform", buffered.chrome.get()}}),
-            obs::render_chrome_trace({{"Uniform", streamed.chrome.get()}}));
+  EXPECT_FALSE(obs::write_chrome_trace(
+      ::testing::TempDir() + "hpcs_no_such_dir/trace.json", runs));
+  // Writes that come up short: a chunk (the full document) and, for a tiny
+  // document, only the final flush when the file is closed.
+  if (std::FILE* full = std::fopen("/dev/full", "w")) {
+    std::fclose(full);
+    EXPECT_FALSE(obs::write_chrome_trace("/dev/full", runs));
+    obs::ChromeTraceSink tiny;
+    EXPECT_FALSE(obs::write_chrome_trace("/dev/full", {{"tiny", &tiny}}));
+  }
 }
 
 // Determinism: the same config yields a byte-identical manifest on repeat
