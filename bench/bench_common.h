@@ -147,19 +147,16 @@ inline std::vector<std::string> mode_names(const std::vector<analysis::SchedMode
   return names;
 }
 
-/// MANIFEST_<name>.host.json: host-side sidecar (pool stats + wall time).
+/// MANIFEST_<name>.host.json: host-side sidecar (engine stats + wall time).
 /// Deliberately a separate file — it is the one place wall-clock appears, so
 /// the main manifest stays byte-comparable across machines and job counts.
 inline void write_host_sidecar(const char* name, unsigned jobs,
                                const exp::EngineStats& s) {
   JsonObject root;
-  root.field("schema", "hpcs-obs-host-v1").field("bench", name).field("jobs", jobs);
+  root.field("schema", "hpcs-obs-host-v2").field("bench", name).field("jobs", jobs);
   JsonObject engine;
   engine.field("tasks", s.tasks)
       .field("workers", s.workers)
-      .field("jobs_submitted", s.jobs_submitted)
-      .field("jobs_executed", s.jobs_executed)
-      .field("max_queue_depth", s.max_queue_depth)
       .array("per_worker_executed", s.per_worker_executed)
       .field("wall_ms", s.wall_ms);
   root.object("engine", engine);

@@ -9,10 +9,11 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "obs/text_file.h"
 
 namespace hpcs::bench {
 
@@ -117,15 +118,7 @@ class JsonObject {
 /// Write `obj` to `path` (plus trailing newline). Returns false on I/O error
 /// — benches warn but do not fail the run over a report file.
 inline bool write_json_file(const std::string& path, const JsonObject& obj) {
-  std::unique_ptr<std::FILE, int (*)(std::FILE*)> f(std::fopen(path.c_str(), "w"), &std::fclose);
-  if (!f) {
-    std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
-    return false;
-  }
-  const std::string body = obj.render() + "\n";
-  const bool ok = std::fwrite(body.data(), 1, body.size(), f.get()) == body.size();
-  if (!ok) std::fprintf(stderr, "warning: short write to %s\n", path.c_str());
-  return ok;
+  return obs::write_text_file(path, obj.render() + "\n");
 }
 
 }  // namespace hpcs::bench

@@ -5,12 +5,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <deque>
-#include <memory>
-#include <vector>
 
-#include "kernel/rbtree.h"
-#include "kernel/task.h"
+#include "kernel/cfs_class.h"
 #include "power5/throughput.h"
 #include "simcore/event_queue.h"
 
@@ -19,19 +17,19 @@ namespace {
 using hpcs::Duration;
 using hpcs::SimTime;
 
-// CFS-style pick-next: erase leftmost, reinsert with advanced key.
+// CFS-style pick-next on the CFS run queue's container: erase leftmost,
+// reinsert with advanced key.
 void BM_CfsTreePickNext(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
-  hpcs::kern::RbTree<std::pair<std::int64_t, int>, int> tree;
-  for (int i = 0; i < n; ++i) tree.insert({i * 1000, i}, i);
-  std::int64_t clock = n * 1000;
+  decltype(hpcs::kern::CfsRq::tree) tree;
+  for (int i = 0; i < n; ++i) tree.emplace(hpcs::kern::CfsKey{i * 1000, i}, nullptr);
+  std::int64_t clock = std::int64_t{n} * 1000;
   for (auto _ : state) {
-    const auto key = *tree.leftmost_key();
-    const int v = *tree.leftmost();
-    tree.erase(key);
+    const auto [key, v] = *tree.begin();
+    tree.erase(tree.begin());
     clock += 1000;
-    tree.insert({clock, key.second}, v);
-    benchmark::DoNotOptimize(tree.leftmost());
+    tree.emplace(hpcs::kern::CfsKey{clock, key.second}, v);
+    benchmark::DoNotOptimize(tree.begin()->second);
   }
 }
 BENCHMARK(BM_CfsTreePickNext)->Arg(1)->Arg(4)->Arg(16)->Arg(64)->Arg(256);
@@ -49,17 +47,6 @@ void BM_HpcQueuePickNext(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HpcQueuePickNext)->Arg(1)->Arg(4)->Arg(16)->Arg(64)->Arg(256);
-
-void BM_RbTreeInsertErase(benchmark::State& state) {
-  hpcs::kern::RbTree<int, int> tree;
-  int i = 0;
-  for (auto _ : state) {
-    tree.insert(i, i);
-    if (i >= 1024) tree.erase(i - 1024);
-    ++i;
-  }
-}
-BENCHMARK(BM_RbTreeInsertErase);
 
 void BM_EventQueueScheduleRun(benchmark::State& state) {
   hpcs::sim::EventQueue q;

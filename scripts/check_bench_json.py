@@ -27,7 +27,8 @@ name/kind sequence). v2 manifests additionally carry a "windows" object per
 run (the --obs-window time series), checked for column/sample arity,
 strictly-increasing window timestamps, and one fixed column layout across
 runs. Host sidecars (MANIFEST_*.host.json) are checked for their own schema
-tag and engine-stat fields.
+tag and engine-stat fields: per_worker_executed holds one count per worker
+thread, summing to the batch's tasks, and is empty for the serial path.
 
 Exit status: 0 all checks pass, 1 any failure (missing or unreadable file,
 missing path, out-of-range value, malformed manifest), 2 usage error.
@@ -39,7 +40,7 @@ import os
 import sys
 
 MANIFEST_SCHEMAS = ("hpcs-obs-manifest-v1", "hpcs-obs-manifest-v2")
-HOST_SCHEMA = "hpcs-obs-host-v1"
+HOST_SCHEMA = "hpcs-obs-host-v2"
 METRIC_KINDS = ("counter", "gauge", "histogram")
 
 # Event-queue counter family: a manifest that carries any sim.eq_* metric
@@ -223,6 +224,10 @@ def validate_manifest(doc, fname):
     return problems
 
 
+def is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def validate_host_sidecar(doc, fname):
     if not isinstance(doc, dict):
         return ["top level must be an object"]
@@ -233,11 +238,27 @@ def validate_host_sidecar(doc, fname):
     if not isinstance(engine, dict):
         problems.append("engine must be an object")
         return problems
-    for key in ("tasks", "workers", "jobs_submitted", "jobs_executed", "max_queue_depth"):
-        if not isinstance(engine.get(key), int):
+    for key in ("tasks", "workers"):
+        if not is_int(engine.get(key)):
             problems.append(f"engine.{key} must be an integer")
     if not isinstance(engine.get("wall_ms"), (int, float)):
         problems.append("engine.wall_ms must be a number")
+    per_worker = engine.get("per_worker_executed")
+    if not (isinstance(per_worker, list) and all(is_int(n) for n in per_worker)):
+        problems.append("engine.per_worker_executed must be a list of integers")
+    elif is_int(engine.get("tasks")) and is_int(engine.get("workers")):
+        workers, tasks = engine["workers"], engine["tasks"]
+        if workers == 0 and per_worker:
+            problems.append("engine.per_worker_executed must be empty when workers is 0")
+        elif workers > 0 and len(per_worker) != workers:
+            problems.append(
+                f"engine.per_worker_executed has {len(per_worker)} entries, "
+                f"want one per worker ({workers})"
+            )
+        elif workers > 0 and sum(per_worker) != tasks:
+            problems.append(
+                f"engine.per_worker_executed sums to {sum(per_worker)}, want tasks ({tasks})"
+            )
     return problems
 
 

@@ -10,9 +10,8 @@
 #                            perfbench tests
 #   pass 2  asan-ubsan       RelWithDebInfo, -Werror, ASan+UBSan, ctest
 #   pass 3  tsan             RelWithDebInfo, -Werror, TSan, ctest
-#   pass 4  clang checks     (only if clang++ is installed) -Wthread-safety
-#                            build, the thread-safety negative fixture must
-#                            FAIL to compile, and clang-tidy if available
+#   pass 4  clang            (only if clang++ is installed) Release,
+#                            -Werror, ctest, and clang-tidy if available
 #
 # Usage:
 #   scripts/ci_sanitizers.sh              # full matrix
@@ -102,25 +101,11 @@ else
   echo "HPCS_CI_TSAN=0: skipping TSan pass"
 fi
 
-# --- pass 4: clang thread-safety analysis (if clang is available) ---------
+# --- pass 4: clang build, tests and clang-tidy (if clang is available) ----
 if command -v clang++ >/dev/null 2>&1; then
-  configure_and_test "clang-thread-safety" build-clang \
+  configure_and_test "clang" build-clang \
     -DCMAKE_BUILD_TYPE=Release \
     -DCMAKE_C_COMPILER=clang -DCMAKE_CXX_COMPILER=clang++
-
-  echo "=== thread-safety negative fixture must FAIL to compile ==="
-  if clang++ -std=c++20 -Isrc -fsyntax-only -Wthread-safety \
-      -Werror=thread-safety tests/fixtures/thread_safety_negative.cpp \
-      2>/tmp/hpcs_ts_negative.log; then
-    echo "ERROR: thread_safety_negative.cpp compiled clean — the analysis is off"
-    exit 1
-  fi
-  grep -q "thread-safety" /tmp/hpcs_ts_negative.log || {
-    echo "ERROR: fixture failed for a reason other than -Wthread-safety:"
-    cat /tmp/hpcs_ts_negative.log
-    exit 1
-  }
-  echo "fixture rejected as expected (unguarded GUARDED_BY access)"
 
   if command -v clang-tidy >/dev/null 2>&1; then
     scripts/run_clang_tidy.sh build-clang
@@ -128,7 +113,7 @@ if command -v clang++ >/dev/null 2>&1; then
     echo "clang-tidy not installed: skipping"
   fi
 else
-  echo "clang++ not installed: skipping thread-safety pass (gcc builds ignore the annotations)"
+  echo "clang++ not installed: skipping the clang pass"
 fi
 
 echo "ci pipeline passed"

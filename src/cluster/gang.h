@@ -22,9 +22,9 @@ namespace hpcs::cluster {
 /// A job to place: a rank-program factory plus scheduling metadata.
 struct JobSpec {
   std::string name;
-  /// Same purity contract as analysis::SweepPoint::workload: the cluster
-  /// distribution work will invoke these off-node/off-thread, so stateful
-  /// factories must fail at compile time (src/exp/pure_function.h).
+  /// Same purity contract as analysis::SweepPoint::workload: stateful
+  /// factories fail at compile time (src/exp/pure_function.h). run_cluster
+  /// calls it once per job, on the caller's thread.
   exp::PureFunction<wl::ProgramSet()> make_programs;
   int ranks = 4;
   /// Estimated total load (work units) — the gang scheduler's sizing hint,

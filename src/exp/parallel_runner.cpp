@@ -1,9 +1,11 @@
 #include "exp/parallel_runner.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <string>
 #include <thread>
 
@@ -42,37 +44,38 @@ void ParallelRunner::run_all(std::vector<std::function<void()>> tasks) {
   last_stats_.tasks = static_cast<std::int64_t>(tasks.size());
 
   std::vector<std::exception_ptr> errors(tasks.size());
+  const auto run_one = [&tasks, &errors](std::size_t i) {
+    try {
+      tasks[i]();
+    } catch (...) {
+      errors[i] = std::current_exception();
+    }
+  };
   if (jobs_ <= 1 || tasks.size() <= 1) {
     // Serial reference path: identical code shape, no threads involved.
-    for (std::size_t i = 0; i < tasks.size(); ++i) {
-      try {
-        tasks[i]();
-      } catch (...) {
-        errors[i] = std::current_exception();
-      }
-    }
-    last_stats_.jobs_submitted = last_stats_.tasks;
-    last_stats_.jobs_executed = last_stats_.tasks;
+    for (std::size_t i = 0; i < tasks.size(); ++i) run_one(i);
   } else {
+    // Each worker claims the next unclaimed index until none is left, and
+    // writes only that task's slots and its own per-worker count. Joining
+    // publishes all of those writes to this thread.
     const unsigned workers =
         static_cast<unsigned>(std::min<std::size_t>(jobs_, tasks.size()));
-    ThreadPool pool(workers);
-    for (std::size_t i = 0; i < tasks.size(); ++i) {
-      pool.submit([&tasks, &errors, i] {
-        try {
-          tasks[i]();
-        } catch (...) {
-          errors[i] = std::current_exception();
-        }
-      });
-    }
-    pool.wait_idle();
-    const PoolStats ps = pool.stats();
+    std::vector<std::int64_t> executed(workers, 0);
+    std::atomic<std::size_t> next{0};
+    {
+      std::vector<std::jthread> threads;
+      threads.reserve(workers);
+      for (unsigned w = 0; w < workers; ++w) {
+        threads.emplace_back([&, w] {
+          for (std::size_t i = next++; i < tasks.size(); i = next++) {
+            run_one(i);
+            ++executed[w];
+          }
+        });
+      }
+    }  // joins every started worker, also when starting the next one throws
     last_stats_.workers = workers;
-    last_stats_.jobs_submitted = ps.submitted;
-    last_stats_.jobs_executed = ps.executed;
-    last_stats_.max_queue_depth = ps.max_queue_depth;
-    last_stats_.per_worker_executed = ps.per_worker_executed;
+    last_stats_.per_worker_executed = std::move(executed);
   }
   const auto wall_end = std::chrono::steady_clock::now();  // HPCSLINT-ALLOW(wallclock)
   last_stats_.wall_ms =

@@ -1,6 +1,6 @@
 #pragma once
 // Parallel experiment engine: fan a batch of *independent* experiment runs
-// across a thread pool with results committed in submission order, so the
+// across worker threads with results committed in submission order, so the
 // output of a parallel run is bit-identical to the serial loop it replaces.
 //
 // Why this is safe: run_experiment() (and everything the sweep / table /
@@ -16,13 +16,10 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <exception>
 #include <functional>
 #include <optional>
 #include <utility>
 #include <vector>
-
-#include "exp/thread_pool.h"
 
 namespace hpcs::exp {
 
@@ -31,16 +28,13 @@ namespace hpcs::exp {
 /// a pure function of their configs — and therefore reported in the
 /// .host.json sidecar, never in the deterministic metrics manifest.
 struct EngineStats {
-  std::int64_t tasks = 0;            ///< batch size
-  unsigned workers = 0;              ///< pool threads actually spawned (0 = inline)
-  std::int64_t jobs_submitted = 0;   ///< pool submit() calls
-  std::int64_t jobs_executed = 0;    ///< pool jobs completed
-  std::int64_t max_queue_depth = 0;  ///< job-queue high-water mark
-  /// Jobs completed per pool thread (size == workers; empty for the serial
+  std::int64_t tasks = 0;  ///< batch size
+  unsigned workers = 0;    ///< worker threads actually started (0 = inline)
+  /// Tasks run per worker thread (size == workers; empty for the serial
   /// path). The spread shows how evenly the batch divided across workers —
   /// one saturated worker and N-1 idle ones means the sweep serialized.
   std::vector<std::int64_t> per_worker_executed;
-  double wall_ms = 0.0;              ///< batch wall time (host clock)
+  double wall_ms = 0.0;  ///< batch wall time (host clock)
 };
 
 /// Resolve the default worker count: HPCS_JOBS if set (clamped to >= 1),
@@ -55,7 +49,7 @@ struct EngineStats {
 class ParallelRunner {
  public:
   /// `jobs` parallel workers; 0 means default_jobs(). jobs=1 runs inline on
-  /// the caller's thread (no pool threads, no synchronization).
+  /// the caller's thread (no worker threads, no synchronization).
   explicit ParallelRunner(unsigned jobs = 0);
 
   [[nodiscard]] unsigned jobs() const { return jobs_; }

@@ -45,9 +45,7 @@ Duration CfsClass::slice_for(int nr_running) const {
 void CfsClass::update_min_vruntime(CfsRq& c, const Task* curr_of_class) const {
   Duration candidate = Duration::max();
   if (curr_of_class != nullptr) candidate = curr_of_class->vruntime;
-  if (const CfsKey* lk = c.tree.leftmost_key()) {
-    candidate = std::min(candidate, Duration(lk->first));
-  }
+  if (!c.tree.empty()) candidate = std::min(candidate, Duration(c.tree.begin()->first.first));
   if (candidate != Duration::max()) {
     c.min_vruntime = std::max(c.min_vruntime, candidate);
   }
@@ -66,7 +64,7 @@ void CfsClass::enqueue(Kernel& k, Rq& rq, Task& t, bool wakeup) {
     // Migrated or policy-switched task: normalize into this queue's window.
     t.vruntime = std::max(t.vruntime, c.min_vruntime - tun_.latency / 2);
   }
-  const bool inserted = c.tree.insert(key_of(t), &t);
+  const bool inserted = c.tree.emplace(key_of(t), &t).second;
   HPCS_CHECK_MSG(inserted, "duplicate task in CFS tree");
   update_min_vruntime(c, nullptr);
 }
@@ -86,17 +84,16 @@ void CfsClass::dequeue(Kernel& k, Rq& rq, Task& t, bool sleep) {
 Task* CfsClass::pick_next(Kernel& k, Rq& rq) {
   (void)k;
   CfsRq& c = crq(rq, index());
-  Task** leftmost = c.tree.leftmost();
-  if (leftmost == nullptr) return nullptr;
-  Task* t = *leftmost;
-  c.tree.erase(key_of(*t));
+  if (c.tree.empty()) return nullptr;
+  Task* t = c.tree.begin()->second;
+  c.tree.erase(c.tree.begin());
   return t;
 }
 
 void CfsClass::put_prev(Kernel& k, Rq& rq, Task& t) {
   (void)k;
   CfsRq& c = crq(rq, index());
-  const bool inserted = c.tree.insert(key_of(t), &t);
+  const bool inserted = c.tree.emplace(key_of(t), &t).second;
   HPCS_CHECK_MSG(inserted, "put_prev: duplicate task in CFS tree");
   update_min_vruntime(c, nullptr);
 }
@@ -113,8 +110,8 @@ void CfsClass::task_tick(Kernel& k, Rq& rq, Task& t) {
     return;
   }
   // Bound the wait of a markedly "more deserving" leftmost task.
-  if (const CfsKey* lk = c.tree.leftmost_key()) {
-    const Duration vdiff = t.vruntime - Duration(lk->first);
+  if (!c.tree.empty()) {
+    const Duration vdiff = t.vruntime - Duration(c.tree.begin()->first.first);
     if (vdiff > slice && delta_exec > tun_.min_granularity) rq.need_resched = true;
   }
 }
@@ -141,11 +138,10 @@ Task* CfsClass::steal_candidate(Kernel& k, Rq& rq) {
   CfsRq& c = crq(rq, index());
   // Pull from the tail (largest vruntime): the task that would run last here
   // loses the least by migrating — mirrors the kernel pulling cache-cold work.
-  Task* best = nullptr;
-  c.tree.for_each([&](const CfsKey&, Task* const& t) {
-    if (t->pinned_cpu == kInvalidCpu) best = t;
-  });
-  return best;
+  for (auto it = c.tree.rbegin(); it != c.tree.rend(); ++it) {
+    if (it->second->pinned_cpu == kInvalidCpu) return it->second;
+  }
+  return nullptr;
 }
 
 }  // namespace hpcs::kern

@@ -5,9 +5,9 @@
 // divided by the number of runnable tasks.
 
 #include <cstdint>
+#include <map>
 #include <utility>
 
-#include "kernel/rbtree.h"
 #include "kernel/sched_class.h"
 
 namespace hpcs::kern {
@@ -27,9 +27,11 @@ struct CfsTunables {
 using CfsKey = std::pair<std::int64_t, Pid>;
 
 struct CfsRq final : ClassRq {
-  RbTree<CfsKey, Task*> tree;
+  /// Queued tasks (never the running one). std::map is libstdc++'s
+  /// red-black tree, as Linux builds CFS's from lib/rbtree; it never holds
+  /// more than a handful of tasks here.
+  std::map<CfsKey, Task*> tree;
   Duration min_vruntime = Duration::zero();
-  int nr_queued = 0;  ///< tasks in the tree (excludes the running task)
 };
 
 class CfsClass final : public SchedClass {

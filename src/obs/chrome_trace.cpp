@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <memory>
 #include <utility>
 
 #include "kernel/task.h"
+#include "obs/text_file.h"
 
 namespace hpcs::obs {
 namespace {
@@ -221,17 +221,11 @@ std::string render_chrome_trace(const std::vector<ChromeTraceRun>& runs) {
 }
 
 bool write_chrome_trace(const std::string& path, const std::vector<ChromeTraceRun>& runs) {
-  std::unique_ptr<std::FILE, int (*)(std::FILE*)> f(std::fopen(path.c_str(), "w"), &std::fclose);
-  if (!f) {
-    std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
-    return false;
-  }
-  Emitter out(f.get());
-  emit_document(out, runs);
-  bool ok = out.flush();
-  ok = std::fclose(f.release()) == 0 && ok;  // stdio's last buffer lands here
-  if (!ok) std::fprintf(stderr, "warning: short write to %s\n", path.c_str());
-  return ok;
+  return write_text_file(path, [&runs](std::FILE* f) {
+    Emitter out(f);
+    emit_document(out, runs);
+    return out.flush();
+  });
 }
 
 }  // namespace hpcs::obs

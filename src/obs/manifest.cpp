@@ -1,7 +1,8 @@
 #include "obs/manifest.h"
 
 #include <cstdio>
-#include <memory>
+
+#include "obs/text_file.h"
 
 namespace hpcs::obs {
 namespace {
@@ -114,15 +115,7 @@ std::string render_manifest_json(const std::string& bench,
 
 bool write_manifest_json(const std::string& path, const std::string& bench,
                          const std::vector<ManifestRun>& runs) {
-  std::unique_ptr<std::FILE, int (*)(std::FILE*)> f(std::fopen(path.c_str(), "w"), &std::fclose);
-  if (!f) {
-    std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
-    return false;
-  }
-  const std::string body = render_manifest_json(bench, runs);
-  const bool ok = std::fwrite(body.data(), 1, body.size(), f.get()) == body.size();
-  if (!ok) std::fprintf(stderr, "warning: short write to %s\n", path.c_str());
-  return ok;
+  return write_text_file(path, render_manifest_json(bench, runs));
 }
 
 }  // namespace hpcs::obs

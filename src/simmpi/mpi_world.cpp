@@ -360,10 +360,6 @@ void MpiWorld::step_rank(int rank, kern::Task& t) {
       rs.marks.push_back(IterationMark{k.now(), t.t_run});
       continue;
     }
-    if (auto* s = std::get_if<OpSleep>(&op)) {
-      k.body_sleep(t, s->d);
-      return;
-    }
     if (std::get_if<OpExit>(&op) != nullptr) {
       rs.exited = true;
       ++exited_;

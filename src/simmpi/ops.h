@@ -75,16 +75,11 @@ struct OpReduce {
 /// Statistics hook: the rank finished an application-level iteration.
 struct OpMarkIteration {};
 
-/// Sleep for a fixed span (models I/O or library waits).
-struct OpSleep {
-  Duration d = Duration::zero();
-};
-
 /// Terminate the rank.
 struct OpExit {};
 
 using MpiOp = std::variant<OpCompute, OpBarrier, OpSend, OpRecv, OpIsend, OpIrecv, OpWaitAll,
-                           OpAllreduce, OpBcast, OpReduce, OpMarkIteration, OpSleep, OpExit>;
+                           OpAllreduce, OpBcast, OpReduce, OpMarkIteration, OpExit>;
 
 /// A rank's behaviour: a deterministic op stream. `next()` is called each
 /// time the previous op completes; returning OpExit ends the rank.

@@ -1,7 +1,8 @@
 #pragma once
 // TraceSink fan-out: the kernel holds exactly one TraceSink pointer, but a
-// run often wants several observers at once (Paraver tracer + CSV source +
-// the Perfetto exporter + the obs recorder's histograms). MultiSink forwards
+// run may want several observers at once (the tracer behind the PARAVER,
+// Gantt and CSV views, and the Chrome-trace capture; the obs Recorder
+// attaches through Kernel::set_obs, not as a sink). MultiSink forwards
 // every hook to each registered sink in registration order; it does not own
 // the sinks.
 

@@ -1,8 +1,10 @@
-// CFS class behaviour: fairness between competing hogs, nice weighting,
-// vruntime mechanics, wakeup preemption, slice computation, min_vruntime
-// monotonicity.
+// CFS class behaviour: the run queue's ordering contract, fairness between
+// competing hogs, nice weighting, vruntime mechanics, wakeup preemption,
+// slice computation, min_vruntime monotonicity.
 
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "test_util.h"
 
@@ -38,6 +40,70 @@ TEST(CfsClassTest, SliceShrinksWithLoad) {
   EXPECT_EQ(cfs.slice_for(5), Duration::milliseconds(4));
   // Floor at min_granularity.
   EXPECT_EQ(cfs.slice_for(50), Duration::milliseconds(4));
+}
+
+// One CPU's CFS run queue, driven directly through the class hooks.
+// Vruntimes stay within latency/2 of each other, so enqueue's placement
+// floor leaves them as set.
+struct CfsQueue {
+  KernelFixture f;
+  CfsClass cfs;
+  kern::Rq rq;
+  kern::Task a{1, "a", Policy::kNormal};
+  kern::Task b{2, "b", Policy::kNormal};
+  kern::Task c{3, "c", Policy::kNormal};
+  kern::Task d{4, "d", Policy::kNormal};
+
+  CfsQueue() {
+    cfs.set_index(0);
+    rq.class_rqs.push_back(cfs.make_rq());
+    rq.class_count.push_back(0);
+    a.vruntime = Duration::milliseconds(4);
+    b.vruntime = Duration::milliseconds(2);
+    c.vruntime = Duration::milliseconds(4);
+    d.vruntime = Duration::milliseconds(6);
+    // Out of key order; c before a, which ties with it on vruntime.
+    for (kern::Task* t : {&d, &c, &b, &a}) cfs.enqueue(f.k(), rq, *t, /*wakeup=*/false);
+  }
+
+  std::vector<kern::Task*> drain() {
+    std::vector<kern::Task*> order;
+    while (kern::Task* t = cfs.pick_next(f.k(), rq)) order.push_back(t);
+    return order;
+  }
+};
+
+TEST(CfsQueueContract, PicksByVruntimeThenPid) {
+  CfsQueue q;
+  EXPECT_EQ(q.a.vruntime, Duration::milliseconds(4));
+  EXPECT_EQ(q.drain(), (std::vector<kern::Task*>{&q.b, &q.a, &q.c, &q.d}));
+}
+
+TEST(CfsQueueContract, StealsLargestKeyUnpinnedTask) {
+  CfsQueue q;
+  EXPECT_EQ(q.cfs.steal_candidate(q.f.k(), q.rq), &q.d);
+  q.d.pinned_cpu = 0;
+  q.c.pinned_cpu = 0;
+  EXPECT_EQ(q.cfs.steal_candidate(q.f.k(), q.rq), &q.a);
+  // Choosing a candidate leaves the queue as it was.
+  EXPECT_EQ(q.drain(), (std::vector<kern::Task*>{&q.b, &q.a, &q.c, &q.d}));
+  EXPECT_EQ(q.cfs.steal_candidate(q.f.k(), q.rq), nullptr);
+}
+
+TEST(CfsQueueContract, DequeueOfRunningTaskLeavesQueue) {
+  CfsQueue q;
+  kern::Task* running = q.cfs.pick_next(q.f.k(), q.rq);
+  ASSERT_EQ(running, &q.b);
+  q.rq.curr = running;
+  q.cfs.dequeue(q.f.k(), q.rq, *running, /*sleep=*/true);
+  EXPECT_EQ(q.cfs.steal_candidate(q.f.k(), q.rq), &q.d);
+  EXPECT_EQ(q.drain(), (std::vector<kern::Task*>{&q.a, &q.c, &q.d}));
+}
+
+TEST(CfsQueueContractDeathTest, EnqueueOfQueuedTaskDies) {
+  CfsQueue q;
+  EXPECT_DEATH(q.cfs.enqueue(q.f.k(), q.rq, q.c, /*wakeup=*/false),
+               "duplicate task in CFS tree");
 }
 
 TEST(CfsFairness, TwoHogsShareOneCpuEvenly) {

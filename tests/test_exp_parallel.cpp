@@ -1,5 +1,5 @@
-// Tests of the parallel experiment engine: the thread pool, the runner's
-// ordering/exception semantics, and the headline contract — run_sweep output
+// Tests of the parallel experiment engine: the runner's ordering/exception
+// semantics, its engine stats, and the headline contract — run_sweep output
 // is bit-identical for every jobs value.
 
 #include <gtest/gtest.h>
@@ -13,41 +13,11 @@
 #include "analysis/paper_experiments.h"
 #include "analysis/sweep.h"
 #include "exp/parallel_runner.h"
-#include "exp/thread_pool.h"
 #include "obs/manifest.h"
 #include "workloads/metbench.h"
 
 namespace hpcs {
 namespace {
-
-TEST(ThreadPool, RunsEverySubmittedJob) {
-  std::atomic<int> count{0};
-  exp::ThreadPool pool(4);
-  for (int i = 0; i < 100; ++i) pool.submit([&count] { ++count; });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPool, ZeroWorkersRunsInlineOnWaitIdle) {
-  exp::ThreadPool pool(0);
-  std::vector<int> order;
-  for (int i = 0; i < 5; ++i) pool.submit([&order, i] { order.push_back(i); });
-  EXPECT_TRUE(order.empty());  // nothing ran yet: no workers
-  pool.wait_idle();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(ThreadPool, WaitIdleIsReusable) {
-  std::atomic<int> count{0};
-  exp::ThreadPool pool(2);
-  pool.submit([&count] { ++count; });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 1);
-  pool.submit([&count] { ++count; });
-  pool.submit([&count] { ++count; });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 3);
-}
 
 TEST(ParallelRunner, MapReturnsResultsInIndexOrder) {
   for (const unsigned jobs : {1u, 2u, 4u, 8u}) {
@@ -140,44 +110,17 @@ TEST(ParallelRunner, EngineStatsReflectTheBatch) {
   exp::ParallelRunner serial(1);
   (void)serial.map(5, [](std::size_t i) { return i; });
   EXPECT_EQ(serial.last_stats().tasks, 5);
-  EXPECT_EQ(serial.last_stats().workers, 0u);  // inline, no pool threads
-  EXPECT_EQ(serial.last_stats().jobs_executed, 5);
+  EXPECT_EQ(serial.last_stats().workers, 0u);  // inline, no worker threads
 
   exp::ParallelRunner parallel(3);
   (void)parallel.map(8, [](std::size_t i) { return i; });
   EXPECT_EQ(parallel.last_stats().tasks, 8);
   EXPECT_EQ(parallel.last_stats().workers, 3u);
-  EXPECT_EQ(parallel.last_stats().jobs_submitted, 8);
-  EXPECT_EQ(parallel.last_stats().jobs_executed, 8);
   EXPECT_GE(parallel.last_stats().wall_ms, 0.0);
 }
 
-TEST(ThreadPool, PerWorkerExecutedCountsSumToExecuted) {
-  exp::ThreadPool pool(3);
-  for (int i = 0; i < 50; ++i) pool.submit([] {});
-  pool.wait_idle();
-  const exp::PoolStats s = pool.stats();
-  ASSERT_EQ(s.per_worker_executed.size(), 3u);
-  std::int64_t sum = 0;
-  for (const std::int64_t n : s.per_worker_executed) {
-    EXPECT_GE(n, 0);
-    sum += n;
-  }
-  EXPECT_EQ(sum, s.executed);
-  EXPECT_EQ(s.executed, 50);
-}
-
-TEST(ThreadPool, InlinePoolHasNoPerWorkerCounters) {
-  exp::ThreadPool pool(0);
-  pool.submit([] {});
-  pool.wait_idle();
-  const exp::PoolStats s = pool.stats();
-  EXPECT_EQ(s.executed, 1);
-  EXPECT_TRUE(s.per_worker_executed.empty());
-}
-
 TEST(ParallelRunner, PerWorkerCountsSurfaceInEngineStats) {
-  // Serial path: no pool, no per-worker breakdown.
+  // Serial path: no worker threads, no per-worker breakdown.
   exp::ParallelRunner serial(1);
   (void)serial.map(4, [](std::size_t i) { return i; });
   EXPECT_TRUE(serial.last_stats().per_worker_executed.empty());

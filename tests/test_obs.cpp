@@ -20,6 +20,7 @@
 #include "obs/metrics.h"
 #include "obs/recorder.h"
 #include "obs/ring_dump.h"
+#include "obs/text_file.h"
 #include "obs/tracepoint.h"
 
 namespace hpcs {
@@ -335,6 +336,30 @@ TEST(ChromeTrace, FileWriteEqualsRender) {
     EXPECT_FALSE(obs::write_chrome_trace("/dev/full", runs));
     obs::ChromeTraceSink tiny;
     EXPECT_FALSE(obs::write_chrome_trace("/dev/full", {{"tiny", &tiny}}));
+  }
+}
+
+// Manifests and BENCH JSON reach disk through write_text_file. A document
+// small enough to sit in stdio's buffer meets a full device only when the
+// file is closed: that must still fail, with one warning.
+TEST(TextFile, TinyWriteToFullDeviceFails) {
+  const std::string path = ::testing::TempDir() + "hpcs_text_file.json";
+  ASSERT_TRUE(obs::write_text_file(path, "{}\n"));
+  std::ifstream in(path, std::ios::binary);
+  const std::string written((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+  in.close();
+  std::remove(path.c_str());
+  EXPECT_EQ(written, "{}\n");
+
+  if (std::FILE* full = std::fopen("/dev/full", "w")) {
+    std::fclose(full);
+    ::testing::internal::CaptureStderr();
+    const bool ok = obs::write_manifest_json("/dev/full", "tiny", {});
+    EXPECT_EQ(::testing::internal::GetCapturedStderr(),
+              "warning: short write to /dev/full\n");
+    EXPECT_FALSE(ok);
+    EXPECT_FALSE(obs::write_text_file("/dev/full", "{}\n"));
   }
 }
 
