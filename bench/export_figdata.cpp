@@ -2,16 +2,18 @@
 // utilization CSVs, state-interval CSVs, priority timelines and real
 // Paraver .prv/.pcf/.row trace sets for the four workloads — into
 // ./bench_data/. This is how a downstream user regenerates the paper's
-// plots with their own tooling (or opens the traces in wxparaver).
+// plots with their own tooling (or opens the traces in wxparaver). Exits 1,
+// after the last export, if any file could not be written in full.
 
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <functional>
+#include <sstream>
 #include <utility>
 
 #include "analysis/paper_experiments.h"
 #include "fig_common.h"
+#include "obs/text_file.h"
 #include "trace/csv.h"
 #include "trace/paraver.h"
 
@@ -20,7 +22,12 @@ using analysis::SchedMode;
 
 namespace {
 
-void export_run(const std::string& dir, const std::string& name,
+using CsvWriter = void (*)(std::ostream&, const trace::Tracer&, const std::vector<Pid>&,
+                           const std::vector<std::string>&);
+
+/// Writes one export's three CSVs and Paraver set; false if any file came
+/// up short.
+bool export_run(const std::string& dir, const std::string& name,
                 const analysis::RunResult& r) {
   std::vector<Pid> pids;
   std::vector<std::string> labels;
@@ -28,24 +35,25 @@ void export_run(const std::string& dir, const std::string& name,
     pids.push_back(r.ranks[i].pid);
     labels.push_back("P" + std::to_string(i + 1));
   }
-  {
-    std::ofstream os(dir + "/" + name + "_iterations.csv");
-    trace::write_iterations_csv(os, *r.tracer, pids, labels);
-  }
-  {
-    std::ofstream os(dir + "/" + name + "_intervals.csv");
-    trace::write_intervals_csv(os, *r.tracer, pids, labels);
-  }
-  {
-    std::ofstream os(dir + "/" + name + "_priorities.csv");
-    trace::write_priorities_csv(os, *r.tracer, pids, labels);
+  const std::string base = dir + "/" + name;
+  const std::pair<const char*, CsvWriter> csvs[] = {
+      {"_iterations.csv", trace::write_iterations_csv},
+      {"_intervals.csv", trace::write_intervals_csv},
+      {"_priorities.csv", trace::write_priorities_csv},
+  };
+  bool ok = true;
+  for (const auto& [suffix, write] : csvs) {
+    std::ostringstream os;
+    write(os, *r.tracer, pids, labels);
+    ok = obs::write_text_file(base + suffix, os.str()) && ok;
   }
   trace::ParaverJob job;
   job.pids = pids;
   job.labels = labels;
-  trace::export_paraver(dir + "/" + name, *r.tracer, job);
+  ok = trace::export_paraver(base, *r.tracer, job) && ok;
   std::printf("  %s: exec %.2fs -> %s/%s_*.csv + .prv/.pcf/.row\n", name.c_str(),
               r.exec_time.sec(), dir.c_str(), name.c_str());
+  return ok;
 }
 
 }  // namespace
@@ -91,11 +99,12 @@ int main(int argc, char** argv) {
   exp::ParallelRunner runner(jobs);
   auto results = runner.map(exports.size(), [&](std::size_t i) { return exports[i].run(); });
   std::vector<std::string> labels;
+  bool ok = true;
   for (std::size_t i = 0; i < exports.size(); ++i) {
-    export_run(dir, exports[i].name, results[i]);
+    ok = export_run(dir, exports[i].name, results[i]) && ok;
     labels.emplace_back(exports[i].name);
   }
   bench::write_obs_outputs("export_figdata", obs, jobs, labels, results, &runner.last_stats());
   std::printf("done.\n");
-  return 0;
+  return ok ? 0 : 1;
 }

@@ -38,7 +38,7 @@ double now_s() {
   // Bench timing harness: measuring the simulator from outside is the one
   // legitimate wall-clock read (simulation code itself must use SimTime).
   return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())  // HPCSLINT-ALLOW(wallclock)
+             std::chrono::steady_clock::now().time_since_epoch())
       .count();
 }
 

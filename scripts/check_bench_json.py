@@ -16,8 +16,8 @@ segments index arrays). Each check is one of:
 Simulated metrics (exec_s, utilisation, ctx_switches) are deterministic
 functions of the config, so their ranges are tight: drifting outside one
 means the scheduler's behaviour changed and the golden file must be
-re-baselined deliberately. Wall-clock throughput numbers get loose one-sided
-bounds only.
+re-baselined deliberately. Wall-clock throughput numbers get one-sided lower
+bounds only; the events/sec ones are perf floors (docs/performance.md).
 
 Besides the golden checks, every MANIFEST_*.json present in the output dir is
 validated against the observability manifest schema (hpcs-obs-manifest-v1 or

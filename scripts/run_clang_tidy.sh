@@ -20,7 +20,7 @@ if [[ ! -f "${BUILD_DIR}/compile_commands.json" ]]; then
 fi
 
 # First-party sources only: tidy has no business in _deps or fixtures.
-mapfile -t SOURCES < <(find src bench tests tools examples -name '*.cpp' \
+mapfile -t SOURCES < <(find src bench tests examples -name '*.cpp' \
   -not -path '*/fixtures/*' | sort)
 
 echo "clang-tidy over ${#SOURCES[@]} files (config: .clang-tidy)"

@@ -39,7 +39,7 @@ ParallelRunner::ParallelRunner(unsigned jobs) : jobs_(jobs == 0 ? default_jobs()
 void ParallelRunner::run_all(std::vector<std::function<void()>> tasks) {
   // Host-side engine stats only: batch wall time never feeds back into any
   // simulation result (runs are pure functions of their configs).
-  const auto wall_begin = std::chrono::steady_clock::now();  // HPCSLINT-ALLOW(wallclock)
+  const auto wall_begin = std::chrono::steady_clock::now();
   last_stats_ = EngineStats{};
   last_stats_.tasks = static_cast<std::int64_t>(tasks.size());
 
@@ -77,7 +77,7 @@ void ParallelRunner::run_all(std::vector<std::function<void()>> tasks) {
     last_stats_.workers = workers;
     last_stats_.per_worker_executed = std::move(executed);
   }
-  const auto wall_end = std::chrono::steady_clock::now();  // HPCSLINT-ALLOW(wallclock)
+  const auto wall_end = std::chrono::steady_clock::now();
   last_stats_.wall_ms =
       std::chrono::duration<double, std::milli>(wall_end - wall_begin).count();
 

@@ -199,9 +199,6 @@ void Kernel::set_acc_state(Task& t, AccState s) {
   t.acc_state_ = s;
 }
 
-// HPCS_HOT_BEGIN — run-queue plumbing, switch path, execution engine and
-// wakeups: every event of a run passes through here.
-
 // ---------------------------------------------------------------------------
 // Run-queue plumbing
 // ---------------------------------------------------------------------------
@@ -541,8 +538,6 @@ void Kernel::request_hw_prio(Task& t, p5::HwPrio prio) {
   }
 }
 
-// HPCS_HOT_END
-
 // ---------------------------------------------------------------------------
 // Syscalls
 // ---------------------------------------------------------------------------
@@ -600,9 +595,9 @@ void Kernel::set_nice(Task& t, int nice) {
 // Tick + balancing
 // ---------------------------------------------------------------------------
 
-// HPCS_HOT_BEGIN — the tick is the highest-volume event in the simulator (one
-// per CPU per simulated millisecond, run or replayed); balance_pull runs on
-// every new-idle switch as well as on balance ticks.
+// The tick is the highest-volume event in the simulator (one per CPU per
+// simulated millisecond, run or replayed); balance_pull runs on every
+// new-idle switch as well as on balance ticks.
 
 // One event serves every CPU: it runs tick_cpu for the CPUs that are due, in
 // CPU order, then re-arms itself in place for the next tick any CPU (or the
@@ -785,6 +780,5 @@ void Kernel::migrate(Task& t, CpuId dst) {
   enqueue_task(t, false);
   maybe_preempt(dst, t);
 }
-// HPCS_HOT_END
 
 }  // namespace hpcs::kern

@@ -111,8 +111,9 @@ class SchedClass {
 /// override that silently stopped overriding (e.g. after an interface
 /// change) makes the class abstract or breaks a `requires` clause here, so
 /// the mistake surfaces where the class is defined rather than as a subtly
-/// mis-scheduled run. Pair with hpcslint's missing-override rule, which
-/// catches hook declarations that compile but shadow instead of override.
+/// mis-scheduled run. The build's -Werror=suggest-override and
+/// -Werror=overloaded-virtual catch the hook declarations that compile but
+/// hide instead of override (a non-pure hook with an extra `const`).
 template <typename T>
 concept SchedClassImpl =
     std::derived_from<T, SchedClass> && !std::is_abstract_v<T> &&

@@ -47,8 +47,11 @@ class Recorder {
   Recorder(const ObsConfig& cfg, int num_cpus);
 
   /// Tracepoint hot path (called through HPCS_TRACEPOINT): bump the hit
-  /// counter and append a fixed-size entry to the CPU's ring.
-  void record(TpId id, SimTime t, CpuId cpu, std::int64_t a0, std::int64_t a1) {
+  /// counter and append a fixed-size entry to the CPU's ring. The id is a
+  /// template argument, so a record site can only name a kTp* constant.
+  template <TpId id>
+  void record(SimTime t, CpuId cpu, std::int64_t a0, std::int64_t a1) {
+    static_assert(id != TpId::kTpCount, "kTpCount is not a tracepoint");
     tp_hits_[static_cast<std::size_t>(id)]->inc();
     const auto r = (cpu >= 0 && cpu < static_cast<CpuId>(rings_.size()))
                        ? static_cast<std::size_t>(cpu)

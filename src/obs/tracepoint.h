@@ -2,13 +2,14 @@
 // Tracepoints: kernel-ftrace-style record sites on the simulator's hot paths.
 //
 // A tracepoint id is a compile-time constant (the kTp* enumerators below;
-// hpcslint's `tracepoint-name` rule rejects record sites that pass anything
-// else), its record is a fixed-size 32-byte entry, and entries land in a
-// per-CPU ring buffer that wraps by overwriting the oldest record (dropped
-// entries are counted, never silently lost). A record site is the
-// HPCS_TRACEPOINT macro: when observability is off the recorder pointer is
-// null and the whole site compiles down to a single predictable branch — no
-// call, no argument evaluation side effects beyond the operands themselves.
+// Recorder::record takes it as a template argument, so a record site that
+// passes anything else does not compile), its record is a fixed-size
+// 32-byte entry, and entries land in a per-CPU ring buffer that wraps by
+// overwriting the oldest record (dropped entries are counted, never
+// silently lost). A record site is the HPCS_TRACEPOINT macro: when
+// observability is off the recorder pointer is null and the whole site
+// compiles down to a single predictable branch — no call, no argument
+// evaluation side effects beyond the operands themselves.
 
 #include <cstdint>
 #include <vector>
@@ -86,10 +87,10 @@ class TraceRing {
 }  // namespace hpcs::obs
 
 /// Record site: a single branch on the recorder pointer when disabled. The
-/// id MUST be a kTp* compile-time constant (hpcslint: tracepoint-name).
+/// id must be a kTp* compile-time constant other than kTpCount.
 #define HPCS_TRACEPOINT(rec, id, when, cpu, arg0, arg1)               \
   do {                                                                \
     if ((rec) != nullptr) {                                           \
-      (rec)->record((id), (when), (cpu), (arg0), (arg1));             \
+      (rec)->record<id>((when), (cpu), (arg0), (arg1));               \
     }                                                                 \
   } while (0)

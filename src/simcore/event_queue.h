@@ -83,11 +83,12 @@ class EventQueue {
     next_seq_ = s;
   }
 
-  // HPCS_HOT_BEGIN — the public dispatch surface: every simulated event
-  // passes through here, and none of it may allocate or construct a
-  // std::function (hpcslint enforces; docs/performance.md explains). The
-  // only allocations in the queue are the slot-chunk and heap growth,
-  // deliberately amortized: they run once per table growth, not per event.
+  // The public dispatch surface: every simulated event passes through here,
+  // and none of it may allocate or construct a std::function
+  // (EventQueue.SteadyStateDispatchDoesNotAllocate in tests/test_simcore.cpp
+  // enforces; docs/performance.md explains). The only allocations in the
+  // queue are the slot-chunk and heap growth, deliberately amortized: they
+  // run once per table growth, not per event.
 
   /// Schedule `cb` to fire at absolute time `when` (must not be in the past
   /// relative to the last popped event).
@@ -215,8 +216,6 @@ class EventQueue {
 
   [[nodiscard]] const EventQueueStats& stats() const { return stats_; }
 
-  // HPCS_HOT_END
-
  private:
   /// 16 bytes: two entries per cache line more during the sift loops, which
   /// are pure HeapEntry traffic. `key` is the slot id shifted left by one
@@ -290,8 +289,6 @@ class EventQueue {
     slot_at(id).cb = nullptr;
     free_slots_.push_back(id);
   }
-
-  // HPCS_HOT_BEGIN — per-event heap maintenance and dispatch.
 
   // Hand-rolled binary-heap sifts that keep pos_ in step with every move.
   // Pop order depends only on the (when, lane, seq) total order, so the
@@ -381,8 +378,6 @@ class EventQueue {
     firing_slot_ = kNoSlot;
     if (!slot.live) release(id);
   }
-
-  // HPCS_HOT_END
 
   std::vector<HeapEntry> heap_;  ///< min-heap by (when, lane, seq); exactly the pending events
   std::vector<std::uint32_t> pos_;  ///< heap index of each pending slot's entry

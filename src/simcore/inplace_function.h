@@ -20,9 +20,9 @@ class InplaceFunction;
 template <typename R, typename... Args, std::size_t Capacity>
 class InplaceFunction<R(Args...), Capacity> {
  public:
-  // HPCS_HOT_BEGIN — construction/move/dispatch run once per scheduled
-  // event. The placement news below construct into the inline buffer (no
-  // heap), which is exactly what this type exists for — hence the ALLOWs.
+  // Construction/move/dispatch run once per scheduled event. The placement
+  // news below construct into the inline buffer (no heap), which is exactly
+  // what this type exists for.
   InplaceFunction() = default;
   InplaceFunction(std::nullptr_t) {}  // NOLINT(google-explicit-constructor)
 
@@ -38,7 +38,7 @@ class InplaceFunction<R(Args...), Capacity> {
                   "over-aligned closures are not supported");
     static_assert(std::is_nothrow_move_constructible_v<Fn>,
                   "closures must be nothrow-movable (events move across slots)");
-    ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));  // HPCSLINT-ALLOW(hot-alloc) placement new
+    ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
     invoke_ = [](void* b, Args... args) -> R {
       return (*std::launder(reinterpret_cast<Fn*>(b)))(std::forward<Args>(args)...);
     };
@@ -50,7 +50,7 @@ class InplaceFunction<R(Args...), Capacity> {
                     std::is_trivially_destructible_v<Fn>)) {
       manage_ = [](void* dst, void* src) {
         Fn* s = std::launder(reinterpret_cast<Fn*>(src));
-        if (dst != nullptr) ::new (dst) Fn(std::move(*s));  // HPCSLINT-ALLOW(hot-alloc) placement new
+        if (dst != nullptr) ::new (dst) Fn(std::move(*s));
         s->~Fn();
       };
     }
@@ -105,8 +105,6 @@ class InplaceFunction<R(Args...), Capacity> {
   using Invoke = R (*)(void*, Args...);
   /// Move-construct `*src` into `dst` (when dst != nullptr), then destroy src.
   using Manage = void (*)(void* dst, void* src);
-
-  // HPCS_HOT_END
 
   Invoke invoke_ = nullptr;
   Manage manage_ = nullptr;

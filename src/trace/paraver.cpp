@@ -1,9 +1,10 @@
 #include "trace/paraver.h"
 
 #include <algorithm>
-#include <fstream>
+#include <sstream>
 
 #include "common/check.h"
+#include "obs/text_file.h"
 
 namespace hpcs::trace {
 namespace {
@@ -77,14 +78,16 @@ void write_row(std::ostream& os, const ParaverJob& job) {
 }
 
 bool export_paraver(const std::string& prefix, const Tracer& tracer, const ParaverJob& job) {
-  std::ofstream prv(prefix + ".prv");
-  std::ofstream pcf(prefix + ".pcf");
-  std::ofstream row(prefix + ".row");
-  if (!prv || !pcf || !row) return false;
+  std::ostringstream prv;
+  std::ostringstream pcf;
+  std::ostringstream row;
   write_prv(prv, tracer, job);
   write_pcf(pcf);
   write_row(row, job);
-  return prv.good() && pcf.good() && row.good();
+  bool ok = obs::write_text_file(prefix + ".prv", prv.str());
+  ok = obs::write_text_file(prefix + ".pcf", pcf.str()) && ok;
+  ok = obs::write_text_file(prefix + ".row", row.str()) && ok;
+  return ok;
 }
 
 }  // namespace hpcs::trace

@@ -41,8 +41,9 @@ void write_pcf(std::ostream& os);
 /// Write the .row object hierarchy labels.
 void write_row(std::ostream& os, const ParaverJob& job);
 
-/// Convenience: write all three files with a common path prefix.
-/// Returns false if any file could not be opened.
+/// Convenience: write all three files with a common path prefix, each
+/// through obs::write_text_file. Returns false if any file could not be
+/// opened or did not get all its bytes (one warning on stderr per file).
 bool export_paraver(const std::string& prefix, const Tracer& tracer, const ParaverJob& job);
 
 }  // namespace hpcs::trace

@@ -8,8 +8,11 @@
 # can reach, directly, through a virtual hook, through a callback or from an
 # instantiated template, is an undefined symbol of PROBE. This script lists
 # those imports with `nm -C -u` and fails on the ones that read a clock, the
-# environment, an entropy source, the process id or the CPU count. Names are
-# matched with any @VERSION suffix stripped, since some nm builds print none.
+# environment, an entropy source, the process id or the CPU count, and on
+# libstdc++'s out-of-line rehash policy, which filling any std::unordered_*
+# container calls: their iteration order depends on the hash and bucket
+# count, not on the simulation. Names are matched with any @VERSION suffix
+# stripped, since some nm builds print none.
 #
 # It proves that no core object calls those functions. It does not see
 # inline reads (a raw rdtsc, a syscall instruction), reads through a
@@ -44,7 +47,8 @@ foreach(line IN LISTS nm_lines)
      OR name MATCHES "clock::now\\(\\)$"
      OR name MATCHES "^std::random_device::"
      OR name MATCHES "hardware_concurrency\\(\\)$"
-     OR name MATCHES "rand48$")
+     OR name MATCHES "rand48$"
+     OR name MATCHES "^std::__detail::_Prime_rehash_policy::")
     list(APPEND forbidden "${name}")
   endif()
 endforeach()
@@ -62,6 +66,7 @@ if(forbidden)
   message("core_imports: to find the object that imports one: "
           "nm -A -C -u src/libhpcs_core.a | grep -F '<name>' (in the build dir)")
   message(FATAL_ERROR "core_imports: the deterministic core imports a clock, "
-                      "environment, entropy, pid or CPU-count function")
+                      "environment, entropy, pid, CPU-count or hash-container "
+                      "function")
 endif()
 message("core_imports: ${imports} imports, none forbidden")

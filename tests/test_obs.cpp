@@ -574,8 +574,8 @@ TEST(RingDump, EncodesHeaderRunsAndRawEntries) {
   cfg.enabled = true;
   cfg.ring_capacity = 8;
   obs::Recorder rec(cfg, /*num_cpus=*/2);
-  rec.record(obs::TpId::kTpWake, SimTime(1000), /*cpu=*/0, 7, 0);
-  rec.record(obs::TpId::kTpMigrate, SimTime(2000), /*cpu=*/1, 7, 1);
+  rec.record<obs::TpId::kTpWake>(SimTime(1000), /*cpu=*/0, 7, 0);
+  rec.record<obs::TpId::kTpMigrate>(SimTime(2000), /*cpu=*/1, 7, 1);
 
   const std::string blob = obs::encode_ring_dump({{"Adaptive", &rec}});
   ASSERT_GE(blob.size(), 16u);
@@ -608,7 +608,7 @@ TEST(RingDump, NullRecordersAreSkippedAndDumpIsDeterministic) {
   obs::ObsConfig cfg;
   cfg.enabled = true;
   obs::Recorder rec(cfg, /*num_cpus=*/1);
-  rec.record(obs::TpId::kTpSchedSwitch, SimTime(5), 0, 1, -1);
+  rec.record<obs::TpId::kTpSchedSwitch>(SimTime(5), 0, 1, -1);
   const std::string a = obs::encode_ring_dump({{"none", nullptr}, {"run", &rec}});
   const std::string b = obs::encode_ring_dump({{"run", &rec}});
   EXPECT_EQ(a, b);  // the null run contributes nothing, not an empty section

@@ -1,14 +1,40 @@
 // Unit and property tests of the discrete-event core: ordering, FIFO
-// tie-breaking, cancellation semantics, determinism.
+// tie-breaking, cancellation semantics, determinism, and a dispatch path
+// that does not allocate.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <atomic>
+#include <cstdlib>
+#include <memory>
+#include <new>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/rng.h"
 #include "simcore/simulator.h"
+
+// This binary replaces the global operator new/delete with a counting pair,
+// so a test can assert that a code path, callees included, allocates nothing.
+namespace {
+std::atomic<std::uint64_t> heap_allocs{0};
+}  // namespace
+
+// GCC 12 pairs the free() below with the malloc() in operator new and
+// reports the replacement pair as a mismatched new/delete.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void* operator new(std::size_t n) {
+  heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace hpcs::sim {
 namespace {
@@ -521,6 +547,56 @@ TEST(EventQueueProperty, MatchesReferenceModel) {
     EXPECT_GT(h.q.stats().resched_inplace, 0);
     EXPECT_GT(h.q.stats().resched_pending, 0);
   }
+}
+
+// Every simulated event goes through schedule/cancel/reschedule/step, so in
+// steady state (the slot table and the heap at the live population) none of
+// them may allocate. Closures live inline in the slot: one fills the 48-byte
+// capacity, one is not trivially copyable (its moves run a manager).
+TEST(EventQueue, SteadyStateDispatchDoesNotAllocate) {
+  Simulator sim;
+  std::int64_t sum = 0;
+  std::int64_t ticks = 0;
+  const auto shared = std::make_shared<std::int64_t>(0);
+
+  const std::array<std::int64_t, 5> pad{1, 2, 3, 4, 5};
+  const auto full = [&sum, pad] { sum += pad[4]; };
+  static_assert(sizeof(full) == kEventCallbackCapacity);
+  const auto managed = [shared] { ++*shared; };
+  static_assert(!std::is_trivially_copyable_v<decltype(managed)>);
+
+  // A recurring event that re-arms its own slot from inside its callback.
+  EventHandle tick;
+  tick = sim.schedule_in(Duration(2), [&sim, &tick, &ticks] {
+    ++ticks;
+    sim.reschedule_in(tick, Duration(2));
+  });
+
+  std::int64_t rescheduled = 0;
+  std::int64_t cancelled = 0;
+  const auto round = [&] {
+    const EventHandle a = sim.schedule_in(Duration(3), full);
+    sim.schedule_at(sim.now() + Duration(5), managed);
+    const EventHandle c = sim.schedule_in(Duration(7), [&sum] { sum -= 1000; });
+    rescheduled += sim.reschedule_in(a, Duration(4)) ? 1 : 0;
+    cancelled += sim.cancel(c) ? 1 : 0;
+    while (sim.pending_events() > 1) sim.step();  // all but the tick fired
+  };
+
+  for (int i = 0; i < 64; ++i) round();
+  const std::uint64_t before = heap_allocs.load(std::memory_order_relaxed);
+  constexpr int kRounds = 1000;
+  for (int i = 0; i < kRounds; ++i) round();
+  const std::uint64_t allocs = heap_allocs.load(std::memory_order_relaxed) - before;
+
+  EXPECT_EQ(allocs, 0u);
+  const std::int64_t total = 64 + kRounds;
+  EXPECT_EQ(rescheduled, total);
+  EXPECT_EQ(cancelled, total);
+  EXPECT_EQ(sum, 5 * total);
+  EXPECT_EQ(*shared, total);
+  EXPECT_GT(ticks, total);
+  EXPECT_GT(sim.queue_stats().resched_inplace, total);
 }
 
 // Determinism: two identical runs produce the identical firing order.

@@ -1,13 +1,16 @@
 // Trace module tests: interval construction from state transitions, compute
-// fractions, Gantt rendering, CSV export formats.
+// fractions, Gantt rendering, CSV export formats, Paraver export failures.
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <filesystem>
 #include <sstream>
 
 #include "kernel/task.h"
 #include "trace/csv.h"
 #include "trace/gantt.h"
+#include "trace/paraver.h"
 #include "trace/tracer.h"
 
 namespace hpcs::trace {
@@ -131,6 +134,35 @@ TEST(Csv, PriorityExport) {
   std::ostringstream os;
   write_priorities_csv(os, f.tracer, {7}, {"rank0"});
   EXPECT_NE(os.str().find("7,rank0,0.5,5"), std::string::npos) << os.str();
+}
+
+// A Paraver set small enough to sit in stdio's buffers meets a full disk only
+// when each file is closed; export_paraver must still report all three.
+TEST(Paraver, ExportToFullDeviceFails) {
+  std::FILE* full = std::fopen("/dev/full", "w");
+  if (full == nullptr) GTEST_SKIP() << "no /dev/full";
+  std::fclose(full);
+
+  TraceFixture f;
+  f.feed({{0, kern::TaskState::kRunnable}, {10, kern::TaskState::kExited}});
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(::testing::TempDir()) / "hpcs_paraver_full";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string prefix = (dir / "x").string();
+  for (const char* ext : {".prv", ".pcf", ".row"}) fs::create_symlink("/dev/full", prefix + ext);
+
+  ParaverJob job;
+  job.pids = {7};
+  job.labels = {"rank0"};
+  ::testing::internal::CaptureStderr();
+  const bool ok = export_paraver(prefix, f.tracer, job);
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  fs::remove_all(dir);
+  EXPECT_FALSE(ok);
+  EXPECT_EQ(err, "warning: short write to " + prefix + ".prv\n" +
+                     "warning: short write to " + prefix + ".pcf\n" +
+                     "warning: short write to " + prefix + ".row\n");
 }
 
 }  // namespace
