@@ -1,9 +1,10 @@
 // Ablation: scheduling-policy components (paper §IV-A and §V-D).
 //  1. SCHED_HPC FIFO vs RR with one process per CPU — the paper observed
 //     "essentially no difference".
-//  2. Balancing disabled (policy-only HPCSched) vs full HPCSched vs the Null
-//     mechanism — separating the two sources of improvement the paper
-//     identifies (load balance vs responsive policy).
+//  2. Policy-only HPCSched (the Null mechanism: hardware priorities off, so
+//     the class schedules but cannot balance) vs full HPCSched — separating
+//     the two sources of improvement the paper identifies (load balance vs
+//     responsive policy).
 //  3. Wakeup-cost sensitivity on the latency-bound SIESTA workload.
 //
 // Every run (including the hand-built FIFO world) is a self-contained

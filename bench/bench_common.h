@@ -19,27 +19,16 @@
 #include "exp/parallel_runner.h"
 #include "obs/chrome_trace.h"
 #include "obs/manifest.h"
-#include "obs/ring_dump.h"
 
 namespace hpcs::bench {
 
 /// Observability flags shared by the table, figure and export drivers. Off
 /// by default so the golden numbers are unaffected:
-///   --obs                   metrics registry + tracepoint rings,
-///                           MANIFEST_<name>.json (+ .host.json sidecar)
+///   --obs                   metrics registry (tracepoint hit counts and the
+///                           kernel's counters), MANIFEST_<name>.json
+///                           (+ .host.json sidecar)
 ///   --obs-trace PATH        additionally capture a Chrome-trace / Perfetto
 ///                           JSON view of every run into PATH (implies --obs)
-///   --obs-ring N            per-CPU tracepoint ring capacity in entries;
-///                           must be a power of two (the ring wraps with a
-///                           mask). Default 4096. An invalid value aborts
-///                           with exit code 2 rather than silently rounding —
-///                           a bench that drops a different number of trace
-///                           entries than asked for is not comparable.
-///   --obs-ring-dump PATH    dump every run's retained tracepoint ring
-///                           entries raw (32 bytes each, little-endian,
-///                           versioned header) into PATH for post-mortem
-///                           tooling — scripts/obs_ring_decode.py reads it
-///                           back (implies --obs)
 ///   --obs-window NS         sample every registered metric on sim-time
 ///                           window boundaries of NS nanoseconds into the
 ///                           manifest's per-window series (schema
@@ -51,18 +40,10 @@ namespace hpcs::bench {
 struct ObsOptions {
   obs::ObsConfig cfg;
   std::string trace_path;
-  std::string ring_dump_path;
 };
 
 inline ObsOptions parse_obs_options(int argc, char** argv) {
   ObsOptions o;
-  auto set_ring = [&](const char* text) {
-    std::string error;
-    if (!obs::parse_ring_capacity(text, o.cfg.ring_capacity, error)) {
-      std::fprintf(stderr, "error: --obs-ring: %s\n", error.c_str());
-      std::exit(2);
-    }
-  };
   auto set_window = [&](const char* text) {
     std::string error;
     if (!obs::parse_window_ns(text, o.cfg.window_ns, error)) {
@@ -78,14 +59,6 @@ inline ObsOptions parse_obs_options(int argc, char** argv) {
       o.trace_path = argv[i + 1];
     } else if (std::strncmp(a, "--obs-trace=", 12) == 0) {
       o.trace_path = a + 12;
-    } else if (std::strcmp(a, "--obs-ring-dump") == 0 && i + 1 < argc) {
-      o.ring_dump_path = argv[i + 1];
-    } else if (std::strncmp(a, "--obs-ring-dump=", 16) == 0) {
-      o.ring_dump_path = a + 16;
-    } else if (std::strcmp(a, "--obs-ring") == 0 && i + 1 < argc) {
-      set_ring(argv[++i]);
-    } else if (std::strncmp(a, "--obs-ring=", 11) == 0) {
-      set_ring(a + 11);
     } else if (std::strcmp(a, "--obs-window") == 0 && i + 1 < argc) {
       set_window(argv[++i]);
     } else if (std::strncmp(a, "--obs-window=", 13) == 0) {
@@ -96,7 +69,6 @@ inline ObsOptions parse_obs_options(int argc, char** argv) {
     o.cfg.enabled = true;
     o.cfg.chrome_trace = true;
   }
-  if (!o.ring_dump_path.empty()) o.cfg.enabled = true;
   if (o.cfg.window_ns > 0) o.cfg.enabled = true;
   return o;
 }
@@ -166,8 +138,8 @@ inline void write_host_sidecar(const char* name, unsigned jobs,
 /// The obs epilogue of every table, figure and export driver, one run per
 /// label: MANIFEST_<name>.json (one entry per run, fixed metric order — see
 /// docs/observability.md; byte-identical for every --jobs N), the host
-/// sidecar when `host_stats` is given, the Chrome trace (--obs-trace) and
-/// the ring dump (--obs-ring-dump). No-op with obs off.
+/// sidecar when `host_stats` is given and the Chrome trace (--obs-trace).
+/// No-op with obs off.
 inline void write_obs_outputs(const char* name, const ObsOptions& o, unsigned jobs,
                               const std::vector<std::string>& labels,
                               const std::vector<analysis::RunResult>& results,
@@ -186,20 +158,6 @@ inline void write_obs_outputs(const char* name, const ObsOptions& o, unsigned jo
     }
     if (obs::write_chrome_trace(o.trace_path, truns)) {
       std::printf("wrote Chrome trace: %s (open in ui.perfetto.dev)\n", o.trace_path.c_str());
-    }
-  }
-  if (!o.ring_dump_path.empty()) {
-    std::vector<obs::RingDumpRun> druns;
-    for (std::size_t i = 0; i < labels.size(); ++i) {
-      druns.push_back({labels[i], results[i].recorder.get()});
-    }
-    std::string error;
-    if (obs::write_ring_dump(o.ring_dump_path, druns, error)) {
-      std::printf("wrote ring dump: %s (decode with scripts/obs_ring_decode.py)\n",
-                  o.ring_dump_path.c_str());
-    } else {
-      std::fprintf(stderr, "error: --obs-ring-dump: %s\n", error.c_str());
-      std::exit(1);
     }
   }
 }

@@ -1,14 +1,13 @@
 // hpcsim command-line driver: run any packaged workload under any scheduler
-// configuration and inspect the result — tables, ASCII Gantt, ps-like
-// reports, PARAVER export. The "swiss-army knife" entry point of the
-// library.
+// configuration and inspect the result — tables, ASCII Gantt, PARAVER
+// export. The "swiss-army knife" entry point of the library.
 //
 // Usage:
 //   example_hpcsim_cli [--workload metbench|metbenchvar|btmz|siesta|wavefront]
 //                      [--mode baseline|static|uniform|adaptive|hybrid]
 //                      [--iterations N] [--seed S] [--no-noise]
 //                      [--fair cfs|o1] [--snooze-us N]
-//                      [--gantt] [--report] [--paraver PREFIX]
+//                      [--gantt] [--paraver PREFIX]
 
 #include <cstdio>
 #include <cstring>
@@ -16,7 +15,6 @@
 
 #include "analysis/iterations.h"
 #include "analysis/paper_experiments.h"
-#include "analysis/report.h"
 #include "trace/gantt.h"
 #include "trace/paraver.h"
 #include "workloads/wavefront.h"
@@ -34,7 +32,6 @@ struct CliOptions {
   std::string fair = "cfs";
   std::int64_t snooze_us = -1;
   bool gantt = false;
-  bool report = false;
   std::string paraver_prefix;
 };
 
@@ -109,15 +106,13 @@ CliOptions parse(int argc, char** argv) {
       o.snooze_us = std::atoll(need_value(i));
     } else if (!std::strcmp(a, "--gantt")) {
       o.gantt = true;
-    } else if (!std::strcmp(a, "--report")) {
-      o.report = true;
     } else if (!std::strcmp(a, "--paraver")) {
       o.paraver_prefix = need_value(i);
     } else if (!std::strcmp(a, "--help") || !std::strcmp(a, "-h")) {
       std::printf(
           "usage: %s [--workload W] [--mode M] [--iterations N] [--seed S]\n"
           "          [--no-noise] [--fair cfs|o1] [--snooze-us N]\n"
-          "          [--gantt] [--report] [--paraver PREFIX]\n"
+          "          [--gantt] [--paraver PREFIX]\n"
           "workloads: metbench metbenchvar btmz siesta wavefront\n"
           "modes:     baseline static uniform adaptive hybrid\n",
           argv[0]);
@@ -186,9 +181,6 @@ int main(int argc, char** argv) {
                    o.paraver_prefix.c_str());
       return 1;
     }
-  }
-  if (o.report) {
-    std::printf("\n(note: per-task reports reflect the end-of-run state)\n");
   }
   return 0;
 }

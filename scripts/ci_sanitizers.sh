@@ -2,13 +2,12 @@
 # CI pipeline: the full static-analysis + sanitizer matrix.
 #
 #   pass 1  release-strict   Release,        -Werror, ctest (core_imports,
-#                            the allocation test and the rest) + bench
-#                            smoke-diff against scripts/bench_golden.json
-#                            (events/sec floors included),
-#                            serial == --jobs 4 for table3..6 and
-#                            fig3..6, windowed manifests vs goldens,
-#                            bench_data/ vs a fresh export_figdata,
-#                            perfbench tests
+#                            the allocation test, windowed manifests vs
+#                            goldens and the rest) + bench smoke-diff
+#                            against scripts/bench_golden.json (events/sec
+#                            floors included), serial == --jobs 4 for
+#                            table3..6 and fig3..6, bench_data/ vs a fresh
+#                            export_figdata, perfbench tests
 #   pass 2  asan-ubsan       RelWithDebInfo, -Werror, ASan+UBSan, ctest
 #   pass 3  tsan             RelWithDebInfo, -Werror, TSan, ctest
 #   pass 4  clang            (only if clang++ is installed) Release,
@@ -41,32 +40,21 @@ configure_and_test "release-strict" build-ci -DCMAKE_BUILD_TYPE=Release
 echo "=== bench smoke-diff vs golden ranges ==="
 (cd build-ci/bench && ./table3_metbench >/dev/null && ./micro_simcore >/dev/null)
 
-echo "=== observability smoke: manifests + Chrome trace + ring dump ==="
+echo "=== observability smoke: manifests + Chrome trace ==="
 # A parallel table and a parallel figure obs run must each emit a
 # schema-valid manifest pair (they land in build-ci/bench, where
 # check_bench_json.py schema-validates them below); the figure driver must
-# also produce a loadable Chrome-trace JSON and a ring dump that
-# obs_ring_decode.py reads. With --obs-window on, every table driver's
-# stdout and manifest must be byte-identical for --jobs 1 and --jobs 4
-# (BENCH_*.json apart from "jobs"), and so must every figure driver's
-# stdout, manifest and Chrome trace; the windowed series of every table
-# must match its checked-in golden (the golden pins the trajectory,
-# manifest_diff.py flags mid-run drift even when totals agree), and
-# export_figdata must reproduce every checked-in bench_data/ file byte for
-# byte.
+# also produce a loadable Chrome-trace JSON. With --obs-window on, every
+# table driver's stdout and manifest must be byte-identical for --jobs 1
+# and --jobs 4 (BENCH_*.json apart from "jobs"), and so must every figure
+# driver's stdout, manifest and Chrome trace; export_figdata must reproduce
+# every checked-in bench_data/ file byte for byte. (The windowed manifests'
+# goldens are the manifest_goldens ctest above.)
 (cd build-ci/bench && ./table3_metbench --jobs 2 --obs --obs-window 10000000000 >/dev/null)
 scripts/jobs_identity.sh build-ci/bench build-ci/jobs-identity
-python3 scripts/manifest_diff.py scripts/manifest_golden_v2.json \
-  build-ci/jobs-identity/j4/MANIFEST_table3_metbench.json
-for t in table4_metbenchvar table5_btmz table6_siesta; do
-  python3 scripts/manifest_diff.py "scripts/manifest_golden_${t%%_*}_v2.json" \
-    "build-ci/jobs-identity/j4/MANIFEST_${t}.json"
-done
 scripts/figdata_identity.sh build-ci/bench build-ci/figdata-identity
 (cd build-ci/bench &&
-  ./fig3_metbench_trace --jobs 2 --obs-trace obs_fig3_trace.json \
-    --obs-ring-dump obs_fig3_ring.bin >/dev/null)
-python3 scripts/obs_ring_decode.py build-ci/bench/obs_fig3_ring.bin >/dev/null
+  ./fig3_metbench_trace --jobs 2 --obs-trace obs_fig3_trace.json >/dev/null)
 python3 -c "
 import json
 doc = json.load(open('build-ci/bench/obs_fig3_trace.json'))

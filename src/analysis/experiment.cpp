@@ -59,7 +59,7 @@ RunResult run_experiment(const ExperimentConfig& cfg,
   std::unique_ptr<obs::Recorder> recorder;
   std::unique_ptr<obs::ChromeTraceSink> chrome;
   if (cfg.obs.enabled) {
-    recorder = std::make_unique<obs::Recorder>(cfg.obs, kernel.num_cpus());
+    recorder = std::make_unique<obs::Recorder>(cfg.obs);
     kernel.set_obs(recorder.get());
     if (cfg.obs.chrome_trace) chrome = std::make_unique<obs::ChromeTraceSink>();
   }
@@ -152,7 +152,6 @@ RunResult run_experiment(const ExperimentConfig& cfg,
     }
     res.metrics = recorder->snapshot(world.finish_time());
     kernel.set_obs(nullptr);
-    res.recorder = std::move(recorder);
   }
   return res;
 }

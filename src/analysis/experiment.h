@@ -39,9 +39,9 @@ struct ExperimentConfig {
   bool enable_noise = true;
   kern::NoiseConfig noise{};
   bool capture_trace = false;
-  /// Observability: metrics registry + tracepoint rings (+ optional Chrome
-  /// trace). Off by default; a run pays one null-pointer branch per record
-  /// site when disabled.
+  /// Observability: metrics registry + tracepoint hit counts (+ optional
+  /// Chrome trace). Off by default; a run pays one null-pointer branch per
+  /// record site when disabled.
   obs::ObsConfig obs{};
   std::uint64_t seed = 1;
   /// Abort if the workload has not completed by this simulated time.
@@ -71,10 +71,8 @@ struct RunResult {
   std::int64_t hpc_history_resets = 0;
   std::int64_t messages = 0;
   std::unique_ptr<trace::Tracer> tracer;  ///< non-null when capture_trace
-  /// Observability outputs (cfg.obs.enabled): the full recorder (rings +
-  /// registry, per-run so parallel sweeps stay deterministic) and its
-  /// end-of-run snapshot; plus the Chrome-trace view when requested.
-  std::unique_ptr<obs::Recorder> recorder;
+  /// Observability outputs (cfg.obs.enabled): the recorder's end-of-run
+  /// snapshot, plus the Chrome-trace view when requested.
   std::unique_ptr<obs::ChromeTraceSink> chrome;
   obs::MetricsSnapshot metrics;
 

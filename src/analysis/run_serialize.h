@@ -5,8 +5,8 @@
 // decimal text, so two runs serialize to the same bytes exactly when every
 // value field agrees to the last bit. Nothing decodes the bytes.
 //
-// Scope: the value fields only. The host-side handles (tracer, recorder,
-// chrome) are not serialized.
+// Scope: the value fields only. The host-side handles (tracer, chrome) are
+// not serialized.
 
 #include <string>
 
@@ -14,7 +14,7 @@
 
 namespace hpcs::analysis {
 
-/// Serialize the value fields of `r` (version-tagged; tracer/recorder/chrome
+/// Serialize the value fields of `r` (version-tagged; tracer/chrome
 /// excluded).
 [[nodiscard]] std::string serialize_run_result(const RunResult& r);
 

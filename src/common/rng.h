@@ -29,11 +29,6 @@ class Rng {
     return std::uniform_int_distribution<std::int64_t>(lo, hi)(engine_);
   }
 
-  /// Exponential with the given mean (> 0).
-  [[nodiscard]] double exponential(double mean) {
-    return std::exponential_distribution<double>(1.0 / mean)(engine_);
-  }
-
   /// Log-normal parameterized by the mean and sigma of the underlying normal.
   [[nodiscard]] double lognormal(double mu, double sigma) {
     return std::lognormal_distribution<double>(mu, sigma)(engine_);

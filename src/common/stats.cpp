@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/check.h"
-
 namespace hpcs {
 
 void RunningStat::add(double x) {
@@ -28,30 +26,5 @@ double RunningStat::variance() const {
 }
 
 double RunningStat::stddev() const { return std::sqrt(variance()); }
-
-Histogram::Histogram(double lo, double hi, int buckets) : lo_(lo), hi_(hi) {
-  HPCS_CHECK(hi > lo && buckets > 0);
-  counts_.assign(static_cast<std::size_t>(buckets), 0);
-}
-
-void Histogram::add(double x) {
-  const auto n = static_cast<double>(counts_.size());
-  auto idx = static_cast<std::int64_t>((x - lo_) / (hi_ - lo_) * n);
-  idx = std::clamp<std::int64_t>(idx, 0, static_cast<std::int64_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-double Histogram::percentile(double p) const {
-  if (total_ == 0) return lo_;
-  const auto target = static_cast<std::int64_t>(p * static_cast<double>(total_));
-  std::int64_t seen = 0;
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    seen += counts_[i];
-    if (seen >= target) return lo_ + (static_cast<double>(i) + 0.5) * width;
-  }
-  return hi_;
-}
 
 }  // namespace hpcs

@@ -1,9 +1,8 @@
 #pragma once
-// Streaming statistics helpers used by the tracer, the imbalance detector and
-// the benchmark harness.
+// Streaming statistics: the kernel's wakeup-latency accounting, per task and
+// per kernel.
 
 #include <cstdint>
-#include <vector>
 
 namespace hpcs {
 
@@ -28,26 +27,6 @@ class RunningStat {
   double min_ = 0.0;
   double max_ = 0.0;
   double sum_ = 0.0;
-};
-
-/// Fixed-bucket histogram over [lo, hi); out-of-range samples clamp to the
-/// first/last bucket. Used for wakeup-latency distributions.
-class Histogram {
- public:
-  Histogram(double lo, double hi, int buckets);
-
-  void add(double x);
-  [[nodiscard]] std::int64_t total() const { return total_; }
-  [[nodiscard]] const std::vector<std::int64_t>& buckets() const { return counts_; }
-  /// Value below which the given fraction (0..1) of samples fall
-  /// (bucket-midpoint approximation).
-  [[nodiscard]] double percentile(double p) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::int64_t> counts_;
-  std::int64_t total_ = 0;
 };
 
 }  // namespace hpcs

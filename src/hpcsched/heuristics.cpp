@@ -6,15 +6,6 @@
 
 namespace hpcs::hpc {
 
-const char* heuristic_kind_name(HeuristicKind k) {
-  switch (k) {
-    case HeuristicKind::kUniform: return "uniform";
-    case HeuristicKind::kAdaptive: return "adaptive";
-    case HeuristicKind::kHybrid: return "hybrid";
-  }
-  return "?";
-}
-
 int classify_band(double util_pct, const HpcTunables& tun) {
   if (util_pct >= static_cast<double>(tun.high_util)) return 2;
   if (util_pct <= static_cast<double>(tun.low_util)) return 0;

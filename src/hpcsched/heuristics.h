@@ -23,8 +23,6 @@ namespace hpcs::hpc {
 
 enum class HeuristicKind { kUniform, kAdaptive, kHybrid };
 
-[[nodiscard]] const char* heuristic_kind_name(HeuristicKind k);
-
 class Heuristic {
  public:
   virtual ~Heuristic() = default;

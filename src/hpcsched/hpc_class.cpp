@@ -44,15 +44,14 @@ void HpcSchedClass::enqueue(kern::Kernel& k, kern::Rq& rq, kern::Task& t, bool w
 void HpcSchedClass::on_iteration_complete(kern::Kernel& k, kern::Task& t,
                                           const IterationSample& sample) {
   ++iterations_;
-  HPCS_TRACEPOINT(k.obs(), obs::TpId::kTpHpcIteration, k.now(), t.cpu, t.pid(),
-                  sample.iteration);
+  HPCS_TRACEPOINT(k.obs(), obs::TpId::kTpHpcIteration, k.now());
   TaskIterStats* s = tracker_.stats_mutable(t.pid());
   HPCS_CHECK(s != nullptr);
 
   if (detector_.behaviour_changed(*s, tun_)) {
     tracker_.reset_history(t.pid());
     ++resets_;
-    HPCS_TRACEPOINT(k.obs(), obs::TpId::kTpHpcHistoryReset, k.now(), t.cpu, t.pid(), 0);
+    HPCS_TRACEPOINT(k.obs(), obs::TpId::kTpHpcHistoryReset, k.now());
   }
 
   const double metric = heuristic_->metric(*s, tun_);
@@ -65,21 +64,19 @@ void HpcSchedClass::on_iteration_complete(kern::Kernel& k, kern::Task& t,
     sink->on_iteration(k.now(), t, sample.iteration, sample.util_last, metric);
   }
 
-  if (!balancing_enabled_) return;
   // In a stable (balanced) state the detector suppresses further priority
   // changes so the scheduler does not oscillate between two solutions.
   if (detector_.balanced(tun_)) return;
 
   ++imbalance_detections_;
-  HPCS_TRACEPOINT(k.obs(), obs::TpId::kTpHpcImbalance, k.now(), t.cpu, t.pid(),
-                  static_cast<std::int64_t>(sample.util_last * 100.0));
+  HPCS_TRACEPOINT(k.obs(), obs::TpId::kTpHpcImbalance, k.now());
 
   const int target = classify_priority(metric, tun_);
   ++heuristic_decisions_;
   if (mechanism_->read(t) != target) {
     if (mechanism_->apply(k, t, target)) {
       ++prio_changes_;
-      HPCS_TRACEPOINT(k.obs(), obs::TpId::kTpHpcPrioChange, k.now(), t.cpu, t.pid(), target);
+      HPCS_TRACEPOINT(k.obs(), obs::TpId::kTpHpcPrioChange, k.now());
     }
   }
 }

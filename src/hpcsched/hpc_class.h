@@ -57,10 +57,6 @@ class HpcSchedClass final : public kern::SchedClass {
   /// the paper selected it at kernel compile time — ours is hot-swappable).
   void set_heuristic(std::unique_ptr<Heuristic> h);
 
-  /// Enable/disable the balancing logic (the scheduling policy keeps working
-  /// either way — used to isolate the policy effect in ablations).
-  void set_balancing_enabled(bool on) { balancing_enabled_ = on; }
-
   [[nodiscard]] std::int64_t priority_changes() const { return prio_changes_; }
   [[nodiscard]] std::int64_t iterations_observed() const { return iterations_; }
   [[nodiscard]] std::int64_t history_resets() const { return resets_; }
@@ -80,7 +76,6 @@ class HpcSchedClass final : public kern::SchedClass {
   std::unique_ptr<Mechanism> mechanism_;
   IterationTracker tracker_;
   ImbalanceDetector detector_;
-  bool balancing_enabled_ = true;
   std::int64_t prio_changes_ = 0;
   std::int64_t iterations_ = 0;
   std::int64_t resets_ = 0;

@@ -9,7 +9,6 @@ void ImbalanceDetector::record(Pid pid, double metric_util) { util_[pid] = metri
 void ImbalanceDetector::forget(Pid pid) { util_.erase(pid); }
 
 bool ImbalanceDetector::balanced(const HpcTunables& tun) const {
-  ++balanced_checks_;
   if (util_.empty()) return true;
   return std::all_of(util_.begin(), util_.end(), [&](const auto& kv) {
     return classify_band(kv.second, tun) == 2;

@@ -40,12 +40,8 @@ class ImbalanceDetector {
 
   [[nodiscard]] const std::map<Pid, double>& utilizations() const { return util_; }
 
-  // Diagnostics.
-  [[nodiscard]] std::int64_t balanced_checks() const { return balanced_checks_; }
-
  private:
   std::map<Pid, double> util_;
-  mutable std::int64_t balanced_checks_ = 0;
 };
 
 }  // namespace hpcs::hpc

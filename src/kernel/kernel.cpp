@@ -133,13 +133,6 @@ SchedClass* Kernel::class_for(Policy p) const {
   return nullptr;
 }
 
-Task* Kernel::find_task(Pid pid) const {
-  for (const auto& t : tasks_) {
-    if (t->pid() == pid) return t.get();
-  }
-  return nullptr;
-}
-
 Task& Kernel::create_task(std::string name, std::unique_ptr<TaskBody> body, Policy policy,
                           CpuId initial_cpu) {
   HPCS_CHECK_MSG(started_, "start() the kernel before creating tasks");
@@ -165,7 +158,7 @@ void Kernel::start_task(Task& t) { wake(t); }
 // ---------------------------------------------------------------------------
 
 void Kernel::set_obs(obs::Recorder* rec) {
-  // The tick event plans its firings around the recorder's window ends.
+  // A recorder attached mid-run would miss every count before it.
   HPCS_CHECK_MSG(!started_ || rec == nullptr, "attach the obs recorder before Kernel::start()");
   obs_ = rec;
 }
@@ -294,14 +287,8 @@ void Kernel::schedule_cpu(CpuId cpu) {
     ++ctx_switches_;
     if (next != r.idle) ++next->nr_switches;
     if (trace_ != nullptr) trace_->on_switch(now(), cpu, prev, next);
-    HPCS_TRACEPOINT(obs_, obs::TpId::kTpSchedSwitch, now(), cpu,
-                    next != r.idle ? next->pid() : kInvalidPid,
-                    (prev != nullptr && prev != r.idle) ? prev->pid() : kInvalidPid);
-    if (obs_ != nullptr) {
-      std::int64_t depth = 0;
-      for (const int n : r.class_count) depth += n;
-      obs_->runq_depth().observe(static_cast<double>(depth));
-    }
+    HPCS_TRACEPOINT(obs_, obs::TpId::kTpSchedSwitch, now());
+    if (obs_ != nullptr) obs_->observe_runq_depth(now(), r.total_runnable());
   }
 
   if (next != r.idle) {
@@ -313,7 +300,7 @@ void Kernel::schedule_cpu(CpuId cpu) {
       wakeup_latency_us_.add(lat.us());
       next->wakeup_latency_us.add(lat.us());
       if (trace_ != nullptr) trace_->on_wakeup_latency(now(), *next, lat);
-      if (obs_ != nullptr) obs_->wakeup_latency_us().observe(lat.us());
+      if (obs_ != nullptr) obs_->observe_wakeup_latency_us(now(), lat.us());
     }
     sim_->cancel(c.snooze_event);
     chip_.set_cpu_active(cpu, true);
@@ -521,7 +508,7 @@ void Kernel::do_wake(Task& t) {
   if (t.state_ != TaskState::kSleeping) return;
   t.state_ = TaskState::kRunnable;
   if (trace_ != nullptr) trace_->on_state(now(), t, TaskState::kRunnable);
-  HPCS_TRACEPOINT(obs_, obs::TpId::kTpWake, now(), t.cpu, t.pid(), 0);
+  HPCS_TRACEPOINT(obs_, obs::TpId::kTpWake, now());
   if (t.pinned_cpu != kInvalidCpu) t.cpu = t.pinned_cpu;
   enqueue_task(t, /*wakeup=*/true);
   maybe_preempt(t.cpu, t);
@@ -531,8 +518,7 @@ void Kernel::request_hw_prio(Task& t, p5::HwPrio prio) {
   if (t.hw_prio == prio) return;
   t.hw_prio = prio;
   if (trace_ != nullptr) trace_->on_hw_prio(now(), t, prio);
-  HPCS_TRACEPOINT(obs_, obs::TpId::kTpHwPrio, now(), t.cpu, t.pid(),
-                  static_cast<std::int64_t>(prio));
+  HPCS_TRACEPOINT(obs_, obs::TpId::kTpHwPrio, now());
   if (cfg_.hw_prio_enabled && started_ && rq(t.cpu).curr == &t) {
     isa_.set_priority(t.cpu, prio, p5::Privilege::kSupervisor);
   }
@@ -600,12 +586,8 @@ void Kernel::set_nice(Task& t, int nice) {
 // new-idle switch as well as on balance ticks.
 
 // One event serves every CPU: it runs tick_cpu for the CPUs that are due, in
-// CPU order, then re-arms itself in place for the next tick any CPU (or the
-// windowed-snapshot flush) needs.
+// CPU order, then re-arms itself in place for the next tick any CPU needs.
 void Kernel::on_tick() {
-  // Windowed-snapshot flush rides the tick (sim-time driven, so the series
-  // is exactly as deterministic as the totals). Two compares when inactive.
-  if (obs_ != nullptr) obs_->advance_window(now());
   for (CpuId cpu = 0; cpu < topo_.num_cpus(); ++cpu) {
     tick_cursor_ = cpu;
     if (!cpus_[static_cast<std::size_t>(cpu)].dormant || balance_due(cpu, tick_index_)) {
@@ -658,12 +640,6 @@ std::int64_t Kernel::next_tick_index() const {
     // A dormant CPU still runs its balance ticks: the next j > i with
     // (j + cpu) % n == 0.
     if (n > 0) next = std::min(next, i + 1 + (n - (i + 1 + c.rq.cpu) % n) % n);
-  }
-  if (obs_ != nullptr && obs_->window_ns() > 0) {
-    // advance_window closes a window at the first tick strictly past its end.
-    const std::int64_t past_end =
-        (obs_->next_window_end() - tick_origin_).ns() / cfg_.tick.ns() + 1;
-    next = std::min(next, std::max(past_end, i + 1));
   }
   return next;
 }
@@ -761,7 +737,7 @@ bool Kernel::balance_pull(CpuId cpu, SchedClass& cls) {
     Task* cand = cls.steal_candidate(*this, rq(src));
     if (cand == nullptr) continue;
     if (cand->pinned_cpu != kInvalidCpu && cand->pinned_cpu != cpu) continue;
-    HPCS_TRACEPOINT(obs_, obs::TpId::kTpBalancePull, now(), cpu, cand->pid(), src);
+    HPCS_TRACEPOINT(obs_, obs::TpId::kTpBalancePull, now());
     migrate(*cand, cpu);
     ++balance_pulls_;
     return true;
@@ -773,7 +749,7 @@ void Kernel::migrate(Task& t, CpuId dst) {
   HPCS_CHECK(t.on_rq);
   HPCS_CHECK_MSG(rq(t.cpu).curr != &t, "cannot migrate a running task");
   dequeue_task(t, false);
-  HPCS_TRACEPOINT(obs_, obs::TpId::kTpMigrate, now(), t.cpu, t.pid(), dst);
+  HPCS_TRACEPOINT(obs_, obs::TpId::kTpMigrate, now());
   t.cpu = dst;
   ++t.nr_migrations;
   ++migrations_;

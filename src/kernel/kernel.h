@@ -134,8 +134,6 @@ class Kernel {
   [[nodiscard]] const std::vector<std::unique_ptr<SchedClass>>& classes() const {
     return classes_;
   }
-  [[nodiscard]] const std::vector<std::unique_ptr<Task>>& tasks() const { return tasks_; }
-  [[nodiscard]] Task* find_task(Pid pid) const;
 
   void set_trace(TraceSink* sink) { trace_ = sink; }
   [[nodiscard]] TraceSink* trace() const { return trace_; }

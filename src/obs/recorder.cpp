@@ -3,39 +3,7 @@
 #include <cctype>
 #include <cstdlib>
 
-#include "common/check.h"
-
 namespace hpcs::obs {
-
-bool parse_ring_capacity(const char* text, std::size_t& out, std::string& error) {
-  if (text == nullptr || text[0] == '\0') {
-    error = "ring capacity is empty; expected a power of two, e.g. 4096";
-    return false;
-  }
-  for (const char* p = text; *p != '\0'; ++p) {
-    if (std::isdigit(static_cast<unsigned char>(*p)) == 0) {
-      error = std::string("ring capacity '") + text +
-              "' is not a number; expected a power of two, e.g. 4096";
-      return false;
-    }
-  }
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text, &end, 10);
-  constexpr unsigned long long kMax = 1ULL << 30U;
-  if (v < 2 || v > kMax) {
-    error = std::string("ring capacity '") + text +
-            "' is out of range; expected a power of two in [2, 2^30]";
-    return false;
-  }
-  if ((v & (v - 1)) != 0) {
-    error = std::string("ring capacity '") + text +
-            "' is not a power of two; the ring wraps with a mask, use e.g. "
-            "1024, 4096, 65536";
-    return false;
-  }
-  out = static_cast<std::size_t>(v);
-  return true;
-}
 
 bool parse_window_ns(const char* text, std::int64_t& out, std::string& error) {
   if (text == nullptr || text[0] == '\0') {
@@ -61,18 +29,13 @@ bool parse_window_ns(const char* text, std::int64_t& out, std::string& error) {
   return true;
 }
 
-Recorder::Recorder(const ObsConfig& cfg, int num_cpus) {
-  HPCS_CHECK(num_cpus > 0);
-  rings_.reserve(static_cast<std::size_t>(num_cpus));
-  for (int c = 0; c < num_cpus; ++c) rings_.emplace_back(cfg.ring_capacity);
-
+Recorder::Recorder(const ObsConfig& cfg) {
   // Fixed registration order — this IS the manifest layout. Append only.
   tp_hits_.reserve(kTpCount);
   for (std::size_t i = 0; i < kTpCount; ++i) {
     tp_hits_.push_back(
         &metrics_.counter(std::string("tp.") + tp_name(static_cast<TpId>(i))));
   }
-  ring_dropped_ = &metrics_.counter("tp.ring_dropped");
 
   wakeup_latency_us_ = &metrics_.histogram(
       "kern.wakeup_latency_us", {1, 2, 5, 10, 20, 50, 100, 200, 500, 1000});
@@ -105,12 +68,6 @@ Recorder::Recorder(const ObsConfig& cfg, int num_cpus) {
   }
 }
 
-void Recorder::flush_windows_through(std::int64_t now_ns) {
-  while (window_covered_ns_ + window_ns_ < now_ns) {
-    flush_one_window(window_covered_ns_ + window_ns_);
-  }
-}
-
 void Recorder::flush_one_window(std::int64_t end_ns) {
   WindowSample s;
   s.end = SimTime(end_ns);
@@ -132,14 +89,7 @@ void Recorder::flush_one_window(std::int64_t end_ns) {
   window_covered_ns_ = end_ns;
 }
 
-std::uint64_t Recorder::total_dropped() const {
-  std::uint64_t total = 0;
-  for (const TraceRing& r : rings_) total += r.dropped();
-  return total;
-}
-
 MetricsSnapshot Recorder::snapshot(SimTime at) {
-  ring_dropped_->set(static_cast<std::int64_t>(total_dropped()));
   metrics_.gauge("run.sim_end_s").set(at.sec());
   if (window_ns_ > 0) {
     // Close every boundary the run reached (a boundary exactly at `at` is a

@@ -1,7 +1,7 @@
 #pragma once
-// Recorder: one run's observability state — the metrics registry plus the
-// per-CPU tracepoint rings. A Recorder is created per run (never shared), so
-// parallel sweeps keep the PR-1 determinism contract for free: each worker
+// Recorder: one run's observability state — the metrics registry and its
+// windowed series. A Recorder is created per run (never shared), so a
+// parallel sweep's snapshots equal the serial sweep's for free: each worker
 // records into its own Recorder and the committed snapshot depends only on
 // the run's config.
 //
@@ -9,6 +9,9 @@
 // constructor, in one fixed order. Instrumentation only *sets* values; it
 // never registers, so a run that happens to skip a code path still produces
 // a manifest with the same layout (zeros instead of holes).
+//
+// The Recorder only counts: it never schedules anything, so a run's
+// simulation is the same with windows on or off.
 
 #include <cstdint>
 #include <string>
@@ -24,17 +27,8 @@ namespace hpcs::obs {
 struct ObsConfig {
   bool enabled = false;          ///< master switch; off = null Recorder, zero cost
   bool chrome_trace = false;     ///< also capture a Chrome-trace/Perfetto view
-  std::size_t ring_capacity = 4096;  ///< per-CPU tracepoint ring (entries)
   std::int64_t window_ns = 0;    ///< windowed-snapshot period; 0 = off
 };
-
-/// Parse a per-CPU ring-capacity knob value (--obs-ring N).
-/// Accepts only an exact power of two in [2, 2^30]: TraceRing would silently
-/// round anything else up, and a knob that records a different capacity than
-/// it was given is exactly the kind of surprise the manifest contract bans.
-/// Returns false and fills `error` (including the offending text) otherwise.
-[[nodiscard]] bool parse_ring_capacity(const char* text, std::size_t& out,
-                                       std::string& error);
 
 /// Parse a window-period knob value (--obs-window NS):
 /// a positive integer count of simulated nanoseconds. Returns false and
@@ -44,68 +38,53 @@ struct ObsConfig {
 
 class Recorder {
  public:
-  Recorder(const ObsConfig& cfg, int num_cpus);
+  explicit Recorder(const ObsConfig& cfg);
 
   /// Tracepoint hot path (called through HPCS_TRACEPOINT): bump the hit
-  /// counter and append a fixed-size entry to the CPU's ring. The id is a
-  /// template argument, so a record site can only name a kTp* constant.
+  /// counter of `id` in the window `t` falls in. The id is a template
+  /// argument, so a record site can only name a kTp* constant.
   template <TpId id>
-  void record(SimTime t, CpuId cpu, std::int64_t a0, std::int64_t a1) {
+  void record(SimTime t) {
     static_assert(id != TpId::kTpCount, "kTpCount is not a tracepoint");
+    close_windows_before(t);
     tp_hits_[static_cast<std::size_t>(id)]->inc();
-    const auto r = (cpu >= 0 && cpu < static_cast<CpuId>(rings_.size()))
-                       ? static_cast<std::size_t>(cpu)
-                       : 0;
-    rings_[r].push(TraceEntry{t, static_cast<std::uint32_t>(id), cpu, a0, a1});
+  }
+
+  // The kernel's histogram observations, windowed like record().
+  void observe_wakeup_latency_us(SimTime t, double us) {
+    close_windows_before(t);
+    wakeup_latency_us_->observe(us);
+  }
+  void observe_runq_depth(SimTime t, double depth) {
+    close_windows_before(t);
+    runq_depth_->observe(depth);
   }
 
   [[nodiscard]] MetricsRegistry& metrics() { return metrics_; }
-  [[nodiscard]] int num_cpus() const { return static_cast<int>(rings_.size()); }
-  [[nodiscard]] const TraceRing& ring(CpuId cpu) const {
-    return rings_[static_cast<std::size_t>(cpu)];
-  }
-  [[nodiscard]] std::uint64_t total_dropped() const;
 
-  // Histogram handles for the kernel's inline instrumentation.
-  [[nodiscard]] Histogram& wakeup_latency_us() { return *wakeup_latency_us_; }
-  [[nodiscard]] Histogram& runq_depth() { return *runq_depth_; }
-
-  /// Window flush hook, driven from the kernel tick (sim-time, so the
-  /// sampled series is as deterministic as the totals). Window w covers
-  /// (w*W, (w+1)*W]: a boundary is closed by the first tick strictly past
-  /// it, so same-instant events AT the boundary always land in the closing
-  /// window regardless of event-queue interleaving with the tick.
-  void advance_window(SimTime now) {
-    if (window_ns_ == 0 || now.ns() <= window_covered_ns_ + window_ns_) return;
-    flush_windows_through(now.ns());
-  }
-
-  [[nodiscard]] std::int64_t window_ns() const { return window_ns_; }
-  /// End of the oldest window still open; advance_window closes it at the
-  /// first call strictly past this instant. Meaningful with windowing on.
-  [[nodiscard]] SimTime next_window_end() const {
-    return SimTime(window_covered_ns_ + window_ns_);
-  }
-  /// Windows flushed so far (tests peek mid-run).
+  /// Windows closed so far (tests peek mid-run).
   [[nodiscard]] std::size_t windows_flushed() const { return samples_.size(); }
 
-  /// Finalize ring-derived counters and dump every metric in registration
-  /// order, stamped with the simulated end time. With windowing on, any
-  /// boundary <= `at` still pending is flushed first, then a final partial
-  /// window closes at `at` (unless `at` IS the last boundary).
+  /// Dump every metric in registration order, stamped with the simulated
+  /// end time. With windowing on, any boundary <= `at` still pending is
+  /// flushed first, then a final partial window closes at `at` (unless `at`
+  /// IS the last boundary).
   [[nodiscard]] MetricsSnapshot snapshot(SimTime at);
 
  private:
-  /// Flush every complete window with end < `now_ns` (strict: the boundary
-  /// equal to `now_ns` stays open until a later tick or snapshot()).
-  void flush_windows_through(std::int64_t now_ns);
+  /// Close every window that ended strictly before `t`. Window w covers
+  /// (w*W, (w+1)*W], so an observation exactly at a boundary still lands in
+  /// the window that boundary closes.
+  void close_windows_before(SimTime t) {
+    while (window_ns_ != 0 && window_covered_ns_ + window_ns_ < t.ns()) {
+      flush_one_window(window_covered_ns_ + window_ns_);
+    }
+  }
   /// Close one window at `end_ns`, sampling deltas vs the previous flush.
   void flush_one_window(std::int64_t end_ns);
 
   MetricsRegistry metrics_;
-  std::vector<TraceRing> rings_;                 ///< one per CPU
   std::vector<Counter*> tp_hits_;                ///< indexed by TpId
-  Counter* ring_dropped_ = nullptr;
   Histogram* wakeup_latency_us_ = nullptr;
   Histogram* runq_depth_ = nullptr;
 

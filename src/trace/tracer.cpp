@@ -7,7 +7,6 @@ namespace {
 const std::vector<Interval> kNoIntervals;
 const std::vector<PrioEvent> kNoPrios;
 const std::vector<IterationEvent> kNoIters;
-const RunningStat kNoStat;
 }  // namespace
 
 Tracer::PerTask& Tracer::slot(const kern::Task& task, SimTime t) {
@@ -47,10 +46,6 @@ void Tracer::on_iteration(SimTime t, const kern::Task& task, int iteration, doub
   slot(task, t).iterations.push_back(IterationEvent{t, iteration, util_last, util_metric});
 }
 
-void Tracer::on_wakeup_latency(SimTime t, const kern::Task& task, Duration latency) {
-  slot(task, t).latency_us.add(latency.us());
-}
-
 void Tracer::finalize(SimTime end) {
   for (auto& [pid, p] : tasks_) {
     if (p.has_open && end > p.open_since) {
@@ -73,11 +68,6 @@ const std::vector<PrioEvent>& Tracer::prio_events(Pid pid) const {
 const std::vector<IterationEvent>& Tracer::iteration_events(Pid pid) const {
   const auto it = tasks_.find(pid);
   return it == tasks_.end() ? kNoIters : it->second.iterations;
-}
-
-const RunningStat& Tracer::wakeup_latency_us(Pid pid) const {
-  const auto it = tasks_.find(pid);
-  return it == tasks_.end() ? kNoStat : it->second.latency_us;
 }
 
 std::vector<Pid> Tracer::traced_pids() const {

@@ -1,13 +1,12 @@
 #pragma once
 // PARAVER-style tracing (paper §V uses PARAVER to visualize runs): records
 // per-task state intervals (computing vs waiting), hardware-priority change
-// events, per-iteration utilization samples and wakeup latencies. The Gantt
-// renderer and CSV exporter consume this data to regenerate Figures 3-6.
+// events and per-iteration utilization samples. The Gantt renderer and CSV
+// exporter consume this data to regenerate Figures 3-6.
 
 #include <map>
 #include <vector>
 
-#include "common/stats.h"
 #include "common/types.h"
 #include "kernel/task.h"
 #include "kernel/trace_hooks.h"
@@ -43,7 +42,6 @@ class Tracer final : public kern::TraceSink {
   void on_hw_prio(SimTime t, const kern::Task& task, p5::HwPrio prio) override;
   void on_iteration(SimTime t, const kern::Task& task, int iteration, double util_last,
                     double util_metric) override;
-  void on_wakeup_latency(SimTime t, const kern::Task& task, Duration latency) override;
 
   /// Close all open intervals at `end`.
   void finalize(SimTime end);
@@ -51,7 +49,6 @@ class Tracer final : public kern::TraceSink {
   [[nodiscard]] const std::vector<Interval>& intervals(Pid pid) const;
   [[nodiscard]] const std::vector<PrioEvent>& prio_events(Pid pid) const;
   [[nodiscard]] const std::vector<IterationEvent>& iteration_events(Pid pid) const;
-  [[nodiscard]] const RunningStat& wakeup_latency_us(Pid pid) const;
   [[nodiscard]] std::vector<Pid> traced_pids() const;
 
   /// Fraction of [begin,end] the task spent computing.
@@ -62,7 +59,6 @@ class Tracer final : public kern::TraceSink {
     std::vector<Interval> intervals;
     std::vector<PrioEvent> prios;
     std::vector<IterationEvent> iterations;
-    RunningStat latency_us;
     Activity open_activity = Activity::kWait;
     SimTime open_since = SimTime::zero();
     bool has_open = false;

@@ -1,14 +1,13 @@
-// Tests for the analysis/report layer and the common utilities that back it:
-// ps-like reports, sysfs dumps, improvement computation, formatting helpers,
-// running statistics, histograms, RNG stream independence, the POWER6
-// parameter preset, and the bit-exact RunResult serializer.
+// Tests for the analysis layer and the common utilities that back it:
+// improvement computation, formatting helpers, running statistics, RNG
+// stream independence, the POWER6 parameter preset, and the bit-exact
+// RunResult serializer.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "analysis/paper_experiments.h"
-#include "analysis/report.h"
 #include "analysis/experiment.h"
 #include "analysis/run_serialize.h"
 #include "common/log.h"
@@ -19,35 +18,6 @@
 
 namespace hpcs::test {
 namespace {
-
-TEST(Report, TaskAndCpuReports) {
-  KernelFixture f;
-  f.k().start();
-  auto& t = f.k().create_task("worker", std::make_unique<HogBody>(), kern::Policy::kNormal, 2);
-  f.k().start_task(t);
-  f.run_until(Duration::milliseconds(50));
-
-  const std::string tasks = analysis::task_report(f.k());
-  EXPECT_NE(tasks.find("worker"), std::string::npos);
-  EXPECT_NE(tasks.find("SCHED_NORMAL"), std::string::npos);
-  EXPECT_NE(tasks.find("PID"), std::string::npos);
-
-  const std::string cpus = analysis::cpu_report(f.k());
-  EXPECT_NE(cpus.find("worker"), std::string::npos) << cpus;
-  EXPECT_NE(cpus.find("0.650"), std::string::npos) << "running context speed";
-
-  const std::string stats = analysis::sched_stats_report(f.k());
-  EXPECT_NE(stats.find("context switches"), std::string::npos);
-  EXPECT_NE(stats.find("wakeup latency"), std::string::npos);
-}
-
-TEST(Report, SysfsDumpListsKnobs) {
-  KernelFixture f;
-  f.k().start();
-  const std::string s = analysis::sysfs_report(f.k());
-  EXPECT_NE(s.find("kernel/sched_latency_ns"), std::string::npos);
-  EXPECT_NE(s.find("20000000"), std::string::npos);
-}
 
 TEST(Analysis, ImprovementPct) {
   analysis::RunResult base;
@@ -89,18 +59,6 @@ TEST(CommonStats, RunningStat) {
   EXPECT_DOUBLE_EQ(s.sum(), 40.0);
   s.reset();
   EXPECT_EQ(s.count(), 0);
-}
-
-TEST(CommonStats, Histogram) {
-  Histogram h(0.0, 100.0, 10);
-  for (int i = 0; i < 100; ++i) h.add(static_cast<double>(i));
-  EXPECT_EQ(h.total(), 100);
-  for (const auto c : h.buckets()) EXPECT_EQ(c, 10);
-  EXPECT_NEAR(h.percentile(0.5), 45.0, 10.0);
-  h.add(-50.0);   // clamps to first bucket
-  h.add(1000.0);  // clamps to last bucket
-  EXPECT_EQ(h.buckets().front(), 11);
-  EXPECT_EQ(h.buckets().back(), 11);
 }
 
 TEST(CommonRng, ForkedStreamsAreIndependent) {

@@ -1,7 +1,7 @@
 // Tests of the observability subsystem: metrics registry determinism,
-// histogram bucketing edge cases, tracepoint ring wrap/overflow accounting,
-// the Recorder's fixed manifest layout, and the Chrome-trace / manifest
-// renderers driven end-to-end through a real experiment.
+// histogram bucketing edge cases, the Recorder's fixed manifest layout and
+// windowed series, and the Chrome-trace / manifest renderers driven
+// end-to-end through a real experiment.
 
 #include <gtest/gtest.h>
 
@@ -19,9 +19,9 @@
 #include "obs/manifest.h"
 #include "obs/metrics.h"
 #include "obs/recorder.h"
-#include "obs/ring_dump.h"
 #include "obs/text_file.h"
 #include "obs/tracepoint.h"
+#include "test_util.h"
 
 namespace hpcs {
 namespace {
@@ -71,95 +71,27 @@ TEST(Histogram, EdgeValueLandsInThatEdgesBucket) {
   EXPECT_DOUBLE_EQ(h.sum(), 1.0 + 5.0 + 10.0 + 10.1);
 }
 
-TEST(TraceRing, CapacityRoundsUpToPowerOfTwo) {
-  EXPECT_EQ(obs::TraceRing(1).capacity(), 2u);
-  EXPECT_EQ(obs::TraceRing(2).capacity(), 2u);
-  EXPECT_EQ(obs::TraceRing(3).capacity(), 4u);
-  EXPECT_EQ(obs::TraceRing(4096).capacity(), 4096u);
-  EXPECT_EQ(obs::TraceRing(4097).capacity(), 8192u);
-}
-
-TEST(ParseRingCapacity, AcceptsExactPowersOfTwo) {
-  std::size_t cap = 0;
-  std::string error;
-  EXPECT_TRUE(obs::parse_ring_capacity("2", cap, error)) << error;
-  EXPECT_EQ(cap, 2u);
-  EXPECT_TRUE(obs::parse_ring_capacity("4096", cap, error)) << error;
-  EXPECT_EQ(cap, 4096u);
-  EXPECT_TRUE(obs::parse_ring_capacity("1073741824", cap, error)) << error;  // 2^30
-  EXPECT_EQ(cap, 1073741824u);
-}
-
-TEST(ParseRingCapacity, RejectsEverythingElseWithAClearError) {
-  std::size_t cap = 99;
-  std::string error;
-  // Not a power of two: the knob must not silently round like TraceRing does.
-  EXPECT_FALSE(obs::parse_ring_capacity("4097", cap, error));
-  EXPECT_NE(error.find("4097"), std::string::npos);
-  EXPECT_NE(error.find("power of two"), std::string::npos);
-  // Out of range / degenerate.
-  EXPECT_FALSE(obs::parse_ring_capacity("0", cap, error));
-  EXPECT_FALSE(obs::parse_ring_capacity("1", cap, error));
-  EXPECT_FALSE(obs::parse_ring_capacity("2147483648", cap, error));  // 2^31
-  // Not numbers at all.
-  EXPECT_FALSE(obs::parse_ring_capacity("", cap, error));
-  EXPECT_FALSE(obs::parse_ring_capacity("4k", cap, error));
-  EXPECT_FALSE(obs::parse_ring_capacity("-8", cap, error));
-  EXPECT_EQ(cap, 99u);  // out is untouched on failure
-}
-
-TEST(TraceRing, WrapOverwritesOldestAndCountsDrops) {
-  obs::TraceRing ring(4);
-  for (std::int64_t i = 0; i < 7; ++i) {
-    ring.push(obs::TraceEntry{SimTime(i), 0, 0, i, 0});
-  }
-  EXPECT_EQ(ring.capacity(), 4u);
-  EXPECT_EQ(ring.size(), 4u);
-  EXPECT_EQ(ring.pushed(), 7u);
-  EXPECT_EQ(ring.dropped(), 3u);
-  const auto entries = ring.entries();
-  ASSERT_EQ(entries.size(), 4u);
-  // Oldest retained record is #3 (0..2 were overwritten), newest is #6.
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    EXPECT_EQ(entries[i].a0, static_cast<std::int64_t>(i) + 3);
-  }
-}
-
-TEST(TraceRing, NoDropsBeforeWrap) {
-  obs::TraceRing ring(8);
-  for (std::int64_t i = 0; i < 5; ++i) {
-    ring.push(obs::TraceEntry{SimTime(i), 0, 0, i, 0});
-  }
-  EXPECT_EQ(ring.size(), 5u);
-  EXPECT_EQ(ring.dropped(), 0u);
-  const auto entries = ring.entries();
-  ASSERT_EQ(entries.size(), 5u);
-  EXPECT_EQ(entries.front().a0, 0);
-  EXPECT_EQ(entries.back().a0, 4);
-}
-
 TEST(Recorder, MacroIsANoOpOnNullRecorder) {
   obs::Recorder* rec = nullptr;
   int evaluations = 0;
-  const auto arg = [&evaluations]() -> std::int64_t { return ++evaluations; };
-  HPCS_TRACEPOINT(rec, obs::TpId::kTpWake, SimTime::zero(), 0, arg(), 0);
+  const auto when = [&evaluations] {
+    ++evaluations;
+    return SimTime::zero();
+  };
+  HPCS_TRACEPOINT(rec, obs::TpId::kTpWake, when());
   // The operand is only evaluated when the recorder is live.
   EXPECT_EQ(evaluations, 0);
 }
 
-TEST(Recorder, RecordBumpsHitCounterAndRing) {
+TEST(Recorder, RecordBumpsHitCounter) {
   obs::ObsConfig cfg;
   cfg.enabled = true;
-  cfg.ring_capacity = 16;
-  obs::Recorder rec(cfg, 2);
+  obs::Recorder rec(cfg);
   obs::Recorder* r = &rec;
-  HPCS_TRACEPOINT(r, obs::TpId::kTpSchedSwitch, SimTime(10), 1, 42, 7);
-  HPCS_TRACEPOINT(r, obs::TpId::kTpSchedSwitch, SimTime(20), 1, 43, 42);
-  HPCS_TRACEPOINT(r, obs::TpId::kTpWake, SimTime(30), 0, 42, 0);
-  // Out-of-range CPU clamps to ring 0 rather than writing out of bounds.
-  HPCS_TRACEPOINT(r, obs::TpId::kTpWake, SimTime(40), 99, 5, 0);
-  EXPECT_EQ(rec.ring(1).size(), 2u);
-  EXPECT_EQ(rec.ring(0).size(), 2u);
+  HPCS_TRACEPOINT(r, obs::TpId::kTpSchedSwitch, SimTime(10));
+  HPCS_TRACEPOINT(r, obs::TpId::kTpSchedSwitch, SimTime(20));
+  HPCS_TRACEPOINT(r, obs::TpId::kTpWake, SimTime(30));
+  HPCS_TRACEPOINT(r, obs::TpId::kTpWake, SimTime(40));
   const obs::MetricsSnapshot snap = rec.snapshot(SimTime(40));
   EXPECT_EQ(snap.find("tp.sched_switch")->count, 2);
   EXPECT_EQ(snap.find("tp.sched_wake")->count, 2);
@@ -169,11 +101,11 @@ TEST(Recorder, RecordBumpsHitCounterAndRing) {
 TEST(Recorder, SnapshotLayoutIsIndependentOfActivity) {
   obs::ObsConfig cfg;
   cfg.enabled = true;
-  obs::Recorder idle(cfg, 4);
-  obs::Recorder busy(cfg, 4);
+  obs::Recorder idle(cfg);
+  obs::Recorder busy(cfg);
   obs::Recorder* b = &busy;
-  HPCS_TRACEPOINT(b, obs::TpId::kTpHpcIteration, SimTime(1), 0, 1, 1);
-  busy.wakeup_latency_us().observe(3.0);
+  HPCS_TRACEPOINT(b, obs::TpId::kTpHpcIteration, SimTime(1));
+  busy.observe_wakeup_latency_us(SimTime(1), 3.0);
   const auto s1 = idle.snapshot(SimTime::zero());
   const auto s2 = busy.snapshot(SimTime::zero());
   ASSERT_EQ(s1.metrics.size(), s2.metrics.size());
@@ -181,19 +113,6 @@ TEST(Recorder, SnapshotLayoutIsIndependentOfActivity) {
     EXPECT_EQ(s1.metrics[i].name, s2.metrics[i].name) << "slot " << i;
     EXPECT_EQ(s1.metrics[i].kind, s2.metrics[i].kind) << "slot " << i;
   }
-}
-
-TEST(Recorder, RingDroppedSurfacesInSnapshot) {
-  obs::ObsConfig cfg;
-  cfg.enabled = true;
-  cfg.ring_capacity = 2;
-  obs::Recorder rec(cfg, 1);
-  obs::Recorder* r = &rec;
-  for (int i = 0; i < 10; ++i) {
-    HPCS_TRACEPOINT(r, obs::TpId::kTpWake, SimTime(i), 0, i, 0);
-  }
-  EXPECT_EQ(rec.total_dropped(), 8u);
-  EXPECT_EQ(rec.snapshot(SimTime(10)).find("tp.ring_dropped")->count, 8);
 }
 
 TEST(Manifest, RenderIsAPureFunctionOfTheSnapshots) {
@@ -405,15 +324,15 @@ TEST(RecorderWindows, BoundaryEventLandsInTheClosingWindow) {
   obs::ObsConfig cfg;
   cfg.enabled = true;
   cfg.window_ns = 100;
-  obs::Recorder rec(cfg, 1);
+  obs::Recorder rec(cfg);
   obs::Recorder* r = &rec;
-  HPCS_TRACEPOINT(r, obs::TpId::kTpWake, SimTime(50), 0, 0, 0);
-  // The tick AT the boundary must not close the window: a same-instant event
-  // may still be in flight behind the tick in the event queue.
-  rec.advance_window(SimTime(100));
+  HPCS_TRACEPOINT(r, obs::TpId::kTpWake, SimTime(50));
+  // An observation AT the boundary belongs to the window it closes, so it
+  // leaves that window open.
+  HPCS_TRACEPOINT(r, obs::TpId::kTpWake, SimTime(100));
   EXPECT_EQ(rec.windows_flushed(), 0u);
-  HPCS_TRACEPOINT(r, obs::TpId::kTpWake, SimTime(100), 0, 0, 0);
-  rec.advance_window(SimTime(101));
+  // The first observation past the boundary closes it.
+  HPCS_TRACEPOINT(r, obs::TpId::kTpWake, SimTime(101));
   EXPECT_EQ(rec.windows_flushed(), 1u);
 
   const obs::MetricsSnapshot snap = rec.snapshot(SimTime(150));
@@ -424,17 +343,17 @@ TEST(RecorderWindows, BoundaryEventLandsInTheClosingWindow) {
   EXPECT_EQ(snap.windows.samples[0].end, SimTime(100));
   EXPECT_EQ(snap.windows.samples[0].ints[static_cast<std::size_t>(col)], 2);
   EXPECT_EQ(snap.windows.samples[1].end, SimTime(150));
-  EXPECT_EQ(snap.windows.samples[1].ints[static_cast<std::size_t>(col)], 0);
+  EXPECT_EQ(snap.windows.samples[1].ints[static_cast<std::size_t>(col)], 1);
 }
 
 TEST(RecorderWindows, ZeroEventWindowsEmitZerosNotHoles) {
   obs::ObsConfig cfg;
   cfg.enabled = true;
   cfg.window_ns = 100;
-  obs::Recorder rec(cfg, 1);
+  obs::Recorder rec(cfg);
   obs::Recorder* r = &rec;
-  HPCS_TRACEPOINT(r, obs::TpId::kTpWake, SimTime(50), 0, 0, 0);
-  // No advance_window at all: snapshot alone closes every reached boundary.
+  HPCS_TRACEPOINT(r, obs::TpId::kTpWake, SimTime(50));
+  // No later observation: snapshot alone closes every reached boundary.
   const obs::MetricsSnapshot snap = rec.snapshot(SimTime(450));
   const int col = snap.windows.int_column("tp.sched_wake");
   ASSERT_GE(col, 0);
@@ -454,7 +373,7 @@ TEST(RecorderWindows, SnapshotAtExactBoundaryEmitsNoPartialWindow) {
   obs::ObsConfig cfg;
   cfg.enabled = true;
   cfg.window_ns = 100;
-  obs::Recorder rec(cfg, 1);
+  obs::Recorder rec(cfg);
   const obs::MetricsSnapshot snap = rec.snapshot(SimTime(200));
   ASSERT_EQ(snap.windows.samples.size(), 2u);
   EXPECT_EQ(snap.windows.samples[0].end, SimTime(100));
@@ -465,16 +384,15 @@ TEST(RecorderWindows, DeltasSumToTotalsAndGaugesArePointSamples) {
   obs::ObsConfig cfg;
   cfg.enabled = true;
   cfg.window_ns = 100;
-  obs::Recorder rec(cfg, 1);
+  obs::Recorder rec(cfg);
   obs::Recorder* r = &rec;
   std::int64_t total_wakes = 0;
   double total_lat = 0.0;
   for (std::int64_t t = 10; t < 300; t += 30) {
-    HPCS_TRACEPOINT(r, obs::TpId::kTpWake, SimTime(t), 0, 0, 0);
+    HPCS_TRACEPOINT(r, obs::TpId::kTpWake, SimTime(t));
     ++total_wakes;
-    rec.wakeup_latency_us().observe(static_cast<double>(t));
+    rec.observe_wakeup_latency_us(SimTime(t), static_cast<double>(t));
     total_lat += static_cast<double>(t);
-    rec.advance_window(SimTime(t));
   }
   const obs::MetricsSnapshot snap = rec.snapshot(SimTime(300));
   const int wake = snap.windows.int_column("tp.sched_wake");
@@ -502,13 +420,98 @@ TEST(RecorderWindows, DeltasSumToTotalsAndGaugesArePointSamples) {
                    SimTime(300).sec());
 }
 
+// Turning windows on must not change what they measure: every total of a
+// windowed run equals the unwindowed run's.
+TEST(RecorderWindows, WindowsLeaveEveryTotalUnchanged) {
+  auto e = analysis::MetBenchExperiment::paper();
+  e.workload.iterations = 3;
+  obs::ObsConfig plain;
+  plain.enabled = true;
+  obs::ObsConfig windowed = plain;
+  windowed.window_ns = 10'000'000;
+  const auto a = analysis::run_metbench(e, analysis::SchedMode::kUniform,
+                                        /*trace=*/false, /*seed=*/1, plain);
+  const auto b = analysis::run_metbench(e, analysis::SchedMode::kUniform,
+                                        /*trace=*/false, /*seed=*/1, windowed);
+  ASSERT_GT(b.metrics.windows.samples.size(), 10u);
+  ASSERT_EQ(a.metrics.metrics.size(), b.metrics.metrics.size());
+  for (std::size_t i = 0; i < a.metrics.metrics.size(); ++i) {
+    const obs::MetricValue& x = a.metrics.metrics[i];
+    const obs::MetricValue& y = b.metrics.metrics[i];
+    EXPECT_EQ(x.name, y.name);
+    EXPECT_EQ(x.count, y.count) << x.name;
+    EXPECT_EQ(x.value, y.value) << x.name;
+    EXPECT_EQ(x.buckets, y.buckets) << x.name;
+  }
+}
+
+/// Counts on_switch callbacks per window (w*W, (w+1)*W], apart from the
+/// Recorder.
+class SwitchWindowCounter final : public kern::TraceSink {
+ public:
+  explicit SwitchWindowCounter(std::int64_t window_ns) : window_ns_(window_ns) {}
+
+  void on_switch(SimTime t, CpuId, const kern::Task*, const kern::Task*) override {
+    const auto w = static_cast<std::size_t>(t.ns() == 0 ? 0 : (t.ns() - 1) / window_ns_);
+    if (per_window.size() <= w) per_window.resize(w + 1, 0);
+    ++per_window[w];
+    if (t.ns() % window_ns_ != 0 && t.ns() % window_ns_ <= 1'000'000) ++just_past_boundary;
+  }
+
+  std::vector<std::int64_t> per_window;
+  std::int64_t just_past_boundary = 0;  ///< within a tick after a boundary
+
+ private:
+  std::int64_t window_ns_;
+};
+
+TEST(RecorderWindows, SchedSwitchWindowsMatchAnIndependentCount) {
+  constexpr std::int64_t kWindow = 10'000'000;
+  test::KernelFixture f;
+  obs::ObsConfig cfg;
+  cfg.enabled = true;
+  cfg.window_ns = kWindow;
+  obs::Recorder rec(cfg);
+  SwitchWindowCounter sink(kWindow);
+  f.k().set_obs(&rec);
+  f.k().set_trace(&sink);
+  f.k().start();
+  // Periodic tasks whose periods drift against the 1 ms tick, so switches
+  // fall at every offset within a window.
+  for (int i = 0; i < 6; ++i) {
+    auto& t = f.k().create_task(
+        "p" + std::to_string(i),
+        std::make_unique<test::PeriodicBody>(0.3e6 + 0.17e6 * i, Duration(700'000 + 130'000 * i)),
+        kern::Policy::kNormal, i % 4);
+    f.k().start_task(t);
+  }
+  const SimTime end(300'000'000);
+  f.sim.run(end);
+  f.k().set_trace(nullptr);
+  f.k().set_obs(nullptr);
+  const obs::MetricsSnapshot snap = rec.snapshot(end);
+
+  // A flush that waited for the next tick would count these in the window
+  // before.
+  EXPECT_GT(sink.just_past_boundary, 0);
+  const int col = snap.windows.int_column("tp.sched_switch");
+  ASSERT_GE(col, 0);
+  ASSERT_EQ(snap.windows.samples.size(), 30u);
+  ASSERT_LE(sink.per_window.size(), snap.windows.samples.size());
+  sink.per_window.resize(snap.windows.samples.size(), 0);
+  for (std::size_t w = 0; w < snap.windows.samples.size(); ++w) {
+    EXPECT_EQ(snap.windows.samples[w].ints[static_cast<std::size_t>(col)], sink.per_window[w])
+        << "window " << w;
+  }
+}
+
 TEST(RecorderWindows, ManifestRendersTheSeriesUnderV2) {
   obs::ObsConfig cfg;
   cfg.enabled = true;
   cfg.window_ns = 100;
-  obs::Recorder rec(cfg, 1);
+  obs::Recorder rec(cfg);
   obs::Recorder* r = &rec;
-  HPCS_TRACEPOINT(r, obs::TpId::kTpWake, SimTime(10), 0, 0, 0);
+  HPCS_TRACEPOINT(r, obs::TpId::kTpWake, SimTime(10));
   const obs::MetricsSnapshot snap = rec.snapshot(SimTime(250));
   const std::string json = obs::render_manifest_json("unit", {{"run", snap}});
   EXPECT_NE(json.find("\"schema\": \"hpcs-obs-manifest-v2\""), std::string::npos);
@@ -524,9 +527,9 @@ TEST(RecorderWindows, ChromeTraceEmitsCounterTracksAndSkipsFlatColumns) {
   obs::ObsConfig cfg;
   cfg.enabled = true;
   cfg.window_ns = 100;
-  obs::Recorder rec(cfg, 1);
+  obs::Recorder rec(cfg);
   obs::Recorder* r = &rec;
-  HPCS_TRACEPOINT(r, obs::TpId::kTpWake, SimTime(10), 0, 0, 0);
+  HPCS_TRACEPOINT(r, obs::TpId::kTpWake, SimTime(10));
   const obs::MetricsSnapshot snap = rec.snapshot(SimTime(200));
 
   obs::ChromeTraceSink sink;
@@ -540,79 +543,6 @@ TEST(RecorderWindows, ChromeTraceEmitsCounterTracksAndSkipsFlatColumns) {
   // Without the metrics pointer the render is unchanged from the v1 shape.
   EXPECT_EQ(obs::render_chrome_trace({{"run", &sink}}).find("\"ph\":\"C\""),
             std::string::npos);
-}
-
-// ---------------------------------------------------------------------------
-// Binary ring dump (--obs-ring-dump)
-
-namespace {
-
-// Little-endian field reads against the documented layout (ring_dump.h) —
-// deliberately independent of the encoder's helpers.
-std::uint64_t dump_u64(const std::string& b, std::size_t off) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(b[off + static_cast<std::size_t>(i)]))
-         << (8 * i);
-  }
-  return v;
-}
-
-std::uint32_t dump_u32(const std::string& b, std::size_t off) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(static_cast<unsigned char>(b[off + static_cast<std::size_t>(i)]))
-         << (8 * i);
-  }
-  return v;
-}
-
-}  // namespace
-
-TEST(RingDump, EncodesHeaderRunsAndRawEntries) {
-  obs::ObsConfig cfg;
-  cfg.enabled = true;
-  cfg.ring_capacity = 8;
-  obs::Recorder rec(cfg, /*num_cpus=*/2);
-  rec.record<obs::TpId::kTpWake>(SimTime(1000), /*cpu=*/0, 7, 0);
-  rec.record<obs::TpId::kTpMigrate>(SimTime(2000), /*cpu=*/1, 7, 1);
-
-  const std::string blob = obs::encode_ring_dump({{"Adaptive", &rec}});
-  ASSERT_GE(blob.size(), 16u);
-  EXPECT_EQ(blob.substr(0, 8), "HPCSRING");
-  EXPECT_EQ(dump_u32(blob, 8), obs::kRingDumpVersion);
-  EXPECT_EQ(dump_u32(blob, 12), 1u);  // one run
-  std::size_t off = 16;
-  const std::uint32_t name_len = dump_u32(blob, off);
-  off += 4;
-  EXPECT_EQ(blob.substr(off, name_len), "Adaptive");
-  off += name_len;
-  EXPECT_EQ(dump_u32(blob, off), 2u);  // cpus
-  off += 4;
-  // cpu 0: pushed=1, dropped=0, retained=1, then one 32-byte entry.
-  EXPECT_EQ(dump_u64(blob, off), 1u);
-  EXPECT_EQ(dump_u64(blob, off + 8), 0u);
-  EXPECT_EQ(dump_u64(blob, off + 16), 1u);
-  off += 24;
-  EXPECT_EQ(dump_u64(blob, off), 1000u);  // t_ns
-  EXPECT_EQ(dump_u32(blob, off + 8), static_cast<std::uint32_t>(obs::TpId::kTpWake));
-  EXPECT_EQ(dump_u32(blob, off + 12), 0u);  // cpu
-  EXPECT_EQ(dump_u64(blob, off + 16), 7u);  // a0
-  off += 32;
-  // cpu 1 section follows, and the blob ends exactly after its one entry.
-  EXPECT_EQ(dump_u64(blob, off + 16), 1u);  // retained
-  EXPECT_EQ(blob.size(), off + 24 + 32);
-}
-
-TEST(RingDump, NullRecordersAreSkippedAndDumpIsDeterministic) {
-  obs::ObsConfig cfg;
-  cfg.enabled = true;
-  obs::Recorder rec(cfg, /*num_cpus=*/1);
-  rec.record<obs::TpId::kTpSchedSwitch>(SimTime(5), 0, 1, -1);
-  const std::string a = obs::encode_ring_dump({{"none", nullptr}, {"run", &rec}});
-  const std::string b = obs::encode_ring_dump({{"run", &rec}});
-  EXPECT_EQ(a, b);  // the null run contributes nothing, not an empty section
-  EXPECT_EQ(dump_u32(a, 12), 1u);
 }
 
 }  // namespace

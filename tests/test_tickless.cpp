@@ -176,7 +176,7 @@ ScenarioRun run_scenario(std::uint64_t seed, bool ticked) {
   oc.enabled = true;
   const bool windows = rng.uniform() < 0.7;
   if (windows) oc.window_ns = rng.uniform_int(3'000'000, 40'000'000);
-  obs::Recorder rec(oc, k.num_cpus());
+  obs::Recorder rec(oc);
   k.set_obs(&rec);
   k.start();
 

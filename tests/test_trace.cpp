@@ -70,12 +70,10 @@ TEST(Tracer, PrioAndIterationEvents) {
   TraceFixture f;
   f.tracer.on_hw_prio(at_ms(5), f.task, p5::HwPrio::kHigh);
   f.tracer.on_iteration(at_ms(10), f.task, 1, 25.0, 30.0);
-  f.tracer.on_wakeup_latency(at_ms(10), f.task, Duration::microseconds(42));
   ASSERT_EQ(f.tracer.prio_events(7).size(), 1u);
   EXPECT_EQ(f.tracer.prio_events(7)[0].prio, 6);
   ASSERT_EQ(f.tracer.iteration_events(7).size(), 1u);
   EXPECT_EQ(f.tracer.iteration_events(7)[0].iteration, 1);
-  EXPECT_NEAR(f.tracer.wakeup_latency_us(7).mean(), 42.0, 1e-9);
 }
 
 TEST(Gantt, RendersComputeAndWaitCells) {
