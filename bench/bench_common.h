@@ -35,8 +35,8 @@ namespace hpcs::bench {
 ///                           hpcs-obs-manifest-v2; implies --obs). The series
 ///                           is byte-identical serial vs --jobs N, so
 ///                           scripts/manifest_diff.py can flag mid-run
-///                           anomalies that identical totals hide. An invalid
-///                           value aborts with exit code 2.
+///                           anomalies that identical totals hide.
+/// A missing or invalid value aborts with exit code 2 and one `error:` line.
 struct ObsOptions {
   obs::ObsConfig cfg;
   std::string trace_path;
@@ -51,16 +51,25 @@ inline ObsOptions parse_obs_options(int argc, char** argv) {
       std::exit(2);
     }
   };
+  // The value of a flag given as `--flag VALUE`; a missing value aborts like
+  // a bad one.
+  auto value_of = [&](int& i) -> const char* {
+    if (i + 1 >= argc) {
+      std::fprintf(stderr, "error: %s: missing value\n", argv[i]);
+      std::exit(2);
+    }
+    return argv[++i];
+  };
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
     if (std::strcmp(a, "--obs") == 0) {
       o.cfg.enabled = true;
-    } else if (std::strcmp(a, "--obs-trace") == 0 && i + 1 < argc) {
-      o.trace_path = argv[i + 1];
+    } else if (std::strcmp(a, "--obs-trace") == 0) {
+      o.trace_path = value_of(i);
     } else if (std::strncmp(a, "--obs-trace=", 12) == 0) {
       o.trace_path = a + 12;
-    } else if (std::strcmp(a, "--obs-window") == 0 && i + 1 < argc) {
-      set_window(argv[++i]);
+    } else if (std::strcmp(a, "--obs-window") == 0) {
+      set_window(value_of(i));
     } else if (std::strncmp(a, "--obs-window=", 13) == 0) {
       set_window(a + 13);
     }
@@ -198,13 +207,27 @@ inline void print_side_by_side(const analysis::RunResult& ours,
               ours.exec_time.sec(), paper.exec_time_s);
 }
 
-inline void print_improvement_summary(const char* what, const analysis::RunResult& baseline,
-                                      const analysis::RunResult& candidate,
-                                      double paper_baseline_s, double paper_candidate_s) {
-  const double ours = analysis::improvement_pct(baseline, candidate);
-  const double paper =
-      paper_baseline_s > 0 ? 100.0 * (1.0 - paper_candidate_s / paper_baseline_s) : 0.0;
-  std::printf("%-26s improvement: measured %+6.2f%%   paper %+6.2f%%\n", what, ours, paper);
+/// A table driver's measured-vs-paper block: every mode side by side with
+/// the paper's numbers (`paper_ref`, one of analysis::paper_reference_*),
+/// then each later mode's improvement over the first, the baseline, measured
+/// and published.
+inline void print_paper_comparison(const std::vector<analysis::SchedMode>& modes,
+                                   const std::vector<analysis::RunResult>& results,
+                                   analysis::PaperReference (*paper_ref)(analysis::SchedMode)) {
+  for (std::size_t i = 0; i < modes.size(); ++i) {
+    print_side_by_side(results[i], paper_ref(modes[i]));
+    std::printf("\n");
+  }
+  const double paper_baseline_s = paper_ref(modes[0]).exec_time_s;
+  for (std::size_t i = 1; i < modes.size(); ++i) {
+    const analysis::PaperReference paper = paper_ref(modes[i]);
+    const std::string what = std::string(paper.label) + " vs baseline";
+    const double ours = analysis::improvement_pct(results[0], results[i]);
+    const double theirs =
+        paper_baseline_s > 0 ? 100.0 * (1.0 - paper.exec_time_s / paper_baseline_s) : 0.0;
+    std::printf("%-26s improvement: measured %+6.2f%%   paper %+6.2f%%\n", what.c_str(), ours,
+                theirs);
+  }
 }
 
 }  // namespace hpcs::bench

@@ -28,18 +28,7 @@ int main(int argc, char** argv) {
   auto& uniform = results[2];
   auto& adaptive = results[3];
 
-  bench::print_side_by_side(baseline, analysis::paper_reference_metbench(SchedMode::kBaselineCfs));
-  std::printf("\n");
-  bench::print_side_by_side(stat, analysis::paper_reference_metbench(SchedMode::kStatic));
-  std::printf("\n");
-  bench::print_side_by_side(uniform, analysis::paper_reference_metbench(SchedMode::kUniform));
-  std::printf("\n");
-  bench::print_side_by_side(adaptive, analysis::paper_reference_metbench(SchedMode::kAdaptive));
-  std::printf("\n");
-
-  bench::print_improvement_summary("Static vs baseline", baseline, stat, 81.78, 70.90);
-  bench::print_improvement_summary("Uniform vs baseline", baseline, uniform, 81.78, 71.74);
-  bench::print_improvement_summary("Adaptive vs baseline", baseline, adaptive, 81.78, 71.65);
+  bench::print_paper_comparison(modes, results, analysis::paper_reference_metbench);
 
   std::printf("\npriority changes: uniform=%lld adaptive=%lld\n",
               static_cast<long long>(uniform.hw_prio_changes),
@@ -48,7 +37,7 @@ int main(int argc, char** argv) {
   // The paper-format table, all four sections.
   std::vector<analysis::TableSection> sections = {
       {"Baseline", &baseline, {4, 4, 4, 4}},
-      {"Static", &stat, {4, 6, 4, 6}},
+      {"Static", &stat, e.static_prios},
       {"Uniform", &uniform, {}},
       {"Adaptive", &adaptive, {}},
   };

@@ -29,20 +29,7 @@ int main(int argc, char** argv) {
   auto& uniform = results[2];
   auto& adaptive = results[3];
 
-  bench::print_side_by_side(baseline,
-                            analysis::paper_reference_metbenchvar(SchedMode::kBaselineCfs));
-  std::printf("\n");
-  bench::print_side_by_side(stat, analysis::paper_reference_metbenchvar(SchedMode::kStatic));
-  std::printf("\n");
-  bench::print_side_by_side(uniform, analysis::paper_reference_metbenchvar(SchedMode::kUniform));
-  std::printf("\n");
-  bench::print_side_by_side(adaptive,
-                            analysis::paper_reference_metbenchvar(SchedMode::kAdaptive));
-  std::printf("\n");
-
-  bench::print_improvement_summary("Static vs baseline", baseline, stat, 368.17, 338.40);
-  bench::print_improvement_summary("Uniform vs baseline", baseline, uniform, 368.17, 327.17);
-  bench::print_improvement_summary("Adaptive vs baseline", baseline, adaptive, 368.17, 326.41);
+  bench::print_paper_comparison(modes, results, analysis::paper_reference_metbenchvar);
 
   std::printf("\nbehaviour-change history resets: uniform=%lld adaptive=%lld\n",
               static_cast<long long>(uniform.hpc_history_resets),
@@ -50,7 +37,7 @@ int main(int argc, char** argv) {
 
   std::vector<analysis::TableSection> sections = {
       {"Baseline", &baseline, {4, 4, 4, 4}},
-      {"Static", &stat, {4, 6, 4, 6}},
+      {"Static", &stat, e.static_prios},
       {"Uniform", &uniform, {}},
       {"Adaptive", &adaptive, {}},
   };

@@ -28,26 +28,17 @@ int main(int argc, char** argv) {
   auto& uniform = results[2];
   auto& adaptive = results[3];
 
-  bench::print_side_by_side(baseline, analysis::paper_reference_btmz(SchedMode::kBaselineCfs));
-  std::printf("\n");
-  bench::print_side_by_side(stat, analysis::paper_reference_btmz(SchedMode::kStatic));
-  std::printf("\n");
-  bench::print_side_by_side(uniform, analysis::paper_reference_btmz(SchedMode::kUniform));
-  std::printf("\n");
-  bench::print_side_by_side(adaptive, analysis::paper_reference_btmz(SchedMode::kAdaptive));
-  std::printf("\n");
-
-  bench::print_improvement_summary("Static vs baseline", baseline, stat, 94.97, 79.63);
-  bench::print_improvement_summary("Uniform vs baseline", baseline, uniform, 94.97, 79.81);
-  bench::print_improvement_summary("Adaptive vs baseline", baseline, adaptive, 94.97, 79.92);
+  bench::print_paper_comparison(modes, results, analysis::paper_reference_btmz);
 
   std::printf("\nfinal dynamic priorities (uniform): ");
   for (const auto& r : uniform.ranks) std::printf("%d ", r.final_hw_prio);
-  std::printf(" (paper's hand-tuned static: 4 4 5 6)\n");
+  std::printf(" (paper's hand-tuned static:");
+  for (const int p : e.static_prios) std::printf(" %d", p);
+  std::printf(")\n");
 
   std::vector<analysis::TableSection> sections = {
       {"Baseline", &baseline, {4, 4, 4, 4}},
-      {"Static", &stat, {4, 4, 5, 6}},
+      {"Static", &stat, e.static_prios},
       {"Uniform", &uniform, {}},
       {"Adaptive", &adaptive, {}},
   };

@@ -29,15 +29,7 @@ int main(int argc, char** argv) {
   auto& uniform = results[1];
   auto& adaptive = results[2];
 
-  bench::print_side_by_side(baseline, analysis::paper_reference_siesta(SchedMode::kBaselineCfs));
-  std::printf("\n");
-  bench::print_side_by_side(uniform, analysis::paper_reference_siesta(SchedMode::kUniform));
-  std::printf("\n");
-  bench::print_side_by_side(adaptive, analysis::paper_reference_siesta(SchedMode::kAdaptive));
-  std::printf("\n");
-
-  bench::print_improvement_summary("Uniform vs baseline", baseline, uniform, 81.49, 76.82);
-  bench::print_improvement_summary("Adaptive vs baseline", baseline, adaptive, 81.49, 76.91);
+  bench::print_paper_comparison(modes, results, analysis::paper_reference_siesta);
 
   std::printf(
       "\nscheduler latency (avg wakeup->dispatch): baseline %.1fus, uniform %.1fus, "

@@ -1,7 +1,8 @@
-// Example: tuning the HPC scheduler at run time through the sysfs interface
-// (paper §IV-B: "the user can set some parameters at run time to tune the
-// heuristic"). Sweeps the Adaptive G/L split on a dynamic workload and
-// prints the trade-off between responsiveness and over-reaction.
+// Example: tuning the HPC scheduler's heuristic. The paper tunes it at run
+// time through sysfs (§IV-B); here each run fixes its tunables when it is
+// built, through ExperimentConfig::hpc. Sweeps the Adaptive G/L split on a
+// dynamic workload and prints the trade-off between responsiveness and
+// over-reaction.
 
 #include <cstdio>
 
@@ -31,8 +32,7 @@ int main() {
     analysis::ExperimentConfig cfg;
     cfg.mode = analysis::SchedMode::kAdaptive;
     cfg.seed = 3;
-    cfg.hpc.adaptive_g_pct = g;  // what a user would do via
-                                 // sysfs write("hpcsched/adaptive_g_pct", g)
+    cfg.hpc.adaptive_g_pct = g;
     const auto r = analysis::run_experiment(cfg, wl::make_metbenchvar(wl_cfg));
     std::printf("%-8d %-10.2f %-+12.2f %-14lld %-10lld\n", g, r.exec_time.sec(),
                 analysis::improvement_pct(base, r),

@@ -6,8 +6,7 @@
 //   example_hpcsim_cli [--workload metbench|metbenchvar|btmz|siesta|wavefront]
 //                      [--mode baseline|static|uniform|adaptive|hybrid]
 //                      [--iterations N] [--seed S] [--no-noise]
-//                      [--fair cfs|o1] [--snooze-us N]
-//                      [--gantt] [--paraver PREFIX]
+//                      [--fair cfs|o1] [--gantt] [--paraver PREFIX]
 
 #include <cstdio>
 #include <cstring>
@@ -30,7 +29,6 @@ struct CliOptions {
   std::uint64_t seed = 1;
   bool noise = true;
   std::string fair = "cfs";
-  std::int64_t snooze_us = -1;
   bool gantt = false;
   std::string paraver_prefix;
 };
@@ -102,8 +100,6 @@ CliOptions parse(int argc, char** argv) {
       o.noise = false;
     } else if (!std::strcmp(a, "--fair")) {
       o.fair = need_value(i);
-    } else if (!std::strcmp(a, "--snooze-us")) {
-      o.snooze_us = std::atoll(need_value(i));
     } else if (!std::strcmp(a, "--gantt")) {
       o.gantt = true;
     } else if (!std::strcmp(a, "--paraver")) {
@@ -111,8 +107,7 @@ CliOptions parse(int argc, char** argv) {
     } else if (!std::strcmp(a, "--help") || !std::strcmp(a, "-h")) {
       std::printf(
           "usage: %s [--workload W] [--mode M] [--iterations N] [--seed S]\n"
-          "          [--no-noise] [--fair cfs|o1] [--snooze-us N]\n"
-          "          [--gantt] [--paraver PREFIX]\n"
+          "          [--no-noise] [--fair cfs|o1] [--gantt] [--paraver PREFIX]\n"
           "workloads: metbench metbenchvar btmz siesta wavefront\n"
           "modes:     baseline static uniform adaptive hybrid\n",
           argv[0]);
@@ -140,7 +135,6 @@ int main(int argc, char** argv) {
   cfg.static_prios = static_prios;
   cfg.kernel.fair_scheduler =
       o.fair == "o1" ? kern::FairScheduler::kO1 : kern::FairScheduler::kCfs;
-  if (o.snooze_us >= 0) cfg.kernel.smt_snooze_delay = Duration::microseconds(o.snooze_us);
   if (o.workload == "btmz") cfg.placement = {0, 2, 3, 1};
 
   const auto r = analysis::run_experiment(cfg, std::move(programs));

@@ -18,11 +18,6 @@ HpcSchedClass::HpcSchedClass(HpcTunables tunables, std::unique_ptr<Heuristic> he
                  "HPC priority range must stay within the supervisor range [1,6]");
 }
 
-void HpcSchedClass::set_heuristic(std::unique_ptr<Heuristic> h) {
-  HPCS_CHECK(h != nullptr);
-  heuristic_ = std::move(h);
-}
-
 HpcRq& HpcSchedClass::hrq(kern::Rq& rq, int index) {
   return static_cast<HpcRq&>(*rq.class_rqs[static_cast<std::size_t>(index)]);
 }

@@ -46,16 +46,8 @@ class HpcSchedClass final : public kern::SchedClass {
   [[nodiscard]] bool wants_balance() const override { return true; }
   [[nodiscard]] Duration wakeup_cost() const override { return tun_.wakeup_cost; }
 
-  [[nodiscard]] HpcTunables& tunables() { return tun_; }
   [[nodiscard]] const HpcTunables& tunables() const { return tun_; }
   [[nodiscard]] IterationTracker& tracker() { return tracker_; }
-  [[nodiscard]] ImbalanceDetector& detector() { return detector_; }
-  [[nodiscard]] Heuristic& heuristic() { return *heuristic_; }
-  [[nodiscard]] Mechanism& mechanism() { return *mechanism_; }
-
-  /// Swap the heuristic at run time (exposed via sysfs "hpcsched/heuristic";
-  /// the paper selected it at kernel compile time — ours is hot-swappable).
-  void set_heuristic(std::unique_ptr<Heuristic> h);
 
   [[nodiscard]] std::int64_t priority_changes() const { return prio_changes_; }
   [[nodiscard]] std::int64_t iterations_observed() const { return iterations_; }

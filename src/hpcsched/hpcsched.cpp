@@ -13,88 +13,7 @@ HpcSchedClass& install_hpcsched(kern::Kernel& k, const HpcSchedConfig& cfg) {
   }
   auto cls = std::make_unique<HpcSchedClass>(cfg.tunables, make_heuristic(cfg.heuristic),
                                              std::move(mech));
-  auto& ref = static_cast<HpcSchedClass&>(k.add_class_before_cfs(std::move(cls)));
-
-  kern::Sysfs& fs = k.sysfs();
-  HpcTunables* tun = &ref.tunables();
-  fs.register_attr(
-      "hpcsched/low_util", [tun] { return std::int64_t{static_cast<std::int64_t>(tun->low_util)}; },
-      [tun](std::int64_t v) {
-        if (v < 0 || v > tun->high_util) return false;
-        tun->low_util = static_cast<int>(v);
-        return true;
-      });
-  fs.register_attr(
-      "hpcsched/high_util",
-      [tun] { return static_cast<std::int64_t>(tun->high_util); },
-      [tun](std::int64_t v) {
-        if (v < tun->low_util || v > 100) return false;
-        tun->high_util = static_cast<int>(v);
-        return true;
-      });
-  fs.register_attr(
-      "hpcsched/min_prio", [tun] { return static_cast<std::int64_t>(tun->min_prio); },
-      [tun](std::int64_t v) {
-        if (v < 1 || v > tun->max_prio) return false;
-        tun->min_prio = static_cast<int>(v);
-        return true;
-      });
-  fs.register_attr(
-      "hpcsched/max_prio", [tun] { return static_cast<std::int64_t>(tun->max_prio); },
-      [tun](std::int64_t v) {
-        if (v < tun->min_prio || v > 6) return false;  // supervisor range
-        tun->max_prio = static_cast<int>(v);
-        return true;
-      });
-  fs.register_attr(
-      "hpcsched/adaptive_g_pct",
-      [tun] { return static_cast<std::int64_t>(tun->adaptive_g_pct); },
-      [tun](std::int64_t v) {
-        if (v < 0 || v > 100) return false;
-        tun->adaptive_g_pct = static_cast<int>(v);
-        return true;
-      });
-  fs.register_attr(
-      "hpcsched/reset_after", [tun] { return static_cast<std::int64_t>(tun->reset_after); },
-      [tun](std::int64_t v) {
-        if (v < 1 || v > 1000) return false;
-        tun->reset_after = static_cast<int>(v);
-        return true;
-      });
-  hpc::HpcSchedClass* cls_ptr = &ref;
-  fs.register_attr(
-      "hpcsched/heuristic",
-      [cls_ptr]() -> std::int64_t {
-        const std::string_view n = cls_ptr->heuristic().name();
-        if (n == "uniform") return 0;
-        if (n == "adaptive") return 1;
-        return 2;
-      },
-      [cls_ptr](std::int64_t v) {
-        switch (v) {
-          case 0: cls_ptr->set_heuristic(make_heuristic(HeuristicKind::kUniform)); return true;
-          case 1: cls_ptr->set_heuristic(make_heuristic(HeuristicKind::kAdaptive)); return true;
-          case 2: cls_ptr->set_heuristic(make_heuristic(HeuristicKind::kHybrid)); return true;
-          default: return false;
-        }
-      });
-  hpc::IterationTracker* tracker = &ref.tracker();
-  fs.register_attr(
-      "hpcsched/min_iteration_us",
-      [tracker] { return tracker->min_iteration.ns() / 1000; },
-      [tracker](std::int64_t v) {
-        if (v < 0) return false;
-        tracker->min_iteration = Duration::microseconds(v);
-        return true;
-      });
-  fs.register_attr(
-      "hpcsched/rr_slice_ms", [tun] { return tun->rr_slice.ns() / 1000000; },
-      [tun](std::int64_t v) {
-        if (v <= 0) return false;
-        tun->rr_slice = Duration::milliseconds(v);
-        return true;
-      });
-  return ref;
+  return static_cast<HpcSchedClass&>(k.add_class_before_cfs(std::move(cls)));
 }
 
 }  // namespace hpcs::hpc

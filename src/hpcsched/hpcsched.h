@@ -1,6 +1,6 @@
 #pragma once
-// Public entry point of the HPCSched library: install the SCHED_HPC class
-// into a simulated kernel and expose its tunables through sysfs. This is the
+// Public entry point of the HPCSched library: install the SCHED_HPC class,
+// with its tunables fixed for the run, into a simulated kernel. This is the
 // header a downstream user includes; see examples/quickstart.cpp.
 
 #include "hpcsched/hpc_class.h"
@@ -15,11 +15,8 @@ struct HpcSchedConfig {
   bool power5_mechanism = true;
 };
 
-/// Create the HPC scheduling class, insert it between the real-time and CFS
-/// classes (paper Fig. 1b) and register its sysfs tunables
-/// (hpcsched/low_util, hpcsched/high_util, hpcsched/min_prio,
-/// hpcsched/max_prio, hpcsched/adaptive_g_pct, hpcsched/reset_after).
-/// Must be called before Kernel::start().
+/// Create the HPC scheduling class and insert it between the real-time and
+/// CFS classes (paper Fig. 1b). Must be called before Kernel::start().
 HpcSchedClass& install_hpcsched(kern::Kernel& k, const HpcSchedConfig& cfg = {});
 
 }  // namespace hpcs::hpc

@@ -38,8 +38,6 @@ class ImbalanceDetector {
   /// `s` and returns true when the history should be reset.
   [[nodiscard]] bool behaviour_changed(TaskIterStats& s, const HpcTunables& tun) const;
 
-  [[nodiscard]] const std::map<Pid, double>& utilizations() const { return util_; }
-
  private:
   std::map<Pid, double> util_;
 };

@@ -9,7 +9,6 @@ bool Power5Mechanism::apply(kern::Kernel& k, kern::Task& t, int prio) {
   // (Table II); clamp defensively.
   const int clamped = std::clamp(prio, 1, 6);
   k.request_hw_prio(t, p5::hw_prio_from_int(clamped));
-  ++applies_;
   return true;
 }
 

@@ -20,11 +20,6 @@ class Mechanism {
 
   /// Read the task's current hardware priority, or -1 if unsupported.
   [[nodiscard]] virtual int read(const kern::Task& t) const = 0;
-
-  [[nodiscard]] std::int64_t applies() const { return applies_; }
-
- protected:
-  std::int64_t applies_ = 0;
 };
 
 /// POWER5: priorities are set by the privileged or-nop interface; the kernel

@@ -1,6 +1,7 @@
 #pragma once
-// Runtime-tunable parameters of the HPC scheduler (paper §IV-B). Exposed
-// through the sysfs registry under "hpcsched/...".
+// Tunable parameters of the HPC scheduler (paper §IV-B). The paper tunes
+// them at run time through sysfs; here every run fixes them when it is built
+// (HpcSchedConfig::tunables, ExperimentConfig::hpc).
 
 #include "common/types.h"
 

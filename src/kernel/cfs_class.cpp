@@ -53,17 +53,13 @@ void CfsClass::update_min_vruntime(CfsRq& c, const Task* curr_of_class) const {
 
 void CfsClass::enqueue(Kernel& k, Rq& rq, Task& t, bool wakeup) {
   (void)k;
+  (void)wakeup;
   CfsRq& c = crq(rq, index());
-  if (wakeup && tun_.sleeper_fairness) {
-    // Sleeper credit: grant a waking task up to half a latency period of
-    // vruntime headroom so interactive tasks get scheduled promptly, but
-    // never let vruntime move backwards.
-    const Duration floor = c.min_vruntime - tun_.latency / 2;
-    t.vruntime = std::max(t.vruntime, floor);
-  } else {
-    // Migrated or policy-switched task: normalize into this queue's window.
-    t.vruntime = std::max(t.vruntime, c.min_vruntime - tun_.latency / 2);
-  }
+  // Sleeper credit: grant a waking task up to half a latency period of
+  // vruntime headroom so interactive tasks get scheduled promptly, but never
+  // let vruntime move backwards. A migrated or policy-switched task is
+  // normalized into this queue's window by the same bound.
+  t.vruntime = std::max(t.vruntime, c.min_vruntime - tun_.latency / 2);
   const bool inserted = c.tree.emplace(key_of(t), &t).second;
   HPCS_CHECK_MSG(inserted, "duplicate task in CFS tree");
   update_min_vruntime(c, nullptr);

@@ -16,8 +16,6 @@ struct CfsTunables {
   Duration latency = Duration::milliseconds(20);       ///< target max wait (paper: 20 ms)
   Duration min_granularity = Duration::milliseconds(4);
   Duration wakeup_granularity = Duration::milliseconds(10);
-  /// Sleeper credit: a waking task is placed at min_vruntime - latency/2.
-  bool sleeper_fairness = true;
   /// Scheduler-path cost of a CFS wakeup (see SchedClass::wakeup_cost).
   Duration wakeup_cost = Duration::microseconds(25);
 };
@@ -58,7 +56,6 @@ class CfsClass final : public SchedClass {
   [[nodiscard]] Duration wakeup_cost() const override { return tun_.wakeup_cost; }
 
   [[nodiscard]] const CfsTunables& tunables() const { return tun_; }
-  CfsTunables& tunables() { return tun_; }
 
   /// CFS load weight for a nice level (-20..19); the canonical kernel table.
   [[nodiscard]] static std::int64_t nice_to_weight(int nice);

@@ -75,40 +75,7 @@ void Kernel::start() {
   tick_origin_ = now();
   tick_index_ = 1;
   tick_event_ = sim_->schedule_at(tick_time(1), [this] { on_tick(); }, sim::Lane::kFirst);
-  sysfs_.set_write_hook([this] {
-    for (CpuId cpu = 0; cpu < topo_.num_cpus(); ++cpu) replay_ticks(cpu);
-  });
   chip_.set_listener([this](CoreId core) { on_speed_change(core); });
-  // Every CPU boots idle: start their snooze timers.
-  for (CpuId cpu = 0; cpu < topo_.num_cpus(); ++cpu) arm_snooze(cpu);
-
-  if (cfg_.fair_scheduler != FairScheduler::kCfs) return;
-
-  // sysfs view of the CFS knobs, mirroring /proc/sys/kernel/sched_*.
-  auto* cfs = static_cast<CfsClass*>(classes_[static_cast<std::size_t>(cfs_index_)].get());
-  sysfs_.register_attr(
-      "kernel/sched_latency_ns", [cfs] { return cfs->tunables().latency.ns(); },
-      [cfs](std::int64_t v) {
-        if (v <= 0) return false;
-        cfs->tunables().latency = Duration(v);
-        return true;
-      });
-  sysfs_.register_attr(
-      "kernel/sched_min_granularity_ns",
-      [cfs] { return cfs->tunables().min_granularity.ns(); },
-      [cfs](std::int64_t v) {
-        if (v <= 0) return false;
-        cfs->tunables().min_granularity = Duration(v);
-        return true;
-      });
-  sysfs_.register_attr(
-      "kernel/sched_wakeup_granularity_ns",
-      [cfs] { return cfs->tunables().wakeup_granularity.ns(); },
-      [cfs](std::int64_t v) {
-        if (v < 0) return false;
-        cfs->tunables().wakeup_granularity = Duration(v);
-        return true;
-      });
 }
 
 Kernel::CpuState& Kernel::cs(CpuId cpu) {
@@ -302,7 +269,6 @@ void Kernel::schedule_cpu(CpuId cpu) {
       if (trace_ != nullptr) trace_->on_wakeup_latency(now(), *next, lat);
       if (obs_ != nullptr) obs_->observe_wakeup_latency_us(now(), lat.us());
     }
-    sim_->cancel(c.snooze_event);
     chip_.set_cpu_active(cpu, true);
     if (cfg_.hw_prio_enabled && chip_.cpu_priority(cpu) != next->hw_prio) {
       // The context switch path issues the or-nop that restores the incoming
@@ -311,7 +277,6 @@ void Kernel::schedule_cpu(CpuId cpu) {
     }
   } else {
     chip_.set_cpu_active(cpu, false);
-    arm_snooze(cpu);
   }
   start_exec(cpu);
   check_dormant(cpu);
@@ -320,16 +285,6 @@ void Kernel::schedule_cpu(CpuId cpu) {
 // ---------------------------------------------------------------------------
 // Execution engine
 // ---------------------------------------------------------------------------
-
-void Kernel::arm_snooze(CpuId cpu) {
-  // The idle loop spins for smt_snooze_delay, then cedes the core to the
-  // sibling context (Linux/POWER5 snooze).
-  if (cfg_.smt_snooze_delay < Duration::zero()) return;
-  CpuState& c = cs(cpu);
-  if (sim_->reschedule_in(c.snooze_event, cfg_.smt_snooze_delay)) return;
-  c.snooze_event =
-      sim_->schedule_in(cfg_.smt_snooze_delay, [this, cpu] { chip_.set_cpu_snoozed(cpu, true); });
-}
 
 void Kernel::accrue_exec(CpuId cpu) {
   CpuState& c = cs(cpu);

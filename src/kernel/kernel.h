@@ -22,7 +22,6 @@
 #include "kernel/domains.h"
 #include "kernel/o1_class.h"
 #include "kernel/sched_class.h"
-#include "kernel/sysfs.h"
 #include "kernel/task.h"
 #include "kernel/trace_hooks.h"
 #include "power5/chip.h"
@@ -44,11 +43,6 @@ struct KernelConfig {
   int num_cores = 2;   ///< cores per chip (POWER5: two cores, 2-way SMT)
   int num_chips = 1;   ///< chips in the system (adds the chip domain level)
   p5::ThroughputParams throughput{};
-  /// Linux/POWER5 smt_snooze_delay: how long the idle loop spins before
-  /// ceding the core to the sibling (single-thread mode). Negative =
-  /// never snooze (the HPC setting the paper's numbers imply, see
-  /// DESIGN.md §2); zero = immediate snooze.
-  Duration smt_snooze_delay = Duration(-1);
   Duration tick = Duration::milliseconds(1);  ///< HZ=1000
   Duration rt_rr_slice = Duration::milliseconds(100);
   FairScheduler fair_scheduler = FairScheduler::kCfs;
@@ -125,7 +119,6 @@ class Kernel {
   [[nodiscard]] sim::Simulator& sim() { return *sim_; }
   [[nodiscard]] p5::Chip& chip() { return chip_; }
   [[nodiscard]] p5::PriorityIsa& isa() { return isa_; }
-  [[nodiscard]] Sysfs& sysfs() { return sysfs_; }
   [[nodiscard]] const Topology& topology() const { return topo_; }
   [[nodiscard]] Duration tick_period() const { return cfg_.tick; }
   [[nodiscard]] int num_cpus() const { return topo_.num_cpus(); }
@@ -169,7 +162,6 @@ class Kernel {
     double seg_speed = 0.0;
     sim::EventHandle exec_event;
     bool resched_pending = false;
-    sim::EventHandle snooze_event;
     /// Ticks taken so far, run or replayed: tick i is at tick_time(i).
     std::int64_t ticks = 0;
     /// The tick event skips this CPU except at its balance boundaries; its
@@ -190,7 +182,6 @@ class Kernel {
   void account_to(Task& t, SimTime when);
 
   // Execution engine.
-  void arm_snooze(CpuId cpu);
   void accrue_exec(CpuId cpu);
   void stop_exec(CpuId cpu);
   void start_exec(CpuId cpu);
@@ -220,7 +211,6 @@ class Kernel {
   p5::Chip chip_;
   p5::PriorityIsa isa_;
   Topology topo_;
-  Sysfs sysfs_;
   TraceSink* trace_ = nullptr;
   obs::Recorder* obs_ = nullptr;
 

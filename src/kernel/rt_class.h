@@ -41,8 +41,6 @@ class RtClass final : public SchedClass {
   void yield(Kernel& k, Rq& rq, Task& t) override;
   Task* steal_candidate(Kernel& k, Rq& rq) override;
 
-  [[nodiscard]] Duration rr_slice() const { return rr_slice_; }
-
  private:
   static RtRq& rrq(Rq& rq, int index);
   static std::deque<Task*>& list_of(RtRq& r, const Task& t);

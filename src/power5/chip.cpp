@@ -33,10 +33,6 @@ bool Chip::set_cpu_active(CpuId cpu, bool active) {
   return core(core_of(cpu)).set_active(ctx_of(cpu), active);
 }
 
-bool Chip::set_cpu_snoozed(CpuId cpu, bool snoozed) {
-  return core(core_of(cpu)).set_snoozed(ctx_of(cpu), snoozed);
-}
-
 HwPrio Chip::cpu_priority(CpuId cpu) const { return core(core_of(cpu)).priority(ctx_of(cpu)); }
 
 void Chip::set_listener(SmtCore::SpeedChangeListener l) {

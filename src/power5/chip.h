@@ -30,7 +30,6 @@ class Chip {
   [[nodiscard]] double cpu_speed(CpuId cpu) const;
   bool set_cpu_priority(CpuId cpu, HwPrio p);
   bool set_cpu_active(CpuId cpu, bool active);
-  bool set_cpu_snoozed(CpuId cpu, bool snoozed);
   [[nodiscard]] HwPrio cpu_priority(CpuId cpu) const;
 
   /// Install one listener for speed changes on any core.

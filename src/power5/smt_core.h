@@ -27,7 +27,6 @@ class SmtCore {
       : id_(id), table_(std::move(speeds)) {
     prio_.fill(kDefaultPrio);
     active_.fill(false);
-    snoozed_.fill(false);
     recompute();
   }
   SmtCore(CoreId id, const ThroughputParams& params)
@@ -37,13 +36,8 @@ class SmtCore {
 
   /// Set the hardware priority of one context. Returns true if it changed.
   bool set_priority(CtxId ctx, HwPrio p);
-  /// Mark a context as executing work (true) or idle/halted (false).
-  /// Deactivating also clears the snoozed flag (fresh idle spins first).
+  /// Mark a context as executing work (true) or idle (false).
   bool set_active(CtxId ctx, bool active);
-  /// Mark an idle context as snoozed: it cedes the core so the sibling runs
-  /// in single-thread mode (the Linux smt_snooze_delay expiry).
-  bool set_snoozed(CtxId ctx, bool snoozed);
-  [[nodiscard]] bool snoozed(CtxId ctx) const { return snoozed_[check_ctx(ctx)]; }
 
   [[nodiscard]] HwPrio priority(CtxId ctx) const { return prio_[check_ctx(ctx)]; }
   [[nodiscard]] bool active(CtxId ctx) const { return active_[check_ctx(ctx)]; }
@@ -64,7 +58,6 @@ class SmtCore {
   std::shared_ptr<const CoreSpeedTable> table_;
   std::array<HwPrio, 2> prio_{};
   std::array<bool, 2> active_{};
-  std::array<bool, 2> snoozed_{};
   std::array<double, 2> speeds_{};
   SpeedChangeListener listener_;
 };

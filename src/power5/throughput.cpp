@@ -49,7 +49,7 @@ double decode_share_a(HwPrio a, HwPrio b) {
 }
 
 CoreSpeeds context_speeds(const ThroughputParams& p, HwPrio a, bool a_active, HwPrio b,
-                          bool b_active, bool a_snoozed, bool b_snoozed) {
+                          bool b_active) {
   const auto pair_speeds = [&p](double share_a) -> CoreSpeeds {
     return {speed_for_share(p, share_a), speed_for_share(p, 1.0 - share_a)};
   };
@@ -59,18 +59,17 @@ CoreSpeeds context_speeds(const ThroughputParams& p, HwPrio a, bool a_active, Hw
 
   if (!a_on && !b_on) return {0.0, 0.0};
   if (a_on && !b_on) {
-    if (b_snoozed || p.idle_contention_prio < 0) return {p.st_speed, 0.0};
-    // The idle sibling context spins (SMT snooze disabled or not yet
-    // triggered) and keeps consuming the decode share of
-    // `idle_contention_prio`.
+    if (p.idle_contention_prio < 0) return {p.st_speed, 0.0};
+    // The idle sibling context spins (SMT snooze disabled) and keeps
+    // consuming the decode share of `idle_contention_prio`.
     const HwPrio idle = hw_prio_from_int(p.idle_contention_prio);
-    const CoreSpeeds s = context_speeds(p, a, true, idle, true, false, false);
+    const CoreSpeeds s = context_speeds(p, a, true, idle, true);
     return {s.a, 0.0};
   }
   if (!a_on && b_on) {
-    if (a_snoozed || p.idle_contention_prio < 0) return {0.0, p.st_speed};
+    if (p.idle_contention_prio < 0) return {0.0, p.st_speed};
     const HwPrio idle = hw_prio_from_int(p.idle_contention_prio);
-    const CoreSpeeds s = context_speeds(p, idle, true, b, true, false, false);
+    const CoreSpeeds s = context_speeds(p, idle, true, b, true);
     return {0.0, s.b};
   }
 
@@ -97,9 +96,9 @@ CoreSpeedTable::CoreSpeedTable(const ThroughputParams& p) {
   HPCS_CHECK_MSG(std::is_sorted(p.share_points.begin(), p.share_points.end()),
                  "share anchors must be sorted");
   for (std::size_t i = 0; i < cells_.size(); ++i) {  // i unpacks as index() packs it
-    const HwPrio a = hw_prio_from_int(static_cast<int>(i >> 7));
-    const HwPrio b = hw_prio_from_int(static_cast<int>(i >> 4 & 7));
-    cells_[i] = context_speeds(p, a, (i & 8) != 0, b, (i & 4) != 0, (i & 2) != 0, (i & 1) != 0);
+    const HwPrio a = hw_prio_from_int(static_cast<int>(i >> 5));
+    const HwPrio b = hw_prio_from_int(static_cast<int>(i >> 2 & 7));
+    cells_[i] = context_speeds(p, a, (i & 2) != 0, b, (i & 1) != 0);
   }
 }
 

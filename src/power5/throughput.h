@@ -39,15 +39,15 @@ struct ThroughputParams {
                                       31.0 / 32, 1.0};
   std::vector<double> speed_points = {0.0,  0.04, 0.06, 0.10, 0.19, 0.55,
                                       0.65, 0.73, 0.76, 0.77, 0.775, 0.78};
-  double st_speed = 1.0;        ///< speed in single-thread mode (true snooze)
+  double st_speed = 1.0;        ///< speed in single-thread mode (sibling ceded)
   double background_fg = 0.98;  ///< foreground speed when sibling runs at priority 1
   double background_bg = 0.15;  ///< background (priority 1) thread speed
   /// Hardware priority the *idle* context effectively contends at, modeling
-  /// the Linux/POWER5 spin idle loop with SMT snooze disabled
-  /// (smt_snooze_delay = -1), the common HPC setting the paper's numbers
-  /// imply: the Table III baseline shows NO single-thread speedup while the
-  /// light worker waits (25.3% utilization = exact 4:1 load ratio at equal
-  /// speeds). Set to -1 to model a true snooze (context off -> ST mode).
+  /// the Linux/POWER5 spin idle loop with SMT snooze disabled, the common
+  /// HPC setting the paper's numbers imply: the Table III baseline shows NO
+  /// single-thread speedup while the light worker waits (25.3% utilization =
+  /// exact 4:1 load ratio at equal speeds). Set to -1 to model an idle
+  /// context that cedes the core (context off -> ST mode).
   int idle_contention_prio = 4;
 };
 
@@ -73,35 +73,30 @@ struct CoreSpeeds {
 
 /// Per-context speeds for contexts running at priorities `a` and `b`.
 /// `a_active` / `b_active` state whether each context currently executes a
-/// (non-idle) task. An inactive context normally keeps contending at
-/// idle_contention_prio (spin idle); an inactive context that has *snoozed*
-/// (`x_snoozed`) has ceded the core entirely — the sibling runs in ST mode.
+/// (non-idle) task. An inactive context keeps contending at
+/// idle_contention_prio (spin idle), or cedes the core when that is -1.
 [[nodiscard]] CoreSpeeds context_speeds(const ThroughputParams& p, HwPrio a, bool a_active,
-                                        HwPrio b, bool b_active, bool a_snoozed = false,
-                                        bool b_snoozed = false);
+                                        HwPrio b, bool b_active);
 
-/// context_speeds for all 1024 inputs (every priority pair, every active and
-/// snoozed flag), computed once per ThroughputParams, so a lookup is
-/// bit-identical to the scan. Serves every priority write and active/snooze
-/// transition of every core; a chip's cores share one table.
+/// context_speeds for all 256 inputs (every priority pair and active flag),
+/// computed once per ThroughputParams, so a lookup is bit-identical to the
+/// scan. Serves every priority write and active transition of every core; a
+/// chip's cores share one table.
 class CoreSpeedTable {
  public:
   explicit CoreSpeedTable(const ThroughputParams& p);
 
-  [[nodiscard]] CoreSpeeds operator()(HwPrio a, bool a_active, HwPrio b, bool b_active,
-                                      bool a_snoozed, bool b_snoozed) const {
-    return cells_[index(a, a_active, b, b_active, a_snoozed, b_snoozed)];
+  [[nodiscard]] CoreSpeeds operator()(HwPrio a, bool a_active, HwPrio b, bool b_active) const {
+    return cells_[index(a, a_active, b, b_active)];
   }
 
  private:
-  static constexpr std::size_t index(HwPrio a, bool a_active, HwPrio b, bool b_active,
-                                     bool a_snoozed, bool b_snoozed) {
-    return static_cast<std::size_t>(a) << 7 | static_cast<std::size_t>(b) << 4 |
-           static_cast<std::size_t>(a_active) << 3 | static_cast<std::size_t>(b_active) << 2 |
-           static_cast<std::size_t>(a_snoozed) << 1 | static_cast<std::size_t>(b_snoozed);
+  static constexpr std::size_t index(HwPrio a, bool a_active, HwPrio b, bool b_active) {
+    return static_cast<std::size_t>(a) << 5 | static_cast<std::size_t>(b) << 2 |
+           static_cast<std::size_t>(a_active) << 1 | static_cast<std::size_t>(b_active);
   }
 
-  std::array<CoreSpeeds, 1024> cells_{};
+  std::array<CoreSpeeds, 256> cells_{};
 };
 
 /// Decode share of context A per Table I (0.5 at equal priorities,

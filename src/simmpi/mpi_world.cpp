@@ -58,19 +58,9 @@ void MpiWorld::start() {
   for (auto& rs : ranks_) kernel_->start_task(*rs.task);
 }
 
-void MpiWorld::release_rendezvous(const Message& m) {
-  if (m.rv_sender < 0) return;
-  RankState& sender = ranks_[check_rank(m.rv_sender)];
-  --sender.pending_rv_sends;
-  if (!sender.exited && sender.waiting == WaitKind::kSendRendezvous) {
-    kernel_->wake(*sender.task);
-  }
-}
-
 bool MpiWorld::try_consume(RankState& rs, int src, int tag) {
   for (auto it = rs.mailbox.begin(); it != rs.mailbox.end(); ++it) {
     if (spec_matches(src, tag, it->src, it->tag)) {
-      release_rendezvous(*it);
       rs.mailbox.erase(it);
       return true;
     }
@@ -82,7 +72,6 @@ bool MpiWorld::match_irecv(RankState& rs, const Message& m) {
   for (auto it = rs.pending_irecvs.begin(); it != rs.pending_irecvs.end(); ++it) {
     if (spec_matches(it->first, it->second, m.src, m.tag)) {
       rs.pending_irecvs.erase(it);
-      release_rendezvous(m);
       return true;
     }
   }
@@ -91,14 +80,8 @@ bool MpiWorld::match_irecv(RankState& rs, const Message& m) {
 
 void MpiWorld::deliver(int dst, Message m) {
   RankState& rs = ranks_[check_rank(dst)];
-  if (rs.exited) {
-    // Nobody will ever consume this message; do not strand a rendezvous
-    // sender behind an exited peer.
-    release_rendezvous(m);
-    return;
-  }
+  if (rs.exited) return;  // nobody will ever consume this message
   ++messages_;
-  ++rs.msgs_received;
   // Messages matching a posted irecv complete the request directly; others
   // sit in the mailbox for a (blocking or future non-blocking) receive.
   if (!match_irecv(rs, m)) rs.mailbox.push_back(m);
@@ -125,9 +108,7 @@ void MpiWorld::maybe_release_barrier() {
     barrier_release_pending_ = false;
     barrier_waiting_ = 0;
     ++barrier_generation_;
-    for (auto& rs : ranks_) {
-      if (!rs.exited && rs.waiting == WaitKind::kBarrier) kernel_->wake(*rs.task);
-    }
+    wake_waiters(WaitKind::kBarrier);
   });
 }
 
@@ -195,29 +176,6 @@ void MpiWorld::step_rank(int rank, kern::Task& t) {
       }
       rs.waiting = WaitKind::kNone;
       break;
-    case WaitKind::kBcast:
-      if (rs.bcast_taken >= bcast_rounds_delivered_) {
-        k.body_block(t);
-        return;
-      }
-      ++rs.bcast_taken;
-      rs.waiting = WaitKind::kNone;
-      break;
-    case WaitKind::kReduceRoot:
-      if (rs.reduce_round >= reduce_rounds_ready_) {
-        k.body_block(t);
-        return;
-      }
-      ++rs.reduce_round;
-      rs.waiting = WaitKind::kNone;
-      break;
-    case WaitKind::kSendRendezvous:
-      if (rs.pending_rv_sends > 0) {
-        k.body_block(t);
-        return;
-      }
-      rs.waiting = WaitKind::kNone;
-      break;
     case WaitKind::kNone:
       break;
   }
@@ -243,30 +201,17 @@ void MpiWorld::step_rank(int rank, kern::Task& t) {
       return;
     }
     if (auto* s = std::get_if<OpSend>(&op)) {
-      ++rs.msgs_sent;
-      rs.bytes_sent += s->bytes;
       const int dst = s->dst;
-      const bool rendezvous =
-          cfg_.net.eager_threshold > 0 && s->bytes > cfg_.net.eager_threshold;
-      Message m{rank, s->tag, s->bytes, rendezvous ? rank : -1};
+      const Message m{rank, s->tag, s->bytes};
       kernel_->sim().schedule_in(net_.delay(s->bytes),
                                  [this, dst, m] { deliver(dst, m); });
-      if (rendezvous) {
-        // Rendezvous: the send only completes once the receiver consumes it.
-        ++rs.pending_rv_sends;
-        rs.waiting = WaitKind::kSendRendezvous;
-        k.body_block(t);
-        return;
-      }
       continue;
     }
     if (auto* s = std::get_if<OpIsend>(&op)) {
       // Unlike the eager OpSend, an isend is a tracked request: OpWaitAll
       // also waits for its delivery to complete (the rendezvous/progress
       // behaviour of large-message MPI sends).
-      ++rs.msgs_sent;
-      rs.bytes_sent += s->bytes;
-      const Message m{rank, s->tag, s->bytes, -1};
+      const Message m{rank, s->tag, s->bytes};
       const int dst = s->dst;
       ++rs.pending_isends;
       kernel_->sim().schedule_in(net_.delay(s->bytes), [this, rank, dst, m] {
@@ -309,52 +254,6 @@ void MpiWorld::step_rank(int rank, kern::Task& t) {
       k.body_block(t);
       return;
     }
-    if (auto* bc = std::get_if<OpBcast>(&op)) {
-      if (bc->root == rank) {
-        // Eager tree send: the root continues; the round lands after the
-        // tree latency and releases the waiters.
-        ++bcast_rounds_posted_;
-        ++rs.bcast_taken;  // the root trivially has its own round
-        const Duration d = tree_delay(bc->bytes, 1);
-        kernel_->sim().schedule_in(d, [this] {
-          ++bcast_rounds_delivered_;
-          wake_waiters(WaitKind::kBcast);
-        });
-        continue;
-      }
-      if (rs.bcast_taken < bcast_rounds_delivered_) {
-        ++rs.bcast_taken;  // round already delivered: no wait
-        continue;
-      }
-      rs.waiting = WaitKind::kBcast;
-      k.body_block(t);
-      return;
-    }
-    if (auto* rd = std::get_if<OpReduce>(&op)) {
-      if (rd->root != rank) {
-        // Contribute and continue (eager leaf send).
-        ++reduce_contributions_;
-        const int live_nonroot = size() - exited_ - 1;
-        // When the last contribution of the root's next round is in, the
-        // tree combines after its latency.
-        const std::int64_t target_round = reduce_rounds_ready_ + 1;
-        if (reduce_contributions_ >= target_round * live_nonroot) {
-          const Duration d = tree_delay(rd->bytes, 1);
-          kernel_->sim().schedule_in(d, [this] {
-            ++reduce_rounds_ready_;
-            wake_waiters(WaitKind::kReduceRoot);
-          });
-        }
-        continue;
-      }
-      if (rs.reduce_round < reduce_rounds_ready_) {
-        ++rs.reduce_round;
-        continue;
-      }
-      rs.waiting = WaitKind::kReduceRoot;
-      k.body_block(t);
-      return;
-    }
     if (std::get_if<OpMarkIteration>(&op) != nullptr) {
       k.flush_account(t);
       rs.marks.push_back(IterationMark{k.now(), t.t_run});
@@ -364,10 +263,7 @@ void MpiWorld::step_rank(int rank, kern::Task& t) {
       rs.exited = true;
       ++exited_;
       finish_time_ = std::max(finish_time_, k.now());
-      // Unconsumed mailbox entries will never be received: release any
-      // rendezvous senders stranded behind them.
-      for (const Message& m : rs.mailbox) release_rendezvous(m);
-      rs.mailbox.clear();
+      rs.mailbox.clear();  // unconsumed entries will never be received
       // Ranks sitting in a collective must not deadlock on an exited peer.
       maybe_release_barrier();
       maybe_release_allreduce(8);
@@ -389,9 +285,6 @@ std::string MpiWorld::debug_state() const {
       case WaitKind::kRecv: wait = "recv"; break;
       case WaitKind::kWaitAll: wait = "waitall"; break;
       case WaitKind::kAllreduce: wait = "allreduce"; break;
-      case WaitKind::kBcast: wait = "bcast"; break;
-      case WaitKind::kReduceRoot: wait = "reduce"; break;
-      case WaitKind::kSendRendezvous: wait = "rendezvous-send"; break;
     }
     out += "rank" + std::to_string(r) + ": " + (rs.exited ? "exited" : wait) +
            " mailbox=" + std::to_string(rs.mailbox.size()) +

@@ -60,17 +60,6 @@ class MpiWorld {
   /// fails to complete, so deadlocks are debuggable from the abort message.
   [[nodiscard]] std::string debug_state() const;
 
-  /// Per-rank traffic counters.
-  struct RankTraffic {
-    std::int64_t msgs_sent = 0;
-    std::int64_t msgs_received = 0;
-    std::int64_t bytes_sent = 0;
-  };
-  [[nodiscard]] RankTraffic traffic(int rank) const {
-    const RankState& rs = ranks_[check_rank(rank)];
-    return {rs.msgs_sent, rs.msgs_received, rs.bytes_sent};
-  }
-
   /// Interpreter entry point used by the per-rank task body; drives `rank`
   /// until an op requires the kernel (compute/block/exit). Not part of the
   /// user-facing API.
@@ -82,9 +71,6 @@ class MpiWorld {
     int src = 0;
     int tag = 0;
     std::int64_t bytes = 0;
-    /// Rank blocked in a rendezvous send until this message is consumed
-    /// (-1 = eager, nobody waits).
-    int rv_sender = -1;
   };
 
   enum class WaitKind {
@@ -93,9 +79,6 @@ class MpiWorld {
     kRecv,
     kWaitAll,
     kAllreduce,
-    kBcast,
-    kReduceRoot,
-    kSendRendezvous,
   };
 
   struct RankState {
@@ -103,19 +86,12 @@ class MpiWorld {
     std::unique_ptr<RankProgram> program;
     std::deque<Message> mailbox;
     std::vector<std::pair<int, int>> pending_irecvs;  ///< (src, tag) posted, unmatched
-    int pending_isends = 0;    ///< isends whose delivery has not completed yet
-    int pending_rv_sends = 0;  ///< rendezvous sends not yet consumed by the peer
-    // Per-rank traffic statistics.
-    std::int64_t msgs_sent = 0;
-    std::int64_t msgs_received = 0;
-    std::int64_t bytes_sent = 0;
+    int pending_isends = 0;  ///< isends whose delivery has not completed yet
     WaitKind waiting = WaitKind::kNone;
     int recv_src = kAnySource;
     int recv_tag = kAnyTag;
     std::int64_t barrier_gen = 0;  ///< generation the rank is waiting for
     std::int64_t allreduce_gen = 0;
-    std::int64_t bcast_taken = 0;   ///< broadcast rounds this rank consumed
-    std::int64_t reduce_round = 0;  ///< reduce rounds this (root) rank completed
     std::vector<IterationMark> marks;
     bool exited = false;
   };
@@ -128,9 +104,6 @@ class MpiWorld {
   };
 
   [[nodiscard]] std::size_t check_rank(int rank) const;
-
-  /// Release a sender blocked in a rendezvous send of `m` (no-op for eager).
-  void release_rendezvous(const Message& m);
 
   /// True if a message matching (src, tag) is in the mailbox; consumes it.
   bool try_consume(RankState& rs, int src, int tag);
@@ -153,10 +126,6 @@ class MpiWorld {
   int barrier_waiting_ = 0;
   bool barrier_release_pending_ = false;
   CollectiveState allreduce_;
-  std::int64_t bcast_rounds_posted_ = 0;     ///< bcast rounds the root issued
-  std::int64_t bcast_rounds_delivered_ = 0;  ///< rounds that finished the tree
-  std::int64_t reduce_contributions_ = 0;    ///< total non-root contributions
-  std::int64_t reduce_rounds_ready_ = 0;     ///< rounds whose tree completed
   int exited_ = 0;
   SimTime finish_time_ = SimTime::zero();
   std::int64_t messages_ = 0;

@@ -11,10 +11,6 @@ struct NetworkParams {
   Duration base_latency = Duration::microseconds(5);
   double bytes_per_us = 1000.0;  ///< ~1 GB/s
   double jitter_frac = 0.1;      ///< uniform +/- fraction of the deterministic delay
-  /// Messages above this size use the rendezvous protocol: a blocking send
-  /// completes only once the receiver has posted a matching receive (real
-  /// MPI eager/rendezvous switch). Non-positive = everything eager.
-  std::int64_t eager_threshold = 256 * 1024;
 };
 
 class NetworkModel {

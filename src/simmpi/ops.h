@@ -58,20 +58,6 @@ struct OpAllreduce {
   std::int64_t bytes = 8;
 };
 
-/// Broadcast from `root`: the root completes immediately (eager tree send);
-/// other ranks block until the root's matching round is delivered.
-struct OpBcast {
-  int root = 0;
-  std::int64_t bytes = 8;
-};
-
-/// Reduce to `root`: non-roots contribute and continue; the root blocks for
-/// all contributions of its round plus the tree latency.
-struct OpReduce {
-  int root = 0;
-  std::int64_t bytes = 8;
-};
-
 /// Statistics hook: the rank finished an application-level iteration.
 struct OpMarkIteration {};
 
@@ -79,7 +65,7 @@ struct OpMarkIteration {};
 struct OpExit {};
 
 using MpiOp = std::variant<OpCompute, OpBarrier, OpSend, OpRecv, OpIsend, OpIrecv, OpWaitAll,
-                           OpAllreduce, OpBcast, OpReduce, OpMarkIteration, OpExit>;
+                           OpAllreduce, OpMarkIteration, OpExit>;
 
 /// A rank's behaviour: a deterministic op stream. `next()` is called each
 /// time the previous op completes; returning OpExit ends the rank.

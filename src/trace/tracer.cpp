@@ -70,13 +70,6 @@ const std::vector<IterationEvent>& Tracer::iteration_events(Pid pid) const {
   return it == tasks_.end() ? kNoIters : it->second.iterations;
 }
 
-std::vector<Pid> Tracer::traced_pids() const {
-  std::vector<Pid> out;
-  out.reserve(tasks_.size());
-  for (const auto& [pid, p] : tasks_) out.push_back(pid);
-  return out;
-}
-
 double Tracer::compute_fraction(Pid pid, SimTime begin, SimTime end) const {
   HPCS_CHECK(end > begin);
   Duration computing = Duration::zero();

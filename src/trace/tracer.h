@@ -49,7 +49,6 @@ class Tracer final : public kern::TraceSink {
   [[nodiscard]] const std::vector<Interval>& intervals(Pid pid) const;
   [[nodiscard]] const std::vector<PrioEvent>& prio_events(Pid pid) const;
   [[nodiscard]] const std::vector<IterationEvent>& iteration_events(Pid pid) const;
-  [[nodiscard]] std::vector<Pid> traced_pids() const;
 
   /// Fraction of [begin,end] the task spent computing.
   [[nodiscard]] double compute_fraction(Pid pid, SimTime begin, SimTime end) const;

@@ -1,6 +1,5 @@
-// Collective-operation tests: allreduce synchronization + cost model, bcast
-// root/non-root semantics, reduce root blocking, repeated rounds, PARAVER
-// export of the resulting traces.
+// Collective-operation tests: allreduce synchronization + cost model,
+// repeated rounds, PARAVER export of the resulting traces.
 
 #include <gtest/gtest.h>
 
@@ -66,67 +65,6 @@ TEST(Collectives, AllreduceRepeatedRounds) {
   w.start();
   mpi::run_to_completion(f.sim, w);
   for (int r = 0; r < 3; ++r) EXPECT_EQ(w.marks(r).size(), 5u);
-}
-
-TEST(Collectives, BcastRootDoesNotBlock) {
-  WorldFixture f;
-  // The root computes, broadcasts, computes again without waiting; the
-  // receiver blocks until delivery.
-  mpi::MpiWorld w(f.k(), {},
-                  programs({
-                      {mpi::OpCompute{1.0e6}, mpi::OpBcast{0, 4096}, mpi::OpCompute{1.0e6},
-                       mpi::OpMarkIteration{}},
-                      {mpi::OpBcast{0, 4096}, mpi::OpMarkIteration{}},
-                  }));
-  w.start();
-  mpi::run_to_completion(f.sim, w);
-  // Receiver's mark: after root's first compute (~1.54 ms) + tree latency.
-  EXPECT_GT(w.marks(1)[0].when, SimTime::zero() + Duration::microseconds(1500));
-  // Root never waited: its second compute followed immediately (its mark is
-  // about two compute segments in).
-  EXPECT_LT(w.marks(0)[0].when, SimTime::zero() + Duration::milliseconds(4));
-}
-
-TEST(Collectives, BcastLateJoinerGetsBufferedRound) {
-  WorldFixture f;
-  // The receiver reaches the bcast long after the root posted it.
-  mpi::MpiWorld w(f.k(), {},
-                  programs({
-                      {mpi::OpBcast{0, 64}},
-                      {mpi::OpCompute{20.0e6}, mpi::OpBcast{0, 64}, mpi::OpMarkIteration{}},
-                  }));
-  w.start();
-  mpi::run_to_completion(f.sim, w);
-  // No deadlock, and the late receiver barely waited beyond its compute.
-  EXPECT_LT(w.marks(1)[0].when, SimTime::zero() + Duration::milliseconds(32));
-}
-
-TEST(Collectives, ReduceRootWaitsForContributions) {
-  WorldFixture f;
-  mpi::MpiWorld w(f.k(), {},
-                  programs({
-                      {mpi::OpReduce{0, 64}, mpi::OpMarkIteration{}},
-                      {mpi::OpCompute{8.0e6}, mpi::OpReduce{0, 64}},
-                      {mpi::OpCompute{2.0e6}, mpi::OpReduce{0, 64}},
-                  }));
-  w.start();
-  mpi::run_to_completion(f.sim, w);
-  // The root's mark waits for the slowest contributor (~12.3 ms at 0.65).
-  EXPECT_GT(w.marks(0)[0].when, SimTime::zero() + Duration::milliseconds(11));
-}
-
-TEST(Collectives, ReduceNonRootDoesNotBlock) {
-  WorldFixture f;
-  mpi::MpiWorld w(f.k(), {},
-                  programs({
-                      {mpi::OpCompute{20.0e6}, mpi::OpReduce{0, 64}},
-                      {mpi::OpReduce{0, 64}, mpi::OpMarkIteration{}, mpi::OpCompute{1.0e6},
-                       mpi::OpMarkIteration{}},
-                  }));
-  w.start();
-  mpi::run_to_completion(f.sim, w);
-  // Rank 1 contributed and moved on immediately.
-  EXPECT_LT(w.marks(1)[0].when, SimTime::zero() + Duration::milliseconds(1));
 }
 
 TEST(Paraver, ExportFormats) {

@@ -1,7 +1,7 @@
 // Integration tests of the SCHED_HPC scheduling class inside the kernel:
 // class ordering (RT > HPC > CFS > idle), low wakeup latency, iteration
 // detection, heuristic convergence on an imbalanced pair, balanced-state
-// freezing, the sysfs tunables, and the Null mechanism fallback.
+// freezing, and the Null mechanism fallback.
 
 #include <gtest/gtest.h>
 
@@ -182,22 +182,6 @@ TEST(HpcClass, NullMechanismKeepsPolicyOnly) {
   EXPECT_EQ(p5::to_int(heavy.hw_prio), 4);
   EXPECT_EQ(f.cls->priority_changes(), 0);
   EXPECT_FALSE(heavy.exited());
-}
-
-TEST(HpcClass, SysfsTunablesRegisteredAndValidated) {
-  HpcFixture f;
-  kern::Sysfs& fs = f.k().sysfs();
-  EXPECT_EQ(fs.read("hpcsched/low_util"), 65);
-  EXPECT_EQ(fs.read("hpcsched/high_util"), 85);
-  EXPECT_EQ(fs.read("hpcsched/min_prio"), 4);
-  EXPECT_EQ(fs.read("hpcsched/max_prio"), 6);
-  EXPECT_EQ(fs.read("hpcsched/adaptive_g_pct"), 10);
-  EXPECT_TRUE(fs.write("hpcsched/high_util", 90));
-  EXPECT_EQ(f.cls->tunables().high_util, 90);
-  EXPECT_FALSE(fs.write("hpcsched/high_util", 101));
-  EXPECT_FALSE(fs.write("hpcsched/low_util", 95));  // must stay below high
-  EXPECT_FALSE(fs.write("hpcsched/max_prio", 7));   // supervisor range only
-  EXPECT_TRUE(fs.write("hpcsched/min_iteration_us", 1000));
 }
 
 TEST(HpcClass, SchedSetschedulerIntoHpc) {

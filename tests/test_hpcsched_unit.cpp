@@ -1,13 +1,11 @@
 // Unit tests of the HPCSched components in isolation: iteration tracker,
-// heuristic metrics and classification, imbalance detector, mechanisms and
-// sysfs tunables.
+// heuristic metrics and classification, imbalance detector, mechanisms.
 
 #include <gtest/gtest.h>
 
 #include "hpcsched/heuristics.h"
 #include "hpcsched/imbalance_detector.h"
 #include "hpcsched/iteration_tracker.h"
-#include "kernel/sysfs.h"
 
 namespace hpcs::hpc {
 namespace {
@@ -196,23 +194,6 @@ TEST(ImbalanceDetector, BehaviourChangeAfterStreak) {
   s.mismatch_streak = 1;
   EXPECT_FALSE(d.behaviour_changed(s, tun));
   EXPECT_EQ(s.mismatch_streak, 0);
-}
-
-// ---- Sysfs -------------------------------------------------------------------
-
-TEST(Sysfs, RegisterReadWrite) {
-  kern::Sysfs fs;
-  std::int64_t v = 10;
-  fs.register_int("a/b", &v, 0, 100);
-  EXPECT_TRUE(fs.exists("a/b"));
-  EXPECT_EQ(fs.read("a/b"), 10);
-  EXPECT_TRUE(fs.write("a/b", 55));
-  EXPECT_EQ(v, 55);
-  EXPECT_FALSE(fs.write("a/b", 101));  // out of range
-  EXPECT_EQ(v, 55);
-  EXPECT_FALSE(fs.write("missing", 1));
-  EXPECT_FALSE(fs.read("missing").has_value());
-  EXPECT_EQ(fs.list().size(), 1u);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Kernel edge cases: affinity of running/sleeping tasks, policy changes in
-// every state, spurious wakeups, zero-length sleeps, yield semantics, sysfs
+// every state, spurious wakeups, zero-length sleeps, yield semantics, CFS
 // knob effects, tick accounting at boundaries, the Scheduler Core's
 // pick_next contract, and the Hybrid heuristic's future-work promise (good
 // on both constant and dynamic workloads).
@@ -181,9 +181,10 @@ TEST(KernelContract, PickNextOnlyReachesAClassWithRunnableTasks) {
 }
 
 TEST(KernelEdge, CfsLatencyKnobChangesSliceBehaviour) {
-  KernelFixture f;
+  kern::KernelConfig cfg;
+  cfg.cfs.latency = Duration::milliseconds(4);
+  KernelFixture f(cfg);
   f.k().start();
-  ASSERT_TRUE(f.k().sysfs().write("kernel/sched_latency_ns", 4000000));  // 4 ms
   auto& a = f.k().create_task("a", std::make_unique<HogBody>(), Policy::kNormal, 0);
   auto& b = f.k().create_task("b", std::make_unique<HogBody>(), Policy::kNormal, 0);
   f.k().sched_setaffinity(a, 0);

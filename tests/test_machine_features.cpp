@@ -1,6 +1,6 @@
-// Tests for the machine-level features beyond the basic model: the SMT
-// snooze delay (idle spin -> cede), multi-chip topologies with the chip
-// domain level, and chip-level workload balancing.
+// Tests for the machine-level features beyond the basic model: the spinning
+// idle sibling, multi-chip topologies with the chip domain level, and
+// chip-level workload balancing.
 
 #include <gtest/gtest.h>
 
@@ -12,8 +12,8 @@ namespace {
 using kern::Policy;
 using kern::Topology;
 
-TEST(Snooze, DisabledIdleKeepsContending) {
-  KernelFixture f;  // default: smt_snooze_delay = -1
+TEST(SpinIdle, IdleSiblingKeepsContending) {
+  KernelFixture f;  // default: the idle context spins at priority 4
   f.k().start();
   auto& t = f.k().create_task("t", std::make_unique<ScriptBody>(std::vector<Act>{
                                         Act::compute(10.0e6)}),
@@ -22,45 +22,6 @@ TEST(Snooze, DisabledIdleKeepsContending) {
   f.run_until(Duration::milliseconds(100));
   ASSERT_TRUE(t.exited());
   EXPECT_NEAR(t.t_run.ms(), 10.0 / 0.65, 0.5);
-}
-
-TEST(Snooze, ExpiryGivesSiblingSingleThreadSpeed) {
-  kern::KernelConfig cfg;
-  cfg.smt_snooze_delay = Duration::microseconds(100);
-  KernelFixture f(cfg);
-  f.k().start();
-  auto& t = f.k().create_task("t", std::make_unique<ScriptBody>(std::vector<Act>{
-                                        Act::compute(10.0e6)}),
-                              Policy::kNormal, 0);
-  f.k().start_task(t);
-  f.run_until(Duration::milliseconds(100));
-  ASSERT_TRUE(t.exited());
-  // ~100us at 0.65, then ST speed 1.0: close to the pure-ST 10 ms.
-  EXPECT_LT(t.t_run.ms(), 10.3);
-  EXPECT_GT(t.t_run.ms(), 9.9);
-}
-
-TEST(Snooze, WakeupCancelsSnooze) {
-  kern::KernelConfig cfg;
-  cfg.smt_snooze_delay = Duration::microseconds(50);
-  KernelFixture f(cfg);
-  f.k().start();
-  // Sibling alternates burst/sleep; the main task's speed toggles between
-  // SMT share (sibling active), brief spin idle, ST (snoozed).
-  auto& main_task = f.k().create_task("main", std::make_unique<ScriptBody>(std::vector<Act>{
-                                                   Act::compute(50.0e6)}),
-                                      Policy::kNormal, 0);
-  auto& burster = f.k().create_task(
-      "burster", std::make_unique<PeriodicBody>(2.0e6, Duration::milliseconds(5)),
-      Policy::kNormal, 1);
-  f.k().sched_setaffinity(burster, 1);
-  f.k().start_task(main_task);
-  f.k().start_task(burster);
-  f.run_until(Duration::milliseconds(400));
-  ASSERT_TRUE(main_task.exited());
-  // Between pure SMT (50/0.65 = 77ms) and pure ST (50ms).
-  EXPECT_LT(main_task.t_run.ms(), 75.0);
-  EXPECT_GT(main_task.t_run.ms(), 50.0);
 }
 
 TEST(MultiChip, TopologyHasThreeLevels) {

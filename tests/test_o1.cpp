@@ -181,15 +181,5 @@ TEST(O1VsCfs, SleeperLatencyComparison) {
   EXPECT_LT(o1_lat, 30000.0);
 }
 
-TEST(O1Sched, HpcschedSysfsStillRegisters) {
-  sim::Simulator s;
-  kern::Kernel k(s, o1_config());
-  hpc::install_hpcsched(k, {});
-  k.start();
-  // CFS knobs absent, HPC knobs present.
-  EXPECT_FALSE(k.sysfs().exists("kernel/sched_latency_ns"));
-  EXPECT_TRUE(k.sysfs().exists("hpcsched/high_util"));
-}
-
 }  // namespace
 }  // namespace hpcs::test

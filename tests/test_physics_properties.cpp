@@ -1,14 +1,11 @@
 // Physics-level property tests of the whole co-simulation: results must be
 // (approximately) invariant to the timer-tick frequency, scale linearly with
 // load, and behave sanely across machine presets (POWER5 / POWER6 / CELL).
-// Also covers runtime heuristic switching via sysfs and the MetBench master
-// mode.
+// Also covers the MetBench master mode.
 
 #include <gtest/gtest.h>
 
 #include "analysis/experiment.h"
-#include "hpcsched/hpcsched.h"
-#include "test_util.h"
 #include "workloads/metbench.h"
 
 namespace hpcs::test {
@@ -87,34 +84,6 @@ TEST(PhysicsProps, MasterModeMetBenchCompletes) {
   for (const auto& marks : r.marks) EXPECT_EQ(marks.size(), 8u);
   // The master computes almost nothing.
   EXPECT_LT(r.ranks[4].util_pct, 5.0);
-}
-
-TEST(RuntimeHeuristicSwitch, SysfsSwapsTheHeuristic) {
-  sim::Simulator s;
-  kern::Kernel k(s, {});
-  auto& cls = hpc::install_hpcsched(k, {});
-  k.start();
-  EXPECT_STREQ(cls.heuristic().name(), "uniform");
-  EXPECT_EQ(k.sysfs().read("hpcsched/heuristic"), 0);
-  ASSERT_TRUE(k.sysfs().write("hpcsched/heuristic", 1));
-  EXPECT_STREQ(cls.heuristic().name(), "adaptive");
-  ASSERT_TRUE(k.sysfs().write("hpcsched/heuristic", 2));
-  EXPECT_STREQ(cls.heuristic().name(), "hybrid");
-  EXPECT_EQ(k.sysfs().read("hpcsched/heuristic"), 2);
-  EXPECT_FALSE(k.sysfs().write("hpcsched/heuristic", 9));
-  // The scheduler keeps working after a hot swap.
-  auto& light = k.create_task("light", std::make_unique<PeriodicBody>(
-                                            10.0e6, Duration::milliseconds(55)),
-                              kern::Policy::kHpcRr, 0);
-  auto& heavy = k.create_task("heavy", std::make_unique<PeriodicBody>(
-                                            40.0e6, Duration::milliseconds(2)),
-                              kern::Policy::kHpcRr, 1);
-  k.sched_setaffinity(light, 0);
-  k.sched_setaffinity(heavy, 1);
-  k.start_task(light);
-  k.start_task(heavy);
-  s.run(SimTime(std::int64_t{2} * 1000000000));
-  EXPECT_EQ(p5::to_int(heavy.hw_prio), 6);
 }
 
 }  // namespace

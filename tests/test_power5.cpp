@@ -224,35 +224,30 @@ TEST(SmtCore, SpeedUpdatesOnPriorityChange) {
 }
 
 // SmtCore reads its speeds from a CoreSpeedTable. Driven into every state
-// it can hold — each priority pair, each active and snoozed flag — a core
-// must report exactly the context_speeds scan, for every parameter preset.
+// it can hold — each priority pair, each pair of active flags — a core must
+// report exactly the context_speeds scan, for every parameter preset.
 TEST(SmtCore, SpeedTableMatchesScanInEveryState) {
-  ThroughputParams true_snooze;
-  true_snooze.idle_contention_prio = -1;
+  ThroughputParams ceded;
+  ceded.idle_contention_prio = -1;
   const std::pair<const char*, ThroughputParams> presets[] = {
       {"default", ThroughputParams{}},
       {"power6", power6_params()},
       {"cell", cell_params()},
-      {"true-snooze", true_snooze}};
+      {"ceded-idle", ceded}};
   for (const auto& [name, p] : presets) {
     SmtCore core(0, p);
     for (int pa = 0; pa <= 7; ++pa) {
       for (int pb = 0; pb <= 7; ++pb) {
-        for (int flags = 0; flags < 16; ++flags) {
-          const bool aa = (flags & 8) != 0;
-          const bool ba = (flags & 4) != 0;
-          const bool as = (flags & 2) != 0;
-          const bool bs = (flags & 1) != 0;
+        for (int flags = 0; flags < 4; ++flags) {
+          const bool aa = (flags & 2) != 0;
+          const bool ba = (flags & 1) != 0;
           core.set_priority(0, hw_prio_from_int(pa));
           core.set_priority(1, hw_prio_from_int(pb));
-          core.set_active(0, aa);  // clears the snoozed flag ...
+          core.set_active(0, aa);
           core.set_active(1, ba);
-          core.set_snoozed(0, as);  // ... so snooze goes last
-          core.set_snoozed(1, bs);
-          ASSERT_TRUE(core.active(0) == aa && core.active(1) == ba && core.snoozed(0) == as &&
-                      core.snoozed(1) == bs);
+          ASSERT_TRUE(core.active(0) == aa && core.active(1) == ba);
           const CoreSpeeds want =
-              context_speeds(p, hw_prio_from_int(pa), aa, hw_prio_from_int(pb), ba, as, bs);
+              context_speeds(p, hw_prio_from_int(pa), aa, hw_prio_from_int(pb), ba);
           EXPECT_EQ(core.speed(0), want.a) << name << " " << pa << "/" << pb << " " << flags;
           EXPECT_EQ(core.speed(1), want.b) << name << " " << pa << "/" << pb << " " << flags;
         }

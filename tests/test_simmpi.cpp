@@ -227,69 +227,15 @@ TEST(SimMpi, PlacementRoundRobinByDefault) {
   mpi::run_to_completion(f.sim, w);
 }
 
-
-TEST(SimMpi, RendezvousSendBlocksUntilReceiverConsumes) {
-  WorldFixture f;
-  mpi::MpiWorldConfig cfg;
-  cfg.net.eager_threshold = 1024;
-  // Rank 0 sends a large message immediately, then marks; rank 1 only
-  // receives after a long compute. The rendezvous send must pin rank 0
-  // until rank 1's recv.
-  auto w = f.make_world(programs({
-                            {mpi::OpSend{1, 0, 1 << 20}, mpi::OpMarkIteration{}},
-                            {mpi::OpCompute{20.0e6}, mpi::OpRecv{0, 0},
-                             mpi::OpMarkIteration{}},
-                        }),
-                        cfg);
-  w.start();
-  mpi::run_to_completion(f.sim, w);
-  // Rank 0's mark waits for rank 1's compute (~30.8 ms at 0.65).
-  EXPECT_GT(w.marks(0)[0].when, SimTime::zero() + Duration::milliseconds(28));
-}
-
 TEST(SimMpi, EagerSendDoesNotBlock) {
   WorldFixture f;
-  mpi::MpiWorldConfig cfg;
-  cfg.net.eager_threshold = 1 << 22;  // everything eager
   auto w = f.make_world(programs({
-                            {mpi::OpSend{1, 0, 1 << 20}, mpi::OpMarkIteration{}},
-                            {mpi::OpCompute{20.0e6}, mpi::OpRecv{0, 0}},
-                        }),
-                        cfg);
-  w.start();
-  mpi::run_to_completion(f.sim, w);
-  EXPECT_LT(w.marks(0)[0].when, SimTime::zero() + Duration::milliseconds(1));
-}
-
-TEST(SimMpi, RendezvousReleasedByExitedReceiver) {
-  WorldFixture f;
-  mpi::MpiWorldConfig cfg;
-  cfg.net.eager_threshold = 1024;
-  // Rank 1 exits without receiving: rank 0 must not deadlock.
-  auto w = f.make_world(programs({
-                            {mpi::OpSend{1, 0, 1 << 20}, mpi::OpMarkIteration{}},
-                            {mpi::OpCompute{1.0e6}},
-                        }),
-                        cfg);
-  w.start();
-  mpi::run_to_completion(f.sim, w, SimTime::zero() + Duration::seconds(10.0));
-  EXPECT_TRUE(w.done());
-}
-
-TEST(SimMpi, PerRankTrafficCounters) {
-  WorldFixture f;
-  auto w = f.make_world(programs({
-      {mpi::OpSend{1, 0, 100}, mpi::OpSend{1, 0, 200}},
-      {mpi::OpRecv{0, 0}, mpi::OpRecv{0, 0}},
+      {mpi::OpSend{1, 0, 1 << 20}, mpi::OpMarkIteration{}},
+      {mpi::OpCompute{20.0e6}, mpi::OpRecv{0, 0}},
   }));
   w.start();
   mpi::run_to_completion(f.sim, w);
-  const auto t0 = w.traffic(0);
-  const auto t1 = w.traffic(1);
-  EXPECT_EQ(t0.msgs_sent, 2);
-  EXPECT_EQ(t0.bytes_sent, 300);
-  EXPECT_EQ(t0.msgs_received, 0);
-  EXPECT_EQ(t1.msgs_received, 2);
+  EXPECT_LT(w.marks(0)[0].when, SimTime::zero() + Duration::milliseconds(1));
 }
 
 }  // namespace

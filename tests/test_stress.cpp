@@ -23,7 +23,6 @@ TEST_P(MixedStress, RandomizedMixRunsClean) {
   kern::KernelConfig kc;
   kc.fair_scheduler =
       rng.uniform() < 0.5 ? kern::FairScheduler::kCfs : kern::FairScheduler::kO1;
-  if (rng.uniform() < 0.3) kc.smt_snooze_delay = Duration::microseconds(100);
   kern::Kernel k(s, kc);
   auto& hpc_cls = hpc::install_hpcsched(k, {});
   k.start();

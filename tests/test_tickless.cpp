@@ -7,8 +7,8 @@
 //
 // Scenarios: every paper point at reduced iteration counts, and seeded random
 // mixes with nice != 0, SCHED_RR/FIFO, the O(1) class, HPC RR and FIFO,
-// sched_setscheduler / sched_setaffinity / nice / sysfs churn, windows on and
-// balance_interval_ticks = 0.
+// sched_setscheduler / sched_setaffinity / nice / hardware-priority churn,
+// windows on and balance_interval_ticks = 0.
 
 #include <gtest/gtest.h>
 
@@ -165,7 +165,6 @@ ScenarioRun run_scenario(std::uint64_t seed, bool ticked) {
   kc.balance_interval_ticks = balance < 0.25  ? 0
                               : balance < 0.5 ? static_cast<int>(rng.uniform_int(1, 3))
                                               : static_cast<int>(rng.uniform_int(4, 64));
-  if (rng.uniform() < 0.3) kc.smt_snooze_delay = Duration::microseconds(100);
   kern::Kernel k(s, kc);
   hpc::HpcSchedConfig hc;
   hc.heuristic = rng.uniform() < 0.5 ? hpc::HeuristicKind::kUniform : hpc::HeuristicKind::kAdaptive;
@@ -242,7 +241,7 @@ ScenarioRun run_scenario(std::uint64_t seed, bool ticked) {
       } else if (what < 0.9) {
         k.set_nice(*victim, value);
       } else {
-        k.sysfs().write("hpcsched/rr_slice_ms", value + 15);
+        k.request_hw_prio(*victim, p5::hw_prio_from_int(1 + (value + 10) % 6));
       }
     });
   }
