@@ -5,17 +5,62 @@
 // plus the combination. The paper's qualitative claims: the app-level fix
 // works but costs repartition time and programmer effort; the scheduler fix
 // is transparent, finer-grained and composes with it.
+//
+// All runs are independent and fan across the parallel experiment engine
+// (--jobs N); both tables are printed in order after collection.
 
 #include <cstdio>
+#include <utility>
+#include <vector>
 
+#include "analysis/iterations.h"
 #include "analysis/paper_experiments.h"
-#include "analysis/sweep.h"
 #include "bench_json.h"
 #include "exp/parallel_runner.h"
 #include "workloads/repartition.h"
 
 using namespace hpcs;
 using analysis::SchedMode;
+
+namespace {
+
+/// A table row: its label and the index of the batch run it reports.
+struct Row {
+  const char* label;
+  std::size_t run;
+};
+
+/// Print `rows` as a fixed-width table and return their BENCH entries. The
+/// improvement column is relative to the first row, from exec seconds.
+std::vector<bench::JsonObject> report(const std::vector<Row>& rows,
+                                      const std::vector<analysis::RunResult>& runs) {
+  std::printf("%-26s%-10s%-16s%-8s%-6s%-9s\n", "label", "exec(s)", "util(min/max)", "imbal",
+              "prio", "improve");
+  const double first_exec = runs[rows.front().run].exec_time.sec();
+  std::vector<bench::JsonObject> entries;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const analysis::RunResult& r = runs[rows[i].run];
+    const double exec_s = r.exec_time.sec();
+    const double improvement =
+        i > 0 && first_exec > 0 ? 100.0 * (1.0 - exec_s / first_exec) : 0.0;
+    const double imbalance = analysis::mean_imbalance(r);
+    char util[32];
+    std::snprintf(util, sizeof(util), "%.1f/%.1f", r.min_util(), r.max_util());
+    char improve[32];
+    std::snprintf(improve, sizeof(improve), "%+.2f%%", improvement);
+    std::printf("%-26s%-10.2f%-16s%-8.3f%-6lld%-9s\n", rows[i].label, exec_s, util, imbalance,
+                static_cast<long long>(r.hw_prio_changes), improve);
+    bench::JsonObject e;
+    e.field("label", rows[i].label)
+        .field("exec_s", exec_s)
+        .field("mean_imbalance", imbalance)
+        .field("improvement_vs_first_pct", improvement);
+    entries.push_back(std::move(e));
+  }
+  return entries;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   const unsigned jobs = exp::parse_jobs_flag(argc, argv);
@@ -24,27 +69,30 @@ int main(int argc, char** argv) {
   // The same intrinsic 4:1 imbalance everywhere.
   wl::MetBenchConfig plain;
   plain.iterations = 40;
-  wl::RepartitionConfig repart;
+  wl::RepartitionConfig repart;  // repartitions every 5 iterations
   repart.iterations = 40;
 
-  wl::RepartitionConfig no_repart = repart;
-  no_repart.period = 0;
+  // Runs 0-3 are the solution groups: {plain, repartitioning} x {baseline,
+  // HPCSched}. The period sweep reuses runs 0 (its baseline) and 1 (period
+  // 5) and adds the other periods.
+  const std::vector<int> extra_periods = {2, 10, 20};
+  exp::ParallelRunner runner(jobs);
+  const std::vector<analysis::RunResult> runs =
+      runner.map(4 + extra_periods.size(), [&](std::size_t i) {
+        const analysis::ExperimentConfig cfg = analysis::paper_defaults(
+            i == 2 || i == 3 ? SchedMode::kUniform : SchedMode::kBaselineCfs, 1, false);
+        if (i == 0 || i == 2) return analysis::run_experiment(cfg, wl::make_metbench(plain));
+        wl::RepartitionConfig c = repart;
+        if (i >= 4) c.period = extra_periods[i - 4];
+        return analysis::run_experiment(cfg, wl::make_repartition(c));
+      });
 
-  auto base_cfg = analysis::paper_defaults(SchedMode::kBaselineCfs, 1, false);
-  auto hpc_cfg = analysis::paper_defaults(SchedMode::kUniform, 1, false);
-
-  std::vector<analysis::SweepPoint> points;
-  points.push_back(analysis::SweepPoint{"imbalanced baseline", base_cfg,
-                                        [plain] { return wl::make_metbench(plain); }});
-  points.push_back(analysis::SweepPoint{"data redistribution", base_cfg,
-                                        [repart] { return wl::make_repartition(repart); }});
-  points.push_back(analysis::SweepPoint{"HPCSched (ours)", hpc_cfg,
-                                        [plain] { return wl::make_metbench(plain); }});
-  points.push_back(analysis::SweepPoint{"both combined", hpc_cfg,
-                                        [repart] { return wl::make_repartition(repart); }});
-
-  const auto rows = analysis::run_sweep(points, jobs);
-  std::printf("%s\n", analysis::render_sweep(rows).c_str());
+  const auto groups = report({{"imbalanced baseline", 0},
+                              {"data redistribution", 1},
+                              {"HPCSched (ours)", 2},
+                              {"both combined", 3}},
+                             runs);
+  std::printf("\n");
 
   std::printf(
       "data redistribution converges over several periods and pays the repartition\n"
@@ -54,34 +102,14 @@ int main(int argc, char** argv) {
 
   // Repartition-period sweep: the app-level knob analogous to our heuristics.
   std::printf("--- repartition period sweep (data redistribution only) ---\n");
-  std::vector<analysis::SweepPoint> periods;
-  periods.push_back(analysis::SweepPoint{"baseline", base_cfg,
-                                         [plain] { return wl::make_metbench(plain); }});
-  for (const int p : {2, 5, 10, 20}) {
-    wl::RepartitionConfig c = repart;
-    c.period = p;
-    periods.push_back(analysis::SweepPoint{"period " + std::to_string(p), base_cfg,
-                                           [c] { return wl::make_repartition(c); }});
-  }
-  const auto period_rows = analysis::run_sweep(periods, jobs);
-  std::printf("%s", analysis::render_sweep(period_rows).c_str());
+  const auto periods = report(
+      {{"baseline", 0}, {"period 2", 4}, {"period 5", 1}, {"period 10", 5}, {"period 20", 6}},
+      runs);
 
-  auto rows_json = [](const std::vector<analysis::SweepRow>& rs) {
-    std::vector<bench::JsonObject> out;
-    for (const analysis::SweepRow& r : rs) {
-      bench::JsonObject e;
-      e.field("label", r.label)
-          .field("exec_s", r.exec_s)
-          .field("mean_imbalance", r.mean_imbalance)
-          .field("improvement_vs_first_pct", r.improvement_vs_first_pct);
-      out.push_back(std::move(e));
-    }
-    return out;
-  };
   bench::JsonObject root;
   root.field("bench", "ablation_baselines").field("jobs", jobs);
-  root.array("solution_groups", rows_json(rows));
-  root.array("repartition_period_sweep", rows_json(period_rows));
+  root.array("solution_groups", groups);
+  root.array("repartition_period_sweep", periods);
   bench::write_json_file("BENCH_ablation_baselines.json", root);
   return 0;
 }

@@ -6,11 +6,11 @@
 //     constant and a dynamic application.
 //
 // Every run is independent, so the whole ablation fans across the parallel
-// experiment engine (--jobs N / HPCS_JOBS); results are collected into fixed
-// slots and printed in the original order afterwards.
+// experiment engine (--jobs N); results come back in batch order and are
+// printed in the original order afterwards.
 
 #include <cstdio>
-#include <functional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -34,38 +34,41 @@ int main(int argc, char** argv) {
   const std::vector<int> g_values = {0, 10, 30, 50, 70, 90, 100};
   const std::vector<std::pair<int, int>> bounds = {{50, 95}, {65, 85}, {40, 60}, {20, 95}, {80, 90}};
 
-  analysis::RunResult var_base, mb_base;
-  std::vector<analysis::RunResult> g_runs(g_values.size());
-  std::vector<analysis::RunResult> bound_runs(bounds.size());
-  analysis::RunResult mb_u, mb_a, mb_h, var_u, var_a, var_h;
-
-  std::vector<std::function<void()>> tasks;
-  tasks.push_back([&] { var_base = analysis::run_metbenchvar(var, SchedMode::kBaselineCfs); });
-  tasks.push_back([&] { mb_base = analysis::run_metbench(mb, SchedMode::kBaselineCfs); });
-  for (std::size_t i = 0; i < g_values.size(); ++i) {
-    tasks.push_back([&, i] {
-      analysis::ExperimentConfig cfg = analysis::paper_defaults(SchedMode::kAdaptive, 1, false);
-      cfg.hpc.adaptive_g_pct = g_values[i];
-      g_runs[i] = analysis::run_experiment(cfg, wl::make_metbenchvar(var.workload));
-    });
-  }
-  for (std::size_t i = 0; i < bounds.size(); ++i) {
-    tasks.push_back([&, i] {
-      analysis::ExperimentConfig cfg = analysis::paper_defaults(SchedMode::kUniform, 1, false);
-      cfg.hpc.low_util = bounds[i].first;
-      cfg.hpc.high_util = bounds[i].second;
-      bound_runs[i] = analysis::run_experiment(cfg, wl::make_metbench(mb.workload));
-    });
-  }
-  tasks.push_back([&] { mb_u = analysis::run_metbench(mb, SchedMode::kUniform); });
-  tasks.push_back([&] { mb_a = analysis::run_metbench(mb, SchedMode::kAdaptive); });
-  tasks.push_back([&] { mb_h = analysis::run_metbench(mb, SchedMode::kHybrid); });
-  tasks.push_back([&] { var_u = analysis::run_metbenchvar(var, SchedMode::kUniform); });
-  tasks.push_back([&] { var_a = analysis::run_metbenchvar(var, SchedMode::kAdaptive); });
-  tasks.push_back([&] { var_h = analysis::run_metbenchvar(var, SchedMode::kHybrid); });
-
+  // Batch layout: the two baselines, the G sweep, the bounds sweep, then
+  // Uniform/Adaptive/Hybrid on MetBench and on MetBenchVar.
+  const std::size_t g0 = 2;
+  const std::size_t b0 = g0 + g_values.size();
+  const std::size_t h0 = b0 + bounds.size();
+  constexpr SchedMode kDynamic[] = {SchedMode::kUniform, SchedMode::kAdaptive,
+                                    SchedMode::kHybrid};
   exp::ParallelRunner runner(jobs);
-  runner.run_all(std::move(tasks));
+  const std::vector<analysis::RunResult> runs = runner.map(h0 + 6, [&](std::size_t i) {
+    if (i == 0) return analysis::run_metbenchvar(var, SchedMode::kBaselineCfs);
+    if (i == 1) return analysis::run_metbench(mb, SchedMode::kBaselineCfs);
+    if (i < b0) {
+      analysis::ExperimentConfig cfg = analysis::paper_defaults(SchedMode::kAdaptive, 1, false);
+      cfg.hpc.adaptive_g_pct = g_values[i - g0];
+      return analysis::run_experiment(cfg, wl::make_metbenchvar(var.workload));
+    }
+    if (i < h0) {
+      analysis::ExperimentConfig cfg = analysis::paper_defaults(SchedMode::kUniform, 1, false);
+      cfg.hpc.low_util = bounds[i - b0].first;
+      cfg.hpc.high_util = bounds[i - b0].second;
+      return analysis::run_experiment(cfg, wl::make_metbench(mb.workload));
+    }
+    const SchedMode mode = kDynamic[(i - h0) % 3];
+    return i - h0 < 3 ? analysis::run_metbench(mb, mode) : analysis::run_metbenchvar(var, mode);
+  });
+  const analysis::RunResult& var_base = runs[0];
+  const analysis::RunResult& mb_base = runs[1];
+  const auto g_runs = std::span(runs).subspan(g0, g_values.size());
+  const auto bound_runs = std::span(runs).subspan(b0, bounds.size());
+  const analysis::RunResult& mb_u = runs[h0];
+  const analysis::RunResult& mb_a = runs[h0 + 1];
+  const analysis::RunResult& mb_h = runs[h0 + 2];
+  const analysis::RunResult& var_u = runs[h0 + 3];
+  const analysis::RunResult& var_a = runs[h0 + 4];
+  const analysis::RunResult& var_h = runs[h0 + 5];
 
   // --- 1. Adaptive G weight sweep -----------------------------------------
   std::printf("=== Ablation 1: Adaptive G (history weight) on MetBenchVar ===\n");

@@ -4,11 +4,9 @@
 // MetBench — the "aggressive heuristic over-reacts to noise" claim of §V-A.
 //
 // The 4 runs per burst level are independent; the whole grid fans across the
-// parallel experiment engine (--jobs N / HPCS_JOBS) and is printed in order
-// afterwards.
+// parallel experiment engine (--jobs N) and is printed in order afterwards.
 
 #include <cstdio>
-#include <functional>
 #include <utility>
 #include <vector>
 
@@ -29,60 +27,40 @@ int main(int argc, char** argv) {
   auto mb = analysis::MetBenchExperiment::paper();
   mb.workload.iterations = 15;
 
+  // Four runs per burst level: SIESTA baseline and Uniform, MetBench
+  // baseline and Adaptive.
   const std::vector<int> bursts = {0, 25, 50, 100, 250};
-  struct Row {
-    analysis::RunResult siesta_base, siesta_uni, mb_base, mb_ada;
-  };
-  std::vector<Row> rows(bursts.size());
-
-  std::vector<std::function<void()>> tasks;
-  for (std::size_t i = 0; i < bursts.size(); ++i) {
-    const int burst_us = bursts[i];
-    kern::NoiseConfig noise;
-    noise.burst = Duration::microseconds(burst_us);
-    const bool enable = burst_us > 0;
-    auto with_noise = [noise, enable](SchedMode mode) {
-      analysis::ExperimentConfig cfg = analysis::paper_defaults(mode, 1, false);
-      cfg.noise = noise;
-      cfg.enable_noise = enable;
-      return cfg;
-    };
-    tasks.push_back([&rows, i, with_noise, &siesta] {
-      rows[i].siesta_base = analysis::run_experiment(with_noise(SchedMode::kBaselineCfs),
-                                                     wl::make_siesta(siesta.workload));
-    });
-    tasks.push_back([&rows, i, with_noise, &siesta] {
-      rows[i].siesta_uni = analysis::run_experiment(with_noise(SchedMode::kUniform),
-                                                    wl::make_siesta(siesta.workload));
-    });
-    tasks.push_back([&rows, i, with_noise, &mb] {
-      rows[i].mb_base = analysis::run_experiment(with_noise(SchedMode::kBaselineCfs),
-                                                 wl::make_metbench(mb.workload));
-    });
-    tasks.push_back([&rows, i, with_noise, &mb] {
-      rows[i].mb_ada = analysis::run_experiment(with_noise(SchedMode::kAdaptive),
-                                                wl::make_metbench(mb.workload));
-    });
-  }
+  constexpr SchedMode kModes[] = {SchedMode::kBaselineCfs, SchedMode::kUniform,
+                                  SchedMode::kBaselineCfs, SchedMode::kAdaptive};
   exp::ParallelRunner runner(jobs);
-  runner.run_all(std::move(tasks));
+  const std::vector<analysis::RunResult> runs =
+      runner.map(bursts.size() * 4, [&](std::size_t i) {
+        const int burst_us = bursts[i / 4];
+        analysis::ExperimentConfig cfg = analysis::paper_defaults(kModes[i % 4], 1, false);
+        cfg.noise.burst = Duration::microseconds(burst_us);
+        cfg.enable_noise = burst_us > 0;
+        return i % 4 < 2 ? analysis::run_experiment(cfg, wl::make_siesta(siesta.workload))
+                         : analysis::run_experiment(cfg, wl::make_metbench(mb.workload));
+      });
 
   std::printf("%-12s | %-30s | %-30s\n", "burst (us)", "SIESTA base(s) / uniform gain",
               "MetBench adaptive gain / prio chgs");
   std::vector<bench::JsonObject> entries;
   for (std::size_t i = 0; i < bursts.size(); ++i) {
-    const Row& r = rows[i];
+    const analysis::RunResult& siesta_base = runs[4 * i];
+    const analysis::RunResult& siesta_uni = runs[4 * i + 1];
+    const analysis::RunResult& mb_base = runs[4 * i + 2];
+    const analysis::RunResult& mb_ada = runs[4 * i + 3];
     std::printf("%-12d | %8.2fs / %+6.2f%%           | %+6.2f%% / %lld\n", bursts[i],
-                r.siesta_base.exec_time.sec(),
-                analysis::improvement_pct(r.siesta_base, r.siesta_uni),
-                analysis::improvement_pct(r.mb_base, r.mb_ada),
-                static_cast<long long>(r.mb_ada.hw_prio_changes));
+                siesta_base.exec_time.sec(), analysis::improvement_pct(siesta_base, siesta_uni),
+                analysis::improvement_pct(mb_base, mb_ada),
+                static_cast<long long>(mb_ada.hw_prio_changes));
     bench::JsonObject e;
     e.field("burst_us", bursts[i])
-        .field("siesta_base_s", r.siesta_base.exec_time.sec())
-        .field("siesta_uniform_gain_pct", analysis::improvement_pct(r.siesta_base, r.siesta_uni))
-        .field("metbench_adaptive_gain_pct", analysis::improvement_pct(r.mb_base, r.mb_ada))
-        .field("metbench_adaptive_prio_changes", r.mb_ada.hw_prio_changes);
+        .field("siesta_base_s", siesta_base.exec_time.sec())
+        .field("siesta_uniform_gain_pct", analysis::improvement_pct(siesta_base, siesta_uni))
+        .field("metbench_adaptive_gain_pct", analysis::improvement_pct(mb_base, mb_ada))
+        .field("metbench_adaptive_prio_changes", mb_ada.hw_prio_changes);
     entries.push_back(std::move(e));
   }
 

@@ -5,10 +5,9 @@
 // its improvement regardless of which fair scheduler sits below it.
 //
 // All 8 runs are independent and fan across the parallel experiment engine
-// (--jobs N / HPCS_JOBS); output is printed in order after collection.
+// (--jobs N); output is printed in order after collection.
 
 #include <cstdio>
-#include <functional>
 #include <utility>
 #include <vector>
 
@@ -18,17 +17,6 @@
 
 using namespace hpcs;
 using analysis::SchedMode;
-
-namespace {
-
-analysis::RunResult run(SchedMode mode, kern::FairScheduler fs,
-                        const wl::MetBenchConfig& w) {
-  analysis::ExperimentConfig cfg = analysis::paper_defaults(mode, 1, false);
-  cfg.kernel.fair_scheduler = fs;
-  return analysis::run_experiment(cfg, wl::make_metbench(w));
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   const unsigned jobs = exp::parse_jobs_flag(argc, argv);
@@ -42,45 +30,28 @@ int main(int argc, char** argv) {
   const std::vector<std::pair<kern::FairScheduler, const char*>> gens = {
       {kern::FairScheduler::kCfs, "CFS (2.6.23+)"}, {kern::FairScheduler::kO1, "O(1) (pre-2.6.23)"}};
 
-  struct MbRow {
-    analysis::RunResult base, uni;
-  };
-  std::vector<MbRow> mb_rows(gens.size());
-  std::vector<MbRow> si_rows(gens.size());
-
-  std::vector<std::function<void()>> tasks;
-  for (std::size_t i = 0; i < gens.size(); ++i) {
-    const kern::FairScheduler fs = gens[i].first;
-    tasks.push_back([&mb_rows, i, fs, &mb] {
-      mb_rows[i].base = run(SchedMode::kBaselineCfs, fs, mb.workload);
-    });
-    tasks.push_back([&mb_rows, i, fs, &mb] {
-      mb_rows[i].uni = run(SchedMode::kUniform, fs, mb.workload);
-    });
-    tasks.push_back([&si_rows, i, fs, &siesta] {
-      analysis::ExperimentConfig cfg = analysis::paper_defaults(SchedMode::kBaselineCfs, 1, false);
-      cfg.kernel.fair_scheduler = fs;
-      si_rows[i].base = analysis::run_experiment(cfg, wl::make_siesta(siesta.workload));
-    });
-    tasks.push_back([&si_rows, i, fs, &siesta] {
-      analysis::ExperimentConfig cfg = analysis::paper_defaults(SchedMode::kUniform, 1, false);
-      cfg.kernel.fair_scheduler = fs;
-      si_rows[i].uni = analysis::run_experiment(cfg, wl::make_siesta(siesta.workload));
-    });
-  }
+  // Four runs per generation: MetBench baseline and Uniform, SIESTA
+  // baseline and Uniform.
   exp::ParallelRunner runner(jobs);
-  runner.run_all(std::move(tasks));
+  const std::vector<analysis::RunResult> runs = runner.map(gens.size() * 4, [&](std::size_t i) {
+    analysis::ExperimentConfig cfg = analysis::paper_defaults(
+        i % 2 == 0 ? SchedMode::kBaselineCfs : SchedMode::kUniform, 1, false);
+    cfg.kernel.fair_scheduler = gens[i / 4].first;
+    return i % 4 < 2 ? analysis::run_experiment(cfg, wl::make_metbench(mb.workload))
+                     : analysis::run_experiment(cfg, wl::make_siesta(siesta.workload));
+  });
 
   std::vector<bench::JsonObject> entries;
   for (std::size_t i = 0; i < gens.size(); ++i) {
+    const analysis::RunResult& base = runs[4 * i];
+    const analysis::RunResult& uni = runs[4 * i + 1];
     std::printf("%-20s baseline %7.2fs  |  HPCSched uniform %7.2fs  (%+.2f%%)\n", gens[i].second,
-                mb_rows[i].base.exec_time.sec(), mb_rows[i].uni.exec_time.sec(),
-                analysis::improvement_pct(mb_rows[i].base, mb_rows[i].uni));
+                base.exec_time.sec(), uni.exec_time.sec(), analysis::improvement_pct(base, uni));
     bench::JsonObject e;
     e.field("fair_scheduler", gens[i].second)
-        .field("metbench_baseline_s", mb_rows[i].base.exec_time.sec())
-        .field("metbench_uniform_s", mb_rows[i].uni.exec_time.sec())
-        .field("metbench_gain_pct", analysis::improvement_pct(mb_rows[i].base, mb_rows[i].uni));
+        .field("metbench_baseline_s", base.exec_time.sec())
+        .field("metbench_uniform_s", uni.exec_time.sec())
+        .field("metbench_gain_pct", analysis::improvement_pct(base, uni));
     entries.push_back(std::move(e));
   }
 
@@ -89,13 +60,15 @@ int main(int argc, char** argv) {
   std::printf("\n--- wakeup latency under load (fine-grained SIESTA window) ---\n");
   for (std::size_t i = 0; i < gens.size(); ++i) {
     const char* name = i == 0 ? "CFS" : "O(1)";
+    const analysis::RunResult& base = runs[4 * i + 2];
+    const analysis::RunResult& uni = runs[4 * i + 3];
     std::printf("%-6s baseline %6.2fs (avg rank latency %5.1fus) | HPCSched %+.2f%%\n", name,
-                si_rows[i].base.exec_time.sec(), si_rows[i].base.ranks[1].avg_wakeup_latency_us,
-                analysis::improvement_pct(si_rows[i].base, si_rows[i].uni));
+                base.exec_time.sec(), base.ranks[1].avg_wakeup_latency_us,
+                analysis::improvement_pct(base, uni));
     entries[i]
-        .field("siesta_baseline_s", si_rows[i].base.exec_time.sec())
-        .field("siesta_rank1_latency_us", si_rows[i].base.ranks[1].avg_wakeup_latency_us)
-        .field("siesta_gain_pct", analysis::improvement_pct(si_rows[i].base, si_rows[i].uni));
+        .field("siesta_baseline_s", base.exec_time.sec())
+        .field("siesta_rank1_latency_us", base.ranks[1].avg_wakeup_latency_us)
+        .field("siesta_gain_pct", analysis::improvement_pct(base, uni));
   }
 
   std::printf("\nHPCSched's gain is orthogonal to the fair-scheduler generation — the\n"

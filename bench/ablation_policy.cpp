@@ -9,10 +9,9 @@
 //
 // Every run (including the hand-built FIFO world) is a self-contained
 // simulation, so the whole ablation fans across the parallel experiment
-// engine (--jobs N / HPCS_JOBS) and prints in order afterwards.
+// engine (--jobs N) and prints in order afterwards.
 
 #include <cstdio>
-#include <functional>
 #include <vector>
 
 #include "analysis/paper_experiments.h"
@@ -21,6 +20,39 @@
 
 using namespace hpcs;
 using analysis::SchedMode;
+
+namespace {
+
+/// MetBench under SCHED_HPC FIFO. The harness always creates its world with
+/// RR, so this one is built by hand; only the exec time is read.
+analysis::RunResult run_fifo(const wl::MetBenchConfig& w) {
+  analysis::ExperimentConfig cfg = analysis::paper_defaults(SchedMode::kUniform, 1, false);
+  sim::Simulator sim;
+  kern::Kernel kernel(sim, cfg.kernel);
+  hpc::HpcSchedConfig hc;
+  hc.tunables = cfg.hpc;
+  hpc::install_hpcsched(kernel, hc);
+  kernel.start();
+  Rng noise_rng(99);
+  kern::spawn_noise_daemons(kernel, cfg.noise, noise_rng);
+  mpi::MpiWorldConfig wc;
+  wc.policy = kern::Policy::kHpcFifo;
+  wc.placement = {0, 1, 2, 3};
+  mpi::MpiWorld world(kernel, wc, wl::make_metbench(w));
+  world.start();
+  mpi::run_to_completion(sim, world);
+  analysis::RunResult r;
+  r.exec_time = world.finish_time() - SimTime::zero();
+  return r;
+}
+
+/// The fixed runs, in batch order; the wakeup-cost sweep follows them.
+enum Run : std::size_t {
+  kRr, kFifo, kSiestaBase, kSiestaFull, kSiestaPolicyOnly, kMbBase, kMbFull, kMbPolicyOnly,
+  kWakeupSweep
+};
+
+}  // namespace
 
 int main(int argc, char** argv) {
   const unsigned jobs = exp::parse_jobs_flag(argc, argv);
@@ -31,60 +63,41 @@ int main(int argc, char** argv) {
   siesta.workload.microiters = 20000;
   const std::vector<int> wakeup_costs_us = {5, 15, 25, 50, 100};
 
-  analysis::RunResult rr, base, full, policy_only, mb_base, mb_full, mb_policy;
-  double fifo_s = 0.0;
-  std::vector<analysis::RunResult> wakeup_runs(wakeup_costs_us.size());
-
-  std::vector<std::function<void()>> tasks;
-  tasks.push_back([&rr, &mb] {
-    analysis::ExperimentConfig cfg = analysis::paper_defaults(SchedMode::kUniform, 1, false);
-    rr = analysis::run_experiment(cfg, wl::make_metbench(mb.workload));
-  });
-  tasks.push_back([&fifo_s, &mb] {
-    // FIFO: same config, but the world is created with the FIFO policy. The
-    // harness always uses RR, so build it manually here.
-    analysis::ExperimentConfig cfg = analysis::paper_defaults(SchedMode::kUniform, 1, false);
-    sim::Simulator sim;
-    kern::Kernel kernel(sim, cfg.kernel);
-    hpc::HpcSchedConfig hc;
-    hc.tunables = cfg.hpc;
-    hpc::install_hpcsched(kernel, hc);
-    kernel.start();
-    Rng noise_rng(99);
-    kern::spawn_noise_daemons(kernel, cfg.noise, noise_rng);
-    mpi::MpiWorldConfig wc;
-    wc.policy = kern::Policy::kHpcFifo;
-    wc.placement = {0, 1, 2, 3};
-    mpi::MpiWorld world(kernel, wc, wl::make_metbench(mb.workload));
-    world.start();
-    mpi::run_to_completion(sim, world);
-    fifo_s = world.finish_time().sec();
-  });
-  tasks.push_back([&base, &siesta] { base = analysis::run_siesta(siesta, SchedMode::kBaselineCfs); });
-  tasks.push_back([&full, &siesta] { full = analysis::run_siesta(siesta, SchedMode::kUniform); });
-  tasks.push_back([&policy_only, &siesta] {
-    // Null mechanism: the HPC class works but cannot touch hardware
-    // priorities -> pure policy effect.
-    analysis::ExperimentConfig cfg = analysis::paper_defaults(SchedMode::kUniform, 1, false);
-    cfg.kernel.hw_prio_enabled = false;
-    policy_only = analysis::run_experiment(cfg, wl::make_siesta(siesta.workload));
-  });
-  tasks.push_back([&mb_base, &mb] { mb_base = analysis::run_metbench(mb, SchedMode::kBaselineCfs); });
-  tasks.push_back([&mb_full, &mb] { mb_full = analysis::run_metbench(mb, SchedMode::kUniform); });
-  tasks.push_back([&mb_policy, &mb] {
-    analysis::ExperimentConfig cfg = analysis::paper_defaults(SchedMode::kUniform, 1, false);
-    cfg.kernel.hw_prio_enabled = false;
-    mb_policy = analysis::run_experiment(cfg, wl::make_metbench(mb.workload));
-  });
-  for (std::size_t i = 0; i < wakeup_costs_us.size(); ++i) {
-    tasks.push_back([&wakeup_runs, i, &wakeup_costs_us, &siesta] {
-      analysis::ExperimentConfig c = analysis::paper_defaults(SchedMode::kBaselineCfs, 1, false);
-      c.kernel.cfs.wakeup_cost = Duration::microseconds(wakeup_costs_us[i]);
-      wakeup_runs[i] = analysis::run_experiment(c, wl::make_siesta(siesta.workload));
-    });
-  }
   exp::ParallelRunner runner(jobs);
-  runner.run_all(std::move(tasks));
+  const std::vector<analysis::RunResult> runs =
+      runner.map(kWakeupSweep + wakeup_costs_us.size(), [&](std::size_t i) {
+        // The policy-only runs use the Null mechanism: the HPC class works but
+        // cannot touch hardware priorities -> pure policy effect.
+        analysis::ExperimentConfig policy_cfg =
+            analysis::paper_defaults(SchedMode::kUniform, 1, false);
+        policy_cfg.kernel.hw_prio_enabled = false;
+        switch (i) {
+          case kRr: return analysis::run_metbench(mb, SchedMode::kUniform);
+          case kFifo: return run_fifo(mb.workload);
+          case kSiestaBase: return analysis::run_siesta(siesta, SchedMode::kBaselineCfs);
+          case kSiestaFull: return analysis::run_siesta(siesta, SchedMode::kUniform);
+          case kSiestaPolicyOnly:
+            return analysis::run_experiment(policy_cfg, wl::make_siesta(siesta.workload));
+          case kMbBase: return analysis::run_metbench(mb, SchedMode::kBaselineCfs);
+          case kMbFull: return analysis::run_metbench(mb, SchedMode::kUniform);
+          case kMbPolicyOnly:
+            return analysis::run_experiment(policy_cfg, wl::make_metbench(mb.workload));
+          default: {
+            analysis::ExperimentConfig c =
+                analysis::paper_defaults(SchedMode::kBaselineCfs, 1, false);
+            c.kernel.cfs.wakeup_cost = Duration::microseconds(wakeup_costs_us[i - kWakeupSweep]);
+            return analysis::run_experiment(c, wl::make_siesta(siesta.workload));
+          }
+        }
+      });
+  const analysis::RunResult& rr = runs[kRr];
+  const double fifo_s = runs[kFifo].exec_time.sec();
+  const analysis::RunResult& base = runs[kSiestaBase];
+  const analysis::RunResult& full = runs[kSiestaFull];
+  const analysis::RunResult& policy_only = runs[kSiestaPolicyOnly];
+  const analysis::RunResult& mb_base = runs[kMbBase];
+  const analysis::RunResult& mb_full = runs[kMbFull];
+  const analysis::RunResult& mb_policy = runs[kMbPolicyOnly];
 
   // --- 1. FIFO vs RR ---------------------------------------------------------
   std::printf("=== Ablation 1: SCHED_HPC FIFO vs RR (one task per CPU) ===\n");
@@ -108,9 +121,10 @@ int main(int argc, char** argv) {
   std::printf("%-16s %-12s\n", "cfs cost (us)", "exec (s)");
   std::vector<bench::JsonObject> wakeup_json;
   for (std::size_t i = 0; i < wakeup_costs_us.size(); ++i) {
-    std::printf("%-16d %-12.2f\n", wakeup_costs_us[i], wakeup_runs[i].exec_time.sec());
+    const double exec_s = runs[kWakeupSweep + i].exec_time.sec();
+    std::printf("%-16d %-12.2f\n", wakeup_costs_us[i], exec_s);
     bench::JsonObject e;
-    e.field("wakeup_cost_us", wakeup_costs_us[i]).field("exec_s", wakeup_runs[i].exec_time.sec());
+    e.field("wakeup_cost_us", wakeup_costs_us[i]).field("exec_s", exec_s);
     wakeup_json.push_back(std::move(e));
   }
 

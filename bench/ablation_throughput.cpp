@@ -5,10 +5,9 @@
 //  3. MetBench improvement as a function of the intrinsic load ratio.
 //
 // The simulation runs of ablations 2 and 3 are independent and fan across
-// the parallel experiment engine (--jobs N / HPCS_JOBS).
+// the parallel experiment engine (--jobs N).
 
 #include <cstdio>
-#include <functional>
 #include <vector>
 
 #include "analysis/paper_experiments.h"
@@ -44,53 +43,37 @@ int main(int argc, char** argv) {
   const std::vector<int> idle_prios = {4, 2, -1};
   const std::vector<double> ratios = {1.5, 2.0, 3.0, 4.0, 6.0, 8.0};
 
-  struct Pair {
-    analysis::RunResult base, uni;
-  };
-  std::vector<Pair> idle_runs(idle_prios.size());
-  std::vector<Pair> ratio_runs(ratios.size());
-
-  std::vector<std::function<void()>> tasks;
-  for (std::size_t i = 0; i < idle_prios.size(); ++i) {
-    tasks.push_back([&idle_runs, i, &idle_prios, &mb] {
-      analysis::ExperimentConfig cfg = analysis::paper_defaults(SchedMode::kBaselineCfs, 1, false);
-      cfg.kernel.throughput.idle_contention_prio = idle_prios[i];
-      idle_runs[i].base = analysis::run_experiment(cfg, wl::make_metbench(mb.workload));
-    });
-    tasks.push_back([&idle_runs, i, &idle_prios, &mb] {
-      analysis::ExperimentConfig cfg = analysis::paper_defaults(SchedMode::kUniform, 1, false);
-      cfg.kernel.throughput.idle_contention_prio = idle_prios[i];
-      idle_runs[i].uni = analysis::run_experiment(cfg, wl::make_metbench(mb.workload));
-    });
-  }
-  for (std::size_t i = 0; i < ratios.size(); ++i) {
-    wl::MetBenchConfig w;
-    w.iterations = 20;
-    const double large = 1.33e9;
-    w.loads = {large / ratios[i], large, large / ratios[i], large};
-    tasks.push_back([&ratio_runs, i, w] {
-      analysis::ExperimentConfig cfg = analysis::paper_defaults(SchedMode::kBaselineCfs, 1, false);
-      ratio_runs[i].base = analysis::run_experiment(cfg, wl::make_metbench(w));
-    });
-    tasks.push_back([&ratio_runs, i, w] {
-      analysis::ExperimentConfig cfg = analysis::paper_defaults(SchedMode::kUniform, 1, false);
-      ratio_runs[i].uni = analysis::run_experiment(cfg, wl::make_metbench(w));
-    });
-  }
+  // A baseline and a Uniform run per idle priority, then per load ratio.
   exp::ParallelRunner runner(jobs);
-  runner.run_all(std::move(tasks));
+  const std::size_t n_idle = 2 * idle_prios.size();
+  const std::vector<analysis::RunResult> runs =
+      runner.map(n_idle + 2 * ratios.size(), [&](std::size_t i) {
+        analysis::ExperimentConfig cfg = analysis::paper_defaults(
+            i % 2 == 0 ? SchedMode::kBaselineCfs : SchedMode::kUniform, 1, false);
+        if (i < n_idle) {
+          cfg.kernel.throughput.idle_contention_prio = idle_prios[i / 2];
+          return analysis::run_experiment(cfg, wl::make_metbench(mb.workload));
+        }
+        const double ratio = ratios[(i - n_idle) / 2];
+        wl::MetBenchConfig w;
+        w.iterations = 20;
+        const double large = 1.33e9;
+        w.loads = {large / ratio, large, large / ratio, large};
+        return analysis::run_experiment(cfg, wl::make_metbench(w));
+      });
 
   // --- 2. Idle model ----------------------------------------------------------
   std::printf("\n=== Ablation 2: spin idle vs true snooze (MetBench) ===\n");
   std::vector<bench::JsonObject> idle_json;
   for (std::size_t i = 0; i < idle_prios.size(); ++i) {
+    const analysis::RunResult& base = runs[2 * i];
+    const analysis::RunResult& uni = runs[2 * i + 1];
     std::printf("idle_prio=%-3d baseline %.2fs  uniform %+.2f%%\n", idle_prios[i],
-                idle_runs[i].base.exec_time.sec(),
-                analysis::improvement_pct(idle_runs[i].base, idle_runs[i].uni));
+                base.exec_time.sec(), analysis::improvement_pct(base, uni));
     bench::JsonObject e;
     e.field("idle_prio", idle_prios[i])
-        .field("baseline_s", idle_runs[i].base.exec_time.sec())
-        .field("uniform_gain_pct", analysis::improvement_pct(idle_runs[i].base, idle_runs[i].uni));
+        .field("baseline_s", base.exec_time.sec())
+        .field("uniform_gain_pct", analysis::improvement_pct(base, uni));
     idle_json.push_back(std::move(e));
   }
   std::printf("(with a true snooze the idle sibling donates the core, the baseline\n"
@@ -102,13 +85,14 @@ int main(int argc, char** argv) {
   std::printf("%-8s %-14s %-12s\n", "ratio", "baseline (s)", "uniform (%)");
   std::vector<bench::JsonObject> ratio_json;
   for (std::size_t i = 0; i < ratios.size(); ++i) {
-    std::printf("%-8.1f %-14.2f %+-12.2f\n", ratios[i], ratio_runs[i].base.exec_time.sec(),
-                analysis::improvement_pct(ratio_runs[i].base, ratio_runs[i].uni));
+    const analysis::RunResult& base = runs[n_idle + 2 * i];
+    const analysis::RunResult& uni = runs[n_idle + 2 * i + 1];
+    std::printf("%-8.1f %-14.2f %+-12.2f\n", ratios[i], base.exec_time.sec(),
+                analysis::improvement_pct(base, uni));
     bench::JsonObject e;
     e.field("ratio", ratios[i])
-        .field("baseline_s", ratio_runs[i].base.exec_time.sec())
-        .field("uniform_gain_pct",
-               analysis::improvement_pct(ratio_runs[i].base, ratio_runs[i].uni));
+        .field("baseline_s", base.exec_time.sec())
+        .field("uniform_gain_pct", analysis::improvement_pct(base, uni));
     ratio_json.push_back(std::move(e));
   }
   std::printf("(the +/-2 priority window balances ratios up to ~4:1; beyond that the\n"

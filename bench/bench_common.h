@@ -2,8 +2,8 @@
 // Shared helpers for the bench drivers: print each experiment in the
 // paper's table layout next to the paper's own numbers, summarize the
 // headline improvements, and fan the per-mode runs across the parallel
-// experiment engine (--jobs N / HPCS_JOBS; results are committed in mode
-// order, so output is bit-identical to the serial drivers). The obs flags
+// experiment engine (--jobs N; results are committed in mode order, so
+// output is bit-identical to the serial drivers). The obs flags
 // and the obs epilogue here serve every table, figure and export driver.
 
 #include <cstdio>

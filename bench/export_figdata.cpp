@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
   std::printf("=== exporting figure data to ./%s ===\n", dir.c_str());
 
   // The five exports are independent runs: fan them across the parallel
-  // engine (--jobs N / HPCS_JOBS) as index-dispatched closures, then write
+  // engine (--jobs N) as index-dispatched closures, then write
   // the files in the fixed export order so every byte matches the serial
   // path. With --obs-trace the same runs additionally land in one
   // Chrome-trace / Perfetto file (each export as its own "process").

@@ -3,9 +3,9 @@
 // HPCSched. '#' = computing, '.' = waiting; the digit row shows hardware
 // priorities while they differ from the default 4.
 //
-// The four runs fan across the parallel experiment engine (--jobs N /
-// HPCS_JOBS); printing happens after collection, in figure order, so the
-// output is byte-identical to the serial loop this replaces.
+// The four runs fan across the parallel experiment engine (--jobs N);
+// printing happens after collection, in figure order, so the output is
+// byte-identical to the serial loop this replaces.
 
 #include "fig_common.h"
 

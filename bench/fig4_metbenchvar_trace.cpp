@@ -4,9 +4,9 @@
 // few iterations of each switch (Uniform needs a couple more as its global
 // history ages; Adaptive always ~2).
 //
-// The four runs fan across the parallel experiment engine (--jobs N /
-// HPCS_JOBS); printing happens after collection, in figure order, so the
-// output is byte-identical to the serial loop this replaces.
+// The four runs fan across the parallel experiment engine (--jobs N);
+// printing happens after collection, in figure order, so the output is
+// byte-identical to the serial loop this replaces.
 
 #include "fig_common.h"
 

@@ -1,9 +1,9 @@
 // Reproduces Figure 5: BT-MZ traces (a window of the 200-iteration run, as
 // in the paper: "each trace represents only some iterations").
 //
-// The four runs fan across the parallel experiment engine (--jobs N /
-// HPCS_JOBS); printing happens after collection, in figure order, so the
-// output is byte-identical to the serial loop this replaces.
+// The four runs fan across the parallel experiment engine (--jobs N);
+// printing happens after collection, in figure order, so the output is
+// byte-identical to the serial loop this replaces.
 
 #include "fig_common.h"
 

@@ -4,9 +4,9 @@
 // iteration-based balancing barely changes utilizations; the win is the
 // responsive scheduling policy.
 //
-// The three runs fan across the parallel experiment engine (--jobs N /
-// HPCS_JOBS); printing happens after collection, in figure order, so the
-// output is byte-identical to the serial loop this replaces.
+// The three runs fan across the parallel experiment engine (--jobs N);
+// printing happens after collection, in figure order, so the output is
+// byte-identical to the serial loop this replaces.
 
 #include "fig_common.h"
 

@@ -12,10 +12,10 @@
 //       - mixed periodic ticks + sparse far-future timeouts (the kernel's
 //         real population shape)
 //       - sparse horizon: a few dozen ms-scale timers and nothing else
-//  2. wall-clock of an 8-point MetBench sweep run serially (--jobs 1) vs on
-//     all hardware threads, plus a row-for-row equality check (the engine's
-//     bit-identical contract).
-// Emits BENCH_simcore.json. Flags: --jobs N (HPCS_JOBS) for the parallel leg.
+//  2. wall-clock of an 8-run MetBench batch run serially (--jobs 1) vs on
+//     all hardware threads, plus a byte-for-byte comparison of the two
+//     batches' serialized RunResults (the engine's bit-identical contract).
+// Emits BENCH_simcore.json. Flags: --jobs N for the parallel leg.
 
 #include <chrono>
 #include <cstdio>
@@ -25,7 +25,7 @@
 #include <vector>
 
 #include "analysis/paper_experiments.h"
-#include "analysis/sweep.h"
+#include "analysis/run_serialize.h"
 #include "bench_json.h"
 #include "exp/parallel_runner.h"
 #include "simcore/simulator.h"
@@ -247,40 +247,22 @@ double bench_sparse_horizon() {
   return double(fired) / (now_s() - t0);
 }
 
-std::vector<analysis::SweepPoint> make_sweep_points() {
-  std::vector<analysis::SweepPoint> points;
-  const std::vector<analysis::SchedMode> modes = {
+constexpr std::size_t kBatchRuns = 8;
+
+/// The engine leg's batch on `jobs` workers: MetBench at 15 iterations, run
+/// i in mode i % 4 with seed 1 + i / 4, each returned as its
+/// serialize_run_result bytes.
+std::vector<std::string> run_batch(unsigned jobs) {
+  constexpr analysis::SchedMode kModes[] = {
       analysis::SchedMode::kBaselineCfs, analysis::SchedMode::kStatic,
       analysis::SchedMode::kUniform, analysis::SchedMode::kAdaptive};
-  for (const std::uint64_t seed : {1ull, 2ull}) {
-    for (const analysis::SchedMode mode : modes) {
-      auto e = analysis::MetBenchExperiment::paper();
-      e.workload.iterations = 15;
-      analysis::ExperimentConfig cfg = analysis::paper_defaults(mode, seed, false);
-      if (mode == analysis::SchedMode::kStatic) cfg.static_prios = e.static_prios;
-      const wl::MetBenchConfig w = e.workload;
-      points.push_back(analysis::SweepPoint{
-          std::string(analysis::sched_mode_name(mode)) + "/seed" + std::to_string(seed), cfg,
-          [w] { return wl::make_metbench(w); }});
-    }
-  }
-  return points;
-}
-
-bool rows_equal(const std::vector<analysis::SweepRow>& a,
-                const std::vector<analysis::SweepRow>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].label != b[i].label || a[i].exec_s != b[i].exec_s ||
-        a[i].min_util != b[i].min_util || a[i].max_util != b[i].max_util ||
-        a[i].mean_imbalance != b[i].mean_imbalance || a[i].prio_changes != b[i].prio_changes ||
-        a[i].ctx_switches != b[i].ctx_switches ||
-        a[i].avg_wakeup_latency_us != b[i].avg_wakeup_latency_us ||
-        a[i].improvement_vs_first_pct != b[i].improvement_vs_first_pct) {
-      return false;
-    }
-  }
-  return true;
+  auto e = analysis::MetBenchExperiment::paper();
+  e.workload.iterations = 15;
+  exp::ParallelRunner runner(jobs);
+  return runner.map(kBatchRuns, [&](std::size_t i) {
+    return analysis::serialize_run_result(
+        analysis::run_metbench(e, kModes[i % 4], /*trace=*/false, /*seed=*/1 + i / 4));
+  });
 }
 
 }  // namespace
@@ -308,14 +290,13 @@ int main(int argc, char** argv) {
   std::printf("sparse horizon (40 ms-scale timers):    %8.1fM events/s\n", sparse / 1e6);
 
   std::printf("\n=== parallel experiment engine: 8-point MetBench sweep ===\n");
-  const auto points = make_sweep_points();
   const double s0 = now_s();
-  const auto serial_rows = analysis::run_sweep(points, 1);
+  const std::vector<std::string> serial_runs = run_batch(1);
   const double serial_s = now_s() - s0;
   const double p0 = now_s();
-  const auto parallel_rows = analysis::run_sweep(points, jobs);
+  const std::vector<std::string> parallel_runs = run_batch(jobs);
   const double parallel_s = now_s() - p0;
-  const bool identical = rows_equal(serial_rows, parallel_rows);
+  const bool identical = serial_runs == parallel_runs;
   std::printf("serial  (--jobs 1): %.3fs\n", serial_s);
   std::printf("parallel (--jobs %u): %.3fs  speedup %.2fx\n", jobs, parallel_s,
               parallel_s > 0 ? serial_s / parallel_s : 0.0);
@@ -332,7 +313,7 @@ int main(int argc, char** argv) {
       .field("mixed_periodic_sparse_per_s", mixed)
       .field("sparse_horizon_per_s", sparse);
   bench::JsonObject sweep;
-  sweep.field("points", static_cast<std::int64_t>(points.size()))
+  sweep.field("points", static_cast<std::int64_t>(kBatchRuns))
       .field("serial_s", serial_s)
       .field("parallel_s", parallel_s)
       .field("jobs", jobs)

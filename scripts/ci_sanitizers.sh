@@ -6,8 +6,9 @@
 #                            goldens and the rest) + bench smoke-diff
 #                            against scripts/bench_golden.json (events/sec
 #                            floors included), serial == --jobs 4 for
-#                            table3..6 and fig3..6, bench_data/ vs a fresh
-#                            export_figdata, perfbench tests
+#                            table3..6, fig3..6 and the six ablations,
+#                            bench_data/ vs a fresh export_figdata,
+#                            perfbench tests
 #   pass 2  asan-ubsan       RelWithDebInfo, -Werror, ASan+UBSan, ctest
 #   pass 3  tsan             RelWithDebInfo, -Werror, TSan, ctest
 #   pass 4  clang            (only if clang++ is installed) Release,
@@ -47,7 +48,8 @@ echo "=== observability smoke: manifests + Chrome trace ==="
 # also produce a loadable Chrome-trace JSON. With --obs-window on, every
 # table driver's stdout and manifest must be byte-identical for --jobs 1
 # and --jobs 4 (BENCH_*.json apart from "jobs"), and so must every figure
-# driver's stdout, manifest and Chrome trace; export_figdata must reproduce
+# driver's stdout, manifest and Chrome trace and every ablation driver's
+# stdout and BENCH_*.json (apart from "jobs"); export_figdata must reproduce
 # every checked-in bench_data/ file byte for byte. (The windowed manifests'
 # goldens are the manifest_goldens ctest above.)
 (cd build-ci/bench && ./table3_metbench --jobs 2 --obs --obs-window 10000000000 >/dev/null)

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# The determinism contract of the table and figure drivers: serial ==
-# --jobs 4.
+# The determinism contract of the table, figure and ablation drivers:
+# serial == --jobs 4.
 #
 # Each of table3..6 runs twice with the windowed manifest on (--obs
 # --obs-window 10000000000), once at --jobs 1 and once at --jobs 4, in
@@ -8,6 +8,9 @@
 # byte-identical; BENCH_<name>.json may differ only in its "jobs" field.
 # Each of fig3..6 runs the same way with --obs-trace; its stdout,
 # MANIFEST_<name>.json and Chrome trace must be byte-identical.
+# Each of the six ablation_* drivers runs the same way (they take no obs
+# flags); stdout must be byte-identical and BENCH_<name>.json identical
+# apart from its "jobs" field.
 # The outputs stay in OUT_DIR for later checks (e.g. manifest_diff.py).
 #
 # Usage: scripts/jobs_identity.sh BENCH_DIR OUT_DIR
@@ -17,6 +20,12 @@ bench="$(cd "$1" && pwd)"
 out="$2"
 mkdir -p "${out}/j1" "${out}/j4"
 
+# BENCH_<name>.json of both runs, equal apart from the "jobs" field.
+same_bench_json() {
+  diff <(sed -E 's/"jobs": [0-9]+,/"jobs": N,/' "${out}/j1/BENCH_$1.json") \
+       <(sed -E 's/"jobs": [0-9]+,/"jobs": N,/' "${out}/j4/BENCH_$1.json")
+}
+
 for t in table3_metbench table4_metbenchvar table5_btmz table6_siesta; do
   for j in 1 4; do
     (cd "${out}/j${j}" &&
@@ -24,8 +33,7 @@ for t in table3_metbench table4_metbenchvar table5_btmz table6_siesta; do
   done
   cmp "${out}/j1/${t}.stdout" "${out}/j4/${t}.stdout"
   cmp "${out}/j1/MANIFEST_${t}.json" "${out}/j4/MANIFEST_${t}.json"
-  diff <(sed -E 's/"jobs": [0-9]+,/"jobs": N,/' "${out}/j1/BENCH_${t}.json") \
-       <(sed -E 's/"jobs": [0-9]+,/"jobs": N,/' "${out}/j4/BENCH_${t}.json")
+  same_bench_json "${t}"
   echo "${t}: --jobs 1 == --jobs 4 (stdout, MANIFEST, BENCH apart from \"jobs\")"
 done
 
@@ -38,4 +46,14 @@ for f in fig3_metbench fig4_metbenchvar fig5_btmz fig6_siesta; do
     cmp "${out}/j1/${file}" "${out}/j4/${file}"
   done
   echo "${f}: --jobs 1 == --jobs 4 (stdout, MANIFEST, Chrome trace)"
+done
+
+for a in ablation_baselines ablation_heuristics ablation_noise ablation_o1_vs_cfs \
+         ablation_policy ablation_throughput; do
+  for j in 1 4; do
+    (cd "${out}/j${j}" && "${bench}/${a}" --jobs "${j}" >"${a}.stdout")
+  done
+  cmp "${out}/j1/${a}.stdout" "${out}/j4/${a}.stdout"
+  same_bench_json "${a}"
+  echo "${a}: --jobs 1 == --jobs 4 (stdout, BENCH apart from \"jobs\")"
 done

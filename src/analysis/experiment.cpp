@@ -49,7 +49,6 @@ RunResult run_experiment(const ExperimentConfig& cfg,
       case SchedMode::kAdaptive: hc.heuristic = hpc::HeuristicKind::kAdaptive; break;
       default: hc.heuristic = hpc::HeuristicKind::kHybrid; break;
     }
-    hc.power5_mechanism = cfg.kernel.hw_prio_enabled;
     hpc_class = &hpc::install_hpcsched(kernel, hc);
   }
 

@@ -10,11 +10,11 @@
 // its own kernel (with HPCSched installed). Jobs — MPI applications — are
 // gang-assigned to nodes; within a node, HPCSched balances them.
 
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "analysis/experiment.h"
-#include "exp/pure_function.h"
 #include "workloads/metbench.h"
 
 namespace hpcs::cluster {
@@ -22,10 +22,8 @@ namespace hpcs::cluster {
 /// A job to place: a rank-program factory plus scheduling metadata.
 struct JobSpec {
   std::string name;
-  /// Same purity contract as analysis::SweepPoint::workload: stateful
-  /// factories fail at compile time (src/exp/pure_function.h). run_cluster
-  /// calls it once per job, on the caller's thread.
-  exp::PureFunction<wl::ProgramSet()> make_programs;
+  /// run_cluster calls it once per job, on the caller's thread.
+  std::function<wl::ProgramSet()> make_programs;
   int ranks = 4;
   /// Estimated total load (work units) — the gang scheduler's sizing hint,
   /// like a batch system's walltime estimate.

@@ -1,18 +1,19 @@
 #pragma once
 // Parallel experiment engine: fan a batch of *independent* experiment runs
-// across worker threads with results committed in submission order, so the
+// across worker threads with results committed in index order, so the
 // output of a parallel run is bit-identical to the serial loop it replaces.
+// ParallelRunner::map is the one way in: every table, figure, export and
+// ablation driver runs its grid through it.
 //
-// Why this is safe: run_experiment() (and everything the sweep / table /
-// ablation drivers execute per point) is fully self-contained — each run
-// owns its Simulator, Kernel and Rng, seeded from its config alone. Runs
-// therefore commute, and writing each result into a pre-allocated,
-// index-addressed slot makes the collected vector independent of worker
-// interleaving. Anything order-dependent (e.g. a sweep's
-// improvement-vs-first column) is computed *after* collection.
+// Why this is safe: run_experiment() (and everything a driver executes per
+// run) is fully self-contained — each run owns its Simulator, Kernel and
+// Rng, seeded from its config alone. Runs therefore commute, and writing
+// each result into a pre-allocated, index-addressed slot makes the collected
+// vector independent of worker interleaving. Anything order-dependent (e.g.
+// an improvement-vs-first column) is computed *after* collection.
 //
-// Knobs: the --jobs N flag (parse_jobs_flag) and the HPCS_JOBS environment
-// variable; default_jobs() resolves env -> hardware_concurrency.
+// One knob: the --jobs N flag (parse_jobs_flag); without it a batch uses
+// every hardware thread (default_jobs()).
 
 #include <cstddef>
 #include <cstdint>
@@ -23,27 +24,26 @@
 
 namespace hpcs::exp {
 
-/// Host-side engine stats for the last run_all()/map() batch: how the sweep
-/// executed on this machine. Strictly observational — simulation results are
-/// a pure function of their configs — and therefore reported in the
-/// .host.json sidecar, never in the deterministic metrics manifest.
+/// Host-side engine stats for the last map() batch: how the batch executed
+/// on this machine. Strictly observational — simulation results are a pure
+/// function of their configs — and therefore reported in the .host.json
+/// sidecar, never in the deterministic metrics manifest.
 struct EngineStats {
   std::int64_t tasks = 0;  ///< batch size
   unsigned workers = 0;    ///< worker threads actually started (0 = inline)
   /// Tasks run per worker thread (size == workers; empty for the serial
   /// path). The spread shows how evenly the batch divided across workers —
-  /// one saturated worker and N-1 idle ones means the sweep serialized.
+  /// one saturated worker and N-1 idle ones means the batch serialized.
   std::vector<std::int64_t> per_worker_executed;
   double wall_ms = 0.0;  ///< batch wall time (host clock)
 };
 
-/// Resolve the default worker count: HPCS_JOBS if set (clamped to >= 1),
-/// else std::thread::hardware_concurrency().
+/// The default worker count: std::thread::hardware_concurrency(), at least 1.
 [[nodiscard]] unsigned default_jobs();
 
 /// Scan argv for "--jobs N" / "--jobs=N" (removing nothing); returns
-/// default_jobs() when the flag is absent. Benches call this so every
-/// table*/ablation_* driver grows the knob uniformly.
+/// default_jobs() when the flag is absent. A missing, non-numeric or
+/// non-positive value exits 2 with one `error: --jobs: ...` line on stderr.
 [[nodiscard]] unsigned parse_jobs_flag(int argc, char** argv);
 
 class ParallelRunner {
@@ -54,27 +54,17 @@ class ParallelRunner {
 
   [[nodiscard]] unsigned jobs() const { return jobs_; }
 
-  /// Stats of the most recent run_all()/map() batch (host-side only).
+  /// Stats of the most recent map() batch (host-side only).
   [[nodiscard]] const EngineStats& last_stats() const { return last_stats_; }
 
-  /// Run every task to completion, in parallel up to jobs(). Each task is
-  /// self-contained and writes its own outputs (typically a captured
-  /// reference to a result slot). The first exception (by submission index)
-  /// is rethrown after all tasks have finished.
-  void run_all(std::vector<std::function<void()>> tasks);
-
-  /// Apply `fn` to 0..n-1 in parallel and return the results in index
-  /// order — the deterministic map used by run_sweep and the table drivers.
+  /// Apply `fn` to 0..n-1 in parallel, up to jobs() at a time, and return
+  /// the results in index order. The first exception (by index) is rethrown
+  /// after every call has finished.
   template <typename Fn>
   auto map(std::size_t n, Fn fn) -> std::vector<decltype(fn(std::size_t{}))> {
     using R = decltype(fn(std::size_t{}));
     std::vector<std::optional<R>> slots(n);
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      tasks.push_back([&slots, &fn, i] { slots[i].emplace(fn(i)); });
-    }
-    run_all(std::move(tasks));
+    run_all(n, [&slots, &fn](std::size_t i) { slots[i].emplace(fn(i)); });
     std::vector<R> out;
     out.reserve(n);
     for (std::optional<R>& s : slots) out.push_back(std::move(*s));
@@ -82,6 +72,9 @@ class ParallelRunner {
   }
 
  private:
+  /// Run task(0..n-1) to completion; each call writes only its own slot.
+  void run_all(std::size_t n, const std::function<void(std::size_t)>& task);
+
   unsigned jobs_;
   EngineStats last_stats_;
 };

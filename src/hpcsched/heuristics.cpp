@@ -37,7 +37,7 @@ double HybridHeuristic::metric(const TaskIterStats& s, const HpcTunables& tun) c
   // Map the EMA variance of per-iteration utilization into a recency weight
   // L in [0.1, 0.9]: quiet history -> trust the global ratio, noisy history
   // -> trust the last iteration.
-  const double x = std::clamp(s.util_emvar / dynamic_variance_, 0.0, 1.0);
+  const double x = std::clamp(s.util_emvar / kDynamicVariance, 0.0, 1.0);
   const double l = 0.1 + 0.8 * x;
   return (1.0 - l) * s.util_global_prev + l * s.util_last;
 }

@@ -64,14 +64,10 @@ class AdaptiveHeuristic final : public Heuristic {
 class HybridHeuristic final : public Heuristic {
  public:
   /// Variance (percent^2) above which the workload counts as fully dynamic.
-  explicit HybridHeuristic(double dynamic_variance = 100.0)
-      : dynamic_variance_(dynamic_variance) {}
+  static constexpr double kDynamicVariance = 100.0;
 
   [[nodiscard]] const char* name() const override { return "hybrid"; }
   [[nodiscard]] double metric(const TaskIterStats& s, const HpcTunables& tun) const override;
-
- private:
-  double dynamic_variance_;
 };
 
 [[nodiscard]] std::unique_ptr<Heuristic> make_heuristic(HeuristicKind kind);

@@ -46,7 +46,6 @@ class HpcSchedClass final : public kern::SchedClass {
   [[nodiscard]] bool wants_balance() const override { return true; }
   [[nodiscard]] Duration wakeup_cost() const override { return tun_.wakeup_cost; }
 
-  [[nodiscard]] const HpcTunables& tunables() const { return tun_; }
   [[nodiscard]] IterationTracker& tracker() { return tracker_; }
 
   [[nodiscard]] std::int64_t priority_changes() const { return prio_changes_; }

@@ -6,7 +6,7 @@ namespace hpcs::hpc {
 
 HpcSchedClass& install_hpcsched(kern::Kernel& k, const HpcSchedConfig& cfg) {
   std::unique_ptr<Mechanism> mech;
-  if (cfg.power5_mechanism) {
+  if (k.hw_prio_enabled()) {
     mech = std::make_unique<Power5Mechanism>();
   } else {
     mech = std::make_unique<NullMechanism>();

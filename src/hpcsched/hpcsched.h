@@ -10,13 +10,14 @@ namespace hpcs::hpc {
 struct HpcSchedConfig {
   HpcTunables tunables{};
   HeuristicKind heuristic = HeuristicKind::kUniform;
-  /// Use the POWER5 hardware-priority mechanism; false selects the Null
-  /// mechanism (non-POWER architecture: policy benefits only, §IV-C).
-  bool power5_mechanism = true;
 };
 
 /// Create the HPC scheduling class and insert it between the real-time and
-/// CFS classes (paper Fig. 1b). Must be called before Kernel::start().
+/// CFS classes (paper Fig. 1b). Must be called before Kernel::start(). The
+/// class steers hardware priorities through the POWER5 mechanism, or through
+/// the Null mechanism when the kernel ignores them
+/// (KernelConfig::hw_prio_enabled = false: a non-POWER architecture, policy
+/// benefits only, §IV-C).
 HpcSchedClass& install_hpcsched(kern::Kernel& k, const HpcSchedConfig& cfg = {});
 
 }  // namespace hpcs::hpc

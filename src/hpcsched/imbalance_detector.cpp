@@ -15,17 +15,6 @@ bool ImbalanceDetector::balanced(const HpcTunables& tun) const {
   });
 }
 
-double ImbalanceDetector::spread() const {
-  if (util_.size() < 2) return 0.0;
-  double lo = 100.0;
-  double hi = 0.0;
-  for (const auto& [pid, u] : util_) {
-    lo = std::min(lo, u);
-    hi = std::max(hi, u);
-  }
-  return hi - lo;
-}
-
 bool ImbalanceDetector::behaviour_changed(TaskIterStats& s, const HpcTunables& tun) const {
   const int last_band = classify_band(s.util_last, tun);
   const int global_band = classify_band(s.util_global, tun);

@@ -30,10 +30,6 @@ class ImbalanceDetector {
   /// application is balanced and priorities should be left alone.
   [[nodiscard]] bool balanced(const HpcTunables& tun) const;
 
-  /// Imbalance measure: spread between the highest and lowest tracked
-  /// utilization (percentage points). 0 when fewer than two tasks.
-  [[nodiscard]] double spread() const;
-
   /// Behaviour-change test for one task; updates the mismatch streak inside
   /// `s` and returns true when the history should be reset.
   [[nodiscard]] bool behaviour_changed(TaskIterStats& s, const HpcTunables& tun) const;

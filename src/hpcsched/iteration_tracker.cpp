@@ -57,9 +57,10 @@ std::optional<IterationSample> IterationTracker::on_wakeup(Pid pid, SimTime now)
   s.util_last = sample.util_last;
 
   // EMA mean/variance of per-iteration utilization (Hybrid heuristic input).
+  constexpr double kEmaAlpha = 0.3;
   const double d = sample.util_last - s.util_ema;
-  s.util_ema += ema_alpha * d;
-  s.util_emvar = (1.0 - ema_alpha) * (s.util_emvar + ema_alpha * d * d);
+  s.util_ema += kEmaAlpha * d;
+  s.util_emvar = (1.0 - kEmaAlpha) * (s.util_emvar + kEmaAlpha * d * d);
 
   on_run_begin(pid, now);
   return sample;

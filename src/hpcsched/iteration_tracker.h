@@ -73,9 +73,6 @@ class IterationTracker {
   [[nodiscard]] const std::map<Pid, TaskIterStats>& all() const { return stats_; }
   void forget(Pid pid) { stats_.erase(pid); }
 
-  /// EMA smoothing factor for util_ema / util_emvar.
-  double ema_alpha = 0.3;
-
   /// Minimum computing phase for a wakeup to close an iteration. Wakeups
   /// with (almost) no computation banked — the double wakeups of an
   /// mpi_waitall whose requests complete one after another, or a message

@@ -55,8 +55,6 @@ class CfsClass final : public SchedClass {
   [[nodiscard]] bool wants_balance() const override { return true; }
   [[nodiscard]] Duration wakeup_cost() const override { return tun_.wakeup_cost; }
 
-  [[nodiscard]] const CfsTunables& tunables() const { return tun_; }
-
   /// CFS load weight for a nice level (-20..19); the canonical kernel table.
   [[nodiscard]] static std::int64_t nice_to_weight(int nice);
 

@@ -35,7 +35,7 @@ Kernel::Kernel(sim::Simulator& sim, const KernelConfig& cfg)
   if (cfg.fair_scheduler == FairScheduler::kCfs) {
     classes_.push_back(std::make_unique<CfsClass>(cfg.cfs));
   } else {
-    classes_.push_back(std::make_unique<O1Class>(cfg.o1));
+    classes_.push_back(std::make_unique<O1Class>());
   }
   classes_.push_back(std::make_unique<IdleClass>());
   cfs_index_ = 1;

@@ -47,7 +47,6 @@ struct KernelConfig {
   Duration rt_rr_slice = Duration::milliseconds(100);
   FairScheduler fair_scheduler = FairScheduler::kCfs;
   CfsTunables cfs{};
-  O1Tunables o1{};
   /// Ticks between periodic balancer runs on each CPU.
   int balance_interval_ticks = 64;
   /// When false the machine ignores hardware-priority writes (a non-POWER
@@ -121,6 +120,7 @@ class Kernel {
   [[nodiscard]] p5::PriorityIsa& isa() { return isa_; }
   [[nodiscard]] const Topology& topology() const { return topo_; }
   [[nodiscard]] Duration tick_period() const { return cfg_.tick; }
+  [[nodiscard]] bool hw_prio_enabled() const { return cfg_.hw_prio_enabled; }
   [[nodiscard]] int num_cpus() const { return topo_.num_cpus(); }
   [[nodiscard]] Rq& rq(CpuId cpu);
   [[nodiscard]] SchedClass* class_for(Policy p) const;

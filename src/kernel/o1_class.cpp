@@ -39,12 +39,12 @@ bool O1Class::erase(O1Rq::PrioArray& a, int level, Task* t) {
 int O1Class::dynamic_level(const Task& t) const {
   const auto it = states_.find(t.pid());
   int bonus = 0;
-  if (it != states_.end() && tun_.max_sleep_avg > Duration::zero()) {
-    // bonus = sleep_avg / max_sleep_avg * (2*max_bonus) - max_bonus, i.e. a
-    // task that sleeps a lot gets up to -max_bonus levels (better), a task
-    // that never sleeps up to +max_bonus (worse).
-    const double frac = std::clamp(it->second.sleep_avg / tun_.max_sleep_avg, 0.0, 1.0);
-    bonus = static_cast<int>(frac * 2 * tun_.max_bonus) - tun_.max_bonus;
+  if (it != states_.end()) {
+    // bonus = sleep_avg / kMaxSleepAvg * (2*kMaxBonus) - kMaxBonus, i.e. a
+    // task that sleeps a lot gets up to -kMaxBonus levels (better), a task
+    // that never sleeps up to +kMaxBonus (worse).
+    const double frac = std::clamp(it->second.sleep_avg / kMaxSleepAvg, 0.0, 1.0);
+    bonus = static_cast<int>(frac * 2 * kMaxBonus) - kMaxBonus;
   }
   // SCHED_BATCH never receives an interactivity boost.
   if (t.policy() == Policy::kBatch && bonus < 0) bonus = 0;
@@ -56,15 +56,15 @@ Duration O1Class::timeslice(const Task& t) const {
   // task_timeslice(): nice -20 -> 2x base, nice 0 -> base, nice 19 -> min.
   const double scale = static_cast<double>(kO1Levels - static_level(t.nice)) / 20.0;
   const Duration slice = Duration(static_cast<std::int64_t>(
-      static_cast<double>(tun_.base_slice.ns()) * scale));
-  return std::max(tun_.min_slice, slice);
+      static_cast<double>(kBaseSlice.ns()) * scale));
+  return std::max(kMinSlice, slice);
 }
 
 bool O1Class::interactive(const Task& t) const {
   const auto it = states_.find(t.pid());
   if (it == states_.end()) return false;
   // Roughly the kernel's TASK_INTERACTIVE test: a strongly negative bonus.
-  return it->second.sleep_avg > tun_.max_sleep_avg / 2 && t.policy() != Policy::kBatch;
+  return it->second.sleep_avg > kMaxSleepAvg / 2 && t.policy() != Policy::kBatch;
 }
 
 void O1Class::enqueue(Kernel& k, Rq& rq, Task& t, bool wakeup) {
@@ -73,7 +73,7 @@ void O1Class::enqueue(Kernel& k, Rq& rq, Task& t, bool wakeup) {
   if (wakeup) {
     // Credit the sleep into sleep_avg (capped).
     const Duration slept = k.now() - s.sleep_since;
-    s.sleep_avg = std::min(tun_.max_sleep_avg, s.sleep_avg + slept);
+    s.sleep_avg = std::min(kMaxSleepAvg, s.sleep_avg + slept);
     if (t.slice_left <= Duration::zero()) t.slice_left = timeslice(t);
   }
   if (t.slice_left <= Duration::zero()) t.slice_left = timeslice(t);

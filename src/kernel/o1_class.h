@@ -17,19 +17,6 @@
 
 namespace hpcs::kern {
 
-struct O1Tunables {
-  /// Time slice at nice 0; scales linearly with static priority, clamped to
-  /// [min_slice, 2*base_slice] — the shape of the 2.6 task_timeslice().
-  Duration base_slice = Duration::milliseconds(100);
-  Duration min_slice = Duration::milliseconds(5);
-  /// Sleep time accumulates into sleep_avg up to this ceiling.
-  Duration max_sleep_avg = Duration::seconds(1.0);
-  /// Maximum interactivity bonus (priority levels), the kernel's MAX_BONUS/2.
-  int max_bonus = 5;
-  /// Scheduler-path cost of an O(1) wakeup (cheaper than CFS: array insert).
-  Duration wakeup_cost = Duration::microseconds(15);
-};
-
 /// Per-task O(1) state, kept in a side table inside the class (the real
 /// kernel embeds it in task_struct).
 struct O1TaskState {
@@ -53,7 +40,16 @@ struct O1Rq final : ClassRq {
 
 class O1Class final : public SchedClass {
  public:
-  explicit O1Class(O1Tunables tunables = {}) : tun_(tunables) {}
+  /// Time slice at nice 0; scales linearly with static priority, clamped to
+  /// [kMinSlice, 2*kBaseSlice] — the shape of the 2.6 task_timeslice().
+  static constexpr Duration kBaseSlice = Duration::milliseconds(100);
+  static constexpr Duration kMinSlice = Duration::milliseconds(5);
+  /// Sleep time accumulates into sleep_avg up to this ceiling.
+  static constexpr Duration kMaxSleepAvg = Duration::seconds(1.0);
+  /// Maximum interactivity bonus (priority levels), the kernel's MAX_BONUS/2.
+  static constexpr int kMaxBonus = 5;
+  /// Scheduler-path cost of an O(1) wakeup (cheaper than CFS: array insert).
+  static constexpr Duration kWakeupCost = Duration::microseconds(15);
 
   [[nodiscard]] const char* name() const override { return "o1"; }
   [[nodiscard]] bool owns(Policy p) const override {
@@ -72,9 +68,7 @@ class O1Class final : public SchedClass {
   void yield(Kernel& k, Rq& rq, Task& t) override;
   Task* steal_candidate(Kernel& k, Rq& rq) override;
   [[nodiscard]] bool wants_balance() const override { return true; }
-  [[nodiscard]] Duration wakeup_cost() const override { return tun_.wakeup_cost; }
-
-  [[nodiscard]] const O1Tunables& tunables() const { return tun_; }
+  [[nodiscard]] Duration wakeup_cost() const override { return kWakeupCost; }
 
   /// Static priority level (0..39) from the nice value.
   [[nodiscard]] static int static_level(int nice) { return nice + 20; }
@@ -99,7 +93,6 @@ class O1Class final : public SchedClass {
   static void push(O1Rq::PrioArray& a, int level, Task* t, bool front);
   static bool erase(O1Rq::PrioArray& a, int level, Task* t);
 
-  O1Tunables tun_;
   std::map<Pid, O1TaskState> states_;
 };
 

@@ -6,7 +6,7 @@
 // two threads with bounded instruction-level parallelism, and counts the
 // instructions each context actually issues.
 //
-// Used by tests and `bench/ablation_throughput` to cross-validate the
+// Used by `tests/test_cycle_sim.cpp` to cross-validate the
 // interpolated speed(share) curve: the decode SHARE delivered by the window
 // mechanism must match Table I exactly, and the issue throughput must be
 // monotone and asymmetric the way the fluid model assumes.

@@ -27,16 +27,15 @@ bool Simulator::reschedule_at(EventHandle h, SimTime when) {
 }
 
 SimTime Simulator::run(SimTime deadline) {
-  while (queue_.run_next(deadline, now_)) ++executed_;
+  while (queue_.run_next(deadline, now_)) {
+  }
   if (queue_.empty()) return now_;
   now_ = deadline;
   return now_;
 }
 
 bool Simulator::step() {
-  if (!queue_.run_next(SimTime::max(), now_)) return false;
-  ++executed_;
-  return true;
+  return queue_.run_next(SimTime::max(), now_);
 }
 
 }  // namespace hpcs::sim

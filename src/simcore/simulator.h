@@ -39,13 +39,15 @@ class Simulator {
 
   [[nodiscard]] bool idle() const { return queue_.empty(); }
   [[nodiscard]] std::size_t pending_events() const { return queue_.size(); }
-  [[nodiscard]] std::uint64_t events_executed() const { return executed_; }
+  /// Callbacks run so far (the queue's dispatch count).
+  [[nodiscard]] std::uint64_t events_executed() const {
+    return static_cast<std::uint64_t>(queue_.stats().dispatched);
+  }
   [[nodiscard]] const EventQueueStats& queue_stats() const { return queue_.stats(); }
 
  private:
   EventQueue queue_;
   SimTime now_ = SimTime::zero();
-  std::uint64_t executed_ = 0;
 };
 
 }  // namespace hpcs::sim

@@ -3,8 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "simmpi/mpi_world.h"
 #include "test_util.h"
@@ -115,9 +117,13 @@ TEST(Paraver, ExportToFiles) {
   trace::ParaverJob job;
   job.pids = {w.task(0).pid()};
   job.labels = {"rank0"};
-  EXPECT_TRUE(trace::export_paraver("/tmp/hpcs_prv_test", *tracer, job));
-  std::ifstream check("/tmp/hpcs_prv_test.prv");
-  EXPECT_TRUE(check.good());
+  // ctest runs each test in its build tree, so the files stay there.
+  EXPECT_TRUE(trace::export_paraver("hpcs_prv_test", *tracer, job));
+  for (const char* ext : {".prv", ".pcf", ".row"}) {
+    const std::string path = std::string("hpcs_prv_test") + ext;
+    EXPECT_TRUE(std::ifstream(path).good()) << path;
+    std::remove(path.c_str());
+  }
 }
 
 }  // namespace

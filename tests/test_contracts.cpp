@@ -1,29 +1,19 @@
-// Compile-time contract checks introduced by the static-analysis layer:
-// the SchedClassImpl concept (kernel/sched_class.h) and the workload-factory
-// purity contract (exp/pure_function.h). Most of the value here is in
-// static_asserts — the contracts exist so violations fail the build — but
-// the runtime behaviour of PureFunction is exercised too.
+// Compile-time contract checks: the SchedClassImpl concept
+// (kernel/sched_class.h). The value is in the static_asserts — the contract
+// exists so violations fail the build.
 
 #include <memory>
-#include <type_traits>
-#include <vector>
 
 #include <gtest/gtest.h>
 
-#include "analysis/sweep.h"
-#include "cluster/gang.h"
-#include "exp/pure_function.h"
 #include "hpcsched/hpc_class.h"
 #include "kernel/cfs_class.h"
 #include "kernel/idle_class.h"
 #include "kernel/o1_class.h"
 #include "kernel/rt_class.h"
 #include "kernel/sched_class.h"
-#include "workloads/metbench.h"
 
 namespace {
-
-using hpcs::exp::PureFunction;
 
 // ---------------------------------------------------------------------------
 // SchedClassImpl: every in-tree class satisfies it; broken shapes don't.
@@ -63,79 +53,5 @@ struct NotDerived {
   [[nodiscard]] const char* name() const { return "free-floating"; }
 };
 static_assert(!hpcs::kern::SchedClassImpl<NotDerived>);
-
-// ---------------------------------------------------------------------------
-// PureFunction: the factory purity contract.
-
-using Factory = PureFunction<int()>;
-
-// Plain and capturing (non-mutable) lambdas convert, like std::function.
-static_assert(std::is_constructible_v<Factory, int (*)()>);
-static_assert(std::is_convertible_v<decltype([] { return 1; }), Factory>);
-
-// The canonical stateful-factory shapes are rejected at compile time.
-static_assert(!std::is_constructible_v<Factory, decltype([n = 0]() mutable { return ++n; })>);
-struct StatefulFunctor {
-  int n = 0;
-  int operator()() { return ++n; }  // non-const call operator
-};
-static_assert(!std::is_constructible_v<Factory, StatefulFunctor>);
-
-// The const twin of the same functor is accepted.
-struct PureFunctor {
-  int base = 41;
-  int operator()() const { return base + 1; }
-};
-static_assert(std::is_constructible_v<Factory, PureFunctor>);
-
-// The real factory signatures stay convertible from the idiomatic lambdas
-// the benches use.
-static_assert(
-    std::is_constructible_v<decltype(hpcs::analysis::SweepPoint::workload),
-                            decltype([] { return hpcs::wl::make_metbench({}); })>);
-static_assert(
-    std::is_constructible_v<decltype(hpcs::cluster::JobSpec::make_programs),
-                            decltype([] { return hpcs::wl::make_metbench({}); })>);
-
-TEST(PureFunction, InvokesAndSupportsBoolCheck) {
-  Factory empty;
-  EXPECT_FALSE(static_cast<bool>(empty));
-
-  Factory f = PureFunctor{};
-  ASSERT_TRUE(static_cast<bool>(f));
-  EXPECT_EQ(f(), 42);
-
-  int calls_observed = 0;
-  PureFunction<int(int)> add = [&calls_observed](int x) {
-    // Capturing by reference compiles (the contract is const-invocability;
-    // aliasing is TSan's job) — the factory itself stays const.
-    ++calls_observed;
-    return x + 1;
-  };
-  EXPECT_EQ(add(4), 5);
-  EXPECT_EQ(calls_observed, 1);
-}
-
-TEST(PureFunction, CopiesShareNoMutableState) {
-  PureFunction<int()> a = PureFunctor{.base = 10};
-  PureFunction<int()> b = a;  // copyable, like std::function
-  EXPECT_EQ(a(), 11);
-  EXPECT_EQ(b(), 11);
-}
-
-// ---------------------------------------------------------------------------
-// The audited in-tree factories: building a SweepPoint from each paper
-// workload factory must keep compiling (they are all pure), and invoking the
-// factory twice must produce independent program sets.
-
-TEST(FactoryAudit, MetBenchFactoryIsReinvocable) {
-  const hpcs::wl::MetBenchConfig cfg;
-  hpcs::analysis::SweepPoint point{"metbench", {}, [cfg] { return hpcs::wl::make_metbench(cfg); }};
-  auto first = point.workload();
-  auto second = point.workload();
-  EXPECT_EQ(first.size(), second.size());
-  EXPECT_FALSE(first.empty());
-  EXPECT_NE(first[0].get(), second[0].get());  // fresh programs, no sharing
-}
 
 }  // namespace

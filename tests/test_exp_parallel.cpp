@@ -1,17 +1,16 @@
 // Tests of the parallel experiment engine: the runner's ordering/exception
-// semantics, its engine stats, and the headline contract — run_sweep output
+// semantics, its engine stats, and the headline contract — a batch of runs
 // is bit-identical for every jobs value.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <functional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "analysis/paper_experiments.h"
-#include "analysis/sweep.h"
+#include "analysis/run_serialize.h"
 #include "exp/parallel_runner.h"
 #include "obs/manifest.h"
 #include "workloads/metbench.h"
@@ -30,33 +29,22 @@ TEST(ParallelRunner, MapReturnsResultsInIndexOrder) {
   }
 }
 
-TEST(ParallelRunner, RunAllExecutesEveryTask) {
-  std::vector<int> slots(32, 0);
-  std::vector<std::function<void()>> tasks;
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    tasks.push_back([&slots, i] { slots[i] = static_cast<int>(i) + 1; });
-  }
-  exp::ParallelRunner runner(4);
-  runner.run_all(std::move(tasks));
-  for (std::size_t i = 0; i < slots.size(); ++i) EXPECT_EQ(slots[i], static_cast<int>(i) + 1);
-}
-
 TEST(ParallelRunner, FirstExceptionBySubmissionIndexIsRethrown) {
   for (const unsigned jobs : {1u, 4u}) {
     exp::ParallelRunner runner(jobs);
     std::atomic<int> completed{0};
-    std::vector<std::function<void()>> tasks;
-    tasks.push_back([&completed] { ++completed; });
-    tasks.push_back([] { throw std::runtime_error("first"); });
-    tasks.push_back([&completed] { ++completed; });
-    tasks.push_back([] { throw std::runtime_error("second"); });
     try {
-      runner.run_all(std::move(tasks));
+      (void)runner.map(4, [&completed](std::size_t i) {
+        if (i == 1) throw std::runtime_error("first");
+        if (i == 3) throw std::runtime_error("second");
+        ++completed;
+        return i;
+      });
       FAIL() << "expected an exception (jobs=" << jobs << ")";
     } catch (const std::runtime_error& e) {
       EXPECT_STREQ(e.what(), "first") << "jobs=" << jobs;
     }
-    // All non-throwing tasks still ran to completion.
+    // All non-throwing calls still ran to completion.
     EXPECT_EQ(completed.load(), 2) << "jobs=" << jobs;
   }
 }
@@ -70,38 +58,29 @@ TEST(ParallelRunner, JobsFlagParsing) {
   EXPECT_GE(exp::parse_jobs_flag(1, const_cast<char**>(argv3)), 1u);
 }
 
-// The headline contract: a sweep fanned across N workers produces rows
-// bit-identical to the serial loop, for every N.
+// The headline contract: a batch of runs fanned across N workers produces
+// the same RunResult bytes as the serial loop, for every N.
 TEST(ParallelSweep, BitIdenticalAcrossJobCounts) {
-  std::vector<analysis::SweepPoint> points;
-  for (const auto mode : {analysis::SchedMode::kBaselineCfs, analysis::SchedMode::kUniform,
-                          analysis::SchedMode::kAdaptive}) {
-    for (const std::uint64_t seed : {1ull, 7ull}) {
+  const analysis::SchedMode modes[] = {analysis::SchedMode::kBaselineCfs,
+                                       analysis::SchedMode::kUniform,
+                                       analysis::SchedMode::kAdaptive};
+  const std::uint64_t seeds[] = {1, 7};
+  const auto run = [&](unsigned jobs) {
+    exp::ParallelRunner runner(jobs);
+    return runner.map(6, [&](std::size_t i) {
       wl::MetBenchConfig w;
       w.iterations = 3;
-      points.push_back(analysis::SweepPoint{
-          std::string(analysis::sched_mode_name(mode)) + "-" + std::to_string(seed),
-          analysis::paper_defaults(mode, seed, false), [w] { return wl::make_metbench(w); }});
-    }
-  }
-  const auto reference = analysis::run_sweep(points, 1);
-  ASSERT_EQ(reference.size(), points.size());
+      return analysis::serialize_run_result(analysis::run_experiment(
+          analysis::paper_defaults(modes[i / 2], seeds[i % 2], false), wl::make_metbench(w)));
+    });
+  };
+  const std::vector<std::string> reference = run(1);
+  ASSERT_EQ(reference.size(), 6u);
   for (const unsigned jobs : {2u, 3u, 8u}) {
-    const auto rows = analysis::run_sweep(points, jobs);
-    ASSERT_EQ(rows.size(), reference.size()) << "jobs=" << jobs;
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      EXPECT_EQ(rows[i].label, reference[i].label) << "jobs=" << jobs;
-      EXPECT_EQ(rows[i].exec_s, reference[i].exec_s) << "jobs=" << jobs << " row " << i;
-      EXPECT_EQ(rows[i].min_util, reference[i].min_util) << "jobs=" << jobs << " row " << i;
-      EXPECT_EQ(rows[i].max_util, reference[i].max_util) << "jobs=" << jobs << " row " << i;
-      EXPECT_EQ(rows[i].mean_imbalance, reference[i].mean_imbalance)
-          << "jobs=" << jobs << " row " << i;
-      EXPECT_EQ(rows[i].prio_changes, reference[i].prio_changes) << "jobs=" << jobs << " row " << i;
-      EXPECT_EQ(rows[i].ctx_switches, reference[i].ctx_switches) << "jobs=" << jobs << " row " << i;
-      EXPECT_EQ(rows[i].avg_wakeup_latency_us, reference[i].avg_wakeup_latency_us)
-          << "jobs=" << jobs << " row " << i;
-      EXPECT_EQ(rows[i].improvement_vs_first_pct, reference[i].improvement_vs_first_pct)
-          << "jobs=" << jobs << " row " << i;
+    const std::vector<std::string> runs = run(jobs);
+    ASSERT_EQ(runs.size(), reference.size()) << "jobs=" << jobs;
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+      EXPECT_TRUE(runs[i] == reference[i]) << "jobs=" << jobs << " run " << i;
     }
   }
 }

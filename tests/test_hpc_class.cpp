@@ -164,9 +164,9 @@ TEST(HpcConvergence, PrioritiesStayInsideConfiguredRange) {
 }
 
 TEST(HpcClass, NullMechanismKeepsPolicyOnly) {
-  hpc::HpcSchedConfig hc;
-  hc.power5_mechanism = false;
-  HpcFixture f(hc);
+  kern::KernelConfig kc;
+  kc.hw_prio_enabled = false;
+  HpcFixture f({}, kc);
   auto& light = f.k().create_task("light", std::make_unique<PeriodicBody>(
                                                 10.0e6, Duration::milliseconds(2)),
                                   Policy::kHpcRr, 0);

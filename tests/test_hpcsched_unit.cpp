@@ -138,7 +138,7 @@ TEST(Heuristics, AdaptiveBlendsGlobalAndLast) {
 }
 
 TEST(Heuristics, HybridWeighsRecencyByVariance) {
-  HybridHeuristic h(100.0);
+  HybridHeuristic h;
   HpcTunables tun;
   TaskIterStats steady;
   steady.util_global_prev = 40.0;
@@ -170,14 +170,6 @@ TEST(ImbalanceDetector, BalancedWhenAllHigh) {
   EXPECT_TRUE(d.balanced(tun));
   d.forget(3);
   EXPECT_TRUE(d.balanced(tun));
-}
-
-TEST(ImbalanceDetector, Spread) {
-  ImbalanceDetector d;
-  EXPECT_DOUBLE_EQ(d.spread(), 0.0);
-  d.record(1, 25.0);
-  d.record(2, 100.0);
-  EXPECT_DOUBLE_EQ(d.spread(), 75.0);
 }
 
 TEST(ImbalanceDetector, BehaviourChangeAfterStreak) {

@@ -37,7 +37,7 @@ TEST(O1Unit, TimesliceScalesWithNice) {
   EXPECT_EQ(cls.timeslice(mid), Duration::milliseconds(100));
   EXPECT_EQ(cls.timeslice(hi), Duration::milliseconds(200));
   EXPECT_LT(cls.timeslice(lo), Duration::milliseconds(10));
-  EXPECT_GE(cls.timeslice(lo), cls.tunables().min_slice);
+  EXPECT_GE(cls.timeslice(lo), O1Class::kMinSlice);
 }
 
 TEST(O1Sched, TwoHogsShareViaArraySwap) {

@@ -115,7 +115,7 @@ TEST(Recorder, SnapshotLayoutIsIndependentOfActivity) {
   }
 }
 
-TEST(Manifest, RenderIsAPureFunctionOfTheSnapshots) {
+TEST(Manifest, RenderDependsOnlyOnTheSnapshots) {
   obs::MetricsRegistry reg;
   reg.counter("events").inc(3);
   reg.gauge("ratio").set(0.5);
@@ -236,7 +236,7 @@ TEST(ChromeTrace, FileWriteEqualsRender) {
   const std::string rendered = obs::render_chrome_trace(runs);
   ASSERT_GT(rendered.size(), std::size_t{4} << 20);
 
-  const std::string path = ::testing::TempDir() + "hpcs_chrome_write_equals_render.json";
+  const std::string path = "hpcs_chrome_write_equals_render.json";
   ASSERT_TRUE(obs::write_chrome_trace(path, runs));
   std::ifstream in(path, std::ios::binary);
   const std::string written((std::istreambuf_iterator<char>(in)),
@@ -246,8 +246,7 @@ TEST(ChromeTrace, FileWriteEqualsRender) {
   EXPECT_TRUE(written == rendered) << "wrote " << written.size() << " bytes, rendered "
                                    << rendered.size();
 
-  EXPECT_FALSE(obs::write_chrome_trace(
-      ::testing::TempDir() + "hpcs_no_such_dir/trace.json", runs));
+  EXPECT_FALSE(obs::write_chrome_trace("hpcs_no_such_dir/trace.json", runs));
   // Writes that come up short: a chunk (the full document) and, for a tiny
   // document, only the final flush when the file is closed.
   if (std::FILE* full = std::fopen("/dev/full", "w")) {
@@ -262,7 +261,7 @@ TEST(ChromeTrace, FileWriteEqualsRender) {
 // small enough to sit in stdio's buffer meets a full device only when the
 // file is closed: that must still fail, with one warning.
 TEST(TextFile, TinyWriteToFullDeviceFails) {
-  const std::string path = ::testing::TempDir() + "hpcs_text_file.json";
+  const std::string path = "hpcs_text_file.json";
   ASSERT_TRUE(obs::write_text_file(path, "{}\n"));
   std::ifstream in(path, std::ios::binary);
   const std::string written((std::istreambuf_iterator<char>(in)),

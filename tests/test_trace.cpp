@@ -144,7 +144,7 @@ TEST(Paraver, ExportToFullDeviceFails) {
   TraceFixture f;
   f.feed({{0, kern::TaskState::kRunnable}, {10, kern::TaskState::kExited}});
   namespace fs = std::filesystem;
-  const fs::path dir = fs::path(::testing::TempDir()) / "hpcs_paraver_full";
+  const fs::path dir = "hpcs_paraver_full";
   fs::remove_all(dir);
   fs::create_directories(dir);
   const std::string prefix = (dir / "x").string();
