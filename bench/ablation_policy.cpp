@@ -46,10 +46,11 @@ analysis::RunResult run_fifo(const wl::MetBenchConfig& w) {
   return r;
 }
 
-/// The fixed runs, in batch order; the wakeup-cost sweep follows them.
+/// The fixed runs, in batch order; the wakeup-cost sweep follows them. The
+/// RR run (MetBench Uniform) is also the full-HPCSched MetBench run of the
+/// balance-vs-policy decomposition.
 enum Run : std::size_t {
-  kRr, kFifo, kSiestaBase, kSiestaFull, kSiestaPolicyOnly, kMbBase, kMbFull, kMbPolicyOnly,
-  kWakeupSweep
+  kRr, kFifo, kSiestaBase, kSiestaFull, kSiestaPolicyOnly, kMbBase, kMbPolicyOnly, kWakeupSweep
 };
 
 }  // namespace
@@ -79,7 +80,6 @@ int main(int argc, char** argv) {
           case kSiestaPolicyOnly:
             return analysis::run_experiment(policy_cfg, wl::make_siesta(siesta.workload));
           case kMbBase: return analysis::run_metbench(mb, SchedMode::kBaselineCfs);
-          case kMbFull: return analysis::run_metbench(mb, SchedMode::kUniform);
           case kMbPolicyOnly:
             return analysis::run_experiment(policy_cfg, wl::make_metbench(mb.workload));
           default: {
@@ -96,7 +96,7 @@ int main(int argc, char** argv) {
   const analysis::RunResult& full = runs[kSiestaFull];
   const analysis::RunResult& policy_only = runs[kSiestaPolicyOnly];
   const analysis::RunResult& mb_base = runs[kMbBase];
-  const analysis::RunResult& mb_full = runs[kMbFull];
+  const analysis::RunResult& mb_full = runs[kRr];
   const analysis::RunResult& mb_policy = runs[kMbPolicyOnly];
 
   // --- 1. FIFO vs RR ---------------------------------------------------------

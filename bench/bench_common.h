@@ -15,7 +15,6 @@
 #include "analysis/paper_experiments.h"
 #include "analysis/tables.h"
 #include "bench_json.h"
-#include "common/log.h"
 #include "exp/parallel_runner.h"
 #include "obs/chrome_trace.h"
 #include "obs/manifest.h"
@@ -24,12 +23,12 @@ namespace hpcs::bench {
 
 /// Observability flags shared by the table, figure and export drivers. Off
 /// by default so the golden numbers are unaffected:
-///   --obs                   metrics registry (tracepoint hit counts and the
+///   --obs                   per-run metrics (tracepoint hit counts and the
 ///                           kernel's counters), MANIFEST_<name>.json
 ///                           (+ .host.json sidecar)
 ///   --obs-trace PATH        additionally capture a Chrome-trace / Perfetto
 ///                           JSON view of every run into PATH (implies --obs)
-///   --obs-window NS         sample every registered metric on sim-time
+///   --obs-window NS         sample every metric on sim-time
 ///                           window boundaries of NS nanoseconds into the
 ///                           manifest's per-window series (schema
 ///                           hpcs-obs-manifest-v2; implies --obs). The series
@@ -51,27 +50,32 @@ inline ObsOptions parse_obs_options(int argc, char** argv) {
       std::exit(2);
     }
   };
-  // The value of a flag given as `--flag VALUE`; a missing value aborts like
-  // a bad one.
-  auto value_of = [&](int& i) -> const char* {
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "error: %s: missing value\n", argv[i]);
+  // The value of `flag` when argv[i] is `flag VALUE` or `flag=VALUE`, else
+  // nullptr. An empty value, or one that starts with `--` (the next flag),
+  // is missing and aborts like a bad one.
+  auto value_of = [&](int& i, const char* flag) -> const char* {
+    const std::size_t n = std::strlen(flag);
+    const char* v = nullptr;
+    if (std::strcmp(argv[i], flag) == 0) {
+      v = i + 1 < argc ? argv[++i] : "";
+    } else if (std::strncmp(argv[i], flag, n) == 0 && argv[i][n] == '=') {
+      v = argv[i] + n + 1;
+    } else {
+      return nullptr;
+    }
+    if (v[0] == '\0' || std::strncmp(v, "--", 2) == 0) {
+      std::fprintf(stderr, "error: %s: missing value\n", flag);
       std::exit(2);
     }
-    return argv[++i];
+    return v;
   };
   for (int i = 1; i < argc; ++i) {
-    const char* a = argv[i];
-    if (std::strcmp(a, "--obs") == 0) {
+    if (std::strcmp(argv[i], "--obs") == 0) {
       o.cfg.enabled = true;
-    } else if (std::strcmp(a, "--obs-trace") == 0) {
-      o.trace_path = value_of(i);
-    } else if (std::strncmp(a, "--obs-trace=", 12) == 0) {
-      o.trace_path = a + 12;
-    } else if (std::strcmp(a, "--obs-window") == 0) {
-      set_window(value_of(i));
-    } else if (std::strncmp(a, "--obs-window=", 13) == 0) {
-      set_window(a + 13);
+    } else if (const char* path = value_of(i, "--obs-trace")) {
+      o.trace_path = path;
+    } else if (const char* ns = value_of(i, "--obs-window")) {
+      set_window(ns);
     }
   }
   if (!o.trace_path.empty()) {
@@ -80,31 +84,6 @@ inline ObsOptions parse_obs_options(int argc, char** argv) {
   }
   if (o.cfg.window_ns > 0) o.cfg.enabled = true;
   return o;
-}
-
-/// Wire the runtime log threshold: HPCS_LOG_LEVEL first, then --log-level
-/// LEVEL / --log-level=LEVEL so the flag wins. Unknown levels warn and keep
-/// the current threshold rather than aborting a long bench run.
-inline void init_logging(int argc, char** argv) {
-  LogLevel env_level;
-  if (parse_log_level(std::getenv("HPCS_LOG_LEVEL"), env_level)) set_log_level(env_level);
-  for (int i = 1; i < argc; ++i) {
-    const char* a = argv[i];
-    const char* val = nullptr;
-    if (std::strcmp(a, "--log-level") == 0 && i + 1 < argc) {
-      val = argv[i + 1];
-    } else if (std::strncmp(a, "--log-level=", 12) == 0) {
-      val = a + 12;
-    }
-    if (val != nullptr) {
-      LogLevel lvl;
-      if (parse_log_level(val, lvl)) {
-        set_log_level(lvl);
-      } else {
-        std::fprintf(stderr, "warning: unknown log level '%s'\n", val);
-      }
-    }
-  }
 }
 
 /// Run one experiment per mode through the parallel engine; results come

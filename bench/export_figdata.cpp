@@ -59,7 +59,6 @@ bool export_run(const std::string& dir, const std::string& name,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::init_logging(argc, argv);
   const unsigned jobs = exp::parse_jobs_flag(argc, argv);
   const bench::ObsOptions obs = bench::parse_obs_options(argc, argv);
   const std::string dir = "bench_data";

@@ -12,7 +12,6 @@
 int main(int argc, char** argv) {
   using namespace hpcs;
 
-  bench::init_logging(argc, argv);
   const bench::ObsOptions obs = bench::parse_obs_options(argc, argv);
   auto e = analysis::MetBenchExperiment::paper();
   e.workload.iterations = 6;

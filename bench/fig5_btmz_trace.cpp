@@ -11,7 +11,6 @@ int main(int argc, char** argv) {
   using namespace hpcs;
   using analysis::SchedMode;
 
-  bench::init_logging(argc, argv);
   const unsigned jobs = exp::parse_jobs_flag(argc, argv);
   const bench::ObsOptions obs = bench::parse_obs_options(argc, argv);
   auto e = analysis::BtMzExperiment::paper();

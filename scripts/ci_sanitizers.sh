@@ -48,8 +48,9 @@ echo "=== observability smoke: manifests + Chrome trace ==="
 # also produce a loadable Chrome-trace JSON. With --obs-window on, every
 # table driver's stdout and manifest must be byte-identical for --jobs 1
 # and --jobs 4 (BENCH_*.json apart from "jobs"), and so must every figure
-# driver's stdout, manifest and Chrome trace and every ablation driver's
-# stdout and BENCH_*.json (apart from "jobs"); export_figdata must reproduce
+# driver's and export_figdata's stdout, manifest and Chrome trace (and
+# export_figdata's bench_data/), and every ablation driver's stdout and
+# BENCH_*.json (apart from "jobs"); export_figdata must also reproduce
 # every checked-in bench_data/ file byte for byte. (The windowed manifests'
 # goldens are the manifest_goldens ctest above.)
 (cd build-ci/bench && ./table3_metbench --jobs 2 --obs --obs-window 10000000000 >/dev/null)

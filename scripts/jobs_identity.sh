@@ -6,8 +6,11 @@
 # --obs-window 10000000000), once at --jobs 1 and once at --jobs 4, in
 # OUT_DIR/j1 and OUT_DIR/j4. Stdout and MANIFEST_<name>.json must be
 # byte-identical; BENCH_<name>.json may differ only in its "jobs" field.
-# Each of fig3..6 runs the same way with --obs-trace; its stdout,
-# MANIFEST_<name>.json and Chrome trace must be byte-identical.
+# Each of fig3..6 runs the same way with --obs-window 1000000000
+# --obs-trace; its stdout, windowed MANIFEST_<name>.json and Chrome trace
+# (window counter tracks included) must be byte-identical. So must
+# export_figdata's, run the same way, and every file it writes under
+# bench_data/.
 # Each of the six ablation_* drivers runs the same way (they take no obs
 # flags); stdout must be byte-identical and BENCH_<name>.json identical
 # apart from its "jobs" field.
@@ -37,16 +40,21 @@ for t in table3_metbench table4_metbenchvar table5_btmz table6_siesta; do
   echo "${t}: --jobs 1 == --jobs 4 (stdout, MANIFEST, BENCH apart from \"jobs\")"
 done
 
-for f in fig3_metbench fig4_metbenchvar fig5_btmz fig6_siesta; do
+for b in fig3_metbench_trace fig4_metbenchvar_trace fig5_btmz_trace fig6_siesta_trace \
+         export_figdata; do
+  f="${b%_trace}"
   for j in 1 4; do
     (cd "${out}/j${j}" &&
-      "${bench}/${f}_trace" --jobs "${j}" --obs-trace "${f}.trace.json" >"${f}.stdout")
+      "${bench}/${b}" --jobs "${j}" --obs-window 1000000000 \
+        --obs-trace "${f}.trace.json" >"${f}.stdout")
   done
   for file in "${f}.stdout" "MANIFEST_${f}.json" "${f}.trace.json"; do
     cmp "${out}/j1/${file}" "${out}/j4/${file}"
   done
   echo "${f}: --jobs 1 == --jobs 4 (stdout, MANIFEST, Chrome trace)"
 done
+diff -r "${out}/j1/bench_data" "${out}/j4/bench_data"
+echo "export_figdata: --jobs 1 == --jobs 4 (bench_data/)"
 
 for a in ablation_baselines ablation_heuristics ablation_noise ablation_o1_vs_cfs \
          ablation_policy ablation_throughput; do

@@ -129,27 +129,27 @@ RunResult run_experiment(const ExperimentConfig& cfg,
   }
   kernel.set_trace(nullptr);
   if (recorder) {
-    // Fixed-order end-of-run counters (registered in the Recorder ctor).
-    obs::MetricsRegistry& m = recorder->metrics();
-    m.counter("kern.ctx_switches").set(kernel.context_switches());
-    m.counter("kern.migrations").set(kernel.migrations());
-    m.counter("kern.balance_pulls").set(kernel.balance_pulls());
-    m.counter("kern.ticks").set(kernel.ticks_run());
-    m.counter("kern.ticks_replayed").set(kernel.ticks_replayed());
     const sim::EventQueueStats& qs = simulator.queue_stats();
-    m.counter("sim.events_executed").set(static_cast<std::int64_t>(simulator.events_executed()));
-    m.counter("sim.eq_scheduled").set(qs.scheduled);
-    m.counter("sim.eq_dispatched").set(qs.dispatched);
-    m.counter("sim.eq_resched_inplace").set(qs.resched_inplace);
-    m.counter("sim.eq_resched_pending").set(qs.resched_pending);
+    obs::RunTotals totals{
+        .ctx_switches = kernel.context_switches(),
+        .migrations = kernel.migrations(),
+        .balance_pulls = kernel.balance_pulls(),
+        .ticks = kernel.ticks_run(),
+        .ticks_replayed = kernel.ticks_replayed(),
+        .events_executed = static_cast<std::int64_t>(simulator.events_executed()),
+        .eq_scheduled = qs.scheduled,
+        .eq_dispatched = qs.dispatched,
+        .eq_resched_inplace = qs.resched_inplace,
+        .eq_resched_pending = qs.resched_pending,
+    };
     if (hpc_class != nullptr) {
-      m.counter("hpc.iterations").set(hpc_class->iterations_observed());
-      m.counter("hpc.prio_changes").set(hpc_class->priority_changes());
-      m.counter("hpc.resets").set(hpc_class->history_resets());
-      m.counter("hpc.imbalance_detections").set(hpc_class->imbalance_detections());
-      m.counter("hpc.heuristic_decisions").set(hpc_class->heuristic_decisions());
+      totals.hpc_iterations = hpc_class->iterations_observed();
+      totals.hpc_prio_changes = hpc_class->priority_changes();
+      totals.hpc_resets = hpc_class->history_resets();
+      totals.hpc_imbalance_detections = hpc_class->imbalance_detections();
+      totals.hpc_heuristic_decisions = hpc_class->heuristic_decisions();
     }
-    res.metrics = recorder->snapshot(world.finish_time());
+    res.metrics = recorder->snapshot(world.finish_time(), totals);
     kernel.set_obs(nullptr);
   }
   return res;

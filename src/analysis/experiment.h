@@ -39,7 +39,7 @@ struct ExperimentConfig {
   bool enable_noise = true;
   kern::NoiseConfig noise{};
   bool capture_trace = false;
-  /// Observability: metrics registry + tracepoint hit counts (+ optional
+  /// Observability: the run's metrics and tracepoint hit counts (+ optional
   /// Chrome trace). Off by default; a run pays one null-pointer branch per
   /// record site when disabled.
   obs::ObsConfig obs{};

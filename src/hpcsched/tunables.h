@@ -27,9 +27,6 @@ struct HpcTunables {
   int reset_after = 3;
   /// Round-robin time slice of the SCHED_HPC RR policy.
   Duration rr_slice = Duration::milliseconds(100);
-  /// Scheduler-path cost of an HPC wakeup: the round-robin head insert is
-  /// O(1) and only competes with other HPC tasks.
-  Duration wakeup_cost = Duration::microseconds(2);
 };
 
 }  // namespace hpcs::hpc

@@ -39,7 +39,7 @@ Duration CfsClass::calc_delta_fair(Duration delta, int nice) {
 Duration CfsClass::slice_for(int nr_running) const {
   if (nr_running <= 0) nr_running = 1;
   const Duration slice = tun_.latency / nr_running;
-  return std::max(slice, tun_.min_granularity);
+  return std::max(slice, kMinGranularity);
 }
 
 void CfsClass::update_min_vruntime(CfsRq& c, const Task* curr_of_class) const {
@@ -108,7 +108,7 @@ void CfsClass::task_tick(Kernel& k, Rq& rq, Task& t) {
   // Bound the wait of a markedly "more deserving" leftmost task.
   if (!c.tree.empty()) {
     const Duration vdiff = t.vruntime - Duration(c.tree.begin()->first.first);
-    if (vdiff > slice && delta_exec > tun_.min_granularity) rq.need_resched = true;
+    if (vdiff > slice && delta_exec > kMinGranularity) rq.need_resched = true;
   }
 }
 
@@ -118,7 +118,7 @@ bool CfsClass::wakeup_preempt(Kernel& k, Rq& rq, Task& curr, Task& woken) {
   if (curr.policy() == Policy::kBatch && woken.policy() == Policy::kNormal) return true;
   if (woken.policy() == Policy::kBatch) return false;  // batch never wakeup-preempts
   const Duration vdiff = curr.vruntime - woken.vruntime;
-  return vdiff > tun_.wakeup_granularity;
+  return vdiff > kWakeupGranularity;
 }
 
 void CfsClass::yield(Kernel& k, Rq& rq, Task& t) {

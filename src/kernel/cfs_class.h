@@ -14,8 +14,6 @@ namespace hpcs::kern {
 
 struct CfsTunables {
   Duration latency = Duration::milliseconds(20);       ///< target max wait (paper: 20 ms)
-  Duration min_granularity = Duration::milliseconds(4);
-  Duration wakeup_granularity = Duration::milliseconds(10);
   /// Scheduler-path cost of a CFS wakeup (see SchedClass::wakeup_cost).
   Duration wakeup_cost = Duration::microseconds(25);
 };
@@ -34,6 +32,12 @@ struct CfsRq final : ClassRq {
 
 class CfsClass final : public SchedClass {
  public:
+  /// Shortest slice, however many tasks are runnable.
+  static constexpr Duration kMinGranularity = Duration::milliseconds(4);
+  /// How far a woken task's vruntime must trail the current task's before
+  /// the wakeup preempts it.
+  static constexpr Duration kWakeupGranularity = Duration::milliseconds(10);
+
   explicit CfsClass(CfsTunables tunables = {}) : tun_(tunables) {}
 
   [[nodiscard]] const char* name() const override { return "fair"; }

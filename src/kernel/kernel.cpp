@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/check.h"
-#include "common/log.h"
 #include "kernel/cfs_class.h"
 #include "kernel/idle_class.h"
 #include "kernel/rt_class.h"

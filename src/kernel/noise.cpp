@@ -5,20 +5,18 @@
 
 namespace hpcs::kern {
 
-double NoiseDaemonBody::jittered(double mean, double jitter) {
-  const double lo = mean * (1.0 - jitter);
-  const double hi = mean * (1.0 + jitter);
-  return std::max(1.0, rng_.uniform(lo, hi));
+double NoiseDaemonBody::jittered(double mean) {
+  return std::max(1.0, rng_.uniform(mean * 0.5, mean * 1.5));
 }
 
 void NoiseDaemonBody::step(Kernel& k, Task& t) {
   if (computing_) {
     computing_ = false;
     k.body_sleep(t, Duration(static_cast<std::int64_t>(
-                      jittered(static_cast<double>(cfg_.period.ns()), cfg_.period_jitter))));
+                      jittered(static_cast<double>(cfg_.period.ns())))));
   } else {
     computing_ = true;
-    k.body_compute(t, jittered(static_cast<double>(cfg_.burst.ns()), cfg_.burst_jitter));
+    k.body_compute(t, jittered(static_cast<double>(cfg_.burst.ns())));
   }
 }
 

@@ -15,8 +15,6 @@ namespace hpcs::kern {
 struct NoiseConfig {
   Duration period = Duration::milliseconds(10);   ///< mean time between bursts
   Duration burst = Duration::microseconds(50);    ///< mean burst length (work at ST speed)
-  double period_jitter = 0.5;  ///< burst period varies uniformly +/- this fraction
-  double burst_jitter = 0.5;   ///< burst length varies uniformly +/- this fraction
 };
 
 /// Body of one noise daemon: alternates compute bursts and sleeps forever.
@@ -27,7 +25,8 @@ class NoiseDaemonBody final : public TaskBody {
   void step(Kernel& k, Task& t) override;
 
  private:
-  [[nodiscard]] double jittered(double mean, double jitter);
+  /// `mean` +/- 50%, uniformly: the spread of both the period and the burst.
+  [[nodiscard]] double jittered(double mean);
 
   NoiseConfig cfg_;
   Rng rng_;

@@ -54,113 +54,4 @@ const MetricValue* MetricsSnapshot::find(const std::string& name) const {
   return nullptr;
 }
 
-MetricsRegistry::Entry* MetricsRegistry::find_entry(const std::string& name) {
-  for (Entry& e : entries_) {
-    if (e.name == name) return &e;
-  }
-  return nullptr;
-}
-
-Counter& MetricsRegistry::counter(const std::string& name) {
-  if (Entry* e = find_entry(name)) {
-    HPCS_CHECK_MSG(e->kind == MetricKind::kCounter, "metric re-registered as a different kind");
-    return *e->counter;
-  }
-  counters_.emplace_back();
-  entries_.push_back(Entry{name, MetricKind::kCounter, &counters_.back(), nullptr, nullptr});
-  return counters_.back();
-}
-
-Gauge& MetricsRegistry::gauge(const std::string& name) {
-  if (Entry* e = find_entry(name)) {
-    HPCS_CHECK_MSG(e->kind == MetricKind::kGauge, "metric re-registered as a different kind");
-    return *e->gauge;
-  }
-  gauges_.emplace_back();
-  entries_.push_back(Entry{name, MetricKind::kGauge, nullptr, &gauges_.back(), nullptr});
-  return gauges_.back();
-}
-
-Histogram& MetricsRegistry::histogram(const std::string& name, std::vector<double> edges) {
-  if (Entry* e = find_entry(name)) {
-    HPCS_CHECK_MSG(e->kind == MetricKind::kHistogram,
-                   "metric re-registered as a different kind");
-    return *e->histogram;
-  }
-  histograms_.emplace_back(std::move(edges));
-  entries_.push_back(Entry{name, MetricKind::kHistogram, nullptr, nullptr, &histograms_.back()});
-  return histograms_.back();
-}
-
-MetricsSnapshot MetricsRegistry::snapshot(SimTime at) const {
-  MetricsSnapshot snap;
-  snap.at = at;
-  snap.metrics.reserve(entries_.size());
-  for (const Entry& e : entries_) {
-    MetricValue v;
-    v.name = e.name;
-    v.kind = e.kind;
-    switch (e.kind) {
-      case MetricKind::kCounter:
-        v.count = e.counter->value();
-        break;
-      case MetricKind::kGauge:
-        v.value = e.gauge->value();
-        break;
-      case MetricKind::kHistogram:
-        v.count = e.histogram->count();
-        v.value = e.histogram->sum();
-        v.edges = e.histogram->edges();
-        v.buckets = e.histogram->buckets();
-        break;
-    }
-    snap.metrics.push_back(std::move(v));
-  }
-  return snap;
-}
-
-void MetricsRegistry::window_columns(std::vector<std::string>& int_columns,
-                                     std::vector<std::string>& real_columns) const {
-  int_columns.clear();
-  real_columns.clear();
-  for (const Entry& e : entries_) {
-    switch (e.kind) {
-      case MetricKind::kCounter:
-        int_columns.push_back(e.name);
-        break;
-      case MetricKind::kGauge:
-        real_columns.push_back(e.name);
-        break;
-      case MetricKind::kHistogram:
-        int_columns.push_back(e.name + ".count");
-        real_columns.push_back(e.name + ".sum");
-        break;
-    }
-  }
-}
-
-void MetricsRegistry::sample_window_values(std::vector<std::int64_t>& ints,
-                                           std::vector<double>& reals,
-                                           std::vector<char>* real_is_point) const {
-  ints.clear();
-  reals.clear();
-  if (real_is_point != nullptr) real_is_point->clear();
-  for (const Entry& e : entries_) {
-    switch (e.kind) {
-      case MetricKind::kCounter:
-        ints.push_back(e.counter->value());
-        break;
-      case MetricKind::kGauge:
-        reals.push_back(e.gauge->value());
-        if (real_is_point != nullptr) real_is_point->push_back(1);
-        break;
-      case MetricKind::kHistogram:
-        ints.push_back(e.histogram->count());
-        reals.push_back(e.histogram->sum());
-        if (real_is_point != nullptr) real_is_point->push_back(0);
-        break;
-    }
-  }
-}
-
 }  // namespace hpcs::obs

@@ -1,43 +1,19 @@
 #pragma once
-// Metrics registry: named counters, gauges and histograms for one simulation
-// run. Determinism is the whole design: metrics register in a fixed order
-// (the order of register calls, which for a Recorder is the order of its
-// constructor), values are driven only by simulated events, and snapshot()
-// walks the registration order — so two runs of the same config produce
-// byte-identical dumps whether they execute serially or on an
-// exp::ParallelRunner worker (the same slot-commit contract as PR 1).
-//
-// Handles returned by counter()/gauge()/histogram() are stable references
-// (metrics live in a deque); record sites keep the reference and never pay a
-// name lookup again.
+// The values of one run's metrics: histograms, the snapshot the Recorder
+// dumps at the end of a run (every metric in manifest order, plus the
+// windowed series) and the column layout the renderers and readers walk.
+// Determinism is the whole design: the layout is fixed by obs::Recorder
+// (recorder.cpp holds the catalogue) and values are driven only by
+// simulated events, so two runs of the same config produce byte-identical
+// dumps whether they execute serially or on an exp::ParallelRunner worker.
 
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <vector>
 
 #include "common/types.h"
 
 namespace hpcs::obs {
-
-class Counter {
- public:
-  void inc(std::int64_t n = 1) { v_ += n; }
-  void set(std::int64_t v) { v_ = v; }
-  [[nodiscard]] std::int64_t value() const { return v_; }
-
- private:
-  std::int64_t v_ = 0;
-};
-
-class Gauge {
- public:
-  void set(double v) { v_ = v; }
-  [[nodiscard]] double value() const { return v_; }
-
- private:
-  double v_ = 0.0;
-};
 
 /// Fixed-bucket histogram. Bucket i (i < edges.size()) counts observations
 /// with value <= edges[i] (first matching edge wins, so an observation equal
@@ -71,8 +47,8 @@ struct MetricValue {
   MetricKind kind = MetricKind::kCounter;
   std::int64_t count = 0;  ///< counter value, or histogram observation count
   double value = 0.0;      ///< gauge value, or histogram sum
-  std::vector<double> edges;
-  std::vector<std::int64_t> buckets;
+  std::vector<double> edges{};  ///< histogram only, like buckets
+  std::vector<std::int64_t> buckets{};
 };
 
 /// One windowed sample: every column's value at a window boundary. `end` is
@@ -83,13 +59,13 @@ struct WindowSample {
   std::vector<double> reals;       ///< one per WindowedSeries::real_columns
 };
 
-/// Deterministic per-window time series over the whole registry (manifest
-/// v2). Column layout derives from the registration order — a counter is one
-/// int column, a gauge one real column, a histogram an int `<name>.count`
-/// plus a real `<name>.sum` — so the series layout is as fixed as the
-/// manifest's metric layout. Counter and histogram columns carry per-window
-/// *deltas* (a window with no events samples zeros, never holes); gauge
-/// columns carry the value at the boundary.
+/// Deterministic per-window time series over every metric (manifest v2).
+/// The column layout follows the metric order — a counter is one int
+/// column, a gauge one real column, a histogram an int `<name>.count` plus
+/// a real `<name>.sum`, ints first — so the series layout is as fixed as
+/// the manifest's metric layout. Counter and histogram columns carry
+/// per-window *deltas* (a window with no events samples zeros, never
+/// holes); gauge columns carry the value at the boundary.
 struct WindowedSeries {
   std::int64_t window_ns = 0;  ///< 0 = windowing off (columns/samples empty)
   std::vector<std::string> int_columns;
@@ -103,61 +79,16 @@ struct WindowedSeries {
   [[nodiscard]] int real_column(const std::string& name) const;
 };
 
-/// The full registry dump: every metric in registration order, stamped with
-/// the simulated time the snapshot was taken at.
+/// The full dump: every metric in manifest order, stamped with the
+/// simulated time the snapshot was taken at.
 struct MetricsSnapshot {
   SimTime at = SimTime::zero();
   std::vector<MetricValue> metrics;
   WindowedSeries windows;  ///< empty unless the run sampled windows
 
   [[nodiscard]] bool empty() const { return metrics.empty(); }
-  /// Registration-ordered lookup; nullptr when absent (tests use this).
+  /// Lookup by name; nullptr when absent.
   [[nodiscard]] const MetricValue* find(const std::string& name) const;
-};
-
-class MetricsRegistry {
- public:
-  /// Register (or fetch the already-registered) metric of that name. A name
-  /// registers as exactly one kind; re-registering under a different kind is
-  /// a programming error (checked).
-  Counter& counter(const std::string& name);
-  Gauge& gauge(const std::string& name);
-  Histogram& histogram(const std::string& name, std::vector<double> edges);
-
-  [[nodiscard]] std::size_t size() const { return entries_.size(); }
-
-  /// Dump every metric in registration order.
-  [[nodiscard]] MetricsSnapshot snapshot(SimTime at) const;
-
-  /// Derive the windowed-series column layout from the registration order
-  /// (see WindowedSeries). Call after every metric is registered.
-  void window_columns(std::vector<std::string>& int_columns,
-                      std::vector<std::string>& real_columns) const;
-
-  /// Sample the *cumulative* value of every column in layout order. The
-  /// window flusher diffs consecutive cumulative samples to get deltas;
-  /// `real_is_point` marks real columns that are point-sampled (gauges)
-  /// rather than diffed (histogram sums).
-  void sample_window_values(std::vector<std::int64_t>& ints,
-                            std::vector<double>& reals,
-                            std::vector<char>* real_is_point = nullptr) const;
-
- private:
-  struct Entry {
-    std::string name;
-    MetricKind kind;
-    Counter* counter = nullptr;
-    Gauge* gauge = nullptr;
-    Histogram* histogram = nullptr;
-  };
-
-  [[nodiscard]] Entry* find_entry(const std::string& name);
-
-  // Deques: handle addresses must survive later registrations.
-  std::deque<Counter> counters_;
-  std::deque<Gauge> gauges_;
-  std::deque<Histogram> histograms_;
-  std::vector<Entry> entries_;  ///< registration order
 };
 
 }  // namespace hpcs::obs

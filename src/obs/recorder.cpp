@@ -2,8 +2,45 @@
 
 #include <cctype>
 #include <cstdlib>
+#include <iterator>
+#include <utility>
 
 namespace hpcs::obs {
+namespace {
+
+// The manifest catalogue: every row's name, in manifest order. Append only;
+// the goldens pin the order (docs/observability.md).
+constexpr const char* kTpNames[] = {
+    "tp.sched_switch", "tp.sched_wake", "tp.sched_migrate", "tp.sched_balance_pull", "tp.hw_prio",
+    "tp.hpc_iteration", "tp.hpc_imbalance", "tp.hpc_prio_change", "tp.hpc_history_reset"};
+static_assert(std::size(kTpNames) == kTpCount, "one name per tracepoint, in TpId order");
+
+constexpr const char* kWakeupLatency = "kern.wakeup_latency_us";
+constexpr const char* kRunqDepth = "kern.runq_depth";
+
+constexpr std::pair<const char*, std::int64_t RunTotals::*> kTotals[] = {
+    {"kern.ctx_switches", &RunTotals::ctx_switches},
+    {"kern.migrations", &RunTotals::migrations},
+    {"kern.balance_pulls", &RunTotals::balance_pulls},
+    {"kern.ticks", &RunTotals::ticks},
+    {"kern.ticks_replayed", &RunTotals::ticks_replayed},
+    {"sim.events_executed", &RunTotals::events_executed},
+    {"sim.eq_scheduled", &RunTotals::eq_scheduled},
+    {"sim.eq_dispatched", &RunTotals::eq_dispatched},
+    {"sim.eq_resched_inplace", &RunTotals::eq_resched_inplace},
+    {"sim.eq_resched_pending", &RunTotals::eq_resched_pending},
+    {"hpc.iterations", &RunTotals::hpc_iterations},
+    {"hpc.prio_changes", &RunTotals::hpc_prio_changes},
+    {"hpc.resets", &RunTotals::hpc_resets},
+    {"hpc.imbalance_detections", &RunTotals::hpc_imbalance_detections},
+    {"hpc.heuristic_decisions", &RunTotals::hpc_heuristic_decisions},
+};
+static_assert(std::size(kTotals) * sizeof(std::int64_t) == sizeof(RunTotals),
+              "one name per RunTotals field");
+
+constexpr const char* kSimEnd = "run.sim_end_s";
+
+}  // namespace
 
 bool parse_window_ns(const char* text, std::int64_t& out, std::string& error) {
   if (text == nullptr || text[0] == '\0') {
@@ -29,68 +66,54 @@ bool parse_window_ns(const char* text, std::int64_t& out, std::string& error) {
   return true;
 }
 
-Recorder::Recorder(const ObsConfig& cfg) {
-  // Fixed registration order — this IS the manifest layout. Append only.
-  tp_hits_.reserve(kTpCount);
-  for (std::size_t i = 0; i < kTpCount; ++i) {
-    tp_hits_.push_back(
-        &metrics_.counter(std::string("tp.") + tp_name(static_cast<TpId>(i))));
-  }
-
-  wakeup_latency_us_ = &metrics_.histogram(
-      "kern.wakeup_latency_us", {1, 2, 5, 10, 20, 50, 100, 200, 500, 1000});
-  runq_depth_ = &metrics_.histogram("kern.runq_depth", {0, 1, 2, 4, 8, 16, 32});
-
-  // End-of-run counters: instrumentation sets them once before snapshot.
-  metrics_.counter("kern.ctx_switches");
-  metrics_.counter("kern.migrations");
-  metrics_.counter("kern.balance_pulls");
-  metrics_.counter("kern.ticks");
-  metrics_.counter("kern.ticks_replayed");
-  metrics_.counter("sim.events_executed");
-  metrics_.counter("sim.eq_scheduled");
-  metrics_.counter("sim.eq_dispatched");
-  metrics_.counter("sim.eq_resched_inplace");
-  metrics_.counter("sim.eq_resched_pending");
-  metrics_.counter("hpc.iterations");
-  metrics_.counter("hpc.prio_changes");
-  metrics_.counter("hpc.resets");
-  metrics_.counter("hpc.imbalance_detections");
-  metrics_.counter("hpc.heuristic_decisions");
-  metrics_.gauge("run.sim_end_s");
-
+Recorder::Recorder(const ObsConfig& cfg)
+    : wakeup_latency_us_({1, 2, 5, 10, 20, 50, 100, 200, 500, 1000}),
+      runq_depth_({0, 1, 2, 4, 8, 16, 32}),
+      window_ns_(cfg.window_ns > 0 ? cfg.window_ns : 0) {
   // Windowed-series baseline: the cumulative sample at t=0 (all zeros) the
-  // first flush diffs against. Taken here so a run that closes no windows
-  // still has a consistent column layout for its final partial window.
-  window_ns_ = cfg.window_ns > 0 ? cfg.window_ns : 0;
+  // first flush diffs against.
   if (window_ns_ > 0) {
-    metrics_.sample_window_values(prev_ints_, prev_reals_, &real_is_point_);
+    prev_ints_ = int_values();
+    prev_reals_ = real_values();
   }
 }
 
+// Window columns: the tracepoint hits, both histogram counts and the totals
+// are ints; both histogram sums and the gauge are reals.
+std::vector<std::int64_t> Recorder::int_values() const {
+  std::vector<std::int64_t> v(tp_hits_.begin(), tp_hits_.end());
+  v.push_back(wakeup_latency_us_.count());
+  v.push_back(runq_depth_.count());
+  for (const auto& [name, field] : kTotals) v.push_back(totals_.*field);
+  return v;
+}
+
+std::vector<double> Recorder::real_values() const {
+  return {wakeup_latency_us_.sum(), runq_depth_.sum(), sim_end_s_};
+}
+
 void Recorder::flush_one_window(std::int64_t end_ns) {
-  WindowSample s;
-  s.end = SimTime(end_ns);
-  std::vector<double> cur_reals;
-  metrics_.sample_window_values(s.ints, cur_reals);
+  WindowSample s{SimTime(end_ns), int_values(), real_values()};
   // Counters and histogram counts report per-window deltas; so do histogram
-  // sums. Gauges report the value standing at the boundary.
+  // sums. The gauge, the last real column, reports the value standing at
+  // the boundary.
   for (std::size_t i = 0; i < s.ints.size(); ++i) {
     const std::int64_t cum = s.ints[i];
     s.ints[i] = cum - prev_ints_[i];
     prev_ints_[i] = cum;
   }
-  s.reals.resize(cur_reals.size());
-  for (std::size_t i = 0; i < cur_reals.size(); ++i) {
-    s.reals[i] = real_is_point_[i] != 0 ? cur_reals[i] : cur_reals[i] - prev_reals_[i];
-    prev_reals_[i] = cur_reals[i];
+  for (std::size_t i = 0; i + 1 < s.reals.size(); ++i) {
+    const double cum = s.reals[i];
+    s.reals[i] = cum - prev_reals_[i];
+    prev_reals_[i] = cum;
   }
   samples_.push_back(std::move(s));
   window_covered_ns_ = end_ns;
 }
 
-MetricsSnapshot Recorder::snapshot(SimTime at) {
-  metrics_.gauge("run.sim_end_s").set(at.sec());
+MetricsSnapshot Recorder::snapshot(SimTime at, const RunTotals& totals) {
+  totals_ = totals;
+  sim_end_s_ = at.sec();
   if (window_ns_ > 0) {
     // Close every boundary the run reached (a boundary exactly at `at` is a
     // complete window), then a final partial window up to `at` itself.
@@ -99,11 +122,31 @@ MetricsSnapshot Recorder::snapshot(SimTime at) {
     }
     if (at.ns() > window_covered_ns_) flush_one_window(at.ns());
   }
-  MetricsSnapshot snap = metrics_.snapshot(at);
+  MetricsSnapshot snap;
+  snap.at = at;
+  std::vector<MetricValue>& m = snap.metrics;
+  for (std::size_t i = 0; i < kTpCount; ++i) {
+    m.push_back({.name = kTpNames[i], .kind = MetricKind::kCounter, .count = tp_hits_[i]});
+  }
+  for (const auto& [name, h] : {std::pair{kWakeupLatency, &wakeup_latency_us_},
+                                std::pair{kRunqDepth, &runq_depth_}}) {
+    m.push_back({.name = name, .kind = MetricKind::kHistogram, .count = h->count(),
+                 .value = h->sum(), .edges = h->edges(), .buckets = h->buckets()});
+  }
+  for (const auto& [name, field] : kTotals) {
+    m.push_back({.name = name, .kind = MetricKind::kCounter, .count = totals_.*field});
+  }
+  m.push_back({.name = kSimEnd, .kind = MetricKind::kGauge, .value = sim_end_s_});
   if (window_ns_ > 0) {
-    snap.windows.window_ns = window_ns_;
-    metrics_.window_columns(snap.windows.int_columns, snap.windows.real_columns);
-    snap.windows.samples = samples_;
+    WindowedSeries& w = snap.windows;
+    w.window_ns = window_ns_;
+    w.int_columns.assign(std::begin(kTpNames), std::end(kTpNames));
+    w.int_columns.push_back(std::string(kWakeupLatency) + ".count");
+    w.int_columns.push_back(std::string(kRunqDepth) + ".count");
+    for (const auto& [name, field] : kTotals) w.int_columns.emplace_back(name);
+    w.real_columns = {std::string(kWakeupLatency) + ".sum", std::string(kRunqDepth) + ".sum",
+                      kSimEnd};
+    w.samples = samples_;
   }
   return snap;
 }

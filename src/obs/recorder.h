@@ -1,18 +1,19 @@
 #pragma once
-// Recorder: one run's observability state — the metrics registry and its
-// windowed series. A Recorder is created per run (never shared), so a
-// parallel sweep's snapshots equal the serial sweep's for free: each worker
-// records into its own Recorder and the committed snapshot depends only on
-// the run's config.
+// Recorder: one run's observability state — its metrics and their windowed
+// series. A Recorder is created per run (never shared), so a parallel
+// sweep's snapshots equal the serial sweep's for free: each worker records
+// into its own Recorder and the committed snapshot depends only on the
+// run's config.
 //
-// Every metric the manifest can ever contain is registered here, in the
-// constructor, in one fixed order. Instrumentation only *sets* values; it
-// never registers, so a run that happens to skip a code path still produces
-// a manifest with the same layout (zeros instead of holes).
+// The Recorder is the manifest's one catalogue: its members are every
+// metric the manifest contains, and recorder.cpp names them, in one fixed
+// order. A run that happens to skip a code path still produces a manifest
+// with the same layout (zeros instead of holes).
 //
 // The Recorder only counts: it never schedules anything, so a run's
 // simulation is the same with windows on or off.
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -36,6 +37,26 @@ struct ObsConfig {
 [[nodiscard]] bool parse_window_ns(const char* text, std::int64_t& out,
                                    std::string& error);
 
+/// The counts a run reports once it is over, in manifest order. The hpc_*
+/// fields stay 0 when the run has no HPCSched class.
+struct RunTotals {
+  std::int64_t ctx_switches = 0;
+  std::int64_t migrations = 0;
+  std::int64_t balance_pulls = 0;
+  std::int64_t ticks = 0;
+  std::int64_t ticks_replayed = 0;
+  std::int64_t events_executed = 0;
+  std::int64_t eq_scheduled = 0;
+  std::int64_t eq_dispatched = 0;
+  std::int64_t eq_resched_inplace = 0;
+  std::int64_t eq_resched_pending = 0;
+  std::int64_t hpc_iterations = 0;
+  std::int64_t hpc_prio_changes = 0;
+  std::int64_t hpc_resets = 0;
+  std::int64_t hpc_imbalance_detections = 0;
+  std::int64_t hpc_heuristic_decisions = 0;
+};
+
 class Recorder {
  public:
   explicit Recorder(const ObsConfig& cfg);
@@ -47,29 +68,30 @@ class Recorder {
   void record(SimTime t) {
     static_assert(id != TpId::kTpCount, "kTpCount is not a tracepoint");
     close_windows_before(t);
-    tp_hits_[static_cast<std::size_t>(id)]->inc();
+    ++tp_hits_[static_cast<std::size_t>(id)];
   }
 
   // The kernel's histogram observations, windowed like record().
   void observe_wakeup_latency_us(SimTime t, double us) {
     close_windows_before(t);
-    wakeup_latency_us_->observe(us);
+    wakeup_latency_us_.observe(us);
   }
   void observe_runq_depth(SimTime t, double depth) {
     close_windows_before(t);
-    runq_depth_->observe(depth);
+    runq_depth_.observe(depth);
   }
-
-  [[nodiscard]] MetricsRegistry& metrics() { return metrics_; }
 
   /// Windows closed so far (tests peek mid-run).
   [[nodiscard]] std::size_t windows_flushed() const { return samples_.size(); }
 
-  /// Dump every metric in registration order, stamped with the simulated
-  /// end time. With windowing on, any boundary <= `at` still pending is
-  /// flushed first, then a final partial window closes at `at` (unless `at`
-  /// IS the last boundary).
-  [[nodiscard]] MetricsSnapshot snapshot(SimTime at);
+  /// Dump every metric in manifest order, stamped with the simulated end
+  /// time: the tracepoint hits, the histograms, `totals` and run.sim_end_s
+  /// (= `at`). The totals and the gauge are stored first; then, with
+  /// windowing on, any boundary <= `at` still pending is flushed, then a
+  /// final partial window closes at `at` (unless `at` IS the last
+  /// boundary). So the first window flushed here carries the totals, and
+  /// windows closed during the run sample them as 0.
+  [[nodiscard]] MetricsSnapshot snapshot(SimTime at, const RunTotals& totals = {});
 
  private:
   /// Close every window that ended strictly before `t`. Window w covers
@@ -82,18 +104,21 @@ class Recorder {
   }
   /// Close one window at `end_ns`, sampling deltas vs the previous flush.
   void flush_one_window(std::int64_t end_ns);
+  /// The cumulative value of every window column, in column order.
+  [[nodiscard]] std::vector<std::int64_t> int_values() const;
+  [[nodiscard]] std::vector<double> real_values() const;
 
-  MetricsRegistry metrics_;
-  std::vector<Counter*> tp_hits_;                ///< indexed by TpId
-  Histogram* wakeup_latency_us_ = nullptr;
-  Histogram* runq_depth_ = nullptr;
+  std::array<std::int64_t, kTpCount> tp_hits_{};  ///< indexed by TpId
+  Histogram wakeup_latency_us_;
+  Histogram runq_depth_;
+  RunTotals totals_;
+  double sim_end_s_ = 0.0;
 
   // Windowed-series state (all zero-cost when window_ns_ == 0).
   std::int64_t window_ns_ = 0;
-  std::int64_t window_covered_ns_ = 0;  ///< end of the last flushed window
+  std::int64_t window_covered_ns_ = 0;   ///< end of the last flushed window
   std::vector<std::int64_t> prev_ints_;  ///< cumulative at the last flush
   std::vector<double> prev_reals_;
-  std::vector<char> real_is_point_;      ///< 1 = gauge column (no delta)
   std::vector<WindowSample> samples_;
 };
 

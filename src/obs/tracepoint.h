@@ -14,9 +14,10 @@
 
 namespace hpcs::obs {
 
-/// Every tracepoint in the simulator. Append only — the catalogue order is
-/// the registration order of the per-tracepoint hit counters, which the
-/// deterministic-manifest contract depends on (docs/observability.md).
+/// Every tracepoint in the simulator. Append only — the enumerator order is
+/// the manifest order of the per-tracepoint hit counters (their names are
+/// in recorder.cpp), which the deterministic-manifest contract depends on
+/// (docs/observability.md).
 enum class TpId : std::uint16_t {
   kTpSchedSwitch = 0,    ///< context switch
   kTpWake,               ///< task wakeup enqueued
@@ -31,9 +32,6 @@ enum class TpId : std::uint16_t {
 };
 
 inline constexpr std::size_t kTpCount = static_cast<std::size_t>(TpId::kTpCount);
-
-/// Stable short name ("sched_switch", ...) used for metric names.
-[[nodiscard]] const char* tp_name(TpId id);
 
 }  // namespace hpcs::obs
 

@@ -6,6 +6,10 @@
 
 namespace hpcs::p5 {
 
+constexpr double kStSpeed = 1.0;        ///< speed in single-thread mode (sibling ceded)
+constexpr double kBackgroundFg = 0.98;  ///< foreground speed when sibling runs at priority 1
+constexpr double kBackgroundBg = 0.15;  ///< background (priority 1) thread speed
+
 double speed_for_share(const ThroughputParams& p, double share) {
   HPCS_CHECK_MSG(p.share_points.size() == p.speed_points.size() && p.share_points.size() >= 2,
                  "malformed throughput curve");
@@ -59,7 +63,7 @@ CoreSpeeds context_speeds(const ThroughputParams& p, HwPrio a, bool a_active, Hw
 
   if (!a_on && !b_on) return {0.0, 0.0};
   if (a_on && !b_on) {
-    if (p.idle_contention_prio < 0) return {p.st_speed, 0.0};
+    if (p.idle_contention_prio < 0) return {kStSpeed, 0.0};
     // The idle sibling context spins (SMT snooze disabled) and keeps
     // consuming the decode share of `idle_contention_prio`.
     const HwPrio idle = hw_prio_from_int(p.idle_contention_prio);
@@ -67,7 +71,7 @@ CoreSpeeds context_speeds(const ThroughputParams& p, HwPrio a, bool a_active, Hw
     return {s.a, 0.0};
   }
   if (!a_on && b_on) {
-    if (p.idle_contention_prio < 0) return {0.0, p.st_speed};
+    if (p.idle_contention_prio < 0) return {0.0, kStSpeed};
     const HwPrio idle = hw_prio_from_int(p.idle_contention_prio);
     const CoreSpeeds s = context_speeds(p, idle, true, b, true);
     return {0.0, s.b};
@@ -76,15 +80,15 @@ CoreSpeeds context_speeds(const ThroughputParams& p, HwPrio a, bool a_active, Hw
   // Both active. Handle the special priorities first (paper §II-B):
   // priority 7 means the sibling is off; if both claim 7 the hardware cannot
   // honor it — treat as equal regular share.
-  if (a == HwPrio::kVeryHigh && b != HwPrio::kVeryHigh) return {p.st_speed, 0.0};
-  if (b == HwPrio::kVeryHigh && a != HwPrio::kVeryHigh) return {0.0, p.st_speed};
+  if (a == HwPrio::kVeryHigh && b != HwPrio::kVeryHigh) return {kStSpeed, 0.0};
+  if (b == HwPrio::kVeryHigh && a != HwPrio::kVeryHigh) return {0.0, kStSpeed};
   if (a == HwPrio::kVeryHigh && b == HwPrio::kVeryHigh) return pair_speeds(0.5);
 
   // Priority 1 = background: the foreground thread runs near ST speed, the
   // background thread picks up leftovers.
   if (a == HwPrio::kVeryLow && b == HwPrio::kVeryLow) return pair_speeds(0.5);
-  if (a == HwPrio::kVeryLow) return {p.background_bg, p.background_fg};
-  if (b == HwPrio::kVeryLow) return {p.background_fg, p.background_bg};
+  if (a == HwPrio::kVeryLow) return {kBackgroundBg, kBackgroundFg};
+  if (b == HwPrio::kVeryLow) return {kBackgroundFg, kBackgroundBg};
 
   return pair_speeds(decode_share_a(a, b));
 }

@@ -39,9 +39,6 @@ struct ThroughputParams {
                                       31.0 / 32, 1.0};
   std::vector<double> speed_points = {0.0,  0.04, 0.06, 0.10, 0.19, 0.55,
                                       0.65, 0.73, 0.76, 0.77, 0.775, 0.78};
-  double st_speed = 1.0;        ///< speed in single-thread mode (sibling ceded)
-  double background_fg = 0.98;  ///< foreground speed when sibling runs at priority 1
-  double background_bg = 0.15;  ///< background (priority 1) thread speed
   /// Hardware priority the *idle* context effectively contends at, modeling
   /// the Linux/POWER5 spin idle loop with SMT snooze disabled, the common
   /// HPC setting the paper's numbers imply: the Table III baseline shows NO

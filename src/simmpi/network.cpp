@@ -6,8 +6,10 @@
 namespace hpcs::mpi {
 
 Duration NetworkModel::delay(std::int64_t bytes) {
-  const double transfer_us = static_cast<double>(bytes) / std::max(1.0, p_.bytes_per_us);
-  double total_ns = static_cast<double>(p_.base_latency.ns()) + transfer_us * 1000.0;
+  constexpr double kBaseLatencyNs = 5000.0;
+  constexpr double kBytesPerUs = 1000.0;  // ~1 GB/s
+  const double transfer_us = static_cast<double>(bytes) / kBytesPerUs;
+  double total_ns = kBaseLatencyNs + transfer_us * 1000.0;
   if (p_.jitter_frac > 0.0) {
     total_ns *= rng_.uniform(1.0 - p_.jitter_frac, 1.0 + p_.jitter_frac);
   }

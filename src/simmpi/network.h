@@ -1,6 +1,6 @@
 #pragma once
 // Intra-node message transport model: fixed base latency plus a bandwidth
-// term and optional uniform jitter. MPICH-over-shared-memory scale defaults.
+// term and optional uniform jitter, at MPICH-over-shared-memory scale.
 
 #include "common/rng.h"
 #include "common/types.h"
@@ -8,8 +8,6 @@
 namespace hpcs::mpi {
 
 struct NetworkParams {
-  Duration base_latency = Duration::microseconds(5);
-  double bytes_per_us = 1000.0;  ///< ~1 GB/s
   double jitter_frac = 0.1;      ///< uniform +/- fraction of the deterministic delay
 };
 

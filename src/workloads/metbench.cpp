@@ -44,9 +44,6 @@ ProgramSet make_metbench(const MetBenchConfig& cfg) {
     HPCS_CHECK_MSG(load > 0.0, "worker loads must be positive");
     out.push_back(std::make_unique<MetBenchWorker>(load, cfg.iterations));
   }
-  if (cfg.include_master) {
-    out.push_back(std::make_unique<MetBenchWorker>(cfg.master_load, cfg.iterations));
-  }
   return out;
 }
 

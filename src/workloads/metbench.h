@@ -23,13 +23,12 @@ struct MetBenchConfig {
   /// Work units (ns at ST speed) per worker per iteration. The default is
   /// the Table III setup: small/large alternating per core pair, ratio 1:4,
   /// large load 1.33e9 (≈2.05 s per iteration at equal SMT priorities).
+  /// The framework's master process is one more (mostly idle) rank: a
+  /// small fifth load, e.g. 1.0e5.
   std::vector<double> loads = {0.3325e9, 1.33e9, 0.3325e9, 1.33e9};
-  /// Model the framework's master process as an extra (mostly idle) rank.
-  bool include_master = false;
-  double master_load = 1.0e5;
 };
 
-/// One program per rank (workers first, master last when enabled).
+/// One program per load, in order.
 ProgramSet make_metbench(const MetBenchConfig& cfg);
 
 }  // namespace hpcs::wl

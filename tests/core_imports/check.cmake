@@ -3,9 +3,9 @@
 #   cmake -DNM=<nm> -DPROBE=<executable> -P check.cmake
 #
 # PROBE is linked with -Wl,--whole-archive hpcs_core, so it contains every
-# core object: a core reference to a host-side symbol (exp::, analysis
-# sweep) is already a link error, and every libc/libstdc++ function the core
-# can reach, directly, through a virtual hook, through a callback or from an
+# core object: a core reference to a host-side symbol (exp::) is already a
+# link error, and every libc/libstdc++ function the core can reach,
+# directly, through a virtual hook, through a callback or from an
 # instantiated template, is an undefined symbol of PROBE. This script lists
 # those imports with `nm -C -u` and fails on the ones that read a clock, the
 # environment, an entropy source, the process id or the CPU count, and on

@@ -10,7 +10,6 @@
 #include "analysis/paper_experiments.h"
 #include "analysis/experiment.h"
 #include "analysis/run_serialize.h"
-#include "common/log.h"
 #include "common/stats.h"
 #include "power5/throughput.h"
 #include "test_util.h"
@@ -72,15 +71,6 @@ TEST(CommonRng, ForkedStreamsAreIndependent) {
   Rng check(99);
   Rng c = check.fork();
   for (int i = 0; i < 16; ++i) EXPECT_DOUBLE_EQ(a2.uniform(), c.uniform());
-}
-
-TEST(CommonLog, LevelFiltering) {
-  const LogLevel old = log_level();
-  set_log_level(LogLevel::kOff);
-  HPCS_LOG_ERROR("test", "suppressed %d", 1);  // must not crash, goes nowhere
-  set_log_level(LogLevel::kError);
-  EXPECT_EQ(log_level(), LogLevel::kError);
-  set_log_level(old);
 }
 
 TEST(Power6, PresetIsSteeperThanPower5) {

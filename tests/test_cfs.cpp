@@ -38,7 +38,7 @@ TEST(CfsClassTest, SliceShrinksWithLoad) {
   EXPECT_EQ(cfs.slice_for(1), Duration::milliseconds(20));
   EXPECT_EQ(cfs.slice_for(2), Duration::milliseconds(10));
   EXPECT_EQ(cfs.slice_for(5), Duration::milliseconds(4));
-  // Floor at min_granularity.
+  // Floor at kMinGranularity.
   EXPECT_EQ(cfs.slice_for(50), Duration::milliseconds(4));
 }
 

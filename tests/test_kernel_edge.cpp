@@ -192,8 +192,8 @@ TEST(KernelEdge, CfsLatencyKnobChangesSliceBehaviour) {
   f.k().start_task(a);
   f.k().start_task(b);
   f.run_until(Duration::seconds(1.0));
-  // 4 ms latency with min_granularity floor 4 ms -> ~2 ms slices floor to
-  // min_granularity; many more switches than the default 10 ms slices.
+  // 4 ms latency with the 4 ms kMinGranularity floor -> ~2 ms slices floor
+  // to kMinGranularity; many more switches than the default 10 ms slices.
   EXPECT_GT(a.nr_switches, 100);
 }
 

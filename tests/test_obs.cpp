@@ -1,7 +1,7 @@
-// Tests of the observability subsystem: metrics registry determinism,
-// histogram bucketing edge cases, the Recorder's fixed manifest layout and
-// windowed series, and the Chrome-trace / manifest renderers driven
-// end-to-end through a real experiment.
+// Tests of the observability subsystem: histogram bucketing edge cases, the
+// Recorder's fixed manifest layout and windowed series, and the
+// Chrome-trace / manifest renderers driven end-to-end through a real
+// experiment.
 
 #include <gtest/gtest.h>
 
@@ -25,35 +25,6 @@
 
 namespace hpcs {
 namespace {
-
-TEST(MetricsRegistry, SnapshotWalksRegistrationOrder) {
-  obs::MetricsRegistry reg;
-  reg.counter("z.last");  // registration order, not name order
-  reg.gauge("a.first");
-  reg.histogram("m.mid", {1.0, 2.0});
-  const obs::MetricsSnapshot snap = reg.snapshot(SimTime::zero());
-  ASSERT_EQ(snap.metrics.size(), 3u);
-  EXPECT_EQ(snap.metrics[0].name, "z.last");
-  EXPECT_EQ(snap.metrics[1].name, "a.first");
-  EXPECT_EQ(snap.metrics[2].name, "m.mid");
-}
-
-TEST(MetricsRegistry, HandlesAreStableAcrossLaterRegistrations) {
-  obs::MetricsRegistry reg;
-  obs::Counter& c = reg.counter("c");
-  for (int i = 0; i < 100; ++i) reg.counter("c" + std::to_string(i));
-  c.inc(7);
-  EXPECT_EQ(reg.counter("c").value(), 7);
-  EXPECT_EQ(&reg.counter("c"), &c);
-}
-
-TEST(MetricsRegistry, FindReturnsNullForUnknownName) {
-  obs::MetricsRegistry reg;
-  reg.counter("known");
-  const obs::MetricsSnapshot snap = reg.snapshot(SimTime::zero());
-  EXPECT_NE(snap.find("known"), nullptr);
-  EXPECT_EQ(snap.find("unknown"), nullptr);
-}
 
 TEST(Histogram, EdgeValueLandsInThatEdgesBucket) {
   obs::Histogram h({1.0, 5.0, 10.0});
@@ -115,12 +86,19 @@ TEST(Recorder, SnapshotLayoutIsIndependentOfActivity) {
   }
 }
 
+TEST(Recorder, FindReturnsNullForUnknownName) {
+  obs::Recorder rec(obs::ObsConfig{});
+  const obs::MetricsSnapshot snap = rec.snapshot(SimTime::zero());
+  EXPECT_NE(snap.find("tp.sched_switch"), nullptr);
+  EXPECT_EQ(snap.find("unknown"), nullptr);
+}
+
 TEST(Manifest, RenderDependsOnlyOnTheSnapshots) {
-  obs::MetricsRegistry reg;
-  reg.counter("events").inc(3);
-  reg.gauge("ratio").set(0.5);
-  reg.histogram("lat", {1.0, 2.0}).observe(1.5);
-  const std::vector<obs::ManifestRun> runs = {{"run-a", reg.snapshot(SimTime(2500000000))}};
+  obs::Recorder rec(obs::ObsConfig{});
+  obs::Recorder* r = &rec;
+  HPCS_TRACEPOINT(r, obs::TpId::kTpSchedSwitch, SimTime(1));
+  rec.observe_wakeup_latency_us(SimTime(1), 1.5);
+  const std::vector<obs::ManifestRun> runs = {{"run-a", rec.snapshot(SimTime(2500000000))}};
   const std::string a = obs::render_manifest_json("unit", runs);
   const std::string b = obs::render_manifest_json("unit", runs);
   EXPECT_EQ(a, b);
@@ -393,8 +371,9 @@ TEST(RecorderWindows, DeltasSumToTotalsAndGaugesArePointSamples) {
     rec.observe_wakeup_latency_us(SimTime(t), static_cast<double>(t));
     total_lat += static_cast<double>(t);
   }
-  const obs::MetricsSnapshot snap = rec.snapshot(SimTime(300));
+  const obs::MetricsSnapshot snap = rec.snapshot(SimTime(300), {.ctx_switches = 7});
   const int wake = snap.windows.int_column("tp.sched_wake");
+  const int ctx = snap.windows.int_column("kern.ctx_switches");
   const int lat_n = snap.windows.int_column("kern.wakeup_latency_us.count");
   const int lat_s = snap.windows.real_column("kern.wakeup_latency_us.sum");
   const int end_s = snap.windows.real_column("run.sim_end_s");
@@ -402,6 +381,7 @@ TEST(RecorderWindows, DeltasSumToTotalsAndGaugesArePointSamples) {
   ASSERT_GE(lat_n, 0);
   ASSERT_GE(lat_s, 0);
   ASSERT_GE(end_s, 0);
+  ASSERT_GE(ctx, 0);
   std::int64_t wakes = 0, lats = 0;
   double lat_sum = 0.0;
   for (const obs::WindowSample& s : snap.windows.samples) {
@@ -417,6 +397,12 @@ TEST(RecorderWindows, DeltasSumToTotalsAndGaugesArePointSamples) {
   // standing value, not a difference.
   EXPECT_DOUBLE_EQ(snap.windows.samples.back().reals[static_cast<std::size_t>(end_s)],
                    SimTime(300).sec());
+  // The end-of-run totals land in the first window snapshot() flushes; the
+  // windows closed during the run sampled them as 0.
+  for (std::size_t i = 0; i + 1 < snap.windows.samples.size(); ++i) {
+    EXPECT_EQ(snap.windows.samples[i].ints[static_cast<std::size_t>(ctx)], 0) << "window " << i;
+  }
+  EXPECT_EQ(snap.windows.samples.back().ints[static_cast<std::size_t>(ctx)], 7);
 }
 
 // Turning windows on must not change what they measure: every total of a

@@ -78,7 +78,7 @@ TEST(PhysicsProps, MasterModeMetBenchCompletes) {
   analysis::ExperimentConfig cfg;
   cfg.mode = analysis::SchedMode::kUniform;
   auto w = small_metbench();
-  w.include_master = true;
+  w.loads.push_back(1.0e5);  // the master
   const auto r = analysis::run_experiment(cfg, wl::make_metbench(w));
   ASSERT_EQ(r.ranks.size(), 5u);
   for (const auto& marks : r.marks) EXPECT_EQ(marks.size(), 8u);

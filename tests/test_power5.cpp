@@ -189,8 +189,8 @@ TEST(Throughput, SpinIdleKeepsContention) {
 TEST(Throughput, BackgroundPriority) {
   const ThroughputParams p;
   const auto s = context_speeds(p, HwPrio::kMedium, true, HwPrio::kVeryLow, true);
-  EXPECT_NEAR(s.a, p.background_fg, 1e-9);
-  EXPECT_NEAR(s.b, p.background_bg, 1e-9);
+  EXPECT_NEAR(s.a, 0.98, 1e-9);
+  EXPECT_NEAR(s.b, 0.15, 1e-9);
 }
 
 TEST(Throughput, VeryHighMeansSiblingOff) {

@@ -52,7 +52,7 @@ TEST(SimMpi, NetworkDelayScalesWithSize) {
   mpi::NetworkModel net(p, Rng(1));
   const Duration small = net.delay(0);
   const Duration large = net.delay(1000000);  // 1 MB at ~1 GB/s -> ~1 ms extra
-  EXPECT_EQ(small, p.base_latency);
+  EXPECT_EQ(small, Duration::microseconds(5));
   EXPECT_NEAR((large - small).ms(), 1.0, 0.05);
 }
 

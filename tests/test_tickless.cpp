@@ -270,14 +270,12 @@ ScenarioRun run_scenario(std::uint64_t seed, bool ticked) {
   r.migrations = k.migrations();
   r.hw_prio_changes = hpc_cls.priority_changes();
   r.hpc_history_resets = hpc_cls.history_resets();
-  obs::MetricsRegistry& m = rec.metrics();
-  m.counter("kern.ctx_switches").set(k.context_switches());
-  m.counter("kern.migrations").set(k.migrations());
-  m.counter("kern.balance_pulls").set(k.balance_pulls());
-  m.counter("kern.ticks").set(k.ticks_run());
-  m.counter("kern.ticks_replayed").set(k.ticks_replayed());
-  m.counter("hpc.iterations").set(hpc_cls.iterations_observed());
-  r.metrics = rec.snapshot(k.now());
+  r.metrics = rec.snapshot(k.now(), {.ctx_switches = k.context_switches(),
+                                     .migrations = k.migrations(),
+                                     .balance_pulls = k.balance_pulls(),
+                                     .ticks = k.ticks_run(),
+                                     .ticks_replayed = k.ticks_replayed(),
+                                     .hpc_iterations = hpc_cls.iterations_observed()});
   k.set_obs(nullptr);
   return out;
 }

@@ -54,13 +54,6 @@ TEST(MetBench, DefaultCalibrationIs4To1) {
   EXPECT_NEAR(cfg.loads[3] / cfg.loads[2], 4.0, 1e-9);
 }
 
-TEST(MetBench, OptionalMasterRank) {
-  MetBenchConfig cfg;
-  cfg.include_master = true;
-  auto progs = make_metbench(cfg);
-  EXPECT_EQ(progs.size(), 5u);
-}
-
 TEST(MetBench, RejectsNonPositiveLoads) {
   MetBenchConfig cfg;
   cfg.loads = {1.0, -5.0};
