@@ -10,12 +10,11 @@
 // (--jobs N); both tables are printed in order after collection.
 
 #include <cstdio>
-#include <utility>
 #include <vector>
 
 #include "analysis/iterations.h"
 #include "analysis/paper_experiments.h"
-#include "bench_json.h"
+#include "bench_common.h"
 #include "exp/parallel_runner.h"
 #include "workloads/repartition.h"
 
@@ -30,14 +29,12 @@ struct Row {
   std::size_t run;
 };
 
-/// Print `rows` as a fixed-width table and return their BENCH entries. The
-/// improvement column is relative to the first row, from exec seconds.
-std::vector<bench::JsonObject> report(const std::vector<Row>& rows,
-                                      const std::vector<analysis::RunResult>& runs) {
+/// Print `rows` as a fixed-width table. The improvement column is relative
+/// to the first row, from exec seconds.
+void report(const std::vector<Row>& rows, const std::vector<analysis::RunResult>& runs) {
   std::printf("%-26s%-10s%-16s%-8s%-6s%-9s\n", "label", "exec(s)", "util(min/max)", "imbal",
               "prio", "improve");
   const double first_exec = runs[rows.front().run].exec_time.sec();
-  std::vector<bench::JsonObject> entries;
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const analysis::RunResult& r = runs[rows[i].run];
     const double exec_s = r.exec_time.sec();
@@ -50,20 +47,13 @@ std::vector<bench::JsonObject> report(const std::vector<Row>& rows,
     std::snprintf(improve, sizeof(improve), "%+.2f%%", improvement);
     std::printf("%-26s%-10.2f%-16s%-8.3f%-6lld%-9s\n", rows[i].label, exec_s, util, imbalance,
                 static_cast<long long>(r.hw_prio_changes), improve);
-    bench::JsonObject e;
-    e.field("label", rows[i].label)
-        .field("exec_s", exec_s)
-        .field("mean_imbalance", imbalance)
-        .field("improvement_vs_first_pct", improvement);
-    entries.push_back(std::move(e));
   }
-  return entries;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const unsigned jobs = exp::parse_jobs_flag(argc, argv);
+  const unsigned jobs = bench::parse_flags(argc, argv, bench::kJobs).jobs;
   std::printf("=== Solution groups of the related work (paper II-A) ===\n\n");
 
   // The same intrinsic 4:1 imbalance everywhere.
@@ -87,11 +77,11 @@ int main(int argc, char** argv) {
         return analysis::run_experiment(cfg, wl::make_repartition(c));
       });
 
-  const auto groups = report({{"imbalanced baseline", 0},
-                              {"data redistribution", 1},
-                              {"HPCSched (ours)", 2},
-                              {"both combined", 3}},
-                             runs);
+  report({{"imbalanced baseline", 0},
+          {"data redistribution", 1},
+          {"HPCSched (ours)", 2},
+          {"both combined", 3}},
+         runs);
   std::printf("\n");
 
   std::printf(
@@ -102,14 +92,7 @@ int main(int argc, char** argv) {
 
   // Repartition-period sweep: the app-level knob analogous to our heuristics.
   std::printf("--- repartition period sweep (data redistribution only) ---\n");
-  const auto periods = report(
-      {{"baseline", 0}, {"period 2", 4}, {"period 5", 1}, {"period 10", 5}, {"period 20", 6}},
-      runs);
-
-  bench::JsonObject root;
-  root.field("bench", "ablation_baselines").field("jobs", jobs);
-  root.array("solution_groups", groups);
-  root.array("repartition_period_sweep", periods);
-  bench::write_json_file("BENCH_ablation_baselines.json", root);
+  report({{"baseline", 0}, {"period 2", 4}, {"period 5", 1}, {"period 10", 5}, {"period 20", 6}},
+         runs);
   return 0;
 }

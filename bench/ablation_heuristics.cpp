@@ -15,14 +15,14 @@
 #include <vector>
 
 #include "analysis/paper_experiments.h"
-#include "bench_json.h"
+#include "bench_common.h"
 #include "exp/parallel_runner.h"
 
 using namespace hpcs;
 using analysis::SchedMode;
 
 int main(int argc, char** argv) {
-  const unsigned jobs = exp::parse_jobs_flag(argc, argv);
+  const unsigned jobs = bench::parse_flags(argc, argv, bench::kJobs).jobs;
 
   auto var = analysis::MetBenchVarExperiment::paper();
   // Quarter-scale loads for speed; dynamics are unchanged.
@@ -98,37 +98,5 @@ int main(int argc, char** argv) {
               analysis::improvement_pct(var_base, var_u), analysis::improvement_pct(var_base, var_a),
               analysis::improvement_pct(var_base, var_h));
   std::printf("\n(the paper's future-work goal: one heuristic performing well on both)\n");
-
-  bench::JsonObject root;
-  root.field("bench", "ablation_heuristics").field("jobs", jobs);
-  std::vector<bench::JsonObject> g_json;
-  for (std::size_t i = 0; i < g_values.size(); ++i) {
-    bench::JsonObject e;
-    e.field("g_pct", g_values[i])
-        .field("exec_s", g_runs[i].exec_time.sec())
-        .field("improvement_pct", analysis::improvement_pct(var_base, g_runs[i]))
-        .field("prio_changes", g_runs[i].hw_prio_changes);
-    g_json.push_back(std::move(e));
-  }
-  root.array("adaptive_g_sweep", g_json);
-  std::vector<bench::JsonObject> b_json;
-  for (std::size_t i = 0; i < bounds.size(); ++i) {
-    bench::JsonObject e;
-    e.field("low", bounds[i].first)
-        .field("high", bounds[i].second)
-        .field("exec_s", bound_runs[i].exec_time.sec())
-        .field("improvement_pct", analysis::improvement_pct(mb_base, bound_runs[i]));
-    b_json.push_back(std::move(e));
-  }
-  root.array("util_bounds_sweep", b_json);
-  bench::JsonObject hybrid;
-  hybrid.field("metbench_uniform_pct", analysis::improvement_pct(mb_base, mb_u))
-      .field("metbench_adaptive_pct", analysis::improvement_pct(mb_base, mb_a))
-      .field("metbench_hybrid_pct", analysis::improvement_pct(mb_base, mb_h))
-      .field("metbenchvar_uniform_pct", analysis::improvement_pct(var_base, var_u))
-      .field("metbenchvar_adaptive_pct", analysis::improvement_pct(var_base, var_a))
-      .field("metbenchvar_hybrid_pct", analysis::improvement_pct(var_base, var_h));
-  root.object("hybrid_comparison", hybrid);
-  bench::write_json_file("BENCH_ablation_heuristics.json", root);
   return 0;
 }

@@ -7,18 +7,17 @@
 // parallel experiment engine (--jobs N) and is printed in order afterwards.
 
 #include <cstdio>
-#include <utility>
 #include <vector>
 
 #include "analysis/paper_experiments.h"
-#include "bench_json.h"
+#include "bench_common.h"
 #include "exp/parallel_runner.h"
 
 using namespace hpcs;
 using analysis::SchedMode;
 
 int main(int argc, char** argv) {
-  const unsigned jobs = exp::parse_jobs_flag(argc, argv);
+  const unsigned jobs = bench::parse_flags(argc, argv, bench::kJobs).jobs;
   std::printf("=== Noise sweep: burst length at fixed 10ms period ===\n\n");
 
   auto siesta = analysis::SiestaExperiment::paper();
@@ -45,7 +44,6 @@ int main(int argc, char** argv) {
 
   std::printf("%-12s | %-30s | %-30s\n", "burst (us)", "SIESTA base(s) / uniform gain",
               "MetBench adaptive gain / prio chgs");
-  std::vector<bench::JsonObject> entries;
   for (std::size_t i = 0; i < bursts.size(); ++i) {
     const analysis::RunResult& siesta_base = runs[4 * i];
     const analysis::RunResult& siesta_uni = runs[4 * i + 1];
@@ -55,13 +53,6 @@ int main(int argc, char** argv) {
                 siesta_base.exec_time.sec(), analysis::improvement_pct(siesta_base, siesta_uni),
                 analysis::improvement_pct(mb_base, mb_ada),
                 static_cast<long long>(mb_ada.hw_prio_changes));
-    bench::JsonObject e;
-    e.field("burst_us", bursts[i])
-        .field("siesta_base_s", siesta_base.exec_time.sec())
-        .field("siesta_uniform_gain_pct", analysis::improvement_pct(siesta_base, siesta_uni))
-        .field("metbench_adaptive_gain_pct", analysis::improvement_pct(mb_base, mb_ada))
-        .field("metbench_adaptive_prio_changes", mb_ada.hw_prio_changes);
-    entries.push_back(std::move(e));
   }
 
   std::printf(
@@ -69,10 +60,5 @@ int main(int argc, char** argv) {
       "Adaptive stops over-reacting on MetBench (priority changes drop to the\n"
       "convergence minimum); heavier noise grows both effects — the paper's §V-D\n"
       "latency story and §V-A Fig. 3d over-reaction story on one axis.\n");
-
-  bench::JsonObject root;
-  root.field("bench", "ablation_noise").field("jobs", jobs);
-  root.array("burst_sweep", entries);
-  bench::write_json_file("BENCH_ablation_noise.json", root);
   return 0;
 }

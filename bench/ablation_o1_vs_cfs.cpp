@@ -12,14 +12,14 @@
 #include <vector>
 
 #include "analysis/paper_experiments.h"
-#include "bench_json.h"
+#include "bench_common.h"
 #include "exp/parallel_runner.h"
 
 using namespace hpcs;
 using analysis::SchedMode;
 
 int main(int argc, char** argv) {
-  const unsigned jobs = exp::parse_jobs_flag(argc, argv);
+  const unsigned jobs = bench::parse_flags(argc, argv, bench::kJobs).jobs;
   std::printf("=== O(1) vs CFS as the underlying fair scheduler ===\n\n");
 
   auto mb = analysis::MetBenchExperiment::paper();
@@ -41,18 +41,11 @@ int main(int argc, char** argv) {
                      : analysis::run_experiment(cfg, wl::make_siesta(siesta.workload));
   });
 
-  std::vector<bench::JsonObject> entries;
   for (std::size_t i = 0; i < gens.size(); ++i) {
     const analysis::RunResult& base = runs[4 * i];
     const analysis::RunResult& uni = runs[4 * i + 1];
     std::printf("%-20s baseline %7.2fs  |  HPCSched uniform %7.2fs  (%+.2f%%)\n", gens[i].second,
                 base.exec_time.sec(), uni.exec_time.sec(), analysis::improvement_pct(base, uni));
-    bench::JsonObject e;
-    e.field("fair_scheduler", gens[i].second)
-        .field("metbench_baseline_s", base.exec_time.sec())
-        .field("metbench_uniform_s", uni.exec_time.sec())
-        .field("metbench_gain_pct", analysis::improvement_pct(base, uni));
-    entries.push_back(std::move(e));
   }
 
   // The latency view (SIESTA-style fine-grained workload) where the fair
@@ -65,19 +58,10 @@ int main(int argc, char** argv) {
     std::printf("%-6s baseline %6.2fs (avg rank latency %5.1fus) | HPCSched %+.2f%%\n", name,
                 base.exec_time.sec(), base.ranks[1].avg_wakeup_latency_us,
                 analysis::improvement_pct(base, uni));
-    entries[i]
-        .field("siesta_baseline_s", base.exec_time.sec())
-        .field("siesta_rank1_latency_us", base.ranks[1].avg_wakeup_latency_us)
-        .field("siesta_gain_pct", analysis::improvement_pct(base, uni));
   }
 
   std::printf("\nHPCSched's gain is orthogonal to the fair-scheduler generation — the\n"
               "class chain design of the 2.6.23 framework is what makes that possible\n"
               "(the paper's §III point).\n");
-
-  bench::JsonObject root;
-  root.field("bench", "ablation_o1_vs_cfs").field("jobs", jobs);
-  root.array("generations", entries);
-  bench::write_json_file("BENCH_ablation_o1_vs_cfs.json", root);
   return 0;
 }

@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "analysis/paper_experiments.h"
-#include "bench_json.h"
+#include "bench_common.h"
 #include "exp/parallel_runner.h"
 
 using namespace hpcs;
@@ -56,7 +56,7 @@ enum Run : std::size_t {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const unsigned jobs = exp::parse_jobs_flag(argc, argv);
+  const unsigned jobs = bench::parse_flags(argc, argv, bench::kJobs).jobs;
 
   auto mb = analysis::MetBenchExperiment::paper();
   mb.workload.iterations = 20;
@@ -119,31 +119,8 @@ int main(int argc, char** argv) {
   // --- 3. Wakeup-cost sensitivity --------------------------------------------
   std::printf("\n=== Ablation 3: CFS wakeup-cost sensitivity (SIESTA baseline) ===\n");
   std::printf("%-16s %-12s\n", "cfs cost (us)", "exec (s)");
-  std::vector<bench::JsonObject> wakeup_json;
   for (std::size_t i = 0; i < wakeup_costs_us.size(); ++i) {
-    const double exec_s = runs[kWakeupSweep + i].exec_time.sec();
-    std::printf("%-16d %-12.2f\n", wakeup_costs_us[i], exec_s);
-    bench::JsonObject e;
-    e.field("wakeup_cost_us", wakeup_costs_us[i]).field("exec_s", exec_s);
-    wakeup_json.push_back(std::move(e));
+    std::printf("%-16d %-12.2f\n", wakeup_costs_us[i], runs[kWakeupSweep + i].exec_time.sec());
   }
-
-  bench::JsonObject root;
-  root.field("bench", "ablation_policy").field("jobs", jobs);
-  bench::JsonObject fifo_rr;
-  fifo_rr.field("rr_s", rr.exec_time.sec())
-      .field("fifo_s", fifo_s)
-      .field("delta_pct", 100.0 * (fifo_s - rr.exec_time.sec()) / rr.exec_time.sec());
-  root.object("fifo_vs_rr", fifo_rr);
-  bench::JsonObject decomp;
-  decomp.field("siesta_baseline_s", base.exec_time.sec())
-      .field("siesta_full_pct", analysis::improvement_pct(base, full))
-      .field("siesta_policy_only_pct", analysis::improvement_pct(base, policy_only))
-      .field("metbench_baseline_s", mb_base.exec_time.sec())
-      .field("metbench_full_pct", analysis::improvement_pct(mb_base, mb_full))
-      .field("metbench_policy_only_pct", analysis::improvement_pct(mb_base, mb_policy));
-  root.object("balance_vs_policy", decomp);
-  root.array("wakeup_cost_sweep", wakeup_json);
-  bench::write_json_file("BENCH_ablation_policy.json", root);
   return 0;
 }

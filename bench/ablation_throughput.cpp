@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "analysis/paper_experiments.h"
-#include "bench_json.h"
+#include "bench_common.h"
 #include "exp/parallel_runner.h"
 #include "power5/throughput.h"
 
@@ -19,7 +19,7 @@ using namespace hpcs;
 using analysis::SchedMode;
 
 int main(int argc, char** argv) {
-  const unsigned jobs = exp::parse_jobs_flag(argc, argv);
+  const unsigned jobs = bench::parse_flags(argc, argv, bench::kJobs).jobs;
 
   // --- 1. Characterization curve --------------------------------------------
   std::printf("=== Ablation 1: speed vs decode share (priority pair sweep) ===\n");
@@ -64,17 +64,11 @@ int main(int argc, char** argv) {
 
   // --- 2. Idle model ----------------------------------------------------------
   std::printf("\n=== Ablation 2: spin idle vs true snooze (MetBench) ===\n");
-  std::vector<bench::JsonObject> idle_json;
   for (std::size_t i = 0; i < idle_prios.size(); ++i) {
     const analysis::RunResult& base = runs[2 * i];
     const analysis::RunResult& uni = runs[2 * i + 1];
     std::printf("idle_prio=%-3d baseline %.2fs  uniform %+.2f%%\n", idle_prios[i],
                 base.exec_time.sec(), analysis::improvement_pct(base, uni));
-    bench::JsonObject e;
-    e.field("idle_prio", idle_prios[i])
-        .field("baseline_s", base.exec_time.sec())
-        .field("uniform_gain_pct", analysis::improvement_pct(base, uni));
-    idle_json.push_back(std::move(e));
   }
   std::printf("(with a true snooze the idle sibling donates the core, the baseline\n"
               " speeds up and prioritization buys much less — the spin-idle machine\n"
@@ -83,25 +77,13 @@ int main(int argc, char** argv) {
   // --- 3. Load-ratio sweep ------------------------------------------------------
   std::printf("\n=== Ablation 3: improvement vs intrinsic imbalance ratio ===\n");
   std::printf("%-8s %-14s %-12s\n", "ratio", "baseline (s)", "uniform (%)");
-  std::vector<bench::JsonObject> ratio_json;
   for (std::size_t i = 0; i < ratios.size(); ++i) {
     const analysis::RunResult& base = runs[n_idle + 2 * i];
     const analysis::RunResult& uni = runs[n_idle + 2 * i + 1];
     std::printf("%-8.1f %-14.2f %+-12.2f\n", ratios[i], base.exec_time.sec(),
                 analysis::improvement_pct(base, uni));
-    bench::JsonObject e;
-    e.field("ratio", ratios[i])
-        .field("baseline_s", base.exec_time.sec())
-        .field("uniform_gain_pct", analysis::improvement_pct(base, uni));
-    ratio_json.push_back(std::move(e));
   }
   std::printf("(the +/-2 priority window balances ratios up to ~4:1; beyond that the\n"
               " scheduler saturates at MAX_PRIO — the paper's conclusion 2 trade-off)\n");
-
-  bench::JsonObject root;
-  root.field("bench", "ablation_throughput").field("jobs", jobs);
-  root.array("idle_model", idle_json);
-  root.array("load_ratio_sweep", ratio_json);
-  bench::write_json_file("BENCH_ablation_throughput.json", root);
   return 0;
 }

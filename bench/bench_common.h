@@ -1,10 +1,10 @@
 #pragma once
-// Shared helpers for the bench drivers: print each experiment in the
-// paper's table layout next to the paper's own numbers, summarize the
-// headline improvements, and fan the per-mode runs across the parallel
-// experiment engine (--jobs N; results are committed in mode order, so
-// output is bit-identical to the serial drivers). The obs flags
-// and the obs epilogue here serve every table, figure and export driver.
+// Shared helpers for the bench drivers: parse the flags a driver takes,
+// print each experiment in the paper's table layout next to the paper's own
+// numbers, summarize the headline improvements, and fan the per-mode runs
+// across the parallel experiment engine (--jobs N; results are committed in
+// mode order, so output is bit-identical to the serial drivers). The obs
+// epilogue here serves every table, figure and export driver.
 
 #include <cstdio>
 #include <cstdlib>
@@ -14,46 +14,57 @@
 
 #include "analysis/paper_experiments.h"
 #include "analysis/tables.h"
-#include "bench_json.h"
 #include "exp/parallel_runner.h"
 #include "obs/chrome_trace.h"
 #include "obs/manifest.h"
+#include "obs/text_file.h"
 
 namespace hpcs::bench {
 
-/// Observability flags shared by the table, figure and export drivers. Off
-/// by default so the golden numbers are unaffected:
-///   --obs                   per-run metrics (tracepoint hit counts and the
-///                           kernel's counters), MANIFEST_<name>.json
-///                           (+ .host.json sidecar)
-///   --obs-trace PATH        additionally capture a Chrome-trace / Perfetto
-///                           JSON view of every run into PATH (implies --obs)
-///   --obs-window NS         sample every metric on sim-time
-///                           window boundaries of NS nanoseconds into the
-///                           manifest's per-window series (schema
-///                           hpcs-obs-manifest-v2; implies --obs). The series
-///                           is byte-identical serial vs --jobs N, so
-///                           scripts/manifest_diff.py can flag mid-run
-///                           anomalies that identical totals hide.
-/// A missing or invalid value aborts with exit code 2 and one `error:` line.
+/// What the obs flags asked for. Off by default so the golden numbers are
+/// unaffected.
 struct ObsOptions {
   obs::ObsConfig cfg;
   std::string trace_path;
 };
 
-inline ObsOptions parse_obs_options(int argc, char** argv) {
-  ObsOptions o;
-  auto set_window = [&](const char* text) {
-    std::string error;
-    if (!obs::parse_window_ns(text, o.cfg.window_ns, error)) {
-      std::fprintf(stderr, "error: --obs-window: %s\n", error.c_str());
-      std::exit(2);
-    }
+/// The flags a driver takes, as a mask for parse_flags.
+inline constexpr unsigned kJobs = 1;
+inline constexpr unsigned kObs = 2;
+
+struct Flags {
+  unsigned jobs = exp::default_jobs();
+  ObsOptions obs;
+};
+
+/// Parse argv for the flags in `takes`, each value given as `FLAG VALUE` or
+/// `FLAG=VALUE`:
+///   kJobs  --jobs N          run the batch on N workers (default: every
+///                            hardware thread)
+///   kObs   --obs             per-run metrics (tracepoint hit counts and the
+///                            kernel's counters), MANIFEST_<name>.json
+///                            (+ .host.json sidecar)
+///          --obs-trace PATH  additionally capture a Chrome-trace / Perfetto
+///                            JSON view of every run into PATH (implies --obs)
+///          --obs-window NS   sample every metric on sim-time window
+///                            boundaries of NS nanoseconds into the
+///                            manifest's per-window series (schema
+///                            hpcs-obs-manifest-v2; implies --obs). The series
+///                            is byte-identical serial vs --jobs N, so
+///                            scripts/manifest_diff.py can flag mid-run
+///                            anomalies that identical totals hide.
+/// A missing or invalid value, and any argument that is not a flag in
+/// `takes`, aborts with exit code 2 and one `error:` line.
+inline Flags parse_flags(int argc, char** argv, unsigned takes) {
+  Flags f;
+  const auto fail = [](const char* what, const std::string& why) {
+    std::fprintf(stderr, "error: %s: %s\n", what, why.c_str());
+    std::exit(2);
   };
   // The value of `flag` when argv[i] is `flag VALUE` or `flag=VALUE`, else
   // nullptr. An empty value, or one that starts with `--` (the next flag),
   // is missing and aborts like a bad one.
-  auto value_of = [&](int& i, const char* flag) -> const char* {
+  const auto value_of = [&](int& i, const char* flag) -> const char* {
     const std::size_t n = std::strlen(flag);
     const char* v = nullptr;
     if (std::strcmp(argv[i], flag) == 0) {
@@ -63,27 +74,31 @@ inline ObsOptions parse_obs_options(int argc, char** argv) {
     } else {
       return nullptr;
     }
-    if (v[0] == '\0' || std::strncmp(v, "--", 2) == 0) {
-      std::fprintf(stderr, "error: %s: missing value\n", flag);
-      std::exit(2);
-    }
+    if (v[0] == '\0' || std::strncmp(v, "--", 2) == 0) fail(flag, "missing value");
     return v;
   };
+  const bool take_jobs = (takes & kJobs) != 0;
+  const bool take_obs = (takes & kObs) != 0;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--obs") == 0) {
-      o.cfg.enabled = true;
-    } else if (const char* path = value_of(i, "--obs-trace")) {
-      o.trace_path = path;
-    } else if (const char* ns = value_of(i, "--obs-window")) {
-      set_window(ns);
+    std::string error;
+    if (const char* n = take_jobs ? value_of(i, "--jobs") : nullptr) {
+      if (!exp::parse_jobs(n, f.jobs, error)) fail("--jobs", error);
+    } else if (take_obs && std::strcmp(argv[i], "--obs") == 0) {
+      f.obs.cfg.enabled = true;
+    } else if (const char* path = take_obs ? value_of(i, "--obs-trace") : nullptr) {
+      f.obs.trace_path = path;
+    } else if (const char* ns = take_obs ? value_of(i, "--obs-window") : nullptr) {
+      if (!obs::parse_window_ns(ns, f.obs.cfg.window_ns, error)) fail("--obs-window", error);
+    } else {
+      fail(argv[i], "unknown flag");
     }
   }
-  if (!o.trace_path.empty()) {
-    o.cfg.enabled = true;
-    o.cfg.chrome_trace = true;
+  if (!f.obs.trace_path.empty()) {
+    f.obs.cfg.enabled = true;
+    f.obs.cfg.chrome_trace = true;
   }
-  if (o.cfg.window_ns > 0) o.cfg.enabled = true;
-  return o;
+  if (f.obs.cfg.window_ns > 0) f.obs.cfg.enabled = true;
+  return f;
 }
 
 /// Run one experiment per mode through the parallel engine; results come
@@ -112,15 +127,8 @@ inline std::vector<std::string> mode_names(const std::vector<analysis::SchedMode
 /// the main manifest stays byte-comparable across machines and job counts.
 inline void write_host_sidecar(const char* name, unsigned jobs,
                                const exp::EngineStats& s) {
-  JsonObject root;
-  root.field("schema", "hpcs-obs-host-v2").field("bench", name).field("jobs", jobs);
-  JsonObject engine;
-  engine.field("tasks", s.tasks)
-      .field("workers", s.workers)
-      .array("per_worker_executed", s.per_worker_executed)
-      .field("wall_ms", s.wall_ms);
-  root.object("engine", engine);
-  write_json_file(std::string("MANIFEST_") + name + ".host.json", root);
+  obs::write_text_file(std::string("MANIFEST_") + name + ".host.json",
+                       exp::render_host_json(name, jobs, s));
 }
 
 /// The obs epilogue of every table, figure and export driver, one run per
@@ -148,30 +156,6 @@ inline void write_obs_outputs(const char* name, const ObsOptions& o, unsigned jo
       std::printf("wrote Chrome trace: %s (open in ui.perfetto.dev)\n", o.trace_path.c_str());
     }
   }
-}
-
-/// BENCH_<name>.json for a table driver: one entry per mode with the
-/// headline exec time and utilization spread.
-inline void write_table_json(const char* name, unsigned jobs,
-                             const std::vector<analysis::SchedMode>& modes,
-                             const std::vector<analysis::RunResult>& results) {
-  JsonObject root;
-  root.field("bench", name).field("jobs", jobs);
-  std::vector<JsonObject> entries;
-  for (std::size_t i = 0; i < modes.size(); ++i) {
-    const analysis::RunResult& r = results[i];
-    JsonObject e;
-    e.field("mode", analysis::sched_mode_name(modes[i]))
-        .field("exec_s", r.exec_time.sec())
-        .field("min_util_pct", r.min_util())
-        .field("max_util_pct", r.max_util())
-        .field("ctx_switches", r.context_switches)
-        .field("hw_prio_changes", r.hw_prio_changes);
-    if (i > 0) e.field("improvement_vs_first_pct", analysis::improvement_pct(results[0], r));
-    entries.push_back(std::move(e));
-  }
-  root.array("modes", entries);
-  write_json_file(std::string("BENCH_") + name + ".json", root);
 }
 
 inline void print_side_by_side(const analysis::RunResult& ours,

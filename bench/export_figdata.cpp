@@ -59,8 +59,7 @@ bool export_run(const std::string& dir, const std::string& name,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const unsigned jobs = exp::parse_jobs_flag(argc, argv);
-  const bench::ObsOptions obs = bench::parse_obs_options(argc, argv);
+  const bench::Flags flags = bench::parse_flags(argc, argv, bench::kJobs | bench::kObs);
   const std::string dir = "bench_data";
   std::filesystem::create_directories(dir);
   std::printf("=== exporting figure data to ./%s ===\n", dir.c_str());
@@ -77,6 +76,7 @@ int main(int argc, char** argv) {
   btmz.workload.iterations = 60;
   auto siesta = analysis::SiestaExperiment::paper();
   siesta.workload.microiters = 8000;
+  const obs::ObsConfig& cfg = flags.obs.cfg;
 
   struct Export {
     const char* name;
@@ -84,18 +84,18 @@ int main(int argc, char** argv) {
   };
   const std::vector<Export> exports = {
       {"fig3a_metbench_baseline",
-       [&] { return analysis::run_metbench(metbench, SchedMode::kBaselineCfs, true, 1, obs.cfg); }},
+       [&] { return analysis::run_metbench(metbench, SchedMode::kBaselineCfs, true, 1, cfg); }},
       {"fig3c_metbench_uniform",
-       [&] { return analysis::run_metbench(metbench, SchedMode::kUniform, true, 1, obs.cfg); }},
+       [&] { return analysis::run_metbench(metbench, SchedMode::kUniform, true, 1, cfg); }},
       {"fig4c_metbenchvar_uniform",
-       [&] { return analysis::run_metbenchvar(metbenchvar, SchedMode::kUniform, true, 1, obs.cfg); }},
+       [&] { return analysis::run_metbenchvar(metbenchvar, SchedMode::kUniform, true, 1, cfg); }},
       {"fig5c_btmz_uniform",
-       [&] { return analysis::run_btmz(btmz, SchedMode::kUniform, true, 1, obs.cfg); }},
+       [&] { return analysis::run_btmz(btmz, SchedMode::kUniform, true, 1, cfg); }},
       {"fig6b_siesta_uniform",
-       [&] { return analysis::run_siesta(siesta, SchedMode::kUniform, true, 1, obs.cfg); }},
+       [&] { return analysis::run_siesta(siesta, SchedMode::kUniform, true, 1, cfg); }},
   };
 
-  exp::ParallelRunner runner(jobs);
+  exp::ParallelRunner runner(flags.jobs);
   auto results = runner.map(exports.size(), [&](std::size_t i) { return exports[i].run(); });
   std::vector<std::string> labels;
   bool ok = true;
@@ -103,7 +103,8 @@ int main(int argc, char** argv) {
     ok = export_run(dir, exports[i].name, results[i]) && ok;
     labels.emplace_back(exports[i].name);
   }
-  bench::write_obs_outputs("export_figdata", obs, jobs, labels, results, &runner.last_stats());
+  bench::write_obs_outputs("export_figdata", flags.obs, flags.jobs, labels, results,
+                           &runner.last_stats());
   std::printf("done.\n");
   return ok ? 0 : 1;
 }

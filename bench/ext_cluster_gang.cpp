@@ -5,6 +5,7 @@
 
 #include <cstdio>
 
+#include "bench_common.h"
 #include "cluster/gang.h"
 
 using namespace hpcs;
@@ -28,7 +29,8 @@ cluster::JobSpec metbench_job(const std::string& name, int ranks, double large_l
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::parse_flags(argc, argv, /*takes=*/0);  // no flags: any argument exits 2
   std::printf("=== Extension: gang scheduling of MPI jobs over a 2-node cluster ===\n\n");
 
   const std::vector<cluster::JobSpec> jobs = {

@@ -12,12 +12,12 @@
 int main(int argc, char** argv) {
   using namespace hpcs;
 
-  const bench::ObsOptions obs = bench::parse_obs_options(argc, argv);
+  const bench::Flags flags = bench::parse_flags(argc, argv, bench::kObs);
   auto e = analysis::MetBenchExperiment::paper();
   e.workload.iterations = 6;
   std::vector<analysis::RunResult> results;
   results.push_back(analysis::run_metbench(e, analysis::SchedMode::kUniform, /*trace=*/true,
-                                           /*seed=*/1, obs.cfg));
+                                           /*seed=*/1, flags.obs.cfg));
   const analysis::RunResult& r = results[0];
 
   std::printf("=== Figure 2: HPC application iterative behaviour ===\n\n");
@@ -35,6 +35,6 @@ int main(int argc, char** argv) {
   std::printf(
       "\nthe imbalance is visible in iteration 1 (light ~25%%, heavy ~100%%); the\n"
       "heuristic applies priorities before iteration 2 and both settle near 100%%.\n");
-  bench::write_obs_outputs("fig2_iteration_anatomy", obs, /*jobs=*/1, {"Uniform"}, results);
+  bench::write_obs_outputs("fig2_iteration_anatomy", flags.obs, /*jobs=*/1, {"Uniform"}, results);
   return 0;
 }

@@ -13,8 +13,7 @@ int main(int argc, char** argv) {
   using namespace hpcs;
   using analysis::SchedMode;
 
-  const unsigned jobs = exp::parse_jobs_flag(argc, argv);
-  const bench::ObsOptions obs = bench::parse_obs_options(argc, argv);
+  const bench::Flags flags = bench::parse_flags(argc, argv, bench::kJobs | bench::kObs);
   auto e = analysis::MetBenchExperiment::paper();
   e.workload.iterations = 12;  // enough iterations to see the pattern clearly
 
@@ -29,9 +28,9 @@ int main(int argc, char** argv) {
   std::printf("=== Figure 3: effect of the proposed solution on MetBench ===\n\n");
   exp::EngineStats host{};
   auto results = bench::run_modes(
-      jobs, modes,
-      [&e, &obs](SchedMode m) {
-        return analysis::run_metbench(e, m, /*trace=*/true, /*seed=*/1, obs.cfg);
+      flags.jobs, modes,
+      [&e, &flags](SchedMode m) {
+        return analysis::run_metbench(e, m, /*trace=*/true, /*seed=*/1, flags.obs.cfg);
       },
       &host);
   for (std::size_t i = 0; i < figures.size(); ++i) {
@@ -39,6 +38,7 @@ int main(int argc, char** argv) {
     if (analysis::is_dynamic_mode(figures[i].first)) bench::print_iteration_series(results[i]);
     std::printf("\n");
   }
-  bench::write_obs_outputs("fig3_metbench", obs, jobs, bench::subtitles(figures), results, &host);
+  bench::write_obs_outputs("fig3_metbench", flags.obs, flags.jobs, bench::subtitles(figures),
+                           results, &host);
   return 0;
 }

@@ -14,8 +14,7 @@ int main(int argc, char** argv) {
   using namespace hpcs;
   using analysis::SchedMode;
 
-  const unsigned jobs = exp::parse_jobs_flag(argc, argv);
-  const bench::ObsOptions obs = bench::parse_obs_options(argc, argv);
+  const bench::Flags flags = bench::parse_flags(argc, argv, bench::kJobs | bench::kObs);
   const auto e = analysis::MetBenchVarExperiment::paper();
 
   const bench::FigureList figures = {
@@ -29,9 +28,9 @@ int main(int argc, char** argv) {
   std::printf("=== Figure 4: effect of the proposed solution on MetBenchVar ===\n\n");
   exp::EngineStats host{};
   auto results = bench::run_modes(
-      jobs, modes,
-      [&e, &obs](SchedMode m) {
-        return analysis::run_metbenchvar(e, m, /*trace=*/true, /*seed=*/1, obs.cfg);
+      flags.jobs, modes,
+      [&e, &flags](SchedMode m) {
+        return analysis::run_metbenchvar(e, m, /*trace=*/true, /*seed=*/1, flags.obs.cfg);
       },
       &host);
   for (std::size_t i = 0; i < figures.size(); ++i) {
@@ -43,7 +42,7 @@ int main(int argc, char** argv) {
     }
     std::printf("\n");
   }
-  bench::write_obs_outputs("fig4_metbenchvar", obs, jobs, bench::subtitles(figures), results,
-                           &host);
+  bench::write_obs_outputs("fig4_metbenchvar", flags.obs, flags.jobs, bench::subtitles(figures),
+                           results, &host);
   return 0;
 }

@@ -11,8 +11,7 @@ int main(int argc, char** argv) {
   using namespace hpcs;
   using analysis::SchedMode;
 
-  const unsigned jobs = exp::parse_jobs_flag(argc, argv);
-  const bench::ObsOptions obs = bench::parse_obs_options(argc, argv);
+  const bench::Flags flags = bench::parse_flags(argc, argv, bench::kJobs | bench::kObs);
   auto e = analysis::BtMzExperiment::paper();
   e.workload.iterations = 60;  // a representative window
 
@@ -27,15 +26,16 @@ int main(int argc, char** argv) {
   std::printf("=== Figure 5: effect of the proposed solution on BT-MZ ===\n\n");
   exp::EngineStats host{};
   auto results = bench::run_modes(
-      jobs, modes,
-      [&e, &obs](SchedMode m) {
-        return analysis::run_btmz(e, m, /*trace=*/true, /*seed=*/1, obs.cfg);
+      flags.jobs, modes,
+      [&e, &flags](SchedMode m) {
+        return analysis::run_btmz(e, m, /*trace=*/true, /*seed=*/1, flags.obs.cfg);
       },
       &host);
   for (std::size_t i = 0; i < figures.size(); ++i) {
     bench::print_trace_figure(figures[i].second, results[i], 120);
     std::printf("\n");
   }
-  bench::write_obs_outputs("fig5_btmz", obs, jobs, bench::subtitles(figures), results, &host);
+  bench::write_obs_outputs("fig5_btmz", flags.obs, flags.jobs, bench::subtitles(figures),
+                           results, &host);
   return 0;
 }

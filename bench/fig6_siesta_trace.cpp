@@ -14,8 +14,7 @@ int main(int argc, char** argv) {
   using namespace hpcs;
   using analysis::SchedMode;
 
-  const unsigned jobs = exp::parse_jobs_flag(argc, argv);
-  const bench::ObsOptions obs = bench::parse_obs_options(argc, argv);
+  const bench::Flags flags = bench::parse_flags(argc, argv, bench::kJobs | bench::kObs);
   auto e = analysis::SiestaExperiment::paper();
   e.workload.microiters = 8000;  // a window of the full run
   e.workload.mark_every = 100;
@@ -30,9 +29,9 @@ int main(int argc, char** argv) {
   std::printf("=== Figure 6: effect of the proposed solution on SIESTA ===\n\n");
   exp::EngineStats host{};
   auto results = bench::run_modes(
-      jobs, modes,
-      [&e, &obs](SchedMode m) {
-        return analysis::run_siesta(e, m, /*trace=*/true, /*seed=*/1, obs.cfg);
+      flags.jobs, modes,
+      [&e, &flags](SchedMode m) {
+        return analysis::run_siesta(e, m, /*trace=*/true, /*seed=*/1, flags.obs.cfg);
       },
       &host);
   for (std::size_t i = 0; i < figures.size(); ++i) {
@@ -41,6 +40,7 @@ int main(int argc, char** argv) {
     for (const auto& rank : results[i].ranks) std::printf(" %.1f", rank.avg_wakeup_latency_us);
     std::printf("\n\n");
   }
-  bench::write_obs_outputs("fig6_siesta", obs, jobs, bench::subtitles(figures), results, &host);
+  bench::write_obs_outputs("fig6_siesta", flags.obs, flags.jobs, bench::subtitles(figures),
+                           results, &host);
   return 0;
 }

@@ -15,18 +15,21 @@
 //  2. wall-clock of an 8-run MetBench batch run serially (--jobs 1) vs on
 //     all hardware threads, plus a byte-for-byte comparison of the two
 //     batches' serialized RunResults (the engine's bit-identical contract).
-// Emits BENCH_simcore.json. Flags: --jobs N for the parallel leg.
+// Exits 1, after one FAIL line per miss, when a scenario runs below its
+// events/sec floor, and when the two batches differ. Flags: --jobs N for the
+// parallel leg.
 
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "analysis/paper_experiments.h"
 #include "analysis/run_serialize.h"
-#include "bench_json.h"
+#include "bench_common.h"
 #include "exp/parallel_runner.h"
 #include "simcore/simulator.h"
 
@@ -247,6 +250,33 @@ double bench_sparse_horizon() {
   return double(fired) / (now_s() - t0);
 }
 
+/// One event-loop scenario: its stdout label, its name in a FAIL line, the
+/// events/sec it must reach and the function that measures it.
+struct Scenario {
+  const char* label;
+  const char* name;
+  double floor_per_s;
+  double (*run)();
+};
+
+/// The floors are perf-regression gates for the event core. They were set
+/// on a CI host, so a slower host can miss them with unchanged code
+/// (docs/performance.md, "Reading micro_simcore's output").
+constexpr Scenario kScenarios[] = {
+    {"tick loop 4cpu (reschedule fast path):", "tick_reschedule", 26'600'000,
+     [] { return bench_tick_loop(4, 0); }},
+    {"tick loop 64cpu + 16k sparse timers:", "tick_reschedule_scale", 7'000'000,
+     [] { return bench_tick_loop(64, 16384); }},
+    {"32B-capture one-shot events:", "big_capture", 16'100'000, bench_big_capture},
+    {"schedule+cancel churn:", "cancel_churn", 16'800'000, bench_cancel_churn},
+    {"same-instant bursts:", "same_tick_batch", 16'800'000, bench_same_tick_burst},
+    {"timers, 192 ns to 32 ms periods:", "far_future_cascade", 14'000'000,
+     bench_far_future_cascade},
+    {"mixed periodic + sparse timeouts:", "mixed_periodic_sparse", 9'800'000,
+     bench_mixed_periodic_sparse},
+    {"sparse horizon (40 ms-scale timers):", "sparse_horizon", 1'000'000, bench_sparse_horizon},
+};
+
 constexpr std::size_t kBatchRuns = 8;
 
 /// The engine leg's batch on `jobs` workers: MetBench at 15 iterations, run
@@ -268,26 +298,15 @@ std::vector<std::string> run_batch(unsigned jobs) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const unsigned jobs = exp::parse_jobs_flag(argc, argv);
+  const unsigned jobs = bench::parse_flags(argc, argv, bench::kJobs).jobs;
   const unsigned hw = std::thread::hardware_concurrency();
 
   std::printf("=== simcore micro: event-loop hot paths ===\n");
-  const double tick = bench_tick_loop(4, 0);
-  const double tick_scale = bench_tick_loop(64, 16384);
-  const double big = bench_big_capture();
-  const double cancel = bench_cancel_churn();
-  const double burst = bench_same_tick_burst();
-  const double cascade = bench_far_future_cascade();
-  const double mixed = bench_mixed_periodic_sparse();
-  const double sparse = bench_sparse_horizon();
-  std::printf("tick loop 4cpu (reschedule fast path):  %8.1fM events/s\n", tick / 1e6);
-  std::printf("tick loop 64cpu + 16k sparse timers:    %8.1fM events/s\n", tick_scale / 1e6);
-  std::printf("32B-capture one-shot events:            %8.1fM events/s\n", big / 1e6);
-  std::printf("schedule+cancel churn:                  %8.1fM events/s\n", cancel / 1e6);
-  std::printf("same-instant bursts:                    %8.1fM events/s\n", burst / 1e6);
-  std::printf("timers, 192 ns to 32 ms periods:        %8.1fM events/s\n", cascade / 1e6);
-  std::printf("mixed periodic + sparse timeouts:       %8.1fM events/s\n", mixed / 1e6);
-  std::printf("sparse horizon (40 ms-scale timers):    %8.1fM events/s\n", sparse / 1e6);
+  double rates[std::size(kScenarios)];
+  for (std::size_t i = 0; i < std::size(kScenarios); ++i) {
+    rates[i] = kScenarios[i].run();
+    std::printf("%-40s%8.1fM events/s\n", kScenarios[i].label, rates[i] / 1e6);
+  }
 
   std::printf("\n=== parallel experiment engine: 8-point MetBench sweep ===\n");
   const double s0 = now_s();
@@ -303,27 +322,12 @@ int main(int argc, char** argv) {
   std::printf("rows bit-identical: %s\n", identical ? "yes" : "NO — DETERMINISM BUG");
   std::printf("hardware threads: %u\n", hw);
 
-  bench::JsonObject events;
-  events.field("tick_reschedule_per_s", tick)
-      .field("tick_reschedule_scale_per_s", tick_scale)
-      .field("big_capture_per_s", big)
-      .field("cancel_churn_per_s", cancel)
-      .field("same_tick_batch_per_s", burst)
-      .field("far_future_cascade_per_s", cascade)
-      .field("mixed_periodic_sparse_per_s", mixed)
-      .field("sparse_horizon_per_s", sparse);
-  bench::JsonObject sweep;
-  sweep.field("points", static_cast<std::int64_t>(kBatchRuns))
-      .field("serial_s", serial_s)
-      .field("parallel_s", parallel_s)
-      .field("jobs", jobs)
-      .field("speedup", parallel_s > 0 ? serial_s / parallel_s : 0.0)
-      .field("rows_bit_identical", identical);
-  bench::JsonObject root;
-  root.field("bench", "micro_simcore")
-      .field("hardware_concurrency", hw)
-      .object("events_per_sec", events)
-      .object("sweep", sweep);
-  bench::write_json_file("BENCH_simcore.json", root);
-  return identical ? 0 : 1;
+  bool ok = identical;
+  for (std::size_t i = 0; i < std::size(kScenarios); ++i) {
+    if (rates[i] >= kScenarios[i].floor_per_s) continue;
+    std::printf("FAIL %s: %.0f events/s, floor %.0f\n", kScenarios[i].name, rates[i],
+                kScenarios[i].floor_per_s);
+    ok = false;
+  }
+  return ok ? 0 : 1;
 }

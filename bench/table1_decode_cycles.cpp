@@ -5,10 +5,12 @@
 #include <cstdio>
 
 #include "analysis/tables.h"
+#include "bench_common.h"
 #include "power5/throughput.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace hpcs;
+  bench::parse_flags(argc, argv, /*takes=*/0);  // no flags: any argument exits 2
 
   std::printf("%s\n", analysis::render_decode_table().c_str());
   std::printf("%s\n", analysis::render_privilege_table().c_str());

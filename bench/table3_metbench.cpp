@@ -8,8 +8,7 @@ int main(int argc, char** argv) {
   using namespace hpcs;
   using analysis::SchedMode;
 
-  const unsigned jobs = exp::parse_jobs_flag(argc, argv);
-  const bench::ObsOptions obs = bench::parse_obs_options(argc, argv);
+  const bench::Flags flags = bench::parse_flags(argc, argv, bench::kJobs | bench::kObs);
   const auto e = analysis::MetBenchExperiment::paper();
   const std::vector<SchedMode> modes = {SchedMode::kBaselineCfs, SchedMode::kStatic,
                                         SchedMode::kUniform, SchedMode::kAdaptive};
@@ -17,9 +16,9 @@ int main(int argc, char** argv) {
   std::printf("=== Table III: MetBench characterization ===\n\n");
   exp::EngineStats host{};
   auto results = bench::run_modes(
-      jobs, modes,
-      [&e, &obs](SchedMode m) {
-        return analysis::run_metbench(e, m, /*trace=*/false, /*seed=*/1, obs.cfg);
+      flags.jobs, modes,
+      [&e, &flags](SchedMode m) {
+        return analysis::run_metbench(e, m, /*trace=*/false, /*seed=*/1, flags.obs.cfg);
       },
       &host);
   auto& baseline = results[0];
@@ -42,7 +41,7 @@ int main(int argc, char** argv) {
   };
   std::printf("\n%s\n",
               analysis::render_characterization_table("Table III (measured)", sections).c_str());
-  bench::write_table_json("table3_metbench", jobs, modes, results);
-  bench::write_obs_outputs("table3_metbench", obs, jobs, bench::mode_names(modes), results, &host);
+  bench::write_obs_outputs("table3_metbench", flags.obs, flags.jobs, bench::mode_names(modes),
+                           results, &host);
   return 0;
 }

@@ -9,8 +9,7 @@ int main(int argc, char** argv) {
   using namespace hpcs;
   using analysis::SchedMode;
 
-  const unsigned jobs = exp::parse_jobs_flag(argc, argv);
-  const bench::ObsOptions obs = bench::parse_obs_options(argc, argv);
+  const bench::Flags flags = bench::parse_flags(argc, argv, bench::kJobs | bench::kObs);
   const auto e = analysis::MetBenchVarExperiment::paper();
   const std::vector<SchedMode> modes = {SchedMode::kBaselineCfs, SchedMode::kStatic,
                                         SchedMode::kUniform, SchedMode::kAdaptive};
@@ -18,9 +17,9 @@ int main(int argc, char** argv) {
   std::printf("=== Table IV: MetBenchVar characterization (k=15, 45 iterations) ===\n\n");
   exp::EngineStats host{};
   auto results = bench::run_modes(
-      jobs, modes,
-      [&e, &obs](SchedMode m) {
-        return analysis::run_metbenchvar(e, m, /*trace=*/false, /*seed=*/1, obs.cfg);
+      flags.jobs, modes,
+      [&e, &flags](SchedMode m) {
+        return analysis::run_metbenchvar(e, m, /*trace=*/false, /*seed=*/1, flags.obs.cfg);
       },
       &host);
   auto& baseline = results[0];
@@ -42,8 +41,7 @@ int main(int argc, char** argv) {
   };
   std::printf("\n%s\n",
               analysis::render_characterization_table("Table IV (measured)", sections).c_str());
-  bench::write_table_json("table4_metbenchvar", jobs, modes, results);
-  bench::write_obs_outputs("table4_metbenchvar", obs, jobs, bench::mode_names(modes), results,
-                           &host);
+  bench::write_obs_outputs("table4_metbenchvar", flags.obs, flags.jobs, bench::mode_names(modes),
+                           results, &host);
   return 0;
 }

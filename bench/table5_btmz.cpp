@@ -8,8 +8,7 @@ int main(int argc, char** argv) {
   using namespace hpcs;
   using analysis::SchedMode;
 
-  const unsigned jobs = exp::parse_jobs_flag(argc, argv);
-  const bench::ObsOptions obs = bench::parse_obs_options(argc, argv);
+  const bench::Flags flags = bench::parse_flags(argc, argv, bench::kJobs | bench::kObs);
   const auto e = analysis::BtMzExperiment::paper();
   const std::vector<SchedMode> modes = {SchedMode::kBaselineCfs, SchedMode::kStatic,
                                         SchedMode::kUniform, SchedMode::kAdaptive};
@@ -17,9 +16,9 @@ int main(int argc, char** argv) {
   std::printf("=== Table V: BT-MZ characterization (class A, 200 iterations) ===\n\n");
   exp::EngineStats host{};
   auto results = bench::run_modes(
-      jobs, modes,
-      [&e, &obs](SchedMode m) {
-        return analysis::run_btmz(e, m, /*trace=*/false, /*seed=*/1, obs.cfg);
+      flags.jobs, modes,
+      [&e, &flags](SchedMode m) {
+        return analysis::run_btmz(e, m, /*trace=*/false, /*seed=*/1, flags.obs.cfg);
       },
       &host);
   auto& baseline = results[0];
@@ -43,7 +42,7 @@ int main(int argc, char** argv) {
   };
   std::printf("\n%s\n",
               analysis::render_characterization_table("Table V (measured)", sections).c_str());
-  bench::write_table_json("table5_btmz", jobs, modes, results);
-  bench::write_obs_outputs("table5_btmz", obs, jobs, bench::mode_names(modes), results, &host);
+  bench::write_obs_outputs("table5_btmz", flags.obs, flags.jobs, bench::mode_names(modes),
+                           results, &host);
   return 0;
 }

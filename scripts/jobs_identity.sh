@@ -5,15 +5,14 @@
 # Each of table3..6 runs twice with the windowed manifest on (--obs
 # --obs-window 10000000000), once at --jobs 1 and once at --jobs 4, in
 # OUT_DIR/j1 and OUT_DIR/j4. Stdout and MANIFEST_<name>.json must be
-# byte-identical; BENCH_<name>.json may differ only in its "jobs" field.
+# byte-identical.
 # Each of fig3..6 runs the same way with --obs-window 1000000000
 # --obs-trace; its stdout, windowed MANIFEST_<name>.json and Chrome trace
 # (window counter tracks included) must be byte-identical. So must
 # export_figdata's, run the same way, and every file it writes under
 # bench_data/.
 # Each of the six ablation_* drivers runs the same way (they take no obs
-# flags); stdout must be byte-identical and BENCH_<name>.json identical
-# apart from its "jobs" field.
+# flags); stdout must be byte-identical.
 # The outputs stay in OUT_DIR for later checks (e.g. manifest_diff.py).
 #
 # Usage: scripts/jobs_identity.sh BENCH_DIR OUT_DIR
@@ -23,12 +22,6 @@ bench="$(cd "$1" && pwd)"
 out="$2"
 mkdir -p "${out}/j1" "${out}/j4"
 
-# BENCH_<name>.json of both runs, equal apart from the "jobs" field.
-same_bench_json() {
-  diff <(sed -E 's/"jobs": [0-9]+,/"jobs": N,/' "${out}/j1/BENCH_$1.json") \
-       <(sed -E 's/"jobs": [0-9]+,/"jobs": N,/' "${out}/j4/BENCH_$1.json")
-}
-
 for t in table3_metbench table4_metbenchvar table5_btmz table6_siesta; do
   for j in 1 4; do
     (cd "${out}/j${j}" &&
@@ -36,8 +29,7 @@ for t in table3_metbench table4_metbenchvar table5_btmz table6_siesta; do
   done
   cmp "${out}/j1/${t}.stdout" "${out}/j4/${t}.stdout"
   cmp "${out}/j1/MANIFEST_${t}.json" "${out}/j4/MANIFEST_${t}.json"
-  same_bench_json "${t}"
-  echo "${t}: --jobs 1 == --jobs 4 (stdout, MANIFEST, BENCH apart from \"jobs\")"
+  echo "${t}: --jobs 1 == --jobs 4 (stdout, MANIFEST)"
 done
 
 for b in fig3_metbench_trace fig4_metbenchvar_trace fig5_btmz_trace fig6_siesta_trace \
@@ -62,6 +54,5 @@ for a in ablation_baselines ablation_heuristics ablation_noise ablation_o1_vs_cf
     (cd "${out}/j${j}" && "${bench}/${a}" --jobs "${j}" >"${a}.stdout")
   done
   cmp "${out}/j1/${a}.stdout" "${out}/j4/${a}.stdout"
-  same_bench_json "${a}"
-  echo "${a}: --jobs 1 == --jobs 4 (stdout, BENCH apart from \"jobs\")"
+  echo "${a}: --jobs 1 == --jobs 4 (stdout)"
 done

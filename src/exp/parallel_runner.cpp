@@ -5,9 +5,9 @@
 #include <charconv>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <exception>
+#include <string>
 #include <thread>
 
 namespace hpcs::exp {
@@ -17,30 +17,34 @@ unsigned default_jobs() {
   return hw >= 1 ? hw : 1;
 }
 
-unsigned parse_jobs_flag(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    const char* value = nullptr;
-    if (std::strcmp(argv[i], "--jobs") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "error: --jobs: missing value\n");
-        std::exit(2);
-      }
-      value = argv[i + 1];
-    } else if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
-      value = argv[i] + 7;
-    } else {
-      continue;
-    }
-    const char* end = value + std::strlen(value);
-    unsigned jobs = 0;
-    const auto [ptr, ec] = std::from_chars(value, end, jobs);
-    if (ec != std::errc{} || ptr != end || jobs == 0) {
-      std::fprintf(stderr, "error: --jobs: '%s' is not a positive integer\n", value);
-      std::exit(2);
-    }
-    return jobs;
+bool parse_jobs(const char* text, unsigned& out, std::string& error) {
+  const char* end = text + std::strlen(text);
+  unsigned jobs = 0;
+  const auto [ptr, ec] = std::from_chars(text, end, jobs);
+  if (ec != std::errc{} || ptr != end || jobs == 0) {
+    error = std::string("'") + text + "' is not a positive integer";
+    return false;
   }
-  return default_jobs();
+  out = jobs;
+  return true;
+}
+
+std::string render_host_json(const char* bench, unsigned jobs, const EngineStats& s) {
+  std::string out = "{\n  \"schema\": \"hpcs-obs-host-v2\",\n";
+  out += std::string("  \"bench\": \"") + bench + "\",\n";
+  out += "  \"jobs\": " + std::to_string(jobs) + ",\n";
+  out += "  \"engine\": {\n";
+  out += "    \"tasks\": " + std::to_string(s.tasks) + ",\n";
+  out += "    \"workers\": " + std::to_string(s.workers) + ",\n";
+  out += "    \"per_worker_executed\": [";
+  for (std::size_t i = 0; i < s.per_worker_executed.size(); ++i) {
+    if (i) out += ", ";
+    out += std::to_string(s.per_worker_executed[i]);
+  }
+  char wall_ms[64];
+  std::snprintf(wall_ms, sizeof(wall_ms), "%.10g", s.wall_ms);
+  out += std::string("],\n    \"wall_ms\": ") + wall_ms + "\n  }\n}\n";
+  return out;
 }
 
 ParallelRunner::ParallelRunner(unsigned jobs) : jobs_(jobs == 0 ? default_jobs() : jobs) {}

@@ -12,13 +12,14 @@
 // vector independent of worker interleaving. Anything order-dependent (e.g.
 // an improvement-vs-first column) is computed *after* collection.
 //
-// One knob: the --jobs N flag (parse_jobs_flag); without it a batch uses
-// every hardware thread (default_jobs()).
+// One knob: the --jobs N flag (its value checked by parse_jobs); without it
+// a batch uses every hardware thread (default_jobs()).
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -41,10 +42,17 @@ struct EngineStats {
 /// The default worker count: std::thread::hardware_concurrency(), at least 1.
 [[nodiscard]] unsigned default_jobs();
 
-/// Scan argv for "--jobs N" / "--jobs=N" (removing nothing); returns
-/// default_jobs() when the flag is absent. A missing, non-numeric or
-/// non-positive value exits 2 with one `error: --jobs: ...` line on stderr.
-[[nodiscard]] unsigned parse_jobs_flag(int argc, char** argv);
+/// Parse a --jobs value: a positive integer that fits `unsigned`. On
+/// failure returns false and sets `error` to a one-line reason, e.g.
+/// "'0' is not a positive integer".
+[[nodiscard]] bool parse_jobs(const char* text, unsigned& out, std::string& error);
+
+/// The host sidecar MANIFEST_<bench>.host.json (schema hpcs-obs-host-v2):
+/// the batch's engine stats, wall time as %.10g. `bench` is a driver name
+/// and is written unescaped. It is the one report that holds wall-clock, so
+/// the main manifest stays byte-comparable.
+[[nodiscard]] std::string render_host_json(const char* bench, unsigned jobs,
+                                           const EngineStats& s);
 
 class ParallelRunner {
  public:

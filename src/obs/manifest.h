@@ -3,11 +3,11 @@
 // MetricsSnapshots. The renderer lives in src/obs (not bench/) so the tests
 // can assert byte-identity between serial and parallel sweeps without
 // depending on bench headers; bench drivers wrap it to write
-// MANIFEST_<name>.json next to their BENCH_<name>.json.
+// MANIFEST_<name>.json.
 //
 // Everything here is a pure function of the snapshots: fixed key order,
-// fixed number formatting (%.10g, matching bench/bench_json.h), no
-// wall-clock anywhere. Host-side engine stats go in a separate .host.json
+// fixed number formatting (%.10g, as in the host sidecar), no wall-clock
+// anywhere. Host-side engine stats go in a separate .host.json
 // sidecar precisely so this file can be compared byte-for-byte.
 
 #include <string>
@@ -19,8 +19,8 @@ namespace hpcs::obs {
 
 /// Schema v2 = v1 (totals, fixed metric layout) + a per-run "windows" block
 /// carrying the deterministic windowed time series (empty when --obs-window
-/// was not given). scripts/check_bench_json.py validates both; old v1
-/// baselines stay readable by the tooling.
+/// was not given). Nothing writes or reads v1; the table drivers' byte
+/// goldens pin v2, and scripts/manifest_diff.py is its one reader.
 inline constexpr const char* kManifestSchema = "hpcs-obs-manifest-v2";
 
 struct ManifestRun {

@@ -1,7 +1,8 @@
 #pragma once
-// How the report files (manifests, Chrome traces, BENCH_*.json and host
-// sidecars) reach disk. A run never fails over a report file, but a file
-// that did not get all its bytes must not pass for a written one.
+// How the report files (manifests, Chrome traces, host sidecars, and the
+// PARAVER and CSV exports) reach disk. A run never fails over a report
+// file, but a file that did not get all its bytes must not pass for a
+// written one.
 
 #include <cstdio>
 #include <functional>

@@ -92,23 +92,27 @@ void MpiWorld::deliver(int dst, Message m) {
   }
 }
 
-void MpiWorld::barrier_arrive(int rank) {
-  (void)rank;
-  ++barrier_waiting_;
-  maybe_release_barrier();
+void MpiWorld::arrive(RankState& rs, CollectiveState& c, std::int64_t bytes) {
+  rs.waiting = c.kind;
+  rs.collective_gen = c.generation + 1;
+  ++c.waiting;
+  maybe_release(c, bytes);
 }
 
-void MpiWorld::maybe_release_barrier() {
-  if (barrier_release_pending_) return;
-  if (barrier_waiting_ == 0 || barrier_waiting_ < size() - exited_) return;
-  // Every live rank has arrived: release after the notification round-trip.
-  barrier_release_pending_ = true;
-  const Duration delay = net_.delay(64) + net_.delay(64);
-  kernel_->sim().schedule_in(delay, [this] {
-    barrier_release_pending_ = false;
-    barrier_waiting_ = 0;
-    ++barrier_generation_;
-    wake_waiters(WaitKind::kBarrier);
+void MpiWorld::maybe_release(CollectiveState& c, std::int64_t bytes) {
+  if (c.release_pending) return;
+  if (c.waiting == 0 || c.waiting < size() - exited_) return;
+  // Every live rank has arrived. A barrier releases after the notification
+  // round-trip, an allreduce after a reduce phase and a broadcast phase over
+  // a binary tree. The delay draws from the network's Rng, so only here.
+  c.release_pending = true;
+  const Duration delay = c.kind == WaitKind::kBarrier ? net_.delay(64) + net_.delay(64)
+                                                      : tree_delay(bytes, 2);
+  kernel_->sim().schedule_in(delay, [this, &c] {
+    c.release_pending = false;
+    c.waiting = 0;
+    ++c.generation;
+    wake_waiters(c.kind);
   });
 }
 
@@ -128,19 +132,6 @@ void MpiWorld::wake_waiters(WaitKind kind) {
   }
 }
 
-void MpiWorld::maybe_release_allreduce(std::int64_t bytes) {
-  if (allreduce_.release_pending) return;
-  if (allreduce_.waiting == 0 || allreduce_.waiting < size() - exited_) return;
-  allreduce_.release_pending = true;
-  // Reduce phase + broadcast phase over a binary tree.
-  kernel_->sim().schedule_in(tree_delay(bytes, 2), [this] {
-    allreduce_.release_pending = false;
-    allreduce_.waiting = 0;
-    ++allreduce_.generation;
-    wake_waiters(WaitKind::kAllreduce);
-  });
-}
-
 void MpiWorld::step_rank(int rank, kern::Task& t) {
   RankState& rs = ranks_[check_rank(rank)];
   kern::Kernel& k = *kernel_;
@@ -149,7 +140,9 @@ void MpiWorld::step_rank(int rank, kern::Task& t) {
   // spuriously or by the matching event).
   switch (rs.waiting) {
     case WaitKind::kBarrier:
-      if (rs.barrier_gen > barrier_generation_) {
+    case WaitKind::kAllreduce:
+      if (rs.collective_gen >
+          (rs.waiting == WaitKind::kBarrier ? barrier_ : allreduce_).generation) {
         k.body_block(t);  // not released yet
         return;
       }
@@ -164,13 +157,6 @@ void MpiWorld::step_rank(int rank, kern::Task& t) {
       break;
     case WaitKind::kWaitAll:
       if (!rs.pending_irecvs.empty() || rs.pending_isends > 0) {
-        k.body_block(t);
-        return;
-      }
-      rs.waiting = WaitKind::kNone;
-      break;
-    case WaitKind::kAllreduce:
-      if (rs.allreduce_gen > allreduce_.generation) {
         k.body_block(t);
         return;
       }
@@ -194,9 +180,7 @@ void MpiWorld::step_rank(int rank, kern::Task& t) {
       // message round-trip (MetBench uses a master-coordinated barrier), so
       // even the slowest rank sleeps briefly — which is also what lets the
       // HPC scheduler observe an iteration boundary on every rank.
-      rs.waiting = WaitKind::kBarrier;
-      rs.barrier_gen = barrier_generation_ + 1;
-      barrier_arrive(rank);
+      arrive(rs, barrier_, /*bytes=*/0);
       k.body_block(t);
       return;
     }
@@ -247,10 +231,7 @@ void MpiWorld::step_rank(int rank, kern::Task& t) {
       return;
     }
     if (auto* ar = std::get_if<OpAllreduce>(&op)) {
-      rs.waiting = WaitKind::kAllreduce;
-      rs.allreduce_gen = allreduce_.generation + 1;
-      ++allreduce_.waiting;
-      maybe_release_allreduce(ar->bytes);
+      arrive(rs, allreduce_, ar->bytes);
       k.body_block(t);
       return;
     }
@@ -265,8 +246,8 @@ void MpiWorld::step_rank(int rank, kern::Task& t) {
       finish_time_ = std::max(finish_time_, k.now());
       rs.mailbox.clear();  // unconsumed entries will never be received
       // Ranks sitting in a collective must not deadlock on an exited peer.
-      maybe_release_barrier();
-      maybe_release_allreduce(8);
+      maybe_release(barrier_, /*bytes=*/0);
+      maybe_release(allreduce_, /*bytes=*/8);
       k.body_exit(t);
       return;
     }
@@ -291,7 +272,7 @@ std::string MpiWorld::debug_state() const {
            " irecvs=" + std::to_string(rs.pending_irecvs.size()) +
            " isends=" + std::to_string(rs.pending_isends) + "\n";
   }
-  out += "barrier_waiting=" + std::to_string(barrier_waiting_) +
+  out += "barrier_waiting=" + std::to_string(barrier_.waiting) +
          " allreduce_waiting=" + std::to_string(allreduce_.waiting) + "\n";
   return out;
 }

@@ -54,7 +54,7 @@ class MpiWorld {
     return ranks_[check_rank(rank)].marks;
   }
   [[nodiscard]] std::int64_t messages_delivered() const { return messages_; }
-  [[nodiscard]] std::int64_t barriers_completed() const { return barrier_generation_; }
+  [[nodiscard]] std::int64_t barriers_completed() const { return barrier_.generation; }
 
   /// Diagnostic snapshot of every rank's wait state — printed when a run
   /// fails to complete, so deadlocks are debuggable from the abort message.
@@ -90,16 +90,17 @@ class MpiWorld {
     WaitKind waiting = WaitKind::kNone;
     int recv_src = kAnySource;
     int recv_tag = kAnyTag;
-    std::int64_t barrier_gen = 0;  ///< generation the rank is waiting for
-    std::int64_t allreduce_gen = 0;
+    std::int64_t collective_gen = 0;  ///< generation whose release ends its collective wait
     std::vector<IterationMark> marks;
     bool exited = false;
   };
 
-  /// Shared bookkeeping of a barrier-like collective.
+  /// A barrier-like collective: every live rank arrives and blocks, and all
+  /// of them are released together after a network delay.
   struct CollectiveState {
+    WaitKind kind;  ///< what its waiting ranks wait on
     int waiting = 0;
-    std::int64_t generation = 0;
+    std::int64_t generation = 0;  ///< releases so far
     bool release_pending = false;
   };
 
@@ -111,9 +112,11 @@ class MpiWorld {
   bool match_irecv(RankState& rs, const Message& m);
 
   void deliver(int dst, Message m);
-  void barrier_arrive(int rank);
-  void maybe_release_barrier();
-  void maybe_release_allreduce(std::int64_t bytes);
+  /// `rs` joins `c` and waits for its next release.
+  void arrive(RankState& rs, CollectiveState& c, std::int64_t bytes);
+  /// Once every live rank waits on `c`, schedule their release after the
+  /// collective's delay for `bytes` (a barrier ignores it).
+  void maybe_release(CollectiveState& c, std::int64_t bytes);
   /// Tree-phase latency of a collective over the live ranks.
   [[nodiscard]] Duration tree_delay(std::int64_t bytes, int phases);
   void wake_waiters(WaitKind kind);
@@ -122,10 +125,8 @@ class MpiWorld {
   MpiWorldConfig cfg_;
   NetworkModel net_;
   std::vector<RankState> ranks_;
-  std::int64_t barrier_generation_ = 0;
-  int barrier_waiting_ = 0;
-  bool barrier_release_pending_ = false;
-  CollectiveState allreduce_;
+  CollectiveState barrier_{WaitKind::kBarrier};
+  CollectiveState allreduce_{WaitKind::kAllreduce};
   int exited_ = 0;
   SimTime finish_time_ = SimTime::zero();
   std::int64_t messages_ = 0;

@@ -50,12 +50,18 @@ TEST(ParallelRunner, FirstExceptionBySubmissionIndexIsRethrown) {
 }
 
 TEST(ParallelRunner, JobsFlagParsing) {
-  const char* argv1[] = {"prog", "--jobs", "3"};
-  EXPECT_EQ(exp::parse_jobs_flag(3, const_cast<char**>(argv1)), 3u);
-  const char* argv2[] = {"prog", "--jobs=7"};
-  EXPECT_EQ(exp::parse_jobs_flag(2, const_cast<char**>(argv2)), 7u);
-  const char* argv3[] = {"prog"};
-  EXPECT_GE(exp::parse_jobs_flag(1, const_cast<char**>(argv3)), 1u);
+  unsigned jobs = 0;
+  std::string error;
+  EXPECT_TRUE(exp::parse_jobs("3", jobs, error)) << error;
+  EXPECT_EQ(jobs, 3u);
+  EXPECT_TRUE(exp::parse_jobs("4294967295", jobs, error)) << error;
+  EXPECT_EQ(jobs, 4294967295u);
+  for (const char* bad : {"", "0", "-1", "+2", "3x", " 3", "1.5", "4294967296"}) {
+    jobs = 7;
+    EXPECT_FALSE(exp::parse_jobs(bad, jobs, error)) << bad;
+    EXPECT_EQ(error, std::string("'") + bad + "' is not a positive integer");
+    EXPECT_EQ(jobs, 7u) << "a rejected value must leave the count alone";
+  }
 }
 
 // The headline contract: a batch of runs fanned across N workers produces
@@ -112,6 +118,45 @@ TEST(ParallelRunner, PerWorkerCountsSurfaceInEngineStats) {
   std::int64_t sum = 0;
   for (const std::int64_t n : s.per_worker_executed) sum += n;
   EXPECT_EQ(sum, 32);
+}
+
+// The host sidecar's exact bytes: keys in a fixed order, integers as
+// integers, wall time as %.10g, and the serial path's empty per-worker list.
+TEST(ParallelRunner, HostJsonRendersExactDocument) {
+  exp::EngineStats parallel;
+  parallel.tasks = 5;
+  parallel.workers = 2;
+  parallel.per_worker_executed = {3, 2};
+  parallel.wall_ms = 12.3456789012345;
+  EXPECT_EQ(exp::render_host_json("table3_metbench", 4, parallel),
+            "{\n"
+            "  \"schema\": \"hpcs-obs-host-v2\",\n"
+            "  \"bench\": \"table3_metbench\",\n"
+            "  \"jobs\": 4,\n"
+            "  \"engine\": {\n"
+            "    \"tasks\": 5,\n"
+            "    \"workers\": 2,\n"
+            "    \"per_worker_executed\": [3, 2],\n"
+            "    \"wall_ms\": 12.3456789\n"
+            "  }\n"
+            "}\n");
+
+  exp::ParallelRunner serial(1);
+  (void)serial.map(3, [](std::size_t i) { return i; });
+  exp::EngineStats stats = serial.last_stats();
+  stats.wall_ms = 0.5;
+  EXPECT_EQ(exp::render_host_json("fig2_iteration_anatomy", 1, stats),
+            "{\n"
+            "  \"schema\": \"hpcs-obs-host-v2\",\n"
+            "  \"bench\": \"fig2_iteration_anatomy\",\n"
+            "  \"jobs\": 1,\n"
+            "  \"engine\": {\n"
+            "    \"tasks\": 3,\n"
+            "    \"workers\": 0,\n"
+            "    \"per_worker_executed\": [],\n"
+            "    \"wall_ms\": 0.5\n"
+            "  }\n"
+            "}\n");
 }
 
 // The observability extension of the headline contract: the rendered

@@ -17,8 +17,10 @@ TEST(GoldenMetBench, TableIII) {
   EXPECT_NEAR(base.exec_time.sec(), 81.8, 2.5);
   EXPECT_NEAR(base.ranks[0].util_pct, 25.0, 2.0);
   EXPECT_NEAR(base.ranks[1].util_pct, 99.9, 1.5);
+  EXPECT_NEAR(base.min_util(), 25.0, 5.0);  // 24.78 measured
 
   const auto stat = run_metbench(e, SchedMode::kStatic);
+  EXPECT_GE(stat.min_util(), 94.0);  // 97.56 measured
   const auto uni = run_metbench(e, SchedMode::kUniform);
   // Paper: +13.3% static, +12.3% uniform.
   EXPECT_NEAR(improvement_pct(base, stat), 13.5, 3.0);
