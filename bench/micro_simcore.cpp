@@ -12,19 +12,22 @@
 //       - mixed periodic ticks + sparse far-future timeouts (the kernel's
 //         real population shape)
 //       - sparse horizon: a few dozen ms-scale timers and nothing else
-//  2. wall-clock of an 8-run MetBench batch run serially (--jobs 1) vs on
-//     all hardware threads, plus a byte-for-byte comparison of the two
-//     batches' serialized RunResults (the engine's bit-identical contract).
-// Exits 1, after one FAIL line per miss, when a scenario runs below its
-// events/sec floor, and when the two batches differ. Flags: --jobs N for the
-// parallel leg.
+//     Each scenario runs three times and is gated on its best rate: a busy
+//     host slows a run down, it never speeds one up.
+//  2. an 8-run MetBench batch run serially (--jobs 1) and at --jobs N, and
+//     a byte-for-byte comparison of the two batches' serialized RunResults
+//     (the engine's bit-identical contract). The batch is too short to time
+//     the engine; perfbench's paper_sweep measures its speed end to end.
+// Exits 1, after one FAIL line per miss, when a scenario's best rate is
+// below its events/sec floor, and when the two batches differ. Flags:
+// --jobs N for the parallel leg.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <iterator>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "analysis/paper_experiments.h"
@@ -277,6 +280,9 @@ constexpr Scenario kScenarios[] = {
     {"sparse horizon (40 ms-scale timers):", "sparse_horizon", 1'000'000, bench_sparse_horizon},
 };
 
+/// Runs per scenario; the best rate is printed and gated.
+constexpr int kRepeats = 3;
+
 constexpr std::size_t kBatchRuns = 8;
 
 /// The engine leg's batch on `jobs` workers: MetBench at 15 iterations, run
@@ -299,28 +305,18 @@ std::vector<std::string> run_batch(unsigned jobs) {
 
 int main(int argc, char** argv) {
   const unsigned jobs = bench::parse_flags(argc, argv, bench::kJobs).jobs;
-  const unsigned hw = std::thread::hardware_concurrency();
 
-  std::printf("=== simcore micro: event-loop hot paths ===\n");
-  double rates[std::size(kScenarios)];
+  std::printf("=== simcore micro: event-loop hot paths, best of %d ===\n", kRepeats);
+  double rates[std::size(kScenarios)] = {};
   for (std::size_t i = 0; i < std::size(kScenarios); ++i) {
-    rates[i] = kScenarios[i].run();
+    for (int r = 0; r < kRepeats; ++r) rates[i] = std::max(rates[i], kScenarios[i].run());
     std::printf("%-40s%8.1fM events/s\n", kScenarios[i].label, rates[i] / 1e6);
   }
 
   std::printf("\n=== parallel experiment engine: 8-point MetBench sweep ===\n");
-  const double s0 = now_s();
-  const std::vector<std::string> serial_runs = run_batch(1);
-  const double serial_s = now_s() - s0;
-  const double p0 = now_s();
-  const std::vector<std::string> parallel_runs = run_batch(jobs);
-  const double parallel_s = now_s() - p0;
-  const bool identical = serial_runs == parallel_runs;
-  std::printf("serial  (--jobs 1): %.3fs\n", serial_s);
-  std::printf("parallel (--jobs %u): %.3fs  speedup %.2fx\n", jobs, parallel_s,
-              parallel_s > 0 ? serial_s / parallel_s : 0.0);
-  std::printf("rows bit-identical: %s\n", identical ? "yes" : "NO — DETERMINISM BUG");
-  std::printf("hardware threads: %u\n", hw);
+  const bool identical = run_batch(1) == run_batch(jobs);
+  std::printf("--jobs %u rows bit-identical to --jobs 1: %s\n", jobs,
+              identical ? "yes" : "NO — DETERMINISM BUG");
 
   bool ok = identical;
   for (std::size_t i = 0; i < std::size(kScenarios); ++i) {

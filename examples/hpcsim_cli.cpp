@@ -3,12 +3,17 @@
 // export. The "swiss-army knife" entry point of the library.
 //
 // Usage:
-//   example_hpcsim_cli [--workload metbench|metbenchvar|btmz|siesta|wavefront]
+//   example_hpcsim_cli [--workload metbench|metbenchvar|btmz|siesta]
 //                      [--mode baseline|static|uniform|adaptive|hybrid]
 //                      [--iterations N] [--seed S] [--no-noise]
 //                      [--fair cfs|o1] [--gantt] [--paraver PREFIX]
+//
+// A missing or invalid value, and an unknown flag, exits 2 with one
+// `error: <flag>: ...` line.
 
+#include <charconv>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 
@@ -16,7 +21,6 @@
 #include "analysis/paper_experiments.h"
 #include "trace/gantt.h"
 #include "trace/paraver.h"
-#include "workloads/wavefront.h"
 
 using namespace hpcs;
 
@@ -25,7 +29,7 @@ namespace {
 struct CliOptions {
   std::string workload = "metbench";
   std::string mode = "uniform";
-  int iterations = 0;  // 0 = workload default
+  int iterations = 0;  // 0 = workload default; --iterations takes N >= 1
   std::uint64_t seed = 1;
   bool noise = true;
   std::string fair = "cfs";
@@ -33,14 +37,31 @@ struct CliOptions {
   std::string paraver_prefix;
 };
 
+[[noreturn]] void fail(const char* flag, const std::string& why) {
+  std::fprintf(stderr, "error: %s: %s\n", flag, why.c_str());
+  std::exit(2);
+}
+
+/// `text` as an integer of at least `min`, or exit 2 naming `flag`.
+template <typename T>
+T parse_int(const char* flag, const char* text, T min) {
+  T v{};
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, v);
+  if (ec != std::errc{} || ptr != end || v < min) {
+    fail(flag, std::string("'") + text + "' is not a " +
+                   (min > 0 ? "positive" : "non-negative") + " integer");
+  }
+  return v;
+}
+
 analysis::SchedMode parse_mode(const std::string& m) {
   if (m == "baseline") return analysis::SchedMode::kBaselineCfs;
   if (m == "static") return analysis::SchedMode::kStatic;
   if (m == "uniform") return analysis::SchedMode::kUniform;
   if (m == "adaptive") return analysis::SchedMode::kAdaptive;
   if (m == "hybrid") return analysis::SchedMode::kHybrid;
-  std::fprintf(stderr, "unknown mode '%s'\n", m.c_str());
-  std::exit(2);
+  fail("--mode", "'" + m + "' is not baseline, static, uniform, adaptive or hybrid");
 }
 
 wl::ProgramSet make_workload(const CliOptions& o, std::vector<int>* static_prios) {
@@ -68,23 +89,17 @@ wl::ProgramSet make_workload(const CliOptions& o, std::vector<int>* static_prios
     e.workload.seed = o.seed;
     return wl::make_siesta(e.workload);
   }
-  if (o.workload == "wavefront") {
-    wl::WavefrontConfig cfg;
-    if (o.iterations > 0) cfg.iterations = o.iterations;
-    return wl::make_wavefront(cfg);
-  }
-  std::fprintf(stderr, "unknown workload '%s'\n", o.workload.c_str());
-  std::exit(2);
+  fail("--workload", "'" + o.workload + "' is not metbench, metbenchvar, btmz or siesta");
 }
 
 CliOptions parse(int argc, char** argv) {
   CliOptions o;
+  // An absent or empty value, or the next flag in its place, is missing.
   auto need_value = [&](int& i) -> const char* {
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "missing value for %s\n", argv[i]);
-      std::exit(2);
-    }
-    return argv[++i];
+    const char* flag = argv[i];
+    const char* v = i + 1 < argc ? argv[++i] : "";
+    if (v[0] == '\0' || std::strncmp(v, "--", 2) == 0) fail(flag, "missing value");
+    return v;
   };
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
@@ -93,13 +108,14 @@ CliOptions parse(int argc, char** argv) {
     } else if (!std::strcmp(a, "--mode")) {
       o.mode = need_value(i);
     } else if (!std::strcmp(a, "--iterations")) {
-      o.iterations = std::atoi(need_value(i));
+      o.iterations = parse_int(a, need_value(i), 1);
     } else if (!std::strcmp(a, "--seed")) {
-      o.seed = static_cast<std::uint64_t>(std::atoll(need_value(i)));
+      o.seed = parse_int<std::uint64_t>(a, need_value(i), 0);
     } else if (!std::strcmp(a, "--no-noise")) {
       o.noise = false;
     } else if (!std::strcmp(a, "--fair")) {
       o.fair = need_value(i);
+      if (o.fair != "cfs" && o.fair != "o1") fail(a, "'" + o.fair + "' is not cfs or o1");
     } else if (!std::strcmp(a, "--gantt")) {
       o.gantt = true;
     } else if (!std::strcmp(a, "--paraver")) {
@@ -108,13 +124,12 @@ CliOptions parse(int argc, char** argv) {
       std::printf(
           "usage: %s [--workload W] [--mode M] [--iterations N] [--seed S]\n"
           "          [--no-noise] [--fair cfs|o1] [--gantt] [--paraver PREFIX]\n"
-          "workloads: metbench metbenchvar btmz siesta wavefront\n"
+          "workloads: metbench metbenchvar btmz siesta\n"
           "modes:     baseline static uniform adaptive hybrid\n",
           argv[0]);
       std::exit(0);
     } else {
-      std::fprintf(stderr, "unknown flag '%s' (try --help)\n", a);
-      std::exit(2);
+      fail(a, "unknown flag");
     }
   }
   return o;
@@ -128,9 +143,14 @@ int main(int argc, char** argv) {
   std::vector<int> static_prios;
   auto programs = make_workload(o, &static_prios);
   const std::size_t ranks = programs.size();
+  const analysis::SchedMode mode = parse_mode(o.mode);
+  // Static with no priorities would run the baseline under a Static label.
+  if (mode == analysis::SchedMode::kStatic && static_prios.empty()) {
+    fail("--mode", o.workload + " has no static priorities");
+  }
 
-  analysis::ExperimentConfig cfg = analysis::paper_defaults(parse_mode(o.mode), o.seed,
-                                                            o.gantt || !o.paraver_prefix.empty());
+  analysis::ExperimentConfig cfg =
+      analysis::paper_defaults(mode, o.seed, o.gantt || !o.paraver_prefix.empty());
   cfg.enable_noise = o.noise;
   cfg.static_prios = static_prios;
   cfg.kernel.fair_scheduler =

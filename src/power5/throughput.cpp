@@ -5,17 +5,26 @@
 #include "common/check.h"
 
 namespace hpcs::p5 {
+namespace {
 
 constexpr double kStSpeed = 1.0;        ///< speed in single-thread mode (sibling ceded)
 constexpr double kBackgroundFg = 0.98;  ///< foreground speed when sibling runs at priority 1
 constexpr double kBackgroundBg = 0.15;  ///< background (priority 1) thread speed
 
-double speed_for_share(const ThroughputParams& p, double share) {
-  HPCS_CHECK_MSG(p.share_points.size() == p.speed_points.size() && p.share_points.size() >= 2,
-                 "malformed throughput curve");
+/// Anchor points of the speed(share) curve (see throughput.h); linear
+/// interpolation between them.
+constexpr std::array<double, 12> kSharePoints = {
+    0.0, 1.0 / 64, 1.0 / 32, 1.0 / 16, 0.125, 0.25, 0.5, 0.75, 0.875, 15.0 / 16, 31.0 / 32, 1.0};
+constexpr std::array<double, 12> kSpeedPoints = {0.0,  0.04, 0.06, 0.10, 0.19,  0.55,
+                                                 0.65, 0.73, 0.76, 0.77, 0.775, 0.78};
+static_assert(std::is_sorted(kSharePoints.begin(), kSharePoints.end()),
+              "share anchors must be sorted");
+
+/// Interpolated speed for a given decode share.
+double speed_for_share(double share) {
   share = std::clamp(share, 0.0, 1.0);
-  const auto& xs = p.share_points;
-  const auto& ys = p.speed_points;
+  const auto& xs = kSharePoints;
+  const auto& ys = kSpeedPoints;
   if (share <= xs.front()) return ys.front();
   if (share >= xs.back()) return ys.back();
   for (std::size_t i = 1; i < xs.size(); ++i) {
@@ -27,24 +36,7 @@ double speed_for_share(const ThroughputParams& p, double share) {
   return ys.back();
 }
 
-ThroughputParams power6_params() {
-  ThroughputParams p;
-  p.share_points = {0.0,  1.0 / 64, 1.0 / 32, 1.0 / 16, 0.125, 0.25,
-                    0.5,  0.75,     0.875,    15.0 / 16, 31.0 / 32, 1.0};
-  p.speed_points = {0.0,  0.02, 0.04, 0.07, 0.13, 0.45,
-                    0.58, 0.76, 0.82, 0.84, 0.85, 0.86};
-  return p;
-}
-
-ThroughputParams cell_params() {
-  // CELL-like preset (the paper: the CELL processor exposes 3 priority
-  // levels per task). Coarser lever: only three distinct operating points,
-  // modeled as a flatter curve with a single big step.
-  ThroughputParams p;
-  p.share_points = {0.0, 0.125, 0.25, 0.5, 0.75, 0.875, 1.0};
-  p.speed_points = {0.0, 0.30, 0.45, 0.60, 0.70, 0.72, 0.72};
-  return p;
-}
+}  // namespace
 
 double decode_share_a(HwPrio a, HwPrio b) {
   const DecodeAllocation alloc = decode_allocation(a, b);
@@ -54,8 +46,8 @@ double decode_share_a(HwPrio a, HwPrio b) {
 
 CoreSpeeds context_speeds(const ThroughputParams& p, HwPrio a, bool a_active, HwPrio b,
                           bool b_active) {
-  const auto pair_speeds = [&p](double share_a) -> CoreSpeeds {
-    return {speed_for_share(p, share_a), speed_for_share(p, 1.0 - share_a)};
+  const auto pair_speeds = [](double share_a) -> CoreSpeeds {
+    return {speed_for_share(share_a), speed_for_share(1.0 - share_a)};
   };
 
   const bool a_on = a_active && a != HwPrio::kOff;
@@ -97,8 +89,6 @@ CoreSpeedTable::CoreSpeedTable(const ThroughputParams& p) {
   // A spinning idle context at priority 0 would switch itself off, and
   // context_speeds would recurse without end.
   HPCS_CHECK_MSG(p.idle_contention_prio != 0, "idle_contention_prio is -1 or a priority 1..7");
-  HPCS_CHECK_MSG(std::is_sorted(p.share_points.begin(), p.share_points.end()),
-                 "share anchors must be sorted");
   for (std::size_t i = 0; i < cells_.size(); ++i) {  // i unpacks as index() packs it
     const HwPrio a = hw_prio_from_int(static_cast<int>(i >> 5));
     const HwPrio b = hw_prio_from_int(static_cast<int>(i >> 2 & 7));

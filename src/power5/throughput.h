@@ -18,27 +18,23 @@
 // calibrated so that (a) equal priorities give the typical 1.3x SMT
 // throughput, (b) a +/-2 priority gap cancels MetBench's 4:1 imbalance with
 // a ~13% gain (Table III), and (c) the BT-MZ static assignment 4/4/5/6 with
-// complementary pairing reproduces Table V's utilization profile
-// (70.6 / 42.2 / 61.0 / 99.9).
+// complementary pairing reproduces Table V's Static gain (+14.0% against
+// the paper's +16.2%). Its per-rank profile does not follow: table5_btmz
+// measures 31.55 / 58.48 / 72.53 / 99.01 against the paper's
+// 70.6 / 42.2 / 61.0 / 99.9, because the ring-synchronized BT-MZ
+// phase-locks on neighbour dependences (EXPERIMENTS.md, Table V).
 
 #include <array>
 #include <cstddef>
-#include <vector>
 
 #include "power5/hw_priority.h"
 
 namespace hpcs::p5 {
 
-/// Tunable parameters of the throughput model. Defaults are calibrated in
-/// DESIGN.md §2 against the paper's Tables III-V shapes.
+/// The throughput model's one setting (the speed(share) curve is fixed in
+/// throughput.cpp, calibrated in DESIGN.md §2 against the paper's Tables
+/// III-V shapes).
 struct ThroughputParams {
-  /// Anchor points of the speed(share) curve; linear interpolation between
-  /// them. Must be sorted by share and equal-length.
-  std::vector<double> share_points = {0.0,    1.0 / 64, 1.0 / 32, 1.0 / 16, 0.125,
-                                      0.25,   0.5,      0.75,     0.875,    15.0 / 16,
-                                      31.0 / 32, 1.0};
-  std::vector<double> speed_points = {0.0,  0.04, 0.06, 0.10, 0.19, 0.55,
-                                      0.65, 0.73, 0.76, 0.77, 0.775, 0.78};
   /// Hardware priority the *idle* context effectively contends at, modeling
   /// the Linux/POWER5 spin idle loop with SMT snooze disabled, the common
   /// HPC setting the paper's numbers imply: the Table III baseline shows NO
@@ -53,20 +49,6 @@ struct CoreSpeeds {
   double a = 0.0;
   double b = 0.0;
 };
-
-/// Interpolated speed for a given decode share.
-[[nodiscard]] double speed_for_share(const ThroughputParams& p, double share);
-
-/// A POWER6-style parameter preset (the paper notes POWER6 "provides a
-/// similar prioritization mechanism"). POWER6 is in-order, so threads hide
-/// less of each other's stalls: the equal-share point is lower (~0.58) and
-/// the priority lever steeper on both sides.
-[[nodiscard]] ThroughputParams power6_params();
-
-/// A CELL-like preset (3 coarse priority levels, paper §I): a flatter,
-/// stepped curve — useful for studying how lever granularity affects the
-/// balanceable imbalance range.
-[[nodiscard]] ThroughputParams cell_params();
 
 /// Per-context speeds for contexts running at priorities `a` and `b`.
 /// `a_active` / `b_active` state whether each context currently executes a

@@ -41,10 +41,9 @@ inline constexpr std::size_t kEventCallbackCapacity = 48;
 
 using EventCallback = InplaceFunction<void(), kEventCallbackCapacity>;
 
-/// Same-instant order class of an event. A kFirst event fires before every
-/// kNormal event at its instant; kFirst events tied with each other fire in
-/// the order they were first scheduled, a place reschedule() keeps. kNormal
-/// events fire in the order of their last schedule()/reschedule().
+/// Same-instant order class of an event: kFirst before kNormal at an
+/// instant; within a lane, in the order of the last (re)arm
+/// (schedule()/reschedule()).
 enum class Lane : std::uint8_t { kFirst = 0, kNormal = 1 };
 
 /// Always-on queue counters (plain int64 increments on paths that already
@@ -99,10 +98,9 @@ class EventQueue {
     slot.cb = std::move(cb);
     slot.live = true;
     slot.lane = lane;
-    slot.seq = next_seq_++;
     ++slot.gen;
     ++live_count_;
-    heap_push(HeapEntry{when, slot.seq, (id << 1) | static_cast<std::uint32_t>(lane)});
+    heap_push(HeapEntry{when, next_seq_++, (id << 1) | static_cast<std::uint32_t>(lane)});
     return EventHandle{id, slot.gen};
   }
 
@@ -134,7 +132,7 @@ class EventQueue {
       ++stats_.resched_pending;
       const std::size_t i = pos_[id];
       const HeapEntry old = heap_[i];
-      const HeapEntry e{when, seq_for(slot_at(id)), old.key};
+      const HeapEntry e{when, next_seq_++, old.key};
       if (e > old) {
         sift_down(i, e);
       } else {
@@ -149,7 +147,7 @@ class EventQueue {
       Slot& slot = slot_at(id);
       slot.live = true;
       ++live_count_;
-      heap_push(HeapEntry{when, seq_for(slot), (id << 1) | static_cast<std::uint32_t>(slot.lane)});
+      heap_push(HeapEntry{when, next_seq_++, (id << 1) | static_cast<std::uint32_t>(slot.lane)});
       return true;
     }
     return false;
@@ -232,7 +230,7 @@ class EventQueue {
       // of one lane sit within 2^31 schedule() calls of each other. The
       // simulator's same-instant fan-out (message deliveries, zero-delay
       // reschedules) is bounded by machine size — nowhere near the 2^31
-      // window; kFirst entries are the kernels' ticks, scheduled at start.
+      // window.
       return static_cast<std::int32_t>(seq - o.seq) > 0;
     }
   };
@@ -240,8 +238,6 @@ class EventQueue {
   struct Slot {
     EventCallback cb;
     std::uint64_t gen = 0;
-    /// Sequence of the first schedule(); a kFirst event keeps it for life.
-    std::uint32_t seq = 0;
     Lane lane = Lane::kNormal;
     bool live = false;  ///< pending: the slot has an entry in the heap
   };
@@ -257,11 +253,6 @@ class EventQueue {
   }
   [[nodiscard]] const Slot& slot_at(std::uint64_t id) const {
     return chunks_[id >> kChunkShift][id & (kChunkSize - 1)];
-  }
-
-  /// The sequence a (re-)armed entry of `slot` takes.
-  std::uint32_t seq_for(const Slot& slot) {
-    return slot.lane == Lane::kFirst ? slot.seq : next_seq_++;
   }
 
   std::uint32_t alloc_slot() {

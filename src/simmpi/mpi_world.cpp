@@ -40,7 +40,7 @@ MpiWorld::MpiWorld(kern::Kernel& k, MpiWorldConfig cfg,
     rs.program = std::move(programs[r]);
     const CpuId cpu = r < cfg_.placement.size() ? cfg_.placement[r]
                                                 : static_cast<CpuId>(r) % k.num_cpus();
-    rs.task = &k.create_task(cfg_.name_prefix + std::to_string(r),
+    rs.task = &k.create_task("rank" + std::to_string(r),
                              std::make_unique<RankBody>(*this, static_cast<int>(r)),
                              cfg_.policy, cpu);
     if (r < cfg_.static_hw_prio.size()) {

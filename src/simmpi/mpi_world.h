@@ -34,7 +34,6 @@ struct MpiWorldConfig {
   std::vector<int> static_hw_prio;
   NetworkParams net{};
   std::uint64_t seed = 1;
-  std::string name_prefix = "rank";
 };
 
 class MpiWorld {

@@ -1,7 +1,6 @@
 // Tests for the analysis layer and the common utilities that back it:
 // improvement computation, formatting helpers, running statistics, RNG
-// stream independence, the POWER6 parameter preset, and the bit-exact
-// RunResult serializer.
+// stream independence and the bit-exact RunResult serializer.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +10,6 @@
 #include "analysis/experiment.h"
 #include "analysis/run_serialize.h"
 #include "common/stats.h"
-#include "power5/throughput.h"
 #include "test_util.h"
 #include "workloads/metbench.h"
 
@@ -72,39 +70,6 @@ TEST(CommonRng, ForkedStreamsAreIndependent) {
   Rng c = check.fork();
   for (int i = 0; i < 16; ++i) EXPECT_DOUBLE_EQ(a2.uniform(), c.uniform());
 }
-
-TEST(Power6, PresetIsSteeperThanPower5) {
-  const p5::ThroughputParams p5_params;
-  const p5::ThroughputParams p6 = p5::power6_params();
-  // In-order core: lower equal-share point, stronger lever both ways.
-  EXPECT_LT(p5::speed_for_share(p6, 0.5), p5::speed_for_share(p5_params, 0.5));
-  EXPECT_GT(p5::speed_for_share(p6, 0.875), p5::speed_for_share(p6, 0.5) * 1.3);
-  EXPECT_LT(p5::speed_for_share(p6, 0.125), p5::speed_for_share(p5_params, 0.125));
-  // Monotone.
-  double prev = -1.0;
-  for (double s = 0.0; s <= 1.0; s += 1.0 / 64) {
-    const double v = p5::speed_for_share(p6, s);
-    EXPECT_GE(v, prev);
-    prev = v;
-  }
-}
-
-TEST(Power6, WorksAsMachineModel) {
-  kern::KernelConfig cfg;
-  cfg.throughput = p5::power6_params();
-  analysis::ExperimentConfig ec;
-  ec.kernel = cfg;
-  ec.mode = analysis::SchedMode::kUniform;
-  wl::MetBenchConfig w;
-  w.iterations = 6;
-  w.loads = {0.1e9, 0.4e9, 0.1e9, 0.4e9};
-  const auto uni = analysis::run_experiment(ec, wl::make_metbench(w));
-  ec.mode = analysis::SchedMode::kBaselineCfs;
-  const auto base = analysis::run_experiment(ec, wl::make_metbench(w));
-  // The steeper lever balances at least as well.
-  EXPECT_GT(analysis::improvement_pct(base, uni), 8.0);
-}
-
 
 TEST(PaperReferences, CoverEveryReportedMode) {
   using analysis::SchedMode;

@@ -3,8 +3,6 @@
 // monotonicity properties, SMT core + chip bookkeeping (including the
 // speed-table oracle against the context_speeds scan), priority ISA.
 
-#include <utility>
-
 #include <gtest/gtest.h>
 
 #include "power5/chip.h"
@@ -122,7 +120,9 @@ TEST(Throughput, CalibrationAnchors) {
   EXPECT_NEAR(d2.a, 0.76, 1e-9);
   EXPECT_NEAR(d2.a / d2.b, 4.0, 0.1);
   // Priority difference 1 is gentle on the loser (concave curve): it keeps
-  // ~85% of its equal-share speed — the Table V static profile.
+  // ~85% of its equal-share speed. Table V's Static run (4/4/5/6) rests on
+  // it and gains +14.0% (paper +16.2%); its per-rank profile deviates
+  // (ring phase-locking, EXPERIMENTS.md).
   const auto d1 = context_speeds(p, HwPrio::kMediumHigh, true, HwPrio::kMedium, true);
   EXPECT_NEAR(d1.a, 0.73, 1e-9);
   EXPECT_NEAR(d1.b, 0.55, 1e-9);
@@ -201,9 +201,18 @@ TEST(Throughput, VeryHighMeansSiblingOff) {
 }
 
 TEST(Throughput, DecodeShare) {
-  EXPECT_DOUBLE_EQ(decode_share_a(HwPrio::kMedium, HwPrio::kMedium), 0.5);
-  EXPECT_DOUBLE_EQ(decode_share_a(HwPrio::kHigh, HwPrio::kMedium), 7.0 / 8.0);
-  EXPECT_DOUBLE_EQ(decode_share_a(HwPrio::kMedium, HwPrio::kHigh), 1.0 / 8.0);
+  // Every regular pair, per Table I: in a window of R = 2^(|diff|+1) cycles
+  // the higher priority decodes R-1 and the lower 1; equal priorities split
+  // evenly (R = 2 gives 1/2 either way).
+  for (int pa = 2; pa <= 6; ++pa) {
+    for (int pb = 2; pb <= 6; ++pb) {
+      const int diff = pa > pb ? pa - pb : pb - pa;
+      const double r = static_cast<double>(1 << (diff + 1));
+      const double want = pa == pb ? 0.5 : pa > pb ? (r - 1.0) / r : 1.0 / r;
+      EXPECT_DOUBLE_EQ(decode_share_a(hw_prio_from_int(pa), hw_prio_from_int(pb)), want)
+          << pa << " vs " << pb;
+    }
+  }
 }
 
 // ---- SmtCore / Chip ------------------------------------------------------
@@ -225,16 +234,12 @@ TEST(SmtCore, SpeedUpdatesOnPriorityChange) {
 
 // SmtCore reads its speeds from a CoreSpeedTable. Driven into every state
 // it can hold — each priority pair, each pair of active flags — a core must
-// report exactly the context_speeds scan, for every parameter preset.
+// report exactly the context_speeds scan, for every idle contention
+// priority ablation_throughput runs (spin at 4 or 2, or cede the core).
 TEST(SmtCore, SpeedTableMatchesScanInEveryState) {
-  ThroughputParams ceded;
-  ceded.idle_contention_prio = -1;
-  const std::pair<const char*, ThroughputParams> presets[] = {
-      {"default", ThroughputParams{}},
-      {"power6", power6_params()},
-      {"cell", cell_params()},
-      {"ceded-idle", ceded}};
-  for (const auto& [name, p] : presets) {
+  for (const int idle : {4, 2, -1}) {
+    ThroughputParams p;
+    p.idle_contention_prio = idle;
     SmtCore core(0, p);
     for (int pa = 0; pa <= 7; ++pa) {
       for (int pb = 0; pb <= 7; ++pb) {
@@ -248,8 +253,8 @@ TEST(SmtCore, SpeedTableMatchesScanInEveryState) {
           ASSERT_TRUE(core.active(0) == aa && core.active(1) == ba);
           const CoreSpeeds want =
               context_speeds(p, hw_prio_from_int(pa), aa, hw_prio_from_int(pb), ba);
-          EXPECT_EQ(core.speed(0), want.a) << name << " " << pa << "/" << pb << " " << flags;
-          EXPECT_EQ(core.speed(1), want.b) << name << " " << pa << "/" << pb << " " << flags;
+          EXPECT_EQ(core.speed(0), want.a) << idle << ": " << pa << "/" << pb << " " << flags;
+          EXPECT_EQ(core.speed(1), want.b) << idle << ": " << pa << "/" << pb << " " << flags;
         }
       }
     }

@@ -381,8 +381,8 @@ TEST(EventQueueReschedule, CancelAfterInCallbackRearmKeepsClosureAlive) {
 
 TEST(EventQueue, FirstLaneFiresBeforeSameInstantPeers) {
   // kFirst events run ahead of every kNormal event at their instant and,
-  // tied among themselves, keep their first-schedule order across a pending
-  // reschedule() and an in-callback re-arm.
+  // tied among themselves, fire in the order of their last (re)arm: a
+  // pending reschedule() and an in-callback re-arm each take a new place.
   EventQueue q;
   std::vector<int> order;
   q.schedule(SimTime(10), [&order] { order.push_back(0); });
@@ -401,9 +401,9 @@ TEST(EventQueue, FirstLaneFiresBeforeSameInstantPeers) {
       q.schedule(SimTime(30), [&order] { order.push_back(2); }, Lane::kFirst);
   q.schedule(SimTime(20), [&order] { order.push_back(3); });
   ASSERT_TRUE(q.reschedule(a, SimTime(10)));  // still ahead of event 0 at 10
-  ASSERT_TRUE(q.reschedule(b, SimTime(20)));  // re-armed `a` at 20 still goes first
+  ASSERT_TRUE(q.reschedule(b, SimTime(20)));  // `a`, re-armed at 20 later, goes after
   while (!q.empty()) q.pop_and_run();
-  EXPECT_EQ(order, (std::vector<int>{1, 0, 1, 2, 3}));
+  EXPECT_EQ(order, (std::vector<int>{1, 0, 2, 1, 3}));
 }
 
 TEST(EventQueueReschedule, InCallbackSameInstantReArmFiresAfterQueuedPeers) {

@@ -11,7 +11,6 @@
 #include "workloads/metbenchvar.h"
 #include "workloads/repartition.h"
 #include "workloads/siesta.h"
-#include "workloads/wavefront.h"
 
 namespace hpcs::wl {
 namespace {
@@ -177,40 +176,6 @@ TEST(Siesta, MeanBurstNearConfigured) {
   EXPECT_NEAR(sum / n, cfg.cycle_work, cfg.cycle_work * 0.1);
 }
 
-TEST(Wavefront, OpStreamStructure) {
-  WavefrontConfig cfg;
-  cfg.ranks = 4;
-  cfg.iterations = 3;
-  auto progs = make_wavefront(cfg);
-  ASSERT_EQ(progs.size(), 4u);
-  // Interior rank: per iteration 2 recvs (fwd+bwd), 2 computes, 2 sends.
-  const auto mid = drain(*progs[1]);
-  EXPECT_EQ(count_ops<mpi::OpRecv>(mid), 6);
-  EXPECT_EQ(count_ops<mpi::OpCompute>(mid), 6);
-  EXPECT_EQ(count_ops<mpi::OpSend>(mid), 6);
-  EXPECT_EQ(count_ops<mpi::OpMarkIteration>(mid), 3);
-  // Edge rank 0: only the backward recv, only the forward send.
-  const auto head = drain(*progs[0]);
-  EXPECT_EQ(count_ops<mpi::OpRecv>(head), 3);
-  EXPECT_EQ(count_ops<mpi::OpSend>(head), 3);
-  EXPECT_EQ(count_ops<mpi::OpCompute>(head), 6);
-}
-
-TEST(Wavefront, ForwardSendTargets) {
-  WavefrontConfig cfg;
-  cfg.ranks = 3;
-  cfg.iterations = 1;
-  auto progs = make_wavefront(cfg);
-  const auto ops = drain(*progs[0]);
-  // Rank 0 sends forward to 1 (tag 0), never backward.
-  for (const auto& op : ops) {
-    if (const auto* s = std::get_if<mpi::OpSend>(&op)) {
-      EXPECT_EQ(s->dst, 1);
-      EXPECT_EQ(s->tag, 0);
-    }
-  }
-}
-
 TEST(Repartition, LoadScheduleConvergesTowardMean) {
   RepartitionConfig cfg;
   cfg.initial_loads = {1.0, 3.0};
@@ -247,13 +212,6 @@ TEST(Repartition, OpStreamPaysRepartitionCost) {
   EXPECT_EQ(count_ops<mpi::OpAllreduce>(ops), 1);
   EXPECT_EQ(count_ops<mpi::OpBarrier>(ops), 6);
   EXPECT_EQ(count_ops<mpi::OpMarkIteration>(ops), 6);
-}
-
-TEST(Wavefront, WeightsValidated) {
-  WavefrontConfig cfg;
-  cfg.ranks = 4;
-  cfg.weights = {1.0, 2.0};  // wrong length
-  EXPECT_DEATH(make_wavefront(cfg), "");
 }
 
 }  // namespace
