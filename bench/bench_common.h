@@ -17,7 +17,6 @@
 #include "exp/parallel_runner.h"
 #include "obs/chrome_trace.h"
 #include "obs/manifest.h"
-#include "obs/text_file.h"
 
 namespace hpcs::bench {
 
@@ -43,10 +42,9 @@ struct Flags {
 ///                            hardware thread)
 ///   kObs   --obs             per-run metrics (tracepoint hit counts and the
 ///                            kernel's counters), MANIFEST_<name>.json
-///                            (+ .host.json sidecar)
 ///          --obs-trace PATH  additionally capture a Chrome-trace / Perfetto
 ///                            JSON view of every run into PATH (implies --obs)
-///          --obs-window NS   sample every metric on sim-time window
+///          --obs-window NS   sample every live count on sim-time window
 ///                            boundaries of NS nanoseconds into the
 ///                            manifest's per-window series (schema
 ///                            hpcs-obs-manifest-v2; implies --obs). The series
@@ -102,17 +100,13 @@ inline Flags parse_flags(int argc, char** argv, unsigned takes) {
 }
 
 /// Run one experiment per mode through the parallel engine; results come
-/// back in mode order regardless of worker interleaving. `host_stats`, when
-/// given, receives the engine's host-side stats for the .host.json sidecar.
+/// back in mode order regardless of worker interleaving.
 template <typename RunFn>
 std::vector<analysis::RunResult> run_modes(unsigned jobs,
                                            const std::vector<analysis::SchedMode>& modes,
-                                           RunFn run,
-                                           exp::EngineStats* host_stats = nullptr) {
+                                           RunFn run) {
   exp::ParallelRunner runner(jobs);
-  auto results = runner.map(modes.size(), [&](std::size_t i) { return run(modes[i]); });
-  if (host_stats != nullptr) *host_stats = runner.last_stats();
-  return results;
+  return runner.map(modes.size(), [&](std::size_t i) { return run(modes[i]); });
 }
 
 /// The runs' labels in a table driver's manifest and trace: the mode names.
@@ -122,29 +116,19 @@ inline std::vector<std::string> mode_names(const std::vector<analysis::SchedMode
   return names;
 }
 
-/// MANIFEST_<name>.host.json: host-side sidecar (engine stats + wall time).
-/// Deliberately a separate file — it is the one place wall-clock appears, so
-/// the main manifest stays byte-comparable across machines and job counts.
-inline void write_host_sidecar(const char* name, unsigned jobs,
-                               const exp::EngineStats& s) {
-  obs::write_text_file(std::string("MANIFEST_") + name + ".host.json",
-                       exp::render_host_json(name, jobs, s));
-}
-
 /// The obs epilogue of every table, figure and export driver, one run per
 /// label: MANIFEST_<name>.json (one entry per run, fixed metric order — see
-/// docs/observability.md; byte-identical for every --jobs N), the host
-/// sidecar when `host_stats` is given and the Chrome trace (--obs-trace).
-/// No-op with obs off.
-inline void write_obs_outputs(const char* name, const ObsOptions& o, unsigned jobs,
-                              const std::vector<std::string>& labels,
-                              const std::vector<analysis::RunResult>& results,
-                              const exp::EngineStats* host_stats = nullptr) {
-  if (!o.cfg.enabled) return;
+/// docs/observability.md; byte-identical for every --jobs N) and the Chrome
+/// trace (--obs-trace). Returns false, after the file's warning, when a
+/// file it was asked for could not be written in full; the driver then
+/// exits 1. No-op with obs off.
+[[nodiscard]] inline bool write_obs_outputs(const char* name, const ObsOptions& o,
+                                            const std::vector<std::string>& labels,
+                                            const std::vector<analysis::RunResult>& results) {
+  if (!o.cfg.enabled) return true;
   std::vector<obs::ManifestRun> runs;
   for (std::size_t i = 0; i < labels.size(); ++i) runs.push_back({labels[i], results[i].metrics});
-  obs::write_manifest_json(std::string("MANIFEST_") + name + ".json", name, runs);
-  if (host_stats != nullptr) write_host_sidecar(name, jobs, *host_stats);
+  bool ok = obs::write_manifest_json(std::string("MANIFEST_") + name + ".json", name, runs);
   if (!o.trace_path.empty()) {
     std::vector<obs::ChromeTraceRun> truns;
     for (std::size_t i = 0; i < labels.size(); ++i) {
@@ -154,8 +138,11 @@ inline void write_obs_outputs(const char* name, const ObsOptions& o, unsigned jo
     }
     if (obs::write_chrome_trace(o.trace_path, truns)) {
       std::printf("wrote Chrome trace: %s (open in ui.perfetto.dev)\n", o.trace_path.c_str());
+    } else {
+      ok = false;
     }
   }
+  return ok;
 }
 
 inline void print_side_by_side(const analysis::RunResult& ours,

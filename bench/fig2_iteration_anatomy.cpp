@@ -35,6 +35,7 @@ int main(int argc, char** argv) {
   std::printf(
       "\nthe imbalance is visible in iteration 1 (light ~25%%, heavy ~100%%); the\n"
       "heuristic applies priorities before iteration 2 and both settle near 100%%.\n");
-  bench::write_obs_outputs("fig2_iteration_anatomy", flags.obs, /*jobs=*/1, {"Uniform"}, results);
-  return 0;
+  const bool written =
+      bench::write_obs_outputs("fig2_iteration_anatomy", flags.obs, {"Uniform"}, results);
+  return written ? 0 : 1;
 }

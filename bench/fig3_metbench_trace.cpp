@@ -26,19 +26,17 @@ int main(int argc, char** argv) {
   for (const auto& [mode, label] : figures) modes.push_back(mode);
 
   std::printf("=== Figure 3: effect of the proposed solution on MetBench ===\n\n");
-  exp::EngineStats host{};
   auto results = bench::run_modes(
       flags.jobs, modes,
       [&e, &flags](SchedMode m) {
         return analysis::run_metbench(e, m, /*trace=*/true, /*seed=*/1, flags.obs.cfg);
-      },
-      &host);
+      });
   for (std::size_t i = 0; i < figures.size(); ++i) {
     bench::print_trace_figure(figures[i].second, results[i]);
     if (analysis::is_dynamic_mode(figures[i].first)) bench::print_iteration_series(results[i]);
     std::printf("\n");
   }
-  bench::write_obs_outputs("fig3_metbench", flags.obs, flags.jobs, bench::subtitles(figures),
-                           results, &host);
-  return 0;
+  const bool written = bench::write_obs_outputs("fig3_metbench", flags.obs,
+                                                bench::subtitles(figures), results);
+  return written ? 0 : 1;
 }

@@ -26,13 +26,11 @@ int main(int argc, char** argv) {
   for (const auto& [mode, label] : figures) modes.push_back(mode);
 
   std::printf("=== Figure 4: effect of the proposed solution on MetBenchVar ===\n\n");
-  exp::EngineStats host{};
   auto results = bench::run_modes(
       flags.jobs, modes,
       [&e, &flags](SchedMode m) {
         return analysis::run_metbenchvar(e, m, /*trace=*/true, /*seed=*/1, flags.obs.cfg);
-      },
-      &host);
+      });
   for (std::size_t i = 0; i < figures.size(); ++i) {
     bench::print_trace_figure(figures[i].second, results[i], 135);
     if (analysis::is_dynamic_mode(figures[i].first)) {
@@ -42,7 +40,7 @@ int main(int argc, char** argv) {
     }
     std::printf("\n");
   }
-  bench::write_obs_outputs("fig4_metbenchvar", flags.obs, flags.jobs, bench::subtitles(figures),
-                           results, &host);
-  return 0;
+  const bool written = bench::write_obs_outputs("fig4_metbenchvar", flags.obs,
+                                                bench::subtitles(figures), results);
+  return written ? 0 : 1;
 }

@@ -24,18 +24,16 @@ int main(int argc, char** argv) {
   for (const auto& [mode, label] : figures) modes.push_back(mode);
 
   std::printf("=== Figure 5: effect of the proposed solution on BT-MZ ===\n\n");
-  exp::EngineStats host{};
   auto results = bench::run_modes(
       flags.jobs, modes,
       [&e, &flags](SchedMode m) {
         return analysis::run_btmz(e, m, /*trace=*/true, /*seed=*/1, flags.obs.cfg);
-      },
-      &host);
+      });
   for (std::size_t i = 0; i < figures.size(); ++i) {
     bench::print_trace_figure(figures[i].second, results[i], 120);
     std::printf("\n");
   }
-  bench::write_obs_outputs("fig5_btmz", flags.obs, flags.jobs, bench::subtitles(figures),
-                           results, &host);
-  return 0;
+  const bool written = bench::write_obs_outputs("fig5_btmz", flags.obs,
+                                                bench::subtitles(figures), results);
+  return written ? 0 : 1;
 }

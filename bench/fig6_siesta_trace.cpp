@@ -27,20 +27,18 @@ int main(int argc, char** argv) {
   for (const auto& [mode, label] : figures) modes.push_back(mode);
 
   std::printf("=== Figure 6: effect of the proposed solution on SIESTA ===\n\n");
-  exp::EngineStats host{};
   auto results = bench::run_modes(
       flags.jobs, modes,
       [&e, &flags](SchedMode m) {
         return analysis::run_siesta(e, m, /*trace=*/true, /*seed=*/1, flags.obs.cfg);
-      },
-      &host);
+      });
   for (std::size_t i = 0; i < figures.size(); ++i) {
     bench::print_trace_figure(figures[i].second, results[i], 120);
     std::printf("avg wakeup latency per rank (us):");
     for (const auto& rank : results[i].ranks) std::printf(" %.1f", rank.avg_wakeup_latency_us);
     std::printf("\n\n");
   }
-  bench::write_obs_outputs("fig6_siesta", flags.obs, flags.jobs, bench::subtitles(figures),
-                           results, &host);
-  return 0;
+  const bool written = bench::write_obs_outputs("fig6_siesta", flags.obs,
+                                                bench::subtitles(figures), results);
+  return written ? 0 : 1;
 }

@@ -15,9 +15,9 @@
 //     Each scenario runs three times and is gated on its best rate: a busy
 //     host slows a run down, it never speeds one up.
 //  2. an 8-run MetBench batch run serially (--jobs 1) and at --jobs N, and
-//     a byte-for-byte comparison of the two batches' serialized RunResults
-//     (the engine's bit-identical contract). The batch is too short to time
-//     the engine; perfbench's paper_sweep measures its speed end to end.
+//     a field-by-field comparison of the two batches' RunResults (the
+//     engine's bit-identical contract). The batch is too short to time the
+//     engine; perfbench's paper_sweep measures its speed end to end.
 // Exits 1, after one FAIL line per miss, when a scenario's best rate is
 // below its events/sec floor, and when the two batches differ. Flags:
 // --jobs N for the parallel leg.
@@ -27,11 +27,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iterator>
-#include <string>
 #include <vector>
 
 #include "analysis/paper_experiments.h"
-#include "analysis/run_serialize.h"
 #include "bench_common.h"
 #include "exp/parallel_runner.h"
 #include "simcore/simulator.h"
@@ -286,9 +284,8 @@ constexpr int kRepeats = 3;
 constexpr std::size_t kBatchRuns = 8;
 
 /// The engine leg's batch on `jobs` workers: MetBench at 15 iterations, run
-/// i in mode i % 4 with seed 1 + i / 4, each returned as its
-/// serialize_run_result bytes.
-std::vector<std::string> run_batch(unsigned jobs) {
+/// i in mode i % 4 with seed 1 + i / 4.
+std::vector<analysis::RunResult> run_batch(unsigned jobs) {
   constexpr analysis::SchedMode kModes[] = {
       analysis::SchedMode::kBaselineCfs, analysis::SchedMode::kStatic,
       analysis::SchedMode::kUniform, analysis::SchedMode::kAdaptive};
@@ -296,8 +293,7 @@ std::vector<std::string> run_batch(unsigned jobs) {
   e.workload.iterations = 15;
   exp::ParallelRunner runner(jobs);
   return runner.map(kBatchRuns, [&](std::size_t i) {
-    return analysis::serialize_run_result(
-        analysis::run_metbench(e, kModes[i % 4], /*trace=*/false, /*seed=*/1 + i / 4));
+    return analysis::run_metbench(e, kModes[i % 4], /*trace=*/false, /*seed=*/1 + i / 4);
   });
 }
 

@@ -15,13 +15,11 @@ int main(int argc, char** argv) {
                                         SchedMode::kUniform, SchedMode::kAdaptive};
 
   std::printf("=== Table IV: MetBenchVar characterization (k=15, 45 iterations) ===\n\n");
-  exp::EngineStats host{};
   auto results = bench::run_modes(
       flags.jobs, modes,
       [&e, &flags](SchedMode m) {
         return analysis::run_metbenchvar(e, m, /*trace=*/false, /*seed=*/1, flags.obs.cfg);
-      },
-      &host);
+      });
   auto& baseline = results[0];
   auto& stat = results[1];
   auto& uniform = results[2];
@@ -41,7 +39,7 @@ int main(int argc, char** argv) {
   };
   std::printf("\n%s\n",
               analysis::render_characterization_table("Table IV (measured)", sections).c_str());
-  bench::write_obs_outputs("table4_metbenchvar", flags.obs, flags.jobs, bench::mode_names(modes),
-                           results, &host);
-  return 0;
+  const bool written = bench::write_obs_outputs("table4_metbenchvar", flags.obs,
+                                                bench::mode_names(modes), results);
+  return written ? 0 : 1;
 }

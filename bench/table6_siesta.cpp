@@ -16,13 +16,11 @@ int main(int argc, char** argv) {
                                         SchedMode::kAdaptive};
 
   std::printf("=== Table VI: SIESTA characterization ===\n\n");
-  exp::EngineStats host{};
   auto results = bench::run_modes(
       flags.jobs, modes,
       [&e, &flags](SchedMode m) {
         return analysis::run_siesta(e, m, /*trace=*/false, /*seed=*/1, flags.obs.cfg);
-      },
-      &host);
+      });
   auto& baseline = results[0];
   auto& uniform = results[1];
   auto& adaptive = results[2];
@@ -47,7 +45,7 @@ int main(int argc, char** argv) {
   };
   std::printf("\n%s\n",
               analysis::render_characterization_table("Table VI (measured)", sections).c_str());
-  bench::write_obs_outputs("table6_siesta", flags.obs, flags.jobs, bench::mode_names(modes),
-                           results, &host);
-  return 0;
+  const bool written = bench::write_obs_outputs("table6_siesta", flags.obs,
+                                                bench::mode_names(modes), results);
+  return written ? 0 : 1;
 }

@@ -6,10 +6,14 @@ Usage:
 
 Compares MANIFEST_*.json documents (hpcs-obs-manifest-v1 or -v2) run by run:
 
-  * totals    — every metric's end-of-run value (counter count, gauge value,
-                histogram count/sum/buckets)
-  * windows   — the per-window time series (v2 only): period, column layout,
-                sample count, and every per-window value
+  * totals    — the run's sim_end_s and every metric's end-of-run value
+                (counter count, gauge value, histogram count/sum/buckets)
+  * windows   — the per-window time series (v2 only): period, sample count,
+                and every per-window value
+
+Rows and window columns are matched by name, so two manifests whose metric
+lists differ still compare: a row or column present in only one of them is
+named as a structural difference, and every common one is diffed by value.
 
 The reason this tool exists: two runs can report IDENTICAL totals while
 behaving differently mid-run — a burst of migrations early vs late, a stall
@@ -37,6 +41,12 @@ def load_error(message):
     raise SystemExit(2)
 
 
+def named(items):
+    """Whether `items` is a list of strings, each once."""
+    return (isinstance(items, list) and all(isinstance(n, str) for n in items)
+            and len(set(items)) == len(items))
+
+
 def shape_error(doc):
     """Why `doc` lacks the structure the differ walks, or None."""
     if not isinstance(doc, dict):
@@ -51,6 +61,8 @@ def shape_error(doc):
             return f"runs[{ri}].metrics is not an array of objects"
         if not all(isinstance(m.get("buckets", []), list) for m in metrics):
             return f"runs[{ri}]: histogram buckets are not an array"
+        if not named([m.get("name") for m in metrics]):
+            return f"runs[{ri}]: metric names are not distinct strings"
         win = run.get("windows")
         if win is None:
             continue
@@ -58,8 +70,8 @@ def shape_error(doc):
             return f"runs[{ri}].windows is not an object"
         int_cols, real_cols = win.get("int_columns", []), win.get("real_columns", [])
         samples = win.get("samples", [])
-        if not isinstance(int_cols, list) or not isinstance(real_cols, list):
-            return f"runs[{ri}].windows columns are not arrays"
+        if not named(int_cols) or not named(real_cols):
+            return f"runs[{ri}].windows columns are not arrays of distinct names"
         if not isinstance(samples, list) or not all(isinstance(s, dict) for s in samples):
             return f"runs[{ri}].windows.samples is not an array of objects"
         for si, s in enumerate(samples):
@@ -124,17 +136,30 @@ class Differ:
             return a == b
         return a == b
 
+    def one_sided(self, rname, what, names_a, names_b):
+        """Report each of `names_a`/`names_b` missing from the other side."""
+        for side, names, other in (("A", names_a, names_b), ("B", names_b, names_a)):
+            for name in names:
+                if name not in other:
+                    self.structural += 1
+                    self.report(f"{rname}: {what} {name} only in {side}")
+
     def diff_totals(self, run_a, run_b, rname):
-        ma, mb = run_a.get("metrics", []), run_b.get("metrics", [])
-        if [m.get("name") for m in ma] != [m.get("name") for m in mb]:
-            self.structural += 1
-            self.report(f"{rname}: metric layouts differ — not comparable totals")
-            return
-        for a, b in zip(ma, mb):
-            for (la, va, real), (_lb, vb, _r) in zip(metric_values(a), metric_values(b)):
-                if not self.equal(va, vb, real):
+        if not self.equal(run_a.get("sim_end_s"), run_b.get("sim_end_s"), True):
+            self.total_diffs += 1
+            self.report(f"{rname}: sim_end_s: {run_a.get('sim_end_s')!r} != "
+                        f"{run_b.get('sim_end_s')!r}")
+        ma = {m["name"]: m for m in run_a.get("metrics", [])}
+        mb = {m["name"]: m for m in run_b.get("metrics", [])}
+        self.one_sided(rname, "metric", ma, mb)
+        for name in (n for n in ma if n in mb):
+            va = {label: (v, real) for label, v, real in metric_values(ma[name])}
+            vb = {label: (v, real) for label, v, real in metric_values(mb[name])}
+            for label, (_, real) in {**va, **vb}.items():
+                a, b = va.get(label, (None,))[0], vb.get(label, (None,))[0]
+                if not self.equal(a, b, real):
                     self.total_diffs += 1
-                    self.report(f"{rname}: total {la}: {va!r} != {vb!r}")
+                    self.report(f"{rname}: total {label}: {a!r} != {b!r}")
 
     def diff_windows(self, run_a, run_b, rname):
         wa, wb = run_a.get("windows"), run_b.get("windows")
@@ -144,19 +169,25 @@ class Differ:
             self.structural += 1
             self.report(f"{rname}: windows present in only one manifest")
             return
-        for key in ("window_ns", "int_columns", "real_columns"):
-            if wa.get(key) != wb.get(key):
-                self.structural += 1
-                self.report(f"{rname}: windows.{key} differs: "
-                            f"{wa.get(key)!r} != {wb.get(key)!r}")
-                return
+        if wa.get("window_ns") != wb.get("window_ns"):
+            self.structural += 1
+            self.report(f"{rname}: windows.window_ns differs: "
+                        f"{wa.get('window_ns')!r} != {wb.get('window_ns')!r}")
+            return
+        # (key, is_real, width in A, width in B, [(column, index in A, in B)])
+        kinds = []
+        for key, cols_key, real in (("ints", "int_columns", False),
+                                    ("reals", "real_columns", True)):
+            ca = {c: i for i, c in enumerate(wa.get(cols_key, []))}
+            cb = {c: i for i, c in enumerate(wb.get(cols_key, []))}
+            self.one_sided(rname, "window column", ca, cb)
+            common = [(c, i, cb[c]) for c, i in ca.items() if c in cb]
+            kinds.append((key, real, len(ca), len(cb), common))
         sa, sb = wa.get("samples", []), wb.get("samples", [])
         if len(sa) != len(sb):
             self.window_diffs += 1
             self.report(f"{rname}: {len(sa)} windows vs {len(sb)}")
             return
-        int_cols = wa.get("int_columns", [])
-        real_cols = wa.get("real_columns", [])
         for si, (a, b) in enumerate(zip(sa, sb)):
             if a.get("t_ns") != b.get("t_ns"):
                 self.window_diffs += 1
@@ -164,24 +195,17 @@ class Differ:
                     f"{rname}: window {si} boundary {a.get('t_ns')} != {b.get('t_ns')}"
                 )
                 continue
-            for ci, col in enumerate(int_cols):
-                va = a.get("ints", [None] * len(int_cols))[ci]
-                vb = b.get("ints", [None] * len(int_cols))[ci]
-                if not self.equal(va, vb, False):
-                    self.window_diffs += 1
-                    self.report(
-                        f"{rname}: window {si} (t_ns={a.get('t_ns')}) "
-                        f"{col}: {va!r} != {vb!r}"
-                    )
-            for ci, col in enumerate(real_cols):
-                va = a.get("reals", [None] * len(real_cols))[ci]
-                vb = b.get("reals", [None] * len(real_cols))[ci]
-                if not self.equal(va, vb, True):
-                    self.window_diffs += 1
-                    self.report(
-                        f"{rname}: window {si} (t_ns={a.get('t_ns')}) "
-                        f"{col}: {va!r} != {vb!r}"
-                    )
+            for key, real, width_a, width_b, common in kinds:
+                values_a = a.get(key, [None] * width_a)
+                values_b = b.get(key, [None] * width_b)
+                for col, ia, ib in common:
+                    va, vb = values_a[ia], values_b[ib]
+                    if not self.equal(va, vb, real):
+                        self.window_diffs += 1
+                        self.report(
+                            f"{rname}: window {si} (t_ns={a.get('t_ns')}) "
+                            f"{col}: {va!r} != {vb!r}"
+                        )
 
 
 def main(argv=None):
@@ -222,7 +246,8 @@ def main(argv=None):
         d.diff_windows(ra, rb, rname)
 
     if d.structural:
-        print(f"manifest diff: structural mismatch ({d.structural} problem(s))")
+        print(f"manifest diff: structural mismatch ({d.structural} problem(s)); "
+              f"{d.total_diffs} total(s) and {d.window_diffs} windowed value(s) differ")
         return 1
     if d.total_diffs == 0 and d.window_diffs > 0:
         print(

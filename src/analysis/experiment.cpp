@@ -35,6 +35,14 @@ double RunResult::max_util() const {
   return v;
 }
 
+bool RunResult::operator==(const RunResult& o) const {
+  return mode == o.mode && exec_time == o.exec_time && ranks == o.ranks && marks == o.marks &&
+         avg_wakeup_latency_us == o.avg_wakeup_latency_us &&
+         context_switches == o.context_switches && migrations == o.migrations &&
+         hw_prio_changes == o.hw_prio_changes && hpc_history_resets == o.hpc_history_resets &&
+         messages == o.messages && metrics == o.metrics;
+}
+
 RunResult run_experiment(const ExperimentConfig& cfg,
                          std::vector<std::unique_ptr<mpi::RankProgram>> programs) {
   sim::Simulator simulator;
@@ -130,26 +138,14 @@ RunResult run_experiment(const ExperimentConfig& cfg,
   kernel.set_trace(nullptr);
   if (recorder) {
     const sim::EventQueueStats& qs = simulator.queue_stats();
-    obs::RunTotals totals{
-        .ctx_switches = kernel.context_switches(),
-        .migrations = kernel.migrations(),
-        .balance_pulls = kernel.balance_pulls(),
-        .ticks = kernel.ticks_run(),
-        .ticks_replayed = kernel.ticks_replayed(),
-        .events_executed = static_cast<std::int64_t>(simulator.events_executed()),
-        .eq_scheduled = qs.scheduled,
-        .eq_dispatched = qs.dispatched,
-        .eq_resched_inplace = qs.resched_inplace,
-        .eq_resched_pending = qs.resched_pending,
-    };
-    if (hpc_class != nullptr) {
-      totals.hpc_iterations = hpc_class->iterations_observed();
-      totals.hpc_prio_changes = hpc_class->priority_changes();
-      totals.hpc_resets = hpc_class->history_resets();
-      totals.hpc_imbalance_detections = hpc_class->imbalance_detections();
-      totals.hpc_heuristic_decisions = hpc_class->heuristic_decisions();
-    }
-    res.metrics = recorder->snapshot(world.finish_time(), totals);
+    res.metrics = recorder->snapshot(
+        world.finish_time(),
+        {.ticks = kernel.ticks_run(),
+         .ticks_replayed = kernel.ticks_replayed(),
+         .events_executed = static_cast<std::int64_t>(simulator.events_executed()),
+         .eq_scheduled = qs.scheduled,
+         .eq_resched_inplace = qs.resched_inplace,
+         .eq_resched_pending = qs.resched_pending});
     kernel.set_obs(nullptr);
   }
   return res;

@@ -57,6 +57,8 @@ struct TaskResult {
   std::int64_t wakeups = 0;
   double avg_wakeup_latency_us = 0.0;
   std::int64_t iterations = 0;  ///< iterations the HPC scheduler observed
+
+  bool operator==(const TaskResult&) const = default;
 };
 
 struct RunResult {
@@ -79,6 +81,11 @@ struct RunResult {
   /// Lowest/highest rank utilization (the imbalance view).
   [[nodiscard]] double min_util() const;
   [[nodiscard]] double max_util() const;
+
+  /// Equal when every value field is: the whole-run oracle (serial vs
+  /// --jobs N, ticked vs tickless). Doubles compare by value. The tracer
+  /// and chrome handles are not compared.
+  bool operator==(const RunResult& o) const;
 };
 
 /// Run one experiment to completion. `programs` defines the workload (one

@@ -63,11 +63,9 @@ void HpcSchedClass::on_iteration_complete(kern::Kernel& k, kern::Task& t,
   // changes so the scheduler does not oscillate between two solutions.
   if (detector_.balanced(tun_)) return;
 
-  ++imbalance_detections_;
   HPCS_TRACEPOINT(k.obs(), obs::TpId::kTpHpcImbalance, k.now());
 
   const int target = classify_priority(metric, tun_);
-  ++heuristic_decisions_;
   if (mechanism_->read(t) != target) {
     if (mechanism_->apply(k, t, target)) {
       ++prio_changes_;

@@ -53,12 +53,6 @@ class HpcSchedClass final : public kern::SchedClass {
   [[nodiscard]] std::int64_t priority_changes() const { return prio_changes_; }
   [[nodiscard]] std::int64_t iterations_observed() const { return iterations_; }
   [[nodiscard]] std::int64_t history_resets() const { return resets_; }
-  /// Iterations that closed while the detector judged the application
-  /// imbalanced (i.e. the heuristic was consulted for a new priority).
-  [[nodiscard]] std::int64_t imbalance_detections() const { return imbalance_detections_; }
-  /// Priority classifications made by the heuristic (whether or not the
-  /// resulting priority differed from the task's current one).
-  [[nodiscard]] std::int64_t heuristic_decisions() const { return heuristic_decisions_; }
 
  private:
   static HpcRq& hrq(kern::Rq& rq, int index);
@@ -72,8 +66,6 @@ class HpcSchedClass final : public kern::SchedClass {
   std::int64_t prio_changes_ = 0;
   std::int64_t iterations_ = 0;
   std::int64_t resets_ = 0;
-  std::int64_t imbalance_detections_ = 0;
-  std::int64_t heuristic_decisions_ = 0;
 };
 
 }  // namespace hpcs::hpc

@@ -93,8 +93,8 @@ struct ChromeTraceRun {
 /// fixed event order, fixed number formatting).
 [[nodiscard]] std::string render_chrome_trace(const std::vector<ChromeTraceRun>& runs);
 
-/// Render into `path`, the same bytes as render_chrome_trace. Returns false
-/// on I/O error (callers warn, they do not fail a run over a trace file).
+/// Render into `path`, the same bytes as render_chrome_trace. Returns false,
+/// after one warning, on I/O error.
 bool write_chrome_trace(const std::string& path, const std::vector<ChromeTraceRun>& runs);
 
 }  // namespace hpcs::obs

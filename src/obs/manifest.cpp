@@ -31,9 +31,6 @@ void append_metric(std::string& out, const MetricValue& m) {
     case MetricKind::kCounter:
       out += ", \"count\": " + std::to_string(m.count);
       break;
-    case MetricKind::kGauge:
-      out += ", \"value\": " + fmt_double(m.value);
-      break;
     case MetricKind::kHistogram: {
       out += ", \"count\": " + std::to_string(m.count);
       out += ", \"sum\": " + fmt_double(m.value);

@@ -6,9 +6,9 @@
 // MANIFEST_<name>.json.
 //
 // Everything here is a pure function of the snapshots: fixed key order,
-// fixed number formatting (%.10g, as in the host sidecar), no wall-clock
-// anywhere. Host-side engine stats go in a separate .host.json
-// sidecar precisely so this file can be compared byte-for-byte.
+// fixed number formatting (%.10g), no wall-clock anywhere, so the file can
+// be compared byte for byte. Each count is one row, and no row repeats
+// another; a count taken during the run is also a window column.
 
 #include <string>
 #include <vector>

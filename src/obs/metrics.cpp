@@ -27,7 +27,6 @@ void Histogram::observe(double v) {
 const char* metric_kind_name(MetricKind k) {
   switch (k) {
     case MetricKind::kCounter: return "counter";
-    case MetricKind::kGauge: return "gauge";
     case MetricKind::kHistogram: return "histogram";
   }
   return "?";

@@ -37,7 +37,7 @@ class Histogram {
   double sum_ = 0.0;
 };
 
-enum class MetricKind { kCounter, kGauge, kHistogram };
+enum class MetricKind { kCounter, kHistogram };
 
 [[nodiscard]] const char* metric_kind_name(MetricKind k);
 
@@ -46,9 +46,11 @@ struct MetricValue {
   std::string name;
   MetricKind kind = MetricKind::kCounter;
   std::int64_t count = 0;  ///< counter value, or histogram observation count
-  double value = 0.0;      ///< gauge value, or histogram sum
+  double value = 0.0;      ///< histogram sum
   std::vector<double> edges{};  ///< histogram only, like buckets
   std::vector<std::int64_t> buckets{};
+
+  bool operator==(const MetricValue&) const = default;
 };
 
 /// One windowed sample: every column's value at a window boundary. `end` is
@@ -57,15 +59,16 @@ struct WindowSample {
   SimTime end = SimTime::zero();
   std::vector<std::int64_t> ints;  ///< one per WindowedSeries::int_columns
   std::vector<double> reals;       ///< one per WindowedSeries::real_columns
+
+  bool operator==(const WindowSample&) const = default;
 };
 
-/// Deterministic per-window time series over every metric (manifest v2).
-/// The column layout follows the metric order — a counter is one int
-/// column, a gauge one real column, a histogram an int `<name>.count` plus
-/// a real `<name>.sum`, ints first — so the series layout is as fixed as
-/// the manifest's metric layout. Counter and histogram columns carry
+/// Deterministic per-window time series of the counts taken during the run
+/// (manifest v2): a tracepoint is one int column, a histogram an int
+/// `<name>.count` plus a real `<name>.sum`, ints first, in metric order, so
+/// the series layout is as fixed as the manifest's. Every column carries
 /// per-window *deltas* (a window with no events samples zeros, never
-/// holes); gauge columns carry the value at the boundary.
+/// holes). The end-of-run totals are rows only, never columns.
 struct WindowedSeries {
   std::int64_t window_ns = 0;  ///< 0 = windowing off (columns/samples empty)
   std::vector<std::string> int_columns;
@@ -77,6 +80,8 @@ struct WindowedSeries {
   [[nodiscard]] int int_column(const std::string& name) const;
   /// Column-ordered lookup of a real column index; -1 when absent.
   [[nodiscard]] int real_column(const std::string& name) const;
+
+  bool operator==(const WindowedSeries&) const = default;
 };
 
 /// The full dump: every metric in manifest order, stamped with the
@@ -89,6 +94,8 @@ struct MetricsSnapshot {
   [[nodiscard]] bool empty() const { return metrics.empty(); }
   /// Lookup by name; nullptr when absent.
   [[nodiscard]] const MetricValue* find(const std::string& name) const;
+
+  bool operator==(const MetricsSnapshot&) const = default;
 };
 
 }  // namespace hpcs::obs

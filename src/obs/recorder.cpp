@@ -19,26 +19,15 @@ constexpr const char* kWakeupLatency = "kern.wakeup_latency_us";
 constexpr const char* kRunqDepth = "kern.runq_depth";
 
 constexpr std::pair<const char*, std::int64_t RunTotals::*> kTotals[] = {
-    {"kern.ctx_switches", &RunTotals::ctx_switches},
-    {"kern.migrations", &RunTotals::migrations},
-    {"kern.balance_pulls", &RunTotals::balance_pulls},
     {"kern.ticks", &RunTotals::ticks},
     {"kern.ticks_replayed", &RunTotals::ticks_replayed},
     {"sim.events_executed", &RunTotals::events_executed},
     {"sim.eq_scheduled", &RunTotals::eq_scheduled},
-    {"sim.eq_dispatched", &RunTotals::eq_dispatched},
     {"sim.eq_resched_inplace", &RunTotals::eq_resched_inplace},
     {"sim.eq_resched_pending", &RunTotals::eq_resched_pending},
-    {"hpc.iterations", &RunTotals::hpc_iterations},
-    {"hpc.prio_changes", &RunTotals::hpc_prio_changes},
-    {"hpc.resets", &RunTotals::hpc_resets},
-    {"hpc.imbalance_detections", &RunTotals::hpc_imbalance_detections},
-    {"hpc.heuristic_decisions", &RunTotals::hpc_heuristic_decisions},
 };
 static_assert(std::size(kTotals) * sizeof(std::int64_t) == sizeof(RunTotals),
               "one name per RunTotals field");
-
-constexpr const char* kSimEnd = "run.sim_end_s";
 
 }  // namespace
 
@@ -78,31 +67,28 @@ Recorder::Recorder(const ObsConfig& cfg)
   }
 }
 
-// Window columns: the tracepoint hits, both histogram counts and the totals
-// are ints; both histogram sums and the gauge are reals.
+// Window columns: the tracepoint hits and both histogram counts are ints;
+// both histogram sums are reals.
 std::vector<std::int64_t> Recorder::int_values() const {
   std::vector<std::int64_t> v(tp_hits_.begin(), tp_hits_.end());
   v.push_back(wakeup_latency_us_.count());
   v.push_back(runq_depth_.count());
-  for (const auto& [name, field] : kTotals) v.push_back(totals_.*field);
   return v;
 }
 
 std::vector<double> Recorder::real_values() const {
-  return {wakeup_latency_us_.sum(), runq_depth_.sum(), sim_end_s_};
+  return {wakeup_latency_us_.sum(), runq_depth_.sum()};
 }
 
 void Recorder::flush_one_window(std::int64_t end_ns) {
   WindowSample s{SimTime(end_ns), int_values(), real_values()};
-  // Counters and histogram counts report per-window deltas; so do histogram
-  // sums. The gauge, the last real column, reports the value standing at
-  // the boundary.
+  // Every column reports its per-window delta.
   for (std::size_t i = 0; i < s.ints.size(); ++i) {
     const std::int64_t cum = s.ints[i];
     s.ints[i] = cum - prev_ints_[i];
     prev_ints_[i] = cum;
   }
-  for (std::size_t i = 0; i + 1 < s.reals.size(); ++i) {
+  for (std::size_t i = 0; i < s.reals.size(); ++i) {
     const double cum = s.reals[i];
     s.reals[i] = cum - prev_reals_[i];
     prev_reals_[i] = cum;
@@ -112,8 +98,6 @@ void Recorder::flush_one_window(std::int64_t end_ns) {
 }
 
 MetricsSnapshot Recorder::snapshot(SimTime at, const RunTotals& totals) {
-  totals_ = totals;
-  sim_end_s_ = at.sec();
   if (window_ns_ > 0) {
     // Close every boundary the run reached (a boundary exactly at `at` is a
     // complete window), then a final partial window up to `at` itself.
@@ -134,18 +118,15 @@ MetricsSnapshot Recorder::snapshot(SimTime at, const RunTotals& totals) {
                  .value = h->sum(), .edges = h->edges(), .buckets = h->buckets()});
   }
   for (const auto& [name, field] : kTotals) {
-    m.push_back({.name = name, .kind = MetricKind::kCounter, .count = totals_.*field});
+    m.push_back({.name = name, .kind = MetricKind::kCounter, .count = totals.*field});
   }
-  m.push_back({.name = kSimEnd, .kind = MetricKind::kGauge, .value = sim_end_s_});
   if (window_ns_ > 0) {
     WindowedSeries& w = snap.windows;
     w.window_ns = window_ns_;
     w.int_columns.assign(std::begin(kTpNames), std::end(kTpNames));
     w.int_columns.push_back(std::string(kWakeupLatency) + ".count");
     w.int_columns.push_back(std::string(kRunqDepth) + ".count");
-    for (const auto& [name, field] : kTotals) w.int_columns.emplace_back(name);
-    w.real_columns = {std::string(kWakeupLatency) + ".sum", std::string(kRunqDepth) + ".sum",
-                      kSimEnd};
+    w.real_columns = {std::string(kWakeupLatency) + ".sum", std::string(kRunqDepth) + ".sum"};
     w.samples = samples_;
   }
   return snap;

@@ -5,10 +5,11 @@
 // into its own Recorder and the committed snapshot depends only on the
 // run's config.
 //
-// The Recorder is the manifest's one catalogue: its members are every
-// metric the manifest contains, and recorder.cpp names them, in one fixed
-// order. A run that happens to skip a code path still produces a manifest
-// with the same layout (zeros instead of holes).
+// The Recorder is the manifest's one catalogue: its members (the counts
+// taken during the run) and RunTotals (the counts read once it is over)
+// are every metric the manifest contains, and recorder.cpp names them, in
+// one fixed order. A run that happens to skip a code path still produces a
+// manifest with the same layout (zeros instead of holes).
 //
 // The Recorder only counts: it never schedules anything, so a run's
 // simulation is the same with windows on or off.
@@ -37,24 +38,15 @@ struct ObsConfig {
 [[nodiscard]] bool parse_window_ns(const char* text, std::int64_t& out,
                                    std::string& error);
 
-/// The counts a run reports once it is over, in manifest order. The hpc_*
-/// fields stay 0 when the run has no HPCSched class.
+/// The counts a run reports once it is over, in manifest order. They are
+/// rows only: a window column holds a count taken during the run.
 struct RunTotals {
-  std::int64_t ctx_switches = 0;
-  std::int64_t migrations = 0;
-  std::int64_t balance_pulls = 0;
   std::int64_t ticks = 0;
   std::int64_t ticks_replayed = 0;
   std::int64_t events_executed = 0;
   std::int64_t eq_scheduled = 0;
-  std::int64_t eq_dispatched = 0;
   std::int64_t eq_resched_inplace = 0;
   std::int64_t eq_resched_pending = 0;
-  std::int64_t hpc_iterations = 0;
-  std::int64_t hpc_prio_changes = 0;
-  std::int64_t hpc_resets = 0;
-  std::int64_t hpc_imbalance_detections = 0;
-  std::int64_t hpc_heuristic_decisions = 0;
 };
 
 class Recorder {
@@ -85,12 +77,9 @@ class Recorder {
   [[nodiscard]] std::size_t windows_flushed() const { return samples_.size(); }
 
   /// Dump every metric in manifest order, stamped with the simulated end
-  /// time: the tracepoint hits, the histograms, `totals` and run.sim_end_s
-  /// (= `at`). The totals and the gauge are stored first; then, with
-  /// windowing on, any boundary <= `at` still pending is flushed, then a
-  /// final partial window closes at `at` (unless `at` IS the last
-  /// boundary). So the first window flushed here carries the totals, and
-  /// windows closed during the run sample them as 0.
+  /// time: the tracepoint hits, the histograms and `totals`. With windowing
+  /// on, any boundary <= `at` still pending is flushed first, then a final
+  /// partial window closes at `at` (unless `at` IS the last boundary).
   [[nodiscard]] MetricsSnapshot snapshot(SimTime at, const RunTotals& totals = {});
 
  private:
@@ -111,8 +100,6 @@ class Recorder {
   std::array<std::int64_t, kTpCount> tp_hits_{};  ///< indexed by TpId
   Histogram wakeup_latency_us_;
   Histogram runq_depth_;
-  RunTotals totals_;
-  double sim_end_s_ = 0.0;
 
   // Windowed-series state (all zero-cost when window_ns_ == 0).
   std::int64_t window_ns_ = 0;

@@ -1,8 +1,8 @@
 #pragma once
-// How the report files (manifests, Chrome traces, host sidecars, and the
-// PARAVER and CSV exports) reach disk. A run never fails over a report
-// file, but a file that did not get all its bytes must not pass for a
-// written one.
+// How the report files (manifests, Chrome traces, and the PARAVER and CSV
+// exports) reach disk. A file that did not get all its bytes must not pass
+// for a written one: the writer warns and returns false, and a driver that
+// was asked for the file prints everything else, then exits 1.
 
 #include <cstdio>
 #include <functional>

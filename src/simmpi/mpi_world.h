@@ -23,6 +23,8 @@ namespace hpcs::mpi {
 struct IterationMark {
   SimTime when = SimTime::zero();
   Duration cpu_time = Duration::zero();
+
+  bool operator==(const IterationMark&) const = default;
 };
 
 struct MpiWorldConfig {

@@ -1,6 +1,6 @@
 // Tests for the analysis layer and the common utilities that back it:
 // improvement computation, formatting helpers, running statistics, RNG
-// stream independence and the bit-exact RunResult serializer.
+// stream independence and the whole-run RunResult comparison.
 
 #include <gtest/gtest.h>
 
@@ -8,7 +8,6 @@
 
 #include "analysis/paper_experiments.h"
 #include "analysis/experiment.h"
-#include "analysis/run_serialize.h"
 #include "common/stats.h"
 #include "test_util.h"
 #include "workloads/metbench.h"
@@ -96,47 +95,68 @@ TEST(PolicyNames, AllDistinct) {
 }
 
 // ---------------------------------------------------------------------------
-// RunResult serialization (a byte-exact whole-run comparison)
+// RunResult equality (the whole-run oracle)
 
-// The serializer is test_tickless's byte oracle: two runs are "the same"
-// when their bytes are. That only holds if no value field can change
-// without changing the bytes, down to one nanosecond or one ULP.
-TEST(RunSerialize, BytesChangeWhenAnyValueFieldChanges) {
+// RunResult's == is the oracle of test_tickless and test_exp_parallel: two
+// runs are "the same" when they compare equal. That only holds if no value
+// field can change without breaking equality, down to one nanosecond or one
+// ULP, and if the tracer and chrome handles never take part.
+TEST(RunResultEquality, NoticesAnyValueFieldChange) {
   auto e = analysis::MetBenchExperiment::paper();
   e.workload.iterations = 2;
   obs::ObsConfig obs;
   obs.enabled = true;
+  obs.chrome_trace = true;
   obs.window_ns = 50'000'000;  // plenty of boundaries inside a short run
   analysis::RunResult r = analysis::run_metbench(
-      e, analysis::SchedMode::kAdaptive, /*trace=*/false, /*seed=*/5, obs);
+      e, analysis::SchedMode::kAdaptive, /*trace=*/true, /*seed=*/5, obs);
   ASSERT_FALSE(r.ranks.empty());
   ASSERT_FALSE(r.marks.empty());
   ASSERT_FALSE(r.marks[0].empty());
   ASSERT_FALSE(r.metrics.metrics.empty());
   ASSERT_FALSE(r.metrics.windows.samples.empty());
 
-  const std::string bytes = analysis::serialize_run_result(r);
-  EXPECT_EQ(analysis::serialize_run_result(r), bytes);
+  // A second run of the same config: equal, though its handles differ.
+  const analysis::RunResult same = analysis::run_metbench(
+      e, analysis::SchedMode::kAdaptive, /*trace=*/true, /*seed=*/5, obs);
+  EXPECT_NE(r.tracer, same.tracer);
+  EXPECT_NE(r.chrome, same.chrome);
+  EXPECT_TRUE(r == same);
 
-  // Set `field` to `nudged`, serialize, put the field back.
-  auto changes_bytes = [&](auto& field, auto nudged) {
+  // Set `field` to `nudged`, compare, put the field back.
+  auto breaks_equality = [&](auto& field, auto nudged) {
     const auto saved = field;
     field = nudged;
-    const bool changed = analysis::serialize_run_result(r) != bytes;
+    const bool changed = !(r == same);
     field = saved;
     return changed;
   };
-  EXPECT_TRUE(changes_bytes(r.exec_time, r.exec_time + Duration(1)));
+  EXPECT_TRUE(breaks_equality(r.mode, analysis::SchedMode::kUniform));
+  EXPECT_TRUE(breaks_equality(r.exec_time, r.exec_time + Duration(1)));
   double& util = r.ranks.back().util_pct;
-  EXPECT_TRUE(changes_bytes(util, std::nextafter(util, 200.0)));
-  EXPECT_TRUE(changes_bytes(r.marks[0][0].when, r.marks[0][0].when + Duration(1)));
+  EXPECT_TRUE(breaks_equality(util, std::nextafter(util, 200.0)));
+  EXPECT_TRUE(breaks_equality(r.ranks.front().name, std::string("other")));
+  EXPECT_TRUE(breaks_equality(r.marks[0][0].when, r.marks[0][0].when + Duration(1)));
+  EXPECT_TRUE(breaks_equality(r.marks[0][0].cpu_time, r.marks[0][0].cpu_time + Duration(1)));
+  double& latency = r.avg_wakeup_latency_us;
+  EXPECT_TRUE(breaks_equality(latency, std::nextafter(latency, 1e9)));
+  EXPECT_TRUE(breaks_equality(r.context_switches, r.context_switches + 1));
+  EXPECT_TRUE(breaks_equality(r.migrations, r.migrations + 1));
+  EXPECT_TRUE(breaks_equality(r.hw_prio_changes, r.hw_prio_changes + 1));
+  EXPECT_TRUE(breaks_equality(r.hpc_history_resets, r.hpc_history_resets + 1));
+  EXPECT_TRUE(breaks_equality(r.messages, r.messages + 1));
+  EXPECT_TRUE(breaks_equality(r.metrics.at, r.metrics.at + Duration(1)));
   std::int64_t& count = r.metrics.metrics.front().count;
-  EXPECT_TRUE(changes_bytes(count, count + 1));
+  EXPECT_TRUE(breaks_equality(count, count + 1));
+  double& sum = r.metrics.metrics[obs::kTpCount].value;  // the first histogram's
+  EXPECT_TRUE(breaks_equality(sum, std::nextafter(sum, 1e300)));
   std::int64_t& sample = r.metrics.windows.samples.back().ints.front();
-  EXPECT_TRUE(changes_bytes(sample, sample + 1));
+  EXPECT_TRUE(breaks_equality(sample, sample + 1));
+  double& real = r.metrics.windows.samples.front().reals.front();
+  EXPECT_TRUE(breaks_equality(real, std::nextafter(real, 1e300)));
 
-  // Every nudge was undone: the bytes are back.
-  EXPECT_EQ(analysis::serialize_run_result(r), bytes);
+  // Every nudge was undone: the runs are equal again.
+  EXPECT_TRUE(r == same);
 }
 
 }  // namespace

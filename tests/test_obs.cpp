@@ -122,8 +122,7 @@ TEST(ObsEndToEnd, ExperimentPopulatesMetricsAndChromeTrace) {
   ASSERT_FALSE(r.metrics.empty());
   EXPECT_GT(r.metrics.find("tp.sched_switch")->count, 0);
   EXPECT_GT(r.metrics.find("sim.events_executed")->count, 0);
-  EXPECT_GT(r.metrics.find("hpc.iterations")->count, 0);
-  EXPECT_EQ(r.metrics.find("kern.ctx_switches")->count, r.context_switches);
+  EXPECT_GT(r.metrics.find("tp.hpc_iteration")->count, 0);
   EXPECT_GT(r.metrics.find("kern.wakeup_latency_us")->count, 0);
 
   ASSERT_NE(r.chrome, nullptr);
@@ -135,6 +134,40 @@ TEST(ObsEndToEnd, ExperimentPopulatesMetricsAndChromeTrace) {
   EXPECT_NE(json.find("\"process_name\""), std::string::npos);
   // Every open slice was closed by finalize(): no dur is negative.
   EXPECT_EQ(json.find("\"dur\":-"), std::string::npos);
+}
+
+// The manifest keeps one row per count. Where a kept row is counted at the
+// same site as another count, the two must agree on every run: the switch
+// tracepoint, the run-queue-depth histogram (one observation per switch)
+// and RunResult's kernel and HPCSched counters. MetBenchVar's reversals
+// reset histories and change priorities; MetBench's baseline migrates.
+TEST(ObsEndToEnd, SameSiteCountsAgree) {
+  obs::ObsConfig obs;
+  obs.enabled = true;
+  auto var = analysis::MetBenchVarExperiment::paper();
+  var.workload.iterations = 9;
+  var.workload.k = 3;
+  auto met = analysis::MetBenchExperiment::paper();
+  met.workload.iterations = 20;
+  const analysis::RunResult runs[] = {
+      analysis::run_metbenchvar(var, analysis::SchedMode::kUniform, false, 1, obs),
+      analysis::run_metbench(met, analysis::SchedMode::kBaselineCfs, false, 1, obs)};
+  std::int64_t migrations = 0, prio_changes = 0, resets = 0;
+  for (const analysis::RunResult& r : runs) {
+    const auto count = [&r](const char* name) { return r.metrics.find(name)->count; };
+    EXPECT_GT(r.context_switches, 0);
+    EXPECT_EQ(count("tp.sched_switch"), r.context_switches);
+    EXPECT_EQ(count("kern.runq_depth"), r.context_switches);
+    EXPECT_EQ(count("tp.sched_migrate"), r.migrations);
+    EXPECT_EQ(count("tp.hpc_prio_change"), r.hw_prio_changes);
+    EXPECT_EQ(count("tp.hpc_history_reset"), r.hpc_history_resets);
+    migrations += r.migrations;
+    prio_changes += r.hw_prio_changes;
+    resets += r.hpc_history_resets;
+  }
+  EXPECT_GT(migrations, 0);
+  EXPECT_GT(prio_changes, 0);
+  EXPECT_GT(resets, 0);
 }
 
 // The whole document for a tiny capture, pinned byte for byte. Two CPUs:
@@ -235,9 +268,9 @@ TEST(ChromeTrace, FileWriteEqualsRender) {
   }
 }
 
-// Manifests and BENCH JSON reach disk through write_text_file. A document
-// small enough to sit in stdio's buffer meets a full device only when the
-// file is closed: that must still fail, with one warning.
+// Manifests and the other report files reach disk through write_text_file.
+// A document small enough to sit in stdio's buffer meets a full device only
+// when the file is closed: that must still fail, with one warning.
 TEST(TextFile, TinyWriteToFullDeviceFails) {
   const std::string path = "hpcs_text_file.json";
   ASSERT_TRUE(obs::write_text_file(path, "{}\n"));
@@ -357,7 +390,7 @@ TEST(RecorderWindows, SnapshotAtExactBoundaryEmitsNoPartialWindow) {
   EXPECT_EQ(snap.windows.samples[1].end, SimTime(200));
 }
 
-TEST(RecorderWindows, DeltasSumToTotalsAndGaugesArePointSamples) {
+TEST(RecorderWindows, DeltasSumToTotalsAndTotalsAreNeverColumns) {
   obs::ObsConfig cfg;
   cfg.enabled = true;
   cfg.window_ns = 100;
@@ -371,17 +404,13 @@ TEST(RecorderWindows, DeltasSumToTotalsAndGaugesArePointSamples) {
     rec.observe_wakeup_latency_us(SimTime(t), static_cast<double>(t));
     total_lat += static_cast<double>(t);
   }
-  const obs::MetricsSnapshot snap = rec.snapshot(SimTime(300), {.ctx_switches = 7});
+  const obs::MetricsSnapshot snap = rec.snapshot(SimTime(300), {.ticks = 7});
   const int wake = snap.windows.int_column("tp.sched_wake");
-  const int ctx = snap.windows.int_column("kern.ctx_switches");
   const int lat_n = snap.windows.int_column("kern.wakeup_latency_us.count");
   const int lat_s = snap.windows.real_column("kern.wakeup_latency_us.sum");
-  const int end_s = snap.windows.real_column("run.sim_end_s");
   ASSERT_GE(wake, 0);
   ASSERT_GE(lat_n, 0);
   ASSERT_GE(lat_s, 0);
-  ASSERT_GE(end_s, 0);
-  ASSERT_GE(ctx, 0);
   std::int64_t wakes = 0, lats = 0;
   double lat_sum = 0.0;
   for (const obs::WindowSample& s : snap.windows.samples) {
@@ -389,20 +418,23 @@ TEST(RecorderWindows, DeltasSumToTotalsAndGaugesArePointSamples) {
     lats += s.ints[static_cast<std::size_t>(lat_n)];
     lat_sum += s.reals[static_cast<std::size_t>(lat_s)];
   }
-  // Counter / histogram columns are per-window deltas: they sum to the totals.
+  // Every column is a per-window delta: they sum to the totals.
   EXPECT_EQ(wakes, total_wakes);
   EXPECT_EQ(lats, snap.find("kern.wakeup_latency_us")->count);
   EXPECT_DOUBLE_EQ(lat_sum, total_lat);
-  // Gauges are point samples, not deltas: the final window reports the
-  // standing value, not a difference.
-  EXPECT_DOUBLE_EQ(snap.windows.samples.back().reals[static_cast<std::size_t>(end_s)],
-                   SimTime(300).sec());
-  // The end-of-run totals land in the first window snapshot() flushes; the
-  // windows closed during the run sampled them as 0.
-  for (std::size_t i = 0; i + 1 < snap.windows.samples.size(); ++i) {
-    EXPECT_EQ(snap.windows.samples[i].ints[static_cast<std::size_t>(ctx)], 0) << "window " << i;
+  // The end-of-run totals are rows, never window columns: the columns are
+  // the tracepoints and the histograms' counts and sums.
+  EXPECT_EQ(snap.find("kern.ticks")->count, 7);
+  std::size_t totals = 0;
+  for (const obs::MetricValue& m : snap.metrics) {
+    if (m.name.starts_with("tp.") || m.kind == obs::MetricKind::kHistogram) continue;
+    ++totals;
+    EXPECT_EQ(snap.windows.int_column(m.name), -1) << m.name;
+    EXPECT_EQ(snap.windows.real_column(m.name), -1) << m.name;
   }
-  EXPECT_EQ(snap.windows.samples.back().ints[static_cast<std::size_t>(ctx)], 7);
+  EXPECT_EQ(totals, 6u);
+  EXPECT_EQ(snap.windows.int_columns.size(), obs::kTpCount + 2);
+  EXPECT_EQ(snap.windows.real_columns.size(), 2u);
 }
 
 // Turning windows on must not change what they measure: every total of a

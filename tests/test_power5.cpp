@@ -115,7 +115,9 @@ TEST(Throughput, CalibrationAnchors) {
   const auto eq = context_speeds(p, HwPrio::kMedium, true, HwPrio::kMedium, true);
   EXPECT_NEAR(eq.a, 0.65, 1e-9);
   EXPECT_NEAR(eq.b, 0.65, 1e-9);
-  // Priority difference 2: winner ~+17%, loser ~4x slower (paper anchors).
+  // Priority difference 2 (paper anchors): the winner gains +16.9% (0.65 ->
+  // 0.76), the loser runs 3.4x slower (0.65 -> 0.19), and the winner runs
+  // 4x as fast as the loser, which cancels a 4:1 intrinsic imbalance.
   const auto d2 = context_speeds(p, HwPrio::kHigh, true, HwPrio::kMedium, true);
   EXPECT_NEAR(d2.a, 0.76, 1e-9);
   EXPECT_NEAR(d2.a / d2.b, 4.0, 0.1);

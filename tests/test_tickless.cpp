@@ -1,9 +1,9 @@
 // Ticked == tickless differential. The kernel lets a CPU whose ticks only
 // advance replayable state skip them and replays them when next touched;
 // KernelConfig::ticked_reference runs every tick instead. Every scenario runs
-// in both modes, and the serialize_run_result bytes (with the window series)
-// must be equal once the rows that count the saved work are dropped: the
-// sim.* event-queue counters and kern.ticks / kern.ticks_replayed.
+// in both modes, and the RunResults (with the window series) must be equal
+// once the rows that count the saved work are dropped: the sim.*
+// event-queue counters and kern.ticks / kern.ticks_replayed.
 //
 // Scenarios: every paper point at reduced iteration counts, and seeded random
 // mixes with nice != 0, SCHED_RR/FIFO, the O(1) class, HPC RR and FIFO,
@@ -15,7 +15,6 @@
 #include <sstream>
 
 #include "analysis/paper_experiments.h"
-#include "analysis/run_serialize.h"
 #include "common/rng.h"
 #include "hpcsched/hpcsched.h"
 #include "test_util.h"
@@ -27,29 +26,13 @@ using analysis::RunResult;
 using analysis::SchedMode;
 using kern::Policy;
 
-bool counts_saved_work(const std::string& name) {
-  return name.rfind("sim.", 0) == 0 || name.rfind("kern.ticks", 0) == 0;
-}
-
-/// The run's bytes without the rows that legitimately differ between modes.
-std::string comparable_bytes(RunResult& r) {
-  obs::MetricsSnapshot& m = r.metrics;
-  std::erase_if(m.metrics, [](const obs::MetricValue& v) { return counts_saved_work(v.name); });
-  obs::WindowedSeries& w = m.windows;
-  std::vector<std::string> cols;
-  std::vector<std::size_t> keep;
-  for (std::size_t i = 0; i < w.int_columns.size(); ++i) {
-    if (counts_saved_work(w.int_columns[i])) continue;
-    cols.push_back(w.int_columns[i]);
-    keep.push_back(i);
-  }
-  w.int_columns = cols;
-  for (obs::WindowSample& s : w.samples) {
-    std::vector<std::int64_t> ints;
-    for (const std::size_t i : keep) ints.push_back(s.ints[i]);
-    s.ints = ints;
-  }
-  return analysis::serialize_run_result(r);
+/// The run without the rows that legitimately differ between modes. They
+/// are end-of-run totals, so no window column holds them.
+RunResult& without_saved_work(RunResult& r) {
+  std::erase_if(r.metrics.metrics, [](const obs::MetricValue& v) {
+    return v.name.starts_with("sim.") || v.name.starts_with("kern.ticks");
+  });
+  return r;
 }
 
 std::int64_t count_of(const RunResult& r, const char* name) {
@@ -107,7 +90,7 @@ TEST_P(TicklessPaper, SameBytesAsTicked) {
   EXPECT_GT(count_of(tickless, "kern.ticks_replayed"), 0);
   EXPECT_LT(count_of(tickless, "sim.events_executed"), count_of(ticked, "sim.events_executed"));
   ASSERT_GT(ticked.metrics.windows.samples.size(), 3u);
-  EXPECT_TRUE(comparable_bytes(ticked) == comparable_bytes(tickless));
+  EXPECT_TRUE(without_saved_work(ticked) == without_saved_work(tickless));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -270,12 +253,8 @@ ScenarioRun run_scenario(std::uint64_t seed, bool ticked) {
   r.migrations = k.migrations();
   r.hw_prio_changes = hpc_cls.priority_changes();
   r.hpc_history_resets = hpc_cls.history_resets();
-  r.metrics = rec.snapshot(k.now(), {.ctx_switches = k.context_switches(),
-                                     .migrations = k.migrations(),
-                                     .balance_pulls = k.balance_pulls(),
-                                     .ticks = k.ticks_run(),
-                                     .ticks_replayed = k.ticks_replayed(),
-                                     .hpc_iterations = hpc_cls.iterations_observed()});
+  r.metrics =
+      rec.snapshot(k.now(), {.ticks = k.ticks_run(), .ticks_replayed = k.ticks_replayed()});
   k.set_obs(nullptr);
   return out;
 }
@@ -291,7 +270,7 @@ TEST(TicklessRandom, SameBytesAsTicked) {
       ASSERT_GT(ticked.result.metrics.windows.samples.size(), 3u) << "seed " << seed;
     }
     EXPECT_EQ(ticked.task_state, tickless.task_state) << "seed " << seed;
-    EXPECT_TRUE(comparable_bytes(ticked.result) == comparable_bytes(tickless.result))
+    EXPECT_TRUE(without_saved_work(ticked.result) == without_saved_work(tickless.result))
         << "seed " << seed;
   }
   EXPECT_GT(replayed, 0);
