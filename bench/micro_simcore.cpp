@@ -1,6 +1,6 @@
 // Event-loop and parallel-engine micro benchmark. Measures:
 //  1. events/sec on the event-queue hot patterns:
-//       - recurring per-CPU ticks re-armed via the reschedule() fast path
+//       - recurring per-CPU ticks: timers re-armed from their own callback
 //         (4 CPUs: the paper machine's near-empty queue; 64 CPUs + 16k
 //         sparse background timers: a deep queue no paper workload builds)
 //       - one-shot events with a 32-byte capture (simmpi send-style; these
@@ -54,7 +54,7 @@ double bench_tick_loop(int cpus, int background) {
   sim::Simulator s;
   struct Ctx {
     sim::Simulator* s;
-    sim::EventHandle h;
+    sim::Timer t;
   };
   std::vector<sim::EventHandle> bg;
   bg.reserve(static_cast<std::size_t>(background));
@@ -66,9 +66,8 @@ double bench_tick_loop(int cpus, int background) {
     auto& c = ctx[static_cast<std::size_t>(i)];
     c.s = &s;
     Ctx* p = &c;
-    c.h = s.schedule_in(Duration::milliseconds(1), [p] {
-      if (!p->s->reschedule_in(p->h, Duration::milliseconds(1))) std::abort();
-    });
+    c.t = s.make_timer([p] { p->s->arm_in(p->t, Duration::milliseconds(1)); });
+    s.arm_in(c.t, Duration::milliseconds(1));
   }
   const double t0 = now_s();
   const std::uint64_t target = 6'000'000;
@@ -147,7 +146,7 @@ double bench_far_future_cascade() {
   sim::EventQueue q;
   struct Ctx {
     sim::EventQueue* q;
-    sim::EventHandle h;
+    sim::Timer t;
     std::int64_t when;
     std::int64_t period;
   };
@@ -160,10 +159,11 @@ double bench_far_future_cascade() {
     c->q = &q;
     c->period = kPeriods[i % 4];
     c->when = c->period + std::int64_t(i);
-    c->h = q.schedule(SimTime(c->when), [c] {
+    c->t = q.make_timer([c] {
       c->when += c->period;
-      if (!c->q->reschedule(c->h, SimTime(c->when))) std::abort();
+      c->q->arm(c->t, SimTime(c->when));
     });
+    q.arm(c->t, SimTime(c->when));
   }
   const double t0 = now_s();
   const std::uint64_t target = 4'000'000;
@@ -182,7 +182,7 @@ double bench_mixed_periodic_sparse() {
   sim::EventQueue q;
   struct Ctx {
     sim::EventQueue* q;
-    sim::EventHandle h;
+    sim::Timer t;
     std::int64_t when;
     std::int64_t period;
   };
@@ -194,20 +194,22 @@ double bench_mixed_periodic_sparse() {
     c->q = &q;
     c->period = 1'000'000;  // 1 ms tick
     c->when = c->period + i;
-    c->h = q.schedule(SimTime(c->when), [c] {
+    c->t = q.make_timer([c] {
       c->when += c->period;
-      if (!c->q->reschedule(c->h, SimTime(c->when))) std::abort();
+      c->q->arm(c->t, SimTime(c->when));
     });
+    q.arm(c->t, SimTime(c->when));
   }
   for (int i = 0; i < kSparse; ++i) {
     Ctx* c = &ctx[static_cast<std::size_t>(kPeriodic + i)];
     c->q = &q;
     c->period = 250'000'000 + std::int64_t(i) * 1000;  // 250 ms-ish timeouts
     c->when = c->period;
-    c->h = q.schedule(SimTime(c->when), [c] {
+    c->t = q.make_timer([c] {
       c->when += c->period;
-      if (!c->q->reschedule(c->h, SimTime(c->when))) std::abort();
+      c->q->arm(c->t, SimTime(c->when));
     });
+    q.arm(c->t, SimTime(c->when));
   }
   const double t0 = now_s();
   const std::uint64_t target = 4'000'000;
@@ -225,7 +227,7 @@ double bench_sparse_horizon() {
   sim::EventQueue q;
   struct Ctx {
     sim::EventQueue* q;
-    sim::EventHandle h;
+    sim::Timer t;
     std::int64_t when;
     std::int64_t period;
   };
@@ -236,10 +238,11 @@ double bench_sparse_horizon() {
     c->q = &q;
     c->period = 2'000'000 + std::int64_t(i) * 7'001;  // ~2 ms, mutually prime-ish
     c->when = c->period;
-    c->h = q.schedule(SimTime(c->when), [c] {
+    c->t = q.make_timer([c] {
       c->when += c->period;
-      if (!c->q->reschedule(c->h, SimTime(c->when))) std::abort();
+      c->q->arm(c->t, SimTime(c->when));
     });
+    q.arm(c->t, SimTime(c->when));
   }
   const double t0 = now_s();
   const std::uint64_t target = 2'000'000;
@@ -264,7 +267,7 @@ struct Scenario {
 /// on a CI host, so a slower host can miss them with unchanged code
 /// (docs/performance.md, "Reading micro_simcore's output").
 constexpr Scenario kScenarios[] = {
-    {"tick loop 4cpu (reschedule fast path):", "tick_reschedule", 26'600'000,
+    {"tick loop 4cpu (timer re-arm):", "tick_reschedule", 26'600'000,
      [] { return bench_tick_loop(4, 0); }},
     {"tick loop 64cpu + 16k sparse timers:", "tick_reschedule_scale", 7'000'000,
      [] { return bench_tick_loop(64, 16384); }},

@@ -10,6 +10,14 @@
 # common). No timer code is compiled into the simulator, so the profile
 # cannot perturb determinism.
 #
+# gprof skips symbols with a '.' suffix other than ".clone.N" /
+# ".constprop.N" / ".N", so GCC's ".isra.N", ".part.N" and ".cold" clones
+# would be credited, samples and call counts, to whichever symbol precedes
+# them in the binary. The script therefore reads a copy of the binary whose
+# clones are renamed "<name>.clone.<k>" (objcopy --redefine-syms); the
+# profiled code is the one that ran. The flat profile stays in
+# BUILD_DIR/layer_profile_run/flat.txt.
+#
 # Usage: scripts/layer_profile.sh BUILD_DIR [DRIVER [ARGS...]]
 #   default driver: table4_metbenchvar --jobs 1
 # Prints a markdown table (self seconds and share of the total per layer).
@@ -37,7 +45,16 @@ mkdir -p "${run_dir}"
 for r in 1 2 3 4 5 6 7 8 9 10; do
   (cd "${run_dir}" && "${binary}" "${args[@]}" >/dev/null && mv gmon.out "gmon.${r}")
 done
-(cd "${run_dir}" && gprof -s "${binary}" gmon.[0-9]* && gprof -b -p "${binary}" gmon.sum >flat.txt)
+# Rename the function clones gprof would drop; k keeps the new names unique.
+nm "${binary}" | awk '
+  NF == 3 && ($2 == "t" || $2 == "T") {
+    name = $3; base = name; sub(/\..*/, "", base); suffix = substr(name, length(base) + 1)
+    if (base != "" && suffix != "" && suffix !~ /^(\.(clone|constprop)\.[0-9]+|\.[0-9]+)+$/ &&
+        !seen[name]++) print name, base ".clone." ++k
+  }' >"${run_dir}/clone_syms.txt"
+objcopy --redefine-syms="${run_dir}/clone_syms.txt" "${binary}" "${run_dir}/${driver}.renamed"
+profiled="${run_dir}/${driver}.renamed"
+(cd "${run_dir}" && gprof -s "${profiled}" gmon.[0-9]* && gprof -b -p "${profiled}" gmon.sum >flat.txt)
 
 python3 - "${run_dir}/flat.txt" "${driver} ${args[*]}" <<'EOF'
 import re

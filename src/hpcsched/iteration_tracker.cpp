@@ -2,11 +2,7 @@
 
 namespace hpcs::hpc {
 
-void IterationTracker::on_run_begin(Pid pid, SimTime now) {
-  TaskIterStats& s = stats_[pid];
-  s.run_start = now;
-  s.in_run = true;
-}
+void IterationTracker::on_run_begin(Pid pid, SimTime now) { begin_run(stats_[pid], now); }
 
 bool IterationTracker::on_run_end(Pid pid, SimTime now) {
   TaskIterStats& s = stats_[pid];
@@ -23,14 +19,14 @@ std::optional<IterationSample> IterationTracker::on_wakeup(Pid pid, SimTime now)
   TaskIterStats& s = stats_[pid];
   if (!s.has_history || s.in_run) {
     // First observation of this task: just open the run phase.
-    on_run_begin(pid, now);
+    begin_run(s, now);
     return std::nullopt;
   }
   s.open_wait += now - s.sleep_start;
   if (s.open_run < min_iteration) {
     // No real computing phase yet: this wakeup continues the waiting phase
     // of the open iteration (partial waitall completions, spurious wakes).
-    on_run_begin(pid, now);
+    begin_run(s, now);
     return std::nullopt;
   }
   const Duration run = s.open_run;
@@ -62,7 +58,7 @@ std::optional<IterationSample> IterationTracker::on_wakeup(Pid pid, SimTime now)
   s.util_ema += kEmaAlpha * d;
   s.util_emvar = (1.0 - kEmaAlpha) * (s.util_emvar + kEmaAlpha * d * d);
 
-  on_run_begin(pid, now);
+  begin_run(s, now);
   return sample;
 }
 

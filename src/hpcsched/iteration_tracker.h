@@ -82,6 +82,11 @@ class IterationTracker {
   Duration min_iteration = Duration::microseconds(100);
 
  private:
+  static void begin_run(TaskIterStats& s, SimTime now) {
+    s.run_start = now;
+    s.in_run = true;
+  }
+
   std::map<Pid, TaskIterStats> stats_;
 };
 

@@ -30,12 +30,6 @@ std::int64_t CfsClass::nice_to_weight(int nice) {
   return kWeights[idx];
 }
 
-Duration CfsClass::calc_delta_fair(Duration delta, int nice) {
-  if (nice == 0) return delta;  // weight 1024 / 1024
-  const std::int64_t w = nice_to_weight(nice);
-  return Duration(delta.ns() * 1024 / w);
-}
-
 Duration CfsClass::slice_for(int nr_running) const {
   if (nr_running <= 0) nr_running = 1;
   const Duration slice = tun_.latency / nr_running;

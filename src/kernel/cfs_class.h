@@ -62,8 +62,12 @@ class CfsClass final : public SchedClass {
   /// CFS load weight for a nice level (-20..19); the canonical kernel table.
   [[nodiscard]] static std::int64_t nice_to_weight(int nice);
 
-  /// Scale a real-time delta into vruntime for the given nice level.
-  [[nodiscard]] static Duration calc_delta_fair(Duration delta, int nice);
+  /// Scale a real-time delta into vruntime for the given nice level. Every
+  /// accounting flush of a running task calls it, so it is inline.
+  [[nodiscard]] static Duration calc_delta_fair(Duration delta, int nice) {
+    if (nice == 0) return delta;  // weight 1024 / 1024
+    return Duration(delta.ns() * 1024 / nice_to_weight(nice));
+  }
 
   /// The slice a task would get with `nr_running` competitors.
   [[nodiscard]] Duration slice_for(int nr_running) const;

@@ -1,7 +1,6 @@
 #include "kernel/kernel.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/check.h"
 #include "kernel/cfs_class.h"
@@ -10,6 +9,18 @@
 #include "obs/recorder.h"
 
 namespace hpcs::kern {
+namespace {
+
+/// static_cast<std::int64_t>(std::ceil(q)) for 0 <= q < 2^63, without a
+/// libm call: the truncation, plus one if it dropped a fraction. Exact:
+/// every double at or above 2^53 is whole.
+std::int64_t ceil_to_int(double q) {
+  auto n = static_cast<std::int64_t>(q);
+  if (static_cast<double>(n) < q) ++n;
+  return n;
+}
+
+}  // namespace
 
 const char* policy_name(Policy p) {
   switch (p) {
@@ -55,7 +66,11 @@ void Kernel::start() {
   started_ = true;
   for (std::size_t i = 0; i < classes_.size(); ++i) {
     classes_[i]->set_index(static_cast<int>(i));
+    if (classes_[i]->wants_balance()) balance_classes_.push_back(classes_[i].get());
+    wakeup_cost_.push_back(classes_[i]->wakeup_cost());
   }
+  queued_.assign(classes_.size(), 0);
+  const int idle_idx = class_index(Policy::kIdle);
   cpus_.resize(static_cast<std::size_t>(topo_.num_cpus()));
   for (CpuId cpu = 0; cpu < topo_.num_cpus(); ++cpu) {
     CpuState& c = cpus_[static_cast<std::size_t>(cpu)];
@@ -66,23 +81,21 @@ void Kernel::start() {
     }
     c.idle_task = std::make_unique<Task>(-(cpu + 1), "idle/" + std::to_string(cpu),
                                          Policy::kIdle);
-    c.idle_task->class_idx_ = class_index(Policy::kIdle);
+    c.idle_task->class_idx_ = idle_idx;
     c.idle_task->cpu = cpu;
     c.rq.idle = c.idle_task.get();
     c.rq.curr = c.idle_task.get();
+    --queued_[static_cast<std::size_t>(idle_idx)];  // running, counted by no class_count
+    c.exec_timer = sim_->make_timer([this, cpu] { on_exec_event(cpu); });
+    c.resched_timer = sim_->make_timer([this, cpu] { schedule_cpu(cpu); });
   }
   tick_origin_ = now();
   tick_index_ = 1;
-  tick_event_ = sim_->schedule_at(tick_time(1), [this] { on_tick(); }, sim::Lane::kFirst);
-  chip_.set_listener([this](CoreId core) { on_speed_change(core); });
+  tick_timer_ = sim_->make_timer([this] { on_tick(); }, sim::Lane::kFirst);
+  sim_->arm_at(tick_timer_, tick_time(1));
+  chip_.set_listener(
+      [](void* k, CoreId core) { static_cast<Kernel*>(k)->on_speed_change(core); }, this);
 }
-
-Kernel::CpuState& Kernel::cs(CpuId cpu) {
-  HPCS_CHECK(cpu >= 0 && cpu < static_cast<CpuId>(cpus_.size()));
-  return cpus_[static_cast<std::size_t>(cpu)];
-}
-
-Rq& Kernel::rq(CpuId cpu) { return cs(cpu).rq; }
 
 int Kernel::class_index(Policy p) const {
   for (std::size_t i = 0; i < classes_.size(); ++i) {
@@ -112,6 +125,9 @@ Task& Kernel::create_task(std::string name, std::unique_ptr<TaskBody> body, Poli
   t->cpu = initial_cpu;
   t->created = now();
   t->acc_since_ = now();
+  Task* tp = t.get();
+  t->wake_timer_ = sim_->make_timer([this, tp] { do_wake(*tp); });
+  t->sleep_timer_ = sim_->make_timer([this, tp] { wake(*tp); });
   Task& ref = *t;
   tasks_.push_back(std::move(t));
   return ref;
@@ -169,6 +185,7 @@ void Kernel::enqueue_task(Task& t, bool wakeup) {
   classes_[static_cast<std::size_t>(idx)]->enqueue(*this, r, t, wakeup);
   t.on_rq = true;
   ++r.class_count[static_cast<std::size_t>(idx)];
+  ++queued_[static_cast<std::size_t>(idx)];
   set_acc_state(t, AccState::kReady);
   check_dormant(t.cpu);
 }
@@ -181,6 +198,7 @@ void Kernel::dequeue_task(Task& t, bool sleep) {
   classes_[static_cast<std::size_t>(idx)]->dequeue(*this, r, t, sleep);
   t.on_rq = false;
   --r.class_count[static_cast<std::size_t>(idx)];
+  --queued_[static_cast<std::size_t>(idx)];
   HPCS_CHECK(r.class_count[static_cast<std::size_t>(idx)] >= 0);
 }
 
@@ -205,12 +223,7 @@ void Kernel::maybe_preempt(CpuId cpu, Task& woken) {
 
 void Kernel::resched_cpu(CpuId cpu) {
   CpuState& c = cs(cpu);
-  if (c.resched_pending) return;
-  c.resched_pending = true;
-  sim_->schedule_in(Duration::zero(), [this, cpu] {
-    cs(cpu).resched_pending = false;
-    schedule_cpu(cpu);
-  });
+  if (!sim_->pending(c.resched_timer)) sim_->arm_in(c.resched_timer, Duration::zero());
 }
 
 Task* Kernel::pick_next(Rq& r) {
@@ -227,8 +240,8 @@ void Kernel::schedule_cpu(CpuId cpu) {
   replay_ticks(cpu);
   CpuState& c = cs(cpu);
   Rq& r = c.rq;
-  accrue_exec(cpu);
-  stop_exec(cpu);
+  accrue_exec(c);
+  stop_exec(c);
 
   Task* prev = r.curr;
   if (prev != nullptr && prev != r.idle && prev->state() == TaskState::kRunnable) {
@@ -240,8 +253,8 @@ void Kernel::schedule_cpu(CpuId cpu) {
   if (next == r.idle && !in_balance_) {
     // New-idle balancing: try to pull work before going idle (paper §IV-A).
     in_balance_ = true;
-    for (const auto& cls : classes_) {
-      if (cls->wants_balance() && balance_pull(cpu, *cls)) break;
+    for (SchedClass* cls : balance_classes_) {
+      if (balance_pull(cpu, *cls)) break;
     }
     in_balance_ = false;
     next = pick_next(r);
@@ -250,6 +263,8 @@ void Kernel::schedule_cpu(CpuId cpu) {
   r.curr = next;
   r.need_resched = false;
   if (next != prev) {
+    ++queued_[static_cast<std::size_t>(prev->class_idx_)];
+    --queued_[static_cast<std::size_t>(next->class_idx_)];
     ++ctx_switches_;
     if (next != r.idle) ++next->nr_switches;
     if (trace_ != nullptr) trace_->on_switch(now(), cpu, prev, next);
@@ -277,7 +292,7 @@ void Kernel::schedule_cpu(CpuId cpu) {
   } else {
     chip_.set_cpu_active(cpu, false);
   }
-  start_exec(cpu);
+  start_exec(c);
   check_dormant(cpu);
 }
 
@@ -285,8 +300,7 @@ void Kernel::schedule_cpu(CpuId cpu) {
 // Execution engine
 // ---------------------------------------------------------------------------
 
-void Kernel::accrue_exec(CpuId cpu) {
-  CpuState& c = cs(cpu);
+void Kernel::accrue_exec(CpuState& c) {
   if (!c.exec_active) return;
   Task* t = c.rq.curr;
   HPCS_CHECK(t != nullptr && t != c.rq.idle);
@@ -297,40 +311,33 @@ void Kernel::accrue_exec(CpuId cpu) {
   if (t->remaining < 0.0) t->remaining = 0.0;
 }
 
-void Kernel::stop_exec(CpuId cpu) {
-  CpuState& c = cs(cpu);
+void Kernel::stop_exec(CpuState& c) {
   c.exec_active = false;
-  sim_->cancel(c.exec_event);
+  sim_->cancel(c.exec_timer);
 }
 
-void Kernel::start_exec(CpuId cpu) {
-  CpuState& c = cs(cpu);
+void Kernel::start_exec(CpuState& c) {
   Task* t = c.rq.curr;
   if (t == nullptr || t == c.rq.idle) return;
   c.exec_active = true;
   c.seg_start = now();
-  c.seg_speed = chip_.cpu_speed(cpu);
-  arm_exec_event(cpu);
+  c.seg_speed = chip_.cpu_speed(c.rq.cpu);
+  arm_exec_event(c);
 }
 
-void Kernel::arm_exec_event(CpuId cpu) {
-  CpuState& c = cs(cpu);
+void Kernel::arm_exec_event(CpuState& c) {
   Task* t = c.rq.curr;
   HPCS_CHECK(t != nullptr && t != c.rq.idle);
   Duration delay = Duration::zero();
   if (t->remaining > 0.0) {
     if (c.seg_speed <= 0.0) {
       // Context stalled; re-armed on speed change.
-      sim_->cancel(c.exec_event);
+      sim_->cancel(c.exec_timer);
       return;
     }
-    delay = Duration(static_cast<std::int64_t>(std::ceil(t->remaining / c.seg_speed)));
+    delay = Duration(ceil_to_int(t->remaining / c.seg_speed));
   }
-  // Completion events are re-armed constantly (every speed change, every
-  // compute segment): move the pending/firing event instead of paying the
-  // cancel + slot-allocate + closure-construct cycle.
-  if (sim_->reschedule_in(c.exec_event, delay)) return;
-  c.exec_event = sim_->schedule_in(delay, [this, cpu] { on_exec_event(cpu); });
+  sim_->arm_in(c.exec_timer, delay);
 }
 
 void Kernel::on_exec_event(CpuId cpu) {
@@ -339,12 +346,12 @@ void Kernel::on_exec_event(CpuId cpu) {
   replay_ticks(cpu);
   CpuState& c = cs(cpu);
   HPCS_CHECK(c.exec_active);
-  accrue_exec(cpu);
+  accrue_exec(c);
   Task* t = c.rq.curr;
   HPCS_CHECK(t != nullptr && t != c.rq.idle);
   if (t->remaining > 0.5) {
     // Rounding residue: finish the tail of the segment.
-    arm_exec_event(cpu);
+    arm_exec_event(c);
     return;
   }
   t->remaining = 0.0;
@@ -356,7 +363,7 @@ void Kernel::on_exec_event(CpuId cpu) {
   switch (t->req_) {
     case Task::Req::kCompute:
       t->remaining = t->req_work_;
-      arm_exec_event(cpu);
+      arm_exec_event(c);
       break;
     case Task::Req::kBlock:
     case Task::Req::kSleep: {
@@ -364,10 +371,7 @@ void Kernel::on_exec_event(CpuId cpu) {
       t->state_ = TaskState::kSleeping;
       if (trace_ != nullptr) trace_->on_state(now(), *t, TaskState::kSleeping);
       dequeue_task(*t, true);
-      if (t->req_ == Task::Req::kSleep) {
-        Task* tp = t;
-        sim_->schedule_in(t->req_sleep_, [this, tp] { wake(*tp); });
-      }
+      if (t->req_ == Task::Req::kSleep) sim_->arm_in(t->sleep_timer_, t->req_sleep_);
       schedule_cpu(cpu);
       break;
     }
@@ -394,9 +398,9 @@ void Kernel::on_speed_change(CoreId core) {
     const CpuId cpu = p5::Chip::cpu_of(core, ctx);
     CpuState& c = cs(cpu);
     if (!c.exec_active) continue;
-    accrue_exec(cpu);  // integrate at the old speed up to now
+    accrue_exec(c);  // integrate at the old speed up to now
     c.seg_speed = chip_.cpu_speed(cpu);
-    arm_exec_event(cpu);
+    arm_exec_event(c);
   }
 }
 
@@ -449,12 +453,11 @@ void Kernel::wake(Task& t) {
   t.woken_pending_ = true;
   t.wake_time_ = now();
   ++t.nr_wakeups;
-  const Duration cost = classes_[static_cast<std::size_t>(t.class_idx_)]->wakeup_cost();
+  const Duration cost = wakeup_cost_[static_cast<std::size_t>(t.class_idx_)];
   if (cost <= Duration::zero()) {
     do_wake(t);
   } else {
-    Task* tp = &t;
-    sim_->schedule_in(cost, [this, tp] { do_wake(*tp); });
+    sim_->arm_in(t.wake_timer_, cost);
   }
 }
 
@@ -550,8 +553,7 @@ void Kernel::on_tick() {
   }
   tick_cursor_ = kNoTickCursor;
   tick_index_ = next_tick_index();
-  const bool rearmed = sim_->reschedule_at(tick_event_, tick_time(tick_index_));
-  HPCS_CHECK(rearmed);
+  sim_->arm_at(tick_timer_, tick_time(tick_index_));
 }
 
 void Kernel::tick_cpu(CpuId cpu) {
@@ -565,9 +567,7 @@ void Kernel::tick_cpu(CpuId cpu) {
     classes_[static_cast<std::size_t>(curr->class_idx_)]->task_tick(*this, c.rq, *curr);
   }
   if (balance_due(cpu, tick_index_)) {
-    for (const auto& cls : classes_) {
-      if (cls->wants_balance()) balance_pull(cpu, *cls);
-    }
+    for (SchedClass* cls : balance_classes_) balance_pull(cpu, *cls);
   }
   if (c.rq.need_resched) {
     c.rq.need_resched = false;
@@ -575,7 +575,7 @@ void Kernel::tick_cpu(CpuId cpu) {
   }
   // Going dormant: the ticks to come can be replayed exactly until a kernel
   // entry changes what they would do (check_dormant).
-  c.dormant = !cfg_.ticked_reference && !c.resched_pending && replayable(c);
+  c.dormant = !cfg_.ticked_reference && !sim_->pending(c.resched_timer) && replayable(c);
 }
 
 bool Kernel::balance_due(CpuId cpu, std::int64_t i) const {
@@ -608,14 +608,12 @@ bool Kernel::replayable(const CpuState& c) const {
          (curr->nice == 0 && c.rq.class_count[static_cast<std::size_t>(curr->class_idx_)] <= 1);
 }
 
-void Kernel::replay_ticks(CpuId cpu) {
-  CpuState& c = cs(cpu);
-  if (!c.dormant || now() < tick_time(c.ticks + 1)) return;
+void Kernel::replay_dormant(CpuState& c) {
   // Every tick at or before now() has happened: ticks fire first at their
   // instant. Inside the tick event, CPUs after the one ticking take the tick
   // at now() later in the same event.
   std::int64_t target = (now() - tick_origin_).ns() / cfg_.tick.ns();
-  if (cpu > tick_cursor_) --target;
+  if (c.rq.cpu > tick_cursor_) --target;
   replay_to(c, target);
 }
 
@@ -635,28 +633,26 @@ void Kernel::replay_to(CpuState& c, std::int64_t target) {
   c.ticks = target;
 }
 
-void Kernel::check_dormant(CpuId cpu) {
-  CpuState& c = cs(cpu);
-  if (!c.dormant || replayable(c)) return;
+void Kernel::wake_from_dormant(CpuState& c) {
   // The next tick would do more than replay can: tick again from the next
   // one. Inside the tick event the CPU loop and the re-arm see the change.
   c.dormant = false;
   const std::int64_t next = c.ticks + 1;
   if (tick_cursor_ != kNoTickCursor || next >= tick_index_) return;
   tick_index_ = next;
-  const bool moved = sim_->reschedule_at(tick_event_, tick_time(next));
-  HPCS_CHECK(moved);
+  sim_->arm_at(tick_timer_, tick_time(next));
 }
 
 bool Kernel::balance_pull(CpuId cpu, SchedClass& cls) {
   const auto ci = static_cast<std::size_t>(cls.index());
   // steal_candidate only returns a queued task (runnable, not running): with
   // none on another CPU, which is almost every new-idle pass, nothing moves.
-  const bool queued_elsewhere = std::any_of(cpus_.begin(), cpus_.end(), [&](const CpuState& o) {
-    const int running = o.rq.curr->class_idx_ == cls.index() ? 1 : 0;
-    return o.rq.cpu != cpu && o.rq.class_count[ci] > running;
-  });
-  if (!queued_elsewhere) return false;
+  // Every other CPU holds class_count >= its running task of the class (only
+  // the CPU switching now can be one below), so their queued tasks are the
+  // class total minus this CPU's.
+  const Rq& here = cs(cpu).rq;
+  const int queued_here = here.class_count[ci] - (here.curr->class_idx_ == cls.index() ? 1 : 0);
+  if (queued_[ci] - queued_here <= 0) return false;
 
   for (const Domain& dom : topo_.domains_for(cpu)) {
     // One pass: this CPU's group load and the first busiest other group.

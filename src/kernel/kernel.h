@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "common/check.h"
 #include "common/stats.h"
 #include "common/types.h"
 #include "kernel/cfs_class.h"
@@ -99,6 +100,8 @@ class Kernel {
 
   void body_compute(Task& t, Work work);
   void body_block(Task& t);
+  /// Sleep `d`, then wake. A task has one sleep timer: a new sleep re-arms
+  /// it, so a sleep cut short by wake() cannot cut the next one short.
   void body_sleep(Task& t, Duration d);
   void body_yield(Task& t);
   void body_exit(Task& t);
@@ -122,7 +125,7 @@ class Kernel {
   [[nodiscard]] Duration tick_period() const { return cfg_.tick; }
   [[nodiscard]] bool hw_prio_enabled() const { return cfg_.hw_prio_enabled; }
   [[nodiscard]] int num_cpus() const { return topo_.num_cpus(); }
-  [[nodiscard]] Rq& rq(CpuId cpu);
+  [[nodiscard]] Rq& rq(CpuId cpu) { return cs(cpu).rq; }
   [[nodiscard]] SchedClass* class_for(Policy p) const;
   [[nodiscard]] const std::vector<std::unique_ptr<SchedClass>>& classes() const {
     return classes_;
@@ -146,7 +149,8 @@ class Kernel {
   [[nodiscard]] std::int64_t ticks_replayed() const { return ticks_replayed_; }
   [[nodiscard]] const RunningStat& wakeup_latency_us() const { return wakeup_latency_us_; }
 
-  /// Trigger a reschedule of `cpu` (deferred to a zero-delay event).
+  /// Trigger a reschedule of `cpu` (deferred to a zero-delay event; a
+  /// reschedule already pending covers this one).
   void resched_cpu(CpuId cpu);
 
   /// Flush pending run/ready/sleep accounting of a task up to now(),
@@ -157,19 +161,22 @@ class Kernel {
   struct CpuState {
     Rq rq;
     std::unique_ptr<Task> idle_task;
-    bool exec_active = false;
     SimTime seg_start = SimTime::zero();
     double seg_speed = 0.0;
-    sim::EventHandle exec_event;
-    bool resched_pending = false;
     /// Ticks taken so far, run or replayed: tick i is at tick_time(i).
     std::int64_t ticks = 0;
+    sim::Timer exec_timer;     ///< completion of curr's compute segment
+    sim::Timer resched_timer;  ///< the deferred schedule_cpu of resched_cpu()
+    bool exec_active = false;
     /// The tick event skips this CPU except at its balance boundaries; its
     /// other ticks are replayed when a kernel entry next touches it.
     bool dormant = false;
   };
 
-  CpuState& cs(CpuId cpu);
+  CpuState& cs(CpuId cpu) {
+    HPCS_CHECK(cpu >= 0 && cpu < static_cast<CpuId>(cpus_.size()));
+    return cpus_[static_cast<std::size_t>(cpu)];
+  }
   [[nodiscard]] int class_index(Policy p) const;
 
   // Run-queue plumbing.
@@ -182,10 +189,10 @@ class Kernel {
   void account_to(Task& t, SimTime when);
 
   // Execution engine.
-  void accrue_exec(CpuId cpu);
-  void stop_exec(CpuId cpu);
-  void start_exec(CpuId cpu);
-  void arm_exec_event(CpuId cpu);
+  void accrue_exec(CpuState& c);
+  void stop_exec(CpuState& c);
+  void start_exec(CpuState& c);
+  void arm_exec_event(CpuState& c);
   void on_exec_event(CpuId cpu);
   void on_speed_change(CoreId core);
 
@@ -198,11 +205,20 @@ class Kernel {
   [[nodiscard]] SimTime tick_time(std::int64_t i) const { return tick_origin_ + cfg_.tick * i; }
   [[nodiscard]] bool balance_due(CpuId cpu, std::int64_t i) const;
   [[nodiscard]] std::int64_t next_tick_index() const;
-  // Tick elision.
+  // Tick elision. Most kernel entries find their CPU awake or no skipped tick
+  // due yet, so these tests are inline and only the work calls out.
   [[nodiscard]] bool replayable(const CpuState& c) const;
-  void replay_ticks(CpuId cpu);
+  void replay_ticks(CpuId cpu) {
+    CpuState& c = cs(cpu);
+    if (c.dormant && now() >= tick_time(c.ticks + 1)) replay_dormant(c);
+  }
+  void replay_dormant(CpuState& c);
   void replay_to(CpuState& c, std::int64_t target);
-  void check_dormant(CpuId cpu);
+  void check_dormant(CpuId cpu) {
+    CpuState& c = cs(cpu);
+    if (c.dormant && !replayable(c)) wake_from_dormant(c);
+  }
+  void wake_from_dormant(CpuState& c);
   bool balance_pull(CpuId cpu, SchedClass& cls);
   void migrate(Task& t, CpuId dst);
 
@@ -216,15 +232,23 @@ class Kernel {
 
   std::vector<std::unique_ptr<SchedClass>> classes_;  ///< priority order
   int cfs_index_ = -1;
+  /// The classes whose wants_balance() is true, in chain order, and each
+  /// class's wakeup_cost(), by class index: both read once, at start().
+  std::vector<SchedClass*> balance_classes_;
+  std::vector<Duration> wakeup_cost_;
+  /// Per class, the tasks queued on some CPU but not running there: the sum
+  /// over CPUs of rq.class_count minus the CPUs whose curr is of the class.
+  /// balance_pull's early-out reads it instead of scanning every CPU.
+  std::vector<int> queued_;
   std::vector<CpuState> cpus_;
   std::vector<std::unique_ptr<Task>> tasks_;
   Pid next_pid_ = 1;
   bool started_ = false;
   bool in_balance_ = false;
 
-  /// One tick event for all CPUs (Lane::kFirst: ticks run before every
+  /// One tick timer for all CPUs (Lane::kFirst: ticks run before every
   /// other event at their instant), armed for tick tick_index_.
-  sim::EventHandle tick_event_;
+  sim::Timer tick_timer_;
   SimTime tick_origin_ = SimTime::zero();  ///< start(): tick i fires at origin + i * tick
   std::int64_t tick_index_ = 0;
   /// While the tick event runs, the CPU being ticked; CPUs numbered above it

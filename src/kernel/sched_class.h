@@ -93,12 +93,14 @@ class SchedClass {
   virtual Task* steal_candidate(Kernel& k, Rq& rq) { (void)k; (void)rq; return nullptr; }
 
   /// Whether the per-class workload balancer should run for this class.
+  /// Read once, at Kernel::start().
   [[nodiscard]] virtual bool wants_balance() const { return false; }
 
   /// Fixed cost between a wakeup and the task becoming enqueued: the
   /// scheduler-path overhead of this class (run-queue insertion, placement,
   /// competition with the rest of the system). The paper's SIESTA result
   /// (§V-D) hinges on this being much smaller for SCHED_HPC than for CFS.
+  /// Read once, at Kernel::start().
   [[nodiscard]] virtual Duration wakeup_cost() const { return Duration::microseconds(2); }
 
  private:

@@ -10,6 +10,7 @@
 #include "common/stats.h"
 #include "common/types.h"
 #include "power5/hw_priority.h"
+#include "simcore/event_queue.h"
 
 namespace hpcs::kern {
 
@@ -131,6 +132,11 @@ class Task {
   // Wakeup-latency measurement.
   SimTime wake_time_ = SimTime::zero();
   bool woken_pending_ = false;
+
+  // The task's kernel timers (Kernel::create_task): the end of the wake cost
+  // that precedes its enqueue, and the end of a body_sleep().
+  sim::Timer wake_timer_;
+  sim::Timer sleep_timer_;
 };
 
 }  // namespace hpcs::kern

@@ -13,30 +13,12 @@ Chip::Chip(int num_cores, const ThroughputParams& params) {
   for (CoreId c = 0; c < num_cores; ++c) cores_.emplace_back(c, speeds);
 }
 
-SmtCore& Chip::core(CoreId c) {
-  HPCS_CHECK(c >= 0 && c < num_cores());
-  return cores_[static_cast<std::size_t>(c)];
-}
-
-const SmtCore& Chip::core(CoreId c) const {
-  HPCS_CHECK(c >= 0 && c < num_cores());
-  return cores_[static_cast<std::size_t>(c)];
-}
-
-double Chip::cpu_speed(CpuId cpu) const { return core(core_of(cpu)).speed(ctx_of(cpu)); }
-
 bool Chip::set_cpu_priority(CpuId cpu, HwPrio p) {
   return core(core_of(cpu)).set_priority(ctx_of(cpu), p);
 }
 
-bool Chip::set_cpu_active(CpuId cpu, bool active) {
-  return core(core_of(cpu)).set_active(ctx_of(cpu), active);
-}
-
-HwPrio Chip::cpu_priority(CpuId cpu) const { return core(core_of(cpu)).priority(ctx_of(cpu)); }
-
-void Chip::set_listener(SmtCore::SpeedChangeListener l) {
-  for (auto& c : cores_) c.set_listener(l);
+void Chip::set_listener(SmtCore::SpeedChangeListener fn, void* ctx) {
+  for (auto& c : cores_) c.set_listener(fn, ctx);
 }
 
 }  // namespace hpcs::p5

@@ -5,9 +5,9 @@
 // re-linearized.
 
 #include <array>
-#include <functional>
 #include <memory>
 
+#include "common/check.h"
 #include "common/types.h"
 #include "power5/hw_priority.h"
 #include "power5/throughput.h"
@@ -19,8 +19,10 @@ using CtxId = int;
 
 class SmtCore {
  public:
-  /// Called whenever the speed of either context may have changed.
-  using SpeedChangeListener = std::function<void(CoreId)>;
+  /// Called with the listener's context whenever the speed of either
+  /// context may have changed. A plain function pointer: it runs on every
+  /// activity transition and priority write.
+  using SpeedChangeListener = void (*)(void* ctx, CoreId core);
 
   /// `speeds` is shared by every core of a chip.
   SmtCore(CoreId id, std::shared_ptr<const CoreSpeedTable> speeds)
@@ -36,8 +38,16 @@ class SmtCore {
 
   /// Set the hardware priority of one context. Returns true if it changed.
   bool set_priority(CtxId ctx, HwPrio p);
-  /// Mark a context as executing work (true) or idle (false).
-  bool set_active(CtxId ctx, bool active);
+  /// Mark a context as executing work (true) or idle (false). Returns true
+  /// if it changed.
+  bool set_active(CtxId ctx, bool active) {
+    check_ctx(ctx);
+    if (active_[ctx] == active) return false;
+    active_[ctx] = active;
+    recompute();
+    notify();
+    return true;
+  }
 
   [[nodiscard]] HwPrio priority(CtxId ctx) const { return prio_[check_ctx(ctx)]; }
   [[nodiscard]] bool active(CtxId ctx) const { return active_[check_ctx(ctx)]; }
@@ -45,12 +55,25 @@ class SmtCore {
   /// Current throughput of a context relative to ST mode (0 when inactive).
   [[nodiscard]] double speed(CtxId ctx) const { return speeds_[check_ctx(ctx)]; }
 
-  void set_listener(SpeedChangeListener l) { listener_ = std::move(l); }
+  /// Install the speed-change listener (nullptr: none).
+  void set_listener(SpeedChangeListener fn, void* ctx) {
+    listener_ = fn;
+    listener_ctx_ = ctx;
+  }
 
  private:
-  static CtxId check_ctx(CtxId ctx);
-  void recompute();
-  void notify();
+  static CtxId check_ctx(CtxId ctx) {
+    HPCS_CHECK_MSG(ctx == 0 || ctx == 1, "context index must be 0 or 1");
+    return ctx;
+  }
+  void recompute() {
+    const CoreSpeeds s = (*table_)(prio_[0], active_[0], prio_[1], active_[1]);
+    speeds_[0] = s.a;
+    speeds_[1] = s.b;
+  }
+  void notify() {
+    if (listener_ != nullptr) listener_(listener_ctx_, id_);
+  }
 
   CoreId id_;
   /// recompute() runs on every priority write and activity transition, so
@@ -59,7 +82,8 @@ class SmtCore {
   std::array<HwPrio, 2> prio_{};
   std::array<bool, 2> active_{};
   std::array<double, 2> speeds_{};
-  SpeedChangeListener listener_;
+  SpeedChangeListener listener_ = nullptr;
+  void* listener_ctx_ = nullptr;
 };
 
 }  // namespace hpcs::p5

@@ -1,5 +1,5 @@
 #pragma once
-// Cancellable discrete-event queue.
+// Cancellable discrete-event queue with persistent timers.
 //
 // Events are ordered by time, then by lane, then by insertion sequence, which
 // makes simultaneous events fire in a deterministic order: kFirst-lane events
@@ -7,10 +7,24 @@
 // events FIFO. Each EventHandle remembers the slot id/generation it was
 // issued for, so operations on a stale handle are safe no-ops.
 //
-// Storage is one indexed binary min-heap of 16-byte (when, seq, slot id +
-// lane) entries over a table of callback slots. Every slot records where its
-// entry sits in the heap, so cancel() removes the entry at once and
-// reschedule() re-keys it in place: the heap holds exactly the pending events.
+// Two kinds of event share one table of callback slots:
+//  * one-shots (schedule()): the closure is stored, fires once and its slot
+//    is recycled;
+//  * timers (make_timer()): the slot and its callback are installed once and
+//    never released; arm() (re)starts the timer and cancel() stops it. The
+//    kernel's recurring events (the tick, per-CPU exec and resched events,
+//    per-task wake-cost and sleep events) are timers, so they construct no
+//    closure and allocate no slot per firing.
+//
+// Storage is a sorted *near run* of at most kNearCapacity 16-byte
+// (when, seq, slot id + lane) entries in front of an indexed binary min-heap.
+// Every near-run entry fires before every heap entry, so a pop takes the
+// run's head, or the heap's top when the run is empty. The paper's machine
+// keeps 5-11 events pending, so nearly every pop and arm stays in the run;
+// queues deeper than the run spill their latest entries into the heap.
+// Every slot records where its entry sits (a heap index, or kInNear), so
+// cancel() and a re-arm remove the entry at once: the run and the heap hold
+// exactly the pending events.
 //
 // Hot-path design (see docs/performance.md):
 //  * Callbacks are InplaceFunction — a fixed 48-byte inline buffer, so
@@ -18,11 +32,6 @@
 //  * Slots live in fixed chunks whose addresses never move, so a callback is
 //    invoked in place even if it schedules new events (no per-dispatch
 //    closure moves, unlike a std::vector of slots that may reallocate).
-//  * reschedule() moves a pending event to a new time without touching its
-//    callback, and — crucially for recurring events like the kernel tick —
-//    may be called from *inside* the firing callback to re-arm the same
-//    slot, keeping the handle valid and skipping the
-//    destroy/construct/slot-allocate cycle entirely.
 
 #include <cstdint>
 #include <memory>
@@ -42,21 +51,20 @@ inline constexpr std::size_t kEventCallbackCapacity = 48;
 using EventCallback = InplaceFunction<void(), kEventCallbackCapacity>;
 
 /// Same-instant order class of an event: kFirst before kNormal at an
-/// instant; within a lane, in the order of the last (re)arm
-/// (schedule()/reschedule()).
+/// instant; within a lane, in the order of the last schedule() / arm().
 enum class Lane : std::uint8_t { kFirst = 0, kNormal = 1 };
 
 /// Always-on queue counters (plain int64 increments on paths that already
 /// touch the slot — too cheap to gate). Observability snapshots them into
 /// the per-run metrics manifest as the sim.eq_* counters.
 struct EventQueueStats {
-  std::int64_t scheduled = 0;        ///< schedule() calls
+  std::int64_t scheduled = 0;        ///< schedule() calls and arms of an idle timer
   std::int64_t dispatched = 0;       ///< callbacks actually run
-  std::int64_t resched_pending = 0;  ///< reschedule() moved a pending event
-  std::int64_t resched_inplace = 0;  ///< reschedule() re-armed the firing slot
+  std::int64_t resched_pending = 0;  ///< arms of a pending timer (re-keyed)
+  std::int64_t resched_inplace = 0;  ///< arms of the timer whose callback is running
 };
 
-/// Opaque reference to a scheduled event; safe to keep after the event fired
+/// Opaque reference to a one-shot event; safe to keep after the event fired
 /// or was cancelled (operations on a stale handle are no-ops).
 class EventHandle {
  public:
@@ -72,13 +80,34 @@ class EventHandle {
   std::uint64_t gen_ = 0;
 };
 
+/// A persistent event made by EventQueue::make_timer(). Its slot lives as
+/// long as the queue (until clear()); a default-constructed Timer is no
+/// timer and must not be armed.
+class Timer {
+ public:
+  Timer() = default;
+
+  [[nodiscard]] bool valid() const { return id_ != kNoId; }
+
+ private:
+  friend class EventQueue;
+  static constexpr std::uint32_t kNoId = ~std::uint32_t{0};
+  explicit Timer(std::uint32_t id) : id_(id) {}
+  std::uint32_t id_ = kNoId;
+};
+
 class EventQueue {
  public:
+  /// Entries the near run holds before arms spill into the heap. A constant:
+  /// it holds every paper run's whole queue, while queues of thousands of
+  /// timers (micro_simcore's deep scenarios) stay on the heap.
+  static constexpr std::uint32_t kNearCapacity = 16;
+
   /// Test seam: start the insertion-sequence counter near an arbitrary value
   /// so the wrapping-u32 tiebreak can be exercised around UINT32_MAX without
   /// four billion warm-up schedules. Only valid on an empty queue.
   void set_next_seq_for_test(std::uint32_t s) {
-    HPCS_CHECK_MSG(heap_.empty(), "set_next_seq_for_test() on a non-empty EventQueue");
+    HPCS_CHECK_MSG(entries() == 0, "set_next_seq_for_test() on a non-empty EventQueue");
     next_seq_ = s;
   }
 
@@ -89,8 +118,8 @@ class EventQueue {
   // queue are the slot-chunk and heap growth, deliberately amortized: they
   // run once per table growth, not per event.
 
-  /// Schedule `cb` to fire at absolute time `when` (must not be in the past
-  /// relative to the last popped event).
+  /// Schedule `cb` to fire once at absolute time `when` (must not be in the
+  /// past relative to the last popped event).
   EventHandle schedule(SimTime when, EventCallback cb, Lane lane = Lane::kNormal) {
     ++stats_.scheduled;
     const std::uint32_t id = alloc_slot();
@@ -100,57 +129,19 @@ class EventQueue {
     slot.lane = lane;
     ++slot.gen;
     ++live_count_;
-    heap_push(HeapEntry{when, next_seq_++, (id << 1) | static_cast<std::uint32_t>(lane)});
+    insert(HeapEntry{when, next_seq_++, (id << 1) | static_cast<std::uint32_t>(lane)});
     return EventHandle{id, slot.gen};
   }
 
-  /// Cancel a previously scheduled event; its heap entry is removed at once.
-  /// Returns true if the event was still pending; false if it already fired,
-  /// was cancelled, or the handle is stale.
+  /// Cancel a one-shot event; its entry is removed at once. Returns true if
+  /// the event was still pending; false if it already fired, was cancelled,
+  /// or the handle is stale.
   bool cancel(EventHandle h) {
     if (!pending(h)) return false;
     const auto id = static_cast<std::uint32_t>(h.id_);
-    slot_at(id).live = false;
-    --live_count_;
-    heap_erase(pos_[id]);
-    // A callback that re-armed its own event and then cancelled it is still
-    // running: its closure must outlive the call, so run_slot's epilogue
-    // destroys it and recycles the slot.
-    if (id != firing_slot_) release(id);
+    disarm(id);
+    release(id);
     return true;
-  }
-
-  /// Move the event behind `h` to fire at `when` instead, reusing its stored
-  /// callback and keeping `h` valid. Also works from inside the event's own
-  /// callback while it is firing (the recurring-event fast path: the slot is
-  /// re-armed instead of freed when the callback returns). Returns false —
-  /// and does nothing — if the handle is stale or cancelled; callers then
-  /// fall back to schedule().
-  bool reschedule(EventHandle h, SimTime when) {
-    const auto id = static_cast<std::uint32_t>(h.id_);
-    if (pending(h)) {
-      ++stats_.resched_pending;
-      const std::size_t i = pos_[id];
-      const HeapEntry old = heap_[i];
-      const HeapEntry e{when, next_seq_++, old.key};
-      if (e > old) {
-        sift_down(i, e);
-      } else {
-        sift_up(i, e);
-      }
-      return true;
-    }
-    // Re-arm from inside the firing callback: the slot's entry was popped
-    // for this dispatch but its callback is still intact.
-    if (h.valid() && id == firing_slot_ && h.gen_ == firing_gen_) {
-      ++stats_.resched_inplace;
-      Slot& slot = slot_at(id);
-      slot.live = true;
-      ++live_count_;
-      heap_push(HeapEntry{when, next_seq_++, (id << 1) | static_cast<std::uint32_t>(slot.lane)});
-      return true;
-    }
-    return false;
   }
 
   /// True if an event scheduled through `h` is still pending.
@@ -160,14 +151,63 @@ class EventQueue {
     return slot.live && slot.gen == h.gen_;
   }
 
+  /// Install a timer that runs `cb` each time it fires. The timer starts
+  /// idle; arm() starts it.
+  Timer make_timer(EventCallback cb, Lane lane = Lane::kNormal) {
+    const std::uint32_t id = alloc_slot();
+    Slot& slot = slot_at(id);
+    slot.cb = std::move(cb);
+    slot.lane = lane;
+    slot.timer = true;
+    ++slot.gen;  // a stale EventHandle to a recycled slot stays stale
+    return Timer{id};
+  }
+
+  /// Fire `t` at `when`, taking a fresh sequence number — the same order a
+  /// cancel() followed by a schedule() would give. A pending timer is
+  /// re-keyed; an idle one, or the one whose callback is running, is queued
+  /// again.
+  void arm(Timer t, SimTime when) {
+    const std::uint32_t id = t.id_;
+    HPCS_CHECK_MSG(id < slot_count_ && slot_at(id).timer, "arm() of a non-timer slot");
+    Slot& slot = slot_at(id);
+    const HeapEntry e{when, next_seq_++, (id << 1) | static_cast<std::uint32_t>(slot.lane)};
+    if (slot.live) {
+      ++stats_.resched_pending;
+      erase(id);
+    } else {
+      if (id == firing_slot_) {
+        ++stats_.resched_inplace;
+      } else {
+        ++stats_.scheduled;
+      }
+      slot.live = true;
+      ++live_count_;
+    }
+    insert(e);
+  }
+
+  /// Stop a timer. Returns true if it was pending.
+  bool cancel(Timer t) {
+    if (!pending(t)) return false;
+    disarm(t.id_);
+    return true;
+  }
+
+  /// True if `t` is armed and has not fired since.
+  [[nodiscard]] bool pending(Timer t) const {
+    return t.id_ < slot_count_ && slot_at(t.id_).live;
+  }
+
   [[nodiscard]] bool empty() const { return live_count_ == 0; }
   [[nodiscard]] std::size_t size() const { return live_count_; }
-  /// Entries physically in the heap: always size(), since cancel() and
-  /// reschedule() leave no dead entry behind (tests pin this).
-  [[nodiscard]] std::size_t heap_entries() const { return heap_.size(); }
+  /// Entries physically queued (near run plus heap): always size(), since
+  /// cancel() and arm() leave no dead entry behind (tests pin this).
+  [[nodiscard]] std::size_t entries() const { return near_size_ + heap_.size(); }
 
   /// Time of the earliest pending event. Requires !empty().
   [[nodiscard]] SimTime next_time() const {
+    if (near_size_ != 0) return near_[near_size_ - 1].when;
     HPCS_CHECK_MSG(!heap_.empty(), "next_time() on empty event queue");
     return heap_.front().when;
   }
@@ -185,9 +225,16 @@ class EventQueue {
   /// return true. Returns false (leaving `clock` untouched) when the queue
   /// is empty or the next event is past the deadline.
   bool run_next(SimTime deadline, SimTime& clock) {
-    if (heap_.empty() || heap_.front().when > deadline) return false;
-    const HeapEntry top = heap_.front();
-    heap_pop();
+    HeapEntry top;
+    if (near_size_ != 0) {
+      top = near_[near_size_ - 1];
+      if (top.when > deadline) return false;
+      --near_size_;
+    } else {
+      if (heap_.empty() || heap_.front().when > deadline) return false;
+      top = heap_.front();
+      heap_pop();
+    }
     clock = top.when;
     ++stats_.dispatched;
     --live_count_;
@@ -195,13 +242,14 @@ class EventQueue {
     return true;
   }
 
-  /// Drop all pending events and reset sequence numbering, so a reused queue
-  /// behaves exactly like a fresh one (tie-break order is part of the
-  /// determinism contract). Must not be called from inside a firing
-  /// callback: closures execute in place, so their storage has to outlive
-  /// the call.
+  /// Drop all pending events and every timer, and reset sequence numbering,
+  /// so a reused queue behaves exactly like a fresh one (tie-break order is
+  /// part of the determinism contract). A Timer made before clear() must not
+  /// be used after it. Must not be called from inside a firing callback:
+  /// closures execute in place, so their storage has to outlive the call.
   void clear() {
     HPCS_CHECK_MSG(firing_slot_ == kNoSlot, "EventQueue::clear() from inside a callback");
+    near_size_ = 0;
     heap_.clear();
     chunks_.clear();
     pos_.clear();
@@ -227,10 +275,9 @@ class EventQueue {
       if (when != o.when) return when > o.when;
       if (((key ^ o.key) & 1u) != 0) return (key & 1u) > (o.key & 1u);
       // Wraparound-aware window compare: correct while same-instant entries
-      // of one lane sit within 2^31 schedule() calls of each other. The
-      // simulator's same-instant fan-out (message deliveries, zero-delay
-      // reschedules) is bounded by machine size — nowhere near the 2^31
-      // window.
+      // of one lane sit within 2^31 arms of each other. The simulator's
+      // same-instant fan-out (message deliveries, zero-delay reschedules)
+      // is bounded by machine size — nowhere near the 2^31 window.
       return static_cast<std::int32_t>(seq - o.seq) > 0;
     }
   };
@@ -239,7 +286,8 @@ class EventQueue {
     EventCallback cb;
     std::uint64_t gen = 0;
     Lane lane = Lane::kNormal;
-    bool live = false;  ///< pending: the slot has an entry in the heap
+    bool live = false;   ///< pending: the slot has an entry in the run or the heap
+    bool timer = false;  ///< made by make_timer(): never released
   };
 
   /// Slots are allocated in fixed-size chunks so their addresses are stable:
@@ -247,6 +295,8 @@ class EventQueue {
   static constexpr std::uint64_t kChunkShift = 6;
   static constexpr std::uint64_t kChunkSize = 1ull << kChunkShift;
   static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+  /// pos_ value of a slot whose entry sits in the near run.
+  static constexpr std::uint32_t kInNear = ~std::uint32_t{0};
 
   [[nodiscard]] Slot& slot_at(std::uint64_t id) {
     return chunks_[id >> kChunkShift][id & (kChunkSize - 1)];
@@ -262,9 +312,9 @@ class EventQueue {
       return id;
     }
     // Heap entries address slots with 31 bits (the key's low bit is the
-    // lane). Slots are recycled, so the count only grows with the peak
-    // number of simultaneously pending events — 2^31 of them would be a
-    // runaway workload, not a sweep.
+    // lane). One-shot slots are recycled, so the count only grows with the
+    // timers plus the peak number of pending one-shots — 2^31 of them would
+    // be a runaway workload, not a sweep.
     HPCS_CHECK_MSG(slot_count_ < (std::uint64_t{1} << 31),
                    "EventQueue slot table exceeds 31-bit heap-entry ids");
     const auto id = static_cast<std::uint32_t>(slot_count_++);
@@ -275,10 +325,58 @@ class EventQueue {
     return id;
   }
 
-  /// Destroy a slot's closure and return the slot to the free list.
+  /// Destroy a one-shot's closure and return its slot to the free list.
   void release(std::uint32_t id) {
     slot_at(id).cb = nullptr;
     free_slots_.push_back(id);
+  }
+
+  /// Take a pending slot's entry out of the queue.
+  void disarm(std::uint32_t id) {
+    slot_at(id).live = false;
+    --live_count_;
+    erase(id);
+  }
+
+  // ---- near run + heap ----------------------------------------------------
+  // near_[0, near_size_) is sorted latest first, so the head (the earliest
+  // entry) is near_[near_size_ - 1] and a pop is a decrement. Every entry in
+  // the run fires before every heap entry.
+
+  // Entries pass by value: they are built in registers just before, and a
+  // 16-byte reload of a just-stored entry stalls on store forwarding.
+  void insert(HeapEntry e) {
+    if (!heap_.empty() && e > heap_.front()) {
+      heap_push(e);
+      return;
+    }
+    if (near_size_ == kNearCapacity) {
+      if (e > near_[0]) {
+        heap_push(e);  // after the whole run, before the heap's top
+        return;
+      }
+      // Make room: the run's latest entry becomes the heap's earliest.
+      heap_push(near_[0]);
+      for (std::uint32_t i = 1; i < near_size_; ++i) near_[i - 1] = near_[i];
+      --near_size_;
+    }
+    std::uint32_t i = near_size_++;
+    for (; i > 0 && e > near_[i - 1]; --i) near_[i] = near_[i - 1];
+    near_[i] = e;
+    pos_[e.key >> 1] = kInNear;
+  }
+
+  /// Remove a queued slot's entry from the run or the heap.
+  void erase(std::uint32_t id) {
+    const std::uint32_t p = pos_[id];
+    if (p != kInNear) {
+      heap_erase(p);
+      return;
+    }
+    std::uint32_t i = 0;
+    while ((near_[i].key >> 1) != id) ++i;
+    for (++i; i < near_size_; ++i) near_[i - 1] = near_[i];
+    --near_size_;
   }
 
   // Hand-rolled binary-heap sifts that keep pos_ in step with every move.
@@ -355,33 +453,33 @@ class EventQueue {
     }
   }
 
-  /// Dispatch epilogue: fire the slot's callback in place and recycle the
-  /// slot unless the callback re-armed it.
+  /// Dispatch epilogue: fire the slot's callback in place, then recycle a
+  /// one-shot's slot. While the callback runs, arming its own timer counts
+  /// as an in-place re-arm.
   void run_slot(std::uint32_t id) {
     Slot& slot = slot_at(id);
     slot.live = false;
     firing_slot_ = id;
-    firing_gen_ = slot.gen;
     // Chunk addresses are stable, so the closure runs in place; scheduling
     // from inside the callback cannot move it, and the slot cannot be
     // recycled before this epilogue.
     slot.cb();
     firing_slot_ = kNoSlot;
-    if (!slot.live) release(id);
+    if (!slot.timer) release(id);
   }
 
-  std::vector<HeapEntry> heap_;  ///< min-heap by (when, lane, seq); exactly the pending events
-  std::vector<std::uint32_t> pos_;  ///< heap index of each pending slot's entry
+  HeapEntry near_[kNearCapacity] = {};
+  std::uint32_t near_size_ = 0;
+  std::vector<HeapEntry> heap_;  ///< min-heap by (when, lane, seq), after the near run
+  std::vector<std::uint32_t> pos_;  ///< heap index of each queued slot's entry, or kInNear
   std::vector<std::unique_ptr<Slot[]>> chunks_;
   std::uint64_t slot_count_ = 0;
   std::vector<std::uint32_t> free_slots_;
   /// Wrapping 32-bit sequence window (see HeapEntry::operator>).
   std::uint32_t next_seq_ = 0;
   std::size_t live_count_ = 0;
-  /// Slot currently executing inside run_slot (kNoSlot otherwise); its
-  /// callback may re-arm itself via reschedule().
+  /// Slot currently executing inside run_slot (kNoSlot otherwise).
   std::uint32_t firing_slot_ = kNoSlot;
-  std::uint64_t firing_gen_ = 0;
   EventQueueStats stats_;
 };
 

@@ -44,10 +44,13 @@ class InplaceFunction<R(Args...), Capacity> {
     };
     // Trivially-copyable closures (the common [this, cpu] case) keep
     // manage_ == nullptr: moves become a plain buffer copy and destruction a
-    // no-op — the event loop moves every callback once per dispatch, so this
-    // indirection matters.
-    if constexpr (!(std::is_trivially_copyable_v<Fn> &&
-                    std::is_trivially_destructible_v<Fn>)) {
+    // no-op. The copy takes the whole buffer, so the bytes past the closure
+    // are zeroed: a move reads no uninitialized byte.
+    if constexpr (std::is_trivially_copyable_v<Fn> && std::is_trivially_destructible_v<Fn>) {
+      if constexpr (sizeof(Fn) < Capacity) {
+        std::memset(buf_ + sizeof(Fn), 0, Capacity - sizeof(Fn));
+      }
+    } else {
       manage_ = [](void* dst, void* src) {
         Fn* s = std::launder(reinterpret_cast<Fn*>(src));
         if (dst != nullptr) ::new (dst) Fn(std::move(*s));

@@ -16,26 +16,12 @@ EventHandle Simulator::schedule_at(SimTime when, EventCallback cb, Lane lane) {
   return queue_.schedule(when, std::move(cb), lane);
 }
 
-bool Simulator::reschedule_in(EventHandle h, Duration delay) {
-  HPCS_CHECK_MSG(delay >= Duration::zero(), "negative event delay");
-  return queue_.reschedule(h, now_ + delay);
-}
-
-bool Simulator::reschedule_at(EventHandle h, SimTime when) {
-  HPCS_CHECK_MSG(when >= now_, "event rescheduled into the past");
-  return queue_.reschedule(h, when);
-}
-
 SimTime Simulator::run(SimTime deadline) {
   while (queue_.run_next(deadline, now_)) {
   }
   if (queue_.empty()) return now_;
   now_ = deadline;
   return now_;
-}
-
-bool Simulator::step() {
-  return queue_.run_next(SimTime::max(), now_);
 }
 
 }  // namespace hpcs::sim

@@ -2,12 +2,25 @@
 
 #include <cstdio>
 #include <string>
+#include <type_traits>
 #include <utility>
+#include <variant>
 
 #include "common/check.h"
 
 namespace hpcs::mpi {
 namespace {
+
+/// Position of op type T among MpiOp's alternatives, for switching on
+/// MpiOp::index().
+template <typename T, std::size_t I = 0>
+constexpr std::size_t op_index() {
+  if constexpr (std::is_same_v<std::variant_alternative_t<I, MpiOp>, T>) {
+    return I;
+  } else {
+    return op_index<T, I + 1>();
+  }
+}
 
 bool spec_matches(int spec_src, int spec_tag, int src, int tag) {
   return (spec_src == kAnySource || spec_src == src) && (spec_tag == kAnyTag || spec_tag == tag);
@@ -169,89 +182,88 @@ void MpiWorld::step_rank(int rank, kern::Task& t) {
   // Interpret ops until one needs the kernel.
   for (;;) {
     MpiOp op = rs.program->next();
-
-    if (auto* c = std::get_if<OpCompute>(&op)) {
-      if (c->work <= 0.0) continue;  // empty segment: skip
-      k.body_compute(t, c->work);
-      return;
-    }
-    if (std::get_if<OpBarrier>(&op) != nullptr) {
-      // Every rank blocks, including the last arriver: the release is a
-      // message round-trip (MetBench uses a master-coordinated barrier), so
-      // even the slowest rank sleeps briefly — which is also what lets the
-      // HPC scheduler observe an iteration boundary on every rank.
-      arrive(rs, barrier_, /*bytes=*/0);
-      k.body_block(t);
-      return;
-    }
-    if (auto* s = std::get_if<OpSend>(&op)) {
-      const int dst = s->dst;
-      const Message m{rank, s->tag, s->bytes};
-      kernel_->sim().schedule_in(net_.delay(s->bytes),
-                                 [this, dst, m] { deliver(dst, m); });
-      continue;
-    }
-    if (auto* s = std::get_if<OpIsend>(&op)) {
-      // Unlike the eager OpSend, an isend is a tracked request: OpWaitAll
-      // also waits for its delivery to complete (the rendezvous/progress
-      // behaviour of large-message MPI sends).
-      const Message m{rank, s->tag, s->bytes};
-      const int dst = s->dst;
-      ++rs.pending_isends;
-      kernel_->sim().schedule_in(net_.delay(s->bytes), [this, rank, dst, m] {
-        RankState& sender = ranks_[check_rank(rank)];
-        --sender.pending_isends;
-        deliver(dst, m);
-        if (!sender.exited && sender.waiting == WaitKind::kWaitAll) {
-          kernel_->wake(*sender.task);
-        }
-      });
-      continue;
-    }
-    if (auto* r = std::get_if<OpRecv>(&op)) {
-      if (try_consume(rs, r->src, r->tag)) continue;
-      rs.waiting = WaitKind::kRecv;
-      rs.recv_src = r->src;
-      rs.recv_tag = r->tag;
-      k.body_block(t);
-      return;
-    }
-    if (auto* r = std::get_if<OpIrecv>(&op)) {
-      // If the message already arrived it is in the mailbox: consume it now,
-      // otherwise post the request.
-      if (!try_consume(rs, r->src, r->tag)) {
-        rs.pending_irecvs.emplace_back(r->src, r->tag);
+    switch (op.index()) {
+      case op_index<OpCompute>(): {
+        const Work work = std::get<OpCompute>(op).work;
+        if (work <= 0.0) continue;  // empty segment: skip
+        k.body_compute(t, work);
+        return;
       }
-      continue;
+      case op_index<OpBarrier>():
+        // Every rank blocks, including the last arriver: the release is a
+        // message round-trip (MetBench uses a master-coordinated barrier), so
+        // even the slowest rank sleeps briefly — which is also what lets the
+        // HPC scheduler observe an iteration boundary on every rank.
+        arrive(rs, barrier_, /*bytes=*/0);
+        k.body_block(t);
+        return;
+      case op_index<OpSend>(): {
+        const auto& s = std::get<OpSend>(op);
+        const int dst = s.dst;
+        const Message m{rank, s.tag, s.bytes};
+        kernel_->sim().schedule_in(net_.delay(s.bytes), [this, dst, m] { deliver(dst, m); });
+        continue;
+      }
+      case op_index<OpRecv>(): {
+        const auto& r = std::get<OpRecv>(op);
+        if (try_consume(rs, r.src, r.tag)) continue;
+        rs.waiting = WaitKind::kRecv;
+        rs.recv_src = r.src;
+        rs.recv_tag = r.tag;
+        k.body_block(t);
+        return;
+      }
+      case op_index<OpIsend>(): {
+        // Unlike the eager OpSend, an isend is a tracked request: OpWaitAll
+        // also waits for its delivery to complete (the rendezvous/progress
+        // behaviour of large-message MPI sends).
+        const auto& s = std::get<OpIsend>(op);
+        const Message m{rank, s.tag, s.bytes};
+        const int dst = s.dst;
+        ++rs.pending_isends;
+        kernel_->sim().schedule_in(net_.delay(s.bytes), [this, rank, dst, m] {
+          RankState& sender = ranks_[check_rank(rank)];
+          --sender.pending_isends;
+          deliver(dst, m);
+          if (!sender.exited && sender.waiting == WaitKind::kWaitAll) {
+            kernel_->wake(*sender.task);
+          }
+        });
+        continue;
+      }
+      case op_index<OpIrecv>(): {
+        // If the message already arrived it is in the mailbox: consume it
+        // now, otherwise post the request.
+        const auto& r = std::get<OpIrecv>(op);
+        if (!try_consume(rs, r.src, r.tag)) rs.pending_irecvs.emplace_back(r.src, r.tag);
+        continue;
+      }
+      case op_index<OpWaitAll>():
+        if (rs.pending_irecvs.empty() && rs.pending_isends == 0) continue;
+        rs.waiting = WaitKind::kWaitAll;
+        k.body_block(t);
+        return;
+      case op_index<OpAllreduce>():
+        arrive(rs, allreduce_, std::get<OpAllreduce>(op).bytes);
+        k.body_block(t);
+        return;
+      case op_index<OpMarkIteration>():
+        k.flush_account(t);
+        rs.marks.push_back(IterationMark{k.now(), t.t_run});
+        continue;
+      case op_index<OpExit>():
+        rs.exited = true;
+        ++exited_;
+        finish_time_ = std::max(finish_time_, k.now());
+        rs.mailbox.clear();  // unconsumed entries will never be received
+        // Ranks sitting in a collective must not deadlock on an exited peer.
+        maybe_release(barrier_, /*bytes=*/0);
+        maybe_release(allreduce_, /*bytes=*/8);
+        k.body_exit(t);
+        return;
+      default:
+        HPCS_CHECK_MSG(false, "unhandled MPI op");
     }
-    if (std::get_if<OpWaitAll>(&op) != nullptr) {
-      if (rs.pending_irecvs.empty() && rs.pending_isends == 0) continue;
-      rs.waiting = WaitKind::kWaitAll;
-      k.body_block(t);
-      return;
-    }
-    if (auto* ar = std::get_if<OpAllreduce>(&op)) {
-      arrive(rs, allreduce_, ar->bytes);
-      k.body_block(t);
-      return;
-    }
-    if (std::get_if<OpMarkIteration>(&op) != nullptr) {
-      k.flush_account(t);
-      rs.marks.push_back(IterationMark{k.now(), t.t_run});
-      continue;
-    }
-    if (std::get_if<OpExit>(&op) != nullptr) {
-      rs.exited = true;
-      ++exited_;
-      finish_time_ = std::max(finish_time_, k.now());
-      rs.mailbox.clear();  // unconsumed entries will never be received
-      // Ranks sitting in a collective must not deadlock on an exited peer.
-      maybe_release(barrier_, /*bytes=*/0);
-      maybe_release(allreduce_, /*bytes=*/8);
-      k.body_exit(t);
-      return;
-    }
-    HPCS_CHECK_MSG(false, "unhandled MPI op");
   }
 }
 
@@ -278,7 +290,7 @@ std::string MpiWorld::debug_state() const {
 }
 
 SimTime run_to_completion(sim::Simulator& s, MpiWorld& world, SimTime deadline) {
-  while (!world.done() && s.now() < deadline && s.step()) {
+  while (!world.done() && s.step(deadline)) {
   }
   if (!world.done()) {
     std::fprintf(stderr, "MPI world stuck at t=%s:\n%s", format_time(s.now()).c_str(),

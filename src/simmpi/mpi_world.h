@@ -4,7 +4,6 @@
 // eager point-to-point messages with a latency/bandwidth network model, and
 // isend/irecv/waitall request tracking.
 
-#include <deque>
 #include <memory>
 #include <optional>
 #include <string>
@@ -85,7 +84,9 @@ class MpiWorld {
   struct RankState {
     kern::Task* task = nullptr;
     std::unique_ptr<RankProgram> program;
-    std::deque<Message> mailbox;
+    /// Arrived, unconsumed messages in arrival order. The paper's workloads
+    /// keep at most a few here, so a vector beats a deque's erase.
+    std::vector<Message> mailbox;
     std::vector<std::pair<int, int>> pending_irecvs;  ///< (src, tag) posted, unmatched
     int pending_isends = 0;  ///< isends whose delivery has not completed yet
     WaitKind waiting = WaitKind::kNone;
@@ -133,8 +134,9 @@ class MpiWorld {
   std::int64_t messages_ = 0;
 };
 
-/// Run the simulator until the world completes (or `deadline` passes).
-/// Returns the world's finish time.
+/// Run the simulator until the world completes. Only events at or before
+/// `deadline` run: a world still incomplete then aborts the run (with every
+/// rank's wait state on stderr). Returns the world's finish time.
 SimTime run_to_completion(sim::Simulator& s, MpiWorld& world,
                           SimTime deadline = SimTime(std::int64_t{3600} * 1000000000));
 

@@ -8,24 +8,28 @@
 namespace hpcs::wl {
 namespace {
 
-/// Lognormal with the requested mean: mu = ln(mean) - sigma^2/2.
-double lognormal_burst(Rng& rng, double mean, double sigma) {
-  const double mu = std::log(mean) - sigma * sigma / 2.0;
+/// mu of the lognormal whose mean is `mean`: ln(mean) - sigma^2/2. A rank's
+/// mean burst is fixed, so each program computes it once.
+double lognormal_mu(double mean, double sigma) { return std::log(mean) - sigma * sigma / 2.0; }
+
+double lognormal_burst(Rng& rng, double mu, double sigma) {
   return std::max(1.0, rng.lognormal(mu, sigma));
 }
 
 /// Rank 0: compute burst -> send work to every worker -> gather replies.
 class SiestaDriver final : public mpi::RankProgram {
  public:
-  SiestaDriver(const SiestaConfig& cfg, Rng rng) : cfg_(cfg), rng_(std::move(rng)) {}
+  SiestaDriver(const SiestaConfig& cfg, Rng rng)
+      : cfg_(cfg),
+        mu_(lognormal_mu(cfg.cycle_work * cfg.fractions[0], cfg.sigma)),
+        rng_(std::move(rng)) {}
 
   mpi::MpiOp next() override {
     if (iter_ >= cfg_.microiters) return mpi::OpExit{};
     const int workers = cfg_.ranks - 1;
     if (phase_ == 0) {
       ++phase_;
-      return mpi::OpCompute{lognormal_burst(rng_, cfg_.cycle_work * cfg_.fractions[0],
-                                            cfg_.sigma)};
+      return mpi::OpCompute{lognormal_burst(rng_, mu_, cfg_.sigma)};
     }
     if (phase_ <= workers) {  // scatter
       const int dst = phase_;
@@ -45,6 +49,7 @@ class SiestaDriver final : public mpi::RankProgram {
 
  private:
   SiestaConfig cfg_;
+  double mu_;
   Rng rng_;
   int iter_ = 0;
   int phase_ = 0;
@@ -54,7 +59,10 @@ class SiestaDriver final : public mpi::RankProgram {
 class SiestaWorker final : public mpi::RankProgram {
  public:
   SiestaWorker(const SiestaConfig& cfg, int rank, Rng rng)
-      : cfg_(cfg), rank_(rank), rng_(std::move(rng)) {}
+      : cfg_(cfg),
+        mu_(lognormal_mu(cfg.cycle_work * cfg.fractions[static_cast<std::size_t>(rank)],
+                         cfg.sigma)),
+        rng_(std::move(rng)) {}
 
   mpi::MpiOp next() override {
     if (iter_ >= cfg_.microiters) return mpi::OpExit{};
@@ -64,9 +72,7 @@ class SiestaWorker final : public mpi::RankProgram {
         return mpi::OpRecv{0, 0};
       case 1:
         phase_ = 2;
-        return mpi::OpCompute{lognormal_burst(
-            rng_, cfg_.cycle_work * cfg_.fractions[static_cast<std::size_t>(rank_)],
-            cfg_.sigma)};
+        return mpi::OpCompute{lognormal_burst(rng_, mu_, cfg_.sigma)};
       case 2:
         ++iter_;
         phase_ = (cfg_.mark_every > 0 && iter_ % cfg_.mark_every == 0) ? 3 : 0;
@@ -79,7 +85,7 @@ class SiestaWorker final : public mpi::RankProgram {
 
  private:
   SiestaConfig cfg_;
-  int rank_;
+  double mu_;
   Rng rng_;
   int iter_ = 0;
   int phase_ = 0;

@@ -80,6 +80,25 @@ TEST(KernelEdge, ZeroSleepIsAnImmediateYieldToWakeup) {
   EXPECT_LT(t.t_sleep, Duration::milliseconds(1));
 }
 
+TEST(KernelEdge, WakeDuringSleepLeavesTheNextSleepWhole) {
+  // Woken at 2 ms out of a 10 ms sleep, the task sleeps 10 ms again: the
+  // first sleep's expiry (about 10 ms) must not end the second one early.
+  KernelFixture f;
+  f.k().start();
+  SimTime resumed = SimTime::zero();
+  std::vector<Act> acts{Act::compute(1.0e5), Act::sleep(Duration::milliseconds(10)),
+                        Act::compute(1.0e5), Act::sleep(Duration::milliseconds(10)),
+                        Act::compute(1.0e5)};
+  acts.back().on_issue = [&] { resumed = f.k().now(); };
+  auto& t = f.k().create_task("t", std::make_unique<ScriptBody>(std::move(acts)),
+                              Policy::kNormal, 0);
+  f.k().start_task(t);
+  f.sim.schedule_at(SimTime::zero() + Duration::milliseconds(2), [&] { f.k().wake(t); });
+  f.run_until(Duration::milliseconds(50));
+  EXPECT_TRUE(t.exited());
+  EXPECT_GT(resumed, SimTime::zero() + Duration::milliseconds(12));
+}
+
 TEST(KernelEdge, YieldRotatesHpcRoundRobin) {
   sim::Simulator s;
   kern::Kernel k(s, {});

@@ -225,7 +225,7 @@ TEST(SmtCore, SpeedUpdatesOnPriorityChange) {
   core.set_active(1, true);
   EXPECT_NEAR(core.speed(0), 0.65, 1e-9);
   int notifications = 0;
-  core.set_listener([&](CoreId) { ++notifications; });
+  core.set_listener([](void* n, CoreId) { ++*static_cast<int*>(n); }, &notifications);
   EXPECT_TRUE(core.set_priority(0, HwPrio::kHigh));
   EXPECT_NEAR(core.speed(0), 0.76, 1e-9);
   EXPECT_LT(core.speed(1), 0.25);

@@ -191,77 +191,85 @@ TEST(EventQueueProperty, RandomScheduleCancelStress) {
   }
 }
 
-TEST(EventQueueReschedule, MovesPendingEventWithoutTouchingCallback) {
+TEST(EventQueueTimer, ArmMovesPendingTimerWithoutTouchingCallback) {
   EventQueue q;
   std::vector<int> order;
-  EventHandle h = q.schedule(SimTime(10), [&] { order.push_back(1); });
+  const Timer t = q.make_timer([&] { order.push_back(1); });
+  q.arm(t, SimTime(10));
   q.schedule(SimTime(20), [&] { order.push_back(2); });
-  EXPECT_TRUE(q.reschedule(h, SimTime(30)));  // 1 now fires after 2
-  EXPECT_TRUE(q.pending(h));
-  EXPECT_EQ(q.size(), 2u);  // the superseded heap entry is not a live event
+  q.arm(t, SimTime(30));  // 1 now fires after 2
+  EXPECT_TRUE(q.pending(t));
+  EXPECT_EQ(q.size(), 2u);  // the superseded entry is not a live event
   while (!q.empty()) q.pop_and_run();
   EXPECT_EQ(order, (std::vector<int>{2, 1}));
 }
 
-TEST(EventQueueReschedule, StaleHandleReturnsFalse) {
+TEST(EventQueueTimer, FiredCancelledAndDefaultTimersAreIdle) {
   EventQueue q;
-  EventHandle h = q.schedule(SimTime(1), [] {});
+  const Timer t = q.make_timer([] {});
+  EXPECT_FALSE(q.pending(t));  // made idle
+  q.arm(t, SimTime(1));
   q.pop_and_run();
-  EXPECT_FALSE(q.reschedule(h, SimTime(5)));  // already fired
-  EventHandle c = q.schedule(SimTime(1), [] {});
-  q.cancel(c);
-  EXPECT_FALSE(q.reschedule(c, SimTime(5)));  // cancelled
-  EXPECT_FALSE(q.reschedule(EventHandle{}, SimTime(5)));  // default handle
+  EXPECT_FALSE(q.pending(t));  // already fired
+  EXPECT_FALSE(q.cancel(t));
+  const Timer c = q.make_timer([] {});
+  q.arm(c, SimTime(1));
+  EXPECT_TRUE(q.cancel(c));
+  EXPECT_FALSE(q.pending(c));  // cancelled
+  EXPECT_FALSE(q.cancel(c));
+  EXPECT_FALSE(q.pending(Timer{}));  // default timer
+  EXPECT_FALSE(q.cancel(Timer{}));
+  EXPECT_TRUE(q.empty());
+  EXPECT_DEATH(q.arm(Timer{}, SimTime(5)), "non-timer slot");
 }
 
-TEST(EventQueueReschedule, RearmFromInsideFiringCallback) {
-  // The recurring-event fast path: the callback re-arms its own slot and the
-  // original handle stays valid across every firing.
+TEST(EventQueueTimer, RearmFromInsideFiringCallback) {
+  // The recurring-event path: the callback re-arms its own timer, which
+  // stays the same timer across every firing.
   EventQueue q;
   struct State {
     EventQueue* q;
-    EventHandle h;
+    Timer t;
     int fired = 0;
   } st{&q, {}, 0};
-  st.h = q.schedule(SimTime(10), [&st] {
-    if (++st.fired < 5) {
-      ASSERT_TRUE(st.q->reschedule(st.h, SimTime(st.fired * 10 + 10)));
-    }
+  st.t = q.make_timer([&st] {
+    if (++st.fired < 5) st.q->arm(st.t, SimTime(st.fired * 10 + 10));
   });
+  q.arm(st.t, SimTime(10));
   SimTime last = SimTime::zero();
   while (!q.empty()) last = q.pop_and_run();
   EXPECT_EQ(st.fired, 5);
   EXPECT_EQ(last, SimTime(50));
-  EXPECT_FALSE(q.pending(st.h));
+  EXPECT_FALSE(q.pending(st.t));
 }
 
-TEST(EventQueueReschedule, FifoOrderFollowsRescheduleTime) {
-  // A rescheduled event ties with later-scheduled events at the same time:
-  // reschedule() consumes a fresh sequence number, exactly like the
-  // cancel+schedule pair it replaces.
+TEST(EventQueueTimer, FifoOrderFollowsArmTime) {
+  // A re-armed timer ties with later-scheduled events at the same time:
+  // arm() consumes a fresh sequence number, exactly like the cancel +
+  // schedule pair it replaces.
   EventQueue q;
   std::vector<int> order;
-  EventHandle h = q.schedule(SimTime(5), [&] { order.push_back(0); });
+  const Timer t = q.make_timer([&] { order.push_back(0); });
+  q.arm(t, SimTime(5));
   q.schedule(SimTime(10), [&] { order.push_back(1); });
-  EXPECT_TRUE(q.reschedule(h, SimTime(10)));  // now ties with 1, but later seq
+  q.arm(t, SimTime(10));  // now ties with 1, but later seq
   while (!q.empty()) q.pop_and_run();
   EXPECT_EQ(order, (std::vector<int>{1, 0}));
 }
 
-TEST(EventQueueReschedule, CancelThenReuseKeepsGenerationsDistinct) {
-  // A slot whose cancelled entry is still lazily parked in the heap must not
-  // resurrect the old handle when the slot is eventually recycled.
+TEST(EventQueueTimer, CancelThenReuseKeepsGenerationsDistinct) {
+  // A cancelled one-shot's slot is recycled — here by a timer — and must not
+  // resurrect the old handle.
   EventQueue q;
   EventHandle old = q.schedule(SimTime(50), [] { FAIL() << "cancelled event fired"; });
   q.cancel(old);
-  // Drain: the cancelled entry surfaces, the slot is recycled.
   q.schedule(SimTime(1), [] {});
   while (!q.empty()) q.pop_and_run();
   bool fired = false;
-  EventHandle fresh = q.schedule(SimTime(60), [&] { fired = true; });
+  const Timer fresh = q.make_timer([&] { fired = true; });
+  q.arm(fresh, SimTime(60));
   EXPECT_FALSE(q.pending(old));
   EXPECT_FALSE(q.cancel(old));
-  EXPECT_FALSE(q.reschedule(old, SimTime(70)));
   EXPECT_TRUE(q.pending(fresh));
   while (!q.empty()) q.pop_and_run();
   EXPECT_TRUE(fired);
@@ -314,112 +322,118 @@ TEST(EventQueue, SeqWrapPreservesFifo) {
   for (int i = 0; i < 64; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
 }
 
-// cancel() and reschedule() leave no dead entry behind: after random
-// schedule / cancel / reschedule / in-callback re-arm / pop traffic the heap
-// holds exactly the pending events.
-TEST(EventQueueProperty, HeapHoldsExactlyThePendingEvents) {
+// cancel() and arm() leave no dead entry behind: after random schedule /
+// cancel / timer arm / in-callback re-arm / pop traffic the near run and the
+// heap together hold exactly the pending events, while the population
+// crosses the run's capacity both ways.
+TEST(EventQueueProperty, NearRunAndHeapHoldExactlyThePendingEvents) {
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     Rng rng(seed);
     EventQueue q;
-    std::vector<EventHandle> handles;
+    std::vector<Timer> timers;
     bool rearm = false;
+    std::size_t peak = 0;
     for (int round = 0; round < 3000; ++round) {
       const double dice = rng.uniform();
       const SimTime when(rng.uniform_int(round, round + 5000));
-      if (dice < 0.4 || q.empty()) {
-        const std::size_t id = handles.size();
-        handles.push_back(q.schedule(when, [&q, &handles, &rearm, id] {
-          if (rearm) {
-            ASSERT_TRUE(q.reschedule(handles[id], SimTime::max() - Duration(1)));
-          }
+      if (dice < 0.2 || q.empty()) {
+        q.schedule(when, [] {});
+      } else if (dice < 0.4) {
+        const std::size_t id = timers.size();
+        timers.push_back(q.make_timer([&q, &timers, &rearm, id] {
+          if (rearm) q.arm(timers[id], SimTime::max() - Duration(1));
         }));
+        q.arm(timers[id], when);
+      } else if (timers.empty()) {
+        continue;
       } else {
         const auto pick = static_cast<std::size_t>(
-            rng.uniform_int(0, static_cast<std::int64_t>(handles.size()) - 1));
+            rng.uniform_int(0, static_cast<std::int64_t>(timers.size()) - 1));
         if (dice < 0.6) {
-          q.cancel(handles[pick]);
+          q.cancel(timers[pick]);
         } else if (dice < 0.8) {
-          q.reschedule(handles[pick], when);
+          q.arm(timers[pick], when);
         } else {
           rearm = rng.uniform() < 0.3;
           q.pop_and_run();
         }
       }
-      ASSERT_EQ(q.heap_entries(), q.size()) << "seed " << seed << " round " << round;
+      peak = std::max(peak, q.size());
+      ASSERT_EQ(q.entries(), q.size()) << "seed " << seed << " round " << round;
     }
+    EXPECT_GT(peak, 4 * EventQueue::kNearCapacity);
     EXPECT_GT(q.stats().resched_pending, 0);
     EXPECT_GT(q.stats().resched_inplace, 0);
   }
 }
 
-TEST(EventQueueReschedule, CancelAfterInCallbackRearmKeepsClosureAlive) {
-  // The callback re-arms its own event, cancels it, then reads a capture:
-  // the closure must survive until the callback returns (the dispatch
-  // epilogue destroys it), never be destroyed by cancel() mid-call.
+TEST(EventQueueTimer, CancelAfterInCallbackRearmLeavesTimerIdle) {
+  // The callback re-arms its own timer, cancels it, then reads a capture:
+  // the closure is the timer's for life, so it is intact after both, and
+  // the timer is idle and reusable afterwards.
   struct State {
     EventQueue q;
-    EventHandle h;
+    Timer t;
     std::string seen;
+    int fired = 0;
   } st;
   // 40 chars: heap-allocated, so a read after the closure died trips ASan.
-  st.h = st.q.schedule(SimTime(10), [s = &st, label = std::string(40, 'x')] {
-    ASSERT_TRUE(s->q.reschedule(s->h, SimTime(20)));
-    ASSERT_TRUE(s->q.cancel(s->h));
+  st.t = st.q.make_timer([s = &st, label = std::string(40, 'x')] {
+    if (++s->fired > 1) return;
+    s->q.arm(s->t, SimTime(20));
+    ASSERT_TRUE(s->q.cancel(s->t));
     s->seen = label;
   });
+  st.q.arm(st.t, SimTime(10));
   st.q.pop_and_run();
   EXPECT_EQ(st.seen, std::string(40, 'x'));
   EXPECT_TRUE(st.q.empty());
-  EXPECT_EQ(st.q.heap_entries(), 0u);
-  EXPECT_FALSE(st.q.pending(st.h));
-  // The slot was recycled by the epilogue: a new event reuses it cleanly.
-  bool fired = false;
-  st.q.schedule(SimTime(30), [&fired] { fired = true; });
+  EXPECT_EQ(st.q.entries(), 0u);
+  EXPECT_FALSE(st.q.pending(st.t));
+  // The timer fires again once re-armed.
+  st.q.arm(st.t, SimTime(30));
   st.q.pop_and_run();
-  EXPECT_TRUE(fired);
+  EXPECT_EQ(st.fired, 2);
 }
 
 TEST(EventQueue, FirstLaneFiresBeforeSameInstantPeers) {
   // kFirst events run ahead of every kNormal event at their instant and,
-  // tied among themselves, fire in the order of their last (re)arm: a
-  // pending reschedule() and an in-callback re-arm each take a new place.
+  // tied among themselves, fire in the order of their last arm: a pending
+  // re-arm and an in-callback re-arm each take a new place.
   EventQueue q;
   std::vector<int> order;
   q.schedule(SimTime(10), [&order] { order.push_back(0); });
-  EventHandle a;
+  Timer a;
   int a_fired = 0;
-  a = q.schedule(
-      SimTime(5),
+  a = q.make_timer(
       [&] {
         order.push_back(1);
-        if (++a_fired == 1) {
-          ASSERT_TRUE(q.reschedule(a, SimTime(20)));
-        }
+        if (++a_fired == 1) q.arm(a, SimTime(20));
       },
       Lane::kFirst);
-  const EventHandle b =
-      q.schedule(SimTime(30), [&order] { order.push_back(2); }, Lane::kFirst);
+  q.arm(a, SimTime(5));
+  const Timer b = q.make_timer([&order] { order.push_back(2); }, Lane::kFirst);
+  q.arm(b, SimTime(30));
   q.schedule(SimTime(20), [&order] { order.push_back(3); });
-  ASSERT_TRUE(q.reschedule(a, SimTime(10)));  // still ahead of event 0 at 10
-  ASSERT_TRUE(q.reschedule(b, SimTime(20)));  // `a`, re-armed at 20 later, goes after
+  q.arm(a, SimTime(10));  // still ahead of event 0 at 10
+  q.arm(b, SimTime(20));  // `a`, re-armed at 20 later, goes after
   while (!q.empty()) q.pop_and_run();
   EXPECT_EQ(order, (std::vector<int>{1, 0, 2, 1, 3}));
 }
 
-TEST(EventQueueReschedule, InCallbackSameInstantReArmFiresAfterQueuedPeers) {
-  // Re-arming the firing event to its own timestamp must dispatch it again
+TEST(EventQueueTimer, InCallbackSameInstantReArmFiresAfterQueuedPeers) {
+  // Re-arming the firing timer to its own timestamp must dispatch it again
   // within the same instant, after the events already queued there (its new
   // insertion sequence is larger).
   EventQueue q;
   std::vector<int> order;
   int rearms = 0;
-  EventHandle a;
-  a = q.schedule(SimTime(100), [&] {
+  Timer a;
+  a = q.make_timer([&] {
     order.push_back(1);
-    if (rearms++ == 0) {
-      ASSERT_TRUE(q.reschedule(a, SimTime(100)));
-    }
+    if (rearms++ == 0) q.arm(a, SimTime(100));
   });
+  q.arm(a, SimTime(100));
   q.schedule(SimTime(100), [&] { order.push_back(2); });
   while (!q.empty()) q.pop_and_run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 1}));
@@ -449,31 +463,48 @@ TEST(EventQueueClear, DropsManyPendingEventsAndBehavesFresh) {
 }
 
 // Order oracle: the queue fires events exactly in the order of a plain list
-// kept sorted by (when, seq), where every schedule() and every successful
-// reschedule() — of a pending event or from inside the firing callback —
-// takes the next sequence number. Random schedule / cancel / reschedule /
-// in-callback re-arm / pop traffic with many same-instant ties; on even
-// seeds the queue's u32 sequence starts just below the wrap.
+// kept sorted by (when, lane, seq), where every schedule() and every arm() —
+// of an idle timer, a pending one or the one whose callback is running —
+// takes the next sequence number. Random traffic of one-shots and timers
+// (schedule / cancel / arm / in-callback re-arm / a one-shot arming another
+// timer / pop) on both lanes, with many same-instant ties. The population
+// swings past 4x the near run's capacity and back below 2 several times per
+// seed, so entries move between the run and the heap both ways. On even
+// seeds the queue's u32 sequence starts just below the wrap. The queue's
+// counters must equal the model's count of each kind of arm.
 TEST(EventQueueProperty, MatchesReferenceModel) {
   struct Entry {
     std::int64_t when;
+    int lane;
     std::uint64_t seq;
     int id;
-    bool operator<(const Entry& o) const { return when != o.when ? when < o.when : seq < o.seq; }
+    bool operator<(const Entry& o) const {
+      if (when != o.when) return when < o.when;
+      if (lane != o.lane) return lane < o.lane;
+      return seq < o.seq;
+    }
   };
   struct Harness {
     EventQueue q;
-    std::vector<EventHandle> handles;
+    std::vector<EventHandle> handles;  ///< per id; valid for one-shots
+    std::vector<Timer> timers;         ///< per id; valid for timers
+    std::vector<int> lanes;            ///< per id
     std::vector<int> fired;
-    std::vector<Entry> model;  ///< pending events, sorted by (when, seq)
+    std::vector<Entry> model;  ///< pending events, sorted
     std::uint64_t next_seq = 0;
     std::int64_t now = 0;
-    /// What the next firing callback does: re-arm itself `rearm_delay` on.
+    EventQueueStats expect;
+    /// What the next firing callback does: a timer re-arms itself, a
+    /// one-shot arms timer `cross` (if >= 0), `rearm_delay` on.
     bool rearm = false;
     std::int64_t rearm_delay = 0;
+    int cross = -1;
 
+    [[nodiscard]] bool is_timer(int id) const {
+      return timers[static_cast<std::size_t>(id)].valid();
+    }
     void model_insert(std::int64_t when, int id) {
-      const Entry e{when, next_seq++, id};
+      const Entry e{when, lanes[static_cast<std::size_t>(id)], next_seq++, id};
       model.insert(std::upper_bound(model.begin(), model.end(), e), e);
     }
     bool model_remove(int id) {
@@ -483,60 +514,130 @@ TEST(EventQueueProperty, MatchesReferenceModel) {
       model.erase(it);
       return true;
     }
+    /// The model side of arm(): a fresh sequence, counted by the timer's state.
+    void model_arm(std::int64_t when, int id, bool firing) {
+      if (model_remove(id)) {
+        ++expect.resched_pending;
+      } else if (firing) {
+        ++expect.resched_inplace;
+      } else {
+        ++expect.scheduled;
+      }
+      model_insert(when, id);
+    }
   };
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     Rng rng(seed);
     Harness h;
+    Harness* hp = &h;
     if (seed % 2 == 0) h.q.set_next_seq_for_test(0xFFFFFFFFu - 300);
     auto delay = [&rng] {
       return rng.uniform() < 0.5 ? rng.uniform_int(0, 3) : rng.uniform_int(0, 5000);
     };
     auto pick = [&rng, &h] {
       return static_cast<int>(
-          rng.uniform_int(0, static_cast<std::int64_t>(h.handles.size()) - 1));
+          rng.uniform_int(0, static_cast<std::int64_t>(h.lanes.size()) - 1));
+    };
+    auto pick_timer = [&h, &pick] {
+      for (int tries = 0; tries < 8; ++tries) {
+        const int id = pick();
+        if (h.is_timer(id)) return id;
+      }
+      return -1;
+    };
+    auto add = [&h, &rng, hp](bool timer) {
+      const int id = static_cast<int>(h.lanes.size());
+      h.lanes.push_back(rng.uniform() < 0.1 ? 0 : 1);
+      const Lane lane = h.lanes.back() == 0 ? Lane::kFirst : Lane::kNormal;
+      h.handles.emplace_back();
+      h.timers.emplace_back();
+      if (timer) {
+        h.timers.back() = h.q.make_timer(
+            [hp, id] {
+              hp->fired.push_back(id);
+              if (hp->rearm) {
+                hp->q.arm(hp->timers[static_cast<std::size_t>(id)],
+                          SimTime(hp->now + hp->rearm_delay));
+              }
+            },
+            lane);
+      }
+      return id;
     };
     auto pop = [&h] {
       const Entry next = h.model.front();
       ASSERT_EQ(h.q.next_time(), SimTime(next.when));
       h.model.erase(h.model.begin());
       h.now = next.when;
-      if (h.rearm) h.model_insert(h.now + h.rearm_delay, next.id);
+      if (h.rearm && h.is_timer(next.id)) {
+        h.model_arm(h.now + h.rearm_delay, next.id, /*firing=*/true);
+      } else if (h.rearm && h.cross >= 0) {
+        h.model_arm(h.now + h.rearm_delay, h.cross, /*firing=*/false);
+      }
+      ++h.expect.dispatched;
       h.q.pop_and_run();
       ASSERT_EQ(h.fired.back(), next.id);
     };
-    for (int round = 0; round < 4000; ++round) {
+    bool growing = true;
+    int grew_past = 0;
+    int drained_below = 0;
+    for (int round = 0; round < 6000; ++round) {
+      if (growing && h.model.size() > 4 * EventQueue::kNearCapacity) {
+        growing = false;
+        ++grew_past;
+      } else if (!growing && h.model.size() < 2) {
+        growing = true;
+        ++drained_below;
+      }
+      // Growing: mostly arms. Draining: mostly pops.
       const double dice = rng.uniform();
-      if (dice < 0.4 || h.model.empty()) {
-        const int id = static_cast<int>(h.handles.size());
+      const double p_add = growing ? 0.55 : 0.15;
+      const double p_cancel = p_add + 0.1;
+      const double p_arm = p_cancel + (growing ? 0.2 : 0.1);
+      if (dice < p_add || h.model.empty()) {
+        const bool timer = rng.uniform() < 0.5;
+        const int id = add(timer);
         const std::int64_t when = h.now + delay();
-        Harness* hp = &h;
-        h.handles.push_back(h.q.schedule(SimTime(when), [hp, id] {
-          hp->fired.push_back(id);
-          if (hp->rearm) {
-            ASSERT_TRUE(hp->q.reschedule(hp->handles[static_cast<std::size_t>(id)],
-                                         SimTime(hp->now + hp->rearm_delay)));
-          }
-        }));
-        h.model_insert(when, id);
-      } else if (dice < 0.5) {
+        if (timer) {
+          h.q.arm(h.timers[static_cast<std::size_t>(id)], SimTime(when));
+          h.model_arm(when, id, /*firing=*/false);
+        } else {
+          const Lane lane = h.lanes.back() == 0 ? Lane::kFirst : Lane::kNormal;
+          h.handles[static_cast<std::size_t>(id)] = h.q.schedule(
+              SimTime(when),
+              [hp, id] {
+                hp->fired.push_back(id);
+                if (hp->rearm && hp->cross >= 0) {
+                  hp->q.arm(hp->timers[static_cast<std::size_t>(hp->cross)],
+                            SimTime(hp->now + hp->rearm_delay));
+                }
+              },
+              lane);
+          ++h.expect.scheduled;
+          h.model_insert(when, id);
+        }
+      } else if (dice < p_cancel) {
         const int id = pick();
-        EXPECT_EQ(h.q.cancel(h.handles[static_cast<std::size_t>(id)]), h.model_remove(id))
-            << "seed " << seed << " round " << round;
-      } else if (dice < 0.65) {
-        const int id = pick();
+        const bool cancelled = h.is_timer(id)
+                                   ? h.q.cancel(h.timers[static_cast<std::size_t>(id)])
+                                   : h.q.cancel(h.handles[static_cast<std::size_t>(id)]);
+        EXPECT_EQ(cancelled, h.model_remove(id)) << "seed " << seed << " round " << round;
+      } else if (dice < p_arm) {
+        const int id = pick_timer();
+        if (id < 0) continue;
         const std::int64_t when = h.now + delay();
-        const bool was_pending = h.model_remove(id);
-        EXPECT_EQ(h.q.reschedule(h.handles[static_cast<std::size_t>(id)], SimTime(when)),
-                  was_pending)
-            << "seed " << seed << " round " << round;
-        if (was_pending) h.model_insert(when, id);
+        h.q.arm(h.timers[static_cast<std::size_t>(id)], SimTime(when));
+        h.model_arm(when, id, /*firing=*/false);
       } else {
-        h.rearm = rng.uniform() < 0.3;
+        h.rearm = rng.uniform() < 0.4;
         h.rearm_delay = delay();
+        h.cross = pick_timer();
+        if (h.cross >= 0 && h.model.front().id == h.cross) h.cross = -1;
         pop();
         if (HasFatalFailure()) FAIL() << "seed " << seed << " round " << round;
       }
       ASSERT_EQ(h.q.size(), h.model.size()) << "seed " << seed << " round " << round;
+      ASSERT_EQ(h.q.entries(), h.q.size()) << "seed " << seed << " round " << round;
     }
     h.rearm = false;
     while (!h.model.empty()) {
@@ -544,14 +645,20 @@ TEST(EventQueueProperty, MatchesReferenceModel) {
       if (HasFatalFailure()) FAIL() << "seed " << seed << " drain";
     }
     EXPECT_TRUE(h.q.empty());
-    EXPECT_GT(h.q.stats().resched_inplace, 0);
-    EXPECT_GT(h.q.stats().resched_pending, 0);
+    EXPECT_GE(grew_past, 3) << "seed " << seed;
+    EXPECT_GE(drained_below, 3) << "seed " << seed;
+    EXPECT_GT(h.expect.resched_inplace, 0);
+    EXPECT_GT(h.expect.resched_pending, 0);
+    EXPECT_EQ(h.q.stats().scheduled, h.expect.scheduled) << "seed " << seed;
+    EXPECT_EQ(h.q.stats().resched_pending, h.expect.resched_pending) << "seed " << seed;
+    EXPECT_EQ(h.q.stats().resched_inplace, h.expect.resched_inplace) << "seed " << seed;
+    EXPECT_EQ(h.q.stats().dispatched, h.expect.dispatched) << "seed " << seed;
   }
 }
 
-// Every simulated event goes through schedule/cancel/reschedule/step, so in
-// steady state (the slot table and the heap at the live population) none of
-// them may allocate. Closures live inline in the slot: one fills the 48-byte
+// Every simulated event goes through schedule/cancel/arm/step, so in steady
+// state (the slot table and the heap at the live population) none of them
+// may allocate. Closures live inline in the slot: one fills the 48-byte
 // capacity, one is not trivially copyable (its moves run a manager).
 TEST(EventQueue, SteadyStateDispatchDoesNotAllocate) {
   Simulator sim;
@@ -565,20 +672,25 @@ TEST(EventQueue, SteadyStateDispatchDoesNotAllocate) {
   const auto managed = [shared] { ++*shared; };
   static_assert(!std::is_trivially_copyable_v<decltype(managed)>);
 
-  // A recurring event that re-arms its own slot from inside its callback.
-  EventHandle tick;
-  tick = sim.schedule_in(Duration(2), [&sim, &tick, &ticks] {
+  // A recurring event that re-arms its own timer from inside its callback,
+  // and a timer moved while pending.
+  Timer tick;
+  tick = sim.make_timer([&sim, &tick, &ticks] {
     ++ticks;
-    sim.reschedule_in(tick, Duration(2));
+    sim.arm_in(tick, Duration(2));
   });
+  sim.arm_in(tick, Duration(2));
+  const Timer a = sim.make_timer([] {});
 
   std::int64_t rescheduled = 0;
   std::int64_t cancelled = 0;
   const auto round = [&] {
-    const EventHandle a = sim.schedule_in(Duration(3), full);
+    sim.schedule_in(Duration(3), full);
     sim.schedule_at(sim.now() + Duration(5), managed);
     const EventHandle c = sim.schedule_in(Duration(7), [&sum] { sum -= 1000; });
-    rescheduled += sim.reschedule_in(a, Duration(4)) ? 1 : 0;
+    sim.arm_in(a, Duration(3));
+    rescheduled += sim.pending(a) ? 1 : 0;
+    sim.arm_in(a, Duration(4));
     cancelled += sim.cancel(c) ? 1 : 0;
     while (sim.pending_events() > 1) sim.step();  // all but the tick fired
   };

@@ -238,5 +238,22 @@ TEST(SimMpi, EagerSendDoesNotBlock) {
   EXPECT_LT(w.marks(0)[0].when, SimTime::zero() + Duration::milliseconds(1));
 }
 
+/// Finish time of one rank computing 1e9 work units, run to `deadline`.
+SimTime one_long_rank(SimTime deadline) {
+  WorldFixture f;
+  auto w = f.make_world(programs({{mpi::OpCompute{1.0e9}}}));
+  w.start();
+  return mpi::run_to_completion(f.sim, w, deadline);
+}
+
+// run_to_completion runs no event past its deadline: a world that completes
+// after it aborts instead of returning late, while one that completes at the
+// deadline returns.
+TEST(SimMpiDeathTest, WorldCompletingAfterTheDeadlineAborts) {
+  const SimTime finish = one_long_rank(SimTime::max());
+  EXPECT_EQ(one_long_rank(finish), finish);
+  EXPECT_DEATH(one_long_rank(finish - Duration(1)), "deadline reached");
+}
+
 }  // namespace
 }  // namespace hpcs::test
