@@ -8,7 +8,8 @@
 #                            --jobs 4 for table3..6, fig3..6 and the six
 #                            ablations, bench_data/ vs a fresh
 #                            export_figdata, perfbench tests
-#   pass 2  asan-ubsan       RelWithDebInfo, -Werror, ASan+UBSan, ctest
+#   pass 2  asan-ubsan       RelWithDebInfo, -Werror, ASan+UBSan,
+#                            _GLIBCXX_ASSERTIONS, ctest
 #   pass 3  tsan             RelWithDebInfo, -Werror, TSan, ctest
 #   pass 4  clang            (only if clang++ is installed) Release,
 #                            -Werror, ctest, and clang-tidy if available

@@ -92,7 +92,7 @@ kern::Task* HpcSchedClass::pick_next(kern::Kernel& k, kern::Rq& rq) {
   auto& q = hrq(rq, index()).queue;
   if (q.empty()) return nullptr;
   kern::Task* t = q.front();
-  q.pop_front();
+  q.erase(q.begin());
   return t;
 }
 
@@ -103,7 +103,7 @@ void HpcSchedClass::put_prev(kern::Kernel& k, kern::Rq& rq, kern::Task& t) {
     t.slice_left = tun_.rr_slice;
     q.push_back(&t);  // RR: rotate to the tail on slice expiry
   } else {
-    q.push_front(&t);  // FIFO: keep the head until the task yields or blocks
+    q.insert(q.begin(), &t);  // FIFO: keep the head until the task yields or blocks
   }
 }
 
@@ -117,6 +117,14 @@ void HpcSchedClass::task_tick(kern::Kernel& k, kern::Rq& rq, kern::Task& t) {
       t.slice_left = tun_.rr_slice;
     }
   }
+}
+
+void HpcSchedClass::replay_task_ticks(kern::Kernel& k, kern::Rq& rq, kern::Task& t,
+                                      std::int64_t n) {
+  // The default's n virtual calls, made direct so they inline: FIFO returns
+  // at once, RR counts its slice down and refills it.
+  if (t.policy() != kern::Policy::kHpcRr) return;
+  for (std::int64_t i = 0; i < n; ++i) HpcSchedClass::task_tick(k, rq, t);
 }
 
 bool HpcSchedClass::wakeup_preempt(kern::Kernel& k, kern::Rq& rq, kern::Task& curr,

@@ -7,8 +7,9 @@
 // choose the hardware priority the Mechanism applies before the next
 // iteration starts.
 
-#include <deque>
+#include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "hpcsched/heuristics.h"
 #include "hpcsched/imbalance_detector.h"
@@ -20,7 +21,9 @@
 namespace hpcs::hpc {
 
 struct HpcRq final : kern::ClassRq {
-  std::deque<kern::Task*> queue;
+  /// Queued tasks, head first. It holds a task or two, so a vector that
+  /// keeps its capacity beats a deque's chunks.
+  std::vector<kern::Task*> queue;
 };
 
 class HpcSchedClass final : public kern::SchedClass {
@@ -39,6 +42,7 @@ class HpcSchedClass final : public kern::SchedClass {
   kern::Task* pick_next(kern::Kernel& k, kern::Rq& rq) override;
   void put_prev(kern::Kernel& k, kern::Rq& rq, kern::Task& t) override;
   void task_tick(kern::Kernel& k, kern::Rq& rq, kern::Task& t) override;
+  void replay_task_ticks(kern::Kernel& k, kern::Rq& rq, kern::Task& t, std::int64_t n) override;
   [[nodiscard]] bool wakeup_preempt(kern::Kernel& k, kern::Rq& rq, kern::Task& curr,
                                     kern::Task& woken) override;
   void yield(kern::Kernel& k, kern::Rq& rq, kern::Task& t) override;

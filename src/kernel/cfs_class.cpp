@@ -13,6 +13,20 @@ namespace {
 
 CfsKey key_of(const Task& t) { return {t.vruntime.ns(), t.pid()}; }
 
+/// The first entry whose key is not above `key` (the queue is descending).
+auto position_of(std::vector<std::pair<CfsKey, Task*>>& q, const CfsKey& key) {
+  return std::lower_bound(q.begin(), q.end(), key,
+                          [](const auto& e, const CfsKey& k) { return e.first > k; });
+}
+
+/// Insert `t` at its key's place; fails the run if the key is queued.
+void insert(CfsRq& c, Task& t, const char* duplicate_msg) {
+  const CfsKey key = key_of(t);
+  const auto it = position_of(c.queue, key);
+  HPCS_CHECK_MSG(it == c.queue.end() || it->first != key, duplicate_msg);
+  c.queue.emplace(it, key, &t);
+}
+
 }  // namespace
 
 CfsRq& CfsClass::crq(Rq& rq, int index) {
@@ -39,7 +53,7 @@ Duration CfsClass::slice_for(int nr_running) const {
 void CfsClass::update_min_vruntime(CfsRq& c, const Task* curr_of_class) const {
   Duration candidate = Duration::max();
   if (curr_of_class != nullptr) candidate = curr_of_class->vruntime;
-  if (!c.tree.empty()) candidate = std::min(candidate, Duration(c.tree.begin()->first.first));
+  if (!c.queue.empty()) candidate = std::min(candidate, Duration(c.queue.back().first.first));
   if (candidate != Duration::max()) {
     c.min_vruntime = std::max(c.min_vruntime, candidate);
   }
@@ -54,8 +68,7 @@ void CfsClass::enqueue(Kernel& k, Rq& rq, Task& t, bool wakeup) {
   // let vruntime move backwards. A migrated or policy-switched task is
   // normalized into this queue's window by the same bound.
   t.vruntime = std::max(t.vruntime, c.min_vruntime - tun_.latency / 2);
-  const bool inserted = c.tree.emplace(key_of(t), &t).second;
-  HPCS_CHECK_MSG(inserted, "duplicate task in CFS tree");
+  insert(c, t, "duplicate task in CFS tree");
   update_min_vruntime(c, nullptr);
 }
 
@@ -63,8 +76,10 @@ void CfsClass::dequeue(Kernel& k, Rq& rq, Task& t, bool sleep) {
   (void)k;
   (void)sleep;
   CfsRq& c = crq(rq, index());
-  // A running task was already removed from the tree by pick_next.
-  c.tree.erase(key_of(t));
+  // A running task was already removed from the queue by pick_next.
+  const CfsKey key = key_of(t);
+  const auto it = position_of(c.queue, key);
+  if (it != c.queue.end() && it->first == key) c.queue.erase(it);
   const Task* curr = (rq.curr != nullptr && owns(rq.curr->policy()) && rq.curr != &t)
                          ? rq.curr
                          : nullptr;
@@ -74,24 +89,23 @@ void CfsClass::dequeue(Kernel& k, Rq& rq, Task& t, bool sleep) {
 Task* CfsClass::pick_next(Kernel& k, Rq& rq) {
   (void)k;
   CfsRq& c = crq(rq, index());
-  if (c.tree.empty()) return nullptr;
-  Task* t = c.tree.begin()->second;
-  c.tree.erase(c.tree.begin());
+  if (c.queue.empty()) return nullptr;
+  Task* t = c.queue.back().second;
+  c.queue.pop_back();
   return t;
 }
 
 void CfsClass::put_prev(Kernel& k, Rq& rq, Task& t) {
   (void)k;
   CfsRq& c = crq(rq, index());
-  const bool inserted = c.tree.emplace(key_of(t), &t).second;
-  HPCS_CHECK_MSG(inserted, "put_prev: duplicate task in CFS tree");
+  insert(c, t, "put_prev: duplicate task in CFS tree");
   update_min_vruntime(c, nullptr);
 }
 
 void CfsClass::task_tick(Kernel& k, Rq& rq, Task& t) {
   CfsRq& c = crq(rq, index());
   update_min_vruntime(c, &t);
-  const int nr = static_cast<int>(c.tree.size()) + 1;
+  const int nr = static_cast<int>(c.queue.size()) + 1;
   if (nr < 2) return;  // nothing else to run
   const Duration slice = slice_for(nr);
   const Duration delta_exec = k.now() - t.last_dispatch;
@@ -100,10 +114,20 @@ void CfsClass::task_tick(Kernel& k, Rq& rq, Task& t) {
     return;
   }
   // Bound the wait of a markedly "more deserving" leftmost task.
-  if (!c.tree.empty()) {
-    const Duration vdiff = t.vruntime - Duration(c.tree.begin()->first.first);
+  if (!c.queue.empty()) {
+    const Duration vdiff = t.vruntime - Duration(c.queue.back().first.first);
     if (vdiff > slice && delta_exec > kMinGranularity) rq.need_resched = true;
   }
+}
+
+void CfsClass::replay_task_ticks(Kernel& k, Rq& rq, Task& t, std::int64_t n) {
+  // With nothing queued a tick only raises min_vruntime to t's vruntime,
+  // which grew monotonically over the replayed ticks: the last one decides.
+  (void)k;
+  (void)n;
+  CfsRq& c = crq(rq, index());
+  HPCS_CHECK(c.queue.empty());
+  update_min_vruntime(c, &t);
 }
 
 bool CfsClass::wakeup_preempt(Kernel& k, Rq& rq, Task& curr, Task& woken) {
@@ -119,7 +143,7 @@ void CfsClass::yield(Kernel& k, Rq& rq, Task& t) {
   // Charge the yielding task the slice it declined so it moves rightward.
   (void)k;
   CfsRq& c = crq(rq, index());
-  const int nr = static_cast<int>(c.tree.size()) + 1;
+  const int nr = static_cast<int>(c.queue.size()) + 1;
   t.vruntime += slice_for(nr);
 }
 
@@ -128,8 +152,8 @@ Task* CfsClass::steal_candidate(Kernel& k, Rq& rq) {
   CfsRq& c = crq(rq, index());
   // Pull from the tail (largest vruntime): the task that would run last here
   // loses the least by migrating — mirrors the kernel pulling cache-cold work.
-  for (auto it = c.tree.rbegin(); it != c.tree.rend(); ++it) {
-    if (it->second->pinned_cpu == kInvalidCpu) return it->second;
+  for (const auto& [key, t] : c.queue) {
+    if (t->pinned_cpu == kInvalidCpu) return t;
   }
   return nullptr;
 }

@@ -1,12 +1,12 @@
 #pragma once
-// The Completely Fair Scheduler class (paper §III): tasks ordered in a
-// red-black tree by virtual runtime; the leftmost task runs next. No fixed
-// time quantum — each task gets a slice proportional to the latency target
+// The Completely Fair Scheduler class (paper §III): tasks ordered by
+// virtual runtime; the leftmost (smallest) task runs next. No fixed time
+// quantum — each task gets a slice proportional to the latency target
 // divided by the number of runnable tasks.
 
 #include <cstdint>
-#include <map>
 #include <utility>
+#include <vector>
 
 #include "kernel/sched_class.h"
 
@@ -18,15 +18,17 @@ struct CfsTunables {
   Duration wakeup_cost = Duration::microseconds(25);
 };
 
-/// Key of the CFS tree: (vruntime ns, pid) — pid breaks ties so keys are
+/// Key of the CFS queue: (vruntime ns, pid) — pid breaks ties so keys are
 /// unique.
 using CfsKey = std::pair<std::int64_t, Pid>;
 
 struct CfsRq final : ClassRq {
-  /// Queued tasks (never the running one). std::map is libstdc++'s
-  /// red-black tree, as Linux builds CFS's from lib/rbtree; it never holds
-  /// more than a handful of tasks here.
-  std::map<CfsKey, Task*> tree;
+  /// Queued tasks (never the running one), sorted by descending key: the
+  /// leftmost task of Linux's rbtree is at the back, so picking it is a
+  /// pop_back. A queue holds a handful of tasks, where shifting a few
+  /// entries beats a tree, and a vector that keeps its capacity allocates
+  /// nothing per switch.
+  std::vector<std::pair<CfsKey, Task*>> queue;
   Duration min_vruntime = Duration::zero();
 };
 
@@ -53,6 +55,7 @@ class CfsClass final : public SchedClass {
   Task* pick_next(Kernel& k, Rq& rq) override;
   void put_prev(Kernel& k, Rq& rq, Task& t) override;
   void task_tick(Kernel& k, Rq& rq, Task& t) override;
+  void replay_task_ticks(Kernel& k, Rq& rq, Task& t, std::int64_t n) override;
   [[nodiscard]] bool wakeup_preempt(Kernel& k, Rq& rq, Task& curr, Task& woken) override;
   void yield(Kernel& k, Rq& rq, Task& t) override;
   Task* steal_candidate(Kernel& k, Rq& rq) override;

@@ -71,10 +71,12 @@ void Kernel::start() {
   }
   queued_.assign(classes_.size(), 0);
   const int idle_idx = class_index(Policy::kIdle);
+  const int n = cfg_.balance_interval_ticks;
   cpus_.resize(static_cast<std::size_t>(topo_.num_cpus()));
   for (CpuId cpu = 0; cpu < topo_.num_cpus(); ++cpu) {
     CpuState& c = cpus_[static_cast<std::size_t>(cpu)];
     c.rq.cpu = cpu;
+    if (n > 0) c.next_balance = n - cpu % n;  // the first j >= 1 with (j + cpu) % n == 0
     for (const auto& cls : classes_) {
       c.rq.class_rqs.push_back(cls->make_rq());
       c.rq.class_count.push_back(0);
@@ -250,13 +252,12 @@ void Kernel::schedule_cpu(CpuId cpu) {
   }
 
   Task* next = pick_next(r);
-  if (next == r.idle && !in_balance_) {
+  if (next == r.idle) {
     // New-idle balancing: try to pull work before going idle (paper §IV-A).
-    in_balance_ = true;
+    // A pull re-enters no schedule_cpu: it only arms this CPU's resched.
     for (SchedClass* cls : balance_classes_) {
       if (balance_pull(cpu, *cls)) break;
     }
-    in_balance_ = false;
     next = pick_next(r);
   }
 
@@ -547,9 +548,8 @@ void Kernel::set_nice(Task& t, int nice) {
 void Kernel::on_tick() {
   for (CpuId cpu = 0; cpu < topo_.num_cpus(); ++cpu) {
     tick_cursor_ = cpu;
-    if (!cpus_[static_cast<std::size_t>(cpu)].dormant || balance_due(cpu, tick_index_)) {
-      tick_cpu(cpu);
-    }
+    const CpuState& c = cpus_[static_cast<std::size_t>(cpu)];
+    if (!c.dormant || c.next_balance == tick_index_) tick_cpu(cpu);
   }
   tick_cursor_ = kNoTickCursor;
   tick_index_ = next_tick_index();
@@ -566,7 +566,11 @@ void Kernel::tick_cpu(CpuId cpu) {
     account_to(*curr, now());
     classes_[static_cast<std::size_t>(curr->class_idx_)]->task_tick(*this, c.rq, *curr);
   }
-  if (balance_due(cpu, tick_index_)) {
+  // Every tick index of an awake CPU runs, and next_tick_index() stops at
+  // each dormant CPU's next balance tick, so no balance tick is passed over.
+  HPCS_CHECK(c.next_balance >= tick_index_);
+  if (c.next_balance == tick_index_) {
+    c.next_balance += cfg_.balance_interval_ticks;
     for (SchedClass* cls : balance_classes_) balance_pull(cpu, *cls);
   }
   if (c.rq.need_resched) {
@@ -578,22 +582,17 @@ void Kernel::tick_cpu(CpuId cpu) {
   c.dormant = !cfg_.ticked_reference && !sim_->pending(c.resched_timer) && replayable(c);
 }
 
-bool Kernel::balance_due(CpuId cpu, std::int64_t i) const {
-  return cfg_.balance_interval_ticks > 0 && (i + cpu) % cfg_.balance_interval_ticks == 0;
-}
-
 std::int64_t Kernel::next_tick_index() const {
   // With nothing due the event still fires now and then, so the queue never
   // drains while a kernel runs (Simulator::run() then ends at its deadline).
   constexpr std::int64_t kMaxTickGap = 1024;
   const std::int64_t i = tick_index_;
-  const std::int64_t n = cfg_.balance_interval_ticks;
   std::int64_t next = i + kMaxTickGap;
   for (const CpuState& c : cpus_) {
     if (!c.dormant) return i + 1;
-    // A dormant CPU still runs its balance ticks: the next j > i with
-    // (j + cpu) % n == 0.
-    if (n > 0) next = std::min(next, i + 1 + (n - (i + 1 + c.rq.cpu) % n) % n);
+    // A dormant CPU still runs its balance ticks; tick_cpu moved each one
+    // due at i on, so every next_balance is past i.
+    next = std::min(next, c.next_balance);
   }
   return next;
 }
@@ -621,11 +620,12 @@ void Kernel::replay_to(CpuState& c, std::int64_t target) {
   if (c.ticks >= target) return;
   Task* curr = c.rq.curr;
   if (curr != c.rq.idle) {
-    SchedClass& cls = *classes_[static_cast<std::size_t>(curr->class_idx_)];
-    for (std::int64_t i = c.ticks + 1; i <= target; ++i) {
-      account_to(*curr, tick_time(i));
-      cls.task_tick(*this, c.rq, *curr);
-    }
+    // One flush to the last tick equals one per tick: at nice 0 the vruntime
+    // delta is the run delta, and integer ns add up exactly.
+    HPCS_CHECK(curr->nice == 0);
+    account_to(*curr, tick_time(target));
+    classes_[static_cast<std::size_t>(curr->class_idx_)]->replay_task_ticks(*this, c.rq, *curr,
+                                                                             target - c.ticks);
     HPCS_CHECK_MSG(!c.rq.need_resched,
                    "task_tick set need_resched on a replayed tick (SchedClass::task_tick)");
   }

@@ -165,6 +165,10 @@ class Kernel {
     double seg_speed = 0.0;
     /// Ticks taken so far, run or replayed: tick i is at tick_time(i).
     std::int64_t ticks = 0;
+    /// The index of this CPU's next balance tick, the next i with
+    /// (i + cpu) % balance_interval_ticks == 0; never reached when that is
+    /// <= 0 (balancing off).
+    std::int64_t next_balance = std::numeric_limits<std::int64_t>::max();
     sim::Timer exec_timer;     ///< completion of curr's compute segment
     sim::Timer resched_timer;  ///< the deferred schedule_cpu of resched_cpu()
     bool exec_active = false;
@@ -203,7 +207,6 @@ class Kernel {
   void on_tick();
   void tick_cpu(CpuId cpu);
   [[nodiscard]] SimTime tick_time(std::int64_t i) const { return tick_origin_ + cfg_.tick * i; }
-  [[nodiscard]] bool balance_due(CpuId cpu, std::int64_t i) const;
   [[nodiscard]] std::int64_t next_tick_index() const;
   // Tick elision. Most kernel entries find their CPU awake or no skipped tick
   // due yet, so these tests are inline and only the work calls out.
@@ -244,7 +247,6 @@ class Kernel {
   std::vector<std::unique_ptr<Task>> tasks_;
   Pid next_pid_ = 1;
   bool started_ = false;
-  bool in_balance_ = false;
 
   /// One tick timer for all CPUs (Lane::kFirst: ticks run before every
   /// other event at their instant), armed for tick tick_index_.

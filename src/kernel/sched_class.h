@@ -5,6 +5,7 @@
 // tasks. Each class brings its own run-queue data structure (ClassRq).
 
 #include <concepts>
+#include <cstdint>
 #include <memory>
 #include <numeric>
 #include <type_traits>
@@ -76,10 +77,20 @@ class SchedClass {
   ///
   /// Replay contract: while `t` is the only runnable task of this class on
   /// `rq` and has nice 0, the kernel may skip ticks and replay them later
-  /// (accounting flushed to each skipped tick, then this call), possibly
-  /// after other events. In that case task_tick must read no k.now() and set
-  /// no rq.need_resched; it may read and change `t` and this class's state.
+  /// through replay_task_ticks, possibly after other events. In that case
+  /// task_tick must read no k.now() and set no rq.need_resched; it may read
+  /// and change `t` and this class's state.
   virtual void task_tick(Kernel& k, Rq& rq, Task& t) = 0;
+
+  /// Replay `n` >= 1 skipped ticks of `t` at once, under the replay contract
+  /// above; the kernel has flushed `t`'s accounting once, to the last of
+  /// them. The result must equal `n` task_tick calls with accounting flushed
+  /// to each tick before its call. The default makes the `n` calls after the
+  /// one flush, so a class whose task_tick reads `t`'s accounting must
+  /// override it unless that gives the same result.
+  virtual void replay_task_ticks(Kernel& k, Rq& rq, Task& t, std::int64_t n) {
+    for (std::int64_t i = 0; i < n; ++i) task_tick(k, rq, t);
+  }
 
   /// Should `woken` preempt `curr` (both of this class)?
   [[nodiscard]] virtual bool wakeup_preempt(Kernel& k, Rq& rq, Task& curr, Task& woken) = 0;
@@ -128,6 +139,7 @@ concept SchedClassImpl =
       { c.pick_next(k, rq) } -> std::same_as<Task*>;
       { c.put_prev(k, rq, t) } -> std::same_as<void>;
       { c.task_tick(k, rq, t) } -> std::same_as<void>;
+      { c.replay_task_ticks(k, rq, t, std::int64_t{1}) } -> std::same_as<void>;
       { c.wakeup_preempt(k, rq, t, t) } -> std::same_as<bool>;
       { c.yield(k, rq, t) } -> std::same_as<void>;
       { c.steal_candidate(k, rq) } -> std::same_as<Task*>;

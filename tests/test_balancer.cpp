@@ -168,5 +168,105 @@ TEST(Balancer, HpcOneRunningTaskPerCpuNeverMigrates) {
   for (int i = 0; i < 4; ++i) EXPECT_EQ(tasks[static_cast<std::size_t>(i)]->cpu, i);
 }
 
+// Periodic balancing runs on CPU c at the ticks i with
+// (i + c) % balance_interval_ticks == 0, ticked or tickless. A test-local
+// class records each time the balancer asks it for a candidate, and never
+// gives one. In each run one CPU p is idle, its SMT sibling queues two tasks
+// of the class behind an RT hog, and each CPU of the other core queues one
+// behind an RT hog: only p sees an imbalance (2 > 0 + 1 at the SMT level;
+// the two cores hold 2 each), and every CPU can go dormant, so tickless the
+// tick event fires only at balance ticks.
+struct AskRq final : kern::ClassRq {
+  std::vector<kern::Task*> queue;
+};
+
+class AskRecorder final : public kern::SchedClass {
+ public:
+  [[nodiscard]] const char* name() const override { return "ask-recorder"; }
+  [[nodiscard]] bool owns(Policy p) const override { return kern::is_hpc_policy(p); }
+  [[nodiscard]] std::unique_ptr<kern::ClassRq> make_rq() const override {
+    return std::make_unique<AskRq>();
+  }
+  void enqueue(kern::Kernel&, kern::Rq& rq, kern::Task& t, bool) override {
+    queue(rq).push_back(&t);
+  }
+  void dequeue(kern::Kernel&, kern::Rq& rq, kern::Task& t, bool) override {
+    std::erase(queue(rq), &t);
+  }
+  kern::Task* pick_next(kern::Kernel&, kern::Rq& rq) override {
+    auto& q = queue(rq);
+    if (q.empty()) return nullptr;
+    kern::Task* t = q.front();
+    q.erase(q.begin());
+    return t;
+  }
+  void put_prev(kern::Kernel&, kern::Rq& rq, kern::Task& t) override {
+    queue(rq).insert(queue(rq).begin(), &t);
+  }
+  void task_tick(kern::Kernel&, kern::Rq&, kern::Task&) override {}
+  [[nodiscard]] bool wakeup_preempt(kern::Kernel&, kern::Rq&, kern::Task&,
+                                    kern::Task&) override {
+    return false;
+  }
+  kern::Task* steal_candidate(kern::Kernel& k, kern::Rq& rq) override {
+    asks.push_back({rq.cpu, k.now()});
+    return nullptr;
+  }
+  [[nodiscard]] bool wants_balance() const override { return true; }
+
+  struct Ask {
+    CpuId src;
+    SimTime when;
+  };
+  std::vector<Ask> asks;
+
+ private:
+  std::vector<kern::Task*>& queue(kern::Rq& rq) const {
+    return static_cast<AskRq&>(*rq.class_rqs[static_cast<std::size_t>(index())]).queue;
+  }
+};
+HPCS_ASSERT_SCHED_CLASS(AskRecorder);
+
+TEST(Balancer, PeriodicBalanceRunsAtEachCpusOwnTicks) {
+  constexpr std::int64_t kTicks = 200;
+  for (const int n : {1, 3, 64}) {
+    for (const bool ticked : {true, false}) {
+      std::vector<std::pair<CpuId, std::int64_t>> asked;  // (balancing CPU, tick)
+      std::vector<std::pair<CpuId, std::int64_t>> expected;
+      for (CpuId p = 0; p < 4; ++p) {
+        kern::KernelConfig kc;
+        kc.balance_interval_ticks = n;
+        kc.ticked_reference = ticked;
+        KernelFixture f(kc);
+        auto& cls = static_cast<AskRecorder&>(
+            f.k().add_class_before_cfs(std::make_unique<AskRecorder>()));
+        f.k().start();
+        const CpuId sibling = p ^ 1;
+        for (CpuId cpu = 0; cpu < 4; ++cpu) {
+          if (cpu == p) continue;
+          f.k().start_task(f.k().create_task("rt", std::make_unique<HogBody>(),
+                                             Policy::kFifo, cpu));
+          for (int i = 0; i < (cpu == sibling ? 2 : 1); ++i) {
+            f.k().start_task(f.k().create_task("q", std::make_unique<HogBody>(),
+                                               Policy::kHpcFifo, cpu));
+          }
+        }
+        f.run_until(Duration::milliseconds(kTicks) + Duration::microseconds(500));
+        const std::int64_t tick_ns = f.k().tick_period().ns();
+        for (const AskRecorder::Ask& a : cls.asks) {
+          EXPECT_EQ(a.src, sibling);
+          const std::int64_t ns = (a.when - SimTime::zero()).ns();
+          EXPECT_EQ(ns % tick_ns, 0) << "asked between ticks, at " << ns << " ns";
+          asked.emplace_back(p, ns / tick_ns);
+        }
+        for (std::int64_t i = 1; i <= kTicks; ++i) {
+          if ((i + p) % n == 0) expected.emplace_back(p, i);
+        }
+      }
+      EXPECT_EQ(asked, expected) << "interval " << n << (ticked ? ", ticked" : ", tickless");
+    }
+  }
+}
+
 }  // namespace
 }  // namespace hpcs::test

@@ -1,6 +1,7 @@
 // Unit and property tests of the discrete-event core: ordering, FIFO
 // tie-breaking, cancellation semantics, determinism, and a dispatch path
-// that does not allocate.
+// that does not allocate; and kernel context switches that do not allocate
+// either.
 
 #include <gtest/gtest.h>
 
@@ -15,7 +16,9 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "hpcsched/hpcsched.h"
 #include "simcore/simulator.h"
+#include "test_util.h"
 
 // This binary replaces the global operator new/delete with a counting pair,
 // so a test can assert that a code path, callees included, allocates nothing.
@@ -709,6 +712,53 @@ TEST(EventQueue, SteadyStateDispatchDoesNotAllocate) {
   EXPECT_EQ(*shared, total);
   EXPECT_GT(ticks, total);
   EXPECT_GT(sim.queue_stats().resched_inplace, total);
+}
+
+// Every context switch goes through the class run queues, so once they hold
+// their population, tasks sharing a CPU switch without allocating: CFS and
+// SCHED_HPC, RR and FIFO, CPU hogs and periodic sleepers (whose wakeups
+// also run HPCSched's iteration tracking).
+struct SwitchMix {
+  const char* name;
+  kern::Policy policy;
+  bool periodic;
+};
+
+TEST(KernelSteadyState, ContextSwitchesDoNotAllocate) {
+  for (const SwitchMix& mix : {SwitchMix{"CFS hogs", kern::Policy::kNormal, false},
+                               SwitchMix{"CFS periodic", kern::Policy::kNormal, true},
+                               SwitchMix{"HPC RR hogs", kern::Policy::kHpcRr, false},
+                               SwitchMix{"HPC FIFO periodic", kern::Policy::kHpcFifo, true}}) {
+    test::KernelFixture f;
+    hpc::HpcSchedConfig hc;
+    hc.tunables.rr_slice = Duration::milliseconds(2);
+    hpc::install_hpcsched(f.k(), hc);
+    f.k().start();
+    for (int i = 0; i < 3; ++i) {
+      std::unique_ptr<kern::TaskBody> body;
+      if (mix.periodic) {
+        body = std::make_unique<test::PeriodicBody>(0.3e6 * (i + 1), Duration::microseconds(400));
+      } else {
+        body = std::make_unique<test::HogBody>();
+      }
+      kern::Task& t = f.k().create_task("t" + std::to_string(i), std::move(body), mix.policy, 0);
+      f.k().sched_setaffinity(t, 0);
+      f.k().start_task(t);
+    }
+    f.run_until(Duration::milliseconds(100));  // warm-up
+
+    constexpr std::int64_t kSwitches = 1000;
+    const std::int64_t start = f.k().context_switches();
+    const std::uint64_t before = heap_allocs.load(std::memory_order_relaxed);
+    for (int ms = 110; f.k().context_switches() - start < kSwitches && ms <= 60'000; ms += 10) {
+      f.run_until(Duration::milliseconds(ms));
+    }
+    const std::uint64_t allocs = heap_allocs.load(std::memory_order_relaxed) - before;
+    const std::int64_t switches = f.k().context_switches() - start;
+    EXPECT_GE(switches, kSwitches) << mix.name;
+    EXPECT_EQ(allocs, 0u) << mix.name << ": " << allocs << " allocations over " << switches
+                          << " switches";
+  }
 }
 
 // Determinism: two identical runs produce the identical firing order.
