@@ -1,13 +1,19 @@
 // Tests for the analysis layer and the common utilities that back it:
 // improvement computation, formatting helpers, running statistics, RNG
-// stream independence and the whole-run RunResult comparison.
+// stream independence, the draws' known answers and the whole-run RunResult
+// comparison.
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <random>
 
 #include "analysis/paper_experiments.h"
 #include "analysis/experiment.h"
+#include "common/rng.h"
 #include "common/stats.h"
 #include "test_util.h"
 #include "workloads/metbench.h"
@@ -69,6 +75,100 @@ TEST(CommonRng, ForkedStreamsAreIndependent) {
   Rng c = check.fork();
   for (int i = 0; i < 16; ++i) EXPECT_DOUBLE_EQ(a2.uniform(), c.uniform());
 }
+
+TEST(CommonRng, EngineIsTheStandardsMt19937_64) {
+  // The standard's check value: the 10000th output of a default-seeded
+  // mt19937_64 (seed 5489).
+  Mt19937_64 check(5489);
+  for (int i = 1; i < 10000; ++i) check();
+  EXPECT_EQ(check(), 9981545732273789042ull);
+  // The standard fixes the engine's whole output, so this holds on any library.
+  for (const std::uint64_t seed : {0ull, 1ull, 7ull, 99ull, ~0ull}) {
+    Mt19937_64 ours(seed);
+    std::mt19937_64 ref(seed);
+    int mismatches = 0;
+    for (int i = 0; i < 100000; ++i) mismatches += ours() != ref();
+    EXPECT_EQ(mismatches, 0) << "seed " << seed;
+  }
+}
+
+TEST(CommonRng, UnitRoundsToNearestAndStaysBelowOne) {
+  constexpr std::uint64_t k53 = 1ull << 53;
+  constexpr std::uint64_t k63 = 1ull << 63;
+  EXPECT_EQ(Rng::unit(0), 0x0p+0);
+  EXPECT_EQ(Rng::unit(1), 0x1p-64);
+  EXPECT_EQ(Rng::unit(k53 - 1), 0x1.fffffffffffffp-12);  // exact
+  EXPECT_EQ(Rng::unit(k53 + 1), 0x1p-11);                // a tie, to even
+  EXPECT_EQ(Rng::unit(k63 - 1), 0x1p-1);                 // up
+  EXPECT_EQ(Rng::unit(k63 + 1), 0x1p-1);                 // down
+  // Near 2^64 doubles are 2048 apart: below the midpoint rounds down, the
+  // midpoint rounds to even (2^64), which the clamp takes below 1.
+  EXPECT_EQ(Rng::unit(~0ull - 1024), 0x1.fffffffffffffp-1);
+  EXPECT_EQ(Rng::unit(~0ull - 1023), 0x1.fffffffffffffp-1);
+  EXPECT_EQ(Rng::unit(~0ull), 0x1.fffffffffffffp-1);
+}
+
+TEST(CommonRng, FirstDrawsFromSeedOne) {
+  // Captured from the std:: distributions over std::mt19937_64 (libstdc++ 12)
+  // that Rng reproduces; each sequence starts from a fresh Rng(1).
+  constexpr std::array<double, 8> kUniform = {
+      0x1.122deafddb438p-3, 0x1.175c928118c7dp-3, 0x1.ce0b479deb991p-2, 0x1.5876015e4d702p-6,
+      0x1.6751d5cbb3f1ap-2, 0x1.d29d85a57326dp-1, 0x1.e20cd8d6456f4p-2, 0x1.30d84f91bf14bp-4};
+  constexpr std::array<double, 8> kShifted = {
+      0x1.448b7abf76d0ep-1, 0x1.45d724a04631fp-1, 0x1.e705a3cef5cc8p-1, 0x1.0ac3b00af26b8p-1,
+      0x1.b3a8eae5d9f8dp-1, 0x1.694ec2d2b9936p+0, 0x1.f1066c6b22b7ap-1, 0x1.261b09f237e29p-1};
+  constexpr std::array<double, 8> kLognormal = {
+      0x1.a08399232a9fep+15, 0x1.1f660213ec8abp+16, 0x1.707e996840f0cp+15,
+      0x1.a24d9b74e7779p+16, 0x1.e48d672904b32p+15, 0x1.8117aa41756c9p+15,
+      0x1.281da090cbb98p+15, 0x1.33a597e52f7e3p+16};
+  Rng u(1);
+  Rng s(1);
+  Rng l(1);
+  for (std::size_t i = 0; i < 8; ++i) {
+    EXPECT_EQ(u.uniform(), kUniform[i]) << "draw " << i;
+    EXPECT_EQ(s.uniform(0.5, 1.5), kShifted[i]) << "draw " << i;
+    EXPECT_EQ(l.lognormal(11.0, 0.3), kLognormal[i]) << "draw " << i;
+  }
+}
+
+#if defined(__GLIBCXX__)
+/// A generator that returns one fixed word, to feed generate_canonical.
+struct FixedWord {
+  using result_type = std::uint64_t;
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+  result_type word;
+  result_type operator()() const { return word; }
+};
+
+// The formulas are libstdc++'s; this pins them to the library they came from.
+TEST(CommonRng, DrawsEqualLibstdcxxPerCallDistributions) {
+  int mismatches = 0;
+  const auto differ = [](double a, double b) {
+    return std::bit_cast<std::uint64_t>(a) != std::bit_cast<std::uint64_t>(b);
+  };
+  Mt19937_64 words(3);
+  for (int i = 0; i < 100000; ++i) {
+    const std::uint64_t x = words() >> (i % 64);
+    FixedWord w{x};
+    mismatches += differ(Rng::unit(x), std::generate_canonical<double, 53>(w));
+  }
+  for (std::uint64_t seed = 0; seed < 64; ++seed) {
+    Rng ours(seed);
+    std::mt19937_64 ref(seed);
+    for (int i = 0; i < 20000; ++i) {
+      const double mu = 9.0 + i % 5;
+      const double sigma = 0.1 * (1 + i % 6);
+      mismatches += differ(ours.uniform(), std::uniform_real_distribution<double>(0.0, 1.0)(ref));
+      mismatches +=
+          differ(ours.uniform(0.75, 1.25), std::uniform_real_distribution<double>(0.75, 1.25)(ref));
+      mismatches +=
+          differ(ours.lognormal(mu, sigma), std::lognormal_distribution<double>(mu, sigma)(ref));
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+#endif
 
 TEST(PaperReferences, CoverEveryReportedMode) {
   using analysis::SchedMode;
